@@ -15,7 +15,8 @@ from .coefficients import (Coefficient, Const, Cos, Exp, Expr, LaurentPoly,
                            epow, subst_t)
 from .contact import (FormalPair, SkewMatrix, contact_defect, formal_defect,
                       is_contact_on, is_formal_contact_on, pencil_check,
-                      pfaffian_coeffs, relation_coefficient)
+                      pfaffian, pfaffian_coeffs, relation_coefficient,
+                      relation_h, relation_slope)
 from .errors import (ContactKitError, DimensionError, ParseError, PoleError,
                      PreconditionError, VariantError)
 from .extend import (AHReport, FitResult, SampledExtension, ah_pullback_verify,
@@ -32,6 +33,6 @@ from .gallery import (GalleryEntry, alpha_prime, circle_form, covering_check,
 from .grids import CubeGrid, GammaSpec, GridSection
 from .jets import (Jet1, RestrictedJet, SliceClass, ampleness_slice,
                    finite_diff_jet, grid_jacobian, holonomic_jet,
-                   holonomy_defect, relation_grid, relation_value)
+                   holonomy_defect, relation_grid, relation_value, slope_grid)
 from .reports import Check, VerificationReport
 from .scalars import QC

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5
 from .jets import (SliceClass, grid_jacobian, holonomy_defect, relation_grid,
-                   skew_of_jacobian)
+                   skew_of_jacobian, slope_grid)
 from .reports import VerificationReport, fmt_num
 
 SINC_GUARD = 0.3
@@ -115,45 +115,25 @@ def oscillation_field(ell: np.ndarray, nu: float, phi0, rho: np.ndarray,
     return (h / math.sin(nu)) * (-1j) * rho * np.exp(1j * theta)
 
 
-def _column_probe(a: np.ndarray, jac: np.ndarray, n: int, d: int):
-    """Affine decomposition of h in column d of the jet matrix.
-
-    Returns (w, c) with h(jet with column d = q) = <w, q> + c per node.
-    """
-    m = 2 * n + 1
-    jac0 = jac.copy()
-    jac0[..., :, d] = 0
-    c = relation_grid(a, skew_of_jacobian(jac0), n)
-    w = np.empty(a.shape, dtype=complex)
-    for i in range(m):
-        jac_i = jac0.copy()
-        jac_i[..., i, d] = 1
-        w[..., i] = relation_grid(a, skew_of_jacobian(jac_i), n) - c
-    return w, c
-
-
-def _jacobian_of(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
-    m = grid.m
-    out = np.empty(grid.shape + (m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            out[..., i, j] = np.gradient(a[..., i], grid.h[j], axis=j, edge_order=2)
-    return out
-
-
 def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
                     d: int, freq: int, delta: float,
                     interior: np.ndarray) -> bool:
     """One oscillation pass along axis d, in place.  Returns False when the
     margins made the pass unnecessary."""
     n = grid.n
-    jac = _jacobian_of(a, grid)
-    h_act = relation_grid(a, skew_of_jacobian(jac), n)
+    beta = skew_of_jacobian(grid_jacobian(a, grid))
+    h_act = relation_grid(a, beta, n)
     margins = np.abs(h_act)
     if margins[interior].min() >= 3 * delta:
         return False
 
-    w, _ = _column_probe(a, jac, n, d)
+    # h is affine in column d of the jacobian: jac[k, d] enters beta only
+    # through beta_dk = jac[k, d] - jac[d, k], and that slope never reads
+    # column d
+    w = np.zeros(a.shape, dtype=complex)
+    for k in range(grid.m):
+        if k != d:
+            w[..., k] = slope_grid(a, beta, n, d, k)
     wnorm2 = np.sum(np.abs(w) ** 2, axis=-1)
     usable = wnorm2 > 1e-30
     u = np.zeros_like(w)
@@ -193,8 +173,6 @@ def _third_difference_bound(a: np.ndarray, grid: CubeGrid) -> float:
     """Certified local curvature scale: max third difference / h^3."""
     worst = 0.0
     for d in range(grid.m):
-        if grid.nodes < 4:
-            continue
         diffs = np.diff(a, 3, axis=d) / grid.h[d] ** 3
         worst = max(worst, float(np.max(np.abs(diffs))))
     return worst
@@ -220,8 +198,6 @@ def _strip_stencil_bound(s: GridSection, gamma: GammaSpec) -> float:
         guard[tuple(plane)] = True
     worst = 0.0
     for d in range(grid.m):
-        if grid.nodes < 4:
-            continue
         diffs = np.abs(np.diff(s.a, 3, axis=d)) / grid.h[d] ** 3
         # a window covers nodes k..k+3 along d; keep those fully in guard
         sl = [slice(None)] * grid.m
@@ -289,13 +265,8 @@ def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
 
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope
-        slopes = []
-        for (r, s) in pairs:
-            bumped = beta_lerp.copy()
-            bumped[..., r, s] += 1
-            bumped[..., s, r] -= 1
-            slopes.append(relation_grid(a_k, bumped, n) - hk)
-        slopes = np.stack(slopes, axis=-1)
+        slopes = np.stack([slope_grid(a_k, beta_lerp, n, r, s) for r, s in pairs],
+                          axis=-1)
         choice = np.argmax(np.abs(slopes), axis=-1)
         slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
         ok = np.abs(slope) > 1e-30
@@ -374,7 +345,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         raise PreconditionError(
             f"formal margin vanishes at node {tuple(int(k) for k in node)}")
 
-    jac_in = _jacobian_of(inp.a, grid)
+    jac_in = grid_jacobian(inp.a, grid)
     _check_gamma_preconditions(inp, gamma, delta, jac_in)
 
     interior = grid.interior_mask()
@@ -410,7 +381,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                 else:
                     per_direction.append(0)
             sweep_freqs.append(per_direction)
-            jac = _jacobian_of(a, grid)
+            jac = grid_jacobian(a, grid)
             margins = np.abs(relation_grid(a, skew_of_jacobian(jac), grid.n))
             achieved = float(margins[interior].min())
             if achieved >= delta:
@@ -470,7 +441,7 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
 
     # (b) relation margin at interior nodes
     interior = grid.interior_mask()
-    jac = grid_jacobian(out)
+    jac = grid_jacobian(out.a, grid)
     margins = np.abs(relation_grid(out.a, skew_of_jacobian(jac), grid.n))
     interior_margins = np.where(interior, margins, np.inf)
     worst = float(interior_margins.min())

@@ -1,10 +1,17 @@
-"""Contact-condition checks and the Pfaffian expansion of wedge powers.
+"""Contact-condition checks and the one Pfaffian kernel of the relation.
 
 A 1-form alpha on C^m (m = 2n+1 odd) is contact where alpha ^ (d alpha)^n
 is nonzero; the formal variant replaces d alpha by a free 2-form beta.
 Both defects reduce to one scalar coefficient against the holomorphic
-volume word dz_1^...^dz_m, and that coefficient expands combinatorially
-through the Pfaffian of the skew matrix of beta.
+volume word dz_1^...^dz_m.  With a the coefficients of alpha and beta the
+skew matrix of the 2-form, that coefficient is
+
+    h(a, beta) = n! Pf([[0, a^T], [-a, beta]]),
+
+and its slope under a skew bump of beta_rs is a signed minor Pfaffian of
+the same bordered matrix.  ``pfaffian`` is the only expansion: h, the
+slopes and the wedge-power coefficients b_i = n! Pf(beta without i) all
+come from it, on exact, complex and ndarray entries alike.
 """
 
 from __future__ import annotations
@@ -80,9 +87,6 @@ class SkewMatrix:
         for (i, j), v in sorted(self._up.items()):
             yield i, j, v
 
-    def max_abs(self) -> float:
-        return max((abs(complex(v)) for v in self._up.values()), default=0.0)
-
     def __eq__(self, other):
         if not isinstance(other, SkewMatrix):
             return NotImplemented
@@ -96,53 +100,77 @@ class SkewMatrix:
         return f"SkewMatrix(m={self.m}, {ent or '0'})"
 
 
-def _pair_partitions(indices: tuple[int, ...]):
-    """Yield (pairs, sign) over all partitions of ``indices`` into pairs.
+def pfaffian(entry, idx: tuple[int, ...]):
+    """Pfaffian of the skew matrix read by ``entry`` on the indices ``idx``.
 
-    Pairs come out as (small, large); the sign is that of the permutation
-    taking the sorted index list to the flattened pair list.
+    ``entry(i, j)`` returns the (i, j) entry for i < j, where i precedes j
+    in ``idx``; the expansion runs along the first index,
+    Pf = sum_k (-1)^k entry(idx[0], idx[k+1]) Pf(idx without both).
+    Entries may be QC, complex or ndarray; the empty Pfaffian is 1.
     """
-    if not indices:
-        yield (), 1
-        return
-    first, rest = indices[0], indices[1:]
+    if not idx:
+        return 1
+    if len(idx) == 2:
+        return entry(*idx)
+    first, rest = idx[0], idx[1:]
+    total = None
     for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        # moving `partner` next to `first` hops over k earlier entries
-        sign_here = -1 if k % 2 else 1
-        for pairs, sign in _pair_partitions(remaining):
-            yield ((first, partner),) + pairs, sign_here * sign
+        term = entry(first, partner) * pfaffian(entry, rest[:k] + rest[k + 1:])
+        if k % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _bordered(a, beta):
+    """Reader of [[0, a^T], [-a, beta]] above the diagonal: index 0 is the
+    border, index k >= 1 is beta's index k - 1."""
+    def entry(i, j):
+        return a(j - 1) if i == 0 else beta(i - 1, j - 1)
+    return entry
+
+
+def relation_h(a, beta, n: int):
+    """The contact relation h = n! Pf([[0, a^T], [-a, beta]]).
+
+    ``a(i)`` reads the value vector and ``beta(r, s)`` (r < s) the skew
+    matrix, 0-based with m = 2n+1.  Expanding along the border gives
+    h = sum_i (-1)^i a_i b_i with b_i = n! Pf(beta without i), the
+    holomorphic-volume coefficient of alpha ^ beta^n.
+    """
+    return factorial(n) * pfaffian(_bordered(a, beta), tuple(range(2 * n + 2)))
+
+
+def relation_slope(a, beta, n: int, r: int, s: int):
+    """dh/dt under the skew bump beta_rs += t, beta_sr -= t (r != s).
+
+    For r < s this is n! (-1)^(r+s+1) Pf(bordered matrix without indices
+    r+1 and s+1); swapping r and s flips the sign.  h is affine in each
+    beta entry, so the slope is exact and does not read beta_rs.
+    """
+    if r == s:
+        raise DimensionError(f"slope needs two distinct indices, got ({r},{s})")
+    if r > s:
+        return -relation_slope(a, beta, n, s, r)
+    rest = tuple(k for k in range(2 * n + 2) if k not in (r + 1, s + 1))
+    v = factorial(n) * pfaffian(_bordered(a, beta), rest)
+    return v if (r + s) % 2 else -v
 
 
 def pfaffian_coeffs(B: SkewMatrix, n: int) -> list:
     """Expand beta^n into its 2n-fold wedge coefficients.
 
     Returns b with beta^n = sum_i b[i] dz_1^...(dz_{i+1} omitted)...^dz_m,
-    where b[i] = n! * sum over pair partitions P of {0..m-1}-{i} of
-    sign(P) * prod of entries.  The sign is forced by direct expansion of
-    the wedge power; tests pin this against a brute-force oracle.
+    where b[i] = n! Pf(B without index i).  The sign is forced by direct
+    expansion of the wedge power; tests pin this against a brute-force
+    oracle.
     """
     m = 2 * n + 1
     if B.m != m:
         raise DimensionError(f"skew matrix has m={B.m}, expected {m}")
     fact = factorial(n)
-    out = []
-    for i in range(m):
-        others = tuple(k for k in range(m) if k != i)
-        total = None
-        for pairs, sign in _pair_partitions(others):
-            prod = None
-            for (p, q) in pairs:
-                v = B.get(p, q)
-                prod = v if prod is None else prod * v
-            if prod is None:
-                prod = 1
-            term = prod if sign > 0 else -prod
-            total = term if total is None else total + term
-        if total is None:
-            total = 1  # n = 0: empty product
-        out.append(total * fact)
-    return out
+    return [pfaffian(B.get, tuple(k for k in range(m) if k != i)) * fact
+            for i in range(m)]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """First-order jets and the open relation controlling the contact condition.
 
 A 1-jet is a value vector a together with a derivative matrix p with the
-convention p[i][j] = da_i/dx_j.  The relation evaluates the alternating
-contraction h of a against the Pfaffian coefficients of skew(p); a jet
-belongs to the relation iff h != 0.  Restricting to one row of p, h is
-affine, which is what makes the relation ample in coordinate directions.
+convention p[i][j] = da_i/dx_j.  With beta_rs = p[s][r] - p[r][s] the
+relation value is h = n! Pf([[0, a^T], [-a, beta]]); a jet belongs to the
+relation iff h != 0.  Restricting to one row (or column) of p, h is
+affine, which is what makes the relation ample in coordinate directions;
+the coefficients of that affine function are the slopes dh/dbeta_rs,
+signed minor Pfaffians of the bordered matrix (see ``contact``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import SkewMatrix, _pair_partitions, pfaffian_coeffs, relation_coefficient
+from .contact import relation_h, relation_slope
 from .errors import DimensionError, PreconditionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection
@@ -55,24 +57,19 @@ class Jet1:
         rows[i] = tuple(row)
         return Jet1(self.n, self.a, tuple(rows), self.x)
 
-    def skew(self) -> SkewMatrix:
-        """beta_{i,j} = p[j][i] - p[i][j]."""
-        m = self.m
-        out = SkewMatrix(m)
-        for i in range(m):
-            for j in range(i + 1, m):
-                v = self.p[j][i] - self.p[i][j]
-                if v != 0:
-                    out.set(i, j, v)
-        return out
+
+def _readers(j: Jet1):
+    """Kernel readers of a jet: a(i), and beta(r, s) = p[s][r] - p[r][s]
+    built once for r < s."""
+    m = j.m
+    beta = {(r, s): j.p[s][r] - j.p[r][s] for r in range(m) for s in range(r + 1, m)}
+    return j.a.__getitem__, lambda r, s: beta[r, s]
 
 
 def relation_value(j: Jet1):
-    """The contraction h = sum_i (-1)^i a[i] b[i] (0-based) with b from
-    the Pfaffian expansion of skew(p).  The jet is in the relation iff
-    the result is nonzero."""
-    b = pfaffian_coeffs(j.skew(), j.n)
-    return relation_coefficient(list(j.a), b)
+    """h = n! Pf([[0, a^T], [-a, beta]]) with beta = skew(p).  The jet is
+    in the relation iff the result is nonzero."""
+    return relation_h(*_readers(j), j.n)
 
 
 @dataclass(frozen=True)
@@ -140,30 +137,21 @@ def _zero_like(template):
     return QC(0) if isinstance(template, QC) else 0j
 
 
-def _one_like(template):
-    return QC(1) if isinstance(template, QC) else 1 + 0j
-
-
 def ampleness_slice(e: RestrictedJet) -> SliceClass:
-    """Decompose h as an affine function of the free row by exact probing.
+    """Decompose h as an affine function of the free row.
 
-    Evaluates h at the zero row and at the unit rows; exactness comes from
-    affine-linearity of h in any single row of p, which holds because each
-    b_i is multilinear in the beta entries and the free row enters each
-    beta entry at most once.
+    Row i of p enters beta only through beta_ji = p[i][j] - p[j][i], and
+    each Pfaffian term holds at most one beta entry with index i, so h is
+    affine in the row: c is h at the zero row and w_j is the slope in
+    beta_ji, a signed minor Pfaffian (w_i = 0, the diagonal cancels).
     """
     jet, i = e.jet, e.i
     m = jet.m
-    template = jet.a[0]
-    zero = _zero_like(template)
-    one = _one_like(template)
-
-    base = relation_value(jet.with_row(i, [zero] * m))
-    w = []
-    for jcol in range(m):
-        row = [zero] * m
-        row[jcol] = one
-        w.append(relation_value(jet.with_row(i, row)) - base)
+    zero = _zero_like(jet.a[0])
+    readers = _readers(jet.with_row(i, [zero] * m))
+    base = relation_h(*readers, jet.n)
+    w = [zero if jcol == i else relation_slope(*readers, jet.n, jcol, i)
+         for jcol in range(m)]
 
     def is_zero(v):
         return v.is_zero if isinstance(v, QC) else v == 0
@@ -207,17 +195,16 @@ def holonomic_jet(alpha: Form, pt: Point) -> Jet1:
     return Jet1.build(n, a, p, x=pt)
 
 
-def grid_jacobian(s: GridSection) -> np.ndarray:
-    """All first derivatives of the a field: out[..., i, j] = da_i/dx_j.
+def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
+    """All first derivatives of an a field: out[..., i, j] = da_i/dx_j.
 
     Second-order central differences inside, second-order one-sided at the
     faces (the numpy gradient stencils with edge_order=2).
     """
-    grid = s.grid
     m = grid.m
     out = np.empty(grid.shape + (m, m), dtype=complex)
     for i in range(m):
-        comp = s.a[..., i]
+        comp = a[..., i]
         for j in range(m):
             out[..., i, j] = np.gradient(comp, grid.h[j], axis=j, edge_order=2)
     return out
@@ -257,24 +244,18 @@ def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
     return np.swapaxes(jac, -1, -2) - jac
 
 
+def _grid_readers(a: np.ndarray, beta: np.ndarray):
+    return (lambda i: a[..., i]), (lambda r, s: beta[..., r, s])
+
+
 def relation_grid(a: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     """Vectorized h over a grid: a shape (..., m), beta shape (..., m, m)."""
-    m = 2 * n + 1
-    from math import factorial
-    fact = float(factorial(n))
-    h = np.zeros(a.shape[:-1], dtype=complex)
-    for i in range(m):
-        others = tuple(k for k in range(m) if k != i)
-        b_i = np.zeros_like(h)
-        for pairs, sign in _pair_partitions(others):
-            prod = np.ones_like(h)
-            for (p, q) in pairs:
-                prod = prod * beta[..., p, q]
-            b_i = b_i + (prod if sign > 0 else -prod)
-        b_i *= fact
-        term = a[..., i] * b_i
-        h += term if i % 2 == 0 else -term
-    return h
+    return relation_h(*_grid_readers(a, beta), n)
+
+
+def slope_grid(a: np.ndarray, beta: np.ndarray, n: int, r: int, s: int) -> np.ndarray:
+    """Vectorized dh/dt under beta_rs += t, beta_sr -= t (r != s)."""
+    return relation_slope(*_grid_readers(a, beta), n, r, s)
 
 
 def holonomy_defect(s: GridSection) -> float:
@@ -283,19 +264,13 @@ def holonomy_defect(s: GridSection) -> float:
     Zero (up to stencil error) exactly when beta really is the curl of a,
     i.e. the section is holonomic.
     """
-    jac = grid_jacobian(s)
+    jac = grid_jacobian(s.a, s.grid)
     return float(np.max(np.abs(skew_of_jacobian(jac) - s.beta)))
 
 
 def formal_margin_grid(s: GridSection) -> np.ndarray:
     """|h| per node using the declared beta field (formal membership)."""
     return np.abs(relation_grid(s.a, s.beta, s.grid.n))
-
-
-def actual_margin_grid(s: GridSection) -> np.ndarray:
-    """|h| per node using the finite-difference curl of a (actual membership)."""
-    jac = grid_jacobian(s)
-    return np.abs(relation_grid(s.a, skew_of_jacobian(jac), s.grid.n))
 
 
 def min_formal_margin(s: GridSection) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contactkit.coefficients import LaurentPoly
-from contactkit.contact import contact_defect, top_coefficient
+from contactkit.contact import contact_defect, relation_h, relation_slope, top_coefficient
 from contactkit.errors import DimensionError, PreconditionError
 from contactkit.forms import Form
 from contactkit.gallery import std_form
@@ -14,7 +14,7 @@ from contactkit.grids import CubeGrid, GridSection
 from contactkit.jets import (
     Jet1, RestrictedJet, ampleness_slice, finite_diff_jet, grid_jacobian,
     holonomic_jet, holonomy_defect, min_formal_margin, relation_grid,
-    relation_value, require_formal_margin, skew_of_jacobian,
+    relation_value, require_formal_margin, skew_of_jacobian, slope_grid,
 )
 from contactkit.sampling import exact_points, random_jet, random_qc
 from contactkit.scalars import QC
@@ -115,6 +115,88 @@ def test_forced_slice_kinds():
     assert ampleness_slice(RestrictedJet(zero, 0)).is_ample is False
 
 
+def test_slope_is_the_skew_bump_difference():
+    """slope(r, s) = h(beta + e_rs - e_sr) - h(beta) exactly, for every
+    ordered pair; bumping p[s][r] by one is that skew bump."""
+    rng = random.Random(337)
+    for n in (1, 2, 3):
+        m = 2 * n + 1
+        for _ in range(3):
+            jet = random_jet(n, rng)
+            h = relation_value(jet)
+            beta = lambda r, s: jet.p[s][r] - jet.p[r][s]
+            for r in range(m):
+                for s in range(m):
+                    if r == s:
+                        continue
+                    p = [list(row) for row in jet.p]
+                    p[s][r] = p[s][r] + QC(1)
+                    bumped = relation_value(Jet1.build(n, jet.a, p))
+                    assert bumped - h == relation_slope(jet.a.__getitem__, beta, n, r, s)
+    with pytest.raises(DimensionError):
+        relation_slope(jet.a.__getitem__, beta, 3, 2, 2)
+
+
+def test_slope_grid_matches_bumped_relation_grid():
+    rng = np.random.default_rng(347)
+    for n in (1, 2):
+        m = 2 * n + 1
+        a = rng.normal(size=(4, 3, m)) + 1j * rng.normal(size=(4, 3, m))
+        jac = rng.normal(size=(4, 3, m, m)) + 1j * rng.normal(size=(4, 3, m, m))
+        beta = skew_of_jacobian(jac)
+        h = relation_grid(a, beta, n)
+        for r in range(m):
+            for s in range(m):
+                if r == s:
+                    continue
+                bumped = beta.copy()
+                bumped[..., r, s] += 1
+                bumped[..., s, r] -= 1
+                diff = relation_grid(a, bumped, n) - h
+                assert np.max(np.abs(slope_grid(a, beta, n, r, s) - diff)) <= 1e-12
+
+
+def probe_slice_oracle(jet, i):
+    """The affine decomposition by m+1 probes: c = h(zero row),
+    w_j = h(e_j) - c."""
+    m = jet.m
+    c = relation_value(jet.with_row(i, [QC(0)] * m))
+    w = tuple(relation_value(jet.with_row(i, [QC(int(k == j)) for k in range(m)])) - c
+              for j in range(m))
+    if all(wj.is_zero for wj in w):
+        return ("empty", None, 0) if c.is_zero else ("full", None, c)
+    return "hyperplane", w, c
+
+
+def test_ampleness_slice_matches_probe_oracle():
+    rng = random.Random(349)
+    p = [[QC(0)] * 3 for _ in range(3)]
+    p[1][0] = QC(1)
+    jets = [Jet1.build(1, (QC(0),) * 3, [[QC(0)] * 3] * 3),
+            Jet1.build(1, (QC(0), QC(0), QC(1)), p)]
+    jets += [random_jet(n, rng) for n in (1, 2, 3) for _ in range(3)]
+    kinds = set()
+    for jet in jets:
+        for i in range(jet.m):
+            slc = ampleness_slice(RestrictedJet(jet, i))
+            kinds.add(slc.kind)
+            assert (slc.kind, slc.w, slc.c) == probe_slice_oracle(jet, i)
+    assert kinds == {"empty", "full", "hyperplane"}
+
+
+def test_relation_h_is_the_pfaffian_contraction():
+    """h = sum_i (-1)^i a_i b_i with b_i from the pfaffian coefficients."""
+    from contactkit.contact import SkewMatrix, pfaffian_coeffs, relation_coefficient
+    rng = random.Random(353)
+    for n in (0, 1, 2):
+        jet = random_jet(n, rng)
+        m = jet.m
+        B = SkewMatrix(m, {(r, s): jet.p[s][r] - jet.p[r][s]
+                           for r in range(m) for s in range(r + 1, m)})
+        want = relation_coefficient(list(jet.a), pfaffian_coeffs(B, n))
+        assert relation_h(jet.a.__getitem__, B.get, n) == want
+
+
 def test_holonomic_jet_matches_defect():
     """relation_value of the holonomic jet equals the defect coefficient."""
     for n in (1, 2):
@@ -161,7 +243,7 @@ def test_grid_jacobian_matches_pointwise_jets():
               LaurentPoly.z(3, 2) * QC(0, 1) + QC(3),
               LaurentPoly.z(3, 0, 2)]
     s = grid_section_from_polys(grid, coeffs, {(0, 2): LaurentPoly.const(3, 1)})
-    jac = grid_jacobian(s)
+    jac = grid_jacobian(s.a, s.grid)
     for _ in range(12):
         node = tuple(rng.randrange(7) for _ in range(3))
         jet = finite_diff_jet(s, node)
@@ -173,15 +255,24 @@ def test_grid_jacobian_matches_pointwise_jets():
 def test_relation_grid_matches_per_node_jets():
     """Vectorized h agrees with scalar relation_value on stencil jets."""
     rng = random.Random(331)
-    grid = CubeGrid(1, nodes=7)
-    coeffs = [LaurentPoly.z(3, 1), LaurentPoly.z(3, 0) * QC(2, 1), LaurentPoly.const(3, 1)]
-    s = grid_section_from_polys(grid, coeffs, {(0, 1): LaurentPoly.const(3, 1)})
-    jac = grid_jacobian(s)
-    hgrid = relation_grid(s.a, skew_of_jacobian(jac), 1)
-    for _ in range(10):
-        node = tuple(rng.randrange(1, 6) for _ in range(3))
-        jet = finite_diff_jet(s, node)
-        assert hgrid[node] == pytest.approx(complex(relation_value(jet)), abs=1e-10)
+    z = LaurentPoly.z
+    cases = [
+        (CubeGrid(1, nodes=7),
+         [z(3, 1), z(3, 0) * QC(2, 1), LaurentPoly.const(3, 1)],
+         {(0, 1): LaurentPoly.const(3, 1)}),
+        (CubeGrid(2, nodes=5),
+         [z(5, 1) * z(5, 2), z(5, 0) * QC(2, 1), z(5, 3) + z(5, 4) * QC(0, 1),
+          z(5, 2), z(5, 0, 2)],
+         {(0, 1): LaurentPoly.const(5, 1), (2, 3): LaurentPoly.const(5, 1)}),
+    ]
+    for grid, coeffs, beta in cases:
+        s = grid_section_from_polys(grid, coeffs, beta)
+        jac = grid_jacobian(s.a, s.grid)
+        hgrid = relation_grid(s.a, skew_of_jacobian(jac), grid.n)
+        for _ in range(10):
+            node = tuple(rng.randrange(1, grid.nodes - 1) for _ in range(grid.m))
+            jet = finite_diff_jet(s, node)
+            assert hgrid[node] == pytest.approx(complex(relation_value(jet)), abs=1e-10)
 
 
 def test_skew_of_jacobian_antisymmetric():
@@ -210,7 +301,7 @@ def test_stencil_refinement_is_second_order():
     for nodes in (9, 17):
         grid = CubeGrid(1, nodes=nodes)
         s = GridSection.sample(grid, alpha, Form(3, 2, {}))
-        jac = grid_jacobian(s)
+        jac = grid_jacobian(s.a, s.grid)
         x = grid.axis(0).reshape(-1, 1, 1)
         exact = 3 * x ** 2 * np.ones(grid.shape)
         defects.append(float(np.max(np.abs(jac[..., 2, 0] - exact))))
