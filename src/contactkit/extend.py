@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -467,9 +467,10 @@ def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> F
                         term = term * pt.values[k]
                 row.append(term)
             A.append(row)
-        rhs_cols = [[exact_value(rows[r][i]) for r in range(len(rows))] for i in range(m)]
-        if any(v is None for col in rhs_cols for v in col):
+        exact_rows = [[exact_value(v) for v in r] for r in rows]
+        if any(v is None for r in exact_rows for v in r):
             raise VariantError("exact fit requested on non-exact values")
+        rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         sols, rank = _solve_exact_normal(A, rhs_cols)
         terms = {}
         for i in range(m):
@@ -480,14 +481,15 @@ def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> F
             if not poly.is_zero:
                 terms[(i,)] = poly
         form = Form(m, 1, terms, "laurent")
-        residual = 0.0
-        for r, pt in enumerate(points):
+        # sup of the squared misfit, exact; an exact recovery reports 0.0
+        worst = Fraction(0)
+        for r, row in enumerate(exact_rows):
             for i in range(m):
-                fit_v = sum((complex(c) * complex(av) for c, av in zip(sols[i], A[r])), 0j)
-                residual = max(residual, abs(fit_v - complex(rows[r][i])))
-            for extra in rows[r][m:]:
-                residual = max(residual, abs(complex(extra)))
-        return FitResult(form, residual, rank, len(monos), len(points), True)
+                fit_v = sum((c * av for c, av in zip(sols[i], A[r])), QC(0))
+                worst = max(worst, (fit_v - row[i]).abs2())
+            for extra in row[m:]:
+                worst = max(worst, extra.abs2())
+        return FitResult(form, sqrt(worst), rank, len(monos), len(points), True)
 
     pts_c = [pt.as_complex() for pt in points]
     A = np.empty((len(points), len(monos)), dtype=complex)

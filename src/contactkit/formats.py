@@ -62,6 +62,12 @@ def _term_context(idx: int) -> str:
     return f"terms[{idx}]"
 
 
+def _exponents(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(e) is int for e in value):
+        raise ValueError(f"exponents must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def form_from_document(doc: dict) -> Form:
     if not isinstance(doc, dict):
         raise ParseError("form document must be an object")
@@ -71,6 +77,8 @@ def form_from_document(doc: dict) -> Form:
         raw_terms = doc["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed form header: {exc}") from None
+    if not isinstance(raw_terms, list):
+        raise ParseError(f"terms: expected a list of terms, got {raw_terms!r}")
     terms = {}
     for idx, raw in enumerate(raw_terms):
         where = _term_context(idx)
@@ -84,11 +92,13 @@ def form_from_document(doc: dict) -> Form:
             raise ParseError(f"{where}: wedge indices must be strictly increasing")
         if word in terms:
             raise ParseError(f"{where}: duplicate wedge")
+        raw_coeff = raw.get("coeff", [])
+        if not isinstance(raw_coeff, list):
+            raise ParseError(f"{where}.coeff: expected a list of entries, got {raw_coeff!r}")
         poly_terms = {}
-        for jdx, entry in enumerate(raw.get("coeff", [])):
+        for jdx, entry in enumerate(raw_coeff):
             try:
-                mono = Monomial(tuple(int(e) for e in entry["zexp"]),
-                                tuple(int(e) for e in entry["zbarexp"]))
+                mono = Monomial(_exponents(entry["zexp"]), _exponents(entry["zbarexp"]))
                 value = QC(Fraction(str(entry["re"])), Fraction(str(entry["im"])))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"{where}.coeff[{jdx}]: {exc}") from None

@@ -1,27 +1,31 @@
 """Exact complex scalars with rational real and imaginary parts.
 
-These are the coefficients of the exact Laurent ring.  The class is a
-thin pair of ``fractions.Fraction`` values with closed field arithmetic:
-sums, products, quotients and integer powers of exact scalars are exact.
-Mixing an exact scalar with a float or a Python complex raises
-:class:`~contactkit.errors.VariantError`; conversion to binary floats is
-always an explicit ``complex(q)`` call at the edge of a computation.
+These are the coefficients of the exact Laurent ring.  A value
+``(a + b*i) / d`` is stored as three Python ints ``(a, b, d)`` with
+``d > 0`` and ``gcd(a, b, d) == 1``, so every value has exactly one stored
+form: equality is a comparison of triples and zero is ``(0, 0, 1)``.
+Sums, products, quotients and integer powers work on the ints directly and
+reduce each result by one ``math.gcd``; they are exact.  The real and
+imaginary parts are read as ``fractions.Fraction`` through :attr:`QC.re`
+and :attr:`QC.im`.  Mixing an exact scalar with a float or a Python complex
+raises :class:`~contactkit.errors.VariantError`; conversion to binary
+floats is always an explicit ``complex(q)`` call at the edge of a
+computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import VariantError
 
 _EXACT_PARTS = (int, Fraction)
 
 
-def _coerce_part(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce_part(value):
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise VariantError(
@@ -29,37 +33,85 @@ def _coerce_part(value) -> Fraction:
     )
 
 
-class QC:
-    """A complex number with exact rational real and imaginary parts."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _raw(a: int, b: int, d: int) -> "QC":
+    """The QC ``(a + b*i) / d`` from a triple that is already reduced."""
+    q = _new(QC)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+def _reduced(a: int, b: int, d: int) -> "QC":
+    """The QC ``(a + b*i) / d`` for ``d > 0``, reduced by one gcd."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    # _raw inlined: every sum and product ends here
+    q = _new(QC)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+class QC:
+    """A complex number with exact rational real and imaginary parts.
+
+    Values are immutable: ``re`` and ``im`` are read-only, and the stored
+    triple is never changed after construction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce_part(re))
-        object.__setattr__(self, "im", _coerce_part(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = _coerce_part(re)
+        im = _coerce_part(im)
+        rd, id_ = re.denominator, im.denominator
+        d = lcm(rd, id_)
+        # both parts are in lowest terms, so the triple is already reduced
+        self._a = re.numerator * (d // rd)
+        self._b = im.numerator * (d // id_)
+        self._d = d
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("QC values are immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- conversions ---------------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division is correctly rounded, like float(Fraction)
+        return complex(self._a / self._d, self._b / self._d)
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def conj(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus ``re**2 + im**2``."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -77,41 +129,59 @@ class QC:
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QC(self.re + o.re, self.im + o.im)
+        if type(other) is not QC:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QC(self.re - o.re, self.im - o.im)
+        if type(other) is not QC:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QC(o.re - self.re, o.im - self.im)
+        a, b, d = o._a, o._b, o._d
+        c, e, f = self._a, self._b, self._d
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if type(other) is not QC:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QC":
-        n = self.abs2()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("inverse of exact zero")
-        return QC(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -143,13 +213,17 @@ class QC:
     # -- comparison / hashing -------------------------------------------
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not QC:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(Fraction(self._a, self._d))
 
     def __bool__(self):
         return not self.is_zero

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit.coefficients import (
     Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, TParam, Z, Zbar,
@@ -173,3 +175,24 @@ def test_coefficient_variant():
     assert coefficient_variant(Sin(Z(0))) == "expr"
     with pytest.raises(VariantError):
         coefficient_variant(0.5)
+
+
+# -- property tests --------------------------------------------------------
+
+_parts = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_monomials = st.builds(
+    Monomial,
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)))
+laurents = st.dictionaries(_monomials, st.builds(QC, _parts, _parts), max_size=3).map(
+    lambda terms: LaurentPoly(2, terms))
+
+
+@settings(deadline=None)
+@given(laurents, laurents, laurents)
+def test_laurent_ring_axioms_property(f, g, h):
+    assert (f * g) * h == f * (g * h)
+    assert (f + g) + h == f + (g + h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+    assert f - f == LaurentPoly.zero(2)

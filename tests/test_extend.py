@@ -16,7 +16,7 @@ from contactkit.extend import (
 from contactkit.forms import Form, Point, PolyMap
 from contactkit.gallery import covering_map, std_form
 from contactkit.grids import CubeGrid
-from contactkit.sampling import exact_points
+from contactkit.sampling import exact_points, random_qc
 from contactkit.scalars import QC
 
 
@@ -189,6 +189,22 @@ def test_fit_recovers_polynomial_form_exactly():
     assert fit.form == alpha
     assert fit.full_rank
     assert "residual" in fit.summary()
+
+
+def test_fit_exact_recovery_reports_zero_residual():
+    # the sup residual of an exact fit is computed exactly, not in floats
+    rng = random.Random(43)
+    for seed in range(10):
+        alpha = Form(3, 1, {
+            (i,): LaurentPoly.const(3, random_qc(rng))
+            + sum((LaurentPoly.z(3, j) * random_qc(rng) for j in range(3)),
+                  LaurentPoly.zero(3))
+            for i in range(3)})
+        pts = exact_points(3, 8, seed=seed)
+        fit = fit_holomorphic(pts, [alpha.covector_at(pt) for pt in pts], degree=1)
+        assert fit.exact and fit.full_rank
+        assert fit.form == alpha
+        assert fit.residual == 0.0
 
 
 def test_fit_float_path_recovers_to_rounding():

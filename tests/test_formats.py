@@ -126,6 +126,22 @@ def test_form_parse_rejects_bad_words():
     assert "duplicate" in str(err.value)
 
 
+def test_form_parse_rejects_non_list_terms():
+    doc = form_to_document(std_form(1))
+    doc["terms"] = 5
+    with pytest.raises(ParseError) as err:
+        form_from_document(doc)
+    assert "terms" in str(err.value)
+
+
+def test_form_parse_rejects_string_exponents():
+    doc = form_to_document(std_form(1))
+    doc["terms"][1]["coeff"][0]["zexp"] = "100"
+    with pytest.raises(ParseError) as err:
+        form_from_document(doc)
+    assert "terms[1].coeff[0]" in str(err.value)
+
+
 def test_load_form_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format": "contactkit-form",\n  "m": }')

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit.errors import VariantError
 from contactkit.scalars import QC
@@ -79,3 +82,98 @@ def test_hash_matches_equality():
     assert hash(QC(2, 0)) == hash(QC(Fraction(4, 2), Fraction(0)))
     assert QC(1, 2) != QC(1, 3)
     assert bool(QC(0, 0)) is False
+
+
+def test_hash_agrees_with_int_and_fraction_equality():
+    for n in (0, 1, -1, 7, 2 ** 70):
+        assert QC(n) == n
+        assert hash(QC(n)) == hash(n)
+        assert {n: "x"}.get(QC(n)) == "x"
+        assert {QC(n): "y"}[n] == "y"
+    for f in (Fraction(1, 2), Fraction(-22, 7), Fraction(3, 2 ** 65)):
+        assert QC(f) == f
+        assert hash(QC(f)) == hash(f)
+        assert {f: "x"}.get(QC(f)) == "x"
+        assert {QC(f): "y"}[f] == "y"
+
+
+# -- property tests --------------------------------------------------------
+
+parts = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+scalars = st.builds(QC, parts, parts)
+nonzero = scalars.filter(lambda q: not q.is_zero)
+wide_parts = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+props = settings(deadline=None)
+
+
+@props
+@given(scalars, scalars, scalars, st.integers(-30, 30))
+def test_ring_axioms_property(a, b, c, n):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and a * 0 == 0
+    assert a + (-a) == 0 and a - b == a + (-b)
+    assert n - a == QC(n) - a and n + a == a + QC(n) and n * a == a * QC(n)
+
+
+@props
+@given(scalars, nonzero, st.integers(-30, 30))
+def test_field_axioms_property(b, a, n):
+    assert a * a.inverse() == 1
+    assert a.inverse().inverse() == a
+    assert (b / a) * a == b
+    assert n / a == QC(n) * a.inverse()
+    assert a ** -2 == (a * a).inverse()
+
+
+@props
+@given(scalars, scalars)
+def test_conj_property(a, b):
+    assert a.conj().conj() == a
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert (a + b).conj() == a.conj() + b.conj()
+    assert a * a.conj() == QC(a.abs2())
+    assert isinstance(a.abs2(), Fraction)
+    if not a.is_zero:
+        assert a.inverse() == a.conj() * QC(1 / a.abs2())
+
+
+def _triple(q):
+    return q._a, q._b, q._d
+
+
+@props
+@given(scalars, scalars, nonzero)
+def test_stored_form_is_canonical(a, b, c):
+    for q in (a, a + b, a - b, a * b, (a * c) / c, c.inverse(), -a, a.conj()):
+        re, im = q.re, q.im
+        d = math.lcm(re.denominator, im.denominator)
+        # the one triple a Fraction pair determines
+        assert _triple(q) == (re.numerator * (d // re.denominator),
+                              im.numerator * (d // im.denominator), d)
+        assert q._d > 0 and math.gcd(*_triple(q)) == 1
+    assert _triple((a * c) / c) == _triple(a)
+    assert _triple(a - a) == (0, 0, 1)
+    with pytest.raises(AttributeError):
+        a.re = Fraction(1)
+
+
+@props
+@given(scalars)
+def test_text_forms_round_trip(q):
+    assert QC.from_part_strings(*q.part_strings()) == q
+    text = repr(q)
+    assert text == f"QC({q.re}, {q.im})"
+    assert QC.from_part_strings(*text[3:-1].split(", ")) == q
+
+
+@props
+@given(wide_parts, wide_parts)
+def test_complex_matches_fraction_parts_bitwise(re, im):
+    q = QC(re, im)
+    got, want = complex(q), complex(q.re) + 1j * complex(q.im)
+    assert (got.real, got.imag) == (want.real, want.imag)
+    assert math.copysign(1, got.real) == math.copysign(1, want.real)
+    assert math.copysign(1, got.imag) == math.copysign(1, want.imag)
