@@ -168,7 +168,7 @@ def cmd_integrate(cfg: RunConfig) -> tuple[VerificationReport, object]:
     report.add("solver summary", result.passed,
                f"margin={fmt_num(result.margin)} deviation={fmt_num(result.deviation)} "
                f"rung={result.rung} sweeps={len(result.sweep_frequencies)}")
-    _config_line(report, cfg, ["demo", "grid", "eps", "delta", "seed", "sweeps"])
+    _config_line(report, cfg, ["demo", "grid", "eps", "delta", "sweeps"])
     return report, result
 
 
@@ -263,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     add("extend", "extend real-slice data and measure its residual",
         ["form", "map", "degree", "samples", "seed", "tol"])
     add("integrate", "run convex integration on a built-in demo",
-        ["n", "grid", "eps", "delta", "seed", "sweeps", "demo"])
+        ["n", "grid", "eps", "delta", "sweeps", "demo"])
     add("gallery", "verify the catalog of closed-form identities", ["form", "seed"])
     add("fit", "fit a holomorphic polynomial form to samples",
         ["form", "degree", "samples", "seed", "tol"])

@@ -53,10 +53,6 @@ class Monomial(NamedTuple):
     def m(self) -> int:
         return len(self.zexp)
 
-    @property
-    def is_constant(self) -> bool:
-        return not any(self.zexp) and not any(self.zbarexp)
-
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(
             tuple(a + b for a, b in zip(self.zexp, other.zexp)),

@@ -12,18 +12,23 @@ and its slope under a skew bump of beta_rs is a signed minor Pfaffian of
 the same bordered matrix.  ``pfaffian`` is the only expansion: h, the
 slopes and the wedge-power coefficients b_i = n! Pf(beta without i) all
 come from it, on exact, complex and ndarray entries alike.
+
+The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
+``pencil_check``) read their margins from ``relation_h`` on point values:
+alpha's dz_i coefficients and the dz_r^dz_s coefficients of d alpha (taken
+once per form) or of the pair's beta.  The symbolic defect forms
+``contact_defect`` and ``formal_defect`` are kept for exact identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
-from .coefficients import LaurentPoly
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, Point, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
-from .scalars import QC
 
 
 class SkewMatrix:
@@ -187,6 +192,8 @@ class FormalPair:
             raise DimensionError("pair members live on different spaces")
         if self.alpha.m % 2 == 0:
             raise DimensionError("odd complex dimension 2n+1 required")
+        if self.alpha.variant != self.beta.variant:
+            raise VariantError("pair members mix coefficient variants; convert with to_expr()")
 
     @property
     def m(self) -> int:
@@ -201,20 +208,9 @@ class FormalPair:
         return cls(alpha, ext_d(alpha))
 
 
-def _require_odd(m: int) -> int:
-    if m % 2 == 0:
-        raise DimensionError(f"contact condition needs odd dimension, got m={m}")
-    return (m - 1) // 2
-
-
 def contact_defect(alpha: Form) -> Form:
     """The top form alpha ^ (d alpha)^n; nonvanishing means contact."""
-    if alpha.degree != 1:
-        raise DimensionError("contact_defect expects a 1-form")
-    n = _require_odd(alpha.m)
-    if n == 0:
-        return alpha
-    return wedge(alpha, wedge_power(ext_d(alpha), n))
+    return formal_defect(FormalPair.holonomic(alpha))
 
 
 def formal_defect(pair: FormalPair) -> Form:
@@ -230,13 +226,28 @@ def top_coefficient(defect: Form, pt: Point):
     return defect.coefficient_at(pt, tuple(range(defect.m)))
 
 
-def _margin_checks(defect: Form, samples, tol: float, report: VerificationReport,
+def _volume_values(pair: FormalPair):
+    """Per-point reader of the values h needs: alpha's dz_i and beta's
+    dz_r^dz_s coefficients, in one dict keyed by word.
+
+    No other word reaches the holomorphic volume coefficient, so the rest
+    of both forms is dropped once, before any sample is read.
+    """
+    m = pair.m
+    parts = [Form(m, f.degree, {w: c for w, c in f.terms.items() if w[-1] < m}, f.variant)
+             for f in (pair.alpha, pair.beta)]
+    return lambda pt: parts[0].evaluate(pt) | parts[1].evaluate(pt)
+
+
+def _h(values: dict, n: int):
+    return relation_h(lambda i: values.get((i,), 0), lambda r, s: values.get((r, s), 0), n)
+
+
+def _margin_checks(samples: list, hs: list, tol: float, report: VerificationReport,
                    label: str, verbose: bool) -> None:
-    word = tuple(range(defect.m))
     worst = None
     worst_pt = None
-    for idx, pt in enumerate(samples):
-        val = defect.coefficient_at(pt, word)
+    for idx, (pt, val) in enumerate(zip(samples, hs)):
         mag = abs(complex(val))
         if verbose:
             report.add(f"{label} sample {idx}", mag >= tol, f"|coeff|={fmt_num(mag)}")
@@ -253,26 +264,33 @@ def _margin_checks(defect: Form, samples, tol: float, report: VerificationReport
     )
 
 
+def _pair_margins(title: str, label: str, pair: FormalPair, samples, tol: float,
+                  verbose: bool) -> VerificationReport:
+    report = VerificationReport(title)
+    values = _volume_values(pair)
+    samples = list(samples)
+    _margin_checks(samples, [_h(values(pt), pair.n) for pt in samples], tol, report,
+                   label, verbose)
+    return report
+
+
 def is_contact_on(alpha: Form, samples, tol: float,
                   verbose: bool = False) -> VerificationReport:
-    """Check |defect coefficient| >= tol at every sample.
+    """Check |h| >= tol at every sample, h the volume coefficient of
+    alpha ^ (d alpha)^n.
 
-    ``samples`` is an iterable of Point.  The margin is the absolute value
-    of the holomorphic-volume coefficient of alpha ^ (d alpha)^n; the
-    report records the minimum and where it occurs.
+    ``samples`` is an iterable of Point.  d alpha is taken once; at each
+    sample h comes from ``relation_h`` on the point values, and the report
+    records the minimum |h| and where it occurs.
     """
-    report = VerificationReport("contact condition on samples")
-    defect = contact_defect(alpha)
-    _margin_checks(defect, list(samples), tol, report, "contact", verbose)
-    return report
+    return _pair_margins("contact condition on samples", "contact",
+                         FormalPair.holonomic(alpha), samples, tol, verbose)
 
 
 def is_formal_contact_on(pair: FormalPair, samples, tol: float,
                          verbose: bool = False) -> VerificationReport:
-    report = VerificationReport("formal contact condition on samples")
-    defect = formal_defect(pair)
-    _margin_checks(defect, list(samples), tol, report, "formal", verbose)
-    return report
+    return _pair_margins("formal contact condition on samples", "formal",
+                         pair, samples, tol, verbose)
 
 
 def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
@@ -281,7 +299,10 @@ def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
 
     t runs over ``steps`` equispaced values in [0,1] including both ends.
     Passing certifies that the straight-line homotopy between the two
-    1-forms stays contact on the samples at the probed times.
+    1-forms stays contact on the samples at the probed times.  d is
+    linear, so each endpoint's values are read once per sample and mixed
+    at each t: exactly when both endpoints are Laurent, through
+    ``complex()`` otherwise.
     """
     if alpha.degree != 1 or beta1.degree != 1:
         raise DimensionError("pencil_check expects two 1-forms")
@@ -289,22 +310,20 @@ def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
         raise DimensionError("pencil endpoints live on different spaces")
     if steps < 2:
         raise PreconditionError("pencil_check needs steps >= 2")
+    pairs = [FormalPair.holonomic(f) for f in (alpha, beta1)]
+    readers = [_volume_values(pair) for pair in pairs]
+    exact = alpha.variant == "laurent" and beta1.variant == "laurent"
     report = VerificationReport("interpolation pencil")
     samples = list(samples)
-    exact = alpha.variant == "laurent" and beta1.variant == "laurent"
+    ends = []
+    for pt in samples:
+        vals = [values(pt) for values in readers]
+        ends.append(vals if exact else [{w: complex(x) for w, x in v.items()} for v in vals])
     for k in range(steps):
-        if exact:
-            from fractions import Fraction
-            t = Fraction(k, steps - 1)
-            one_minus = Fraction(steps - 1 - k, steps - 1)
-            mix = alpha.scale(QC(one_minus)) + beta1.scale(QC(t))
-        else:
-            t = k / (steps - 1)
-            a = alpha.to_expr() if alpha.variant == "laurent" else alpha
-            b = beta1.to_expr() if beta1.variant == "laurent" else beta1
-            mix = a.scale(complex(1 - t)) + b.scale(complex(t))
-        defect = contact_defect(mix)
-        _margin_checks(defect, samples, tol, report, f"t={t}", False)
+        s, t = Fraction(steps - 1 - k, steps - 1), Fraction(k, steps - 1)
+        hs = [_h({w: v0.get(w, 0) * s + v1.get(w, 0) * t for w in v0.keys() | v1.keys()},
+                 pairs[0].n) for v0, v1 in ends]
+        _margin_checks(samples, hs, tol, report, f"t={t if exact else float(t)}", False)
     return report
 
 
@@ -326,8 +345,3 @@ def relation_coefficient(a: list, b: list):
     if total is None:
         raise DimensionError("empty vectors")
     return total
-
-
-def formal_pair_margin(pair: FormalPair, pt: Point) -> float:
-    """|top coefficient of alpha ^ beta^n| at one point."""
-    return abs(complex(top_coefficient(formal_defect(pair), pt)))

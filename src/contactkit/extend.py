@@ -420,6 +420,15 @@ def _solve_exact_normal(A: list[list[QC]], rhs_cols: list[list[QC]]):
     return sols, rank
 
 
+def _holomorphic_form(m: int, monos, cols) -> Form:
+    """sum_i (sum_I cols[i][I] z^I) dz_i, one LaurentPoly per component;
+    LaurentPoly and Form drop the zero coefficients and components."""
+    zero = (0,) * m
+    return Form(m, 1, {
+        (i,): LaurentPoly(m, {Monomial(tuple(I), zero): c for I, c in zip(monos, col)})
+        for i, col in enumerate(cols)}, "laurent")
+
+
 def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> FitResult:
     """Least-squares (1,0)-form with polynomial z-coefficients.
 
@@ -472,15 +481,7 @@ def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> F
             raise VariantError("exact fit requested on non-exact values")
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         sols, rank = _solve_exact_normal(A, rhs_cols)
-        terms = {}
-        for i in range(m):
-            poly = LaurentPoly.zero(m)
-            for I, c in zip(monos, sols[i]):
-                if not c.is_zero:
-                    poly = poly + LaurentPoly(m, {Monomial(tuple(I), (0,) * m): c})
-            if not poly.is_zero:
-                terms[(i,)] = poly
-        form = Form(m, 1, terms, "laurent")
+        form = _holomorphic_form(m, monos, sols)
         # sup of the squared misfit, exact; an exact recovery reports 0.0
         worst = Fraction(0)
         for r, row in enumerate(exact_rows):
@@ -502,17 +503,9 @@ def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> F
             A[r, cidx] = v
     rhs = np.array([[complex(rows[r][i]) for i in range(m)] for r in range(len(rows))])
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    terms = {}
-    for i in range(m):
-        poly = LaurentPoly.zero(m)
-        for cidx, I in enumerate(monos):
-            c = complex(sol[cidx, i])
-            if c != 0:
-                qc = QC(Fraction(c.real), Fraction(c.imag))
-                poly = poly + LaurentPoly(m, {Monomial(tuple(I), (0,) * m): qc})
-        if not poly.is_zero:
-            terms[(i,)] = poly
-    form = Form(m, 1, terms, "laurent")
+    form = _holomorphic_form(m, monos, [
+        [QC(Fraction(c.real), Fraction(c.imag)) for c in map(complex, sol[:, i])]
+        for i in range(m)])
     fitted = A @ sol
     residual = float(np.max(np.abs(fitted - rhs))) if len(points) else 0.0
     for r in range(len(rows)):

@@ -58,10 +58,6 @@ def form_to_document(form: Form) -> dict:
     }
 
 
-def _term_context(idx: int) -> str:
-    return f"terms[{idx}]"
-
-
 def _exponents(value) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(type(e) is int for e in value):
         raise ValueError(f"exponents must be a list of integers, got {value!r}")
@@ -71,17 +67,23 @@ def _exponents(value) -> tuple[int, ...]:
 def form_from_document(doc: dict) -> Form:
     if not isinstance(doc, dict):
         raise ParseError("form document must be an object")
-    try:
-        m = int(doc["m"])
-        degree = int(doc["degree"])
-        raw_terms = doc["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed form header: {exc}") from None
+    for key in ("format", "version", "m", "degree", "terms"):
+        if key not in doc:
+            raise ParseError(f"malformed form header: missing {key!r}")
+    if doc["format"] != FORMAT_NAME:
+        raise ParseError(f"format: expected {FORMAT_NAME!r}, got {doc['format']!r}")
+    for key in ("version", "m", "degree"):
+        # type() is exact: neither true nor 3.7 passes as a JSON integer
+        if type(doc[key]) is not int:
+            raise ParseError(f"{key}: expected a JSON integer, got {doc[key]!r}")
+    if doc["version"] != FORMAT_VERSION:
+        raise ParseError(f"version: expected {FORMAT_VERSION}, got {doc['version']}")
+    m, degree, raw_terms = doc["m"], doc["degree"], doc["terms"]
     if not isinstance(raw_terms, list):
         raise ParseError(f"terms: expected a list of terms, got {raw_terms!r}")
     terms = {}
     for idx, raw in enumerate(raw_terms):
-        where = _term_context(idx)
+        where = f"terms[{idx}]"
         try:
             word = tuple(covector_index(name, m) for name in raw["wedge"])
         except (KeyError, ValueError, TypeError) as exc:
@@ -190,7 +192,7 @@ def section_from_text(text: str) -> GridSection:
     width = m + 2 * m + 2 * len(pairs)
     a = np.zeros(grid.shape + (m,), dtype=complex)
     beta = np.zeros(grid.shape + (m, m), dtype=complex)
-    seen = 0
+    seen: set[tuple[int, ...]] = set()
     for lineno, parts in rows:
         if len(parts) != width:
             raise ParseError(f"line {lineno}: {len(parts)} columns, expected {width}")
@@ -201,6 +203,9 @@ def section_from_text(text: str) -> GridSection:
             raise ParseError(f"line {lineno}: {exc}") from None
         if any(not 0 <= k < nodes for k in node):
             raise ParseError(f"line {lineno}: node index {node} out of range")
+        if node in seen:
+            raise ParseError(f"line {lineno}: duplicate row for node {node}")
+        seen.add(node)
         for k in range(m):
             a[node + (k,)] = complex(vals[2 * k], vals[2 * k + 1])
         off = 2 * m
@@ -208,9 +213,8 @@ def section_from_text(text: str) -> GridSection:
             v = complex(vals[off + 2 * k], vals[off + 2 * k + 1])
             beta[node + (i, j)] = v
             beta[node + (j, i)] = -v
-        seen += 1
-    if seen != grid.n_nodes:
-        raise ParseError(f"{seen} node rows, expected {grid.n_nodes}")
+    if len(seen) != grid.n_nodes:
+        raise ParseError(f"{len(seen)} node rows, expected {grid.n_nodes}")
     return GridSection(grid, a, beta)
 
 

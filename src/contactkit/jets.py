@@ -125,13 +125,6 @@ class SliceClass:
             return not val.is_zero
         return val != 0
 
-    def describe(self) -> str:
-        if self.kind == "empty":
-            return "empty slice (relation unsatisfiable in this row)"
-        if self.kind == "full":
-            return f"full slice, constant h = {self.c} (degenerate, ample)"
-        return "complement of one affine hyperplane (ample)"
-
 
 def _zero_like(template):
     return QC(0) if isinstance(template, QC) else 0j

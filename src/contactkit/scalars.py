@@ -101,10 +101,6 @@ class QC:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    @property
-    def is_real(self) -> bool:
-        return not self._b
-
     def conj(self) -> "QC":
         return _raw(self._a, -self._b, self._d)
 

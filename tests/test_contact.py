@@ -10,15 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from contactkit.coefficients import LaurentPoly
+from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
-    FormalPair, SkewMatrix, contact_defect, formal_defect, formal_pair_margin,
-    is_contact_on, is_formal_contact_on, pencil_check, pfaffian_coeffs,
-    relation_coefficient, top_coefficient,
+    FormalPair, SkewMatrix, contact_defect, formal_defect, is_contact_on,
+    is_formal_contact_on, pencil_check, pfaffian_coeffs, relation_coefficient,
+    top_coefficient,
 )
-from contactkit.errors import DimensionError
+from contactkit.errors import DimensionError, VariantError
 from contactkit.forms import Form, ext_d, wedge, wedge_power
-from contactkit.gallery import std_form
+from contactkit.gallery import circle_form, gallery_entries, sigma_homotopy, std_form
+from contactkit.jets import holonomic_jet, relation_value
+from contactkit.reports import fmt_num
 from contactkit.sampling import exact_points, random_qc
 from contactkit.scalars import QC
 
@@ -38,6 +40,36 @@ def skew_to_two_form(B):
         if not v.is_zero:
             terms[(i, j)] = LaurentPoly.const(B.m, v)
     return Form(B.m, 2, terms)
+
+
+def formal_pair_margin(pair, pt):
+    """Symbolic oracle: |top coefficient of alpha ^ beta^n| at one point."""
+    return abs(complex(top_coefficient(formal_defect(pair), pt)))
+
+
+def random_mixed_form(n, degree, rng):
+    """A form on C^(2n+1) with zbar monomials and dzbar legs in every
+    bidegree, so that only part of it reaches the volume coefficient."""
+    m = 2 * n + 1
+    words = [(w,) for w in range(2 * m)] if degree == 1 else \
+        [(r, s) for r in range(2 * m) for s in range(r + 1, 2 * m)]
+    terms = {}
+    for w in rng.sample(words, min(len(words), 2 * m)):
+        terms[w] = LaurentPoly(m, {
+            Monomial(tuple(rng.randint(0, 2) for _ in range(m)),
+                     tuple(rng.randint(0, 1) for _ in range(m))): random_qc(rng)
+            for _ in range(2)})
+    return Form(m, degree, terms)
+
+
+def sample_margins(report):
+    """The per-sample |h| details of a verbose margin report."""
+    return [c.detail for c in report.checks if " sample " in c.name]
+
+
+def symbolic_margins(defect, pts):
+    return [f"|coeff|={fmt_num(abs(complex(top_coefficient(defect, pt))))}"
+            for pt in pts]
 
 
 def wedge_expansion_oracle(B, n):
@@ -203,3 +235,105 @@ def test_even_dimension_rejected():
         contact_defect(alpha)
     with pytest.raises(DimensionError):
         FormalPair(Form.dz(4, 0), Form(4, 2, {(0, 1): LaurentPoly.const(4, 1)}))
+
+
+def test_kernel_margins_equal_symbolic_top_coefficient():
+    """Margins read from the kernel on point values equal the symbolic top
+    coefficient of the defect form, bit for bit, on exact points."""
+    for entry in gallery_entries():
+        if entry.variant != "laurent":
+            continue
+        pts = exact_points(entry.form.m, 6, seed=37)
+        report = is_contact_on(entry.form, pts, 1e-9, verbose=True)
+        assert sample_margins(report) == symbolic_margins(contact_defect(entry.form), pts)
+    rng = random.Random(239)
+    for n, count in ((1, 8), (2, 3)):
+        pts = exact_points(2 * n + 1, 4, seed=rng.randint(0, 99))
+        for _ in range(count):
+            alpha = random_mixed_form(n, 1, rng)
+            report = is_contact_on(alpha, pts, 1e-9, verbose=True)
+            assert sample_margins(report) == symbolic_margins(contact_defect(alpha), pts)
+            pair = FormalPair(alpha, random_mixed_form(n, 2, rng))
+            report = is_formal_contact_on(pair, pts, 1e-9, verbose=True)
+            assert sample_margins(report) == symbolic_margins(formal_defect(pair), pts)
+
+
+def test_expr_margins_match_symbolic_top_coefficient():
+    pts = exact_points(3, 8, seed=41)
+    for alpha in (circle_form(-1), sigma_homotopy(0.5)):
+        report = is_contact_on(alpha, pts, 1e-9, verbose=True)
+        got = [float(d.split("=")[1]) for d in sample_margins(report)]
+        want = [abs(complex(top_coefficient(contact_defect(alpha), pt))) for pt in pts]
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def symbolic_pencil(alpha, beta1, samples, steps):
+    """Oracle: min |top coefficient| of the defect of the mixed form at each t."""
+    exact = alpha.variant == "laurent" and beta1.variant == "laurent"
+    out = []
+    for k in range(steps):
+        if exact:
+            t = Fraction(k, steps - 1)
+            mix = alpha.scale(QC(1 - t)) + beta1.scale(QC(t))
+        else:
+            t = k / (steps - 1)
+            a = alpha.to_expr() if alpha.variant == "laurent" else alpha
+            b = beta1.to_expr() if beta1.variant == "laurent" else beta1
+            mix = a.scale(complex(1 - t)) + b.scale(complex(t))
+        defect = contact_defect(mix)
+        out.append((f"t={t} min margin",
+                    min(abs(complex(top_coefficient(defect, pt))) for pt in samples)))
+    return out
+
+
+def pencil_margins(report):
+    return [(c.name, float(c.detail.split()[0].split("=")[1])) for c in report.checks]
+
+
+def test_pencil_matches_symbolic_pencil_oracle():
+    rng = random.Random(241)
+    pts = exact_points(3, 4, seed=43)
+    for _ in range(4):
+        alpha, beta1 = random_mixed_form(1, 1, rng), random_mixed_form(1, 1, rng)
+        report = pencil_check(alpha, beta1, pts, steps=4, tol=1e-12)
+        assert pencil_margins(report) == symbolic_pencil(alpha, beta1, pts, 4)
+    # expression endpoints, and a Laurent endpoint mixed with an expr one
+    for alpha, beta1 in ((circle_form(-1), sigma_homotopy(0.5)),
+                         (std_form(1), circle_form(-1))):
+        got = pencil_margins(pencil_check(alpha, beta1, pts, steps=3, tol=1e-12))
+        want = symbolic_pencil(alpha, beta1, pts, 3)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-12)
+
+
+def test_verifiers_reject_even_dimension_and_non_one_forms():
+    pts = exact_points(4, 2, seed=47)
+    with pytest.raises(DimensionError):
+        is_contact_on(Form.dz(4, 0), pts, 1e-9)
+    with pytest.raises(DimensionError):
+        pencil_check(Form.dz(4, 0), Form.dz(4, 1), pts, steps=2, tol=1e-9)
+    two_form = ext_d(Form.one_form([LaurentPoly.z(3, 1), LaurentPoly.z(3, 0),
+                                    LaurentPoly.const(3, 1)]))
+    pts3 = exact_points(3, 2, seed=47)
+    with pytest.raises(DimensionError):
+        is_contact_on(two_form, pts3, 1e-9)
+    with pytest.raises(DimensionError):
+        pencil_check(std_form(1), two_form, pts3, steps=2, tol=1e-9)
+
+
+def test_formal_pair_rejects_mixed_variants():
+    alpha = std_form(1)
+    with pytest.raises(VariantError):
+        is_formal_contact_on(FormalPair(alpha, ext_d(alpha).to_expr()),
+                             exact_points(3, 2, seed=53), 1e-9)
+
+
+def test_n3_mixed_form_matches_holonomic_jets():
+    """At n = 3 the symbolic defect is out of reach; the kernel margins
+    agree with relation_value on the holonomic jets instead."""
+    alpha = random_mixed_form(3, 1, random.Random(251))
+    pts = exact_points(7, 5, seed=59)
+    report = is_contact_on(alpha, pts, 1e-9, verbose=True)
+    want = [f"|coeff|={fmt_num(abs(complex(relation_value(holonomic_jet(alpha, pt)))))}"
+            for pt in pts]
+    assert sample_margins(report) == want

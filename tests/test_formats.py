@@ -142,6 +142,19 @@ def test_form_parse_rejects_string_exponents():
     assert "terms[1].coeff[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("m", 3.7), ("m", "3"), ("m", True), ("degree", "1"), ("degree", 1.0),
+    ("format", "contactkit-section"), ("version", 2), ("version", True),
+    ("version", "1"),
+])
+def test_form_header_fields_are_checked(key, value):
+    doc = form_to_document(std_form(1))
+    doc[key] = value
+    with pytest.raises(ParseError) as err:
+        form_from_document(doc)
+    assert f"{key}: expected" in str(err.value)
+
+
 def test_load_form_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format": "contactkit-form",\n  "m": }')
@@ -219,6 +232,17 @@ def test_section_parse_errors():
     with pytest.raises(ParseError) as err:
         section_from_text("\n".join(lines[:-4]))
     assert "node rows" in str(err.value)
+
+
+def test_section_parse_rejects_duplicate_node_row():
+    """A repeated node row standing in for a missing one must not read the
+    missing node as zeros."""
+    lines = section_to_text(messy_section(nodes=5)).splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("0 0 0 "))
+    lines[first + 1] = lines[first]
+    with pytest.raises(ParseError) as err:
+        section_from_text("\n".join(lines))
+    assert f"line {first + 2}: duplicate row" in str(err.value)
 
 
 def test_dump_ci_result_inventory(tmp_path):
