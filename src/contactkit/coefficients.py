@@ -200,35 +200,29 @@ class LaurentPoly:
 
     # -- calculus ----------------------------------------------------------
 
-    def diff_z(self, i: int) -> "LaurentPoly":
-        """Formal derivative with respect to ``z_i`` (0-based)."""
+    def _diff(self, i: int, bar: bool) -> "LaurentPoly":
+        """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based)."""
         terms: dict[Monomial, QC] = {}
         for mono, coeff in self.terms.items():
-            e = mono.zexp[i]
+            exps = mono.zbarexp if bar else mono.zexp
+            e = exps[i]
             if e == 0:
                 continue
-            ze = list(mono.zexp)
-            ze[i] = e - 1
-            new = Monomial(tuple(ze), mono.zbarexp)
+            exps = list(exps)
+            exps[i] = e - 1
+            new = Monomial(mono.zexp, tuple(exps)) if bar else Monomial(tuple(exps), mono.zbarexp)
             c = coeff * e
             acc = terms.get(new)
             terms[new] = c if acc is None else acc + c
         return LaurentPoly(self.m, terms)
 
+    def diff_z(self, i: int) -> "LaurentPoly":
+        """Formal derivative with respect to ``z_i`` (0-based)."""
+        return self._diff(i, False)
+
     def diff_zbar(self, i: int) -> "LaurentPoly":
         """Formal derivative with respect to ``zbar_i`` (0-based)."""
-        terms: dict[Monomial, QC] = {}
-        for mono, coeff in self.terms.items():
-            e = mono.zbarexp[i]
-            if e == 0:
-                continue
-            zb = list(mono.zbarexp)
-            zb[i] = e - 1
-            new = Monomial(mono.zexp, tuple(zb))
-            c = coeff * e
-            acc = terms.get(new)
-            terms[new] = c if acc is None else acc + c
-        return LaurentPoly(self.m, terms)
+        return self._diff(i, True)
 
     def conj(self) -> "LaurentPoly":
         """Formal conjugate: swaps ``z``/``zbar`` exponents, conjugates
@@ -394,6 +388,11 @@ class Expr:
     def has_zbar(self) -> bool:
         raise NotImplementedError
 
+    @property
+    def is_zero(self) -> bool:
+        """True only for a folded zero constant; no tree is simplified."""
+        return False
+
     # convenience operators, numeric scalars fold into constants
     def __add__(self, other):
         return eadd(self, _as_expr(other))
@@ -447,13 +446,31 @@ class Const(Expr):
     def has_zbar(self):
         return False
 
+    @property
+    def is_zero(self):
+        return self.value == 0
+
 
 @dataclass(frozen=True, slots=True)
-class Z(Expr):
+class _Coordinate(Expr):
+    """The index checks shared by Z and Zbar; ``i`` is 0-based."""
+
     i: int
 
+    def __post_init__(self):
+        if self.i < 0:
+            raise DimensionError(f"coordinate index {self.i} is negative")
+
+    def _pick(self, values):
+        if self.i >= len(values):
+            raise DimensionError(f"z_{self.i + 1} does not exist on C^{len(values)}")
+        return values[self.i]
+
+
+@dataclass(frozen=True, slots=True)
+class Z(_Coordinate):
     def eval(self, zvalues, t=None):
-        return complex(zvalues[self.i])
+        return complex(self._pick(zvalues))
 
     def diff_z(self, i):
         return Const(1 + 0j) if i == self.i else Const(0j)
@@ -465,7 +482,7 @@ class Z(Expr):
         return Zbar(self.i)
 
     def substitute(self, args):
-        return args[self.i]
+        return self._pick(args)
 
     @property
     def has_zbar(self):
@@ -473,11 +490,9 @@ class Z(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Zbar(Expr):
-    i: int
-
+class Zbar(_Coordinate):
     def eval(self, zvalues, t=None):
-        return complex(zvalues[self.i]).conjugate()
+        return complex(self._pick(zvalues)).conjugate()
 
     def diff_z(self, i):
         return Const(0j)
@@ -489,7 +504,7 @@ class Zbar(Expr):
         return Z(self.i)
 
     def substitute(self, args):
-        return args[self.i].conj()
+        return self._pick(args).conj()
 
     @property
     def has_zbar(self):
@@ -586,7 +601,7 @@ class Pow(Expr):
     k: int
 
     def eval(self, zvalues, t=None):
-        return self.base.eval(zvalues, t) ** self.k
+        return _power(self.base.eval(zvalues, t), self.k)
 
     def _chain(self, db):
         return emul(Const(complex(self.k)), epow(self.base, self.k - 1), db)
@@ -698,6 +713,12 @@ def emul(*parts: Expr) -> Expr:
     return Mul(tuple(kept))
 
 
+def _power(value: complex, k: int) -> complex:
+    if k < 0 and value == 0:
+        raise PoleError(f"zero raised to the negative power {k}")
+    return value ** k
+
+
 def epow(base: Expr, k: int) -> Expr:
     if not isinstance(k, int):
         raise VariantError("expression powers take integer exponents only")
@@ -706,7 +727,7 @@ def epow(base: Expr, k: int) -> Expr:
     if k == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** k)
+        return Const(_power(base.value, k))
     if isinstance(base, Pow):
         return epow(base.base, base.k * k)
     return Pow(base, k)

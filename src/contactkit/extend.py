@@ -24,9 +24,9 @@ import numpy as np
 
 from .coefficients import Coefficient, LaurentPoly, Monomial
 from .errors import DimensionError, PreconditionError, VariantError
-from .forms import Form, Point, PolyMap, pullback
+from .forms import Form, PolyMap, pullback
 from .grids import CubeGrid
-from .reports import VerificationReport, fmt_num
+from .reports import fmt_num
 from .scalars import QC
 
 
@@ -150,23 +150,13 @@ def dbar_defect(target, samples, order: int, m: int | None = None) -> float:
             g = c.diff_zbar(j)
             for gamma in multi_indices(2 * m, order - 1):
                 d = g
-                trivial = False
                 for slot, times in enumerate(gamma):
                     for _ in range(times):
                         d = _wirtinger_derivative(d, slot, m)
-                        if isinstance(d, LaurentPoly) and d.is_zero:
-                            trivial = True
-                            break
-                    if trivial:
-                        break
-                if trivial:
+                if d.is_zero:
                     continue
                 for pt in samples:
-                    if isinstance(d, LaurentPoly):
-                        val = d.eval(pt.values)
-                    else:
-                        val = d.eval(pt.as_complex())
-                    worst = max(worst, abs(complex(val)))
+                    worst = max(worst, abs(complex(d.eval(pt.values))))
     return worst
 
 
@@ -288,11 +278,6 @@ def ah_verify(alpha: Form, samples, tol: float) -> AHReport:
     m = alpha.m
     report = AHReport(tol=tol)
 
-    def value_at(c: Coefficient, pt: Point):
-        if isinstance(c, LaurentPoly):
-            return c.eval(pt.values)
-        return c.eval(pt.as_complex())
-
     a_coeffs = {i: alpha.terms.get((i,)) for i in range(m)}
     b_coeffs = {i: alpha.terms.get((m + i,)) for i in range(m)}
     dbar_a = {(i, j): c.diff_zbar(j) for i, c in a_coeffs.items() if c is not None
@@ -302,10 +287,10 @@ def ah_verify(alpha: Form, samples, tol: float) -> AHReport:
           for slot in range(2 * m)}
 
     for pt in samples:
-        s_dbar_a = max((abs(complex(value_at(d, pt))) for d in dbar_a.values()), default=0.0)
-        s_b = max((abs(complex(value_at(c, pt))) for c in b_coeffs.values() if c is not None),
+        s_dbar_a = max((abs(complex(d.eval(pt.values))) for d in dbar_a.values()), default=0.0)
+        s_b = max((abs(complex(c.eval(pt.values))) for c in b_coeffs.values() if c is not None),
                   default=0.0)
-        s_db = max((abs(complex(value_at(d, pt))) for d in db.values()), default=0.0)
+        s_db = max((abs(complex(d.eval(pt.values))) for d in db.values()), default=0.0)
         report.per_sample.append((s_dbar_a, s_b, s_db))
         report.n_samples += 1
         report.max_dbar_a = max(report.max_dbar_a, s_dbar_a)

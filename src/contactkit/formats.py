@@ -20,7 +20,7 @@ from .ci import CIResult
 from .coefficients import LaurentPoly, Monomial
 from .errors import ParseError, VariantError
 from .forms import Form, covector_index, covector_name
-from .grids import CubeGrid, GridSection
+from .grids import MIN_NODES, CubeGrid, GridSection
 from .reports import VerificationReport
 from .scalars import QC
 
@@ -79,6 +79,8 @@ def form_from_document(doc: dict) -> Form:
     if doc["version"] != FORMAT_VERSION:
         raise ParseError(f"version: expected {FORMAT_VERSION}, got {doc['version']}")
     m, degree, raw_terms = doc["m"], doc["degree"], doc["terms"]
+    if m < 1:
+        raise ParseError(f"m: expected a positive integer, got {m}")
     if not isinstance(raw_terms, list):
         raise ParseError(f"terms: expected a list of terms, got {raw_terms!r}")
     terms = {}
@@ -86,7 +88,7 @@ def form_from_document(doc: dict) -> Form:
         where = f"terms[{idx}]"
         try:
             word = tuple(covector_index(name, m) for name in raw["wedge"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise ParseError(f"{where}: bad wedge: {exc}") from None
         if len(word) != degree:
             raise ParseError(f"{where}: wedge length {len(word)} != degree {degree}")
@@ -104,7 +106,7 @@ def form_from_document(doc: dict) -> Form:
                 value = QC(Fraction(str(entry["re"])), Fraction(str(entry["im"])))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"{where}.coeff[{jdx}]: {exc}") from None
-            if mono.m != m:
+            if len(mono.zexp) != m or len(mono.zbarexp) != m:
                 raise ParseError(f"{where}.coeff[{jdx}]: exponent length != m")
             if not value.is_zero:
                 poly_terms[mono] = value
@@ -165,8 +167,19 @@ def section_to_text(section: GridSection) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_int(header, key: str, least: int) -> int:
+    lineno, raw = header[key]
+    try:
+        (value,) = map(int, raw)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise ParseError(f"line {lineno}: {key}: expected one integer >= {least}, got {' '.join(raw)!r}")
+    return value
+
+
 def section_from_text(text: str) -> GridSection:
-    header: dict[str, list[str]] = {}
+    header: dict[str, tuple[int, list[str]]] = {}
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -174,20 +187,32 @@ def section_from_text(text: str) -> GridSection:
             continue
         parts = line.split()
         if parts[0] in ("n", "nodes", "bounds", "columns"):
-            header[parts[0]] = parts[1:]
+            if parts[0] in header:
+                raise ParseError(f"line {lineno}: repeated header key {parts[0]!r}")
+            header[parts[0]] = (lineno, parts[1:])
             continue
         rows.append((lineno, parts))
-    try:
-        n = int(header["n"][0])
-        nodes = int(header["nodes"][0])
-        flat = [float(b) for b in header["bounds"]]
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ParseError(f"bad section header: {exc}") from None
+    for key in ("n", "nodes", "bounds"):
+        if key not in header:
+            raise ParseError(f"bad section header: missing {key!r}")
+    n = _header_int(header, "n", 1)
+    nodes = _header_int(header, "nodes", MIN_NODES)
+    lineno, raw = header["bounds"]
     m = 2 * n + 1
+    try:
+        flat = [float(b) for b in raw]
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: bounds: {exc}") from None
     if len(flat) != 2 * m:
-        raise ParseError(f"bounds carry {len(flat)} numbers, expected {2 * m}")
-    bounds = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(m))
+        raise ParseError(f"line {lineno}: bounds carry {len(flat)} numbers, expected {2 * m}")
+    bounds = tuple(zip(flat[::2], flat[1::2]))
+    for lo, hi in bounds:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
     grid = CubeGrid(n, nodes, bounds)
+    # checked before allocating: a huge node count must not reach np.zeros
+    if len(rows) != grid.n_nodes:
+        raise ParseError(f"{len(rows)} node rows, expected {grid.n_nodes}")
     pairs = _upper_pairs(m)
     width = m + 2 * m + 2 * len(pairs)
     a = np.zeros(grid.shape + (m,), dtype=complex)
@@ -201,6 +226,8 @@ def section_from_text(text: str) -> GridSection:
             vals = [float(p) for p in parts[m:]]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"line {lineno}: non-finite value")
         if any(not 0 <= k < nodes for k in node):
             raise ParseError(f"line {lineno}: node index {node} out of range")
         if node in seen:
@@ -213,8 +240,7 @@ def section_from_text(text: str) -> GridSection:
             v = complex(vals[off + 2 * k], vals[off + 2 * k + 1])
             beta[node + (i, j)] = v
             beta[node + (j, i)] = -v
-    if len(seen) != grid.n_nodes:
-        raise ParseError(f"{len(seen)} node rows, expected {grid.n_nodes}")
+    # n_nodes rows, each in range and none repeated: every node is present
     return GridSection(grid, a, beta)
 
 

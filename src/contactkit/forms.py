@@ -4,7 +4,9 @@ A form of degree k is a finite sum of terms ``c * d?_{i1} ^ ... ^ d?_{ik}``
 over strictly increasing covector words.  Covectors are indexed 0..2m-1:
 index ``i < m`` is ``dz_{i+1}`` and index ``m + i`` is ``dzbar_{i+1}``.
 Coefficients are either exact Laurent polynomials or expression trees;
-the two variants never mix silently.
+the two variants never mix silently.  Only ``coefficients`` knows which
+kind it holds: this module asks every coefficient the same questions
+(evaluate, differentiate, negate, ``is_zero``) and never checks its type.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from typing import Iterable
 from .coefficients import (
     Coefficient,
     Const,
-    Expr,
     LaurentPoly,
+    Z,
     coefficient_variant,
-    eadd,
     emul,
 )
 from .errors import DimensionError, VariantError
@@ -129,14 +130,10 @@ class Form:
                 variant = cv
             elif variant != cv:
                 raise VariantError("mixed coefficient variants in one form")
-            if isinstance(coeff, LaurentPoly):
-                if coeff.m != m:
-                    raise DimensionError("coefficient variable count != m")
-                if coeff.is_zero:
-                    continue
-            elif isinstance(coeff, Const) and coeff.value == 0:
-                continue
-            clean[word] = coeff
+            if cv == "laurent" and coeff.m != m:
+                raise DimensionError("coefficient variable count != m")
+            if not coeff.is_zero:
+                clean[word] = coeff
         self.m = m
         self.degree = degree
         self.terms = clean
@@ -284,23 +281,13 @@ class Form:
             raise DimensionError("point dimension mismatch")
         out = {}
         for word, coeff in self.terms.items():
-            if isinstance(coeff, LaurentPoly):
-                val = coeff.eval(pt.values)
-                keep = not (isinstance(val, QC) and val.is_zero)
-            else:
-                val = coeff.eval(pt.as_complex())
-                keep = True
-            if keep:
+            val = coeff.eval(pt.values)
+            if not (isinstance(val, QC) and val.is_zero):
                 out[word] = val
         return out
 
     def coefficient_at(self, pt: Point, word: Word):
-        coeff = self.terms.get(tuple(word))
-        if coeff is None:
-            return QC(0) if (self.variant == "laurent" and pt.is_exact) else 0j
-        if isinstance(coeff, LaurentPoly):
-            return coeff.eval(pt.values)
-        return coeff.eval(pt.as_complex())
+        return self.coeff(word).eval(pt.values)
 
     def top_word(self) -> Word:
         """The holomorphic volume word ``dz1^...^dzm``."""
@@ -328,9 +315,7 @@ def wedge(f: Form, g: Form) -> Form:
             word, sign = merge_words(wu, wv)
             if word is None:
                 continue
-            coeff = cu * cv
-            if sign < 0:
-                coeff = coeff * -1 if isinstance(coeff, LaurentPoly) else emul(Const(-1 + 0j), coeff)
+            coeff = cu * cv if sign > 0 else -(cu * cv)
             if word in terms:
                 terms[word] = terms[word] + coeff
             else:
@@ -348,59 +333,44 @@ def wedge_power(f: Form, n: int) -> Form:
     return acc
 
 
-def ext_d(f: Form) -> Form:
-    """Exterior derivative, split over both Wirtinger directions.
-
-    d(c dw) = sum_i (dc/dz_i) dz_i ^ dw + (dc/dzbar_i) dzbar_i ^ dw.
-    """
+def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
+    """Sum over terms c dw and i of (dc/dzbar_i) dzbar_i ^ dw, plus
+    (dc/dz_i) dz_i ^ dw when ``holomorphic`` is set."""
     m = f.m
     degree = f.degree + 1
     if degree > 2 * m:
         return Form.zero(m, 2 * m, f.variant)
     terms: dict[Word, Coefficient] = {}
-
-    def put(word: Word, coeff: Coefficient, sign: int):
-        if isinstance(coeff, LaurentPoly):
-            if coeff.is_zero:
-                return
-            if sign < 0:
-                coeff = -coeff
-        else:
-            if isinstance(coeff, Const) and coeff.value == 0:
-                return
-            if sign < 0:
-                coeff = emul(Const(-1 + 0j), coeff)
-        if word in terms:
-            terms[word] = terms[word] + coeff
-        else:
-            terms[word] = coeff
-
     for word, coeff in f.terms.items():
         for i in range(m):
-            for idx, dc in ((i, coeff.diff_z(i)), (m + i, coeff.diff_zbar(i))):
+            for idx in (i, m + i) if holomorphic else (m + i,):
                 merged, sign = merge_words((idx,), word)
                 if merged is None:
                     continue
-                put(merged, dc, sign)
+                dc = coeff.diff_z(i) if idx < m else coeff.diff_zbar(i)
+                if dc.is_zero:
+                    continue
+                if sign < 0:
+                    dc = -dc
+                terms[merged] = terms[merged] + dc if merged in terms else dc
     return Form(m, degree, terms, f.variant)
+
+
+def ext_d(f: Form) -> Form:
+    """Exterior derivative, split over both Wirtinger directions.
+
+    d(c dw) = sum_i (dc/dz_i) dz_i ^ dw + (dc/dzbar_i) dzbar_i ^ dw.
+    """
+    return _wirtinger_d(f, True)
 
 
 def dee_bar(f: Form) -> Form:
     """The antiholomorphic half of the exterior derivative.
 
-    Acts per term: a (p, q) term contributes its (p, q+1) derivative part.
-    Forms mixing bidegrees are handled term by term.
+    Takes only the dzbar_i legs of d, so a (p, q) term contributes its
+    (p, q+1) derivative part; forms mixing bidegrees need no splitting.
     """
-    m = f.m
-    result = Form.zero(m, f.degree + 1, f.variant)
-    for word, coeff in f.terms.items():
-        holo_f = sum(1 for idx in word if idx < m)
-        single = Form(m, f.degree, {word: coeff}, f.variant)
-        d_single = ext_d(single)
-        keep = {w: c for w, c in d_single.terms.items()
-                if sum(1 for idx in w if idx < m) == holo_f}
-        result = result + Form(m, f.degree + 1, keep, f.variant)
-    return result
+    return _wirtinger_d(f, False)
 
 
 class PolyMap:
@@ -431,7 +401,6 @@ class PolyMap:
         if variant == "laurent":
             comps = [LaurentPoly.z(m, i) for i in range(m)]
         else:
-            from .coefficients import Z
             comps = [Z(i) for i in range(m)]
         return cls(m, comps)
 
@@ -447,25 +416,16 @@ class PolyMap:
     def evaluate(self, pt: Point) -> Point:
         if pt.m != self.m_src:
             raise DimensionError("point dimension mismatch")
-        vals = []
-        for c in self.components:
-            if isinstance(c, LaurentPoly):
-                vals.append(c.eval(pt.values))
-            else:
-                vals.append(c.eval(pt.as_complex()))
-        return Point(vals)
+        return Point([c.eval(pt.values) for c in self.components])
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner: ``(self . inner)(z) = self(inner(z))``."""
         if inner.m_dst != self.m_src:
             raise DimensionError("composition dimensions do not match")
-        if self.variant == "laurent" and inner.variant == "laurent":
-            comps = [c.substitute(inner.components) for c in self.components]
-            return PolyMap(inner.m_src, comps)
-        outer = self.to_expr()
-        inner_e = inner.to_expr()
-        comps = [c.substitute(inner_e.components) for c in outer.components]
-        return PolyMap(inner.m_src, comps)
+        outer = self
+        if self.variant == "expr" or inner.variant == "expr":
+            outer, inner = self.to_expr(), inner.to_expr()
+        return PolyMap(inner.m_src, [c.substitute(inner.components) for c in outer.components])
 
     def __repr__(self):
         return f"PolyMap({self.m_src}->{self.m_dst}, {self.variant})"
@@ -492,18 +452,8 @@ def pullback(F: PolyMap, f: Form) -> Form:
     def differential(c: Coefficient) -> Form:
         terms = {}
         for i in range(m_src):
-            dz = c.diff_z(i)
-            dzb = c.diff_zbar(i)
-            if isinstance(dz, LaurentPoly):
-                if not dz.is_zero:
-                    terms[(i,)] = dz
-                if not dzb.is_zero:
-                    terms[(m_src + i,)] = dzb
-            else:
-                if not (isinstance(dz, Const) and dz.value == 0):
-                    terms[(i,)] = dz
-                if not (isinstance(dzb, Const) and dzb.value == 0):
-                    terms[(m_src + i,)] = dzb
+            terms[(i,)] = c.diff_z(i)
+            terms[(m_src + i,)] = c.diff_zbar(i)
         return Form(m_src, 1, terms, F.variant)
 
     d_cov = {}

@@ -17,6 +17,8 @@ from .coefficients import Expr, LaurentPoly
 from .errors import DimensionError, PoleError, PreconditionError
 from .forms import Form, Point
 
+MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
+
 
 class CubeGrid:
     """A uniform grid on a product of intervals in R^m, m = 2n+1."""
@@ -27,8 +29,8 @@ class CubeGrid:
                  bounds: list[tuple[float, float]] | None = None):
         if n < 1:
             raise DimensionError("need n >= 1")
-        if nodes < 5:
-            raise PreconditionError("stencils need at least 5 nodes per axis")
+        if nodes < MIN_NODES:
+            raise PreconditionError(f"stencils need at least {MIN_NODES} nodes per axis")
         self.n = n
         self.m = 2 * n + 1
         self.nodes = nodes

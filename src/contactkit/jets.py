@@ -120,10 +120,7 @@ class SliceClass:
         return total
 
     def contains(self, row) -> bool:
-        val = self.h_of_row(row)
-        if isinstance(val, QC):
-            return not val.is_zero
-        return val != 0
+        return bool(self.h_of_row(row))
 
 
 def _zero_like(template):
@@ -145,12 +142,8 @@ def ampleness_slice(e: RestrictedJet) -> SliceClass:
     base = relation_h(*readers, jet.n)
     w = [zero if jcol == i else relation_slope(*readers, jet.n, jcol, i)
          for jcol in range(m)]
-
-    def is_zero(v):
-        return v.is_zero if isinstance(v, QC) else v == 0
-
-    if all(is_zero(wj) for wj in w):
-        if is_zero(base):
+    if not any(w):
+        if not base:
             return SliceClass("empty")
         return SliceClass("full", None, base)
     return SliceClass("hyperplane", tuple(w), base)
@@ -168,24 +161,10 @@ def holonomic_jet(alpha: Form, pt: Point) -> Jet1:
         raise DimensionError("jet space needs odd dimension")
     if alpha.degree != 1:
         raise DimensionError("holonomic_jet expects a 1-form")
-    n = (m - 1) // 2
-    exact = alpha.variant == "laurent" and pt.is_exact
-    a = []
-    p = []
-    for i in range(m):
-        coeff = alpha.terms.get((i,))
-        if coeff is None:
-            a.append(QC(0) if exact else 0j)
-            p.append([QC(0) if exact else 0j] * m)
-            continue
-        if alpha.variant == "laurent":
-            a.append(coeff.eval(pt.values))
-            p.append([coeff.diff_z(jcol).eval(pt.values) for jcol in range(m)])
-        else:
-            zvals = pt.as_complex()
-            a.append(coeff.eval(zvals))
-            p.append([coeff.diff_z(jcol).eval(zvals) for jcol in range(m)])
-    return Jet1.build(n, a, p, x=pt)
+    coeffs = [alpha.coeff((i,)) for i in range(m)]
+    a = [c.eval(pt.values) for c in coeffs]
+    p = [[c.diff_z(jcol).eval(pt.values) for jcol in range(m)] for c in coeffs]
+    return Jet1.build((m - 1) // 2, a, p, x=pt)
 
 
 def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
@@ -264,10 +243,6 @@ def holonomy_defect(s: GridSection) -> float:
 def formal_margin_grid(s: GridSection) -> np.ndarray:
     """|h| per node using the declared beta field (formal membership)."""
     return np.abs(relation_grid(s.a, s.beta, s.grid.n))
-
-
-def min_formal_margin(s: GridSection) -> float:
-    return float(np.min(formal_margin_grid(s)))
 
 
 def require_formal_margin(s: GridSection, floor: float) -> float:

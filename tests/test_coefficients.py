@@ -11,7 +11,8 @@ from contactkit.coefficients import (
     Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, TParam, Z, Zbar,
     coefficient_variant, eadd, emul, epow, subst_t,
 )
-from contactkit.errors import PoleError, VariantError
+from contactkit.errors import DimensionError, PoleError, VariantError
+from contactkit.forms import Form, Point
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC
 
@@ -168,6 +169,32 @@ def test_laurent_to_expr_matches():
         e = f.to_expr()
         z = (0.4 + 0.2j, -0.3 + 0.7j)
         assert abs(e.eval(z) - f.eval(z)) < 1e-10
+
+
+def test_expr_coordinate_out_of_range_is_a_dimension_error():
+    for make in (Z, Zbar):
+        with pytest.raises(DimensionError):
+            make(-1)
+    form = Form(3, 1, {(0,): eadd(Z(0), Zbar(5))})
+    with pytest.raises(DimensionError, match=r"z_6 .*C\^3"):
+        form.evaluate(Point([1, 2, 3]))
+    with pytest.raises(DimensionError, match=r"z_3 .*C\^2"):
+        Z(2).substitute([Z(0), Z(1)])
+    with pytest.raises(DimensionError, match=r"z_2 .*C\^1"):
+        Zbar(1).substitute([Z(0)])
+
+
+def test_expr_pole_is_a_pole_error():
+    with pytest.raises(PoleError):
+        epow(Z(0), -1).eval((0j,))
+    with pytest.raises(PoleError):
+        epow(Const(0j), -2)
+    assert epow(Z(0), -1).eval((QC(2),)) == 0.5
+
+
+def test_expr_is_zero_only_on_zero_constants():
+    assert Const(0j).is_zero and not Const(1 + 0j).is_zero
+    assert not Z(0).is_zero and not eadd(Z(0), emul(Const(-1 + 0j), Z(0))).is_zero
 
 
 def test_coefficient_variant():

@@ -1,11 +1,14 @@
 """Lossless file formats and their parse diagnostics."""
 
+import copy
 import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit.ci import N_FRAMES, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial
@@ -243,6 +246,117 @@ def test_section_parse_rejects_duplicate_node_row():
     with pytest.raises(ParseError) as err:
         section_from_text("\n".join(lines))
     assert f"line {first + 2}: duplicate row" in str(err.value)
+
+
+def _replace_line(key, new):
+    def edit(lines):
+        return [new if line.split()[:1] == [key] else line for line in lines]
+    return edit
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(_replace_line("nodes", "nodes 3"), 3, id="too-few-nodes"),
+    pytest.param(_replace_line("n", "n 0"), 2, id="n-zero"),
+    pytest.param(_replace_line("bounds", "bounds 1.0 0.0 0.0 1.0 0.0 1.0"), 4,
+                 id="empty-interval"),
+    pytest.param(_replace_line("bounds", "bounds 0.0 inf 0.0 1.0 0.0 1.0"), 4,
+                 id="infinite-bound"),
+    pytest.param(lambda lines: lines[:5] + ["nodes 7"] + lines[5:], 6,
+                 id="repeated-key"),
+    pytest.param(lambda lines: lines[:6] + [lines[6].rsplit(" ", 1)[0] + " nan"] + lines[7:],
+                 7, id="nan-value"),
+])
+def test_section_header_and_value_errors_name_their_line(edit, line):
+    lines = section_to_text(messy_section(nodes=5)).splitlines()
+    with pytest.raises(ParseError) as err:
+        section_from_text("\n".join(edit(lines)))
+    assert str(err.value).startswith(f"line {line}: ")
+
+
+# Fuzzing: mutate one valid input a few times (drop, duplicate or retype a
+# field or token).  A parser must either accept the result, in which case
+# what it read round-trips, or raise ParseError; any other exception is a
+# parser bug.
+fuzz = settings(deadline=None, max_examples=150)
+
+JSON_VALUES = [0, -1, 1, 2, 1.5, True, None, "", "x", "dz1", "dzbar2", "1/2",
+               [], {}, [0], [0, 0, 0, 0], {"wedge": []}]
+FORM_BASES = [
+    form_to_document(std_form(1)),
+    form_to_document(Form(1, 0, {(): LaurentPoly.const(1, 2)})),
+    form_to_document(Form(2, 2, {(0, 3): LaurentPoly.z(2, 1, -1)})),
+]
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate_document(doc, data):
+    path = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = data.draw(st.sampled_from(["drop", "duplicate", "retype"]))
+    if op == "drop":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(JSON_VALUES)))
+
+
+@fuzz
+@given(st.sampled_from(FORM_BASES), st.integers(1, 3), st.data())
+def test_form_parser_fuzz(base, n_mutations, data):
+    doc = copy.deepcopy(base)
+    for _ in range(n_mutations):
+        if not doc:
+            break
+        _mutate_document(doc, data)
+    try:
+        form = form_from_document(doc)
+    except ParseError:
+        return
+    assert form_from_document(json.loads(json.dumps(form_to_document(form)))) == form
+
+
+TOKENS = ["x", "-1", "0", "3", "7", "1.5", "nan", "inf", "1e999", "#", "nodes", "n"]
+SECTION_BASE = section_to_text(messy_section(nodes=5)).splitlines()
+
+
+@fuzz
+@given(st.integers(1, 3), st.data())
+def test_section_parser_fuzz(n_mutations, data):
+    lines = list(SECTION_BASE)
+    for _ in range(n_mutations):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split()
+        t = data.draw(st.integers(0, len(tokens) - 1))
+        op = data.draw(st.sampled_from(
+            ["drop line", "duplicate line", "drop", "duplicate", "retype"]))
+        if op == "drop line":
+            del lines[k]
+        elif op == "duplicate line":
+            lines.insert(k, lines[k])
+        else:
+            if op == "drop":
+                del tokens[t]
+            elif op == "duplicate":
+                tokens.insert(t, tokens[t])
+            else:
+                tokens[t] = data.draw(st.sampled_from(TOKENS))
+            lines[k] = " ".join(tokens)
+    try:
+        section = section_from_text("\n".join(lines))
+    except ParseError:
+        return
+    assert section_from_text(section_to_text(section)) == section
 
 
 def test_dump_ci_result_inventory(tmp_path):

@@ -12,8 +12,8 @@ from contactkit.forms import Form
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection
 from contactkit.jets import (
-    Jet1, RestrictedJet, ampleness_slice, finite_diff_jet, grid_jacobian,
-    holonomic_jet, holonomy_defect, min_formal_margin, relation_grid,
+    Jet1, RestrictedJet, ampleness_slice, finite_diff_jet, formal_margin_grid,
+    grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
     relation_value, require_formal_margin, skew_of_jacobian, slope_grid,
 )
 from contactkit.sampling import exact_points, random_jet, random_qc
@@ -313,7 +313,7 @@ def test_margin_floor_guard():
     grid = CubeGrid(1, nodes=5)
     alpha = std_form(1)
     s = GridSection.sample(grid, alpha)
-    worst = min_formal_margin(s)
+    worst = formal_margin_grid(s).min()
     assert worst == pytest.approx(1.0)
     assert require_formal_margin(s, 0.5) == pytest.approx(worst)
     dead = GridSection(grid, np.zeros(grid.shape + (3,), dtype=complex),
