@@ -13,7 +13,9 @@ jet.  The relation value h is affine in that column, so per node the
 oscillation moves h on a circle of chosen radius around its current
 value; radius = current |h| + headroom keeps the worst phase away from
 zero.  The discrete amplitude is divided by sin(frequency * mesh), which
-makes the central-difference change exact for constant envelopes.
+makes the central-difference change exact for constant envelopes.  Each
+section's finite-difference curl is taken once and shared by the solver
+checks and the verifier.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import PreconditionError
 from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5
-from .jets import (SliceClass, grid_jacobian, holonomy_defect, relation_grid,
-                   skew_of_jacobian, slope_grid)
+from .jets import SliceClass, curl_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
 
 SINC_GUARD = 0.3
@@ -117,11 +118,11 @@ def oscillation_field(ell: np.ndarray, nu: float, phi0, rho: np.ndarray,
 
 def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
                     d: int, freq: int, delta: float,
-                    interior: np.ndarray) -> bool:
-    """One oscillation pass along axis d, in place.  Returns False when the
-    margins made the pass unnecessary."""
+                    interior: np.ndarray, beta: np.ndarray) -> bool:
+    """One oscillation pass along axis d, in place; ``beta`` is the curl
+    of a on entry.  Returns False when the margins made the pass
+    unnecessary."""
     n = grid.n
-    beta = skew_of_jacobian(grid_jacobian(a, grid))
     h_act = relation_grid(a, beta, n)
     margins = np.abs(h_act)
     if margins[interior].min() >= 3 * delta:
@@ -150,81 +151,61 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
     ell = np.arange(grid.nodes, dtype=float).reshape(shape_d)
 
     # per-line phase offset maximizing the predicted worst margin
-    best_min = None
-    best_phi = None
+    best_min, best_phi = -np.inf, 0.0
     for j in range(PHASE_CANDIDATES):
         phi = 2 * math.pi * j / PHASE_CANDIDATES
         predicted = np.abs(h_act + rho * np.exp(1j * (nu * ell + phi)))
         line_min = predicted.min(axis=d, keepdims=True)
-        if best_min is None:
-            best_min = line_min
-            best_phi = np.full(line_min.shape, phi)
-        else:
-            better = line_min > best_min
-            best_min = np.where(better, line_min, best_min)
-            best_phi = np.where(better, phi, best_phi)
+        better = line_min > best_min
+        best_min = np.where(better, line_min, best_min)
+        best_phi = np.where(better, phi, best_phi)
 
     corr = oscillation_field(ell, nu, best_phi, rho, h_mesh)
     a += corr[..., None] * u
     return True
 
 
-def _third_difference_bound(a: np.ndarray, grid: CubeGrid) -> float:
-    """Certified local curvature scale: max third difference / h^3."""
-    worst = 0.0
-    for d in range(grid.m):
-        diffs = np.diff(a, 3, axis=d) / grid.h[d] ** 3
-        worst = max(worst, float(np.max(np.abs(diffs))))
-    return worst
+def _stencil_bound(s: GridSection, guard: np.ndarray | None = None) -> float:
+    """Certified stencil error: 10 h^2 times the max third difference / h^3.
 
-
-def _stencil_bound(s: GridSection) -> float:
-    h2 = max(s.grid.h) ** 2
-    return 10.0 * h2 * _third_difference_bound(s.a, s.grid) + 1e-12
-
-
-def _strip_stencil_bound(s: GridSection, gamma: GammaSpec) -> float:
-    """Stencil bound from the strips' own curvature.
-
-    Uses only difference windows lying inside the strips plus their one
-    guard layer, so rough data elsewhere on the grid cannot launder a
+    With a ``guard`` mask only difference windows lying wholly inside it
+    count, so rough data elsewhere on the grid cannot launder a
     non-holonomic strip through an inflated global bound.
     """
     grid = s.grid
-    guard = gamma.frozen_mask(grid)
-    for axis, side in gamma.faces:
-        plane = [slice(None)] * grid.m
-        plane[axis] = gamma.width if side == 0 else grid.nodes - 1 - gamma.width
-        guard[tuple(plane)] = True
     worst = 0.0
     for d in range(grid.m):
-        diffs = np.abs(np.diff(s.a, 3, axis=d)) / grid.h[d] ** 3
-        # a window covers nodes k..k+3 along d; keep those fully in guard
-        sl = [slice(None)] * grid.m
-        sl[d] = slice(0, grid.nodes - 3)
-        window_ok = guard[tuple(sl)].copy()
-        for off in range(1, 4):
-            sl[d] = slice(off, grid.nodes - 3 + off)
-            window_ok &= guard[tuple(sl)]
-        if window_ok.any():
-            worst = max(worst, float(diffs.max(axis=-1)[window_ok].max()))
-    h2 = max(grid.h) ** 2
-    return 10.0 * h2 * worst + 1e-12
+        diffs = np.abs(np.diff(s.a, 3, axis=d) / grid.h[d] ** 3)
+        if guard is not None:
+            # a window covers nodes k..k+3 along d
+            inside = np.ones(diffs.shape[:-1], dtype=bool)
+            for off in range(4):
+                inside &= np.take(guard, range(off, grid.nodes - 3 + off), axis=d)
+            diffs = diffs[inside]
+        if diffs.size:
+            worst = max(worst, float(diffs.max()))
+    return 10.0 * max(grid.h) ** 2 * worst + 1e-12
+
+
+def _worst_node(values: np.ndarray) -> tuple[int, ...]:
+    """Index of the smallest entry, the first one on ties."""
+    return tuple(int(k) for k in np.unravel_index(int(values.argmin()), values.shape))
 
 
 def _check_gamma_preconditions(s: GridSection, gamma: GammaSpec, delta: float,
-                               jac: np.ndarray) -> None:
+                               curl: np.ndarray, margins: np.ndarray) -> None:
+    """Frozen strips must carry holonomic data whose margins clear delta."""
     if gamma.is_empty:
         return
     mask = gamma.frozen_mask(s.grid)
-    defect_field = np.max(np.abs(skew_of_jacobian(jac) - s.beta), axis=(-2, -1))
-    bound = _strip_stencil_bound(s, gamma)
+    defect_field = np.max(np.abs(curl - s.beta), axis=(-2, -1))
+    # the strips plus their one guard layer
+    bound = _stencil_bound(s, GammaSpec(gamma.faces, gamma.width + 1).frozen_mask(s.grid))
     worst_defect = float(defect_field[mask].max())
     if worst_defect > bound:
         raise PreconditionError(
             f"frozen strips are not holonomic: defect {worst_defect:.3e} exceeds "
             f"stencil bound {bound:.3e}")
-    margins = np.abs(relation_grid(s.a, skew_of_jacobian(jac), s.grid.n))
     worst_margin = float(margins[mask].min())
     if worst_margin < delta:
         raise PreconditionError(
@@ -250,7 +231,7 @@ def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
                   gamma: GammaSpec) -> list[GridSection]:
     grid = inp.grid
     n = grid.n
-    frozen = None if gamma.is_empty else gamma.frozen_mask(grid)
+    frozen = gamma.frozen_mask(grid)
     h0 = relation_grid(inp.a, inp.beta, n)
     h1 = relation_grid(a_out, beta_out, n)
     pairs = _skew_pairs(grid.m)
@@ -259,13 +240,13 @@ def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
     for k in range(1, N_FRAMES - 1):
         tau = k / (N_FRAMES - 1)
         a_k = inp.a + tau * (a_out - inp.a)
-        beta_lerp = inp.beta + tau * (beta_out - inp.beta)
-        hk = relation_grid(a_k, beta_lerp, n)
+        beta_k = inp.beta + tau * (beta_out - inp.beta)
+        hk = relation_grid(a_k, beta_k, n)
         target = _polar_path(h0, h1, tau)
 
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope
-        slopes = np.stack([slope_grid(a_k, beta_lerp, n, r, s) for r, s in pairs],
+        slopes = np.stack([slope_grid(a_k, beta_k, n, r, s) for r, s in pairs],
                           axis=-1)
         choice = np.argmax(np.abs(slopes), axis=-1)
         slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
@@ -273,14 +254,12 @@ def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
         lam = np.zeros_like(hk)
         lam[ok] = (target[ok] - hk[ok]) / slope[ok]
 
-        beta_k = beta_lerp.copy()
         for idx, (r, s) in enumerate(pairs):
             sel = np.where(choice == idx, lam, 0)
             beta_k[..., r, s] += sel
             beta_k[..., s, r] -= sel
-        if frozen is not None:
-            a_k[frozen] = inp.a[frozen]
-            beta_k[frozen] = inp.beta[frozen]
+        a_k[frozen] = inp.a[frozen]
+        beta_k[frozen] = inp.beta[frozen]
         frames.append(GridSection(grid, a_k, beta_k))
     frames.append(GridSection(grid, a_out.copy(), beta_out.copy()))
     return frames
@@ -323,6 +302,13 @@ class CIResult:
         }
 
 
+def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
+               **outcome) -> CIResult:
+    """A result whose output and every frame equal the input."""
+    frames = [inp.copy() for _ in range(N_FRAMES)]
+    return CIResult(inp.copy(), frames, gamma, eps, delta, deviation=0.0, **outcome)
+
+
 def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
              max_sweeps: int = 8) -> CIResult:
     """Correct a formal pair into the relation by coordinate oscillations.
@@ -339,26 +325,20 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         raise PreconditionError("max_sweeps must be at least 1")
 
     formal = np.abs(relation_grid(inp.a, inp.beta, grid.n))
-    worst_formal = float(formal.min())
-    if worst_formal <= 1e-12:
-        node = np.unravel_index(int(formal.argmin()), formal.shape)
-        raise PreconditionError(
-            f"formal margin vanishes at node {tuple(int(k) for k in node)}")
+    if float(formal.min()) <= 1e-12:
+        raise PreconditionError(f"formal margin vanishes at node {_worst_node(formal)}")
 
-    jac_in = grid_jacobian(inp.a, grid)
-    _check_gamma_preconditions(inp, gamma, delta, jac_in)
+    curl_in = curl_grid(inp.a, grid)
+    margins_in = np.abs(relation_grid(inp.a, curl_in, grid.n))
+    _check_gamma_preconditions(inp, gamma, delta, curl_in, margins_in)
 
     interior = grid.interior_mask()
-    margins_in = np.abs(relation_grid(inp.a, skew_of_jacobian(jac_in), grid.n))
     already = float(margins_in[interior].min())
-    if already >= delta and holonomy_defect(inp) <= _stencil_bound(inp):
-        frames = [inp.copy() for _ in range(N_FRAMES)]
-        return CIResult(inp.copy(), frames, gamma, eps, delta,
-                        margin=already, deviation=0.0,
-                        sweep_frequencies=[], rung=0, passed=True)
+    if already >= delta and float(np.max(np.abs(curl_in - inp.beta))) <= _stencil_bound(inp):
+        return _unchanged(inp, gamma, eps, delta, margin=already, passed=True)
 
     cutoff = gamma.cutoff_field(grid)
-    frozen = None if gamma.is_empty else gamma.frozen_mask(grid)
+    frozen = gamma.frozen_mask(grid)
     mesh = min(grid.h)
     base_freq = FREQ_BASE / mesh
     cap = FREQ_CAP / mesh
@@ -368,51 +348,45 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     freq = base_freq
     while freq <= cap:
         a = inp.a.copy()
+        curl = curl_in
         sweep_freqs: list[list[int]] = []
         success = False
         for _ in range(max_sweeps):
             per_direction = []
-            acted = False
             for d in range(grid.m):
                 nd = good_frequency(round(freq), grid.h[d])
-                if _direction_pass(a, grid, cutoff, d, nd, delta, interior):
-                    acted = True
-                    per_direction.append(nd)
+                if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl):
+                    curl = curl_grid(a, grid)
                 else:
-                    per_direction.append(0)
+                    nd = 0
+                per_direction.append(nd)
             sweep_freqs.append(per_direction)
-            jac = grid_jacobian(a, grid)
-            margins = np.abs(relation_grid(a, skew_of_jacobian(jac), grid.n))
+            margins = np.abs(relation_grid(a, curl, grid.n))
             achieved = float(margins[interior].min())
             if achieved >= delta:
                 success = True
                 break
-            if not acted:
+            if not any(per_direction):
                 break
         deviation = float(np.max(np.abs(a - inp.a)))
         if success and deviation <= eps:
-            beta_out = skew_of_jacobian(jac)
-            if frozen is not None:
-                beta_out[frozen] = inp.beta[frozen]
-                a[frozen] = inp.a[frozen]
+            beta_out = curl
+            beta_out[frozen] = inp.beta[frozen]
+            a[frozen] = inp.a[frozen]
             out = GridSection(grid, a, beta_out)
             frames = _build_frames(inp, a, beta_out, gamma)
             return CIResult(out, frames, gamma, eps, delta,
                             margin=achieved, deviation=deviation,
                             sweep_frequencies=sweep_freqs, rung=rung, passed=True)
         masked = np.where(interior, margins, np.inf)
-        node = np.unravel_index(int(masked.argmin()), margins.shape)
         worst_note = (f"rung {rung} (freq {freq:.0f}): margin "
                       f"{float(masked.min()):.3e} at node "
-                      f"{tuple(int(k) for k in node)}, deviation {deviation:.3e}")
+                      f"{_worst_node(masked)}, deviation {deviation:.3e}")
         rung += 1
         freq *= 2
 
-    frames = [inp.copy() for _ in range(N_FRAMES)]
-    return CIResult(inp.copy(), frames, gamma, eps, delta,
-                    margin=0.0, deviation=0.0, sweep_frequencies=[],
-                    rung=rung, passed=False,
-                    failure=f"frequency ladder exhausted; last attempt: {worst_note}")
+    return _unchanged(inp, gamma, eps, delta, margin=0.0, rung=rung,
+                      failure=f"frequency ladder exhausted; last attempt: {worst_note}")
 
 
 def verify_ci(result: CIResult, inp: GridSection, eps: float,
@@ -431,32 +405,29 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
     if grid != inp.grid:
         report.add("grid identity", False, "output grid differs from input grid")
         return report
+    curl = curl_grid(out.a, grid)
 
     # (a) holonomy: beta equals the finite-difference curl within the
     # certified stencil bound
-    defect = holonomy_defect(out)
+    defect = float(np.max(np.abs(curl - out.beta)))
     bound = _stencil_bound(out)
     report.add("holonomy defect within stencil bound", defect <= bound,
                f"defect={fmt_num(defect)} bound={fmt_num(bound)} (bound from data)")
 
     # (b) relation margin at interior nodes
-    interior = grid.interior_mask()
-    jac = grid_jacobian(out.a, grid)
-    margins = np.abs(relation_grid(out.a, skew_of_jacobian(jac), grid.n))
-    interior_margins = np.where(interior, margins, np.inf)
-    worst = float(interior_margins.min())
-    node = np.unravel_index(int(interior_margins.argmin()), margins.shape)
+    margins = np.where(grid.interior_mask(),
+                       np.abs(relation_grid(out.a, curl, grid.n)), np.inf)
+    worst = float(margins.min())
     report.add("relation margin at interior nodes", worst >= delta,
                f"min |h|={fmt_num(worst)} needed {fmt_num(delta)} at node "
-               f"{tuple(int(k) for k in node)}")
+               f"{_worst_node(margins)}")
 
     # (c) sup-deviation
     dev_field = np.max(np.abs(out.a - inp.a), axis=-1)
     deviation = float(dev_field.max())
-    dev_node = np.unravel_index(int(dev_field.argmax()), dev_field.shape)
     report.add("sup-deviation within eps", deviation <= eps,
                f"deviation={fmt_num(deviation)} eps={fmt_num(eps)} at node "
-               f"{tuple(int(k) for k in dev_node)}")
+               f"{_worst_node(-dev_field)}")
 
     # (d) frames: endpoints exact, formal margin strictly positive throughout
     frames = result.frames
@@ -467,15 +438,11 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
                    np.array_equal(first.a, inp.a) and np.array_equal(first.beta, inp.beta))
         report.add("last frame equals output",
                    np.array_equal(last.a, out.a) and np.array_equal(last.beta, out.beta))
-        worst_frame = math.inf
-        worst_k = -1
-        for k, fr in enumerate(frames):
-            fm = float(np.abs(relation_grid(fr.a, fr.beta, grid.n)).min())
-            if fm < worst_frame:
-                worst_frame = fm
-                worst_k = k
-        report.add("frames keep positive formal margin", worst_frame > 0.0,
-                   f"min over frames |h|={fmt_num(worst_frame)} at frame {worst_k}")
+        frame_mins = [float(np.abs(relation_grid(fr.a, fr.beta, grid.n)).min())
+                      for fr in frames]
+        worst_k = int(np.argmin(frame_mins))
+        report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
+                   f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")
 
     # (e) frames constant on frozen strips
     if not result.gamma.is_empty:
@@ -491,29 +458,27 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
 # -- built-in demonstration inputs ----------------------------------------
 
 
-def demo_flat_section(nodes: int = 33) -> tuple[GridSection, GammaSpec]:
-    """Constant a = (0, 0, 1) with beta = dz1^dz2: formal margin 1
-    everywhere, actual relation value 0 everywhere."""
+def _demo_section(nodes: int, a2) -> GridSection:
+    """a = (0, a2(x1), 1) with beta = dz1^dz2 on the unit cube, n = 1."""
     grid = CubeGrid(1, nodes)
     a = np.zeros(grid.shape + (3,), dtype=complex)
+    a[..., 1] = a2(grid.axis(0)).reshape(-1, 1, 1)
     a[..., 2] = 1.0
     beta = np.zeros(grid.shape + (3, 3), dtype=complex)
     beta[..., 0, 1] = 1.0
     beta[..., 1, 0] = -1.0
-    return GridSection(grid, a, beta), GammaSpec.empty()
+    return GridSection(grid, a, beta)
+
+
+def demo_flat_section(nodes: int = 33) -> tuple[GridSection, GammaSpec]:
+    """Constant a = (0, 0, 1) with beta = dz1^dz2: formal margin 1
+    everywhere, actual relation value 0 everywhere."""
+    return _demo_section(nodes, np.zeros_like), GammaSpec.empty()
 
 
 def demo_holonomic_section(nodes: int = 33) -> tuple[GridSection, GammaSpec]:
     """Sampled standard contact data: already holonomic and in-relation."""
-    grid = CubeGrid(1, nodes)
-    x1 = grid.axis(0).reshape(-1, 1, 1)
-    a = np.zeros(grid.shape + (3,), dtype=complex)
-    a[..., 1] = x1 * np.ones(grid.shape)
-    a[..., 2] = 1.0
-    beta = np.zeros(grid.shape + (3, 3), dtype=complex)
-    beta[..., 0, 1] = 1.0
-    beta[..., 1, 0] = -1.0
-    return GridSection(grid, a, beta), GammaSpec.empty()
+    return _demo_section(nodes, lambda x1: x1), GammaSpec.empty()
 
 
 def demo_gamma_section(nodes: int = 33) -> tuple[GridSection, GammaSpec]:
@@ -526,15 +491,8 @@ def demo_gamma_section(nodes: int = 33) -> tuple[GridSection, GammaSpec]:
     throughout, so the formal margin is 1 everywhere while the
     finite-difference relation value vanishes on the central plateau.
     """
-    grid = CubeGrid(1, nodes)
-    x1 = grid.axis(0)
-    u = np.clip((np.abs(x1 - 0.5) - 0.125) / 0.25, 0.0, 1.0)
-    blend = _smoothstep5(u)
-    a = np.zeros(grid.shape + (3,), dtype=complex)
-    a[..., 1] = (blend * x1).reshape(-1, 1, 1) * np.ones(grid.shape)
-    a[..., 2] = 1.0
-    beta = np.zeros(grid.shape + (3, 3), dtype=complex)
-    beta[..., 0, 1] = 1.0
-    beta[..., 1, 0] = -1.0
-    gamma = GammaSpec.of({(0, 0), (0, 1)}, width=3)
-    return GridSection(grid, a, beta), gamma
+    def a2(x1):
+        u = np.clip((np.abs(x1 - 0.5) - 0.125) / 0.25, 0.0, 1.0)
+        return _smoothstep5(u) * x1
+
+    return _demo_section(nodes, a2), GammaSpec.of({(0, 0), (0, 1)}, width=3)

@@ -255,7 +255,7 @@ class LaurentPoly:
 
     # -- evaluation / substitution --------------------------------------------
 
-    def eval(self, zvalues, exact: bool | None = None):
+    def eval(self, zvalues):
         """Evaluate at a point, with ``zbar_i`` read as ``conj(z_i)``.
 
         With exact (QC) coordinates the result is an exact QC; with complex
@@ -264,10 +264,9 @@ class LaurentPoly:
         """
         if len(zvalues) != self.m:
             raise DimensionError("point arity mismatch")
-        if exact is None:
-            exact = all(isinstance(v, QC) for v in zvalues)
+        exact = all(isinstance(v, QC) for v in zvalues)
         if exact:
-            zs = [v if isinstance(v, QC) else _as_qc(v) for v in zvalues]
+            zs = list(zvalues)
             total = QC(0)
         else:
             zs = [complex(v) for v in zvalues]

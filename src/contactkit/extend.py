@@ -16,7 +16,7 @@ close the loop from sampled output back to a symbolic form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
 
@@ -231,7 +231,6 @@ class AHReport:
     max_b: float = 0.0
     max_db: float = 0.0
     n_samples: int = 0
-    per_sample: list = field(default_factory=list)
     precondition_note: str = ""
 
     @property
@@ -291,7 +290,6 @@ def ah_verify(alpha: Form, samples, tol: float) -> AHReport:
         s_b = max((abs(complex(c.eval(pt.values))) for c in b_coeffs.values() if c is not None),
                   default=0.0)
         s_db = max((abs(complex(d.eval(pt.values))) for d in db.values()), default=0.0)
-        report.per_sample.append((s_dbar_a, s_b, s_db))
         report.n_samples += 1
         report.max_dbar_a = max(report.max_dbar_a, s_dbar_a)
         report.max_b = max(report.max_b, s_b)
@@ -414,7 +412,7 @@ def _holomorphic_form(m: int, monos, cols) -> Form:
         for i, col in enumerate(cols)}, "laurent")
 
 
-def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> FitResult:
+def fit_holomorphic(points, values, degree: int) -> FitResult:
     """Least-squares (1,0)-form with polynomial z-coefficients.
 
     ``points`` is a list of Point, ``values`` an array-like of per-point
@@ -446,11 +444,8 @@ def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> F
             return QC(v)
         return None
 
-    if exact is None:
-        exact = all(pt.is_exact for pt in points) and all(
-            exact_value(v) is not None for r in rows for v in r)
-
-    if exact:
+    if all(pt.is_exact for pt in points) and all(
+            exact_value(v) is not None for r in rows for v in r):
         A = []
         for pt in points:
             row = []
@@ -462,8 +457,6 @@ def fit_holomorphic(points, values, degree: int, exact: bool | None = None) -> F
                 row.append(term)
             A.append(row)
         exact_rows = [[exact_value(v) for v in r] for r in rows]
-        if any(v is None for r in exact_rows for v in r):
-            raise VariantError("exact fit requested on non-exact values")
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         sols, rank = _solve_exact_normal(A, rhs_cols)
         form = _holomorphic_form(m, monos, sols)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +66,23 @@ def _exponents(value) -> tuple[int, ...]:
     return tuple(value)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)")
+
+
+def _coefficient_part(raw) -> Fraction:
+    """An exact coefficient part.  An exponent past the int-string digit
+    limit is refused before Fraction expands it into a huge integer, and a
+    part must be writable back as text."""
+    text = str(raw)
+    exp = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if exp and limit and abs(int(exp.group(1))) > limit:
+        raise ValueError(f"exponent in {text!r} exceeds {limit} digits")
+    value = Fraction(text)
+    str(value)  # ValueError when a part has more digits than the limit
+    return value
+
+
 def form_from_document(doc: dict) -> Form:
     if not isinstance(doc, dict):
         raise ParseError("form document must be an object")
@@ -103,7 +122,7 @@ def form_from_document(doc: dict) -> Form:
         for jdx, entry in enumerate(raw_coeff):
             try:
                 mono = Monomial(_exponents(entry["zexp"]), _exponents(entry["zbarexp"]))
-                value = QC(Fraction(str(entry["re"])), Fraction(str(entry["im"])))
+                value = QC(_coefficient_part(entry["re"]), _coefficient_part(entry["im"]))
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"{where}.coeff[{jdx}]: {exc}") from None
             if len(mono.zexp) != m or len(mono.zbarexp) != m:
@@ -141,6 +160,13 @@ def _upper_pairs(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
+def _columns(m: int) -> list[str]:
+    """Column names of a section row: node index, a, then upper beta."""
+    cols = [f"i{k + 1}" for k in range(m)]
+    cols += [f"a{k + 1}.{p}" for k in range(m) for p in ("re", "im")]
+    return cols + [f"beta{i + 1}{j + 1}.{p}" for i, j in _upper_pairs(m) for p in ("re", "im")]
+
+
 def section_to_text(section: GridSection) -> str:
     grid = section.grid
     m = grid.m
@@ -150,10 +176,7 @@ def section_to_text(section: GridSection) -> str:
         f"nodes {grid.nodes}",
         "bounds " + " ".join(repr(float(b)) for lo_hi in grid.bounds for b in lo_hi),
     ]
-    cols = [f"i{k + 1}" for k in range(m)]
-    cols += [f"a{k + 1}.{p}" for k in range(m) for p in ("re", "im")]
-    cols += [f"beta{i + 1}{j + 1}.{p}" for i, j in _upper_pairs(m) for p in ("re", "im")]
-    lines.append("columns " + " ".join(cols))
+    lines.append("columns " + " ".join(_columns(m)))
     pairs = _upper_pairs(m)
     for node in np.ndindex(grid.shape):
         row = [str(k) for k in node]
@@ -213,8 +236,12 @@ def section_from_text(text: str) -> GridSection:
     # checked before allocating: a huge node count must not reach np.zeros
     if len(rows) != grid.n_nodes:
         raise ParseError(f"{len(rows)} node rows, expected {grid.n_nodes}")
+    columns = _columns(m)
+    if "columns" in header and header["columns"][1] != columns:
+        raise ParseError(f"line {header['columns'][0]}: columns do not match "
+                         f"the n = {n} layout")
     pairs = _upper_pairs(m)
-    width = m + 2 * m + 2 * len(pairs)
+    width = len(columns)
     a = np.zeros(grid.shape + (m,), dtype=complex)
     beta = np.zeros(grid.shape + (m, m), dtype=complex)
     seen: set[tuple[int, ...]] = set()

@@ -18,7 +18,6 @@ from .coefficients import (
     Coefficient,
     Const,
     LaurentPoly,
-    Z,
     coefficient_variant,
     emul,
 )
@@ -150,15 +149,9 @@ class Form:
         return cls(m, 0, {(): coeff})
 
     @classmethod
-    def dz(cls, m: int, i: int, variant: str = "laurent") -> "Form":
+    def dz(cls, m: int, i: int) -> "Form":
         """Basis covector ``dz_{i+1}`` (0-based ``i``)."""
-        one = LaurentPoly.const(m, 1) if variant == "laurent" else Const(1 + 0j)
-        return cls(m, 1, {(i,): one}, variant)
-
-    @classmethod
-    def dzbar(cls, m: int, i: int, variant: str = "laurent") -> "Form":
-        one = LaurentPoly.const(m, 1) if variant == "laurent" else Const(1 + 0j)
-        return cls(m, 1, {(m + i,): one}, variant)
+        return cls(m, 1, {(i,): LaurentPoly.const(m, 1)})
 
     @classmethod
     def one_form(cls, coeffs: list[Coefficient], m: int | None = None) -> "Form":
@@ -397,12 +390,8 @@ class PolyMap:
         self.components = list(components)
 
     @classmethod
-    def identity(cls, m: int, variant: str = "laurent") -> "PolyMap":
-        if variant == "laurent":
-            comps = [LaurentPoly.z(m, i) for i in range(m)]
-        else:
-            comps = [Z(i) for i in range(m)]
-        return cls(m, comps)
+    def identity(cls, m: int) -> "PolyMap":
+        return cls(m, [LaurentPoly.z(m, i) for i in range(m)])
 
     @property
     def holomorphic(self) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coefficients import Expr, LaurentPoly
 from .errors import DimensionError, PoleError, PreconditionError
-from .forms import Form, Point
+from .forms import Form
 
 MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
 
@@ -69,9 +69,6 @@ class CubeGrid:
             lo, _ = self.bounds[k]
             out.append(lo + i * self.h[k])
         return tuple(out)
-
-    def node_point(self, idx: tuple[int, ...]) -> Point:
-        return Point([complex(x) for x in self.node_coords(idx)])
 
     def interior_mask(self, width: int = 1) -> np.ndarray:
         """Boolean mask excluding ``width`` node layers at every face."""
@@ -279,15 +276,14 @@ class GammaSpec:
             mask[tuple(sl)] = True
         return mask
 
-    def cutoff_field(self, grid: CubeGrid, ramp: int | None = None) -> np.ndarray:
+    def cutoff_field(self, grid: CubeGrid) -> np.ndarray:
         """Multiplier in [0,1]: 0 on the strip plus guard nodes, then a
         quintic ramp to 1.
 
         The guard nodes keep second-order stencils evaluated at strip nodes
         entirely inside unmodified data.
         """
-        if ramp is None:
-            ramp = max(4, self.width + 2)
+        ramp = max(4, self.width + 2)
         out = np.ones(grid.shape)
         idx = np.arange(grid.nodes, dtype=float)
         for axis, side in self.faces:

@@ -27,15 +27,12 @@ class Jet1:
     """A point of the 1-jet space: value vector a, derivative matrix p.
 
     Entries are QC (exact) or complex (numeric); rows of p are indexed by
-    the component i, columns by the differentiation direction j.  The base
-    point is optional and carried for report readability only; h never
-    reads it.
+    the component i, columns by the differentiation direction j.
     """
 
     n: int
     a: tuple
     p: tuple
-    x: Point | None = None
 
     def __post_init__(self):
         m = 2 * self.n + 1
@@ -49,13 +46,13 @@ class Jet1:
         return 2 * self.n + 1
 
     @classmethod
-    def build(cls, n: int, a, p, x: Point | None = None) -> "Jet1":
-        return cls(n, tuple(a), tuple(tuple(row) for row in p), x)
+    def build(cls, n: int, a, p) -> "Jet1":
+        return cls(n, tuple(a), tuple(tuple(row) for row in p))
 
     def with_row(self, i: int, row) -> "Jet1":
         rows = list(self.p)
         rows[i] = tuple(row)
-        return Jet1(self.n, self.a, tuple(rows), self.x)
+        return Jet1(self.n, self.a, tuple(rows))
 
 
 def _readers(j: Jet1):
@@ -164,7 +161,7 @@ def holonomic_jet(alpha: Form, pt: Point) -> Jet1:
     coeffs = [alpha.coeff((i,)) for i in range(m)]
     a = [c.eval(pt.values) for c in coeffs]
     p = [[c.diff_z(jcol).eval(pt.values) for jcol in range(m)] for c in coeffs]
-    return Jet1.build((m - 1) // 2, a, p, x=pt)
+    return Jet1.build((m - 1) // 2, a, p)
 
 
 def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
@@ -208,7 +205,7 @@ def finite_diff_jet(s: GridSection, node: tuple[int, ...]) -> Jet1:
             deriv = (3 * shifted(0) - 4 * shifted(-1) + shifted(-2)) / (2 * h)
         for i in range(m):
             p[i][j] = complex(deriv[i])
-    return Jet1.build((m - 1) // 2, a, p, x=grid.node_point(node))
+    return Jet1.build((m - 1) // 2, a, p)
 
 
 def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
@@ -230,14 +227,19 @@ def slope_grid(a: np.ndarray, beta: np.ndarray, n: int, r: int, s: int) -> np.nd
     return relation_slope(*_grid_readers(a, beta), n, r, s)
 
 
+def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
+    """The finite-difference curl of an a field: skew of its jacobian, the
+    beta a holonomic section carries."""
+    return skew_of_jacobian(grid_jacobian(a, grid))
+
+
 def holonomy_defect(s: GridSection) -> float:
-    """Max abs entry of skew(finite-difference jacobian) minus beta.
+    """Max abs entry of the finite-difference curl minus beta.
 
     Zero (up to stencil error) exactly when beta really is the curl of a,
     i.e. the section is holonomic.
     """
-    jac = grid_jacobian(s.a, s.grid)
-    return float(np.max(np.abs(skew_of_jacobian(jac) - s.beta)))
+    return float(np.max(np.abs(curl_grid(s.a, s.grid) - s.beta)))
 
 
 def formal_margin_grid(s: GridSection) -> np.ndarray:

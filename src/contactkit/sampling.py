@@ -18,9 +18,9 @@ def _rand_fraction(rng: random.Random, den: int, spread: int) -> Fraction:
     return Fraction(rng.randint(-spread * den, spread * den), den)
 
 
-def exact_points(m: int, count: int, seed: int = 0, den: int = 7,
-                 spread: int = 1, nonzero: bool = True) -> list[Point]:
-    """Random Gaussian-rational points, all coordinates nonzero by default.
+def exact_points(m: int, count: int, seed: int = 0, spread: int = 1) -> list[Point]:
+    """Random Gaussian-rational points (denominator 7), all coordinates
+    nonzero.
 
     Nonzero coordinates keep negative-exponent coefficients away from their
     poles, so every Laurent evaluation on these points is exact.
@@ -28,9 +28,9 @@ def exact_points(m: int, count: int, seed: int = 0, den: int = 7,
     rng = random.Random(seed)
     pts: list[Point] = []
     while len(pts) < count:
-        vals = [QC(_rand_fraction(rng, den, spread), _rand_fraction(rng, den, spread))
+        vals = [QC(_rand_fraction(rng, 7, spread), _rand_fraction(rng, 7, spread))
                 for _ in range(m)]
-        if nonzero and any(v.is_zero for v in vals):
+        if any(v.is_zero for v in vals):
             continue
         pts.append(Point(vals))
     return pts
@@ -57,13 +57,13 @@ def random_qc(rng: random.Random, den: int = 7, spread: int = 2) -> QC:
     return QC(_rand_fraction(rng, den, spread), _rand_fraction(rng, den, spread))
 
 
-def random_jet(n: int, rng: random.Random, den: int = 7):
+def random_jet(n: int, rng: random.Random):
     """A random exact first-order jet in ambient dimension 2n+1."""
     from .jets import Jet1
 
     m = 2 * n + 1
-    a = tuple(random_qc(rng, den) for _ in range(m))
-    p = tuple(tuple(random_qc(rng, den) for _ in range(m)) for _ in range(m))
+    a = tuple(random_qc(rng) for _ in range(m))
+    p = tuple(tuple(random_qc(rng) for _ in range(m)) for _ in range(m))
     return Jet1(n, a, p)
 
 

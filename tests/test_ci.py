@@ -251,3 +251,79 @@ def test_meta_is_json_friendly():
     _, _, result = run_flat(nodes=9)
     blob = json.dumps(result.meta())
     assert "margin" in blob and "frames" in blob
+
+
+def _failed_checks(report):
+    return {c.name: c.detail for c in report.checks if not c.passed}
+
+
+def test_verifier_rejects_moved_frozen_strip():
+    inp, gamma = demo_gamma_section(nodes=33)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed, result.failure
+    frozen = gamma.frozen_mask(inp.grid)
+    result.frames[5].a[frozen] += 1e-9
+    report = verify_ci(result, inp, 0.5, 1e-3)
+    assert not report.passed
+    assert "frames constant on frozen strips" in _failed_checks(report)
+
+
+def test_verifier_names_the_frame_that_leaves_the_relation():
+    inp, gamma, result = run_flat()
+    result.frames[8].a[...] = 0
+    report = verify_ci(result, inp, 0.5, 1e-3)
+    failed = _failed_checks(report)
+    assert "frames keep positive formal margin" in failed
+    assert "frame 8" in failed["frames keep positive formal margin"]
+
+
+def test_verifier_rejects_beta_that_is_not_the_curl():
+    inp, gamma, result = run_flat()
+    result.output.beta[8, 8, 8, 0, 2] += 0.5
+    result.output.beta[8, 8, 8, 2, 0] -= 0.5
+    report = verify_ci(result, inp, 0.5, 1e-3)
+    assert "holonomy defect within stencil bound" in _failed_checks(report)
+
+
+def test_strip_holonomy_uses_the_strip_bound():
+    """Rough data away from the strips inflates the global stencil bound
+    far past a small strip defect; the strip check must still see it."""
+    inp, gamma = demo_gamma_section(nodes=33)
+    broken = inp.copy()
+    broken.beta[0, ..., 0, 2] += 1e-6
+    broken.beta[0, ..., 2, 0] -= 1e-6
+    noise = np.random.default_rng(7).normal(0.0, 0.1, broken.a[12:21, ..., 1].shape)
+    broken.a[12:21, ..., 1] += noise
+    with pytest.raises(PreconditionError, match="not holonomic"):
+        ci_solve(broken, gamma, 0.5, 1e-3)
+
+
+def _count_jacobians(monkeypatch):
+    import contactkit.ci as ci_mod
+    import contactkit.jets as jets_mod
+    calls = []
+    real = jets_mod.grid_jacobian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jets_mod, "grid_jacobian", counting)
+    monkeypatch.setattr(ci_mod, "grid_jacobian", counting, raising=False)
+    return calls
+
+
+def test_verifier_takes_one_jacobian(monkeypatch):
+    inp, gamma, result = run_flat(nodes=9)
+    assert result.passed
+    calls = _count_jacobians(monkeypatch)
+    assert verify_ci(result, inp, 0.5, 1e-3).passed
+    assert len(calls) == 1
+
+
+def test_holonomic_solve_takes_one_jacobian(monkeypatch):
+    inp, gamma = demo_holonomic_section(nodes=9)
+    calls = _count_jacobians(monkeypatch)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed and result.rung == 0
+    assert len(calls) == 1

@@ -87,6 +87,28 @@ def test_decimal_and_ratio_strings_parse_exactly():
     assert coeff.terms[Monomial((1,), (0,))] == QC(Fraction(1, 3))
 
 
+def test_coefficient_exponents_are_bounded():
+    """An exponent past the int-string digit limit is refused by position
+    before Fraction expands it; one inside the limit loads and saves."""
+    def doc(re_part):
+        return {
+            "format": "contactkit-form", "version": 1, "m": 1, "degree": 1,
+            "terms": [{"wedge": ["dz1"], "coeff": [
+                {"zexp": [0], "zbarexp": [0], "re": "1", "im": "0"},
+                {"zexp": [1], "zbarexp": [0], "re": re_part, "im": "0"},
+            ]}],
+        }
+
+    # 1e-4300 passes the exponent bound but its denominator has 4301 digits
+    for bad in ("1e-5000", "1E+5000", "1e-1000000", "1e-4300"):
+        with pytest.raises(ParseError) as err:
+            form_from_document(doc(bad))
+        assert "terms[0].coeff[1]" in str(err.value)
+    form = form_from_document(doc("1e-4000"))
+    assert form.coeff((0,)).terms[Monomial((1,), (0,))] == QC(Fraction(1, 10 ** 4000))
+    assert form_from_document(json.loads(json.dumps(form_to_document(form)))) == form
+
+
 def test_expr_form_has_no_document():
     with pytest.raises(VariantError):
         form_to_document(circle_form(-1))
@@ -235,6 +257,19 @@ def test_section_parse_errors():
     with pytest.raises(ParseError) as err:
         section_from_text("\n".join(lines[:-4]))
     assert "node rows" in str(err.value)
+
+
+def test_section_columns_line_is_checked():
+    """A columns line must match the layout the writer uses; a missing one
+    is still accepted."""
+    lines = section_to_text(messy_section(nodes=5)).splitlines()
+    assert lines[4].startswith("columns ")
+    bogus = lines[:4] + ["columns bogus " + lines[4].split(" ", 2)[2]] + lines[5:]
+    with pytest.raises(ParseError) as err:
+        section_from_text("\n".join(bogus))
+    assert str(err.value).startswith("line 5: ")
+    missing = lines[:4] + lines[5:]
+    assert section_from_text("\n".join(missing)) == messy_section(nodes=5)
 
 
 def test_section_parse_rejects_duplicate_node_row():
