@@ -5,7 +5,9 @@ value never vanishes.  Output: a corrected field whose finite-difference
 jet lies in the relation with margin delta at every interior node, within
 sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
-strips.
+strips.  The homotopy is a function of its endpoints: a result keeps the
+input, the output, the frozen mask and both formal relation fields, and
+builds frame k when it is read.
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -21,6 +23,8 @@ checks and the verifier.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,13 +121,12 @@ def oscillation_field(ell: np.ndarray, nu: float, phi0, rho: np.ndarray,
 
 
 def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
-                    d: int, freq: int, delta: float,
-                    interior: np.ndarray, beta: np.ndarray) -> bool:
+                    d: int, freq: int, delta: float, interior: np.ndarray,
+                    beta: np.ndarray, h_act: np.ndarray) -> bool:
     """One oscillation pass along axis d, in place; ``beta`` is the curl
-    of a on entry.  Returns False when the margins made the pass
-    unnecessary."""
+    of a on entry and ``h_act`` the relation field of (a, beta).  Returns
+    False when the margins made the pass unnecessary."""
     n = grid.n
-    h_act = relation_grid(a, beta, n)
     margins = np.abs(h_act)
     if margins[interior].min() >= 3 * delta:
         return False
@@ -215,38 +218,44 @@ def _check_gamma_preconditions(s: GridSection, gamma: GammaSpec, delta: float,
 # -- homotopy frames -------------------------------------------------------
 
 
-def _skew_pairs(m: int) -> list[tuple[int, int]]:
-    return [(r, s) for r in range(m) for s in range(r + 1, m)]
+@dataclass(frozen=True, eq=False)
+class Homotopy(Sequence):
+    """The N_FRAMES frames from ``start`` to ``end``, each built when read.
 
+    Frames 0 and N_FRAMES - 1 copy the endpoints (all frames copy ``start``
+    when ``end`` is ``start``).  Frame k between is the straight line at
+    tau = k / (N_FRAMES - 1) with h steered onto the polar path from h0 to
+    h1, held at ``start`` on the ``frozen`` nodes.  The endpoints are held
+    by reference, so changing them changes the frames."""
 
-def _polar_path(h0: np.ndarray, h1: np.ndarray, tau: float) -> np.ndarray:
-    """Interpolate moduli linearly and arguments geodesically; never zero
-    when both endpoints are nonzero."""
-    mod = (1 - tau) * np.abs(h0) + tau * np.abs(h1)
-    ang = np.angle(h0) + tau * np.angle(h1 / h0)
-    return mod * np.exp(1j * ang)
+    start: GridSection
+    end: GridSection
+    frozen: np.ndarray
+    h0: np.ndarray
+    h1: np.ndarray
 
+    def __len__(self) -> int:
+        return N_FRAMES
 
-def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
-                  gamma: GammaSpec) -> list[GridSection]:
-    grid = inp.grid
-    n = grid.n
-    frozen = gamma.frozen_mask(grid)
-    h0 = relation_grid(inp.a, inp.beta, n)
-    h1 = relation_grid(a_out, beta_out, n)
-    pairs = _skew_pairs(grid.m)
-
-    frames = [GridSection(grid, inp.a.copy(), inp.beta.copy())]
-    for k in range(1, N_FRAMES - 1):
-        tau = k / (N_FRAMES - 1)
-        a_k = inp.a + tau * (a_out - inp.a)
-        beta_k = inp.beta + tau * (beta_out - inp.beta)
-        hk = relation_grid(a_k, beta_k, n)
-        target = _polar_path(h0, h1, tau)
+    def __getitem__(self, k) -> GridSection:
+        k = range(N_FRAMES)[operator.index(k)]
+        start, end, h0, h1 = self.start, self.end, self.h0, self.h1
+        if k == 0 or end is start:
+            return start.copy()
+        if k == N_FRAMES - 1:
+            return end.copy()
+        grid, tau = start.grid, k / (N_FRAMES - 1)
+        a_k = start.a + tau * (end.a - start.a)
+        beta_k = start.beta + tau * (end.beta - start.beta)
+        hk = relation_grid(a_k, beta_k, grid.n)
+        # polar path: moduli linear, arguments geodesic; never zero if h0, h1 are not
+        mod = (1 - tau) * np.abs(h0) + tau * np.abs(h1)
+        target = mod * np.exp(1j * (np.angle(h0) + tau * np.angle(h1 / h0)))
 
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope
-        slopes = np.stack([slope_grid(a_k, beta_k, n, r, s) for r, s in pairs],
+        pairs = [(r, s) for r in range(grid.m) for s in range(r + 1, grid.m)]
+        slopes = np.stack([slope_grid(a_k, beta_k, grid.n, r, s) for r, s in pairs],
                           axis=-1)
         choice = np.argmax(np.abs(slopes), axis=-1)
         slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
@@ -258,11 +267,9 @@ def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
             sel = np.where(choice == idx, lam, 0)
             beta_k[..., r, s] += sel
             beta_k[..., s, r] -= sel
-        a_k[frozen] = inp.a[frozen]
-        beta_k[frozen] = inp.beta[frozen]
-        frames.append(GridSection(grid, a_k, beta_k))
-    frames.append(GridSection(grid, a_out.copy(), beta_out.copy()))
-    return frames
+        a_k[self.frozen] = start.a[self.frozen]
+        beta_k[self.frozen] = start.beta[self.frozen]
+        return GridSection(grid, a_k, beta_k)
 
 
 # -- result and verification ----------------------------------------------
@@ -270,10 +277,11 @@ def _build_frames(inp: GridSection, a_out: np.ndarray, beta_out: np.ndarray,
 
 @dataclass
 class CIResult:
-    """Solver outcome: corrected section, homotopy frames, achieved bounds."""
+    """Solver outcome: corrected section, homotopy frames (the solver's
+    ``Homotopy`` computes them on read), achieved bounds."""
 
     output: GridSection
-    frames: list[GridSection]
+    frames: Sequence[GridSection]
     gamma: GammaSpec
     eps: float
     delta: float
@@ -303,10 +311,11 @@ class CIResult:
 
 
 def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
-               **outcome) -> CIResult:
+               h0: np.ndarray, **outcome) -> CIResult:
     """A result whose output and every frame equal the input."""
-    frames = [inp.copy() for _ in range(N_FRAMES)]
-    return CIResult(inp.copy(), frames, gamma, eps, delta, deviation=0.0, **outcome)
+    out = inp.copy()
+    frames = Homotopy(out, out, gamma.frozen_mask(inp.grid), h0, h0)
+    return CIResult(out, frames, gamma, eps, delta, deviation=0.0, **outcome)
 
 
 def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
@@ -324,18 +333,20 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     if max_sweeps < 1:
         raise PreconditionError("max_sweeps must be at least 1")
 
-    formal = np.abs(relation_grid(inp.a, inp.beta, grid.n))
+    h0 = relation_grid(inp.a, inp.beta, grid.n)
+    formal = np.abs(h0)
     if float(formal.min()) <= 1e-12:
         raise PreconditionError(f"formal margin vanishes at node {_worst_node(formal)}")
 
     curl_in = curl_grid(inp.a, grid)
-    margins_in = np.abs(relation_grid(inp.a, curl_in, grid.n))
+    h_in = relation_grid(inp.a, curl_in, grid.n)
+    margins_in = np.abs(h_in)
     _check_gamma_preconditions(inp, gamma, delta, curl_in, margins_in)
 
     interior = grid.interior_mask()
     already = float(margins_in[interior].min())
     if already >= delta and float(np.max(np.abs(curl_in - inp.beta))) <= _stencil_bound(inp):
-        return _unchanged(inp, gamma, eps, delta, margin=already, passed=True)
+        return _unchanged(inp, gamma, eps, delta, h0, margin=already, passed=True)
 
     cutoff = gamma.cutoff_field(grid)
     frozen = gamma.frozen_mask(grid)
@@ -347,21 +358,23 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     rung = 0
     freq = base_freq
     while freq <= cap:
+        # curl and h always belong to the current a
         a = inp.a.copy()
-        curl = curl_in
+        curl, h = curl_in, h_in
         sweep_freqs: list[list[int]] = []
         success = False
         for _ in range(max_sweeps):
             per_direction = []
             for d in range(grid.m):
                 nd = good_frequency(round(freq), grid.h[d])
-                if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl):
+                if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl, h):
                     curl = curl_grid(a, grid)
+                    h = relation_grid(a, curl, grid.n)
                 else:
                     nd = 0
                 per_direction.append(nd)
             sweep_freqs.append(per_direction)
-            margins = np.abs(relation_grid(a, curl, grid.n))
+            margins = np.abs(h)
             achieved = float(margins[interior].min())
             if achieved >= delta:
                 success = True
@@ -370,11 +383,11 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                 break
         deviation = float(np.max(np.abs(a - inp.a)))
         if success and deviation <= eps:
-            beta_out = curl
-            beta_out[frozen] = inp.beta[frozen]
+            curl[frozen] = inp.beta[frozen]
             a[frozen] = inp.a[frozen]
-            out = GridSection(grid, a, beta_out)
-            frames = _build_frames(inp, a, beta_out, gamma)
+            out = GridSection(grid, a, curl)
+            # h is nodewise, so on the strips just reset to the input it is h0
+            frames = Homotopy(inp, out, frozen, h0, np.where(frozen, h0, h))
             return CIResult(out, frames, gamma, eps, delta,
                             margin=achieved, deviation=deviation,
                             sweep_frequencies=sweep_freqs, rung=rung, passed=True)
@@ -385,7 +398,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         rung += 1
         freq *= 2
 
-    return _unchanged(inp, gamma, eps, delta, margin=0.0, rung=rung,
+    return _unchanged(inp, gamma, eps, delta, h0, margin=0.0, rung=rung,
                       failure=f"frequency ladder exhausted; last attempt: {worst_note}")
 
 
@@ -429,28 +442,25 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
                f"deviation={fmt_num(deviation)} eps={fmt_num(eps)} at node "
                f"{_worst_node(-dev_field)}")
 
-    # (d) frames: endpoints exact, formal margin strictly positive throughout
-    frames = result.frames
-    report.add("frame count", len(frames) == N_FRAMES, f"{len(frames)} frames")
-    if frames:
-        first, last = frames[0], frames[-1]
-        report.add("first frame equals input",
-                   np.array_equal(first.a, inp.a) and np.array_equal(first.beta, inp.beta))
-        report.add("last frame equals output",
-                   np.array_equal(last.a, out.a) and np.array_equal(last.beta, out.beta))
-        frame_mins = [float(np.abs(relation_grid(fr.a, fr.beta, grid.n)).min())
-                      for fr in frames]
+    # (d) frames: endpoints exact, formal margin strictly positive throughout;
+    # (e) frames constant on frozen strips.  One pass reads each frame once.
+    mask = result.gamma.frozen_mask(grid)
+    frame_mins, constant = [], True
+    for k, fr in enumerate(result.frames):
+        if k == 0:
+            first_ok = fr == inp
+        frame_mins.append(float(np.abs(relation_grid(fr.a, fr.beta, grid.n)).min()))
+        constant = (constant and np.array_equal(fr.a[mask], inp.a[mask])
+                    and np.array_equal(fr.beta[mask], inp.beta[mask]))
+        last = fr
+    report.add("frame count", len(frame_mins) == N_FRAMES, f"{len(frame_mins)} frames")
+    if frame_mins:
+        report.add("first frame equals input", first_ok)
+        report.add("last frame equals output", last == out)
         worst_k = int(np.argmin(frame_mins))
         report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
                    f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")
-
-    # (e) frames constant on frozen strips
     if not result.gamma.is_empty:
-        mask = result.gamma.frozen_mask(grid)
-        constant = all(
-            np.array_equal(fr.a[mask], inp.a[mask])
-            and np.array_equal(fr.beta[mask], inp.beta[mask])
-            for fr in frames)
         report.add("frames constant on frozen strips", constant)
     return report
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import relation_h, relation_slope
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection
 from .scalars import QC
@@ -246,15 +246,3 @@ def formal_margin_grid(s: GridSection) -> np.ndarray:
     """|h| per node using the declared beta field (formal membership)."""
     return np.abs(relation_grid(s.a, s.beta, s.grid.n))
 
-
-def require_formal_margin(s: GridSection, floor: float) -> float:
-    """PreconditionError (naming the worst node) unless the formal margin
-    clears ``floor`` everywhere."""
-    margins = formal_margin_grid(s)
-    worst = float(margins.min())
-    if worst < floor or worst == 0.0:
-        node = np.unravel_index(int(margins.argmin()), margins.shape)
-        raise PreconditionError(
-            f"formal margin {worst:.3e} below {floor:.3e} at node {tuple(int(k) for k in node)}"
-        )
-    return worst

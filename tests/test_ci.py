@@ -187,6 +187,7 @@ def test_verifier_rejects_corrupted_margin():
 
 def test_verifier_rejects_corrupted_endpoint():
     inp, gamma, result = run_flat()
+    result.frames = list(result.frames)
     result.frames[0].a[0, 0, 0, 0] += 1e-6
     report = verify_ci(result, inp, 0.5, 1e-3)
     assert not report.passed
@@ -262,6 +263,7 @@ def test_verifier_rejects_moved_frozen_strip():
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     assert result.passed, result.failure
     frozen = gamma.frozen_mask(inp.grid)
+    result.frames = list(result.frames)
     result.frames[5].a[frozen] += 1e-9
     report = verify_ci(result, inp, 0.5, 1e-3)
     assert not report.passed
@@ -270,11 +272,38 @@ def test_verifier_rejects_moved_frozen_strip():
 
 def test_verifier_names_the_frame_that_leaves_the_relation():
     inp, gamma, result = run_flat()
+    result.frames = list(result.frames)
     result.frames[8].a[...] = 0
     report = verify_ci(result, inp, 0.5, 1e-3)
     failed = _failed_checks(report)
     assert "frames keep positive formal margin" in failed
     assert "frame 8" in failed["frames keep positive formal margin"]
+
+
+def test_verifier_reads_each_frame_once():
+    from collections.abc import Sequence
+    inp, gamma = demo_gamma_section(nodes=25)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed, result.failure
+    reads = []
+
+    class Counting(Sequence):
+        def __init__(self, frames):
+            self.frames = frames
+
+        def __len__(self):
+            return len(self.frames)
+
+        def __getitem__(self, k):
+            frame = self.frames[k]
+            reads.append(k)
+            return frame
+
+    result.frames = Counting(result.frames)
+    report = verify_ci(result, inp, 0.5, 1e-3)
+    assert report.passed, report.to_text()
+    assert "frames constant on frozen strips" in report.to_text()
+    assert sorted(reads) == list(range(N_FRAMES))
 
 
 def test_verifier_rejects_beta_that_is_not_the_curl():
@@ -327,3 +356,39 @@ def test_holonomic_solve_takes_one_jacobian(monkeypatch):
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     assert result.passed and result.rung == 0
     assert len(calls) == 1
+
+
+def test_gamma_solve_takes_each_relation_field_once(monkeypatch):
+    """ci_solve computes h once per (a, beta) state it visits."""
+    import hashlib
+    import contactkit.ci as ci_mod
+    import contactkit.jets as jets_mod
+    inp, gamma = demo_gamma_section(nodes=33)
+    seen = []
+    real = jets_mod.relation_grid
+
+    def hashing(a, beta, n):
+        seen.append(hashlib.sha256(a.tobytes() + beta.tobytes()).digest())
+        return real(a, beta, n)
+
+    monkeypatch.setattr(ci_mod, "relation_grid", hashing)
+    assert ci_solve(inp, gamma, 0.5, 1e-3).passed
+    assert len(seen) == len(set(seen)), f"{len(seen) - len(set(seen))} of {len(seen)} repeated"
+
+
+def test_solved_result_retains_two_sections():
+    """A result keeps its output and the frame recipe, not 17 sections."""
+    import gc
+    import tracemalloc
+    inp, gamma = demo_gamma_section(nodes=33)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = ci_solve(inp, gamma, 0.5, 1e-3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.failure
+    assert retained < 32 * 2 ** 20, f"{retained / 2 ** 20:.1f} MB retained"

@@ -7,14 +7,14 @@ import pytest
 
 from contactkit.coefficients import LaurentPoly
 from contactkit.contact import contact_defect, relation_h, relation_slope, top_coefficient
-from contactkit.errors import DimensionError, PreconditionError
+from contactkit.errors import DimensionError
 from contactkit.forms import Form
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection
 from contactkit.jets import (
     Jet1, RestrictedJet, ampleness_slice, finite_diff_jet, formal_margin_grid,
     grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
-    relation_value, require_formal_margin, skew_of_jacobian, slope_grid,
+    relation_value, skew_of_jacobian, slope_grid,
 )
 from contactkit.sampling import exact_points, random_jet, random_qc
 from contactkit.scalars import QC
@@ -315,11 +315,6 @@ def test_margin_floor_guard():
     s = GridSection.sample(grid, alpha)
     worst = formal_margin_grid(s).min()
     assert worst == pytest.approx(1.0)
-    assert require_formal_margin(s, 0.5) == pytest.approx(worst)
-    dead = GridSection(grid, np.zeros(grid.shape + (3,), dtype=complex),
-                       np.zeros(grid.shape + (3, 3), dtype=complex))
-    with pytest.raises(PreconditionError):
-        require_formal_margin(dead, 1e-9)
 
 
 def test_jet_validation():
