@@ -11,8 +11,7 @@ from .ci import (CIResult, Loop, ci_solve, demo_flat_section,
                  demo_gamma_section, demo_holonomic_section, loop_for_target,
                  verify_ci)
 from .coefficients import (Coefficient, Const, Cos, Exp, Expr, LaurentPoly,
-                           Monomial, Sin, Sqrt, TParam, Z, Zbar, eadd, emul,
-                           epow, subst_t)
+                           Monomial, Sin, Sqrt, Z, Zbar, eadd, emul, epow)
 from .contact import (FormalPair, SkewMatrix, contact_defect, formal_defect,
                       is_contact_on, is_formal_contact_on, pencil_check,
                       pfaffian, pfaffian_coeffs, relation_coefficient,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .ci import (ci_solve, demo_flat_section, demo_gamma_section,
@@ -164,6 +164,9 @@ def cmd_integrate(cfg: RunConfig) -> tuple[VerificationReport, object]:
         raise ContactKitError("built-in integration demos are three-dimensional (n=1)")
     section, gamma = DEMOS[cfg.demo](cfg.grid)
     result = ci_solve(section, gamma, cfg.eps, cfg.delta, cfg.sweeps)
+    if cfg.out:
+        # the verifier and the dump read the same frames: build them once
+        result = replace(result, frames=list(result.frames))
     report = verify_ci(result, section, cfg.eps, cfg.delta)
     report.add("solver summary", result.passed,
                f"margin={fmt_num(result.margin)} deviation={fmt_num(result.deviation)} "
@@ -226,39 +229,34 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = RunConfig("_")
 
+    # flag -> add_argument keywords; every subcommand also takes --out
+    options = {
+        "form": {"help": "gallery name or form document path"},
+        "beta": {"help": "2-form document path or gallery name"},
+        "map": {"help": "named pullback map: covering or rotation"},
+        "n": {"type": int, "default": defaults.n},
+        "grid": {"type": int, "default": defaults.grid},
+        "eps": {"type": float, "default": defaults.eps},
+        "delta": {"type": float, "default": defaults.delta},
+        "tol": {"type": float, "default": defaults.tol},
+        "seed": {"type": int, "default": defaults.seed},
+        "sweeps": {"type": int, "default": defaults.sweeps},
+        "degree": {"type": int, "default": defaults.degree},
+        "samples": {"type": int, "default": defaults.samples},
+        "demo": {"choices": sorted(DEMOS), "default": defaults.demo},
+        "out": {"help": "directory for report and dump files"},
+        "verbose": {"action": "store_true"},
+    }
+
     def add(name: str, help_text: str, flags: list[str]) -> None:
         p = sub.add_parser(name, help=help_text)
-        if "form" in flags:
-            p.add_argument("--form", help="gallery name or form document path")
-        if "beta" in flags:
-            p.add_argument("--beta", help="2-form document path or gallery name")
-        if "map" in flags:
-            p.add_argument("--map", help="named pullback map: covering or rotation")
-        if "n" in flags:
-            p.add_argument("--n", type=int, default=defaults.n)
-        if "grid" in flags:
-            p.add_argument("--grid", type=int, default=defaults.grid)
-        if "eps" in flags:
-            p.add_argument("--eps", type=float, default=defaults.eps)
-        if "delta" in flags:
-            p.add_argument("--delta", type=float, default=defaults.delta)
-        if "tol" in flags:
-            p.add_argument("--tol", type=float, default=defaults.tol)
-        if "seed" in flags:
-            p.add_argument("--seed", type=int, default=defaults.seed)
-        if "sweeps" in flags:
-            p.add_argument("--sweeps", type=int, default=defaults.sweeps)
-        if "degree" in flags:
-            p.add_argument("--degree", type=int, default=defaults.degree)
-        if "samples" in flags:
-            p.add_argument("--samples", type=int, default=defaults.samples)
-        if "demo" in flags:
-            p.add_argument("--demo", choices=sorted(DEMOS), default=defaults.demo)
-        p.add_argument("--out", help="directory for report and dump files")
-        p.add_argument("--verbose", action="store_true")
+        for flag, keywords in options.items():
+            if flag in flags or flag == "out":
+                p.add_argument(f"--{flag}", **keywords)
 
-    add("verify", "check the contact identity of a form", ["form", "samples", "seed", "tol"])
-    add("formal", "check a formal pair", ["form", "beta", "samples", "seed", "tol"])
+    add("verify", "check the contact identity of a form",
+        ["form", "samples", "seed", "tol", "verbose"])
+    add("formal", "check a formal pair", ["form", "beta", "samples", "seed", "tol", "verbose"])
     add("ample", "classify relation slices of random jets", ["n", "samples", "seed"])
     add("extend", "extend real-slice data and measure its residual",
         ["form", "map", "degree", "samples", "seed", "tol"])

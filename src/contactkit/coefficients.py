@@ -9,9 +9,9 @@ multiply, differentiate, conjugate, evaluate, substitute):
   independent, so both Wirtinger derivatives are exact term operations;
   conjugation at evaluation time is what ties ``zbar_i`` to ``conj(z_i)``.
 
-* :class:`Expr` — a small expression tree (constants, variables, a real
-  parameter ``t``, sums, products, integer powers, exp, sin, cos, sqrt)
-  with formally differentiated derivative trees and numeric evaluation.
+* :class:`Expr` — a small expression tree (constants, variables, sums,
+  products, integer powers, exp, sin, cos, sqrt) with formally
+  differentiated derivative trees and numeric evaluation.
   No simplification is performed beyond constant folding.
 """
 
@@ -366,7 +366,7 @@ class Expr:
 
     __slots__ = ()
 
-    def eval(self, zvalues, t: float | None = None) -> complex:
+    def eval(self, zvalues) -> complex:
         raise NotImplementedError
 
     def diff_z(self, i: int) -> "Expr":
@@ -427,7 +427,7 @@ def _as_expr(value) -> Expr:
 class Const(Expr):
     value: complex
 
-    def eval(self, zvalues, t=None):
+    def eval(self, zvalues):
         return self.value
 
     def diff_z(self, i):
@@ -468,7 +468,7 @@ class _Coordinate(Expr):
 
 @dataclass(frozen=True, slots=True)
 class Z(_Coordinate):
-    def eval(self, zvalues, t=None):
+    def eval(self, zvalues):
         return complex(self._pick(zvalues))
 
     def diff_z(self, i):
@@ -490,7 +490,7 @@ class Z(_Coordinate):
 
 @dataclass(frozen=True, slots=True)
 class Zbar(_Coordinate):
-    def eval(self, zvalues, t=None):
+    def eval(self, zvalues):
         return complex(self._pick(zvalues)).conjugate()
 
     def diff_z(self, i):
@@ -511,36 +511,11 @@ class Zbar(_Coordinate):
 
 
 @dataclass(frozen=True, slots=True)
-class TParam(Expr):
-    """The real deformation parameter ``t`` (a constant under d)."""
-
-    def eval(self, zvalues, t=None):
-        if t is None:
-            raise VariantError("expression uses the parameter t but no value was given")
-        return complex(t)
-
-    def diff_z(self, i):
-        return Const(0j)
-
-    diff_zbar = diff_z
-
-    def conj(self):
-        return self
-
-    def substitute(self, args):
-        return self
-
-    @property
-    def has_zbar(self):
-        return False
-
-
-@dataclass(frozen=True, slots=True)
 class Add(Expr):
     parts: tuple[Expr, ...]
 
-    def eval(self, zvalues, t=None):
-        return sum(p.eval(zvalues, t) for p in self.parts)
+    def eval(self, zvalues):
+        return sum(p.eval(zvalues) for p in self.parts)
 
     def diff_z(self, i):
         return eadd(*(p.diff_z(i) for p in self.parts))
@@ -563,10 +538,10 @@ class Add(Expr):
 class Mul(Expr):
     parts: tuple[Expr, ...]
 
-    def eval(self, zvalues, t=None):
+    def eval(self, zvalues):
         out = 1 + 0j
         for p in self.parts:
-            out *= p.eval(zvalues, t)
+            out *= p.eval(zvalues)
         return out
 
     def _product_rule(self, derive):
@@ -599,8 +574,8 @@ class Pow(Expr):
     base: Expr
     k: int
 
-    def eval(self, zvalues, t=None):
-        return _power(self.base.eval(zvalues, t), self.k)
+    def eval(self, zvalues):
+        return _power(self.base.eval(zvalues), self.k)
 
     def _chain(self, db):
         return emul(Const(complex(self.k)), epow(self.base, self.k - 1), db)
@@ -629,8 +604,8 @@ def _unary(name, fn, dfn):
     class Node(Expr):
         u: Expr
 
-        def eval(self, zvalues, t=None):
-            return fn(self.u.eval(zvalues, t))
+        def eval(self, zvalues):
+            return fn(self.u.eval(zvalues))
 
         def diff_z(self, i):
             return dfn(self.u, self.u.diff_z(i))
@@ -730,21 +705,6 @@ def epow(base: Expr, k: int) -> Expr:
     if isinstance(base, Pow):
         return epow(base.base, base.k * k)
     return Pow(base, k)
-
-
-def subst_t(e: Expr, value) -> Expr:
-    """Replace the parameter t by a constant, folding where possible."""
-    if isinstance(e, TParam):
-        return Const(complex(value))
-    if isinstance(e, (Const, Z, Zbar)):
-        return e
-    if isinstance(e, Add):
-        return eadd(*(subst_t(p, value) for p in e.parts))
-    if isinstance(e, Mul):
-        return emul(*(subst_t(p, value) for p in e.parts))
-    if isinstance(e, Pow):
-        return epow(subst_t(e.base, value), e.k)
-    return type(e)(subst_t(e.u, value))
 
 
 Coefficient = LaurentPoly | Expr

@@ -11,6 +11,12 @@ y-homogeneous residual.
 The same module hosts the asymptotic-holomorphy checks (three vanishing
 families at slice points) and the least-squares holomorphic fit used to
 close the loop from sampled output back to a symbolic form.
+
+Each object has one implementation here: every jet d^I (of symbolic data,
+of a sampled field, of the dbar-components behind the defect) comes from
+``_derivative_tower``, which takes each derivative once from its parent;
+every "max |c(pt)|" over samples is ``_sup``; and both fit paths build
+their design matrix from ``_design_row``.
 """
 
 from __future__ import annotations
@@ -30,13 +36,10 @@ from .reports import fmt_num
 from .scalars import QC
 
 
-def multi_indices(m: int, max_total: int, exact_total: int | None = None):
-    """Multi-indices over m slots with bounded (or fixed) total degree."""
-    if exact_total is not None:
-        totals = [exact_total]
-    else:
-        totals = range(max_total + 1)
-    for total in totals:
+def multi_indices(m: int, max_total: int):
+    """Multi-indices over m slots with total degree at most max_total, by
+    increasing total."""
+    for total in range(max_total + 1):
         for cuts in itertools.combinations(range(total + m - 1), m - 1):
             prev = -1
             idx = []
@@ -45,6 +48,17 @@ def multi_indices(m: int, max_total: int, exact_total: int | None = None):
                 prev = c
             idx.append(total + m - 2 - prev)
             yield tuple(idx)
+
+
+def _derivative_tower(base, top: int, m: int, derive) -> dict:
+    """{I: d^I base} for every |I| <= top over m slots, in multi_indices
+    order.  Each entry is derive(parent, k): k is the first nonzero slot of
+    I and the parent is I lowered there, so each derivative is taken once."""
+    tower = {}
+    for I in multi_indices(m, top):
+        k = next((i for i, e in enumerate(I) if e), None)
+        tower[I] = base if k is None else derive(tower[I[:k] + (I[k] - 1,) + I[k + 1:]], k)
+    return tower
 
 
 def _index_factorial(I: tuple[int, ...]) -> int:
@@ -76,16 +90,8 @@ def extend_function(f: LaurentPoly, l: int) -> LaurentPoly:
     halfsum = [(LaurentPoly.z(m, k) + LaurentPoly.zbar(m, k)) * half for k in range(m)]
     halfdiff = [(LaurentPoly.z(m, k) - LaurentPoly.zbar(m, k)) * half for k in range(m)]
 
-    # d^I f by increasing |I|, each level differentiating the previous one
-    derivs: dict[tuple[int, ...], LaurentPoly] = {(0,) * m: f}
-    for total in range(1, l + 1):
-        for I in multi_indices(m, 0, exact_total=total):
-            k = next(i for i, e in enumerate(I) if e > 0)
-            lower = tuple(e - (1 if i == k else 0) for i, e in enumerate(I))
-            derivs[I] = derivs[lower].diff_z(k)
-
     total_poly = LaurentPoly.zero(m)
-    for I, dI in derivs.items():
+    for I, dI in _derivative_tower(f, l, m, LaurentPoly.diff_z).items():
         if dI.is_zero:
             continue
         term = dI.substitute(halfsum) * Fraction(1, _index_factorial(I))
@@ -134,6 +140,13 @@ def _coefficients_of(target, m_hint: int | None = None):
     raise VariantError(f"cannot measure dbar defect of {type(target).__name__}")
 
 
+def _sup(coeffs, samples) -> float:
+    """max |c(pt)| over the nonzero coefficients and the samples; 0.0 when
+    there are none."""
+    return max((abs(complex(c.eval(pt.values)))
+                for c in coeffs if not c.is_zero for pt in samples), default=0.0)
+
+
 def dbar_defect(target, samples, order: int, m: int | None = None) -> float:
     """Max norm of derivatives of the dbar-components up to order-1.
 
@@ -144,20 +157,13 @@ def dbar_defect(target, samples, order: int, m: int | None = None) -> float:
     if order < 1:
         raise PreconditionError("defect order must be >= 1")
     m, coeffs = _coefficients_of(target, m)
-    worst = 0.0
-    for c in coeffs:
-        for j in range(m):
-            g = c.diff_zbar(j)
-            for gamma in multi_indices(2 * m, order - 1):
-                d = g
-                for slot, times in enumerate(gamma):
-                    for _ in range(times):
-                        d = _wirtinger_derivative(d, slot, m)
-                if d.is_zero:
-                    continue
-                for pt in samples:
-                    worst = max(worst, abs(complex(d.eval(pt.values))))
-    return worst
+
+    def derive(c, slot):
+        return _wirtinger_derivative(c, slot, m)
+
+    return max((_sup(_derivative_tower(c.diff_zbar(j), order - 1, 2 * m, derive).values(),
+                     samples)
+                for c in coeffs for j in range(m)), default=0.0)
 
 
 class SampledExtension:
@@ -177,42 +183,32 @@ class SampledExtension:
             raise PreconditionError("grid too small for the requested jets")
         self.grid = grid
         self.l = l
-        m = grid.m
-        jets: dict[tuple[int, ...], np.ndarray] = {(0,) * m: np.asarray(values, dtype=complex)}
-        for total in range(1, l + 2):
-            for I in multi_indices(m, 0, exact_total=total):
-                k = next(i for i, e in enumerate(I) if e > 0)
-                lower = tuple(e - (1 if i == k else 0) for i, e in enumerate(I))
-                jets[I] = np.gradient(jets[lower], grid.h[k], axis=k, edge_order=2)
-        self.jets = jets
+        self.jets = _derivative_tower(
+            np.asarray(values, dtype=complex), l + 1, grid.m,
+            lambda J, k: np.gradient(J, grid.h[k], axis=k, edge_order=2))
 
-    def value(self, node: tuple[int, ...], y: tuple[float, ...]) -> complex:
-        """F at the complex point (node coordinates) + i y."""
-        m = self.grid.m
+    def _series(self, node, y, lowest: int, bump: tuple[int, ...]) -> complex:
+        """sum over lowest <= |I| <= l of (1/I!) J_{I+bump}(node) (iy)^I."""
         iy = [1j * float(c) for c in y]
         total = 0j
-        for I, J in self.jets.items():
-            if sum(I) > self.l:
+        for I in multi_indices(self.grid.m, self.l):
+            if sum(I) < lowest:
                 continue
+            J = self.jets[tuple(a + b for a, b in zip(I, bump))]
             term = complex(J[node]) / _index_factorial(I)
             for k, e in enumerate(I):
                 term *= iy[k] ** e
             total += term
         return total
 
+    def value(self, node: tuple[int, ...], y: tuple[float, ...]) -> complex:
+        """F at the complex point (node coordinates) + i y."""
+        return self._series(node, y, 0, (0,) * self.grid.m)
+
     def dbar_residual(self, node: tuple[int, ...], y: tuple[float, ...], j: int) -> complex:
         """The zbar_j derivative of the extension at (node) + i y."""
-        m = self.grid.m
-        iy = [1j * float(c) for c in y]
-        total = 0j
-        ej = tuple(1 if k == j else 0 for k in range(m))
-        for I in multi_indices(m, 0, exact_total=self.l):
-            bumped = tuple(a + b for a, b in zip(I, ej))
-            term = complex(self.jets[bumped][node]) / _index_factorial(I)
-            for k, e in enumerate(I):
-                term *= iy[k] ** e
-            total += term
-        return total / 2
+        ej = tuple(1 if k == j else 0 for k in range(self.grid.m))
+        return self._series(node, y, self.l, ej) / 2
 
     def max_residual(self, nodes, y: tuple[float, ...]) -> float:
         worst = 0.0
@@ -275,26 +271,16 @@ def ah_verify(alpha: Form, samples, tol: float) -> AHReport:
     if alpha.degree != 1:
         raise DimensionError("ah_verify expects a 1-form")
     m = alpha.m
-    report = AHReport(tol=tol)
-
-    a_coeffs = {i: alpha.terms.get((i,)) for i in range(m)}
-    b_coeffs = {i: alpha.terms.get((m + i,)) for i in range(m)}
-    dbar_a = {(i, j): c.diff_zbar(j) for i, c in a_coeffs.items() if c is not None
-              for j in range(m)}
-    db = {(i, slot): _wirtinger_derivative(c, slot, m)
-          for i, c in b_coeffs.items() if c is not None
-          for slot in range(2 * m)}
-
-    for pt in samples:
-        s_dbar_a = max((abs(complex(d.eval(pt.values))) for d in dbar_a.values()), default=0.0)
-        s_b = max((abs(complex(c.eval(pt.values))) for c in b_coeffs.values() if c is not None),
-                  default=0.0)
-        s_db = max((abs(complex(d.eval(pt.values))) for d in db.values()), default=0.0)
-        report.n_samples += 1
-        report.max_dbar_a = max(report.max_dbar_a, s_dbar_a)
-        report.max_b = max(report.max_b, s_b)
-        report.max_db = max(report.max_db, s_db)
-    return report
+    samples = list(samples)
+    a = [c for (w,), c in alpha.terms.items() if w < m]
+    b = [c for (w,), c in alpha.terms.items() if w >= m]
+    return AHReport(
+        tol=tol,
+        max_dbar_a=_sup([c.diff_zbar(j) for c in a for j in range(m)], samples),
+        max_b=_sup(b, samples),
+        max_db=_sup([_wirtinger_derivative(c, slot, m) for c in b for slot in range(2 * m)],
+                    samples),
+        n_samples=len(samples))
 
 
 def ah_pullback_verify(F: PolyMap, alpha: Form, samples, tol: float) -> AHReport:
@@ -412,6 +398,19 @@ def _holomorphic_form(m: int, monos, cols) -> Form:
         for i, col in enumerate(cols)}, "laurent")
 
 
+def _design_row(values, monos, one) -> list:
+    """The monomials z^I at one point, each v = one times values[k] ** e
+    over the nonzero exponents e of I."""
+    row = []
+    for I in monos:
+        v = one
+        for k, e in enumerate(I):
+            if e:
+                v = v * values[k] ** e
+        row.append(v)
+    return row
+
+
 def fit_holomorphic(points, values, degree: int) -> FitResult:
     """Least-squares (1,0)-form with polynomial z-coefficients.
 
@@ -446,16 +445,7 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
 
     if all(pt.is_exact for pt in points) and all(
             exact_value(v) is not None for r in rows for v in r):
-        A = []
-        for pt in points:
-            row = []
-            for I in monos:
-                term = QC(1)
-                for k, e in enumerate(I):
-                    for _ in range(e):
-                        term = term * pt.values[k]
-                row.append(term)
-            A.append(row)
+        A = [_design_row(pt.values, monos, QC(1)) for pt in points]
         exact_rows = [[exact_value(v) for v in r] for r in rows]
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         sols, rank = _solve_exact_normal(A, rhs_cols)
@@ -470,15 +460,8 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
                 worst = max(worst, extra.abs2())
         return FitResult(form, sqrt(worst), rank, len(monos), len(points), True)
 
-    pts_c = [pt.as_complex() for pt in points]
-    A = np.empty((len(points), len(monos)), dtype=complex)
-    for r, z in enumerate(pts_c):
-        for cidx, I in enumerate(monos):
-            v = 1.0 + 0j
-            for k, e in enumerate(I):
-                if e:
-                    v *= z[k] ** e
-            A[r, cidx] = v
+    A = np.array([_design_row(pt.as_complex(), monos, 1 + 0j) for pt in points],
+                 dtype=complex)
     rhs = np.array([[complex(rows[r][i]) for i in range(m)] for r in range(len(rows))])
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     form = _holomorphic_form(m, monos, [

@@ -282,10 +282,6 @@ class Form:
     def coefficient_at(self, pt: Point, word: Word):
         return self.coeff(word).eval(pt.values)
 
-    def top_word(self) -> Word:
-        """The holomorphic volume word ``dz1^...^dzm``."""
-        return tuple(range(self.m))
-
     def covector_at(self, pt: Point) -> tuple:
         """Degree-1 helper: the 2m covector components at ``pt``."""
         if self.degree != 1:

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import (Const, Cos, Exp, LaurentPoly, Sin, Sqrt, TParam,
-                           Z, eadd, emul, epow, subst_t)
+from .coefficients import (Const, Cos, Exp, LaurentPoly, Sin, Sqrt, Z, eadd,
+                           emul, epow)
 from .contact import contact_defect
 from .errors import PreconditionError
 from .forms import Form, Point, PolyMap, pullback
@@ -85,26 +85,20 @@ def alpha_prime() -> Form:
     })
 
 
-def _sigma_template() -> Form:
-    """sigma_t with the parameter t left symbolic."""
-    t = TParam()
-    scale = epow(Sqrt(eadd(Const(2 + 0j), emul(Const(2 + 0j), t, t))), -1)
-    phase = Exp(emul(Const(-1j * math.pi / 2), t))
-    z = Z(0)
-    zinv = epow(Z(0), -1)
-    return Form(3, 1, {
-        (2,): emul(scale, eadd(emul(t, z), zinv)),
-        (1,): emul(scale, phase, eadd(z, emul(Const(-1 + 0j), t, zinv))),
-    })
-
-
 def sigma_homotopy(t: float) -> Form:
     """The homotopy from circle_form(-1) at t = 0 to alpha_prime at t = 1;
     its defect is e^{-i pi t / 2} / z1 for every t."""
     if not 0 <= t <= 1:
         raise PreconditionError(f"homotopy parameter {t} outside [0, 1]")
-    template = _sigma_template()
-    return Form(3, 1, {w: subst_t(c, t) for w, c in template.terms.items()})
+    T = Const(complex(t))
+    scale = epow(Sqrt(eadd(Const(2 + 0j), emul(Const(2 + 0j), T, T))), -1)
+    phase = Exp(emul(Const(-1j * math.pi / 2), T))
+    z = Z(0)
+    zinv = epow(Z(0), -1)
+    return Form(3, 1, {
+        (2,): emul(scale, eadd(emul(T, z), zinv)),
+        (1,): emul(scale, phase, eadd(z, emul(Const(-1 + 0j), T, zinv))),
+    })
 
 
 def torus_form(k: int, l: int, m: int) -> Form:

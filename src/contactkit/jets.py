@@ -170,13 +170,8 @@ def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
     Second-order central differences inside, second-order one-sided at the
     faces (the numpy gradient stencils with edge_order=2).
     """
-    m = grid.m
-    out = np.empty(grid.shape + (m, m), dtype=complex)
-    for i in range(m):
-        comp = a[..., i]
-        for j in range(m):
-            out[..., i, j] = np.gradient(comp, grid.h[j], axis=j, edge_order=2)
-    return out
+    return np.stack([np.gradient(a, grid.h[j], axis=j, edge_order=2)
+                     for j in range(grid.m)], axis=-1)
 
 
 def finite_diff_jet(s: GridSection, node: tuple[int, ...]) -> Jet1:

@@ -53,10 +53,8 @@ class VerificationReport:
         ok = value <= bound
         return self.add(name, ok, f"value={fmt_num(value)} bound={fmt_num(bound)}")
 
-    def merge(self, other: "VerificationReport", prefix: str = "") -> None:
-        for c in other.checks:
-            name = f"{prefix}{c.name}" if prefix else c.name
-            self.checks.append(Check(name, c.passed, c.detail))
+    def merge(self, other: "VerificationReport") -> None:
+        self.checks.extend(Check(c.name, c.passed, c.detail) for c in other.checks)
 
     @property
     def passed(self) -> bool:

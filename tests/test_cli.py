@@ -104,6 +104,25 @@ def test_integrate_out_inventory(tmp_path, capsys):
     assert len(frames) == meta["frames"]
 
 
+def test_integrate_out_builds_each_frame_once(tmp_path, capsys, monkeypatch):
+    """The verifier and the dump share one materialised list of frames."""
+    from contactkit.ci import N_FRAMES, Homotopy
+
+    real = Homotopy.__getitem__
+    built = []
+
+    def counting(self, k):
+        frame = real(self, k)
+        built.append(k)
+        return frame
+
+    monkeypatch.setattr(Homotopy, "__getitem__", counting)
+    code, _ = run_cli(capsys, "integrate", "--demo", "flat", "--grid", "9",
+                      "--out", str(tmp_path))
+    assert code == 0
+    assert sorted(built) == list(range(N_FRAMES))
+
+
 def test_verify_out_report_matches_stdout(tmp_path, capsys):
     out_dir = tmp_path / "v"
     code, out = run_cli(capsys, "verify", "--form", "torus:1,0,2",
@@ -150,3 +169,10 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_only_verify_and_formal_take_verbose(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ample", "--verbose"])
+    assert exc.value.code == 2
+    assert "--verbose" in capsys.readouterr().err

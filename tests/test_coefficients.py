@@ -1,5 +1,4 @@
 import cmath
-import math
 import random
 from fractions import Fraction
 
@@ -8,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit.coefficients import (
-    Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, TParam, Z, Zbar,
-    coefficient_variant, eadd, emul, epow, subst_t,
+    Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, Z, Zbar,
+    coefficient_variant, eadd, emul, epow,
 )
 from contactkit.errors import DimensionError, PoleError, VariantError
 from contactkit.forms import Form, Point
@@ -151,15 +150,6 @@ def test_folding_constructors():
 def test_sqrt_and_cos():
     e = emul(Cos(Z(0)), Sqrt(Const(4 + 0j)))
     assert abs(e.eval((0.0 + 0j,)) - 2.0) < 1e-15
-
-
-def test_subst_t_folds_parameter():
-    e = emul(TParam(), eadd(Z(0), Const(1 + 0j)))
-    fixed = subst_t(e, 0.5)
-    assert abs(fixed.eval((0.25 + 0j,)) - 0.5 * 1.25) < 1e-15
-    # substitution reaches under unary nodes too
-    e2 = Exp(emul(Const(1j), TParam()))
-    assert abs(subst_t(e2, 1.0).eval((0j,)) - complex(math.cos(1), math.sin(1))) < 1e-15
 
 
 def test_laurent_to_expr_matches():

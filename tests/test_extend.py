@@ -29,7 +29,7 @@ def real_points(m, count, seed=0):
 
 def test_multi_index_counts():
     assert len(list(multi_indices(3, 2))) == 10  # C(5,2)
-    assert len(list(multi_indices(3, 0, exact_total=2))) == 6
+    assert sum(1 for I in multi_indices(3, 2) if sum(I) == 2) == 6
     assert len(list(multi_indices(1, 4))) == 5
     for I in multi_indices(3, 4):
         assert sum(I) <= 4 and all(e >= 0 for e in I)
@@ -62,6 +62,23 @@ def test_extension_flat_to_requested_order():
     # full-order extension of a cubic is entire: flat to every order
     F3 = extend_function(f, 3)
     assert dbar_defect(F3, pts, order=5) == 0.0
+
+
+def test_dbar_defect_takes_each_derivative_once(monkeypatch):
+    """Per (coefficient, j): dbar_j, then one Wirtinger derivative for each
+    further multi-index of total <= order-1 over the 2m slots, taken from
+    its parent; at m = 3 and order 4 that is C(9, 3) = 84 derivatives."""
+    real = LaurentPoly._diff
+    calls = []
+
+    def counting(self, i, bar):
+        calls.append((i, bar))
+        return real(self, i, bar)
+
+    monkeypatch.setattr(LaurentPoly, "_diff", counting)
+    f = LaurentPoly.z(3, 0, 3) * LaurentPoly.zbar(3, 1, 2) + LaurentPoly.zbar(3, 2, 4)
+    dbar_defect(f, real_points(3, 2), order=4)
+    assert len(calls) == 3 * math.comb(9, 3)
 
 
 def test_extend_rejects_bad_data():

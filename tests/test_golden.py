@@ -6,7 +6,8 @@ change, rewrite a file from ``main()``'s stdout for the same arguments.
 
 The solver dumps are pinned by sha256 instead: their columns are numpy
 floats, so a digest holds for one numpy build and pins that the frames
-written by ``integrate --out`` do not move by a single bit.
+written by ``integrate --out`` do not move by a single bit.  The float
+outputs of the extension layer are pinned the same way.
 """
 
 import hashlib
@@ -56,3 +57,61 @@ def test_integrate_dump_matches_golden_digest(demo, tmp_path, capsys):
     for path in sorted((tmp_path / "frames").iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == want
+
+
+def _extension_layer_transcript() -> bytes:
+    """The float outputs of the extension layer, as exact reprs: sampled
+    jets and residuals, the order-3 dbar-defect of both expression maps,
+    the float fit on the holonomic demo, and the sigma homotopy trees."""
+    import numpy as np
+
+    from contactkit.ci import demo_holonomic_section
+    from contactkit.coefficients import Cos, Exp, Sin, Z, Zbar, eadd, emul
+    from contactkit.extend import SampledExtension, dbar_defect, fit_holomorphic
+    from contactkit.forms import Point, PolyMap
+    from contactkit.gallery import (SIGMA_TIMES, covering_map,
+                                    rotation_automorphism, sigma_homotopy)
+    from contactkit.grids import CubeGrid
+    from contactkit.sampling import exact_points
+
+    out = []
+    grid = CubeGrid(1, nodes=17)
+    x1 = grid.axis(0).reshape(-1, 1, 1)
+    x2 = grid.axis(1).reshape(1, -1, 1)
+    values = np.sin(x1) * np.ones(grid.shape) + np.exp(x2) * 0.5
+    nodes = [(4, 4, 4), (8, 8, 8), (12, 6, 9)]
+    heights = [(0.2, 0.1, 0.0), (0.1, 0.05, -0.3)]
+    for l in (1, 2, 3):
+        ext = SampledExtension(grid, values, l=l)
+        for node in nodes:
+            for y in heights:
+                out.append(ext.value(node, y))
+                out.extend(ext.dbar_residual(node, y, j) for j in range(3))
+        out.extend(ext.max_residual(nodes, y) for y in heights)
+
+    # the two gallery maps are holomorphic; the third is not
+    x, y, z = Z(0), Z(1), Z(2)
+    crooked = PolyMap(3, (emul(Exp(x), Zbar(1)), eadd(Sin(Zbar(0)), emul(z, Zbar(2))),
+                          Cos(emul(y, Zbar(0)))))
+    pts = exact_points(3, 4, seed=17, spread=1)
+    for F in (covering_map(), rotation_automorphism(), crooked):
+        out.append(dbar_defect(F, pts, 3))
+
+    section, _ = demo_holonomic_section(9)
+    sg = section.grid
+    picks = [tuple(int(v) for v in np.unravel_index(p, sg.shape))
+             for p in range(0, sg.n_nodes, 7)]
+    fit = fit_holomorphic(
+        [Point([complex(c, 0.0) for c in sg.node_coords(nd)]) for nd in picks],
+        [tuple(section.a[nd]) for nd in picks], 2)
+    out.append(fit.residual)
+    out.append(fit.form.sorted_terms())
+
+    out.extend(sigma_homotopy(float(t)).terms for t in SIGMA_TIMES)
+    return "\n".join(map(repr, out)).encode()
+
+
+def test_extension_layer_matches_golden_digest():
+    # one numpy build, as for the dumps above
+    got = hashlib.sha256(_extension_layer_transcript()).hexdigest()
+    assert got == "cd715c234cda6cc8fef1689f2c0ec5c2a1bfa4829d6473ad570829405cb7b771"
