@@ -31,7 +31,7 @@ from .gallery import (GalleryEntry, alpha_prime, circle_form, covering_check,
                       std_form, torus_form)
 from .grids import CubeGrid, GammaSpec, GridSection
 from .jets import (Jet1, RestrictedJet, SliceClass, ampleness_slice,
-                   finite_diff_jet, grid_jacobian, holonomic_jet,
+                   grid_jacobian, holonomic_jet,
                    holonomy_defect, relation_grid, relation_value, slope_grid)
 from .reports import Check, VerificationReport
 from .scalars import QC

@@ -8,6 +8,8 @@ multiply, differentiate, conjugate, evaluate, substitute):
   negative) exponents.  The variables ``z_i`` and ``zbar_i`` are formally
   independent, so both Wirtinger derivatives are exact term operations;
   conjugation at evaluation time is what ties ``zbar_i`` to ``conj(z_i)``.
+  The constructor checks and coerces outside data; ring operations sum
+  their terms through one collector, ``_collect``, and skip the re-checks.
 
 * :class:`Expr` — a small expression tree (constants, variables, sums,
   products, integer powers, exp, sin, cos, sqrt) with formally
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionError, PoleError, VariantError
-from .scalars import QC, QC_ONE
+from .scalars import QC, QC_ONE, power
 
 _EXACT_SCALARS = (int, Fraction, QC)
 
@@ -49,10 +51,6 @@ class Monomial(NamedTuple):
     zexp: tuple[int, ...]
     zbarexp: tuple[int, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.zexp)
-
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(
             tuple(a + b for a, b in zip(self.zexp, other.zexp)),
@@ -65,6 +63,29 @@ class Monomial(NamedTuple):
     @classmethod
     def one(cls, m: int) -> "Monomial":
         return cls((0,) * m, (0,) * m)
+
+
+def _poly(m: int, terms: dict[Monomial, QC]) -> "LaurentPoly":
+    """A ring result, built without the constructor's checks; no zeros."""
+    p = object.__new__(LaurentPoly)
+    p.m = m
+    p.terms = terms
+    return p
+
+
+def _collect(m: int, pairs, start=None) -> "LaurentPoly":
+    """Sum ``(Monomial, QC)`` pairs in order onto a copy of ``start``; a
+    monomial whose sum cancels leaves at once."""
+    terms = {} if start is None else dict(start)
+    for mono, coeff in pairs:
+        acc = terms.get(mono)
+        if acc is not None:
+            coeff = acc + coeff
+        if coeff.is_zero:
+            terms.pop(mono, None)
+        else:
+            terms[mono] = coeff
+    return _poly(m, terms)
 
 
 class LaurentPoly:
@@ -121,27 +142,14 @@ class LaurentPoly:
             _reject_float(other)
             return NotImplemented
         self._check_same(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = total
-        return LaurentPoly(self.m, terms)
+        return _collect(self.m, other.terms.items(), self.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.m, {mo: -c for mo, c in self.terms.items()})
+        return _poly(self.m, {mo: -c for mo, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _EXACT_SCALARS):
-            other = LaurentPoly.const(self.m, other)
-        if not isinstance(other, LaurentPoly):
-            _reject_float(other)
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -152,23 +160,14 @@ class LaurentPoly:
             s = _as_qc(other)
             if s.is_zero:
                 return LaurentPoly.zero(self.m)
-            return LaurentPoly(self.m, {mo: c * s for mo, c in self.terms.items()})
+            return _poly(self.m, {mo: c * s for mo, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             _reject_float(other)
             return NotImplemented
         self._check_same(other)
-        terms: dict[Monomial, QC] = {}
-        for mo1, c1 in self.terms.items():
-            for mo2, c2 in other.terms.items():
-                mo = mo1.mul(mo2)
-                c = c1 * c2
-                acc = terms.get(mo)
-                total = c if acc is None else acc + c
-                if total.is_zero:
-                    terms.pop(mo, None)
-                else:
-                    terms[mo] = total
-        return LaurentPoly(self.m, terms)
+        right = other.terms.items()
+        return _collect(self.m, ((mo1.mul(mo2), c1 * c2)
+                                 for mo1, c1 in self.terms.items() for mo2, c2 in right))
 
     __rmul__ = __mul__
 
@@ -177,15 +176,7 @@ class LaurentPoly:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = LaurentPoly.const(self.m, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, LaurentPoly.const(self.m, 1))
 
     def inverse(self) -> "LaurentPoly":
         """Invert a single-term Laurent polynomial (the ring units)."""
@@ -196,12 +187,13 @@ class LaurentPoly:
             )
         (mono, coeff), = self.terms.items()
         inv = Monomial(tuple(-e for e in mono.zexp), tuple(-e for e in mono.zbarexp))
-        return LaurentPoly(self.m, {inv: coeff.inverse()})
+        return _poly(self.m, {inv: coeff.inverse()})
 
     # -- calculus ----------------------------------------------------------
 
     def _diff(self, i: int, bar: bool) -> "LaurentPoly":
-        """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based)."""
+        """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based).
+        e -> e - 1 is injective, so no two terms meet."""
         terms: dict[Monomial, QC] = {}
         for mono, coeff in self.terms.items():
             exps = mono.zbarexp if bar else mono.zexp
@@ -211,10 +203,8 @@ class LaurentPoly:
             exps = list(exps)
             exps[i] = e - 1
             new = Monomial(mono.zexp, tuple(exps)) if bar else Monomial(tuple(exps), mono.zbarexp)
-            c = coeff * e
-            acc = terms.get(new)
-            terms[new] = c if acc is None else acc + c
-        return LaurentPoly(self.m, terms)
+            terms[new] = coeff * e
+        return _poly(self.m, terms)
 
     def diff_z(self, i: int) -> "LaurentPoly":
         """Formal derivative with respect to ``z_i`` (0-based)."""
@@ -227,7 +217,7 @@ class LaurentPoly:
     def conj(self) -> "LaurentPoly":
         """Formal conjugate: swaps ``z``/``zbar`` exponents, conjugates
         coefficients.  Compatible with evaluation-time conjugation."""
-        return LaurentPoly(self.m, {mo.conj(): c.conj() for mo, c in self.terms.items()})
+        return _poly(self.m, {mo.conj(): c.conj() for mo, c in self.terms.items()})
 
     # -- queries -------------------------------------------------------------
 
@@ -293,7 +283,7 @@ class LaurentPoly:
             raise DimensionError("substitution arguments live in different rings")
         cache: dict[tuple[int, bool, int], LaurentPoly] = {}
 
-        def power(i: int, conjugated: bool, e: int) -> LaurentPoly:
+        def arg_power(i: int, conjugated: bool, e: int) -> LaurentPoly:
             key = (i, conjugated, e)
             got = cache.get(key)
             if got is None:
@@ -301,16 +291,20 @@ class LaurentPoly:
                 got = cache[key] = base ** e
             return got
 
-        total = LaurentPoly.zero(m_src)
-        for mono, coeff in self.terms.items():
-            term = LaurentPoly.const(m_src, coeff)
-            for i in range(self.m):
-                if mono.zexp[i]:
-                    term = term * power(i, False, mono.zexp[i])
-                if mono.zbarexp[i]:
-                    term = term * power(i, True, mono.zbarexp[i])
-            total = total + term
-        return total
+        one = Monomial.one(m_src)
+
+        def term_pairs():
+            for mono, coeff in self.terms.items():
+                term = _poly(m_src, {one: coeff})
+                for i in range(self.m):
+                    if mono.zexp[i]:
+                        term = term * arg_power(i, False, mono.zexp[i])
+                    if mono.zbarexp[i]:
+                        term = term * arg_power(i, True, mono.zbarexp[i])
+                yield from term.terms.items()
+
+        # the same sum as adding the terms one by one, in one dict
+        return _collect(m_src, term_pairs())
 
     def to_expr(self) -> "Expr":
         """Promote to an expression tree (explicit, never implicit)."""

@@ -52,18 +52,6 @@ class SkewMatrix:
     def zero(cls, m: int) -> "SkewMatrix":
         return cls(m)
 
-    @classmethod
-    def from_two_form(cls, beta: Form, pt: Point) -> "SkewMatrix":
-        """Evaluate the dz_i^dz_j coefficients of a 2-form at a point."""
-        if beta.degree != 2:
-            raise DimensionError("expected a 2-form")
-        out = cls(beta.m)
-        values = beta.evaluate(pt)
-        for (i, j), v in values.items():
-            if i < beta.m and j < beta.m:
-                out.set(i, j, v)
-        return out
-
     def _check(self, i: int, j: int):
         if not (0 <= i < self.m and 0 <= j < self.m):
             raise DimensionError(f"index ({i},{j}) out of range for m={self.m}")

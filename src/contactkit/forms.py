@@ -7,6 +7,8 @@ Coefficients are either exact Laurent polynomials or expression trees;
 the two variants never mix silently.  Only ``coefficients`` knows which
 kind it holds: this module asks every coefficient the same questions
 (evaluate, differentiate, negate, ``is_zero``) and never checks its type.
+``Form(m, degree, terms)`` checks outside data; sums, wedges and ``d`` add
+their terms through one ``_sum_into`` and skip the re-checks.
 """
 
 from __future__ import annotations
@@ -104,6 +106,22 @@ class Point:
         return f"Point({list(self.values)!r})"
 
 
+def _sum_into(terms: dict[Word, Coefficient], word: Word, coeff: Coefficient):
+    """Add ``coeff`` to the term keyed ``word``; ``_form`` drops it if it cancels."""
+    acc = terms.get(word)
+    terms[word] = coeff if acc is None else acc + coeff
+
+
+def _form(m: int, degree: int, terms: dict[Word, Coefficient], variant: str) -> "Form":
+    """A ring result, built without the constructor's checks."""
+    f = object.__new__(Form)
+    f.m = m
+    f.degree = degree
+    f.terms = {w: c for w, c in terms.items() if not c.is_zero}
+    f.variant = variant
+    return f
+
+
 class Form:
     """A degree-k differential form with a fixed coefficient variant."""
 
@@ -153,12 +171,6 @@ class Form:
         """Basis covector ``dz_{i+1}`` (0-based ``i``)."""
         return cls(m, 1, {(i,): LaurentPoly.const(m, 1)})
 
-    @classmethod
-    def one_form(cls, coeffs: list[Coefficient], m: int | None = None) -> "Form":
-        """Build ``sum_i coeffs[i] dz_{i+1}`` from holomorphic-leg coefficients."""
-        m = m if m is not None else len(coeffs)
-        return cls(m, 1, {(i,): c for i, c in enumerate(coeffs)})
-
     def zero_coeff(self) -> Coefficient:
         return LaurentPoly.zero(self.m) if self.variant == "laurent" else Const(0j)
 
@@ -183,11 +195,8 @@ class Form:
         self._check_compatible(other)
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            if word in terms:
-                terms[word] = terms[word] + coeff
-            else:
-                terms[word] = coeff
-        return Form(self.m, self.degree, terms, self.variant)
+            _sum_into(terms, word, coeff)
+        return _form(self.m, self.degree, terms, self.variant)
 
     def __neg__(self) -> "Form":
         return self.scale(-1)
@@ -304,12 +313,8 @@ def wedge(f: Form, g: Form) -> Form:
             word, sign = merge_words(wu, wv)
             if word is None:
                 continue
-            coeff = cu * cv if sign > 0 else -(cu * cv)
-            if word in terms:
-                terms[word] = terms[word] + coeff
-            else:
-                terms[word] = coeff
-    return Form(f.m, degree, terms, f.variant)
+            _sum_into(terms, word, cu * cv if sign > 0 else -(cu * cv))
+    return _form(f.m, degree, terms, f.variant)
 
 
 def wedge_power(f: Form, n: int) -> Form:
@@ -339,10 +344,8 @@ def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
                 dc = coeff.diff_z(i) if idx < m else coeff.diff_zbar(i)
                 if dc.is_zero:
                     continue
-                if sign < 0:
-                    dc = -dc
-                terms[merged] = terms[merged] + dc if merged in terms else dc
-    return Form(m, degree, terms, f.variant)
+                _sum_into(terms, merged, dc if sign > 0 else -dc)
+    return _form(m, degree, terms, f.variant)
 
 
 def ext_d(f: Form) -> Form:
@@ -363,10 +366,7 @@ def dee_bar(f: Form) -> Form:
 
 
 class PolyMap:
-    """A map C^m_src -> C^m_dst with coefficient components.
-
-    The holomorphy flag is recomputed from the components, never stored.
-    """
+    """A map C^m_src -> C^m_dst with coefficient components."""
 
     __slots__ = ("m_src", "m_dst", "components", "variant")
 
@@ -388,10 +388,6 @@ class PolyMap:
     @classmethod
     def identity(cls, m: int) -> "PolyMap":
         return cls(m, [LaurentPoly.z(m, i) for i in range(m)])
-
-    @property
-    def holomorphic(self) -> bool:
-        return not any(c.has_zbar for c in self.components)
 
     def to_expr(self) -> "PolyMap":
         if self.variant == "expr":
@@ -459,7 +455,5 @@ def pullback(F: PolyMap, f: Form) -> Form:
         acc = Form.scalar(m_src, pulled)
         for idx in word:
             acc = wedge(acc, d_cov[idx])
-        if acc.degree != f.degree:
-            raise DimensionError("internal: pullback degree drift")
         result = result + acc
     return result

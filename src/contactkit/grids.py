@@ -77,10 +77,6 @@ class CubeGrid:
         mask[core] = True
         return mask
 
-    def refine(self) -> "CubeGrid":
-        """Same cube, mesh halved (nodes -> 2*nodes - 1)."""
-        return CubeGrid(self.n, 2 * self.nodes - 1, self.bounds)
-
     def __eq__(self, other):
         if not isinstance(other, CubeGrid):
             return NotImplemented
@@ -204,15 +200,6 @@ class GridSection:
 
     def copy(self) -> "GridSection":
         return GridSection(self.grid, self.a.copy(), self.beta.copy())
-
-    def sup_deviation(self, other: "GridSection") -> float:
-        """Max over nodes of the max-abs component difference of a."""
-        if self.grid != other.grid:
-            raise DimensionError("sections on different grids")
-        return float(np.max(np.abs(self.a - other.a)))
-
-    def max_beta_deviation(self, other: "GridSection") -> float:
-        return float(np.max(np.abs(self.beta - other.beta)))
 
     def __eq__(self, other):
         if not isinstance(other, GridSection):

@@ -174,35 +174,6 @@ def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
                      for j in range(grid.m)], axis=-1)
 
 
-def finite_diff_jet(s: GridSection, node: tuple[int, ...]) -> Jet1:
-    """The finite-difference jet of the sampled a field at one node."""
-    grid = s.grid
-    m = grid.m
-    node = tuple(node)
-    if len(node) != m or any(not 0 <= k < grid.nodes for k in node):
-        raise DimensionError(f"node {node} out of range")
-    a = [complex(v) for v in s.a[node]]
-    p = [[0j] * m for _ in range(m)]
-    for j in range(m):
-        h = grid.h[j]
-        kj = node[j]
-
-        def shifted(offset: int) -> np.ndarray:
-            idx = list(node)
-            idx[j] = kj + offset
-            return s.a[tuple(idx)]
-
-        if 0 < kj < grid.nodes - 1:
-            deriv = (shifted(1) - shifted(-1)) / (2 * h)
-        elif kj == 0:
-            deriv = (-3 * shifted(0) + 4 * shifted(1) - shifted(2)) / (2 * h)
-        else:
-            deriv = (3 * shifted(0) - 4 * shifted(-1) + shifted(-2)) / (2 * h)
-        for i in range(m):
-            p[i][j] = complex(deriv[i])
-    return Jet1.build((m - 1) // 2, a, p)
-
-
 def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
     """beta[..., i, j] = p[..., j, i] - p[..., i, j], exactly antisymmetric."""
     return np.swapaxes(jac, -1, -2) - jac

@@ -4,8 +4,9 @@ These are the coefficients of the exact Laurent ring.  A value
 ``(a + b*i) / d`` is stored as three Python ints ``(a, b, d)`` with
 ``d > 0`` and ``gcd(a, b, d) == 1``, so every value has exactly one stored
 form: equality is a comparison of triples and zero is ``(0, 0, 1)``.
-Sums, products, quotients and integer powers work on the ints directly and
-reduce each result by one ``math.gcd``; they are exact.  The real and
+Sums, products and quotients work on the ints directly and reduce each
+result by one ``math.gcd``; they are exact.  Integer powers go through
+:func:`power`, the one square-and-multiply of the exact rings.  The real and
 imaginary parts are read as ``fractions.Fraction`` through :attr:`QC.re`
 and :attr:`QC.im`.  Mixing an exact scalar with a float or a Python complex
 raises :class:`~contactkit.errors.VariantError`; conversion to binary
@@ -59,6 +60,24 @@ def _reduced(a: int, b: int, d: int) -> "QC":
     q._b = b
     q._d = d
     return q
+
+
+def power(base, e: int, one):
+    """``base ** e`` for ``e >= 0`` in any ring, ``one`` for ``e == 0``.  No
+    squaring follows the top bit: ``x ** 2`` is one product, ``x ** 5`` three."""
+    if not e:
+        return one
+    while not e & 1:
+        base = base * base
+        e >>= 1
+    result = base
+    e >>= 1
+    while e:
+        base = base * base
+        if e & 1:
+            result = result * base
+        e >>= 1
+    return result
 
 
 class QC:
@@ -196,15 +215,7 @@ class QC:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QC(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, QC_ONE)
 
     # -- comparison / hashing -------------------------------------------
 
@@ -233,12 +244,5 @@ class QC:
         """Render as two exact ``p/q`` strings (``q`` omitted when 1)."""
         return str(self.re), str(self.im)
 
-    @classmethod
-    def from_part_strings(cls, re: str, im: str) -> "QC":
-        """Parse exact ``p/q`` strings; plain decimals are read exactly too."""
-        return cls(Fraction(re), Fraction(im))
 
-
-QC_ZERO = QC(0)
 QC_ONE = QC(1)
-QC_I = QC(0, 1)

@@ -213,3 +213,37 @@ def test_laurent_ring_axioms_property(f, g, h):
     assert f * (g + h) == f * g + f * h
     assert (f + g) * h == f * h + g * h
     assert f - f == LaurentPoly.zero(2)
+
+
+def assert_rebuilds(p):
+    """Ring results skip the constructor's checks.  The constructor must
+    still accept them and give back the same terms, in the same order,
+    with no zero coefficient."""
+    assert not any(c.is_zero for c in p.terms.values())
+    q = LaurentPoly(p.m, p.terms)
+    assert q == p and list(q.terms.items()) == list(p.terms.items())
+
+
+_nonzero = st.builds(QC, _parts, _parts).filter(lambda q: not q.is_zero)
+_units = st.builds(lambda mono, c: LaurentPoly(2, {mono: c}), _monomials, _nonzero)
+_holo_monomials = st.builds(
+    Monomial, st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)))
+polynomials = st.dictionaries(_holo_monomials, st.builds(QC, _parts, _parts), max_size=3).map(
+    lambda terms: LaurentPoly(2, terms))
+_affine = st.builds(
+    lambda j, a, b: (LaurentPoly.z(2, j) if j < 2 else LaurentPoly.zbar(2, j - 2)) * a + b,
+    st.integers(0, 3), _nonzero, st.builds(QC, _parts, _parts))
+
+
+@settings(deadline=None)
+@given(laurents, laurents, _units, st.builds(QC, _parts, _parts), st.integers(-3, 3),
+       st.lists(_units, min_size=2, max_size=2), polynomials,
+       st.lists(_affine, min_size=2, max_size=2))
+def test_ring_results_pass_the_public_constructor(f, g, u, s, e, units, p, affine):
+    results = [f + g, f - g, 1 - f, f + s, -f, f * g, f * s, s * f, f ** abs(e),
+               u ** e, u.inverse(), f.conj(), f.substitute(units), p.substitute(affine)]
+    for i in range(2):
+        results += [f.diff_z(i), f.diff_zbar(i)]
+    for r in results:
+        assert_rebuilds(r)

@@ -139,7 +139,7 @@ def test_relation_coefficient_varying_pair():
     })
     pair = FormalPair(alpha, beta)
     for pt in exact_points(m, 10, seed=31):
-        B = SkewMatrix.from_two_form(beta, pt)
+        B = SkewMatrix(m, beta.evaluate(pt))  # every word of beta is holomorphic
         a = [alpha.coefficient_at(pt, (i,)) for i in range(m)]
         assert relation_coefficient(a, pfaffian_coeffs(B, 1)) == \
             top_coefficient(formal_defect(pair), pt)
@@ -312,8 +312,8 @@ def test_verifiers_reject_even_dimension_and_non_one_forms():
         is_contact_on(Form.dz(4, 0), pts, 1e-9)
     with pytest.raises(DimensionError):
         pencil_check(Form.dz(4, 0), Form.dz(4, 1), pts, steps=2, tol=1e-9)
-    two_form = ext_d(Form.one_form([LaurentPoly.z(3, 1), LaurentPoly.z(3, 0),
-                                    LaurentPoly.const(3, 1)]))
+    two_form = ext_d(Form(3, 1, {(0,): LaurentPoly.z(3, 1), (1,): LaurentPoly.z(3, 0),
+                                 (2,): LaurentPoly.const(3, 1)}))
     pts3 = exact_points(3, 2, seed=47)
     with pytest.raises(DimensionError):
         is_contact_on(two_form, pts3, 1e-9)

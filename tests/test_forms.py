@@ -10,6 +10,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.errors import DimensionError, VariantError
@@ -254,3 +256,35 @@ def test_variant_mixing_raises():
     b = random_form(2, 1, random.Random(3)).to_expr()
     with pytest.raises(VariantError):
         a + b
+
+
+def test_pullback_refuses_a_degree_beyond_the_source():
+    """A 3-form on C^3 has no home on C^1, whose top degree is 2."""
+    F = PolyMap(1, [LaurentPoly.z(1, 0), LaurentPoly.zbar(1, 0), LaurentPoly.const(1, 1)])
+    top = Form(3, 3, {(0, 1, 2): LaurentPoly.const(3, 1)})
+    with pytest.raises(DimensionError):
+        pullback(F, top)
+
+
+def assert_form_rebuilds(f):
+    """Form results skip the constructor's checks; rebuilding one through
+    it must give the same words, in the same order, and no zero term."""
+    assert not any(c.is_zero for c in f.terms.values())
+    g = Form(f.m, f.degree, f.terms, f.variant)
+    assert g == f and list(g.terms.items()) == list(f.terms.items())
+    for c in f.terms.values():
+        assert list(LaurentPoly(c.m, c.terms).terms.items()) == list(c.terms.items())
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.integers(0, 3))
+def test_form_results_pass_the_public_constructor(seed, deg, deg2):
+    rng = random.Random(seed)
+    f = random_form(3, deg, rng, allow_negative=True)
+    g = random_form(3, deg, rng, allow_negative=True)
+    h = random_form(3, deg2, rng, allow_negative=True)
+    F = random_poly_map(3, rng)
+    w = random_form(3, deg, rng, max_exp=1)
+    for r in (f + g, f - g, -f, f + f.scale(-1), wedge(f, h), wedge(f, f), ext_d(f),
+              dee_bar(f), ext_d(ext_d(f)), pullback(F, w)):
+        assert_form_rebuilds(r)

@@ -115,3 +115,84 @@ def test_extension_layer_matches_golden_digest():
     # one numpy build, as for the dumps above
     got = hashlib.sha256(_extension_layer_transcript()).hexdigest()
     assert got == "cd715c234cda6cc8fef1689f2c0ec5c2a1bfa4829d6473ad570829405cb7b771"
+
+
+def _term_order_transcript() -> bytes:
+    """The insertion order, unsorted, of exact ring results.
+
+    Term order is not part of ring equality, but it reaches float output:
+    ``LaurentPoly.eval`` at complex points and ``grids.laurent_on_grid``
+    add the terms in dict order, and float addition is not associative.
+    The data here is exact, so this digest does not depend on the numpy
+    build.
+    """
+    import random
+    from fractions import Fraction
+    from itertools import combinations
+
+    from contactkit.coefficients import LaurentPoly, Monomial
+    from contactkit.forms import Form, PolyMap, ext_d, pullback, wedge
+    from contactkit.scalars import QC
+
+    rng = random.Random(20181)
+
+    def qc():
+        return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                  Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+
+    def poly(m, n_terms=4, low=-2):
+        terms = {}
+        for _ in range(rng.randint(1, n_terms)):
+            mono = Monomial(tuple(rng.randint(low, 2) for _ in range(m)),
+                            tuple(rng.randint(0, 2) for _ in range(m)))
+            terms[mono] = qc()
+        return LaurentPoly(m, terms)
+
+    def monomial_arg(m):
+        return LaurentPoly(m, {Monomial(tuple(rng.randint(-1, 2) for _ in range(m)),
+                                        tuple(rng.randint(0, 1) for _ in range(m))): qc()})
+
+    def affine_arg(m):
+        j = rng.randrange(2 * m)
+        base = LaurentPoly.z(m, j) if j < m else LaurentPoly.zbar(m, j - m)
+        return base * qc() + qc()
+
+    def form(m, degree, n_terms=3):
+        words = list(combinations(range(2 * m), degree))
+        terms = {}
+        for _ in range(rng.randint(1, n_terms)):
+            w = words[rng.randrange(len(words))]
+            terms[w] = terms.get(w, LaurentPoly.zero(m)) + poly(m, 2, low=0)
+        return Form(m, degree, terms)
+
+    out = []
+
+    def record(p):
+        out.append([(mono, c.re, c.im) for mono, c in p.terms.items()])
+
+    def record_form(f):
+        out.append(list(f.terms))
+        for c in f.terms.values():
+            record(c)
+
+    for _ in range(60):
+        f, g = poly(2), poly(2)
+        for p in (f + g, f - g, f * g, f ** 3, f.conj()):
+            record(p)
+        for i in range(2):
+            record(f.diff_z(i))
+            record(f.diff_zbar(i))
+        record(f.substitute([monomial_arg(3) for _ in range(2)]))
+        record(poly(2, low=0).substitute([affine_arg(2) for _ in range(2)]))
+    for _ in range(12):
+        f, g = form(3, rng.randint(0, 2)), form(3, rng.randint(0, 2))
+        record_form(wedge(f, g))
+        record_form(ext_d(f))
+        F = PolyMap(2, [rng.choice((monomial_arg, affine_arg))(2) for _ in range(3)])
+        record_form(pullback(F, f))
+    return "\n".join(map(repr, out)).encode()
+
+
+def test_ring_term_order_matches_golden_digest():
+    got = hashlib.sha256(_term_order_transcript()).hexdigest()
+    assert got == "bbb7541cdc3a69a61c45f4c83d9e82ffc1f0c43bbbe118996577dd3f08bc4a58"

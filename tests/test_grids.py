@@ -31,16 +31,6 @@ def test_grid_validation():
         CubeGrid(1, nodes=5, bounds=[(0, 1)] * 2)
 
 
-def test_refine_halves_mesh():
-    grid = CubeGrid(1, nodes=9)
-    fine = grid.refine()
-    assert fine.nodes == 17
-    assert fine.h[0] == pytest.approx(grid.h[0] / 2)
-    assert fine.bounds == grid.bounds
-    # refined axes contain the coarse axes
-    assert np.allclose(fine.axis(0)[::2], grid.axis(0))
-
-
 def test_interior_mask():
     grid = CubeGrid(1, nodes=5)
     mask = grid.interior_mask(1)
@@ -117,8 +107,6 @@ def test_section_deviations_and_copy():
     t = s.copy()
     assert s == t and s.a is not t.a
     t.a[2, 2, 2, 1] += 0.25
-    assert s.sup_deviation(t) == pytest.approx(0.25)
-    assert s.max_beta_deviation(t) == 0.0
     assert s != t
 
 

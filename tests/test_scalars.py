@@ -65,6 +65,37 @@ def test_integer_powers():
         QC(0).inverse()
 
 
+def _count_calls(monkeypatch, cls, name="__mul__"):
+    calls = []
+    inner = getattr(cls, name)
+
+    def counted(self, other):
+        calls.append(1)
+        return inner(self, other)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_power_takes_the_fewest_products(monkeypatch):
+    from contactkit.coefficients import LaurentPoly
+
+    calls = _count_calls(monkeypatch, QC)
+    x = QC(Fraction(2, 3), -1)
+    for e, products in ((1, 0), (2, 1), (5, 3), (8, 3)):
+        calls.clear()
+        got = x ** e
+        assert len(calls) == products
+        want = x
+        for _ in range(e - 1):
+            want = want * x
+        assert got == want
+    p = LaurentPoly.z(2, 0) + LaurentPoly.zbar(2, 1) * QC(1, 2)
+    poly_calls = _count_calls(monkeypatch, LaurentPoly)
+    assert p ** 1 == p
+    assert not poly_calls
+
+
 def test_complex_conversion():
     assert complex(QC(Fraction(1, 4), -2)) == 0.25 - 2j
 
@@ -75,7 +106,7 @@ def test_part_strings_round_trip():
         q = QC(Fraction(rng.randint(-999, 999), rng.randint(1, 64)),
                Fraction(rng.randint(-999, 999), rng.randint(1, 64)))
         re, im = q.part_strings()
-        assert QC.from_part_strings(re, im) == q
+        assert QC(re, im) == q
 
 
 def test_hash_matches_equality():
@@ -163,10 +194,10 @@ def test_stored_form_is_canonical(a, b, c):
 @props
 @given(scalars)
 def test_text_forms_round_trip(q):
-    assert QC.from_part_strings(*q.part_strings()) == q
+    assert QC(*q.part_strings()) == q
     text = repr(q)
     assert text == f"QC({q.re}, {q.im})"
-    assert QC.from_part_strings(*text[3:-1].split(", ")) == q
+    assert QC(*text[3:-1].split(", ")) == q
 
 
 @props
