@@ -3,12 +3,15 @@
 Forms travel as JSON with exact rational coefficient parts, so the
 Laurent variant round-trips losslessly.  Sampled sections are columnar
 text, one node per row, with a header declaring the mesh; float columns
-use repr, which round-trips binary-exactly.  Solver results dump as a
+use repr, which round-trips binary-exactly.  A section is written and read
+column-wise, as one (nodes x columns) table, and a malformed body is
+reported at its first bad line in file order.  Solver results dump as a
 metadata document plus one columnar file per homotopy frame.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -177,16 +180,18 @@ def section_to_text(section: GridSection) -> str:
         "bounds " + " ".join(repr(float(b)) for lo_hi in grid.bounds for b in lo_hi),
     ]
     lines.append("columns " + " ".join(_columns(m)))
-    pairs = _upper_pairs(m)
-    for node in np.ndindex(grid.shape):
-        row = [str(k) for k in node]
-        for k in range(m):
-            v = section.a[node + (k,)]
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        for i, j in pairs:
-            v = section.beta[node + (i, j)]
-            row += [repr(float(v.real)), repr(float(v.imag))]
-        lines.append(" ".join(row))
+    iu, ju = np.triu_indices(m, 1)
+    count = grid.n_nodes
+    table = np.concatenate(
+        [section.a.reshape(count, m), section.beta.reshape(count, m, m)[:, iu, ju]], axis=1)
+    # complex columns viewed as float interleave re and im, as the layout does
+    values = np.ascontiguousarray(table).view(float)
+    # product() of the index strings runs in C order, the order of the rows
+    nodes = itertools.product(map(str, range(grid.nodes)), repeat=m)
+    # one row's tolist() at a time: the whole table as Python floats at once
+    # would hold every value as an object
+    lines += [" ".join(node) + " " + " ".join(map(repr, row.tolist()))
+              for node, row in zip(nodes, values)]
     return "\n".join(lines) + "\n"
 
 
@@ -201,9 +206,66 @@ def _header_int(header, key: str, least: int) -> int:
     return value
 
 
+def _raise_row_error(rows, tokens: list[str], width: int, m: int, nodes: int) -> None:
+    """Raise the ParseError of the first bad row in file order.
+
+    ``rows`` holds (line number, token count) per body line and ``tokens``
+    their tokens end to end.  Called once a column-wise check has failed,
+    so some row is bad; rows are checked as Python values, one at a time.
+    """
+    seen: set[tuple[int, ...]] = set()
+    start = 0
+    for lineno, count in rows:
+        parts = tokens[start:start + count]
+        start += count
+        if count != width:
+            raise ParseError(f"line {lineno}: {count} columns, expected {width}")
+        try:
+            node = tuple(int(p) for p in parts[:m])
+            vals = [float(p) for p in parts[m:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"line {lineno}: non-finite value")
+        if any(not 0 <= k < nodes for k in node):
+            raise ParseError(f"line {lineno}: node index {node} out of range")
+        if node in seen:
+            raise ParseError(f"line {lineno}: duplicate row for node {node}")
+        seen.add(node)
+
+
+def _read_table(rows, tokens: list[str], width: int, m: int, nodes: int):
+    """Parse the body as one table, column by column.
+
+    Returns each row's flat node index and its values as complex columns
+    (a, then upper beta).  Any failed check hands over to
+    ``_raise_row_error`` for the message of the first bad row.
+    """
+    count = len(rows)
+    if all(c == width for _, c in rows):
+        index = np.empty((m, count), dtype=np.int64)
+        values = np.empty((count, width - m))
+        try:
+            # Python's int and float, so a token reads as it does row by row
+            for c in range(m):
+                index[c] = np.fromiter(map(int, tokens[c::width]), np.int64, count)
+            for c in range(m, width):
+                values[:, c - m] = np.fromiter(map(float, tokens[c::width]), float, count)
+        except (ValueError, OverflowError):  # OverflowError: past int64, out of range
+            pass
+        else:
+            if np.isfinite(values).all() and ((index >= 0) & (index < nodes)).all():
+                flat = np.ravel_multi_index(tuple(index), (nodes,) * m)
+                # count == nodes ** m rows, all in range: no repeat means all present
+                if np.bincount(flat, minlength=count).max() <= 1:
+                    return flat, values.view(complex)
+    _raise_row_error(rows, tokens, width, m, nodes)
+
+
 def section_from_text(text: str) -> GridSection:
     header: dict[str, tuple[int, list[str]]] = {}
-    rows = []
+    rows = []  # (line number, token count) per body line
+    tokens: list[str] = []  # every body token, rows end to end
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -214,7 +276,8 @@ def section_from_text(text: str) -> GridSection:
                 raise ParseError(f"line {lineno}: repeated header key {parts[0]!r}")
             header[parts[0]] = (lineno, parts[1:])
             continue
-        rows.append((lineno, parts))
+        rows.append((lineno, len(parts)))
+        tokens += parts
     for key in ("n", "nodes", "bounds"):
         if key not in header:
             raise ParseError(f"bad section header: missing {key!r}")
@@ -233,42 +296,23 @@ def section_from_text(text: str) -> GridSection:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
     grid = CubeGrid(n, nodes, bounds)
-    # checked before allocating: a huge node count must not reach np.zeros
+    # checked before allocating: a huge node count must not reach np.empty
     if len(rows) != grid.n_nodes:
         raise ParseError(f"{len(rows)} node rows, expected {grid.n_nodes}")
     columns = _columns(m)
     if "columns" in header and header["columns"][1] != columns:
         raise ParseError(f"line {header['columns'][0]}: columns do not match "
                          f"the n = {n} layout")
-    pairs = _upper_pairs(m)
-    width = len(columns)
-    a = np.zeros(grid.shape + (m,), dtype=complex)
-    beta = np.zeros(grid.shape + (m, m), dtype=complex)
-    seen: set[tuple[int, ...]] = set()
-    for lineno, parts in rows:
-        if len(parts) != width:
-            raise ParseError(f"line {lineno}: {len(parts)} columns, expected {width}")
-        try:
-            node = tuple(int(p) for p in parts[:m])
-            vals = [float(p) for p in parts[m:]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, vals)):
-            raise ParseError(f"line {lineno}: non-finite value")
-        if any(not 0 <= k < nodes for k in node):
-            raise ParseError(f"line {lineno}: node index {node} out of range")
-        if node in seen:
-            raise ParseError(f"line {lineno}: duplicate row for node {node}")
-        seen.add(node)
-        for k in range(m):
-            a[node + (k,)] = complex(vals[2 * k], vals[2 * k + 1])
-        off = 2 * m
-        for (i, j), k in zip(pairs, range(len(pairs))):
-            v = complex(vals[off + 2 * k], vals[off + 2 * k + 1])
-            beta[node + (i, j)] = v
-            beta[node + (j, i)] = -v
-    # n_nodes rows, each in range and none repeated: every node is present
-    return GridSection(grid, a, beta)
+    index, values = _read_table(rows, tokens, len(columns), m, nodes)
+    del tokens  # the largest allocation here; not needed for the fill
+    count = grid.n_nodes
+    iu, ju = np.triu_indices(m, 1)
+    a = np.empty((count, m), dtype=complex)
+    a[index] = values[:, :m]
+    beta = np.zeros((count, m, m), dtype=complex)
+    beta[index[:, None], iu, ju] = values[:, m:]
+    beta[index[:, None], ju, iu] = -values[:, m:]
+    return GridSection(grid, a.reshape(grid.shape + (m,)), beta.reshape(grid.shape + (m, m)))
 
 
 def save_section(section: GridSection, path: str | Path) -> None:

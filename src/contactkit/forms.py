@@ -428,19 +428,18 @@ def pullback(F: PolyMap, f: Form) -> Form:
     m_dst = F.m_dst
 
     comps = F.components
-    conj_comps = [c.conj() for c in comps]
 
-    def differential(c: Coefficient) -> Form:
+    def differential(idx: int) -> Form:
+        """d of the pulled-back covector ``idx``: dz_j or dzbar_j."""
+        c = comps[idx] if idx < m_dst else comps[idx - m_dst].conj()
         terms = {}
         for i in range(m_src):
             terms[(i,)] = c.diff_z(i)
             terms[(m_src + i,)] = c.diff_zbar(i)
         return Form(m_src, 1, terms, F.variant)
 
-    d_cov = {}
-    for j in range(m_dst):
-        d_cov[j] = differential(comps[j])
-        d_cov[m_dst + j] = differential(conj_comps[j])
+    # only the covectors the form's words use
+    d_cov = {idx: differential(idx) for idx in {i for word in f.terms for i in word}}
 
     result = Form.zero(m_src, f.degree, F.variant)
     for word, coeff in f.terms.items():

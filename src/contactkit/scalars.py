@@ -168,14 +168,10 @@ class QC:
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        a, b, d = o._a, o._b, o._d
-        c, e, f = self._a, self._b, self._d
-        if d == f:
-            return _reduced(a - c, b - e, d)
-        return _reduced(a * f - c * d, b * f - e * d, d * f)
+        return other - self
 
     def __neg__(self):
         return _raw(-self._a, -self._b, self._d)

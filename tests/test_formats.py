@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,13 +15,13 @@ from contactkit.ci import N_FRAMES, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.errors import ParseError, VariantError
 from contactkit.formats import (
-    dump_ci_result, form_from_document, form_to_document, load_form,
-    load_section, save_form, save_report, save_section, section_from_text,
-    section_to_text,
+    _columns, _header_int, dump_ci_result, form_from_document, form_to_document,
+    load_form, load_section, save_form, save_report, save_section,
+    section_from_text, section_to_text,
 )
 from contactkit.forms import Form
 from contactkit.gallery import circle_form, gallery_verify_all, std_form, torus_form
-from contactkit.grids import CubeGrid, GridSection
+from contactkit.grids import MIN_NODES, CubeGrid, GridSection
 from contactkit.scalars import QC
 
 
@@ -201,6 +202,132 @@ def messy_section(nodes=5):
     return GridSection(grid, a, beta)
 
 
+def _upper_pairs(m):
+    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+
+def reference_section_to_text(section):
+    """The writer as it was before sections were written column-wise: one
+    repr per value, one node at a time.  Kept as the writer's oracle."""
+    grid = section.grid
+    m = grid.m
+    lines = [
+        "# contactkit sampled section",
+        f"n {grid.n}",
+        f"nodes {grid.nodes}",
+        "bounds " + " ".join(repr(float(b)) for lo_hi in grid.bounds for b in lo_hi),
+    ]
+    lines.append("columns " + " ".join(_columns(m)))
+    pairs = _upper_pairs(m)
+    for node in np.ndindex(grid.shape):
+        row = [str(k) for k in node]
+        for k in range(m):
+            v = section.a[node + (k,)]
+            row += [repr(float(v.real)), repr(float(v.imag))]
+        for i, j in pairs:
+            v = section.beta[node + (i, j)]
+            row += [repr(float(v.real)), repr(float(v.imag))]
+        lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_section_from_text(text):
+    """The reader as it was before sections were read column-wise: every
+    row parsed, checked and stored on its own.  Kept as the reader's
+    oracle: same sections, same ParseError messages."""
+    header = {}
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if parts[0] in ("n", "nodes", "bounds", "columns"):
+            if parts[0] in header:
+                raise ParseError(f"line {lineno}: repeated header key {parts[0]!r}")
+            header[parts[0]] = (lineno, parts[1:])
+            continue
+        rows.append((lineno, parts))
+    for key in ("n", "nodes", "bounds"):
+        if key not in header:
+            raise ParseError(f"bad section header: missing {key!r}")
+    n = _header_int(header, "n", 1)
+    nodes = _header_int(header, "nodes", MIN_NODES)
+    lineno, raw = header["bounds"]
+    m = 2 * n + 1
+    try:
+        flat = [float(b) for b in raw]
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: bounds: {exc}") from None
+    if len(flat) != 2 * m:
+        raise ParseError(f"line {lineno}: bounds carry {len(flat)} numbers, expected {2 * m}")
+    bounds = tuple(zip(flat[::2], flat[1::2]))
+    for lo, hi in bounds:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
+    grid = CubeGrid(n, nodes, bounds)
+    if len(rows) != grid.n_nodes:
+        raise ParseError(f"{len(rows)} node rows, expected {grid.n_nodes}")
+    columns = _columns(m)
+    if "columns" in header and header["columns"][1] != columns:
+        raise ParseError(f"line {header['columns'][0]}: columns do not match "
+                         f"the n = {n} layout")
+    pairs = _upper_pairs(m)
+    width = len(columns)
+    a = np.zeros(grid.shape + (m,), dtype=complex)
+    beta = np.zeros(grid.shape + (m, m), dtype=complex)
+    seen = set()
+    for lineno, parts in rows:
+        if len(parts) != width:
+            raise ParseError(f"line {lineno}: {len(parts)} columns, expected {width}")
+        try:
+            node = tuple(int(p) for p in parts[:m])
+            vals = [float(p) for p in parts[m:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"line {lineno}: non-finite value")
+        if any(not 0 <= k < nodes for k in node):
+            raise ParseError(f"line {lineno}: node index {node} out of range")
+        if node in seen:
+            raise ParseError(f"line {lineno}: duplicate row for node {node}")
+        seen.add(node)
+        for k in range(m):
+            a[node + (k,)] = complex(vals[2 * k], vals[2 * k + 1])
+        off = 2 * m
+        for k, (i, j) in enumerate(pairs):
+            v = complex(vals[off + 2 * k], vals[off + 2 * k + 1])
+            beta[node + (i, j)] = v
+            beta[node + (j, i)] = -v
+    return GridSection(grid, a, beta)
+
+
+def assert_bit_equal(got, want):
+    assert got.grid == want.grid
+    for x, y in ((got.a, want.a), (got.beta, want.beta)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_section_writer_matches_reference_on_edge_floats():
+    """Signed zero, the smallest subnormal, the largest double and the
+    values where repr switches to exponent notation, in a and in beta."""
+    section = messy_section(nodes=5)
+    a, beta = section.a.copy(), section.beta.copy()
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 1e-07, 1e+16]
+    for k, (re, im) in enumerate(zip(edge, edge[1:] + edge[:1])):
+        node = (k, 4 - k, k % 2)
+        a[node] = complex(re, im)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            beta[node + (i, j)] = complex(im, re)
+            beta[node + (j, i)] = -complex(im, re)
+    section = GridSection(section.grid, a, beta)
+    text = section_to_text(section)
+    assert text == reference_section_to_text(section)
+    for value in ("-0.0", "5e-324", "1.7976931348623157e+308", "1e-07", "1e+16"):
+        assert f" {value} " in text
+    assert_bit_equal(section_from_text(text), reference_section_from_text(text))
+
+
 def test_section_text_round_trip():
     section = messy_section()
     text = section_to_text(section)
@@ -300,6 +427,8 @@ def _replace_line(key, new):
                  id="repeated-key"),
     pytest.param(lambda lines: lines[:6] + [lines[6].rsplit(" ", 1)[0] + " nan"] + lines[7:],
                  7, id="nan-value"),
+    pytest.param(lambda lines: lines[:6] + ["1e0 " + lines[6].split(" ", 1)[1]] + lines[7:],
+                 7, id="float-index"),
 ])
 def test_section_header_and_value_errors_name_their_line(edit, line):
     lines = section_to_text(messy_section(nodes=5)).splitlines()
@@ -361,13 +490,14 @@ def test_form_parser_fuzz(base, n_mutations, data):
     assert form_from_document(json.loads(json.dumps(form_to_document(form)))) == form
 
 
-TOKENS = ["x", "-1", "0", "3", "7", "1.5", "nan", "inf", "1e999", "#", "nodes", "n"]
+# "1_0", "+3", "-0", "1e0", "infinity", "0x10" and the full-width "３" pin
+# which index and value tokens Python's int and float accept.
+TOKENS = ["x", "-1", "0", "3", "7", "1.5", "nan", "inf", "1e999", "#", "nodes", "n",
+          "1_0", "+3", "-0", "1e0", "infinity", "0x10", "３"]
 SECTION_BASE = section_to_text(messy_section(nodes=5)).splitlines()
 
 
-@fuzz
-@given(st.integers(1, 3), st.data())
-def test_section_parser_fuzz(n_mutations, data):
+def _mutated_section_text(n_mutations, data):
     lines = list(SECTION_BASE)
     for _ in range(n_mutations):
         k = data.draw(st.integers(0, len(lines) - 1))
@@ -387,11 +517,70 @@ def test_section_parser_fuzz(n_mutations, data):
             else:
                 tokens[t] = data.draw(st.sampled_from(TOKENS))
             lines[k] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def _assert_readers_agree(text):
     try:
-        section = section_from_text("\n".join(lines))
+        want = reference_section_from_text(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            section_from_text(text)
+        assert str(err.value) == str(exc)
+        return
+    assert_bit_equal(section_from_text(text), want)
+
+
+@fuzz
+@given(st.integers(1, 3), st.data())
+def test_section_parser_fuzz(n_mutations, data):
+    try:
+        section = section_from_text(_mutated_section_text(n_mutations, data))
     except ParseError:
         return
     assert section_from_text(section_to_text(section)) == section
+
+
+@fuzz
+@given(st.integers(1, 3), st.data())
+def test_section_reader_matches_reference(n_mutations, data):
+    """On every mutated input the column-wise reader and the row-by-row
+    reference both return bit-equal sections or both raise the same
+    ParseError."""
+    _assert_readers_agree(_mutated_section_text(n_mutations, data))
+
+
+def test_section_readers_agree_on_every_token():
+    """Each fuzz token in each column of two rows, and each pair of tokens
+    in an index and a value column of one: the column-wise reader accepts,
+    reads and refuses exactly as the row-by-row reference does."""
+    lines = list(SECTION_BASE)
+
+    def agree(node, edits):
+        k = next(k for k, line in enumerate(lines) if line.startswith(node + " "))
+        row = lines[k].split()
+        for c, token in edits:
+            row[c] = token
+        _assert_readers_agree("\n".join(lines[:k] + [" ".join(row)] + lines[k + 1:]))
+
+    # "1e0" and "1.5" hold the index 1 as floats; "+3" and "３" spell 3
+    for node in ("1 1 1", "3 3 3"):
+        for c in range(len(lines[5].split())):
+            for token in TOKENS:
+                agree(node, [(c, token)])
+    for index_token in TOKENS:
+        for value_token in TOKENS:
+            agree("0 0 0", [(0, index_token), (-1, value_token)])
+
+
+def test_section_rows_may_come_in_any_order():
+    """Rows are placed by their node index, not by their position."""
+    lines = list(SECTION_BASE)
+    body = lines[5:]
+    random.Random(3).shuffle(body)
+    text = "\n".join(lines[:5] + body)
+    _assert_readers_agree(text)
+    assert section_from_text(text) == messy_section(nodes=5)
 
 
 def test_dump_ci_result_inventory(tmp_path):

@@ -242,6 +242,27 @@ def test_pullback_respects_wedge():
         assert pullback(F, wedge(a, b)) == wedge(pullback(F, a), pullback(F, b))
 
 
+def test_pullback_differentiates_only_the_covectors_it_uses(monkeypatch):
+    """z3 dz1 needs d(F_1) alone: 2 * 3 derivatives, not 2 * 3 for each of
+    the 6 target covectors."""
+    calls = []
+    diff = LaurentPoly._diff
+
+    def counted(self, i, bar):
+        calls.append((i, bar))
+        return diff(self, i, bar)
+
+    monkeypatch.setattr(LaurentPoly, "_diff", counted)
+    z = [LaurentPoly.z(3, i) for i in range(3)]
+    F = PolyMap(3, [z[0] * z[1] + LaurentPoly.zbar(3, 2), z[1], z[2] * z[2]])
+    w = Form(3, 1, {(0,): LaurentPoly.z(3, 2)})
+    pulled = pullback(F, w)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    assert pulled == Form(3, 1, {
+        (0,): z[2] * z[2] * z[1], (1,): z[2] * z[2] * z[0], (5,): z[2] * z[2]})
+
+
 def test_dimension_mismatch_raises():
     a = random_form(2, 1, random.Random(1))
     b = random_form(3, 1, random.Random(1))

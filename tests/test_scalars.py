@@ -208,3 +208,15 @@ def test_complex_matches_fraction_parts_bitwise(re, im):
     assert (got.real, got.imag) == (want.real, want.imag)
     assert math.copysign(1, got.real) == math.copysign(1, want.real)
     assert math.copysign(1, got.imag) == math.copysign(1, want.imag)
+
+
+
+@props
+@given(st.one_of(st.integers(-10 ** 20, 10 ** 20), parts, scalars), scalars)
+def test_reflected_subtraction_matches_the_lifted_operand(x, q):
+    """int - q and Fraction - q reach QC.__rsub__; a QC operand is passed
+    to it directly."""
+    want = x - q if isinstance(x, QC) else QC(x) - q
+    assert q.__rsub__(x) == want
+    assert x - q == want
+    assert q.__rsub__(object()) is NotImplemented
