@@ -16,8 +16,8 @@ from .contact import (FormalPair, SkewMatrix, contact_defect, formal_defect,
                       is_contact_on, is_formal_contact_on, pencil_check,
                       pfaffian, pfaffian_coeffs, relation_coefficient,
                       relation_h, relation_slope)
-from .errors import (ContactKitError, DimensionError, ParseError, PoleError,
-                     PreconditionError, VariantError)
+from .errors import (ContactKitError, DimensionError, ExponentRangeError,
+                     ParseError, PoleError, PreconditionError, VariantError)
 from .extend import (AHReport, FitResult, SampledExtension, ah_pullback_verify,
                      ah_verify, dbar_defect, extend_form, extend_function,
                      fit_holomorphic, multi_indices)

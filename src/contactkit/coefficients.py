@@ -11,6 +11,19 @@ multiply, differentiate, conjugate, evaluate, substitute):
   The constructor checks and coerces outside data; ring operations sum
   their terms through one collector, ``_collect``, and skip the re-checks.
 
+  Each term is keyed by one packed int, not by its :class:`Monomial`.  The
+  2m exponents sit in 32-bit fields, ``z_1..z_m`` from the low end and then
+  ``zbar_1..zbar_m``, each stored as ``e + 2**31``; every exponent
+  satisfies ``|e| < EXPONENT_LIMIT = 2**31``.  With ``ONE[m]`` the key of
+  the constant monomial, a monomial product is ``k1 + k2 - ONE[m]``, the
+  inverse ``2 * ONE[m] - k``, the conjugate swaps the two halves of the
+  key and ``d/dz_i`` subtracts one from field i.  A field must never carry
+  into its neighbour, so every polynomial keeps an upper bound on its
+  largest |exponent| and an exponent that would leave the range raises
+  :class:`~contactkit.errors.ExponentRangeError`, naming it, before it is
+  packed.  :class:`Monomial` stays the public view: the constructor takes
+  ``{Monomial: scalar}`` and :attr:`LaurentPoly.terms` gives it back.
+
 * :class:`Expr` — a small expression tree (constants, variables, sums,
   products, integer powers, exp, sin, cos, sqrt) with formally
   differentiated derivative trees and numeric evaluation.
@@ -22,12 +35,18 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
-from .errors import DimensionError, PoleError, VariantError
+from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
 from .scalars import QC, QC_ONE, power
 
 _EXACT_SCALARS = (int, Fraction, QC)
+
+_WIDTH = 32
+# exponents satisfy |e| < EXPONENT_LIMIT; a field stores e + EXPONENT_LIMIT
+EXPONENT_LIMIT = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
 
 
 def _reject_float(other):
@@ -51,60 +70,137 @@ class Monomial(NamedTuple):
     zexp: tuple[int, ...]
     zbarexp: tuple[int, ...]
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(a + b for a, b in zip(self.zexp, other.zexp)),
-            tuple(a + b for a, b in zip(self.zbarexp, other.zbarexp)),
-        )
-
-    def conj(self) -> "Monomial":
-        return Monomial(self.zbarexp, self.zexp)
-
     @classmethod
     def one(cls, m: int) -> "Monomial":
         return cls((0,) * m, (0,) * m)
 
 
-def _poly(m: int, terms: dict[Monomial, QC]) -> "LaurentPoly":
-    """A ring result, built without the constructor's checks; no zeros."""
+class _Ones(dict):
+    """``_ONE[m]``: the key of the constant monomial on C^m."""
+
+    def __missing__(self, m: int) -> int:
+        one = self[m] = sum(EXPONENT_LIMIT << (_WIDTH * j) for j in range(2 * m))
+        return one
+
+
+_ONE = _Ones()
+
+
+def _variable(m: int, j: int) -> str:
+    """The name of field ``j``: ``z1..zm``, then ``zbar1..zbarm``."""
+    return f"z{j + 1}" if j < m else f"zbar{j - m + 1}"
+
+
+def _out_of_range(m: int, j: int, e: int) -> ExponentRangeError:
+    return ExponentRangeError(
+        f"exponent {e} of {_variable(m, j)} is outside the packed range "
+        f"|e| < {EXPONENT_LIMIT}"
+    )
+
+
+def _fields(m: int, key: int) -> list[int]:
+    """The 2m exponents of ``key``: z first, then zbar."""
+    return [((key >> (_WIDTH * j)) & _FIELD) - EXPONENT_LIMIT for j in range(2 * m)]
+
+
+def _monomial(m: int, key: int) -> Monomial:
+    exps = _fields(m, key)
+    return Monomial(tuple(exps[:m]), tuple(exps[m:]))
+
+
+def _pack(m: int, mono: Monomial) -> tuple[int, int]:
+    """The key of an outside monomial and its largest |exponent|."""
+    key = bound = 0
+    for j, e in enumerate(mono.zexp + mono.zbarexp):
+        try:
+            e = index(e)
+        except TypeError:
+            raise VariantError(
+                f"exponent {e!r} of {_variable(m, j)} is not an integer") from None
+        if not -EXPONENT_LIMIT < e < EXPONENT_LIMIT:
+            raise _out_of_range(m, j, e)
+        key |= (e + EXPONENT_LIMIT) << (_WIDTH * j)
+        bound = max(bound, abs(e))
+    return key, bound
+
+
+def _product_bound(f: "LaurentPoly", g: "LaurentPoly") -> int:
+    """A bound on the exponents of ``f * g``.  When the operands' bounds
+    leave the range, every term product is checked field by field and the
+    first exponent out of range raises, so no field ever carries."""
+    bound = f._bound + g._bound
+    if bound < EXPONENT_LIMIT:
+        return bound
+    m = f.m
+    right = [_fields(m, k) for k in g._terms]
+    for k in f._terms:
+        left = _fields(m, k)
+        for exps in right:
+            for j, (a, b) in enumerate(zip(left, exps)):
+                if not -EXPONENT_LIMIT < a + b < EXPONENT_LIMIT:
+                    raise _out_of_range(m, j, a + b)
+    return EXPONENT_LIMIT - 1
+
+
+def _poly(m: int, terms: dict[int, QC], bound: int) -> "LaurentPoly":
+    """A ring result, built without the constructor's checks; no zeros.
+    ``bound`` is at least the largest |exponent| in ``terms``."""
     p = object.__new__(LaurentPoly)
     p.m = m
-    p.terms = terms
+    p._terms = terms
+    p._bound = bound
     return p
 
 
-def _collect(m: int, pairs, start=None) -> "LaurentPoly":
-    """Sum ``(Monomial, QC)`` pairs in order onto a copy of ``start``; a
-    monomial whose sum cancels leaves at once."""
+def _const(m: int, value: QC) -> "LaurentPoly":
+    return _poly(m, {} if value.is_zero else {_ONE[m]: value}, 0)
+
+
+def _collect(m: int, pairs, bound: int, start=None) -> "LaurentPoly":
+    """Sum ``(key, QC)`` pairs in order onto a copy of ``start``; a
+    monomial whose sum cancels leaves at once.  No pair carries a zero
+    coefficient: ring terms are nonzero, and so are their products."""
     terms = {} if start is None else dict(start)
-    for mono, coeff in pairs:
-        acc = terms.get(mono)
-        if acc is not None:
-            coeff = acc + coeff
-        if coeff.is_zero:
-            terms.pop(mono, None)
+    get = terms.get
+    for key, coeff in pairs:
+        acc = get(key)
+        if acc is None:
+            terms[key] = coeff
         else:
-            terms[mono] = coeff
-    return _poly(m, terms)
+            coeff = acc + coeff
+            if coeff.is_zero:
+                del terms[key]
+            else:
+                terms[key] = coeff
+    return _poly(m, terms, bound)
 
 
 class LaurentPoly:
     """Exact Laurent polynomial in ``z_1..z_m`` and ``zbar_1..zbar_m``."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "_terms", "_bound")
 
     def __init__(self, m: int, terms: dict[Monomial, QC] | None = None):
         if m < 1:
             raise DimensionError("need at least one variable")
-        clean: dict[Monomial, QC] = {}
+        clean: dict[int, QC] = {}
+        bound = 0
         for mono, coeff in (terms or {}).items():
             if len(mono.zexp) != m or len(mono.zbarexp) != m:
                 raise DimensionError(f"monomial arity {len(mono.zexp)} != m={m}")
             coeff = _as_qc(coeff)
+            key, top = _pack(m, mono)
             if not coeff.is_zero:
-                clean[mono] = coeff
+                clean[key] = coeff
+                bound = max(bound, top)
         self.m = m
-        self.terms = clean
+        self._terms = clean
+        self._bound = bound
+
+    @property
+    def terms(self) -> dict[Monomial, QC]:
+        """The terms as ``{Monomial: QC}``, in the ring's term order."""
+        return {_monomial(self.m, k): c for k, c in self._terms.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -137,17 +233,18 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, _EXACT_SCALARS):
-            other = LaurentPoly.const(self.m, other)
+            other = _const(self.m, _as_qc(other))
         if not isinstance(other, LaurentPoly):
             _reject_float(other)
             return NotImplemented
         self._check_same(other)
-        return _collect(self.m, other.terms.items(), self.terms)
+        return _collect(self.m, other._terms.items(), max(self._bound, other._bound),
+                        self._terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.m, {mo: -c for mo, c in self.terms.items()})
+        return _poly(self.m, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -159,15 +256,19 @@ class LaurentPoly:
         if isinstance(other, _EXACT_SCALARS):
             s = _as_qc(other)
             if s.is_zero:
-                return LaurentPoly.zero(self.m)
-            return _poly(self.m, {mo: c * s for mo, c in self.terms.items()})
+                return _poly(self.m, {}, 0)
+            return _poly(self.m, {k: c * s for k, c in self._terms.items()}, self._bound)
         if not isinstance(other, LaurentPoly):
             _reject_float(other)
             return NotImplemented
         self._check_same(other)
-        right = other.terms.items()
-        return _collect(self.m, ((mo1.mul(mo2), c1 * c2)
-                                 for mo1, c1 in self.terms.items() for mo2, c2 in right))
+        bound = _product_bound(self, other)
+        # k1 + k2 - ONE[m] is the product monomial; ONE[m] leaves the left key once
+        one = _ONE[self.m]
+        left = [(k - one, c) for k, c in self._terms.items()]
+        right = other._terms.items()
+        return _collect(self.m, ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right),
+                        bound)
 
     __rmul__ = __mul__
 
@@ -176,35 +277,38 @@ class LaurentPoly:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return power(self, exponent, LaurentPoly.const(self.m, 1))
+        return power(self, exponent, _const(self.m, QC_ONE))
 
     def inverse(self) -> "LaurentPoly":
         """Invert a single-term Laurent polynomial (the ring units)."""
-        if len(self.terms) != 1:
+        if len(self._terms) != 1:
             raise VariantError(
                 "only monomials are invertible in the Laurent ring; "
-                f"got {len(self.terms)} terms"
+                f"got {len(self._terms)} terms"
             )
-        (mono, coeff), = self.terms.items()
-        inv = Monomial(tuple(-e for e in mono.zexp), tuple(-e for e in mono.zbarexp))
-        return _poly(self.m, {inv: coeff.inverse()})
+        (key, coeff), = self._terms.items()
+        return _poly(self.m, {2 * _ONE[self.m] - key: coeff.inverse()}, self._bound)
 
     # -- calculus ----------------------------------------------------------
 
     def _diff(self, i: int, bar: bool) -> "LaurentPoly":
         """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based).
         e -> e - 1 is injective, so no two terms meet."""
-        terms: dict[Monomial, QC] = {}
-        for mono, coeff in self.terms.items():
-            exps = mono.zbarexp if bar else mono.zexp
-            e = exps[i]
+        m, i = self.m, index(i)
+        if not 0 <= i < m:
+            raise DimensionError(f"z_{i + 1} does not exist on C^{m}")
+        j = m + i if bar else i
+        shift = _WIDTH * j
+        step = 1 << shift
+        terms: dict[int, QC] = {}
+        for key, coeff in self._terms.items():
+            e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
             if e == 0:
                 continue
-            exps = list(exps)
-            exps[i] = e - 1
-            new = Monomial(mono.zexp, tuple(exps)) if bar else Monomial(tuple(exps), mono.zbarexp)
-            terms[new] = coeff * e
-        return _poly(self.m, terms)
+            if e == 1 - EXPONENT_LIMIT:
+                raise _out_of_range(m, j, e - 1)
+            terms[key - step] = coeff * e
+        return _poly(m, terms, min(self._bound + 1, EXPONENT_LIMIT - 1))
 
     def diff_z(self, i: int) -> "LaurentPoly":
         """Formal derivative with respect to ``z_i`` (0-based)."""
@@ -217,28 +321,31 @@ class LaurentPoly:
     def conj(self) -> "LaurentPoly":
         """Formal conjugate: swaps ``z``/``zbar`` exponents, conjugates
         coefficients.  Compatible with evaluation-time conjugation."""
-        return _poly(self.m, {mo.conj(): c.conj() for mo, c in self.terms.items()})
+        half = _WIDTH * self.m
+        low = (1 << half) - 1
+        return _poly(self.m, {(k & low) << half | k >> half: c.conj()
+                              for k, c in self._terms.items()}, self._bound)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     @property
     def has_zbar(self) -> bool:
-        return any(any(mo.zbarexp) for mo in self.terms)
+        half = _WIDTH * self.m
+        free = _ONE[self.m] >> half
+        return any(k >> half != free for k in self._terms)
 
     @property
     def has_negative_exponent(self) -> bool:
-        return any(
-            any(e < 0 for e in mo.zexp) or any(e < 0 for e in mo.zbarexp)
-            for mo in self.terms
-        )
+        m = self.m
+        return any(e < 0 for k in self._terms for e in _fields(m, k))
 
     def constant_value(self) -> QC:
         """The coefficient of the constant monomial."""
-        return self.terms.get(Monomial.one(self.m), QC(0))
+        return self._terms.get(_ONE[self.m], QC(0))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].zexp, kv[0].zbarexp))
@@ -252,23 +359,30 @@ class LaurentPoly:
         coordinates it is a Python complex.  Raises PoleError when a negative
         exponent meets a zero coordinate.
         """
-        if len(zvalues) != self.m:
+        m = self.m
+        if len(zvalues) != m:
             raise DimensionError("point arity mismatch")
         exact = all(isinstance(v, QC) for v in zvalues)
         if exact:
             zs = list(zvalues)
+            vals = zs + [v.conj() for v in zs]
             total = QC(0)
         else:
             zs = [complex(v) for v in zvalues]
+            vals = zs + [v.conjugate() for v in zs]
             total = 0j
-        for mono, coeff in self.terms.items():
+        one = _ONE[m]
+        # z_i, then zbar_i, for each i in turn
+        fields = [(_WIDTH * j, vals[j], j % m + 1) for i in range(m) for j in (i, m + i)]
+        for key, coeff in self._terms.items():
             term = coeff if exact else complex(coeff)
-            for i in range(self.m):
-                for e, val in ((mono.zexp[i], zs[i]), (mono.zbarexp[i], zs[i].conj() if exact else zs[i].conjugate())):
+            if key != one:
+                for shift, val, i in fields:
+                    e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
                     if e == 0:
                         continue
                     if e < 0 and not val:
-                        raise PoleError(f"coordinate z_{i + 1} = 0 hit exponent {e}")
+                        raise PoleError(f"coordinate z_{i} = 0 hit exponent {e}")
                     term = term * val ** e
             total = total + term
         return total
@@ -276,35 +390,35 @@ class LaurentPoly:
     def substitute(self, args: list["LaurentPoly"]) -> "LaurentPoly":
         """Compose: plug ``args[i]`` in for ``z_i`` and ``conj(args[i])``
         for ``zbar_i``.  Negative exponents require monomial arguments."""
-        if len(args) != self.m:
+        m = self.m
+        if len(args) != m:
             raise DimensionError("substitution arity mismatch")
         m_src = args[0].m
         if any(g.m != m_src for g in args):
             raise DimensionError("substitution arguments live in different rings")
-        cache: dict[tuple[int, bool, int], LaurentPoly] = {}
+        cache: dict[tuple[int, int], LaurentPoly] = {}
 
-        def arg_power(i: int, conjugated: bool, e: int) -> LaurentPoly:
-            key = (i, conjugated, e)
+        def arg_power(j: int, e: int) -> LaurentPoly:
+            key = (j, e)
             got = cache.get(key)
             if got is None:
-                base = args[i].conj() if conjugated else args[i]
+                base = args[j - m].conj() if j >= m else args[j]
                 got = cache[key] = base ** e
             return got
 
-        one = Monomial.one(m_src)
-
-        def term_pairs():
-            for mono, coeff in self.terms.items():
-                term = _poly(m_src, {one: coeff})
-                for i in range(self.m):
-                    if mono.zexp[i]:
-                        term = term * arg_power(i, False, mono.zexp[i])
-                    if mono.zbarexp[i]:
-                        term = term * arg_power(i, True, mono.zbarexp[i])
-                yield from term.terms.items()
-
+        one = _ONE[m_src]
+        order = [j for i in range(m) for j in (i, m + i)]
+        parts = []
+        for key, coeff in self._terms.items():
+            term = _poly(m_src, {one: coeff}, 0)
+            exps = _fields(m, key)
+            for j in order:
+                if exps[j]:
+                    term = term * arg_power(j, exps[j])
+            parts.append(term)
         # the same sum as adding the terms one by one, in one dict
-        return _collect(m_src, term_pairs())
+        return _collect(m_src, (kv for t in parts for kv in t._terms.items()),
+                        max((t._bound for t in parts), default=0))
 
     def to_expr(self) -> "Expr":
         """Promote to an expression tree (explicit, never implicit)."""
@@ -324,13 +438,13 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, _EXACT_SCALARS):
-            other = LaurentPoly.const(self.m, other)
+            other = _const(self.m, _as_qc(other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return self.m == other.m and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
+        return hash((self.m, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:

@@ -22,6 +22,11 @@ class PoleError(ContactKitError, ArithmeticError):
     hyperplane where a negative exponent makes it singular."""
 
 
+class ExponentRangeError(ContactKitError, OverflowError):
+    """Raised when a Laurent exponent leaves the range of a packed monomial
+    key, ``|e| < 2**31``; the message names the exponent and its variable."""
+
+
 class PreconditionError(ContactKitError, ValueError):
     """Raised when an operation's documented precondition fails.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ci import CIResult
 from .coefficients import LaurentPoly, Monomial
-from .errors import ParseError, VariantError
+from .errors import ExponentRangeError, ParseError, VariantError
 from .forms import Form, covector_index, covector_name
 from .grids import MIN_NODES, CubeGrid, GridSection
 from .reports import VerificationReport
@@ -132,7 +132,10 @@ def form_from_document(doc: dict) -> Form:
                 raise ParseError(f"{where}.coeff[{jdx}]: exponent length != m")
             if not value.is_zero:
                 poly_terms[mono] = value
-        terms[word] = LaurentPoly(m, poly_terms)
+        try:
+            terms[word] = LaurentPoly(m, poly_terms)
+        except ExponentRangeError as exc:
+            raise ParseError(f"{where}.coeff: {exc}") from None
     try:
         return Form(m, degree, terms)
     except Exception as exc:

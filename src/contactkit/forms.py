@@ -436,7 +436,7 @@ def pullback(F: PolyMap, f: Form) -> Form:
         for i in range(m_src):
             terms[(i,)] = c.diff_z(i)
             terms[(m_src + i,)] = c.diff_zbar(i)
-        return Form(m_src, 1, terms, F.variant)
+        return _form(m_src, 1, terms, F.variant)
 
     # only the covectors the form's words use
     d_cov = {idx: differential(idx) for idx in {i for word in f.terms for i in word}}

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .forms import Point
-from .scalars import QC
+from .scalars import QC, _reduced
 
 
 def _rand_fraction(rng: random.Random, den: int, spread: int) -> Fraction:
@@ -26,9 +26,10 @@ def exact_points(m: int, count: int, seed: int = 0, spread: int = 1) -> list[Poi
     poles, so every Laurent evaluation on these points is exact.
     """
     rng = random.Random(seed)
+    top = 7 * spread
     pts: list[Point] = []
     while len(pts) < count:
-        vals = [QC(_rand_fraction(rng, 7, spread), _rand_fraction(rng, 7, spread))
+        vals = [_reduced(rng.randint(-top, top), rng.randint(-top, top), 7)
                 for _ in range(m)]
         if any(v.is_zero for v in vals):
             continue
@@ -53,8 +54,10 @@ def numeric_points(m: int, count: int, seed: int = 0, radius: float = 1.0,
 
 
 def random_qc(rng: random.Random, den: int = 7, spread: int = 2) -> QC:
-    """One random Gaussian rational."""
-    return QC(_rand_fraction(rng, den, spread), _rand_fraction(rng, den, spread))
+    """One random Gaussian rational ``(a + b*i) / den`` with ``|a|, |b| <=
+    spread * den``, reduced once; ``den`` must be positive."""
+    top = spread * den
+    return _reduced(rng.randint(-top, top), rng.randint(-top, top), den)
 
 
 def random_jet(n: int, rng: random.Random):

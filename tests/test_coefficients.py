@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit.coefficients import (
-    Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, Z, Zbar,
+    EXPONENT_LIMIT, Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, Z, Zbar,
     coefficient_variant, eadd, emul, epow,
 )
-from contactkit.errors import DimensionError, PoleError, VariantError
+from contactkit.errors import DimensionError, ExponentRangeError, PoleError, VariantError
 from contactkit.forms import Form, Point
 from contactkit.sampling import exact_points
-from contactkit.scalars import QC
+from contactkit.scalars import QC, power
 
 
 def random_laurent(m, rng, n_terms=3, max_exp=2, allow_negative=True):
@@ -174,6 +174,15 @@ def test_expr_coordinate_out_of_range_is_a_dimension_error():
         Zbar(1).substitute([Z(0)])
 
 
+def test_laurent_derivative_index_out_of_range_is_a_dimension_error():
+    p = LaurentPoly.z(2, 1) * LaurentPoly.zbar(2, 0)
+    for i in (2, -1):
+        with pytest.raises(DimensionError):
+            p.diff_z(i)
+        with pytest.raises(DimensionError):
+            p.diff_zbar(i)
+
+
 def test_expr_pole_is_a_pole_error():
     with pytest.raises(PoleError):
         epow(Z(0), -1).eval((0j,))
@@ -247,3 +256,149 @@ def test_ring_results_pass_the_public_constructor(f, g, u, s, e, units, p, affin
         results += [f.diff_z(i), f.diff_zbar(i)]
     for r in results:
         assert_rebuilds(r)
+
+
+# -- packed monomial keys against the tuple oracle --------------------------
+
+LIMIT = EXPONENT_LIMIT
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The tuple-add monomial product that the packed keys replace."""
+    return Monomial(tuple(x + y for x, y in zip(a.zexp, b.zexp)),
+                    tuple(x + y for x, y in zip(a.zbarexp, b.zbarexp)))
+
+
+class OracleRange(Exception):
+    """An oracle exponent left the range of a packed field."""
+
+
+def in_range(mono: Monomial) -> Monomial:
+    if not all(-LIMIT < e < LIMIT for e in mono.zexp + mono.zbarexp):
+        raise OracleRange(mono)
+    return mono
+
+
+class TuplePoly:
+    """The ``{Monomial: QC}`` ring with tuple-add products: the oracle of
+    ``LaurentPoly``.  It builds and sums terms in the same order and raises
+    OracleRange wherever an exponent it makes leaves the packed range."""
+
+    def __init__(self, m, terms):
+        self.m, self.terms = m, terms
+
+    @classmethod
+    def of(cls, p: LaurentPoly) -> "TuplePoly":
+        return cls(p.m, p.terms)
+
+    def _collect(self, pairs) -> "TuplePoly":
+        terms = {}
+        for mono, c in pairs:
+            acc = terms.get(in_range(mono))
+            if acc is not None:
+                c = acc + c
+            if c.is_zero:
+                terms.pop(mono, None)
+            else:
+                terms[mono] = c
+        return TuplePoly(self.m, terms)
+
+    def __mul__(self, other):
+        return self._collect((mono_mul(a, b), c * d) for a, c in self.terms.items()
+                             for b, d in other.terms.items())
+
+    def __pow__(self, e):
+        if e < 0:
+            (mono, c), = self.terms.items()
+            inv = Monomial(tuple(-x for x in mono.zexp), tuple(-x for x in mono.zbarexp))
+            return TuplePoly(self.m, {inv: c.inverse()}) ** -e
+        return power(self, e, TuplePoly(self.m, {Monomial.one(self.m): QC(1)}))
+
+    def conj(self):
+        return TuplePoly(self.m, {Monomial(mo.zbarexp, mo.zexp): c.conj()
+                                  for mo, c in self.terms.items()})
+
+    def diff(self, j):
+        """The derivative along field j: z_j for j < m, else zbar_(j-m)."""
+        m, terms = self.m, {}
+        for mo, c in self.terms.items():
+            exps = list(mo.zexp + mo.zbarexp)
+            e = exps[j]
+            if e:
+                exps[j] = e - 1
+                terms[in_range(Monomial(tuple(exps[:m]), tuple(exps[m:])))] = c * e
+        return TuplePoly(m, terms)
+
+    def substitute(self, args):
+        m_src = args[0].m
+        pairs = []
+        for mo, c in self.terms.items():
+            term = TuplePoly(m_src, {Monomial.one(m_src): c})
+            for i in range(self.m):
+                if mo.zexp[i]:
+                    term = term * args[i] ** mo.zexp[i]
+                if mo.zbarexp[i]:
+                    term = term * args[i].conj() ** mo.zbarexp[i]
+            pairs += term.terms.items()
+        return TuplePoly(m_src, {})._collect(pairs)
+
+
+def agrees(packed, oracle):
+    """The packed result has the oracle's terms in the oracle's order, and a
+    sound exponent bound; or both leave the range, the packed ring by
+    raising ExponentRangeError."""
+    try:
+        want = oracle()
+    except OracleRange:
+        with pytest.raises(ExponentRangeError):
+            packed()
+        return
+    got = packed()
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(abs(e) <= got._bound for mono in got.terms for e in mono.zexp + mono.zbarexp)
+    assert got._bound < LIMIT
+
+
+# exponents anywhere in the field, with the edges and the halves (whose
+# doubles reach the limit) drawn often
+_wide = st.one_of(
+    st.integers(1 - LIMIT, LIMIT - 1),
+    st.sampled_from([0, 1, -1, 2, LIMIT - 1, 1 - LIMIT, LIMIT - 2, 2 - LIMIT,
+                     LIMIT // 2, -(LIMIT // 2), LIMIT // 2 - 1, 1 - LIMIT // 2,
+                     LIMIT // 3 + 1, -(LIMIT // 3) - 1]))
+_wide_monomials = st.builds(Monomial, st.tuples(_wide, _wide), st.tuples(_wide, _wide))
+wide_laurents = st.dictionaries(_wide_monomials, _nonzero, min_size=1, max_size=3).map(
+    lambda terms: LaurentPoly(2, terms))
+_wide_units = st.builds(lambda mono, c: LaurentPoly(2, {mono: c}), _wide_monomials, _nonzero)
+
+
+@settings(deadline=None)
+@given(wide_laurents, wide_laurents, _wide_units, st.integers(-3, 3),
+       st.lists(_wide_units, min_size=2, max_size=2), laurents)
+def test_packed_keys_match_the_tuple_oracle_up_to_the_field_limit(f, g, u, e, units, s):
+    F, G, U = TuplePoly.of(f), TuplePoly.of(g), TuplePoly.of(u)
+    agrees(lambda: f * g, lambda: F * G)
+    agrees(lambda: f ** abs(e), lambda: F ** abs(e))
+    agrees(lambda: u ** e, lambda: U ** e)
+    agrees(u.inverse, lambda: U ** -1)
+    agrees(f.conj, F.conj)
+    for i in range(2):
+        agrees(lambda: f.diff_z(i), lambda: F.diff(i))
+        agrees(lambda: f.diff_zbar(i), lambda: F.diff(2 + i))
+    args = [TuplePoly.of(a) for a in units]
+    agrees(lambda: s.substitute(units), lambda: TuplePoly.of(s).substitute(args))
+
+
+def test_exponents_past_the_field_limit_raise_and_name_the_exponent():
+    with pytest.raises(ExponentRangeError, match=f"exponent {LIMIT} of z1 "):
+        LaurentPoly.z(1, 0, LIMIT)
+    with pytest.raises(ExponentRangeError, match=f"exponent {-LIMIT} of zbar2 "):
+        LaurentPoly.zbar(2, 1, -LIMIT)
+    top = LaurentPoly.z(1, 0, LIMIT - 1)
+    with pytest.raises(ExponentRangeError, match=f"exponent {LIMIT} of z1 "):
+        top * LaurentPoly.z(1, 0)
+    with pytest.raises(ExponentRangeError, match=f"exponent {-LIMIT} of zbar1 "):
+        LaurentPoly.zbar(1, 0, 1 - LIMIT).diff_zbar(0)
+    # operand bounds that reach the limit together are checked term by term
+    assert top * LaurentPoly.z(1, 0, -1) == LaurentPoly.z(1, 0, LIMIT - 2)
+    assert top.inverse().terms == {Monomial((1 - LIMIT,), (0,)): QC(1)}

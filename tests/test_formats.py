@@ -110,6 +110,19 @@ def test_coefficient_exponents_are_bounded():
     assert form_from_document(json.loads(json.dumps(form_to_document(form)))) == form
 
 
+def test_monomial_exponents_past_the_packed_range_are_refused_by_position():
+    doc = {
+        "format": "contactkit-form", "version": 1, "m": 1, "degree": 1,
+        "terms": [{"wedge": ["dz1"], "coeff": [
+            {"zexp": [0], "zbarexp": [-2 ** 31], "re": "1", "im": "0"},
+        ]}],
+    }
+    with pytest.raises(ParseError, match=r"terms\[0\]\.coeff: exponent -2147483648 of zbar1 "):
+        form_from_document(doc)
+    doc["terms"][0]["coeff"][0]["zbarexp"] = [1 - 2 ** 31]
+    assert form_from_document(doc).coeff((0,)) == LaurentPoly.zbar(1, 0, 1 - 2 ** 31)
+
+
 def test_expr_form_has_no_document():
     with pytest.raises(VariantError):
         form_to_document(circle_form(-1))

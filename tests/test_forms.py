@@ -263,6 +263,38 @@ def test_pullback_differentiates_only_the_covectors_it_uses(monkeypatch):
         (0,): z[2] * z[2] * z[1], (1,): z[2] * z[2] * z[0], (5,): z[2] * z[2]})
 
 
+def test_ring_internal_constants_skip_the_public_constructors(monkeypatch):
+    """A power's one and pullback's covector differentials are ring results:
+    neither passes through ``LaurentPoly(...)`` or ``Form(...)``.  The only
+    public ``Form`` builds left in a pullback are its zero and one scalar
+    form per word."""
+    calls = {"LaurentPoly": 0, "Form": 0}
+
+    def count(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            calls[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    z = [LaurentPoly.z(3, i) for i in range(3)]
+    F = PolyMap(3, [z[1] * QC(2, 1) + QC(1), z[0] * LaurentPoly.zbar(3, 1),
+                    LaurentPoly.zbar(3, 2)])
+    w = Form(3, 2, {(0, 4): z[1] * z[1] * LaurentPoly.zbar(3, 2), (1, 2): z[0] * z[0]})
+    p = z[0] + LaurentPoly.zbar(3, 1) * QC(1, 2)
+    count(LaurentPoly)
+    count(Form)
+    fifth = p ** 5
+    assert calls == {"LaurentPoly": 0, "Form": 0}
+    pulled = pullback(F, w)
+    assert calls == {"LaurentPoly": 0, "Form": 1 + len(w.terms)}
+    monkeypatch.undo()
+    assert fifth == p * p * p * p * p
+    assert pulled.degree == 2 and not pulled.is_zero
+
+
 def test_dimension_mismatch_raises():
     a = random_form(2, 1, random.Random(1))
     b = random_form(3, 1, random.Random(1))
