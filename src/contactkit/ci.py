@@ -44,6 +44,11 @@ PHASE_CANDIDATES = 64
 # -- loops in the relation slice ------------------------------------------
 
 
+def _check_phases(k: int) -> None:
+    if k < 1:
+        raise PreconditionError(f"a loop needs k >= 1 phases, got {k}")
+
+
 @dataclass(frozen=True)
 class Loop:
     """theta -> center + radius * e^{i theta} * direction in C^m."""
@@ -58,24 +63,24 @@ class Loop:
 
     def mean_quadrature(self, k: int = 64) -> tuple:
         """Uniform average over k phases; exact for circular harmonics."""
-        acc = [0j] * len(self.center)
-        for j in range(k):
-            pt = self.point(2 * math.pi * j / k)
-            acc = [a + p for a, p in zip(acc, pt)]
-        return tuple(a / k for a in acc)
+        _check_phases(k)
+        ph = self.radius * np.exp(1j * (2 * np.pi * np.arange(k) / k))
+        center, direction = (np.asarray(v, complex) for v in (self.center, self.direction))
+        pts = center + ph[:, None] * direction
+        return tuple(complex(x) for x in pts.sum(axis=0) / k)
 
     def min_affine_margin(self, w, c, k: int = 720) -> float:
         """min over the loop of |<w, point> + c|, sampling plus the
         analytically worst phase."""
+        _check_phases(k)
         w = [complex(x) for x in w]
         c = complex(c)
         base = sum(wi * ci for wi, ci in zip(w, self.center)) + c
         slope = sum(wi * vi for wi, vi in zip(w, self.direction))
-        thetas = [2 * math.pi * j / k for j in range(k)]
+        thetas = 2 * np.pi * np.arange(k) / k
         if base != 0 and slope != 0:
-            thetas.append(math.pi + (np.angle(base) - np.angle(slope)))
-        return min(abs(base + self.radius * slope * complex(math.cos(t), math.sin(t)))
-                   for t in thetas)
+            thetas = np.append(thetas, math.pi + (np.angle(base) - np.angle(slope)))
+        return float(np.abs(base + self.radius * slope * np.exp(1j * thetas)).min())
 
 
 def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:

@@ -91,6 +91,14 @@ def _variable(m: int, j: int) -> str:
     return f"z{j + 1}" if j < m else f"zbar{j - m + 1}"
 
 
+def _coordinate(m: int, i: int) -> int:
+    """``i`` as a 0-based coordinate index of C^m, or a DimensionError."""
+    i = index(i)
+    if not 0 <= i < m:
+        raise DimensionError(f"z_{i + 1} (index {i}) does not exist on C^{m}")
+    return i
+
+
 def _out_of_range(m: int, j: int, e: int) -> ExponentRangeError:
     return ExponentRangeError(
         f"exponent {e} of {_variable(m, j)} is outside the packed range "
@@ -216,13 +224,13 @@ class LaurentPoly:
     def z(cls, m: int, i: int, power: int = 1) -> "LaurentPoly":
         """The coordinate ``z_i`` (0-based ``i``), optionally to a power."""
         ze = [0] * m
-        ze[i] = power
+        ze[_coordinate(m, i)] = power
         return cls(m, {Monomial(tuple(ze), (0,) * m): QC_ONE})
 
     @classmethod
     def zbar(cls, m: int, i: int, power: int = 1) -> "LaurentPoly":
         zb = [0] * m
-        zb[i] = power
+        zb[_coordinate(m, i)] = power
         return cls(m, {Monomial((0,) * m, tuple(zb)): QC_ONE})
 
     # -- ring structure ---------------------------------------------------
@@ -294,9 +302,8 @@ class LaurentPoly:
     def _diff(self, i: int, bar: bool) -> "LaurentPoly":
         """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based).
         e -> e - 1 is injective, so no two terms meet."""
-        m, i = self.m, index(i)
-        if not 0 <= i < m:
-            raise DimensionError(f"z_{i + 1} does not exist on C^{m}")
+        m = self.m
+        i = _coordinate(m, i)
         j = m + i if bar else i
         shift = _WIDTH * j
         step = 1 << shift

@@ -9,9 +9,12 @@ skew matrix of the 2-form, that coefficient is
     h(a, beta) = n! Pf([[0, a^T], [-a, beta]]),
 
 and its slope under a skew bump of beta_rs is a signed minor Pfaffian of
-the same bordered matrix.  ``pfaffian`` is the only expansion: h, the
-slopes and the wedge-power coefficients b_i = n! Pf(beta without i) all
-come from it, on exact, complex and ndarray entries alike.
+the same bordered matrix.  ``_pf`` is the only expansion: h, the slopes
+and the wedge-power coefficients b_i = n! Pf(beta without i) all come from
+it, on exact, complex and ndarray entries alike.  It reads each matrix
+once into an upper table and expands each sub-Pfaffian once per matrix:
+h and its slopes on one bordered matrix (``ampleness_slice``), or the m
+minors of one beta (``pfaffian_coeffs``), share their sub-Pfaffians.
 
 The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
 ``pencil_check``) read their margins from ``relation_h`` on point values:
@@ -93,34 +96,80 @@ class SkewMatrix:
         return f"SkewMatrix(m={self.m}, {ent or '0'})"
 
 
+def _pf(up, idx: tuple, memo: dict):
+    """The one Pfaffian kernel: Pf on ``idx`` of the skew matrix whose
+    upper table is ``up``.
+
+    ``up[i][j]`` holds the (i, j) entry for i preceding j in ``idx``.  The
+    expansion runs along the first index,
+    Pf = sum_k (-1)^k up[idx[0]][idx[k+1]] Pf(idx without both),
+    and each sub-Pfaffian of four or more indices is expanded once and
+    kept in ``memo`` under its index tuple; calls on the same table that
+    share a memo share their sub-Pfaffians.  The empty Pfaffian is 1.
+    """
+    if len(idx) < 4:
+        return up[idx[0]][idx[1]] if idx else 1
+    total = memo.get(idx)
+    if total is None:
+        first, rest = idx[0], idx[1:]
+        row = up[first]
+        for k, partner in enumerate(rest):
+            term = row[partner] * _pf(up, rest[:k] + rest[k + 1:], memo)
+            if k % 2:
+                term = -term
+            total = term if total is None else total + term
+        memo[idx] = total
+    return total
+
+
+def _table(entry, idx: tuple) -> dict:
+    """The upper table of the matrix read by ``entry`` on ``idx``: each
+    entry(i, j), i before j, read once."""
+    return {i: {j: entry(i, j) for j in idx[p + 1:]} for p, i in enumerate(idx)}
+
+
 def pfaffian(entry, idx: tuple[int, ...]):
     """Pfaffian of the skew matrix read by ``entry`` on the indices ``idx``.
 
     ``entry(i, j)`` returns the (i, j) entry for i < j, where i precedes j
-    in ``idx``; the expansion runs along the first index,
-    Pf = sum_k (-1)^k entry(idx[0], idx[k+1]) Pf(idx without both).
-    Entries may be QC, complex or ndarray; the empty Pfaffian is 1.
+    in ``idx``; each entry is read once.  Entries may be QC, complex or
+    ndarray; the empty Pfaffian is 1.
     """
-    if not idx:
-        return 1
-    if len(idx) == 2:
-        return entry(*idx)
-    first, rest = idx[0], idx[1:]
-    total = None
-    for k, partner in enumerate(rest):
-        term = entry(first, partner) * pfaffian(entry, rest[:k] + rest[k + 1:])
-        if k % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    idx = tuple(idx)
+    if len(idx) % 2:
+        raise DimensionError(f"Pfaffian needs an even number of indices, got {len(idx)}")
+    return _pf(_table(entry, idx), idx, {})
 
 
-def _bordered(a, beta):
-    """Reader of [[0, a^T], [-a, beta]] above the diagonal: index 0 is the
-    border, index k >= 1 is beta's index k - 1."""
-    def entry(i, j):
-        return a(j - 1) if i == 0 else beta(i - 1, j - 1)
-    return entry
+class _Bordered:
+    """h and its slopes on one bordered matrix [[0, a^T], [-a, beta]].
+
+    Index 0 is the border and index k >= 1 is beta's index k - 1.  The
+    entries are read once into an upper table, and h and every slope share
+    one memo of sub-Pfaffians, which lives as long as this object.
+    """
+
+    __slots__ = ("n", "_up", "_memo")
+
+    def __init__(self, a, beta, n: int):
+        m = 2 * n + 1
+        self.n = n
+        self._up = {0: {j + 1: a(j) for j in range(m)}}
+        for r in range(m):
+            self._up[r + 1] = {s + 1: beta(r, s) for s in range(r + 1, m)}
+        self._memo: dict = {}
+
+    def h(self):
+        return factorial(self.n) * _pf(self._up, tuple(range(2 * self.n + 2)), self._memo)
+
+    def slope(self, r: int, s: int):
+        if r == s:
+            raise DimensionError(f"slope needs two distinct indices, got ({r},{s})")
+        if r > s:
+            return -self.slope(s, r)
+        rest = tuple(k for k in range(2 * self.n + 2) if k not in (r + 1, s + 1))
+        v = factorial(self.n) * _pf(self._up, rest, self._memo)
+        return v if (r + s) % 2 else -v
 
 
 def relation_h(a, beta, n: int):
@@ -131,7 +180,7 @@ def relation_h(a, beta, n: int):
     h = sum_i (-1)^i a_i b_i with b_i = n! Pf(beta without i), the
     holomorphic-volume coefficient of alpha ^ beta^n.
     """
-    return factorial(n) * pfaffian(_bordered(a, beta), tuple(range(2 * n + 2)))
+    return _Bordered(a, beta, n).h()
 
 
 def relation_slope(a, beta, n: int, r: int, s: int):
@@ -141,29 +190,24 @@ def relation_slope(a, beta, n: int, r: int, s: int):
     r+1 and s+1); swapping r and s flips the sign.  h is affine in each
     beta entry, so the slope is exact and does not read beta_rs.
     """
-    if r == s:
-        raise DimensionError(f"slope needs two distinct indices, got ({r},{s})")
-    if r > s:
-        return -relation_slope(a, beta, n, s, r)
-    rest = tuple(k for k in range(2 * n + 2) if k not in (r + 1, s + 1))
-    v = factorial(n) * pfaffian(_bordered(a, beta), rest)
-    return v if (r + s) % 2 else -v
+    return _Bordered(a, beta, n).slope(r, s)
 
 
 def pfaffian_coeffs(B: SkewMatrix, n: int) -> list:
     """Expand beta^n into its 2n-fold wedge coefficients.
 
     Returns b with beta^n = sum_i b[i] dz_1^...(dz_{i+1} omitted)...^dz_m,
-    where b[i] = n! Pf(B without index i).  The sign is forced by direct
-    expansion of the wedge power; tests pin this against a brute-force
-    oracle.
+    where b[i] = n! Pf(B without index i).  The m minors share one memo of
+    sub-Pfaffians.  The sign is forced by direct expansion of the wedge
+    power; tests pin this against a brute-force oracle.
     """
     m = 2 * n + 1
     if B.m != m:
         raise DimensionError(f"skew matrix has m={B.m}, expected {m}")
     fact = factorial(n)
-    return [pfaffian(B.get, tuple(k for k in range(m) if k != i)) * fact
-            for i in range(m)]
+    full = tuple(range(m))
+    up, memo = _table(B.get, full), {}
+    return [_pf(up, full[:i] + full[i + 1:], memo) * fact for i in range(m)]
 
 
 @dataclass(frozen=True)

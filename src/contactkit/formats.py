@@ -121,7 +121,7 @@ def form_from_document(doc: dict) -> Form:
         raw_coeff = raw.get("coeff", [])
         if not isinstance(raw_coeff, list):
             raise ParseError(f"{where}.coeff: expected a list of entries, got {raw_coeff!r}")
-        poly_terms = {}
+        poly_terms, seen = {}, set()
         for jdx, entry in enumerate(raw_coeff):
             try:
                 mono = Monomial(_exponents(entry["zexp"]), _exponents(entry["zbarexp"]))
@@ -130,6 +130,10 @@ def form_from_document(doc: dict) -> Form:
                 raise ParseError(f"{where}.coeff[{jdx}]: {exc}") from None
             if len(mono.zexp) != m or len(mono.zbarexp) != m:
                 raise ParseError(f"{where}.coeff[{jdx}]: exponent length != m")
+            if mono in seen:
+                raise ParseError(f"{where}.coeff[{jdx}]: repeated monomial "
+                                 f"zexp={list(mono.zexp)} zbarexp={list(mono.zbarexp)}")
+            seen.add(mono)
             if not value.is_zero:
                 poly_terms[mono] = value
         try:

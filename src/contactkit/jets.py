@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import relation_h, relation_slope
+from .contact import _Bordered, relation_h, relation_slope
 from .errors import DimensionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection
@@ -57,10 +57,9 @@ class Jet1:
 
 def _readers(j: Jet1):
     """Kernel readers of a jet: a(i), and beta(r, s) = p[s][r] - p[r][s]
-    built once for r < s."""
-    m = j.m
-    beta = {(r, s): j.p[s][r] - j.p[r][s] for r in range(m) for s in range(r + 1, m)}
-    return j.a.__getitem__, lambda r, s: beta[r, s]
+    for r < s.  The kernel reads each entry once."""
+    p = j.p
+    return j.a.__getitem__, lambda r, s: p[s][r] - p[r][s]
 
 
 def relation_value(j: Jet1):
@@ -130,15 +129,16 @@ def ampleness_slice(e: RestrictedJet) -> SliceClass:
     Row i of p enters beta only through beta_ji = p[i][j] - p[j][i], and
     each Pfaffian term holds at most one beta entry with index i, so h is
     affine in the row: c is h at the zero row and w_j is the slope in
-    beta_ji, a signed minor Pfaffian (w_i = 0, the diagonal cancels).
+    beta_ji, a signed minor Pfaffian (w_i = 0, the diagonal cancels).  c
+    and the m - 1 slopes come from one bordered matrix and share its
+    sub-Pfaffians.
     """
     jet, i = e.jet, e.i
     m = jet.m
     zero = _zero_like(jet.a[0])
-    readers = _readers(jet.with_row(i, [zero] * m))
-    base = relation_h(*readers, jet.n)
-    w = [zero if jcol == i else relation_slope(*readers, jet.n, jcol, i)
-         for jcol in range(m)]
+    bordered = _Bordered(*_readers(jet.with_row(i, [zero] * m)), jet.n)
+    base = bordered.h()
+    w = [zero if jcol == i else bordered.slope(jcol, i) for jcol in range(m)]
     if not any(w):
         if not base:
             return SliceClass("empty")

@@ -59,6 +59,71 @@ def test_loop_for_full_slice_is_constant():
     assert loop.point(1.234) == target
 
 
+def mean_quadrature_oracle(loop, k):
+    """The per-phase sum: point j at theta = 2 pi j / k, averaged."""
+    acc = [0j] * len(loop.center)
+    for j in range(k):
+        pt = loop.point(2 * math.pi * j / k)
+        acc = [a + p for a, p in zip(acc, pt)]
+    return tuple(a / k for a in acc)
+
+
+def min_affine_margin_oracle(loop, w, c, k):
+    """min |<w, point> + c| over k phases plus the analytic worst phase."""
+    w = [complex(x) for x in w]
+    c = complex(c)
+    base = sum(wi * ci for wi, ci in zip(w, loop.center)) + c
+    slope = sum(wi * vi for wi, vi in zip(w, loop.direction))
+    thetas = [2 * math.pi * j / k for j in range(k)]
+    if base != 0 and slope != 0:
+        thetas.append(math.pi + (np.angle(base) - np.angle(slope)))
+    return min(abs(base + loop.radius * slope * complex(math.cos(t), math.sin(t)))
+               for t in thetas)
+
+
+def test_loop_phases_as_arrays_match_per_phase_oracles():
+    """Random loops, a radius-0 loop, and both degenerate branches of the
+    worst-phase step (base == 0, slope == 0) agree to 1e-12."""
+    rng = random.Random(13)
+
+    def vec(m):
+        return tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m))
+
+    cases = []
+    for m in (1, 3, 5, 7):
+        for _ in range(20):
+            loop = Loop(vec(m), vec(m), rng.uniform(0, 3))
+            cases.append((loop, vec(m), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        center = vec(m)
+        cases.append((Loop(center, tuple(0j for _ in center), 0.0), vec(m), 0.5j))
+        w = vec(m)
+        loop = Loop(vec(m), vec(m), rng.uniform(0.1, 3))
+        base_zero = -sum(wi * ci for wi, ci in zip(w, loop.center))
+        cases.append((loop, w, base_zero))
+        w0 = (1 + 0.5j,) + (0j,) * (m - 1)
+        flat = Loop(vec(m), (0j,) + vec(m)[1:], rng.uniform(0.1, 3))
+        cases.append((flat, w0, 0.25 - 1j))
+    branches = set()
+    for loop, w, c in cases:
+        for k in (1, 7, 64):
+            got, want = loop.mean_quadrature(k), mean_quadrature_oracle(loop, k)
+            assert max(abs(g - x) for g, x in zip(got, want)) <= 1e-12
+        for k in (1, 72, 720):
+            got = loop.min_affine_margin(w, c, k)
+            assert isinstance(got, float)
+            assert abs(got - min_affine_margin_oracle(loop, w, c, k)) <= 1e-12
+        base = sum(complex(wi) * ci for wi, ci in zip(w, loop.center)) + c
+        slope = sum(complex(wi) * vi for wi, vi in zip(w, loop.direction))
+        branches.add((base == 0, slope == 0, loop.radius == 0))
+    assert {(True, False, False), (False, True, False), (False, True, True),
+            (False, False, False)} <= branches
+    for k in (0, -3):
+        with pytest.raises(PreconditionError, match="k >= 1"):
+            loop.mean_quadrature(k)
+        with pytest.raises(PreconditionError, match="k >= 1"):
+            loop.min_affine_margin(w, c, k)
+
+
 def test_empty_slice_has_no_loop():
     from contactkit.jets import SliceClass
     with pytest.raises(PreconditionError):

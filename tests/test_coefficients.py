@@ -183,6 +183,15 @@ def test_laurent_derivative_index_out_of_range_is_a_dimension_error():
             p.diff_zbar(i)
 
 
+def test_laurent_coordinate_index_out_of_range_is_a_dimension_error():
+    for make in (LaurentPoly.z, LaurentPoly.zbar):
+        for i in (-1, 2, 5):
+            with pytest.raises(DimensionError, match=rf"\(index {i}\) does not exist on C\^2"):
+                make(2, i)
+        assert make(2, 1).m == 2
+    assert LaurentPoly.z(2, 1).terms == {Monomial((0, 1), (0, 0)): QC(1)}
+
+
 def test_expr_pole_is_a_pole_error():
     with pytest.raises(PoleError):
         epow(Z(0), -1).eval((0j,))

@@ -7,21 +7,27 @@ powers of the 2-form, term by term.
 
 import random
 from fractions import Fraction
+from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
     FormalPair, SkewMatrix, contact_defect, formal_defect, is_contact_on,
-    is_formal_contact_on, pencil_check, pfaffian_coeffs, relation_coefficient,
-    top_coefficient,
+    is_formal_contact_on, pencil_check, pfaffian, pfaffian_coeffs, relation_coefficient,
+    relation_h, relation_slope, top_coefficient,
 )
 from contactkit.errors import DimensionError, VariantError
 from contactkit.forms import Form, ext_d, wedge, wedge_power
 from contactkit.gallery import circle_form, gallery_entries, sigma_homotopy, std_form
-from contactkit.jets import holonomic_jet, relation_value
+from contactkit.jets import (
+    Jet1, RestrictedJet, ampleness_slice, holonomic_jet, relation_value,
+)
 from contactkit.reports import fmt_num
-from contactkit.sampling import exact_points, random_qc
+from contactkit.sampling import exact_points, random_jet, random_qc
 from contactkit.scalars import QC
 
 
@@ -337,3 +343,165 @@ def test_n3_mixed_form_matches_holonomic_jets():
     want = [f"|coeff|={fmt_num(abs(complex(relation_value(holonomic_jet(alpha, pt)))))}"
             for pt in pts]
     assert sample_margins(report) == want
+
+
+# -- the kernel against the plain expansion -------------------------------
+
+
+def pfaffian_oracle(entry, idx):
+    """The plain Laplace expansion along the first index, sharing nothing:
+    Pf = sum_k (-1)^k entry(idx[0], idx[k+1]) Pf(idx without both)."""
+    if not idx:
+        return 1
+    if len(idx) == 2:
+        return entry(*idx)
+    first, rest = idx[0], idx[1:]
+    total = None
+    for k, partner in enumerate(rest):
+        term = entry(first, partner) * pfaffian_oracle(entry, rest[:k] + rest[k + 1:])
+        if k % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def bordered_oracle(a, beta):
+    return lambda i, j: a(j - 1) if i == 0 else beta(i - 1, j - 1)
+
+
+def relation_h_oracle(a, beta, n):
+    return factorial(n) * pfaffian_oracle(bordered_oracle(a, beta), tuple(range(2 * n + 2)))
+
+
+def relation_slope_oracle(a, beta, n, r, s):
+    if r > s:
+        return -relation_slope_oracle(a, beta, n, s, r)
+    rest = tuple(k for k in range(2 * n + 2) if k not in (r + 1, s + 1))
+    v = factorial(n) * pfaffian_oracle(bordered_oracle(a, beta), rest)
+    return v if (r + s) % 2 else -v
+
+
+def jet_readers(jet):
+    return jet.a.__getitem__, lambda r, s: jet.p[s][r] - jet.p[r][s]
+
+
+def ampleness_slice_oracle(jet, i):
+    """(c, w) of h as an affine function of row i, from the plain expansion."""
+    zero = QC(0) if isinstance(jet.a[0], QC) else 0j
+    a, beta = jet_readers(jet.with_row(i, [zero] * jet.m))
+    w = tuple(zero if j == i else relation_slope_oracle(a, beta, jet.n, j, i)
+              for j in range(jet.m))
+    return relation_h_oracle(a, beta, jet.n), w
+
+
+def random_entry(kind, rng):
+    if kind == "qc":
+        return random_qc(rng)
+    if kind == "complex":
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    return np.array([complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)])
+
+
+def assert_same(got, want):
+    """QC results are equal; complex and ndarray results are bit-equal."""
+    if isinstance(want, QC):
+        assert isinstance(got, QC) and got == want
+    else:
+        bits = [np.atleast_1d(np.asarray(x, complex)).view(float) for x in (got, want)]
+        assert np.array_equal(*bits)
+
+
+KINDS = ("qc", "complex", "ndarray")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(KINDS), st.integers(0, 4), st.permutations(range(9)),
+       st.integers(0, 2 ** 32))
+def test_pfaffian_kernel_matches_plain_expansion(kind, half, order, seed):
+    """Index sets of size 0..8, in any order, on exact, complex and ndarray
+    entries of a skew matrix."""
+    rng = random.Random(seed)
+    upper = {(i, j): random_entry(kind, rng) for i in range(9) for j in range(i + 1, 9)}
+
+    def entry(i, j):
+        return upper[i, j] if i < j else -upper[j, i]
+
+    idx = tuple(order[:2 * half])
+    assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
+
+
+def test_pfaffian_refuses_an_odd_index_set():
+    for idx in ((0,), (0, 1, 2)):
+        with pytest.raises(DimensionError, match=f"even number of indices, got {len(idx)}"):
+            pfaffian(lambda i, j: QC(1), idx)
+
+
+def random_kind_jet(kind, n, rng):
+    """A jet of QC or complex entries, or (a, beta) arrays over 4 nodes."""
+    m = 2 * n + 1
+    if kind == "qc":
+        return random_jet(n, rng)
+    a = [random_entry(kind, rng) for _ in range(m)]
+    p = [[random_entry(kind, rng) for _ in range(m)] for _ in range(m)]
+    if kind == "complex":
+        return Jet1.build(n, a, p)
+    p = np.stack([np.stack(row, axis=-1) for row in p], axis=-2)
+    return np.stack(a, axis=-1), np.swapaxes(p, -1, -2) - p
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(KINDS), st.integers(1, 3), st.integers(0, 2 ** 32))
+def test_relation_kernels_match_plain_expansion(kind, n, seed):
+    """relation_h, every relation_slope and ampleness_slice equal the plain
+    expansion at n = 1, 2, 3."""
+    rng = random.Random(seed)
+    m = 2 * n + 1
+    jet = random_kind_jet(kind, n, rng)
+    if kind == "ndarray":
+        arr_a, arr_beta = jet
+        a, beta = (lambda i: arr_a[..., i]), (lambda r, s: arr_beta[..., r, s])
+    else:
+        a, beta = jet_readers(jet)
+    assert_same(relation_h(a, beta, n), relation_h_oracle(a, beta, n))
+    for r in range(m):
+        for s in range(m):
+            if r != s:
+                assert_same(relation_slope(a, beta, n, r, s),
+                            relation_slope_oracle(a, beta, n, r, s))
+    if kind == "ndarray":
+        return
+    i = rng.randrange(m)
+    slc = ampleness_slice(RestrictedJet(jet, i))
+    c, w = ampleness_slice_oracle(jet, i)
+    if slc.kind == "hyperplane":
+        for got, want in zip(slc.w, w):
+            assert_same(got, want)
+    else:
+        assert not any(w)
+    if slc.kind == "empty":
+        assert not c
+    else:
+        assert_same(slc.c, c)
+
+
+def test_jet_path_takes_each_product_once(monkeypatch):
+    """At n = 3 each sub-Pfaffian of a bordered matrix is expanded once:
+    87 products for h instead of 147, and the slice's m - 1 slopes reuse
+    h's minors (147 products instead of 267, 117 when i = 0)."""
+    calls = []
+    inner = QC.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return inner(self, other)
+
+    monkeypatch.setattr(QC, "__mul__", counted)
+    jet = random_jet(3, random.Random(257))
+    want = relation_value(jet)
+    calls.clear()
+    assert relation_value(jet) == want
+    assert len(calls) == 87
+    for i, products in ((0, 117), (1, 147), (6, 147)):
+        calls.clear()
+        ampleness_slice(RestrictedJet(jet, i))
+        assert len(calls) == products

@@ -123,6 +123,30 @@ def test_monomial_exponents_past_the_packed_range_are_refused_by_position():
     assert form_from_document(doc).coeff((0,)) == LaurentPoly.zbar(1, 0, 1 - 2 ** 31)
 
 
+def test_repeated_monomial_in_one_coefficient_is_refused_by_position():
+    """A second entry for the same monomial is an error, not an overwrite,
+    whatever either value is (zero included)."""
+    def doc(first, second):
+        return {
+            "format": "contactkit-form", "version": 1, "m": 2, "degree": 1,
+            "terms": [{"wedge": ["dz1"], "coeff": [
+                {"zexp": [1, 0], "zbarexp": [0, 0], "re": first, "im": "0"},
+                {"zexp": [0, 1], "zbarexp": [0, 0], "re": "2", "im": "0"},
+                {"zexp": [1, 0], "zbarexp": [0, 0], "re": second, "im": "0"},
+            ]}],
+        }
+
+    for first, second in (("1", "5"), ("1", "1"), ("0", "5"), ("1", "0")):
+        with pytest.raises(ParseError, match=r"terms\[0\]\.coeff\[2\]: repeated monomial "
+                           r"zexp=\[1, 0\] zbarexp=\[0, 0\]"):
+            form_from_document(doc(first, second))
+    distinct = doc("1", "5")
+    distinct["terms"][0]["coeff"][2]["zbarexp"] = [1, 0]
+    assert form_from_document(distinct).coeff((0,)) == (
+        LaurentPoly.z(2, 0) + LaurentPoly.z(2, 1) * 2
+        + LaurentPoly.z(2, 0) * LaurentPoly.zbar(2, 0) * 5)
+
+
 def test_expr_form_has_no_document():
     with pytest.raises(VariantError):
         form_to_document(circle_form(-1))
