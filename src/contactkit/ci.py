@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5
+from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
 from .jets import SliceClass, curl_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
 
@@ -206,7 +206,7 @@ def _check_gamma_preconditions(s: GridSection, gamma: GammaSpec, delta: float,
     if gamma.is_empty:
         return
     mask = gamma.frozen_mask(s.grid)
-    defect_field = np.max(np.abs(curl - s.beta), axis=(-2, -1))
+    defect_field = np.max(np.abs(curl - s.beta), axis=-1)
     # the strips plus their one guard layer
     bound = _stencil_bound(s, GammaSpec(gamma.faces, gamma.width + 1).frozen_mask(s.grid))
     worst_defect = float(defect_field[mask].max())
@@ -259,19 +259,15 @@ class Homotopy(Sequence):
 
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope
-        pairs = [(r, s) for r in range(grid.m) for s in range(r + 1, grid.m)]
-        slopes = np.stack([slope_grid(a_k, beta_k, grid.n, r, s) for r, s in pairs],
-                          axis=-1)
+        slopes = np.stack([slope_grid(a_k, beta_k, grid.n, r, s)
+                           for r, s in upper_pairs(grid.m)], axis=-1)
         choice = np.argmax(np.abs(slopes), axis=-1)
         slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
         ok = np.abs(slope) > 1e-30
         lam = np.zeros_like(hk)
         lam[ok] = (target[ok] - hk[ok]) / slope[ok]
-
-        for idx, (r, s) in enumerate(pairs):
-            sel = np.where(choice == idx, lam, 0)
-            beta_k[..., r, s] += sel
-            beta_k[..., s, r] -= sel
+        # lam goes to the chosen column; every other column gets a zero
+        beta_k += np.where(choice[..., None] == np.arange(slopes.shape[-1]), lam[..., None], 0)
         a_k[self.frozen] = start.a[self.frozen]
         beta_k[self.frozen] = start.beta[self.frozen]
         return GridSection(grid, a_k, beta_k)
@@ -333,8 +329,8 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     the worst node, never a partial success.
     """
     grid = inp.grid
-    if eps <= 0 or delta <= 0:
-        raise PreconditionError("eps and delta must be positive")
+    if not (0 < eps < math.inf and 0 < delta < math.inf):
+        raise PreconditionError(f"eps and delta must be finite and positive, got {eps}, {delta}")
     if max_sweeps < 1:
         raise PreconditionError("max_sweeps must be at least 1")
 
@@ -479,9 +475,8 @@ def _demo_section(nodes: int, a2) -> GridSection:
     a = np.zeros(grid.shape + (3,), dtype=complex)
     a[..., 1] = a2(grid.axis(0)).reshape(-1, 1, 1)
     a[..., 2] = 1.0
-    beta = np.zeros(grid.shape + (3, 3), dtype=complex)
-    beta[..., 0, 1] = 1.0
-    beta[..., 1, 0] = -1.0
+    beta = np.zeros(grid.shape + (3,), dtype=complex)
+    beta[..., 0] = 1.0  # beta_12, the first upper column
     return GridSection(grid, a, beta)
 
 

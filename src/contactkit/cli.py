@@ -26,7 +26,7 @@ from pathlib import Path
 from .ci import (ci_solve, demo_flat_section, demo_gamma_section,
                  demo_holonomic_section, verify_ci)
 from .contact import FormalPair, is_contact_on, is_formal_contact_on
-from .errors import ContactKitError
+from .errors import ContactKitError, DimensionError
 from .extend import dbar_defect, extend_form, fit_holomorphic
 from .formats import dump_ci_result, load_form, save_report
 from .forms import Form, Point, ext_d
@@ -113,6 +113,8 @@ def cmd_formal(cfg: RunConfig) -> VerificationReport:
 def cmd_ample(cfg: RunConfig) -> VerificationReport:
     import random
 
+    if cfg.n < 0:
+        raise DimensionError(f"ample needs n >= 0, got {cfg.n}")
     report = VerificationReport("ampleness of the contact relation")
     rng = random.Random(cfg.seed)
     m = 2 * cfg.n + 1

@@ -32,6 +32,7 @@ from math import factorial
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, Point, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
+from .scalars import QC
 
 
 class SkewMatrix:
@@ -144,7 +145,7 @@ def pfaffian(entry, idx: tuple[int, ...]):
 class _Bordered:
     """h and its slopes on one bordered matrix [[0, a^T], [-a, beta]].
 
-    Index 0 is the border and index k >= 1 is beta's index k - 1.  The
+    Index -1 is the border and beta keeps its indices 0 .. m-1.  The
     entries are read once into an upper table, and h and every slope share
     one memo of sub-Pfaffians, which lives as long as this object.
     """
@@ -154,20 +155,18 @@ class _Bordered:
     def __init__(self, a, beta, n: int):
         m = 2 * n + 1
         self.n = n
-        self._up = {0: {j + 1: a(j) for j in range(m)}}
-        for r in range(m):
-            self._up[r + 1] = {s + 1: beta(r, s) for s in range(r + 1, m)}
+        self._up = _table(beta, tuple(range(m))) | {-1: {j: a(j) for j in range(m)}}
         self._memo: dict = {}
 
     def h(self):
-        return factorial(self.n) * _pf(self._up, tuple(range(2 * self.n + 2)), self._memo)
+        return factorial(self.n) * _pf(self._up, tuple(range(-1, 2 * self.n + 1)), self._memo)
 
     def slope(self, r: int, s: int):
         if r == s:
             raise DimensionError(f"slope needs two distinct indices, got ({r},{s})")
         if r > s:
             return -self.slope(s, r)
-        rest = tuple(k for k in range(2 * self.n + 2) if k not in (r + 1, s + 1))
+        rest = tuple(k for k in range(-1, 2 * self.n + 1) if k not in (r, s))
         v = factorial(self.n) * _pf(self._up, rest, self._memo)
         return v if (r + s) % 2 else -v
 
@@ -204,10 +203,11 @@ def pfaffian_coeffs(B: SkewMatrix, n: int) -> list:
     m = 2 * n + 1
     if B.m != m:
         raise DimensionError(f"skew matrix has m={B.m}, expected {m}")
-    fact = factorial(n)
     full = tuple(range(m))
-    up, memo = _table(B.get, full), {}
-    return [_pf(up, full[:i] + full[i + 1:], memo) * fact for i in range(m)]
+    # with any exact entry an unset one reads as QC(0), so every b[i] is a QC
+    zero = QC(0) if any(isinstance(v, QC) for v in B._up.values()) else 0
+    up, memo = _table(lambda i, j: B._up.get((i, j), zero), full), {}
+    return [_pf(up, full[:i] + full[i + 1:], memo) * factorial(n) for i in range(m)]
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,7 @@ def dbar_defect(target, samples, order: int, m: int | None = None) -> float:
     if order < 1:
         raise PreconditionError("defect order must be >= 1")
     m, coeffs = _coefficients_of(target, m)
+    samples = list(samples)  # _sup reads them once per coefficient
 
     def derive(c, slot):
         return _wirtinger_derivative(c, slot, m)
@@ -424,6 +425,8 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     points = list(points)
     if not points:
         raise PreconditionError("fit needs at least one sample")
+    if degree < 0:
+        raise PreconditionError(f"fit degree must be >= 0, got {degree}")
     m = points[0].m
     monos = list(multi_indices(m, degree))
     if len(points) < len(monos):

@@ -25,7 +25,7 @@ from .ci import CIResult
 from .coefficients import LaurentPoly, Monomial
 from .errors import ExponentRangeError, ParseError, VariantError
 from .forms import Form, covector_index, covector_name
-from .grids import MIN_NODES, CubeGrid, GridSection
+from .grids import MIN_NODES, CubeGrid, GridSection, upper_pairs
 from .reports import VerificationReport
 from .scalars import QC
 
@@ -166,15 +166,11 @@ def load_form(path: str | Path) -> Form:
 # -- sampled sections -------------------------------------------------------
 
 
-def _upper_pairs(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-
 def _columns(m: int) -> list[str]:
     """Column names of a section row: node index, a, then upper beta."""
     cols = [f"i{k + 1}" for k in range(m)]
     cols += [f"a{k + 1}.{p}" for k in range(m) for p in ("re", "im")]
-    return cols + [f"beta{i + 1}{j + 1}.{p}" for i, j in _upper_pairs(m) for p in ("re", "im")]
+    return cols + [f"beta{i + 1}{j + 1}.{p}" for i, j in upper_pairs(m) for p in ("re", "im")]
 
 
 def section_to_text(section: GridSection) -> str:
@@ -187,10 +183,8 @@ def section_to_text(section: GridSection) -> str:
         "bounds " + " ".join(repr(float(b)) for lo_hi in grid.bounds for b in lo_hi),
     ]
     lines.append("columns " + " ".join(_columns(m)))
-    iu, ju = np.triu_indices(m, 1)
     count = grid.n_nodes
-    table = np.concatenate(
-        [section.a.reshape(count, m), section.beta.reshape(count, m, m)[:, iu, ju]], axis=1)
+    table = np.concatenate([section.a.reshape(count, m), section.beta.reshape(count, -1)], axis=1)
     # complex columns viewed as float interleave re and im, as the layout does
     values = np.ascontiguousarray(table).view(float)
     # product() of the index strings runs in C order, the order of the rows
@@ -312,14 +306,10 @@ def section_from_text(text: str) -> GridSection:
                          f"the n = {n} layout")
     index, values = _read_table(rows, tokens, len(columns), m, nodes)
     del tokens  # the largest allocation here; not needed for the fill
-    count = grid.n_nodes
-    iu, ju = np.triu_indices(m, 1)
-    a = np.empty((count, m), dtype=complex)
-    a[index] = values[:, :m]
-    beta = np.zeros((count, m, m), dtype=complex)
-    beta[index[:, None], iu, ju] = values[:, m:]
-    beta[index[:, None], ju, iu] = -values[:, m:]
-    return GridSection(grid, a.reshape(grid.shape + (m,)), beta.reshape(grid.shape + (m, m)))
+    table = np.empty_like(values)
+    table[index] = values
+    return GridSection(grid, table[:, :m].reshape(grid.shape + (m,)),
+                       table[:, m:].reshape(grid.shape + (-1,)))
 
 
 def save_section(section: GridSection, path: str | Path) -> None:

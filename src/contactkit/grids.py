@@ -3,8 +3,9 @@
 The convex-integration solver and its verifier work on sampled data: a
 complex vector field a (the dz-coefficients of a 1-form restricted to the
 real slice) and a skew matrix field beta (the formal stand-in for the curl
-of a).  Grids are uniform per axis; all heavy numerics are numpy arrays
-indexed [i1, ..., im] with trailing component axes.
+of a), stored as its entries above the diagonal in ``upper_pairs`` order.
+Grids are uniform per axis; all heavy numerics are numpy arrays indexed
+[i1, ..., im] with trailing component axes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from .errors import DimensionError, PoleError, PreconditionError
 from .forms import Form
 
 MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
+
+
+def upper_pairs(m: int) -> list[tuple[int, int]]:
+    """The upper-triangle pairs (r, s), r < s, row by row: (0,1), (0,2), ...,
+    (m-2,m-1).  Column c of a sampled beta is the entry at upper_pairs(m)[c]."""
+    return [(r, s) for r in range(m) for s in range(r + 1, m)]
 
 
 class CubeGrid:
@@ -147,8 +154,9 @@ def coefficient_on_grid(coeff, axes: list[np.ndarray]) -> np.ndarray:
 class GridSection:
     """Sampled pair (a, beta) over a cube grid.
 
-    ``a`` has shape grid.shape + (m,), ``beta`` grid.shape + (m, m) and is
-    exactly antisymmetric in its last two axes.
+    ``a`` has shape grid.shape + (m,) and ``beta`` grid.shape + (m(m-1)/2,):
+    column c of beta is the skew entry at ``upper_pairs(m)[c]``, so beta is
+    antisymmetric by construction.
     """
 
     __slots__ = ("grid", "a", "beta")
@@ -157,13 +165,10 @@ class GridSection:
         m = grid.m
         a = np.asarray(a, dtype=complex)
         beta = np.asarray(beta, dtype=complex)
-        if a.shape != grid.shape + (m,):
-            raise DimensionError(f"a field shape {a.shape} != {grid.shape + (m,)}")
-        if beta.shape != grid.shape + (m, m):
-            raise DimensionError("beta field shape mismatch")
-        if not np.array_equal(beta, -np.swapaxes(beta, -1, -2)):
-            raise DimensionError("beta field is not antisymmetric")
-        if not (np.all(np.isfinite(a.view(float))) and np.all(np.isfinite(beta.view(float)))):
+        for name, arr, width in (("a", a, m), ("beta", beta, m * (m - 1) // 2)):
+            if arr.shape != grid.shape + (width,):
+                raise DimensionError(f"{name} field shape {arr.shape} != {grid.shape + (width,)}")
+        if not (np.isfinite(a).all() and np.isfinite(beta).all()):
             raise PreconditionError("section contains non-finite values")
         self.grid = grid
         self.a = a
@@ -174,7 +179,8 @@ class GridSection:
         """Sample symbolic forms on the real slice of the grid.
 
         ``alpha`` contributes its dz-coefficients; ``beta`` (a 2-form,
-        default d alpha) contributes its dz_i^dz_j coefficients.
+        default d alpha) contributes its dz_r^dz_s coefficients, one column
+        per upper pair.
         """
         from .forms import ext_d
         m = grid.m
@@ -185,18 +191,15 @@ class GridSection:
         if beta.m != m or beta.degree != 2:
             raise DimensionError("beta must be a 2-form on C^(2n+1)")
         axes = grid.axes()
-        a = np.zeros(grid.shape + (m,), dtype=complex)
-        for i in range(m):
-            coeff = alpha.terms.get((i,))
-            if coeff is not None:
-                a[..., i] = coefficient_on_grid(coeff, axes)
-        beta_arr = np.zeros(grid.shape + (m, m), dtype=complex)
-        for (i, j), coeff in beta.terms.items():
-            if i < m and j < m:
-                vals = coefficient_on_grid(coeff, axes)
-                beta_arr[..., i, j] = vals
-                beta_arr[..., j, i] = -vals
-        return cls(grid, a, beta_arr)
+
+        def columns(form: Form, words: list) -> np.ndarray:
+            out = np.zeros(grid.shape + (len(words),), dtype=complex)
+            for c, word in enumerate(words):
+                if word in form.terms:
+                    out[..., c] = coefficient_on_grid(form.terms[word], axes)
+            return out
+
+        return cls(grid, columns(alpha, [(i,) for i in range(m)]), columns(beta, upper_pairs(m)))
 
     def copy(self) -> "GridSection":
         return GridSection(self.grid, self.a.copy(), self.beta.copy())
@@ -231,11 +234,12 @@ class GammaSpec:
     width: int = 3
 
     def __post_init__(self):
-        for axis, side in self.faces:
-            if side not in (0, 1) or axis < 0:
-                raise DimensionError(f"bad face spec ({axis}, {side})")
-        if self.width < 1:
-            raise PreconditionError("strip width must be >= 1 node")
+        for face in self.faces:  # type() is exact, so a bool is no int here
+            if not (type(face) is tuple and len(face) == 2 and all(type(k) is int for k in face)
+                    and face[0] >= 0 and face[1] in (0, 1)):
+                raise DimensionError(f"bad face spec {face!r}: need (int axis >= 0, side 0 or 1)")
+        if type(self.width) is not int or self.width < 1:
+            raise PreconditionError(f"strip width must be an int >= 1 node, got {self.width!r}")
 
     @classmethod
     def empty(cls) -> "GammaSpec":

@@ -18,7 +18,7 @@ import numpy as np
 from .contact import _Bordered, relation_h, relation_slope
 from .errors import DimensionError
 from .forms import Form, Point
-from .grids import CubeGrid, GridSection
+from .grids import CubeGrid, GridSection, upper_pairs
 from .scalars import QC
 
 
@@ -35,6 +35,8 @@ class Jet1:
     p: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise DimensionError(f"need n >= 0, got {self.n}")
         m = 2 * self.n + 1
         if len(self.a) != m:
             raise DimensionError(f"a has length {len(self.a)}, expected {m}")
@@ -175,21 +177,24 @@ def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
 
 
 def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
-    """beta[..., i, j] = p[..., j, i] - p[..., i, j], exactly antisymmetric."""
-    return np.swapaxes(jac, -1, -2) - jac
+    """The upper columns of skew(p): column c is beta_rs = p[..., s, r] -
+    p[..., r, s] for (r, s) = upper_pairs(m)[c]."""
+    r, s = np.array(upper_pairs(jac.shape[-1])).T
+    return jac[..., s, r] - jac[..., r, s]
 
 
 def _grid_readers(a: np.ndarray, beta: np.ndarray):
-    return (lambda i: a[..., i]), (lambda r, s: beta[..., r, s])
+    col = {pair: c for c, pair in enumerate(upper_pairs(a.shape[-1]))}
+    return (lambda i: a[..., i]), (lambda r, s: beta[..., col[r, s]])
 
 
 def relation_grid(a: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized h over a grid: a shape (..., m), beta shape (..., m, m)."""
+    """Vectorized h over a grid: a shape (..., m), beta (..., m(m-1)/2)."""
     return relation_h(*_grid_readers(a, beta), n)
 
 
 def slope_grid(a: np.ndarray, beta: np.ndarray, n: int, r: int, s: int) -> np.ndarray:
-    """Vectorized dh/dt under beta_rs += t, beta_sr -= t (r != s)."""
+    """Vectorized dh/dt under the skew bump beta_rs += t (r != s)."""
     return relation_slope(*_grid_readers(a, beta), n, r, s)
 
 
@@ -200,7 +205,7 @@ def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
 
 
 def holonomy_defect(s: GridSection) -> float:
-    """Max abs entry of the finite-difference curl minus beta.
+    """Max abs upper entry of the finite-difference curl minus beta.
 
     Zero (up to stencil error) exactly when beta really is the curl of a,
     i.e. the section is holonomic.

@@ -289,13 +289,20 @@ def test_solver_preconditions():
         ci_solve(dead, gamma, 0.5, 1e-3)
 
 
+def test_solver_refuses_non_finite_bounds():
+    """nan and inf eps or delta are refused before any rung runs."""
+    inp, gamma = demo_flat_section(nodes=9)
+    for eps, delta in ((math.nan, 1e-3), (0.5, math.nan), (math.inf, 1e-3), (0.5, math.inf)):
+        with pytest.raises(PreconditionError, match="finite and positive"):
+            ci_solve(inp, gamma, eps, delta)
+
+
 def test_gamma_strip_preconditions():
     """Frozen strips must carry holonomic data with real margin."""
     inp, gamma = demo_gamma_section(nodes=33)
     broken = inp.copy()
     # declare a wrong beta inside the low-x1 strip: not the curl of a there
-    broken.beta[0, ..., 0, 2] += 0.5
-    broken.beta[0, ..., 2, 0] -= 0.5
+    broken.beta[0, ..., 1] += 0.5  # beta_13
     with pytest.raises(PreconditionError):
         ci_solve(broken, gamma, 0.5, 1e-3)
 
@@ -373,8 +380,7 @@ def test_verifier_reads_each_frame_once():
 
 def test_verifier_rejects_beta_that_is_not_the_curl():
     inp, gamma, result = run_flat()
-    result.output.beta[8, 8, 8, 0, 2] += 0.5
-    result.output.beta[8, 8, 8, 2, 0] -= 0.5
+    result.output.beta[8, 8, 8, 1] += 0.5  # beta_13
     report = verify_ci(result, inp, 0.5, 1e-3)
     assert "holonomy defect within stencil bound" in _failed_checks(report)
 
@@ -384,8 +390,7 @@ def test_strip_holonomy_uses_the_strip_bound():
     far past a small strip defect; the strip check must still see it."""
     inp, gamma = demo_gamma_section(nodes=33)
     broken = inp.copy()
-    broken.beta[0, ..., 0, 2] += 1e-6
-    broken.beta[0, ..., 2, 0] -= 1e-6
+    broken.beta[0, ..., 1] += 1e-6  # beta_13
     noise = np.random.default_rng(7).normal(0.0, 0.1, broken.a[12:21, ..., 1].shape)
     broken.a[12:21, ..., 1] += noise
     with pytest.raises(PreconditionError, match="not holonomic"):

@@ -59,6 +59,20 @@ def test_ample_rows(capsys):
         assert f"row {i}" in out
 
 
+def test_ample_refuses_a_negative_n(capsys):
+    code, out = run_cli(capsys, "ample", "--n", "-1")
+    assert code == 1
+    assert "FAIL  precondition" in out and "n >= 0, got -1" in out
+    assert "result: OK" not in out
+
+
+def test_integrate_refuses_non_finite_bounds(capsys):
+    for flag, value in (("--eps", "nan"), ("--delta", "inf")):
+        code, out = run_cli(capsys, "integrate", "--demo", "flat", "--grid", "9", flag, value)
+        assert code == 1
+        assert "FAIL  precondition" in out and "finite and positive" in out
+
+
 def test_extend_with_map(capsys):
     code, out = run_cli(capsys, "extend", "--form", "std", "--samples", "20",
                         "--map", "covering")

@@ -112,6 +112,18 @@ def test_pfaffian_known_values():
     assert b == [QC(0), QC(0), QC(0), QC(0), QC(2)]
 
 
+def test_pfaffian_coeffs_of_an_exact_matrix_are_all_qc():
+    """An unset entry of a matrix with exact entries reads as QC(0), so a
+    coefficient whose every term meets one is QC(0), not int 0."""
+    cases = [(1, {(0, 1): QC(1)}, [QC(0), QC(0), QC(1)]),
+             (2, {(0, 1): QC(1)}, [QC(0)] * 5),
+             (3, {(4, 6): QC(2, 1)}, [QC(0)] * 7)]
+    for n, entries, want in cases:
+        b = pfaffian_coeffs(SkewMatrix(2 * n + 1, entries), n)
+        assert [type(x) for x in b] == [QC] * len(b)
+        assert b == want
+
+
 def test_relation_coefficient_matches_top_coefficient():
     """sum_i (-1)^i a_i b_i equals the volume coefficient of alpha^beta^n."""
     rng = random.Random(223)

@@ -64,6 +64,18 @@ def test_extension_flat_to_requested_order():
     assert dbar_defect(F3, pts, order=5) == 0.0
 
 
+def test_dbar_defect_reads_a_one_shot_iterable_in_full():
+    """Every coefficient is measured on every sample, also when the
+    samples come from an iterator that can be read only once."""
+    z, zbar = LaurentPoly.z, LaurentPoly.zbar
+    f = zbar(3, 0) * z(3, 1) + zbar(3, 2, 2) * z(3, 0)
+    pts = exact_points(3, 20, 1)
+    want = dbar_defect(f, pts, order=1)
+    assert want > 2.6
+    assert dbar_defect(f, iter(pts), order=1) == want
+    assert dbar_defect(f, (pt for pt in pts), order=2) == dbar_defect(f, pts, order=2)
+
+
 def test_dbar_defect_takes_each_derivative_once(monkeypatch):
     """Per (coefficient, j): dbar_j, then one Wirtinger derivative for each
     further multi-index of total <= order-1 over the 2m slots, taken from
@@ -253,6 +265,17 @@ def test_fit_needs_enough_points():
         fit_holomorphic(pts, values, degree=1)
     with pytest.raises(PreconditionError):
         fit_holomorphic([], [], degree=0)
+
+
+def test_fit_refuses_a_negative_degree():
+    """degree -1 has no monomials; both solve paths refuse it instead of
+    reporting an empty full-rank fit."""
+    pts = exact_points(3, 30, seed=2)
+    exact = [std_form(1).covector_at(pt) for pt in pts]
+    floats = [[complex(v) for v in row] for row in exact]
+    for values in (exact, floats):
+        with pytest.raises(PreconditionError, match="degree must be >= 0, got -1"):
+            fit_holomorphic(pts, values, degree=-1)
 
 
 def test_fit_detects_rank_deficiency():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,8 @@ def test_section_sampling_defaults_to_curl():
     grid = CubeGrid(1, nodes=5)
     s = GridSection.sample(grid, std_form(1))
     # d(z1 dz2) = dz1^dz2: beta_{01} = 1 everywhere
-    assert np.allclose(s.beta[..., 0, 1], 1.0)
-    assert np.allclose(s.beta[..., 1, 0], -1.0)
+    assert np.allclose(s.beta[..., 0], 1.0)
+    assert np.allclose(s.beta[..., 1:], 0.0)
     assert np.allclose(s.a[..., 2], 1.0)
     x1 = grid.axis(0).reshape(-1, 1, 1)
     assert np.allclose(s.a[..., 1], x1 * np.ones(grid.shape))
@@ -91,10 +93,11 @@ def test_section_validation():
     good = GridSection.sample(grid, std_form(1))
     with pytest.raises(DimensionError):
         GridSection(grid, good.a[..., :2], good.beta)
-    lopsided = good.beta.copy()
-    lopsided[2, 2, 2, 0, 1] += 1.0
-    with pytest.raises(DimensionError):
-        GridSection(grid, good.a, lopsided)
+    # beta holds the three upper columns; a full (3, 3) matrix is the wrong width
+    with pytest.raises(DimensionError, match="beta field shape"):
+        GridSection(grid, good.a, np.zeros(grid.shape + (3, 3), dtype=complex))
+    with pytest.raises(DimensionError, match="beta field shape"):
+        GridSection(grid, good.a, good.beta[..., :2])
     poisoned = good.a.copy()
     poisoned[0, 0, 0, 0] = np.nan
     with pytest.raises(PreconditionError):
@@ -154,3 +157,18 @@ def test_gamma_validation():
     grid = CubeGrid(1, nodes=5)
     with pytest.raises(DimensionError):
         GammaSpec.of({(5, 0)}).frozen_mask(grid)
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 0, 1), (0,), (0.5, 0), (0, 0.0), (True, 0), (0, True), (-1, 0), (1, 2), "ab",
+])
+def test_gamma_refuses_malformed_faces_by_name(bad):
+    """Each face is an (int axis >= 0, side 0 or 1) pair; bool is no int."""
+    with pytest.raises(DimensionError, match=re.escape(f"bad face spec {bad!r}")):
+        GammaSpec.of({(2, 0), bad})
+
+
+@pytest.mark.parametrize("width", [2.5, 3.0, True, "3", 0])
+def test_gamma_refuses_a_width_that_is_not_a_positive_int(width):
+    with pytest.raises(PreconditionError, match=re.escape(f"got {width!r}")):
+        GammaSpec.of({(0, 0)}, width)

@@ -10,7 +10,7 @@ from contactkit.contact import contact_defect, relation_h, relation_slope, top_c
 from contactkit.errors import DimensionError
 from contactkit.forms import Form
 from contactkit.gallery import std_form
-from contactkit.grids import CubeGrid, GridSection
+from contactkit.grids import CubeGrid, GridSection, upper_pairs
 from contactkit.jets import (
     Jet1, RestrictedJet, ampleness_slice, formal_margin_grid,
     grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
@@ -145,13 +145,14 @@ def test_slope_grid_matches_bumped_relation_grid():
         jac = rng.normal(size=(4, 3, m, m)) + 1j * rng.normal(size=(4, 3, m, m))
         beta = skew_of_jacobian(jac)
         h = relation_grid(a, beta, n)
+        cols = {pair: c for c, pair in enumerate(upper_pairs(m))}
         for r in range(m):
             for s in range(m):
                 if r == s:
                     continue
+                # beta_rs += 1 and beta_sr -= 1: one upper column moves
                 bumped = beta.copy()
-                bumped[..., r, s] += 1
-                bumped[..., s, r] -= 1
+                bumped[..., cols[min(r, s), max(r, s)]] += 1 if r < s else -1
                 diff = relation_grid(a, bumped, n) - h
                 assert np.max(np.abs(slope_grid(a, beta, n, r, s) - diff)) <= 1e-12
 
@@ -308,11 +309,15 @@ def test_relation_grid_matches_per_node_jets():
 
 
 def test_skew_of_jacobian_antisymmetric():
+    """Column c is p[s][r] - p[r][s] for the c-th upper pair, bit for bit;
+    the lower entries are the negated ones, which are not stored."""
     rng = np.random.default_rng(5)
-    jac = rng.normal(size=(4, 4, 3, 3)) + 1j * rng.normal(size=(4, 4, 3, 3))
-    sk = skew_of_jacobian(jac)
-    assert np.allclose(sk, -np.swapaxes(sk, -1, -2))
-    assert np.allclose(sk[..., 0, 1], jac[..., 1, 0] - jac[..., 0, 1])
+    for m in (3, 5):
+        jac = rng.normal(size=(4, 4, m, m)) + 1j * rng.normal(size=(4, 4, m, m))
+        sk = skew_of_jacobian(jac)
+        assert sk.shape == (4, 4, m * (m - 1) // 2)
+        for c, (r, s) in enumerate(upper_pairs(m)):
+            assert np.array_equal(sk[..., c], jac[..., s, r] - jac[..., r, s])
 
 
 def test_holonomy_defect_zero_iff_curl():
@@ -357,3 +362,10 @@ def test_jet_validation():
     jet = random_jet(1, random.Random(0))
     with pytest.raises(DimensionError):
         RestrictedJet(jet, 3)
+
+
+def test_jet_refuses_a_negative_n():
+    with pytest.raises(DimensionError, match="need n >= 0, got -1"):
+        Jet1(-1, (), ())
+    with pytest.raises(DimensionError, match="need n >= 0, got -2"):
+        Jet1.build(-2, (), [])
