@@ -26,7 +26,7 @@ from pathlib import Path
 from .ci import (ci_solve, demo_flat_section, demo_gamma_section,
                  demo_holonomic_section, verify_ci)
 from .contact import FormalPair, is_contact_on, is_formal_contact_on
-from .errors import ContactKitError, DimensionError
+from .errors import ContactKitError, DimensionError, PreconditionError
 from .extend import dbar_defect, extend_form, fit_holomorphic
 from .formats import dump_ci_result, load_form, save_report
 from .forms import Form, Point, ext_d
@@ -162,8 +162,6 @@ def cmd_extend(cfg: RunConfig) -> VerificationReport:
 
 
 def cmd_integrate(cfg: RunConfig) -> tuple[VerificationReport, object]:
-    if cfg.n != 1:
-        raise ContactKitError("built-in integration demos are three-dimensional (n=1)")
     section, gamma = DEMOS[cfg.demo](cfg.grid)
     result = ci_solve(section, gamma, cfg.eps, cfg.delta, cfg.sweeps)
     if cfg.out:
@@ -197,6 +195,8 @@ def cmd_fit(cfg: RunConfig) -> VerificationReport:
 
 def run(cfg: RunConfig) -> int:
     try:
+        if cfg.samples < 0:
+            raise PreconditionError(f"--samples must be >= 0, got {cfg.samples}")
         result = None
         if cfg.command == "integrate":
             report, result = cmd_integrate(cfg)
@@ -263,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     add("extend", "extend real-slice data and measure its residual",
         ["form", "map", "degree", "samples", "seed", "tol"])
     add("integrate", "run convex integration on a built-in demo",
-        ["n", "grid", "eps", "delta", "sweeps", "demo"])
+        ["grid", "eps", "delta", "sweeps", "demo"])
     add("gallery", "verify the catalog of closed-form identities", ["form", "seed"])
     add("fit", "fit a holomorphic polynomial form to samples",
         ["form", "degree", "samples", "seed", "tol"])

@@ -330,64 +330,44 @@ class FitResult:
 def _solve_exact_normal(A: list[list[QC]], rhs_cols: list[list[QC]]):
     """Least squares over Gaussian rationals via the normal equations.
 
-    Returns (solutions per rhs, rank).  Free columns of a rank-deficient
-    system get coefficient zero.
+    One Gauss-Jordan pass over [A^H A | A^H b].  Over Q(i) the reduced
+    row-echelon form is unique, so any nonzero entry is an exact pivot and
+    each column takes its first one.  Returns (solutions per rhs, rank).
+    Free columns of a rank-deficient system get coefficient zero.
     """
-    n_rows = len(A)
-    n_cols = len(A[0]) if n_rows else 0
-    G = [[QC(0)] * n_cols for _ in range(n_cols)]
+    n_cols = len(A[0]) if A else 0
+    width = n_cols + len(rhs_cols)
+    rows = [row + [rhs[r] for rhs in rhs_cols] for r, row in enumerate(A)]
+    bar = [[v.conj() for v in row] for row in A]
+    aug = [[QC(0)] * width for _ in range(n_cols)]
     for i in range(n_cols):
-        for j in range(i, n_cols):
+        for j in range(i, width):
             acc = QC(0)
-            for r in range(n_rows):
-                acc = acc + A[r][i].conj() * A[r][j]
-            G[i][j] = acc
-            if j != i:
-                G[j][i] = acc.conj()
-    B = []
-    for rhs in rhs_cols:
-        col = []
-        for i in range(n_cols):
-            acc = QC(0)
-            for r in range(n_rows):
-                acc = acc + A[r][i].conj() * rhs[r]
-            col.append(acc)
-        B.append(col)
+            for b, row in zip(bar, rows):
+                acc = acc + b[i] * row[j]
+            aug[i][j] = acc
+            if i < j < n_cols:
+                aug[j][i] = acc.conj()
 
-    # Gaussian elimination with column pivoting on the Hermitian system
-    aug = [[G[i][j] for j in range(n_cols)] + [B[k][i] for k in range(len(B))]
-           for i in range(n_cols)]
     pivots = []
-    row = 0
     for col in range(n_cols):
-        pivot_row = None
-        best = Fraction(0)
-        for r in range(row, n_cols):
-            mag = aug[r][col].abs2()
-            if mag > best:
-                best = mag
-                pivot_row = r
-        if pivot_row is None:
+        rank = len(pivots)
+        p = next((r for r in range(rank, n_cols) if not aug[r][col].is_zero), None)
+        if p is None:
             continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [v * inv for v in aug[row]]
+        aug[rank], aug[p] = aug[p], aug[rank]
+        inv = aug[rank][col].inverse()
+        aug[rank] = [v * inv for v in aug[rank]]
         for r in range(n_cols):
-            if r != row and not aug[r][col].is_zero:
+            if r != rank and not aug[r][col].is_zero:
                 factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[rank])]
         pivots.append(col)
-        row += 1
-        if row == n_cols:
-            break
-    rank = len(pivots)
-    sols = []
-    for k in range(len(B)):
-        x = [QC(0)] * n_cols
-        for r, col in enumerate(pivots):
+    sols = [[QC(0)] * n_cols for _ in rhs_cols]
+    for r, col in enumerate(pivots):
+        for k, x in enumerate(sols):
             x[col] = aug[r][n_cols + k]
-        sols.append(x)
-    return sols, rank
+    return sols, len(pivots)
 
 
 def _holomorphic_form(m: int, monos, cols) -> Form:

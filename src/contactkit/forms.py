@@ -426,22 +426,16 @@ def pullback(F: PolyMap, f: Form) -> Form:
         f = f.to_expr()
     m_src = F.m_src
     m_dst = F.m_dst
-
+    if f.degree > 2 * m_src:
+        raise DimensionError(f"degree {f.degree} out of range for m={m_src}")
     comps = F.components
 
-    def differential(idx: int) -> Form:
-        """d of the pulled-back covector ``idx``: dz_j or dzbar_j."""
-        c = comps[idx] if idx < m_dst else comps[idx - m_dst].conj()
-        terms = {}
-        for i in range(m_src):
-            terms[(i,)] = c.diff_z(i)
-            terms[(m_src + i,)] = c.diff_zbar(i)
-        return _form(m_src, 1, terms, F.variant)
+    # d of each pulled-back covector the words use: dz_j, or dzbar_j
+    d_cov = {idx: ext_d(_form(m_src, 0, {(): comps[idx] if idx < m_dst
+                                          else comps[idx - m_dst].conj()}, F.variant))
+             for idx in {i for word in f.terms for i in word}}
 
-    # only the covectors the form's words use
-    d_cov = {idx: differential(idx) for idx in {i for word in f.terms for i in word}}
-
-    result = Form.zero(m_src, f.degree, F.variant)
+    terms: dict[Word, Coefficient] = {}
     for word, coeff in f.terms.items():
         try:
             pulled = coeff.substitute(comps)
@@ -451,8 +445,13 @@ def pullback(F: PolyMap, f: Form) -> Form:
                 "non-monomial component); convert the map or form with "
                 "to_expr() first"
             ) from exc
-        acc = Form.scalar(m_src, pulled)
+        acc = _form(m_src, 0, {(): pulled}, F.variant)
         for idx in word:
             acc = wedge(acc, d_cov[idx])
-        result = result + acc
-    return result
+        for w, c in acc.terms.items():
+            _sum_into(terms, w, c)
+            if terms[w].is_zero:
+                # a word that cancels here re-enters last if a later word
+                # brings it back, as in a sum of the per-word forms
+                del terms[w]
+    return _form(m_src, f.degree, terms, F.variant)

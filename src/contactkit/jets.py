@@ -183,19 +183,24 @@ def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
     return jac[..., s, r] - jac[..., r, s]
 
 
-def _grid_readers(a: np.ndarray, beta: np.ndarray):
-    col = {pair: c for c, pair in enumerate(upper_pairs(a.shape[-1]))}
+def _grid_readers(a: np.ndarray, beta: np.ndarray, n: int):
+    m = 2 * n + 1
+    pairs = upper_pairs(m)
+    if a.shape[-1:] != (m,) or beta.shape != a.shape[:-1] + (len(pairs),):
+        raise DimensionError(f"n = {n} needs a of shape (..., {m}) and beta of shape "
+                             f"(..., {len(pairs)}), got {a.shape} and {beta.shape}")
+    col = {pair: c for c, pair in enumerate(pairs)}
     return (lambda i: a[..., i]), (lambda r, s: beta[..., col[r, s]])
 
 
 def relation_grid(a: np.ndarray, beta: np.ndarray, n: int) -> np.ndarray:
     """Vectorized h over a grid: a shape (..., m), beta (..., m(m-1)/2)."""
-    return relation_h(*_grid_readers(a, beta), n)
+    return relation_h(*_grid_readers(a, beta, n), n)
 
 
 def slope_grid(a: np.ndarray, beta: np.ndarray, n: int, r: int, s: int) -> np.ndarray:
     """Vectorized dh/dt under the skew bump beta_rs += t (r != s)."""
-    return relation_slope(*_grid_readers(a, beta), n, r, s)
+    return relation_slope(*_grid_readers(a, beta, n), n, r, s)
 
 
 def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:

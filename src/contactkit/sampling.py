@@ -26,11 +26,9 @@ def exact_points(m: int, count: int, seed: int = 0, spread: int = 1) -> list[Poi
     poles, so every Laurent evaluation on these points is exact.
     """
     rng = random.Random(seed)
-    top = 7 * spread
     pts: list[Point] = []
     while len(pts) < count:
-        vals = [_reduced(rng.randint(-top, top), rng.randint(-top, top), 7)
-                for _ in range(m)]
+        vals = [random_qc(rng, 7, spread) for _ in range(m)]
         if any(v.is_zero for v in vals):
             continue
         pts.append(Point(vals))

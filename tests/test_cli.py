@@ -100,10 +100,20 @@ def test_integrate_is_deterministic(capsys):
     assert first == second
 
 
-def test_integrate_rejects_higher_n(capsys):
-    code, out = run_cli(capsys, "integrate", "--n", "2", "--grid", "9")
+def test_integrate_takes_no_n(capsys):
+    """The built-in demos are three-dimensional, so integrate has no --n."""
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--n", "2", "--grid", "9"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "formal", "ample", "extend", "fit"])
+def test_negative_samples_is_a_reported_precondition(capsys, command):
+    code, out = run_cli(capsys, command, "--samples", "-3")
     assert code == 1
-    assert "FAIL  precondition" in out
+    assert "FAIL  precondition" in out and "--samples must be >= 0, got -3" in out
+    assert "result: OK" not in out
 
 
 def test_integrate_out_inventory(tmp_path, capsys):

@@ -3,14 +3,17 @@ asymptotic-holomorphy checks, and the holomorphic fit."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.errors import DimensionError, PreconditionError, VariantError
 from contactkit.extend import (
-    SampledExtension, ah_pullback_verify, ah_verify, dbar_defect,
+    SampledExtension, _solve_exact_normal, ah_pullback_verify, ah_verify, dbar_defect,
     extend_form, extend_function, fit_holomorphic, multi_indices,
 )
 from contactkit.forms import Form, Point, PolyMap
@@ -22,7 +25,6 @@ from contactkit.scalars import QC
 
 def real_points(m, count, seed=0):
     rng = random.Random(seed)
-    from fractions import Fraction
     return [Point([QC(Fraction(rng.randint(-12, 12), 7)) for _ in range(m)])
             for _ in range(count)]
 
@@ -284,3 +286,120 @@ def test_fit_detects_rank_deficiency():
     values = [std_form(1).covector_at(p) for p in pts]
     fit = fit_holomorphic(pts, values, degree=1)
     assert not fit.full_rank
+
+
+def parent_solve_exact_normal(A: list[list[QC]], rhs_cols: list[list[QC]]):
+    """The exact solver before it became one Gauss-Jordan pass, kept
+    verbatim as the oracle: least squares over Gaussian rationals via the
+    normal equations.
+
+    Returns (solutions per rhs, rank).  Free columns of a rank-deficient
+    system get coefficient zero.
+    """
+    n_rows = len(A)
+    n_cols = len(A[0]) if n_rows else 0
+    G = [[QC(0)] * n_cols for _ in range(n_cols)]
+    for i in range(n_cols):
+        for j in range(i, n_cols):
+            acc = QC(0)
+            for r in range(n_rows):
+                acc = acc + A[r][i].conj() * A[r][j]
+            G[i][j] = acc
+            if j != i:
+                G[j][i] = acc.conj()
+    B = []
+    for rhs in rhs_cols:
+        col = []
+        for i in range(n_cols):
+            acc = QC(0)
+            for r in range(n_rows):
+                acc = acc + A[r][i].conj() * rhs[r]
+            col.append(acc)
+        B.append(col)
+
+    # Gaussian elimination with column pivoting on the Hermitian system
+    aug = [[G[i][j] for j in range(n_cols)] + [B[k][i] for k in range(len(B))]
+           for i in range(n_cols)]
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        pivot_row = None
+        best = Fraction(0)
+        for r in range(row, n_cols):
+            mag = aug[r][col].abs2()
+            if mag > best:
+                best = mag
+                pivot_row = r
+        if pivot_row is None:
+            continue
+        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
+        inv = aug[row][col].inverse()
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(n_cols):
+            if r != row and not aug[r][col].is_zero:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == n_cols:
+            break
+    rank = len(pivots)
+    sols = []
+    for k in range(len(B)):
+        x = [QC(0)] * n_cols
+        for r, col in enumerate(pivots):
+            x[col] = aug[r][n_cols + k]
+        sols.append(x)
+    return sols, rank
+
+
+def random_system(rng):
+    """Columns are fresh, zero, repeats or sums of earlier columns, so many
+    systems are rank-deficient; fewer rows than columns happen too."""
+    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 5)
+
+    def entry():
+        return QC(0) if rng.random() < 0.3 else random_qc(rng, rng.randint(1, 3), 1)
+
+    cols = []
+    for _ in range(n_cols):
+        kind = rng.choice(["fresh", "fresh", "zero", "repeat", "sum"]) if cols else "fresh"
+        if kind == "fresh":
+            cols.append([entry() for _ in range(n_rows)])
+        elif kind == "zero":
+            cols.append([QC(0)] * n_rows)
+        elif kind == "repeat":
+            cols.append(list(rng.choice(cols)))
+        else:
+            u, v = rng.choice(cols), rng.choice(cols)
+            s = random_qc(rng, 2, 1)
+            cols.append([a + s * b for a, b in zip(u, v)])
+    A = [[col[r] for col in cols] for r in range(n_rows)]
+    rhs = [[entry() for _ in range(n_rows)] for _ in range(rng.randint(1, 3))]
+    return A, rhs
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32))
+def test_exact_solver_matches_the_parent(seed):
+    A, rhs = random_system(random.Random(seed))
+    sols, rank = _solve_exact_normal(A, rhs)
+    want_sols, want_rank = parent_solve_exact_normal(A, rhs)
+    assert rank == want_rank
+    assert sols == want_sols
+    assert repr(sols) == repr(want_sols)
+
+
+def test_exact_solver_conjugates_each_entry_once(monkeypatch):
+    A, rhs = random_system(random.Random(5))
+    calls = []
+    conj = QC.conj
+
+    def counted(self):
+        calls.append(self)
+        return conj(self)
+
+    monkeypatch.setattr(QC, "conj", counted)
+    _solve_exact_normal(A, rhs)
+    n_cols = len(A[0])
+    assert len(calls) == len(A) * n_cols + n_cols * (n_cols - 1) // 2

@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit.coefficients import LaurentPoly, Monomial
-from contactkit.errors import DimensionError, VariantError
+from contactkit.errors import ContactKitError, DimensionError, VariantError
 from contactkit.forms import (
-    Form, Point, PolyMap, covector_index, covector_name, dee_bar, ext_d,
+    Form, Point, PolyMap, _form, covector_index, covector_name, dee_bar, ext_d,
     merge_words, pullback, wedge, wedge_power,
+)
+from contactkit.gallery import (
+    cover_target_form, covering_map, rotation_automorphism, std_form,
 )
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC
@@ -264,10 +267,8 @@ def test_pullback_differentiates_only_the_covectors_it_uses(monkeypatch):
 
 
 def test_ring_internal_constants_skip_the_public_constructors(monkeypatch):
-    """A power's one and pullback's covector differentials are ring results:
-    neither passes through ``LaurentPoly(...)`` or ``Form(...)``.  The only
-    public ``Form`` builds left in a pullback are its zero and one scalar
-    form per word."""
+    """A power's one and every form a pullback builds are ring results:
+    none passes through ``LaurentPoly(...)`` or ``Form(...)``."""
     calls = {"LaurentPoly": 0, "Form": 0}
 
     def count(cls):
@@ -289,7 +290,7 @@ def test_ring_internal_constants_skip_the_public_constructors(monkeypatch):
     fifth = p ** 5
     assert calls == {"LaurentPoly": 0, "Form": 0}
     pulled = pullback(F, w)
-    assert calls == {"LaurentPoly": 0, "Form": 1 + len(w.terms)}
+    assert calls == {"LaurentPoly": 0, "Form": 0}
     monkeypatch.undo()
     assert fifth == p * p * p * p * p
     assert pulled.degree == 2 and not pulled.is_zero
@@ -341,3 +342,103 @@ def test_form_results_pass_the_public_constructor(seed, deg, deg2):
     for r in (f + g, f - g, -f, f + f.scale(-1), wedge(f, h), wedge(f, f), ext_d(f),
               dee_bar(f), ext_d(ext_d(f)), pullback(F, w)):
         assert_form_rebuilds(r)
+
+
+def parent_pullback(F: PolyMap, f: Form) -> Form:
+    """The pullback before it took d through ``ext_d`` and summed into one
+    dict, kept verbatim as the oracle for terms, term order and trees."""
+    if F.m_dst != f.m:
+        raise DimensionError(f"map hits C^{F.m_dst} but form lives on C^{f.m}")
+    if F.variant == "expr" or f.variant == "expr":
+        F = F.to_expr()
+        f = f.to_expr()
+    m_src = F.m_src
+    m_dst = F.m_dst
+
+    comps = F.components
+
+    def differential(idx: int) -> Form:
+        """d of the pulled-back covector ``idx``: dz_j or dzbar_j."""
+        c = comps[idx] if idx < m_dst else comps[idx - m_dst].conj()
+        terms = {}
+        for i in range(m_src):
+            terms[(i,)] = c.diff_z(i)
+            terms[(m_src + i,)] = c.diff_zbar(i)
+        return _form(m_src, 1, terms, F.variant)
+
+    # only the covectors the form's words use
+    d_cov = {idx: differential(idx) for idx in {i for word in f.terms for i in word}}
+
+    result = Form.zero(m_src, f.degree, F.variant)
+    for word, coeff in f.terms.items():
+        try:
+            pulled = coeff.substitute(comps)
+        except VariantError as exc:
+            raise VariantError(
+                "pullback left the Laurent ring (negative exponent of a "
+                "non-monomial component); convert the map or form with "
+                "to_expr() first"
+            ) from exc
+        acc = Form.scalar(m_src, pulled)
+        for idx in word:
+            acc = wedge(acc, d_cov[idx])
+        result = result + acc
+    return result
+
+
+def assert_same_pullback(F, f):
+    try:
+        want = parent_pullback(F, f)
+    except ContactKitError as exc:
+        with pytest.raises(type(exc)):
+            pullback(F, f)
+        return
+    got = pullback(F, f)
+    assert (got.m, got.degree, got.variant) == (want.m, want.degree, want.variant)
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
+def test_pullback_keeps_the_order_of_a_word_that_cancels_and_returns():
+    """dz1 + dz2 + dz3 along (z1, z2 - z1, z1): the dz1 part cancels after
+    the second word and comes back with the third, after dz2."""
+    z1, z2 = LaurentPoly.z(2, 0), LaurentPoly.z(2, 1)
+    F = PolyMap(2, [z1, z2 - z1, z1])
+    one = LaurentPoly.const(3, 1)
+    f = Form(3, 1, {(0,): one, (1,): one, (2,): one})
+    for G in (F, F.to_expr()):
+        assert list(pullback(G, f).terms) == [(1,), (0,)]
+        assert_same_pullback(G, f)
+
+
+def test_pullback_matches_the_parent_on_the_gallery_maps():
+    rng = random.Random(167)
+    forms = [cover_target_form(), std_form(1), ext_d(std_form(1))]
+    forms += [random_form(3, d, rng) for d in (0, 1, 2, 3) for _ in range(3)]
+    for F in (covering_map(), rotation_automorphism()):
+        for f in forms:
+            assert_same_pullback(F, f)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3), st.integers(0, 4),
+       st.booleans())
+def test_pullback_matches_the_parent(seed, m_src, m_dst, degree, expr):
+    """Maps draw their components from a small pool, with repeats and
+    integer unit coefficients, so pulled-back words often cancel."""
+    rng = random.Random(seed)
+    z = [LaurentPoly.z(m_src, i) for i in range(m_src)]
+    zb = [LaurentPoly.zbar(m_src, i) for i in range(m_src)]
+    pool = [*z, *zb, -z[0], z[0] + z[-1], z[-1] - z[0], z[-1] * z[0] + zb[0],
+            LaurentPoly.const(m_src, 2)]
+    pool += random_poly_map(m_src, rng).components
+    F = PolyMap(m_src, [rng.choice(pool) for _ in range(m_dst)])
+    degree = min(degree, 2 * m_dst)
+    words = list(combinations(range(2 * m_dst), degree))
+    terms = {}
+    for w in rng.sample(words, min(len(words), rng.randint(1, 6))):
+        terms[w] = (LaurentPoly.const(m_dst, rng.choice([1, -1])) if rng.random() < 0.9
+                    else random_coeff(m_dst, rng, allow_negative=True, max_exp=1))
+    f = Form(m_dst, degree, terms)
+    if expr:
+        F = F.to_expr()
+    assert_same_pullback(F, f)

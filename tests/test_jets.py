@@ -1,6 +1,7 @@
 """Jet-space relation: exact affineness, slice classification, grids."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,19 @@ def test_slope_grid_matches_bumped_relation_grid():
                 bumped[..., cols[min(r, s), max(r, s)]] += 1 if r < s else -1
                 diff = relation_grid(a, bumped, n) - h
                 assert np.max(np.abs(slope_grid(a, beta, n, r, s) - diff)) <= 1e-12
+
+
+@pytest.mark.parametrize("a_shape, beta_shape", [
+    ((3, 3, 3, 3), (3, 3, 3, 3, 3)),  # a full (m, m) beta that would broadcast
+    ((5, 5, 5, 3), (5, 5, 5, 3, 3)),  # the same where numpy cannot broadcast
+    ((3, 3, 3, 3), (3, 3, 3, 4)),     # one column too many at m = 3
+    ((3, 3, 3, 4), (3, 3, 3, 3)),     # a wider than 2n + 1
+])
+def test_grid_readers_refuse_misshapen_fields(a_shape, beta_shape):
+    a, beta = np.ones(a_shape, dtype=complex), np.ones(beta_shape, dtype=complex)
+    for read in (lambda: relation_grid(a, beta, 1), lambda: slope_grid(a, beta, 1, 0, 1)):
+        with pytest.raises(DimensionError, match=re.escape(f"got {a_shape} and {beta_shape}")):
+            read()
 
 
 def probe_slice_oracle(jet, i):
