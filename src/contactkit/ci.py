@@ -39,6 +39,10 @@ FREQ_BASE = 8.0
 FREQ_CAP = 2.0 ** 14
 N_FRAMES = 17
 PHASE_CANDIDATES = 64
+# complex elements scored per numpy call in the phase search: every phase
+# of a coarse grid's few active lines, or one phase of a fully active
+# 33-node grid, whose working set is then the per-phase loop's
+PHASE_BLOCK_ELEMENTS = 2 ** 16
 
 
 # -- loops in the relation slice ------------------------------------------
@@ -108,6 +112,8 @@ def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
 def good_frequency(n_base: int, h: float) -> int:
     """Smallest integer >= n_base whose phase step avoids the sinc
     resonance: |sin(N h)| >= SINC_GUARD."""
+    if not 0 < h < math.inf:
+        raise PreconditionError(f"mesh step must be finite and positive, got {h!r}")
     n = max(1, int(n_base))
     # phase moves by h per unit N, so a guard window is reached quickly
     for _ in range(int(math.pi / h) + 2):
@@ -158,19 +164,46 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
     shape_d[d] = grid.nodes
     ell = np.arange(grid.nodes, dtype=float).reshape(shape_d)
 
-    # per-line phase offset maximizing the predicted worst margin
-    best_min, best_phi = -np.inf, 0.0
-    for j in range(PHASE_CANDIDATES):
-        phi = 2 * math.pi * j / PHASE_CANDIDATES
-        predicted = np.abs(h_act + rho * np.exp(1j * (nu * ell + phi)))
-        line_min = predicted.min(axis=d, keepdims=True)
-        better = line_min > best_min
-        best_min = np.where(better, line_min, best_min)
-        best_phi = np.where(better, phi, best_phi)
-
-    corr = oscillation_field(ell, nu, best_phi, rho, h_mesh)
+    corr = oscillation_field(ell, nu, _line_phases(h_act, rho, nu, d), rho, h_mesh)
     a += corr[..., None] * u
     return True
+
+
+def _line_phases(h_act: np.ndarray, rho: np.ndarray, nu: float, d: int) -> np.ndarray:
+    """Per grid line along axis d (kept as a length-1 axis) the phase
+    offset 2 pi j / PHASE_CANDIDATES maximizing the predicted worst margin
+    min over the line of |h + rho e^{i(nu l + phi)}|, the first one on ties.
+
+    A line with rho == 0 predicts |h| for every phase and keeps phase 0
+    unscored; the other lines are scored a block of phases per numpy call.
+    Every value is the one a per-phase loop with a strict > gives."""
+    act = (rho > 0).any(axis=d)
+    best_phi = np.zeros(act.shape)
+    if act.any():
+        # nodes x active lines, contiguous, so line minima run down columns;
+        # rho is made complex once here rather than cast in every product
+        h_lines = np.ascontiguousarray(np.moveaxis(h_act, d, 0)[:, act])
+        rho_lines = np.ascontiguousarray(np.moveaxis(rho, d, 0)[:, act], dtype=complex)
+        nodes, lines = h_lines.shape
+        phases = 2 * np.pi * np.arange(PHASE_CANDIDATES) / PHASE_CANDIDATES
+        ell = np.arange(nodes, dtype=float)
+        block = max(1, PHASE_BLOCK_ELEMENTS // h_lines.size)
+        cols = np.arange(lines)
+        line_best = np.full(lines, -np.inf)
+        line_phi = np.zeros(lines)
+        for j in range(0, PHASE_CANDIDATES, block):
+            phi = phases[j:j + block]
+            predicted = rho_lines * np.exp(1j * (nu * ell + phi[:, None]))[..., None]
+            predicted += h_lines
+            line_min = np.abs(predicted).min(axis=1)
+            # argmax takes the first maximum, as a strict > over phases does
+            k = line_min.argmax(axis=0)
+            top = line_min[k, cols]
+            better = top > line_best
+            line_best = np.where(better, top, line_best)
+            line_phi = np.where(better, phi[k], line_phi)
+        best_phi[act] = line_phi
+    return np.expand_dims(best_phi, d)
 
 
 def _stencil_bound(s: GridSection, guard: np.ndarray | None = None) -> float:

@@ -15,8 +15,10 @@ close the loop from sampled output back to a symbolic form.
 Each object has one implementation here: every jet d^I (of symbolic data,
 of a sampled field, of the dbar-components behind the defect) comes from
 ``_derivative_tower``, which takes each derivative once from its parent;
-every "max |c(pt)|" over samples is ``_sup``; and both fit paths build
-their design matrix from ``_design_row``.
+every "max |c(pt)|" over samples is ``_sup``; and the exact fit builds
+its design matrix from ``_design_row``.  The float fit builds the same
+matrix column-wise in ``_design_matrix``, every entry with the products
+Python's complex arithmetic takes, so it keeps ``_design_row``'s bits.
 """
 
 from __future__ import annotations
@@ -392,6 +394,59 @@ def _design_row(values, monos, one) -> list:
     return row
 
 
+# CPython raises a complex to an integer power of at most this size by
+# square-and-multiply (c_powu); larger exponents go through polar form
+_SQUARE_MULTIPLY_LIMIT = 100
+
+
+def _cmul(x, y):
+    """x * y on (real, imag) pairs of float arrays, in the order of
+    CPython's complex product, so each entry keeps its bits."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _powers(z: np.ndarray, top: int) -> list:
+    """[z ** e for e in 0..top] as (real, imag) pairs, each bit-equal to
+    Python's complex z ** e.  Square-and-multiply applies the bits of e
+    from the lowest, so z ** e is z ** (e less its top bit) times the
+    top bit's square."""
+    pw = [(np.ones(len(z)), np.zeros(len(z)))]
+    squares = [(z.real.copy(), z.imag.copy())]
+    for e in range(1, min(top, _SQUARE_MULTIPLY_LIMIT) + 1):
+        bit = e.bit_length() - 1
+        if bit == len(squares):
+            squares.append(_cmul(squares[-1], squares[-1]))
+        pw.append(_cmul(pw[e - (1 << bit)], squares[bit]))
+    for e in range(_SQUARE_MULTIPLY_LIMIT + 1, top + 1):
+        big = np.array([complex(x) ** e for x in z])
+        pw.append((big.real, big.imag))
+    if any(np.isinf(r).any() or np.isinf(i).any() for r, i in pw[1:]):
+        raise OverflowError("complex exponentiation")  # as Python's ** does
+    return pw
+
+
+def _design_matrix(points, monos) -> np.ndarray:
+    """The float design matrix, column by column: entry (p, I) is
+    bit-equal to _design_row(points[p].as_complex(), monos, 1 + 0j)[I]."""
+    z = np.array([pt.as_complex() for pt in points], dtype=complex).reshape(len(points), -1)
+    top = max((max(I) for I in monos), default=0)
+    one = (np.ones(len(points)), np.zeros(len(points)))
+    A = np.empty((len(points), len(monos)), dtype=complex)
+    # Python's complex arithmetic overflows to inf without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = [_powers(z[:, k], top) for k in range(z.shape[1])]
+        for c, I in enumerate(monos):
+            v = one
+            for k, e in enumerate(I):
+                if e:
+                    v = _cmul(v, pw[k][e])
+            # real and imag parts are set apart: adding 1j * imag could
+            # flip the sign of a zero real part
+            A.real[:, c], A.imag[:, c] = v
+    return A
+
+
 def fit_holomorphic(points, values, degree: int) -> FitResult:
     """Least-squares (1,0)-form with polynomial z-coefficients.
 
@@ -443,8 +498,7 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
                 worst = max(worst, extra.abs2())
         return FitResult(form, sqrt(worst), rank, len(monos), len(points), True)
 
-    A = np.array([_design_row(pt.as_complex(), monos, 1 + 0j) for pt in points],
-                 dtype=complex)
+    A = _design_matrix(points, monos)
     rhs = np.array([[complex(rows[r][i]) for i in range(m)] for r in range(len(rows))])
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     form = _holomorphic_form(m, monos, [

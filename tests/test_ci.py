@@ -3,18 +3,24 @@ determinism, and the independent verifier including fault injection."""
 
 import math
 import random
+import re
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import contactkit.ci as ci_mod
 from contactkit.ci import (
     Loop, ci_solve, demo_flat_section, demo_gamma_section,
     demo_holonomic_section, good_frequency, loop_for_target,
-    oscillation_field, verify_ci, N_FRAMES, SINC_GUARD,
+    oscillation_field, verify_ci, FREQ_BASE, N_FRAMES, PHASE_CANDIDATES, SINC_GUARD,
 )
 from contactkit.errors import PreconditionError
 from contactkit.grids import CubeGrid, GammaSpec, GridSection, _smoothstep5
-from contactkit.jets import RestrictedJet, ampleness_slice
+from contactkit.jets import RestrictedJet, ampleness_slice, curl_grid, relation_grid
 from contactkit.sampling import random_jet
 
 
@@ -140,6 +146,18 @@ def test_good_frequency_avoids_sinc_zeros():
     resonant = round(math.pi / h)
     N = good_frequency(resonant, h)
     assert abs(math.sin(N * h)) >= SINC_GUARD
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, -1.0 / 32, math.nan, math.inf, -math.inf])
+def test_good_frequency_refuses_a_bad_mesh_step(h):
+    with pytest.raises(PreconditionError, match=re.escape(f"got {h!r}")):
+        good_frequency(8, h)
+
+
+def test_good_frequency_refuses_a_mesh_too_coarse_for_any_frequency():
+    # every multiple of pi is a sinc zero
+    with pytest.raises(PreconditionError, match="mesh too coarse"):
+        good_frequency(1, math.pi)
 
 
 def test_oscillation_identity_constant_envelope():
@@ -462,3 +480,104 @@ def test_solved_result_retains_two_sections():
         tracemalloc.stop()
     assert result.passed, result.failure
     assert retained < 32 * 2 ** 20, f"{retained / 2 ** 20:.1f} MB retained"
+
+
+def line_phases_oracle(h_act, rho, nu, d):
+    """The per-phase search: every line scored at each of the candidate
+    phases in turn, a strict > keeping the first best phase."""
+    shape_d = [1] * h_act.ndim
+    shape_d[d] = h_act.shape[d]
+    ell = np.arange(h_act.shape[d], dtype=float).reshape(shape_d)
+
+    best_min, best_phi = -np.inf, 0.0
+    for j in range(PHASE_CANDIDATES):
+        phi = 2 * math.pi * j / PHASE_CANDIDATES
+        predicted = np.abs(h_act + rho * np.exp(1j * (nu * ell + phi)))
+        line_min = predicted.min(axis=d, keepdims=True)
+        better = line_min > best_min
+        best_min = np.where(better, line_min, best_min)
+        best_phi = np.where(better, phi, best_phi)
+    return best_phi
+
+
+def _phase_search_input(shape, d, activity, coarse_h, seed):
+    """(h, rho) on a grid of the given shape.  ``activity`` sets where rho
+    is positive: nowhere, at one node of some lines, at scattered nodes,
+    or everywhere.  Coarse h repeats a few values, zero among them, so
+    lines whose worst node has rho == 0 tie across every phase."""
+    rng = np.random.default_rng(seed)
+    if coarse_h:
+        h = (rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)) / 4
+    else:
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = np.zeros(shape)
+    if activity == "single":
+        lines = np.moveaxis(rho, d, -1)  # a view: writes land in rho
+        picks = rng.integers(0, shape[d], lines.shape[:-1])
+        values = np.where(rng.random(picks.shape) < 0.7, rng.uniform(0, 2, picks.shape), 0.0)
+        np.put_along_axis(lines, picks[..., None], values[..., None], -1)
+    elif activity == "sparse":
+        rho = np.where(rng.random(shape) < 0.2, rng.uniform(0, 2, shape), 0.0)
+    elif activity == "full":
+        rho = rng.uniform(0.01, 2, shape)
+    return h, rho
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)), st.integers(0, 2),
+       st.sampled_from(["none", "single", "sparse", "full"]), st.booleans(),
+       st.sampled_from([1, 50, ci_mod.PHASE_BLOCK_ELEMENTS]), st.integers(0, 2 ** 32))
+@example((4, 5, 6), 1, "single", True, 1, 0)
+@example((33, 2, 3), 0, "full", False, 200, 1)
+def test_line_phases_match_the_per_phase_loop(shape, d, activity, coarse_h, block, seed):
+    """Bit-equal phases whatever the activity and however many phases one
+    numpy call scores (1, a few with a short last block, all 64)."""
+    h, rho = _phase_search_input(shape, d, activity, coarse_h, seed)
+    nu = np.random.default_rng(seed).uniform(0.1, 3.0)
+    with patch.object(ci_mod, "PHASE_BLOCK_ELEMENTS", block):
+        got = ci_mod._line_phases(h, rho, nu, d)
+    want = line_phases_oracle(h, rho, nu, d)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("demo,nodes", [(demo_flat_section, 33), (demo_gamma_section, 13),
+                                        (demo_gamma_section, 33)])
+def test_direction_pass_matches_the_per_phase_loop(demo, nodes):
+    """The solver's first sweep leaves a bit-equal to passes whose phases
+    come from the per-phase search."""
+    inp, gamma = demo(nodes)
+    grid = inp.grid
+    cutoff, interior = gamma.cutoff_field(grid), grid.interior_mask()
+    a, a_want = inp.a.copy(), inp.a.copy()
+    curl = curl_grid(a, grid)
+    h = relation_grid(a, curl, grid.n)
+    acted = []
+    for d in range(grid.m):
+        freq = good_frequency(round(FREQ_BASE / min(grid.h)), grid.h[d])
+        acted.append(ci_mod._direction_pass(a, grid, cutoff, d, freq, 1e-3, interior, curl, h))
+        with patch.object(ci_mod, "_line_phases", line_phases_oracle):
+            ci_mod._direction_pass(a_want, grid, cutoff, d, freq, 1e-3, interior, curl, h)
+        assert a.tobytes() == a_want.tobytes()
+        curl = curl_grid(a, grid)
+        h = relation_grid(a, curl, grid.n)
+    assert acted[0]
+
+
+def test_phase_search_memory_on_a_fully_active_grid():
+    """Along axis 0 of the flat 33-node demo every line moves, so every
+    line is scored; the phase blocks keep the pass's peak bounded."""
+    inp, gamma = demo_flat_section(33)
+    grid = inp.grid
+    curl = curl_grid(inp.a, grid)
+    h = relation_grid(inp.a, curl, grid.n)
+    cutoff, interior = gamma.cutoff_field(grid), grid.interior_mask()
+    freq = good_frequency(round(FREQ_BASE / min(grid.h)), grid.h[0])
+    a = inp.a.copy()
+    tracemalloc.start()
+    try:
+        assert ci_mod._direction_pass(a, grid, cutoff, 0, freq, 1e-3, interior, curl, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.errors import DimensionError, PreconditionError, VariantError
 from contactkit.extend import (
-    SampledExtension, _solve_exact_normal, ah_pullback_verify, ah_verify, dbar_defect,
-    extend_form, extend_function, fit_holomorphic, multi_indices,
+    SampledExtension, _design_matrix, _design_row, _solve_exact_normal, ah_pullback_verify,
+    ah_verify, dbar_defect, extend_form, extend_function, fit_holomorphic, multi_indices,
 )
 from contactkit.forms import Form, Point, PolyMap
 from contactkit.gallery import covering_map, std_form
@@ -403,3 +403,51 @@ def test_exact_solver_conjugates_each_entry_once(monkeypatch):
     _solve_exact_normal(A, rhs)
     n_cols = len(A[0])
     assert len(calls) == len(A) * n_cols + n_cols * (n_cols - 1) // 2
+
+
+def design_rows(points, monos):
+    """The float design matrix a row at a time through Python's complex
+    arithmetic, the exact path's _design_row with a complex one."""
+    return np.array([_design_row(pt.as_complex(), monos, 1 + 0j) for pt in points],
+                    dtype=complex).reshape(len(points), len(monos))
+
+
+# signed zeros, units and values whose powers round, over- and underflow
+_COORDS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-170, 3e150, math.nan,
+           complex(0.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0), 1j, -1j]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.integers(0, 7), st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_design_matrix_matches_the_row_products(m, degree, count, seed):
+    rng = random.Random(seed)
+
+    def coord():
+        if rng.random() < 0.4:
+            return rng.choice(_COORDS)
+        return complex(rng.uniform(-1.5, 1.5), rng.choice([0.0, rng.uniform(-1.5, 1.5)]))
+
+    points = [Point([coord() for _ in range(m)]) for _ in range(count)]
+    monos = list(multi_indices(m, degree))
+    try:
+        want = design_rows(points, monos)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _design_matrix(points, monos)
+        return
+    assert _design_matrix(points, monos).tobytes() == want.tobytes()
+
+
+def test_design_matrix_past_the_square_and_multiply_exponents():
+    """Exponents above 100 take Python's polar-form power."""
+    rng = random.Random(4)
+    points = [Point([complex(rng.uniform(-1.01, 1.01), rng.uniform(-0.1, 0.1))])
+              for _ in range(30)]
+    monos = list(multi_indices(1, 105))
+    assert _design_matrix(points, monos).tobytes() == design_rows(points, monos).tobytes()
+
+
+def test_design_matrix_mixes_exact_and_float_coordinates():
+    points = [Point([QC(Fraction(k, 7), -1), 0.25 * k, complex(0, k)]) for k in range(-4, 5)]
+    monos = list(multi_indices(3, 4))
+    assert _design_matrix(points, monos).tobytes() == design_rows(points, monos).tobytes()
