@@ -114,8 +114,10 @@ def good_frequency(n_base: int, h: float) -> int:
     resonance: |sin(N h)| >= SINC_GUARD."""
     if not 0 < h < math.inf:
         raise PreconditionError(f"mesh step must be finite and positive, got {h!r}")
-    n = max(1, int(n_base))
-    # phase moves by h per unit N, so a guard window is reached quickly
+    # every N below asin(SINC_GUARD) / h lies on the first rising arc of
+    # |sin(N h)|, below the guard; the phase then moves by h per unit N, so
+    # a guard window is reached quickly
+    n = max(1, int(n_base), int(math.asin(SINC_GUARD) / h) - 1)
     for _ in range(int(math.pi / h) + 2):
         if abs(math.sin(n * h)) >= SINC_GUARD:
             return n
@@ -136,7 +138,8 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
                     beta: np.ndarray, h_act: np.ndarray) -> bool:
     """One oscillation pass along axis d, in place; ``beta`` is the curl
     of a on entry and ``h_act`` the relation field of (a, beta).  Returns
-    False when the margins made the pass unnecessary."""
+    False, leaving a untouched, when the margins made the pass unnecessary
+    or its amplitude rho is zero on the whole grid."""
     n = grid.n
     margins = np.abs(h_act)
     if margins[interior].min() >= 3 * delta:
@@ -157,6 +160,8 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
     # amplitude: needed only where |h| is small, headroom 4 delta
     need = 1.0 - _smoothstep5((margins - 2 * delta) / (4 * delta))
     rho = (margins + 4 * delta) * need * cutoff * usable
+    if not (rho > 0).any():
+        return False
 
     h_mesh = grid.h[d]
     nu = freq * h_mesh

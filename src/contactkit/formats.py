@@ -4,8 +4,9 @@ Forms travel as JSON with exact rational coefficient parts, so the
 Laurent variant round-trips losslessly.  Sampled sections are columnar
 text, one node per row, with a header declaring the mesh; float columns
 use repr, which round-trips binary-exactly.  A section is written and read
-column-wise, as one (nodes x columns) table, and a malformed body is
-reported at its first bad line in file order.  Solver results dump as a
+as one (nodes x columns) table, each distinct row of values formatted or
+parsed once, and a malformed body is reported at its first bad line in
+file order.  Solver results dump as a
 metadata document plus one columnar file per homotopy frame.
 """
 
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 import re
+import struct
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -187,12 +189,14 @@ def section_to_text(section: GridSection) -> str:
     table = np.concatenate([section.a.reshape(count, m), section.beta.reshape(count, -1)], axis=1)
     # complex columns viewed as float interleave re and im, as the layout does
     values = np.ascontiguousarray(table).view(float)
+    # one bytes key per row, so -0.0 stays apart from 0.0; the sections
+    # written here repeat few distinct rows, and each is formatted once
+    keys = values.view(np.dtype((np.void, values.shape[1] * 8))).ravel().tolist()
+    unpack = struct.Struct(f"{values.shape[1]}d").unpack  # native doubles, as values holds them
+    texts = {key: " ".join(map(repr, unpack(key))) for key in dict.fromkeys(keys)}
     # product() of the index strings runs in C order, the order of the rows
     nodes = itertools.product(map(str, range(grid.nodes)), repeat=m)
-    # one row's tolist() at a time: the whole table as Python floats at once
-    # would hold every value as an object
-    lines += [" ".join(node) + " " + " ".join(map(repr, row.tolist()))
-              for node, row in zip(nodes, values)]
+    lines += [" ".join(node) + " " + texts[key] for node, key in zip(nodes, keys)]
     return "\n".join(lines) + "\n"
 
 
@@ -207,20 +211,18 @@ def _header_int(header, key: str, least: int) -> int:
     return value
 
 
-def _raise_row_error(rows, tokens: list[str], width: int, m: int, nodes: int) -> None:
+def _raise_row_error(body, width: int, m: int, nodes: int) -> None:
     """Raise the ParseError of the first bad row in file order.
 
-    ``rows`` holds (line number, token count) per body line and ``tokens``
-    their tokens end to end.  Called once a column-wise check has failed,
-    so some row is bad; rows are checked as Python values, one at a time.
+    ``body`` holds (line number, stripped text) per body line.  Called once
+    a table-wide check has failed, so some row is bad; rows are checked as
+    Python values, one at a time.
     """
     seen: set[tuple[int, ...]] = set()
-    start = 0
-    for lineno, count in rows:
-        parts = tokens[start:start + count]
-        start += count
-        if count != width:
-            raise ParseError(f"line {lineno}: {count} columns, expected {width}")
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != width:
+            raise ParseError(f"line {lineno}: {len(parts)} columns, expected {width}")
         try:
             node = tuple(int(p) for p in parts[:m])
             vals = [float(p) for p in parts[m:]]
@@ -235,50 +237,61 @@ def _raise_row_error(rows, tokens: list[str], width: int, m: int, nodes: int) ->
         seen.add(node)
 
 
-def _read_table(rows, tokens: list[str], width: int, m: int, nodes: int):
-    """Parse the body as one table, column by column.
+def _read_table(body, width: int, m: int, nodes: int):
+    """Parse the body as one table, its rows in node order.
 
-    Returns each row's flat node index and its values as complex columns
-    (a, then upper beta).  Any failed check hands over to
-    ``_raise_row_error`` for the message of the first bad row.
+    Returns the values as complex columns (a, then upper beta).  Each row
+    splits once into its m index tokens and its value text, and each
+    distinct value text is split and parsed once.  Any failed check hands
+    over to ``_raise_row_error`` for the message of the first bad row.
     """
-    count = len(rows)
-    if all(c == width for _, c in rows):
-        index = np.empty((m, count), dtype=np.int64)
-        values = np.empty((count, width - m))
-        try:
-            # Python's int and float, so a token reads as it does row by row
-            for c in range(m):
-                index[c] = np.fromiter(map(int, tokens[c::width]), np.int64, count)
-            for c in range(m, width):
-                values[:, c - m] = np.fromiter(map(float, tokens[c::width]), float, count)
-        except (ValueError, OverflowError):  # OverflowError: past int64, out of range
-            pass
-        else:
-            if np.isfinite(values).all() and ((index >= 0) & (index < nodes)).all():
-                flat = np.ravel_multi_index(tuple(index), (nodes,) * m)
-                # count == nodes ** m rows, all in range: no repeat means all present
-                if np.bincount(flat, minlength=count).max() <= 1:
-                    return flat, values.view(complex)
-    _raise_row_error(rows, tokens, width, m, nodes)
+    count = len(body)
+    ids: dict[str, int] = {}  # value text -> distinct-row id
+    which = []
+    index_tokens: list[str] = []
+    for _, line in body:
+        node = line.split(None, m)
+        text = node.pop()
+        if len(node) != m:
+            break
+        index_tokens += node
+        which.append(ids.setdefault(text, len(ids)))
+    else:
+        rows = [text.split() for text in ids]
+        if all(len(row) == width - m for row in rows):
+            try:
+                # Python's int and float, so a token reads as it does row by row
+                distinct = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
+                                       len(rows) * (width - m)).reshape(len(rows), -1)
+                index = np.fromiter(map(int, index_tokens), np.int64, count * m).reshape(count, m)
+            except (ValueError, OverflowError):  # OverflowError: past int64, out of range
+                pass
+            else:
+                if np.isfinite(distinct).all() and ((index >= 0) & (index < nodes)).all():
+                    flat = np.ravel_multi_index(tuple(index.T), (nodes,) * m)
+                    # count == nodes ** m rows, all in range: no repeat means all present
+                    if np.bincount(flat, minlength=count).max() <= 1:
+                        order = np.empty(count, dtype=np.intp)
+                        order[flat] = which
+                        return distinct.view(complex)[order]
+    _raise_row_error(body, width, m, nodes)
 
 
 def section_from_text(text: str) -> GridSection:
     header: dict[str, tuple[int, list[str]]] = {}
-    rows = []  # (line number, token count) per body line
-    tokens: list[str] = []  # every body token, rows end to end
+    body = []  # (line number, stripped text) per body line
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] in ("n", "nodes", "bounds", "columns"):
-            if parts[0] in header:
-                raise ParseError(f"line {lineno}: repeated header key {parts[0]!r}")
-            header[parts[0]] = (lineno, parts[1:])
+        # header keys begin with a letter, body lines with a node index
+        key = line.split(None, 1)[0] if line[0].isalpha() else None
+        if key in ("n", "nodes", "bounds", "columns"):
+            if key in header:
+                raise ParseError(f"line {lineno}: repeated header key {key!r}")
+            header[key] = (lineno, line.split()[1:])
             continue
-        rows.append((lineno, len(parts)))
-        tokens += parts
+        body.append((lineno, line))
     for key in ("n", "nodes", "bounds"):
         if key not in header:
             raise ParseError(f"bad section header: missing {key!r}")
@@ -298,16 +311,13 @@ def section_from_text(text: str) -> GridSection:
             raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
     grid = CubeGrid(n, nodes, bounds)
     # checked before allocating: a huge node count must not reach np.empty
-    if len(rows) != grid.n_nodes:
-        raise ParseError(f"{len(rows)} node rows, expected {grid.n_nodes}")
+    if len(body) != grid.n_nodes:
+        raise ParseError(f"{len(body)} node rows, expected {grid.n_nodes}")
     columns = _columns(m)
     if "columns" in header and header["columns"][1] != columns:
         raise ParseError(f"line {header['columns'][0]}: columns do not match "
                          f"the n = {n} layout")
-    index, values = _read_table(rows, tokens, len(columns), m, nodes)
-    del tokens  # the largest allocation here; not needed for the fill
-    table = np.empty_like(values)
-    table[index] = values
+    table = _read_table(body, len(columns), m, nodes)
     return GridSection(grid, table[:, :m].reshape(grid.shape + (m,)),
                        table[:, m:].reshape(grid.shape + (-1,)))
 

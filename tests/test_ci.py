@@ -5,6 +5,7 @@ import math
 import random
 import re
 import tracemalloc
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -158,6 +159,54 @@ def test_good_frequency_refuses_a_mesh_too_coarse_for_any_frequency():
     # every multiple of pi is a sinc zero
     with pytest.raises(PreconditionError, match="mesh too coarse"):
         good_frequency(1, math.pi)
+
+
+def good_frequency_oracle(n_base, h):
+    """The frequency scan as it was before it skipped the first rising arc:
+    every N from n_base up, one at a time.  Kept as the scan's oracle."""
+    n = max(1, int(n_base))
+    for _ in range(int(math.pi / h) + 2):
+        if abs(math.sin(n * h)) >= SINC_GUARD:
+            return n
+        n += 1
+    raise PreconditionError("no usable oscillation frequency (mesh too coarse)")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(-5, 10 ** 6),
+       st.one_of(st.floats(1e-4, 4.0), st.floats(3.0, 3.3), st.floats(6.0, 6.6)))
+@example(1, 1e-4)
+@example(2000, 1e-4)
+@example(1, math.pi)
+def test_good_frequency_matches_the_one_step_scan(n_base, h):
+    """Same frequency, or the same refusal, as the scan that starts at
+    n_base, for fine meshes and for steps near pi and 2 pi, where every
+    frequency may resonate."""
+    try:
+        want = good_frequency_oracle(n_base, h)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            good_frequency(n_base, h)
+        return
+    assert good_frequency(n_base, h) == want
+
+
+def test_good_frequency_is_quick_on_a_fine_mesh(monkeypatch):
+    """At h = 1e-9 a one-step scan from N = 1 would take 3e8 steps; the
+    answer is the first N past the rising arc that clears the guard, found
+    in a few."""
+    sines = []
+
+    def counting_sin(x):
+        sines.append(x)
+        assert len(sines) <= 10, "more than 10 frequencies scanned"
+        return math.sin(x)
+
+    public = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+    monkeypatch.setattr(ci_mod, "math", SimpleNamespace(**{**public, "sin": counting_sin}))
+    h = 1e-9
+    N = good_frequency(1, h)
+    assert abs(math.sin((N - 1) * h)) < SINC_GUARD <= abs(math.sin(N * h))
 
 
 def test_oscillation_identity_constant_envelope():
@@ -462,6 +511,26 @@ def test_gamma_solve_takes_each_relation_field_once(monkeypatch):
     monkeypatch.setattr(ci_mod, "relation_grid", hashing)
     assert ci_solve(inp, gamma, 0.5, 1e-3).passed
     assert len(seen) == len(set(seen)), f"{len(seen) - len(set(seen))} of {len(seen)} repeated"
+
+
+def test_pass_with_zero_amplitude_does_not_act(monkeypatch):
+    """On the coarse gamma input rho is zero on every pass, so no pass
+    searches phases; the refusal note is the one the solver gave when such
+    passes still ran."""
+    calls = []
+    real = ci_mod._line_phases
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ci_mod, "_line_phases", counting)
+    inp, gamma = demo_gamma_section(nodes=9)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert not calls
+    assert result.failure == ("frequency ladder exhausted; last attempt: rung 11 "
+                              "(freq 131072): margin 0.000e+00 at node (4, 1, 1), "
+                              "deviation 0.000e+00")
 
 
 def test_solved_result_retains_two_sections():

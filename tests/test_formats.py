@@ -1,9 +1,11 @@
 """Lossless file formats and their parse diagnostics."""
 
 import copy
+import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactkit import ci
 from contactkit.ci import N_FRAMES, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.errors import ParseError, VariantError
@@ -638,3 +641,108 @@ def test_save_report(tmp_path):
     text = path.read_text()
     assert text.startswith("== gallery identities ==")
     assert "result: OK" in text
+
+
+# Distinct rows: the writer formats each distinct row once and the reader
+# parses each distinct value text once.  The row-by-row reference writer
+# and reader above stay the oracles.
+VALUE_POOL = [0.0, -0.0, 5e-324, 1e-07, 1e+16, 1.7976931348623157e308]
+
+
+def _section_from_rows(rows, which, nodes=5):
+    """A section whose node k carries the float row rows[which[k]]."""
+    grid = CubeGrid(1, nodes)
+    table = np.array([rows[k] for k in which], dtype=float).view(complex)
+    return GridSection(grid, table[:, :3].reshape(grid.shape + (3,)),
+                       table[:, 3:].reshape(grid.shape + (3,)))
+
+
+@fuzz
+@given(st.lists(st.lists(st.sampled_from(VALUE_POOL), min_size=12, max_size=12),
+                min_size=1, max_size=4),
+       st.data())
+def test_section_text_with_repeated_rows_matches_reference(rows, data):
+    """Rows that repeat, or differ only by the sign of a zero: the text is
+    the reference writer's and both readers read the same bits."""
+    rows = rows + [[-v if v == 0.0 else v for v in rows[0]]]  # zeros' signs flipped
+    which = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=125, max_size=125))
+    section = _section_from_rows(rows, which)
+    text = section_to_text(section)
+    assert text == reference_section_to_text(section)
+    assert_bit_equal(section_from_text(text), reference_section_from_text(text))
+    assert_bit_equal(section_from_text(text), section)
+
+
+def _repeated_row_lines():
+    """Section text whose 125 rows carry two value texts, alternating."""
+    rows = [[1e-07, -0.0] * 6, [0.5, 0.0] * 6]
+    return section_to_text(_section_from_rows(rows, [k % 2 for k in range(125)])).splitlines()
+
+
+def _with_values(lines, k, edit):
+    """lines with the value tokens of line k rejoined by ``edit``."""
+    parts = lines[k].split()
+    return lines[:k] + [" ".join(parts[:3]) + " " + edit(parts[3:])] + lines[k + 1:]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda vals: "\t".join(vals), id="tabs"),
+    pytest.param(lambda vals: "  ".join(vals) + "\t ", id="double-spaces"),
+    pytest.param(lambda vals: " \t ".join(vals[:6]) + "\t\t" + " ".join(vals[6:]), id="mixed"),
+])
+def test_section_readers_agree_on_value_text_whitespace(edit):
+    """The same value tokens under other whitespace read as the same row."""
+    lines = _repeated_row_lines()
+    text = "\n".join(_with_values(_with_values(lines, 9, edit), 40, edit))
+    _assert_readers_agree(text)
+    assert section_from_text(text) == section_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("token", ["x", "nan", "inf", "1e999", "1_0", "３", "0x10"])
+def test_section_readers_agree_on_a_bad_token_in_a_repeated_value_text(token):
+    """A bad token in a later copy of a value text, in two copies of it,
+    and after a copy in other whitespace: same error or same bits."""
+    lines = _repeated_row_lines()
+
+    def bad(vals):
+        return " ".join(vals[:4] + [token] + vals[5:])
+
+    second_copy = _with_values(lines, 9, bad)
+    _assert_readers_agree("\n".join(second_copy))
+    _assert_readers_agree("\n".join(_with_values(second_copy, 11, bad)))
+    spaced = _with_values(lines, 7, lambda vals: "\t".join(vals))
+    _assert_readers_agree("\n".join(_with_values(spaced, 9, bad)))
+
+
+@pytest.mark.parametrize("demo", ["flat", "gamma", "holonomic"])
+@pytest.mark.parametrize("nodes", [9, 13])
+def test_solver_sections_are_written_as_the_reference_writes_them(demo, nodes):
+    """The output and every homotopy frame of each demo solve."""
+    inp, gamma = getattr(ci, f"demo_{demo}_section")(nodes)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    for section in [result.output, *result.frames]:
+        assert section_to_text(section) == reference_section_to_text(section)
+
+
+def test_section_text_memory_on_the_flat_33_output():
+    """Peak traced memory of writing, then of reading, the flat 33-node
+    solver output (35,937 rows)."""
+    inp, gamma = demo_flat_section(33)
+    section = ci_solve(inp, gamma, 0.5, 1e-3).output
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = section_to_text(section)
+        write_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = section_from_text(text)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == section
+    assert write_peak <= 28 * 2 ** 20, f"write: {write_peak / 2 ** 20:.1f} MB peak"
+    assert read_peak <= 32 * 2 ** 20, f"read: {read_peak / 2 ** 20:.1f} MB peak"
