@@ -6,8 +6,9 @@ jet lies in the relation with margin delta at every interior node, within
 sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
 strips.  The homotopy is a function of its endpoints: a result keeps the
-input, the output, the frozen mask and both formal relation fields, and
-builds frame k when it is read.
+input, the output and the frozen mask, and builds frame k when it is
+read.  The first interior read takes both endpoints' formal relation
+fields and keeps the moduli and arguments every frame reads.
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -22,6 +23,7 @@ checks and the verifier.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
-from .jets import SliceClass, curl_grid, relation_grid, slope_grid
+from .jets import SliceClass, curl_grid, formal_margin_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
 
 SINC_GUARD = 0.3
@@ -114,11 +116,14 @@ def good_frequency(n_base: int, h: float) -> int:
     resonance: |sin(N h)| >= SINC_GUARD."""
     if not 0 < h < math.inf:
         raise PreconditionError(f"mesh step must be finite and positive, got {h!r}")
+    steps = math.pi / h
+    if not math.isfinite(steps):
+        raise PreconditionError(f"mesh step {h!r} is too small: pi / h overflows")
     # every N below asin(SINC_GUARD) / h lies on the first rising arc of
     # |sin(N h)|, below the guard; the phase then moves by h per unit N, so
     # a guard window is reached quickly
     n = max(1, int(n_base), int(math.asin(SINC_GUARD) / h) - 1)
-    for _ in range(int(math.pi / h) + 2):
+    for _ in range(int(steps) + 2):
         if abs(math.sin(n * h)) >= SINC_GUARD:
             return n
         n += 1
@@ -268,21 +273,28 @@ class Homotopy(Sequence):
     Frames 0 and N_FRAMES - 1 copy the endpoints (all frames copy ``start``
     when ``end`` is ``start``).  Frame k between is the straight line at
     tau = k / (N_FRAMES - 1) with h steered onto the polar path from h0 to
-    h1, held at ``start`` on the ``frozen`` nodes.  The endpoints are held
-    by reference, so changing them changes the frames."""
+    h1, the formal relation fields of ``start`` and ``end``, held at
+    ``start`` on the ``frozen`` nodes.  The endpoints are held by
+    reference, so changing them changes the frames; the polar path's
+    moduli and arguments are read from them once, on the first interior
+    frame."""
 
     start: GridSection
     end: GridSection
     frozen: np.ndarray
-    h0: np.ndarray
-    h1: np.ndarray
 
     def __len__(self) -> int:
         return N_FRAMES
 
+    @functools.cached_property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """|h0|, |h1|, arg h0 and arg(h1 / h0), all that frames read."""
+        h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (self.start, self.end))
+        return np.abs(h0), np.abs(h1), np.angle(h0), np.angle(h1 / h0)
+
     def __getitem__(self, k) -> GridSection:
         k = range(N_FRAMES)[operator.index(k)]
-        start, end, h0, h1 = self.start, self.end, self.h0, self.h1
+        start, end = self.start, self.end
         if k == 0 or end is start:
             return start.copy()
         if k == N_FRAMES - 1:
@@ -292,8 +304,8 @@ class Homotopy(Sequence):
         beta_k = start.beta + tau * (end.beta - start.beta)
         hk = relation_grid(a_k, beta_k, grid.n)
         # polar path: moduli linear, arguments geodesic; never zero if h0, h1 are not
-        mod = (1 - tau) * np.abs(h0) + tau * np.abs(h1)
-        target = mod * np.exp(1j * (np.angle(h0) + tau * np.angle(h1 / h0)))
+        mod0, mod1, arg0, turn = self._polar
+        target = ((1 - tau) * mod0 + tau * mod1) * np.exp(1j * (arg0 + tau * turn))
 
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope
@@ -301,9 +313,7 @@ class Homotopy(Sequence):
                            for r, s in upper_pairs(grid.m)], axis=-1)
         choice = np.argmax(np.abs(slopes), axis=-1)
         slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
-        ok = np.abs(slope) > 1e-30
-        lam = np.zeros_like(hk)
-        lam[ok] = (target[ok] - hk[ok]) / slope[ok]
+        lam = np.divide(target - hk, slope, out=np.zeros_like(hk), where=np.abs(slope) > 1e-30)
         # lam goes to the chosen column; every other column gets a zero
         beta_k += np.where(choice[..., None] == np.arange(slopes.shape[-1]), lam[..., None], 0)
         a_k[self.frozen] = start.a[self.frozen]
@@ -350,10 +360,10 @@ class CIResult:
 
 
 def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
-               h0: np.ndarray, **outcome) -> CIResult:
+               **outcome) -> CIResult:
     """A result whose output and every frame equal the input."""
     out = inp.copy()
-    frames = Homotopy(out, out, gamma.frozen_mask(inp.grid), h0, h0)
+    frames = Homotopy(out, out, gamma.frozen_mask(inp.grid))
     return CIResult(out, frames, gamma, eps, delta, deviation=0.0, **outcome)
 
 
@@ -372,8 +382,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     if max_sweeps < 1:
         raise PreconditionError("max_sweeps must be at least 1")
 
-    h0 = relation_grid(inp.a, inp.beta, grid.n)
-    formal = np.abs(h0)
+    formal = formal_margin_grid(inp)
     if float(formal.min()) <= 1e-12:
         raise PreconditionError(f"formal margin vanishes at node {_worst_node(formal)}")
 
@@ -385,7 +394,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     interior = grid.interior_mask()
     already = float(margins_in[interior].min())
     if already >= delta and float(np.max(np.abs(curl_in - inp.beta))) <= _stencil_bound(inp):
-        return _unchanged(inp, gamma, eps, delta, h0, margin=already, passed=True)
+        return _unchanged(inp, gamma, eps, delta, margin=already, passed=True)
 
     cutoff = gamma.cutoff_field(grid)
     frozen = gamma.frozen_mask(grid)
@@ -425,8 +434,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
             curl[frozen] = inp.beta[frozen]
             a[frozen] = inp.a[frozen]
             out = GridSection(grid, a, curl)
-            # h is nodewise, so on the strips just reset to the input it is h0
-            frames = Homotopy(inp, out, frozen, h0, np.where(frozen, h0, h))
+            frames = Homotopy(inp, out, frozen)
             return CIResult(out, frames, gamma, eps, delta,
                             margin=achieved, deviation=deviation,
                             sweep_frequencies=sweep_freqs, rung=rung, passed=True)
@@ -437,7 +445,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         rung += 1
         freq *= 2
 
-    return _unchanged(inp, gamma, eps, delta, h0, margin=0.0, rung=rung,
+    return _unchanged(inp, gamma, eps, delta, margin=0.0, rung=rung,
                       failure=f"frequency ladder exhausted; last attempt: {worst_note}")
 
 
@@ -488,7 +496,7 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
     for k, fr in enumerate(result.frames):
         if k == 0:
             first_ok = fr == inp
-        frame_mins.append(float(np.abs(relation_grid(fr.a, fr.beta, grid.n)).min()))
+        frame_mins.append(float(formal_margin_grid(fr).min()))
         constant = (constant and np.array_equal(fr.a[mask], inp.a[mask])
                     and np.array_equal(fr.beta[mask], inp.beta[mask]))
         last = fr

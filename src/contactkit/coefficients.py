@@ -499,10 +499,6 @@ class Expr:
         raise NotImplementedError
 
     @property
-    def has_zbar(self) -> bool:
-        raise NotImplementedError
-
-    @property
     def is_zero(self) -> bool:
         """True only for a folded zero constant; no tree is simplified."""
         return False
@@ -557,10 +553,6 @@ class Const(Expr):
         return self
 
     @property
-    def has_zbar(self):
-        return False
-
-    @property
     def is_zero(self):
         return self.value == 0
 
@@ -598,10 +590,6 @@ class Z(_Coordinate):
     def substitute(self, args):
         return self._pick(args)
 
-    @property
-    def has_zbar(self):
-        return False
-
 
 @dataclass(frozen=True, slots=True)
 class Zbar(_Coordinate):
@@ -619,10 +607,6 @@ class Zbar(_Coordinate):
 
     def substitute(self, args):
         return self._pick(args).conj()
-
-    @property
-    def has_zbar(self):
-        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -643,10 +627,6 @@ class Add(Expr):
 
     def substitute(self, args):
         return eadd(*(p.substitute(args) for p in self.parts))
-
-    @property
-    def has_zbar(self):
-        return any(p.has_zbar for p in self.parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -679,10 +659,6 @@ class Mul(Expr):
     def substitute(self, args):
         return emul(*(p.substitute(args) for p in self.parts))
 
-    @property
-    def has_zbar(self):
-        return any(p.has_zbar for p in self.parts)
-
 
 @dataclass(frozen=True, slots=True)
 class Pow(Expr):
@@ -707,10 +683,6 @@ class Pow(Expr):
     def substitute(self, args):
         return epow(self.base.substitute(args), self.k)
 
-    @property
-    def has_zbar(self):
-        return self.base.has_zbar
-
 
 def _unary(name, fn, dfn):
     """Build an analytic unary node class: fn evaluates, dfn(u, du) derives."""
@@ -733,10 +705,6 @@ def _unary(name, fn, dfn):
 
         def substitute(self, args):
             return Node(self.u.substitute(args))
-
-        @property
-        def has_zbar(self):
-            return self.u.has_zbar
 
     Node.__name__ = Node.__qualname__ = name
     return Node

@@ -126,19 +126,14 @@ def _wirtinger_derivative(c: Coefficient, slot: int, m: int) -> Coefficient:
     return c.diff_zbar(slot - m)
 
 
-def _coefficients_of(target, m_hint: int | None = None):
-    """Normalize Form / PolyMap / Coefficient input to (m, coefficients)."""
+def _coefficients_of(target):
+    """Normalize Form / PolyMap / LaurentPoly input to (m, coefficients)."""
     if isinstance(target, Form):
         return target.m, list(target.terms.values())
     if isinstance(target, PolyMap):
         return target.m_src, list(target.components)
     if isinstance(target, LaurentPoly):
         return target.m, [target]
-    from .coefficients import Expr
-    if isinstance(target, Expr):
-        if m_hint is None:
-            raise DimensionError("expression input needs an explicit variable count")
-        return m_hint, [target]
     raise VariantError(f"cannot measure dbar defect of {type(target).__name__}")
 
 
@@ -149,16 +144,16 @@ def _sup(coeffs, samples) -> float:
                 for c in coeffs if not c.is_zero for pt in samples), default=0.0)
 
 
-def dbar_defect(target, samples, order: int, m: int | None = None) -> float:
+def dbar_defect(target, samples, order: int) -> float:
     """Max norm of derivatives of the dbar-components up to order-1.
 
-    ``target`` may be a Coefficient, a Form, or a PolyMap; samples should
+    ``target`` may be a LaurentPoly, a Form, or a PolyMap; samples should
     lie on the real slice for the flatness semantics to apply, though the
     evaluation itself works anywhere.
     """
     if order < 1:
         raise PreconditionError("defect order must be >= 1")
-    m, coeffs = _coefficients_of(target, m)
+    m, coeffs = _coefficients_of(target)
     samples = list(samples)  # _sup reads them once per coefficient
 
     def derive(c, slot):

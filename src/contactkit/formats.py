@@ -241,9 +241,10 @@ def _read_table(body, width: int, m: int, nodes: int):
     """Parse the body as one table, its rows in node order.
 
     Returns the values as complex columns (a, then upper beta).  Each row
-    splits once into its m index tokens and its value text, and each
-    distinct value text is split and parsed once.  Any failed check hands
-    over to ``_raise_row_error`` for the message of the first bad row.
+    splits once into its m index tokens and its value text; each distinct
+    value text is split and parsed once, and so is each distinct index
+    token.  Any failed check hands over to ``_raise_row_error`` for the
+    message of the first bad row.
     """
     count = len(body)
     ids: dict[str, int] = {}  # value text -> distinct-row id
@@ -263,7 +264,9 @@ def _read_table(body, width: int, m: int, nodes: int):
                 # Python's int and float, so a token reads as it does row by row
                 distinct = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
                                        len(rows) * (width - m)).reshape(len(rows), -1)
-                index = np.fromiter(map(int, index_tokens), np.int64, count * m).reshape(count, m)
+                ints = {t: int(t) for t in set(index_tokens)}
+                index = np.fromiter(map(ints.__getitem__, index_tokens), np.int64,
+                                    count * m).reshape(count, m)
             except (ValueError, OverflowError):  # OverflowError: past int64, out of range
                 pass
             else:

@@ -1,10 +1,11 @@
 """Catalog of explicit contact forms with their closed-form defects.
 
 Every entry pairs a form with the top-degree identity its defect should
-satisfy, and declares how the identity is checked: exact polynomial
-equality for rational-coefficient entries, seeded sampling at 1e-12
-relative tolerance for entries with irrational or transcendental
-coefficients.  Coordinates are (z1, z2, z3) on the three-fold entries.
+satisfy.  The form's variant decides how the identity is checked: exact
+polynomial equality for Laurent (rational-coefficient) entries, seeded
+sampling at 1e-12 relative tolerance for expression entries, whose
+coefficients are irrational or transcendental.  Coordinates are
+(z1, z2, z3) on the three-fold entries.
 """
 
 from __future__ import annotations
@@ -33,8 +34,15 @@ class GalleryEntry:
     name: str
     form: Form
     expected: Form
-    variant: str
-    mode: str  # "exact" or "sampled"
+
+    @property
+    def variant(self) -> str:
+        return self.form.variant
+
+    @property
+    def mode(self) -> str:
+        """Exact for a Laurent form, sampled for an expression form."""
+        return "exact" if self.form.variant == "laurent" else "sampled"
 
 
 def _top_form(m: int, coeff) -> Form:
@@ -190,24 +198,21 @@ def gallery_entries() -> list[GalleryEntry]:
         m = 2 * n + 1
         entries.append(GalleryEntry(
             f"std n={n}", std_form(n),
-            _top_form(m, LaurentPoly.const(m, math.factorial(n))),
-            "laurent", "exact"))
+            _top_form(m, LaurentPoly.const(m, math.factorial(n)))))
     for k in CIRCLE_EXPONENTS:
-        form = circle_form(k)
-        expected = _top_form(3, LaurentPoly.z(3, 0, k))
-        mode = "sampled" if k == -1 else "exact"
-        entries.append(GalleryEntry(f"circle k={k}", form, expected, form.variant, mode))
+        entries.append(GalleryEntry(f"circle k={k}", circle_form(k),
+                                    _top_form(3, LaurentPoly.z(3, 0, k))))
     for t in SIGMA_TIMES:
         phase = cmath.exp(-1j * math.pi * float(t) / 2)
         expected = _top_form(3, emul(Const(phase), epow(Z(0), -1)))
         entries.append(GalleryEntry(
-            f"sigma t={t}", sigma_homotopy(float(t)), expected, "expr", "sampled"))
+            f"sigma t={t}", sigma_homotopy(float(t)), expected))
     for (k, l, mm) in TORUS_TRIPLES:
         coeff = (LaurentPoly.z(3, 0, k) * LaurentPoly.z(3, 1, l)
                  * LaurentPoly.z(3, 2, mm))
         entries.append(GalleryEntry(
             f"torus k={k} l={l} m={mm}", torus_form(k, l, mm),
-            _top_form(3, coeff), "laurent", "exact"))
+            _top_form(3, coeff)))
     return entries
 
 

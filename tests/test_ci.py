@@ -1,6 +1,8 @@
 """Convex-integration solver: loop geometry, the oscillation identity,
 determinism, and the independent verifier including fault injection."""
 
+import dataclasses
+import gc
 import math
 import random
 import re
@@ -15,13 +17,13 @@ from hypothesis import strategies as st
 
 import contactkit.ci as ci_mod
 from contactkit.ci import (
-    Loop, ci_solve, demo_flat_section, demo_gamma_section,
+    Homotopy, Loop, ci_solve, demo_flat_section, demo_gamma_section,
     demo_holonomic_section, good_frequency, loop_for_target,
     oscillation_field, verify_ci, FREQ_BASE, N_FRAMES, PHASE_CANDIDATES, SINC_GUARD,
 )
 from contactkit.errors import PreconditionError
-from contactkit.grids import CubeGrid, GammaSpec, GridSection, _smoothstep5
-from contactkit.jets import RestrictedJet, ampleness_slice, curl_grid, relation_grid
+from contactkit.grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
+from contactkit.jets import RestrictedJet, ampleness_slice, curl_grid, relation_grid, slope_grid
 from contactkit.sampling import random_jet
 
 
@@ -159,6 +161,20 @@ def test_good_frequency_refuses_a_mesh_too_coarse_for_any_frequency():
     # every multiple of pi is a sinc zero
     with pytest.raises(PreconditionError, match="mesh too coarse"):
         good_frequency(1, math.pi)
+
+
+@pytest.mark.parametrize("h", [1e-310, 5e-324])
+def test_good_frequency_refuses_a_subnormal_mesh_step(h):
+    """pi / h overflows to inf: a refusal naming the step, not an
+    OverflowError from int()."""
+    with pytest.raises(PreconditionError, match=re.escape(f"mesh step {h!r} is too small")):
+        good_frequency(1, h)
+
+
+def test_good_frequency_answers_on_a_tiny_normal_step():
+    h = 1e-300
+    N = good_frequency(1, h)
+    assert abs(math.sin(N * h)) >= SINC_GUARD
 
 
 def good_frequency_oracle(n_base, h):
@@ -650,3 +666,81 @@ def test_phase_search_memory_on_a_fully_active_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"
+
+
+def frame_oracle(start, end, frozen, h0, h1, k):
+    """Frame k as it was built when a homotopy stored both formal relation
+    fields: h0 and h1 are passed in.  Kept as the frames' oracle."""
+    if k == 0 or end is start:
+        return start.copy()
+    if k == N_FRAMES - 1:
+        return end.copy()
+    grid, tau = start.grid, k / (N_FRAMES - 1)
+    a_k = start.a + tau * (end.a - start.a)
+    beta_k = start.beta + tau * (end.beta - start.beta)
+    hk = relation_grid(a_k, beta_k, grid.n)
+    mod = (1 - tau) * np.abs(h0) + tau * np.abs(h1)
+    target = mod * np.exp(1j * (np.angle(h0) + tau * np.angle(h1 / h0)))
+    slopes = np.stack([slope_grid(a_k, beta_k, grid.n, r, s)
+                       for r, s in upper_pairs(grid.m)], axis=-1)
+    choice = np.argmax(np.abs(slopes), axis=-1)
+    slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
+    ok = np.abs(slope) > 1e-30
+    lam = np.zeros_like(hk)
+    lam[ok] = (target[ok] - hk[ok]) / slope[ok]
+    beta_k += np.where(choice[..., None] == np.arange(slopes.shape[-1]), lam[..., None], 0)
+    a_k[frozen] = start.a[frozen]
+    beta_k[frozen] = start.beta[frozen]
+    return GridSection(grid, a_k, beta_k)
+
+
+def _turned(demo, turn):
+    """A demo with a and beta both multiplied by e^{i turn}: still holonomic
+    where it was, with h multiplied by e^{2 i turn}, so h0 has a phase."""
+    def make(nodes):
+        inp, gamma = demo(nodes)
+        phase = np.exp(1j * turn)
+        return GridSection(inp.grid, inp.a * phase, inp.beta * phase), gamma
+    return make
+
+
+@pytest.mark.parametrize("nodes", [9, 13, 21, 33])
+@pytest.mark.parametrize("demo", [demo_flat_section, demo_gamma_section,
+                                  demo_holonomic_section,
+                                  _turned(demo_flat_section, 0.7),
+                                  _turned(demo_gamma_section, -2.1)])
+def test_frames_match_the_stored_field_formula(demo, nodes):
+    """Every frame is bit-equal to the oracle fed the solver's h0 and h1,
+    where h1 is the output's field with h0 on the strips reset to the
+    input."""
+    inp, gamma = demo(nodes)
+    frames = ci_solve(inp, gamma, 0.5, 1e-3).frames
+    n = inp.grid.n
+    frozen = gamma.frozen_mask(inp.grid)
+    h0 = relation_grid(inp.a, inp.beta, n)
+    h1 = np.where(frozen, h0, relation_grid(frames.end.a, frames.end.beta, n))
+    for k in range(N_FRAMES):
+        got = frames[k]
+        want = frame_oracle(frames.start, frames.end, frozen, h0, h1, k)
+        assert got.grid == want.grid
+        assert got.a.tobytes() == want.a.tobytes(), k
+        assert got.beta.tobytes() == want.beta.tobytes(), k
+
+
+def test_unread_solved_result_keeps_no_relation_field():
+    """A homotopy keeps only its endpoints and the frozen mask.  Before a
+    frame is read a solved gamma-33 result holds its output and the mask,
+    3.3 MB; a stored complex relation field would add 0.55 MB each."""
+    assert [f.name for f in dataclasses.fields(Homotopy)] == ["start", "end", "frozen"]
+    inp, gamma = demo_gamma_section(nodes=33)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = ci_solve(inp, gamma, 0.5, 1e-3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.failure
+    assert retained <= 3.75 * 2 ** 20, f"{retained / 2 ** 20:.2f} MB retained"

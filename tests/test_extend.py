@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactkit.coefficients import LaurentPoly, Monomial
+from contactkit.coefficients import LaurentPoly, Monomial, Z, Zbar, emul
 from contactkit.errors import DimensionError, PreconditionError, VariantError
 from contactkit.extend import (
     SampledExtension, _design_matrix, _design_row, _solve_exact_normal, ah_pullback_verify,
@@ -93,6 +93,14 @@ def test_dbar_defect_takes_each_derivative_once(monkeypatch):
     f = LaurentPoly.z(3, 0, 3) * LaurentPoly.zbar(3, 1, 2) + LaurentPoly.zbar(3, 2, 4)
     dbar_defect(f, real_points(3, 2), order=4)
     assert len(calls) == 3 * math.comb(9, 3)
+
+
+def test_dbar_defect_refuses_an_expression():
+    """An expression carries no variable count; it gets the refusal of
+    any other unmeasurable input."""
+    for expr in (Zbar(0), emul(Z(0), Zbar(1))):
+        with pytest.raises(VariantError, match="cannot measure dbar defect"):
+            dbar_defect(expr, real_points(2, 2), order=1)
 
 
 def test_extend_rejects_bad_data():

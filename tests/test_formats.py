@@ -608,6 +608,33 @@ def test_section_readers_agree_on_every_token():
             agree("0 0 0", [(0, index_token), (-1, value_token)])
 
 
+def test_section_readers_agree_on_index_spellings():
+    """Each distinct index token is parsed once, and "1", "01", "+1" and
+    "0_1" all read as index 1 ("1_0" reads as 10), so a row spelled "01"
+    beside a row spelled "1" is a duplicate: both readers read and refuse
+    alike."""
+    def edited(edits):
+        lines = list(SECTION_BASE)
+        for node, c, token in edits:
+            k = next(k for k, line in enumerate(lines) if line.startswith(node + " "))
+            row = lines[k].split()
+            row[c] = token
+            lines[k] = " ".join(row)
+        return "\n".join(lines)
+
+    respelled = edited([("1 1 1", 0, "01"), ("1 0 0", 0, "+1"), ("0 1 0", 1, "0_1"),
+                        ("2 2 1", 2, "01")])
+    _assert_readers_agree(respelled)
+    assert section_from_text(respelled) == messy_section(nodes=5)
+    for edits in ([("0 1 1", 0, "01")], [("0 2 2", 0, "+1")], [("3 3 3", 2, "1_0")],
+                  [("0 1 1", 0, "01"), ("4 4 4", 0, "1_0")],
+                  [("4 4 4", 0, "1_0"), ("0 1 1", 0, "01")]):
+        text = edited(edits)
+        with pytest.raises(ParseError):
+            section_from_text(text)
+        _assert_readers_agree(text)
+
+
 def test_section_rows_may_come_in_any_order():
     """Rows are placed by their node index, not by their position."""
     lines = list(SECTION_BASE)

@@ -1,6 +1,7 @@
 """Catalog entries and their pinned defect identities."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,7 @@ from contactkit.contact import contact_defect, top_coefficient
 from contactkit.errors import PreconditionError
 from contactkit.forms import Form, Point, pullback
 from contactkit.gallery import (
-    CIRCLE_EXPONENTS, SAMPLE_TOL, SIGMA_TIMES, TORUS_TRIPLES, _annulus_samples,
+    CIRCLE_EXPONENTS, SAMPLE_TOL, SIGMA_TIMES, TORUS_TRIPLES, GalleryEntry, _annulus_samples,
     _check_sampled, alpha_prime, circle_form, cover_target_form,
     covering_check, covering_map, gallery_entries, gallery_verify_all,
     named_form, rotation_automorphism, sigma_homotopy, std_form, torus_form,
@@ -196,3 +197,38 @@ def test_gallery_entry_catalog():
         assert e.variant == e.form.variant
         if e.mode == "exact":
             assert e.variant == "laurent"
+
+
+CATALOG = [
+    ("std n=1", "laurent", "exact"),
+    ("std n=2", "laurent", "exact"),
+    ("circle k=-3", "laurent", "exact"),
+    ("circle k=-2", "laurent", "exact"),
+    ("circle k=-1", "expr", "sampled"),
+    ("circle k=0", "laurent", "exact"),
+    ("circle k=1", "laurent", "exact"),
+    ("circle k=2", "laurent", "exact"),
+    ("circle k=3", "laurent", "exact"),
+    ("sigma t=0", "expr", "sampled"),
+    ("sigma t=1/4", "expr", "sampled"),
+    ("sigma t=1/2", "expr", "sampled"),
+    ("sigma t=3/4", "expr", "sampled"),
+    ("sigma t=1", "expr", "sampled"),
+    ("torus k=0 l=0 m=0", "laurent", "exact"),
+    ("torus k=2 l=1 m=3", "laurent", "exact"),
+    ("torus k=-1 l=0 m=0", "laurent", "exact"),
+    ("torus k=1 l=2 m=0", "laurent", "exact"),
+    ("torus k=-1 l=2 m=-1", "laurent", "exact"),
+    ("torus k=-2 l=-1 m=3", "laurent", "exact"),
+    ("torus k=0 l=-2 m=1", "laurent", "exact"),
+    ("torus k=3 l=0 m=-3", "laurent", "exact"),
+    ("torus k=-3 l=1 m=1", "laurent", "exact"),
+    ("torus k=2 l=-2 m=2", "laurent", "exact"),
+]
+
+
+def test_gallery_modes_follow_the_form_variant():
+    """An entry stores its name, form and expected defect; its variant and
+    mode are read from the form, and the catalog keeps its pinned modes."""
+    assert [f.name for f in dataclasses.fields(GalleryEntry)] == ["name", "form", "expected"]
+    assert [(e.name, e.variant, e.mode) for e in gallery_entries()] == CATALOG
