@@ -18,9 +18,9 @@ from .contact import (FormalPair, SkewMatrix, contact_defect, formal_defect,
                       relation_h, relation_slope)
 from .errors import (ContactKitError, DimensionError, ExponentRangeError,
                      ParseError, PoleError, PreconditionError, VariantError)
-from .extend import (AHReport, FitResult, SampledExtension, ah_pullback_verify,
-                     ah_verify, dbar_defect, extend_form, extend_function,
-                     fit_holomorphic, multi_indices)
+from .extend import (FitResult, SampledExtension, ah_pullback_verify, ah_verify,
+                     dbar_defect, extend_form, extend_function, fit_holomorphic,
+                     multi_indices)
 from .formats import (dump_ci_result, load_form, load_section, save_form,
                       save_report, save_section)
 from .forms import (Form, Point, PolyMap, dee_bar, ext_d, pullback, wedge,

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 from .ci import (ci_solve, demo_flat_section, demo_gamma_section,
                  demo_holonomic_section, verify_ci)
 from .contact import FormalPair, is_contact_on, is_formal_contact_on
 from .errors import ContactKitError, DimensionError, PreconditionError
-from .extend import dbar_defect, extend_form, fit_holomorphic
+from .extend import ah_pullback_verify, dbar_defect, extend_form, fit_holomorphic
 from .formats import dump_ci_result, load_form, save_report
 from .forms import Form, Point, ext_d
 from .gallery import gallery_verify_all, named_form
@@ -43,24 +44,24 @@ DEMOS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    form: str | None = None
-    beta: str | None = None
-    map: str | None = None
-    n: int = 1
-    grid: int = 33
-    eps: float = 0.5
-    delta: float = 1e-3
-    tol: float = 1e-9
-    seed: int = 0
-    sweeps: int = 8
-    out: str | None = None
-    degree: int = 2
-    samples: int = 100
-    demo: str = "flat"
-    verbose: bool = False
+# flag -> add_argument keywords; every subcommand also takes --out
+OPTIONS = {
+    "form": {"help": "gallery name or form document path"},
+    "beta": {"help": "2-form document path or gallery name"},
+    "map": {"help": "named pullback map: covering or rotation"},
+    "n": {"type": int, "default": 1},
+    "grid": {"type": int, "default": 33},
+    "eps": {"type": float, "default": 0.5},
+    "delta": {"type": float, "default": 1e-3},
+    "tol": {"type": float, "default": 1e-9},
+    "seed": {"type": int, "default": 0},
+    "sweeps": {"type": int, "default": 8},
+    "degree": {"type": int, "default": 2},
+    "samples": {"type": int, "default": 100},
+    "demo": {"choices": sorted(DEMOS), "default": "flat"},
+    "out": {"help": "directory for report and dump files"},
+    "verbose": {"action": "store_true"},
+}
 
 
 def _resolve_form(spec: str) -> Form:
@@ -79,11 +80,6 @@ def _resolve_map(spec: str):
     raise ContactKitError(f"unknown map {spec!r} (available: covering, rotation)")
 
 
-def _config_line(report: VerificationReport, cfg: RunConfig, keys: list[str]) -> None:
-    detail = " ".join(f"{k}={getattr(cfg, k)}" for k in keys)
-    report.add("run configuration", True, detail)
-
-
 def _real_points(m: int, count: int, seed: int) -> list[Point]:
     return [Point(tuple(QC(v.re) for v in p.values))
             for p in exact_points(m, count, seed)]
@@ -92,25 +88,21 @@ def _real_points(m: int, count: int, seed: int) -> list[Point]:
 # -- subcommands ------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig) -> VerificationReport:
+def cmd_verify(cfg: Namespace) -> VerificationReport:
     alpha = _resolve_form(cfg.form or "std")
     pts = exact_points(alpha.m, cfg.samples, cfg.seed)
-    report = is_contact_on(alpha, pts, cfg.tol, verbose=cfg.verbose)
-    _config_line(report, cfg, ["form", "samples", "seed", "tol"])
-    return report
+    return is_contact_on(alpha, pts, cfg.tol, verbose=cfg.verbose)
 
 
-def cmd_formal(cfg: RunConfig) -> VerificationReport:
+def cmd_formal(cfg: Namespace) -> VerificationReport:
     alpha = _resolve_form(cfg.form or "std")
     beta = _resolve_form(cfg.beta) if cfg.beta else ext_d(alpha).pq_part(2, 0)
     pair = FormalPair(alpha, beta)
     pts = exact_points(alpha.m, cfg.samples, cfg.seed)
-    report = is_formal_contact_on(pair, pts, cfg.tol, verbose=cfg.verbose)
-    _config_line(report, cfg, ["form", "beta", "samples", "seed", "tol"])
-    return report
+    return is_formal_contact_on(pair, pts, cfg.tol, verbose=cfg.verbose)
 
 
-def cmd_ample(cfg: RunConfig) -> VerificationReport:
+def cmd_ample(cfg: Namespace) -> VerificationReport:
     import random
 
     if cfg.n < 0:
@@ -132,11 +124,10 @@ def cmd_ample(cfg: RunConfig) -> VerificationReport:
         report.add(
             f"row {i + 1}: slice membership matches relation values", consistent,
             f"{cfg.samples} jets: " + " ".join(f"{k}={v}" for k, v in counts.items()))
-    _config_line(report, cfg, ["n", "samples", "seed"])
     return report
 
 
-def cmd_extend(cfg: RunConfig) -> VerificationReport:
+def cmd_extend(cfg: Namespace) -> VerificationReport:
     alpha = _resolve_form(cfg.form or "std")
     report = VerificationReport("flat extension off the real slice")
     coeffs = [alpha.coeff((i,)) for i in range(alpha.m)]
@@ -148,20 +139,13 @@ def cmd_extend(cfg: RunConfig) -> VerificationReport:
     report.add(f"defect at order {cfg.degree + 1} (informational)", True,
                fmt_num(above))
     if cfg.map:
-        from .extend import ah_pullback_verify
-
         ah = ah_pullback_verify(_resolve_map(cfg.map), alpha, pts, max(cfg.tol, 1e-8))
-        detail = (f"max dbar a={fmt_num(ah.max_dbar_a)} max b={fmt_num(ah.max_b)} "
-                  f"max db={fmt_num(ah.max_db)}")
-        if ah.precondition_note:
-            detail += f"; {ah.precondition_note}"
-        report.add(f"pullback under {cfg.map} stays asymptotically holomorphic",
-                   ah.passed, detail)
-    _config_line(report, cfg, ["form", "degree", "samples", "seed", "tol"])
+        for check in ah.checks:
+            report.add(f"pullback under {cfg.map}: {check.name}", check.passed, check.detail)
     return report
 
 
-def cmd_integrate(cfg: RunConfig) -> tuple[VerificationReport, object]:
+def cmd_integrate(cfg: Namespace) -> VerificationReport:
     section, gamma = DEMOS[cfg.demo](cfg.grid)
     result = ci_solve(section, gamma, cfg.eps, cfg.delta, cfg.sweeps)
     if cfg.out:
@@ -171,17 +155,16 @@ def cmd_integrate(cfg: RunConfig) -> tuple[VerificationReport, object]:
     report.add("solver summary", result.passed,
                f"margin={fmt_num(result.margin)} deviation={fmt_num(result.deviation)} "
                f"rung={result.rung} sweeps={len(result.sweep_frequencies)}")
-    _config_line(report, cfg, ["demo", "grid", "eps", "delta", "sweeps"])
-    return report, result
-
-
-def cmd_gallery(cfg: RunConfig) -> VerificationReport:
-    report = gallery_verify_all(cfg.form, seed=cfg.seed)
-    _config_line(report, cfg, ["seed"])
+    if cfg.out:
+        dump_ci_result(result, Path(cfg.out) / "frames")
     return report
 
 
-def cmd_fit(cfg: RunConfig) -> VerificationReport:
+def cmd_gallery(cfg: Namespace) -> VerificationReport:
+    return gallery_verify_all(cfg.form, seed=cfg.seed)
+
+
+def cmd_fit(cfg: Namespace) -> VerificationReport:
     alpha = _resolve_form(cfg.form or "std")
     pts = exact_points(alpha.m, cfg.samples, cfg.seed)
     rows = [alpha.covector_at(p) for p in pts]
@@ -189,38 +172,47 @@ def cmd_fit(cfg: RunConfig) -> VerificationReport:
     report = VerificationReport("holomorphic fit")
     report.add_bound("fit residual", fit.residual, cfg.tol)
     report.add("fit summary", True, fit.summary())
-    _config_line(report, cfg, ["form", "degree", "samples", "seed", "tol"])
     return report
 
 
-def run(cfg: RunConfig) -> int:
+# name -> (handler, help, flags, run-configuration keys); the flags are
+# added in OPTIONS order, and run appends the configuration line
+COMMANDS = {
+    "verify": (cmd_verify, "check the contact identity of a form",
+               "form samples seed tol verbose", "form samples seed tol"),
+    "formal": (cmd_formal, "check a formal pair",
+               "form beta samples seed tol verbose", "form beta samples seed tol"),
+    "ample": (cmd_ample, "classify relation slices of random jets",
+              "n samples seed", "n samples seed"),
+    "extend": (cmd_extend, "extend real-slice data and measure its residual",
+               "form map degree samples seed tol", "form degree samples seed tol"),
+    "integrate": (cmd_integrate, "run convex integration on a built-in demo",
+                  "grid eps delta sweeps demo", "demo grid eps delta sweeps"),
+    "gallery": (cmd_gallery, "verify the catalog of closed-form identities",
+                "form seed", "seed"),
+    "fit": (cmd_fit, "fit a holomorphic polynomial form to samples",
+            "form degree samples seed tol", "form degree samples seed tol"),
+}
+
+
+def run(cfg: Namespace) -> int:
+    handler, _, _, config_keys = COMMANDS[cfg.command]
     try:
-        if cfg.samples < 0:
+        if getattr(cfg, "samples", 0) < 0:
             raise PreconditionError(f"--samples must be >= 0, got {cfg.samples}")
-        result = None
-        if cfg.command == "integrate":
-            report, result = cmd_integrate(cfg)
-        else:
-            report = {
-                "verify": cmd_verify,
-                "formal": cmd_formal,
-                "ample": cmd_ample,
-                "extend": cmd_extend,
-                "gallery": cmd_gallery,
-                "fit": cmd_fit,
-            }[cfg.command](cfg)
+        report = handler(cfg)
     except ContactKitError as exc:
         report = VerificationReport(cfg.command)
         report.add("precondition", False, str(exc))
         print(report.to_text())
         return 1
+    report.add("run configuration", True,
+               " ".join(f"{k}={getattr(cfg, k)}" for k in config_keys.split()))
     print(report.to_text())
     if cfg.out:
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
         save_report(report, outdir / f"{cfg.command}_report.txt")
-        if result is not None:
-            dump_ci_result(result, outdir / "frames")
     return 0 if report.passed else 1
 
 
@@ -229,52 +221,16 @@ def _parser() -> argparse.ArgumentParser:
         prog="contactkit",
         description="verification tools for complex contact structures")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = RunConfig("_")
-
-    # flag -> add_argument keywords; every subcommand also takes --out
-    options = {
-        "form": {"help": "gallery name or form document path"},
-        "beta": {"help": "2-form document path or gallery name"},
-        "map": {"help": "named pullback map: covering or rotation"},
-        "n": {"type": int, "default": defaults.n},
-        "grid": {"type": int, "default": defaults.grid},
-        "eps": {"type": float, "default": defaults.eps},
-        "delta": {"type": float, "default": defaults.delta},
-        "tol": {"type": float, "default": defaults.tol},
-        "seed": {"type": int, "default": defaults.seed},
-        "sweeps": {"type": int, "default": defaults.sweeps},
-        "degree": {"type": int, "default": defaults.degree},
-        "samples": {"type": int, "default": defaults.samples},
-        "demo": {"choices": sorted(DEMOS), "default": defaults.demo},
-        "out": {"help": "directory for report and dump files"},
-        "verbose": {"action": "store_true"},
-    }
-
-    def add(name: str, help_text: str, flags: list[str]) -> None:
+    for name, (_, help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, keywords in options.items():
-            if flag in flags or flag == "out":
+        for flag, keywords in OPTIONS.items():
+            if flag in flags.split() or flag == "out":
                 p.add_argument(f"--{flag}", **keywords)
-
-    add("verify", "check the contact identity of a form",
-        ["form", "samples", "seed", "tol", "verbose"])
-    add("formal", "check a formal pair", ["form", "beta", "samples", "seed", "tol", "verbose"])
-    add("ample", "classify relation slices of random jets", ["n", "samples", "seed"])
-    add("extend", "extend real-slice data and measure its residual",
-        ["form", "map", "degree", "samples", "seed", "tol"])
-    add("integrate", "run convex integration on a built-in demo",
-        ["grid", "eps", "delta", "sweeps", "demo"])
-    add("gallery", "verify the catalog of closed-form identities", ["form", "seed"])
-    add("fit", "fit a holomorphic polynomial form to samples",
-        ["form", "degree", "samples", "seed", "tol"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    cfg = RunConfig(**fields)
-    return run(cfg)
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

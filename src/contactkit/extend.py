@@ -34,7 +34,7 @@ from .coefficients import Coefficient, LaurentPoly, Monomial
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, PolyMap, pullback
 from .grids import CubeGrid
-from .reports import fmt_num
+from .reports import VerificationReport, fmt_num
 from .scalars import QC
 
 
@@ -216,55 +216,12 @@ class SampledExtension:
         return worst
 
 
-@dataclass
-class AHReport:
-    """Asymptotic-holomorphy check: three vanishing families at samples."""
-
-    tol: float
-    max_dbar_a: float = 0.0
-    max_b: float = 0.0
-    max_db: float = 0.0
-    n_samples: int = 0
-    precondition_note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        if self.precondition_note:
-            return False
-        return max(self.max_dbar_a, self.max_b, self.max_db) <= self.tol
-
-    def failing_families(self) -> list[str]:
-        out = []
-        if self.max_dbar_a > self.tol:
-            out.append("dbar(a)")
-        if self.max_b > self.tol:
-            out.append("b")
-        if self.max_db > self.tol:
-            out.append("d(b)")
-        return out
-
-    def to_text(self) -> str:
-        lines = ["== asymptotic holomorphy =="]
-        if self.precondition_note:
-            lines.append(f"PRECONDITION FAILED: {self.precondition_note}")
-        lines.append(f"samples: {self.n_samples}")
-        lines.append(f"max |dbar a_i|: {fmt_num(self.max_dbar_a)}")
-        lines.append(f"max |b_i|:      {fmt_num(self.max_b)}")
-        lines.append(f"max |d b_i|:    {fmt_num(self.max_db)}")
-        lines.append(f"tolerance:      {fmt_num(self.tol)}")
-        verdict = "OK" if self.passed else "FAILED"
-        if not self.passed and not self.precondition_note:
-            verdict += " (" + ", ".join(self.failing_families()) + ")"
-        lines.append(f"result: {verdict}")
-        return "\n".join(lines) + "\n"
-
-
-def ah_verify(alpha: Form, samples, tol: float) -> AHReport:
+def ah_verify(alpha: Form, samples, tol: float) -> VerificationReport:
     """Check the three vanishing families of asymptotic holomorphy.
 
     At each sample: every zbar-derivative of the dz-coefficients a_i, the
     dzbar-coefficients b_i themselves, and every first derivative of the
-    b_i must be small.
+    b_i must be small.  One bound check per family.
     """
     if alpha.degree != 1:
         raise DimensionError("ah_verify expects a 1-form")
@@ -272,34 +229,33 @@ def ah_verify(alpha: Form, samples, tol: float) -> AHReport:
     samples = list(samples)
     a = [c for (w,), c in alpha.terms.items() if w < m]
     b = [c for (w,), c in alpha.terms.items() if w >= m]
-    return AHReport(
-        tol=tol,
-        max_dbar_a=_sup([c.diff_zbar(j) for c in a for j in range(m)], samples),
-        max_b=_sup(b, samples),
-        max_db=_sup([_wirtinger_derivative(c, slot, m) for c in b for slot in range(2 * m)],
-                    samples),
-        n_samples=len(samples))
+    dbar_a = [c.diff_zbar(j) for c in a for j in range(m)]
+    db = [_wirtinger_derivative(c, slot, m) for c in b for slot in range(2 * m)]
+    report = VerificationReport(f"asymptotic holomorphy at {len(samples)} samples")
+    report.add_bound("max |dbar a_i|", _sup(dbar_a, samples), tol)
+    report.add_bound("max |b_i|", _sup(b, samples), tol)
+    report.add_bound("max |d b_i|", _sup(db, samples), tol)
+    return report
 
 
-def ah_pullback_verify(F: PolyMap, alpha: Form, samples, tol: float) -> AHReport:
+def ah_pullback_verify(F: PolyMap, alpha: Form, samples, tol: float) -> VerificationReport:
     """Verify that pulling back an asymptotically holomorphic form along a
     map that is dbar-flat to order 2 preserves asymptotic holomorphy.
 
-    Precondition failures come back as a failed report carrying a note,
-    never silently.
+    The two preconditions come first, as checks; a failed one is the
+    report's last check.  Otherwise the pulled-back form's three family
+    checks follow.
     """
     samples = list(samples)
-    flatness = dbar_defect(F, samples, 2)
-    if flatness > tol:
-        return AHReport(tol=tol, n_samples=len(samples),
-                        precondition_note=f"map dbar-defect {fmt_num(flatness)} exceeds tol at order 2")
-    image_pts = [F.evaluate(pt) for pt in samples]
-    upstream = ah_verify(alpha, image_pts, tol)
-    if not upstream.passed:
-        families = ", ".join(upstream.failing_families())
-        return AHReport(tol=tol, n_samples=len(samples),
-                        precondition_note=f"input form not asymptotically holomorphic at image points ({families})")
-    return ah_verify(pullback(F, alpha), samples, tol)
+    report = VerificationReport(f"asymptotic holomorphy of a pullback at {len(samples)} samples")
+    if not report.add_bound("map dbar-defect at order 2", dbar_defect(F, samples, 2), tol):
+        return report
+    upstream = ah_verify(alpha, [F.evaluate(pt) for pt in samples], tol)
+    failing = [c.name for c in upstream.checks if not c.passed]
+    if report.add("input form asymptotically holomorphic at image points", not failing,
+                  ", ".join(failing)):
+        report.merge(ah_verify(pullback(F, alpha), samples, tol))
+    return report
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ci import CIResult
 from .coefficients import LaurentPoly, Monomial
-from .errors import ExponentRangeError, ParseError, VariantError
+from .errors import ExponentRangeError, ParseError, PreconditionError, VariantError
 from .forms import Form, covector_index, covector_name
 from .grids import MIN_NODES, CubeGrid, GridSection, upper_pairs
 from .reports import VerificationReport
@@ -105,6 +105,8 @@ def form_from_document(doc: dict) -> Form:
     m, degree, raw_terms = doc["m"], doc["degree"], doc["terms"]
     if m < 1:
         raise ParseError(f"m: expected a positive integer, got {m}")
+    if not 0 <= degree <= 2 * m:
+        raise ParseError(f"degree: expected 0..{2 * m}, got {degree}")
     if not isinstance(raw_terms, list):
         raise ParseError(f"terms: expected a list of terms, got {raw_terms!r}")
     terms = {}
@@ -142,10 +144,7 @@ def form_from_document(doc: dict) -> Form:
             terms[word] = LaurentPoly(m, poly_terms)
         except ExponentRangeError as exc:
             raise ParseError(f"{where}.coeff: {exc}") from None
-    try:
-        return Form(m, degree, terms)
-    except Exception as exc:
-        raise ParseError(f"inconsistent form document: {exc}") from None
+    return Form(m, degree, terms)
 
 
 def save_form(form: Form, path: str | Path) -> None:
@@ -312,7 +311,10 @@ def section_from_text(text: str) -> GridSection:
     for lo, hi in bounds:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
-    grid = CubeGrid(n, nodes, bounds)
+    try:
+        grid = CubeGrid(n, nodes, bounds)
+    except PreconditionError as exc:
+        raise ParseError(f"line {lineno}: bounds: {exc}") from None
     # checked before allocating: a huge node count must not reach np.empty
     if len(body) != grid.n_nodes:
         raise ParseError(f"{len(body)} node rows, expected {grid.n_nodes}")

@@ -10,6 +10,7 @@ Grids are uniform per axis; all heavy numerics are numpy arrays indexed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,13 @@ class CubeGrid:
 
     def __init__(self, n: int, nodes: int = 33,
                  bounds: list[tuple[float, float]] | None = None):
+        # type() is exact: neither a bool nor 5.5 passes as a size
+        if type(n) is not int:
+            raise DimensionError(f"n must be an int, got {n!r}")
         if n < 1:
             raise DimensionError("need n >= 1")
+        if type(nodes) is not int:
+            raise PreconditionError(f"node count must be an int, got {nodes!r}")
         if nodes < MIN_NODES:
             raise PreconditionError(f"stencils need at least {MIN_NODES} nodes per axis")
         self.n = n
@@ -50,6 +56,12 @@ class CubeGrid:
             if not hi > lo:
                 raise PreconditionError(f"empty axis interval [{lo}, {hi}]")
         self.h = tuple((hi - lo) / (nodes - 1) for lo, hi in self.bounds)
+        for k, ((lo, hi), h) in enumerate(zip(self.bounds, self.h)):
+            # finite bounds far apart overflow hi - lo to inf, and a subnormal
+            # interval divides down to a zero step
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < h < math.inf):
+                raise PreconditionError(f"axis {k}: interval [{lo}, {hi}] and mesh "
+                                        f"step {h} must be finite and the step positive")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -226,8 +238,9 @@ class GammaSpec:
 
     ``faces`` holds (axis, side) pairs with side 0 for the low face and 1
     for the high face.  Corrections are multiplied by a quintic cutoff that
-    is exactly zero on the strip plus one extra node layer, so stencils
-    evaluated inside the strip never see corrected values.
+    is exactly zero on the strip plus two further node layers (through
+    distance width + 1 from the face), so stencils evaluated inside the
+    strip never see corrected values.
     """
 
     faces: frozenset = field(default_factory=frozenset)
@@ -268,11 +281,12 @@ class GammaSpec:
         return mask
 
     def cutoff_field(self, grid: CubeGrid) -> np.ndarray:
-        """Multiplier in [0,1]: 0 on the strip plus guard nodes, then a
-        quintic ramp to 1.
+        """Multiplier in [0,1]: 0 on the strip plus two guard node layers
+        (distance <= width + 1 from a frozen face), then a quintic ramp to 1
+        over max(4, width + 2) nodes.
 
-        The guard nodes keep second-order stencils evaluated at strip nodes
-        entirely inside unmodified data.
+        The guard layers keep the second-order stencils evaluated at strip
+        nodes, which reach two nodes in, entirely inside unmodified data.
         """
         ramp = max(4, self.width + 2)
         out = np.ones(grid.shape)

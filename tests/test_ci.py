@@ -390,6 +390,26 @@ def test_gamma_strip_preconditions():
         ci_solve(broken, gamma, 0.5, 1e-3)
 
 
+def test_gamma_strips_must_keep_the_margin():
+    """Width-5 strips on 9 nodes reach the central plateau of the gamma
+    demo, where the finite-difference relation value is 0."""
+    inp, _ = demo_gamma_section(nodes=9)
+    wide = GammaSpec.of({(0, 0), (0, 1)}, width=5)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "frozen strips leave the relation: margin 0.000e+00 < 1.000e-03")):
+        ci_solve(inp, wide, 0.5, 1e-3)
+
+
+def test_verify_refuses_an_output_on_another_grid():
+    inp, gamma = demo_flat_section(nodes=9)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed
+    other, _ = demo_flat_section(nodes=13)
+    report = verify_ci(result, other, 0.5, 1e-3)
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("grid identity", False, "output grid differs from input grid")]
+
+
 def test_achieved_margin_stable_under_refinement():
     """The certified margin lands in the same band on finer meshes."""
     margins = []

@@ -178,8 +178,10 @@ def test_ah_verify_accepts_holomorphic_forms():
     pts = exact_points(3, 6, seed=11)
     report = ah_verify(std_form(1), pts, 1e-10)
     assert report.passed
-    assert report.max_dbar_a == 0.0 and report.max_b == 0.0 and report.max_db == 0.0
-    assert "OK" in report.to_text()
+    assert [(c.name, c.detail) for c in report.checks] == [
+        (name, "value=0.0 bound=1e-10")
+        for name in ("max |dbar a_i|", "max |b_i|", "max |d b_i|")]
+    assert "6 samples" in report.title and "OK" in report.to_text()
 
 
 def test_ah_verify_flags_each_family():
@@ -187,13 +189,13 @@ def test_ah_verify_flags_each_family():
     # family 1: a coefficient depending on zbar
     bad_a = Form(3, 1, {(0,): LaurentPoly.zbar(3, 0), (2,): LaurentPoly.const(3, 1)})
     r1 = ah_verify(bad_a, pts, 1e-10)
-    assert not r1.passed and "dbar(a)" in " ".join(r1.failing_families())
+    assert not r1.passed
+    assert [c.name for c in r1.checks if not c.passed] == ["max |dbar a_i|"]
     # families 2 and 3: a dzbar component and its derivative
     bad_b = std_form(1) + Form(3, 1, {(3,): LaurentPoly.z(3, 1)})
     r2 = ah_verify(bad_b, pts, 1e-10)
     assert not r2.passed
-    joined = " ".join(r2.failing_families())
-    assert "b" in joined
+    assert [c.name for c in r2.checks if not c.passed] == ["max |b_i|", "max |d b_i|"]
 
 
 def test_ah_pullback_with_named_map():
@@ -210,12 +212,16 @@ def test_ah_pullback_precondition_failures_are_reports():
                           LaurentPoly.z(3, 1), LaurentPoly.z(3, 2)])
     r = ah_pullback_verify(crooked, std_form(1), pts, 1e-8)
     assert not r.passed
-    assert r.precondition_note and "dbar-defect" in r.precondition_note
+    # a failed precondition is the last check: nothing after it was measured
+    assert [c.name for c in r.checks] == ["map dbar-defect at order 2"]
     # an input form that is not asymptotically holomorphic
     bad = Form(3, 1, {(0,): LaurentPoly.zbar(3, 1), (2,): LaurentPoly.const(3, 1)})
     r2 = ah_pullback_verify(PolyMap.identity(3), bad, pts, 1e-8)
     assert not r2.passed
-    assert r2.precondition_note and "input form" in r2.precondition_note
+    assert [(c.name, c.passed) for c in r2.checks] == [
+        ("map dbar-defect at order 2", True),
+        ("input form asymptotically holomorphic at image points", False)]
+    assert r2.checks[-1].detail == "max |dbar a_i|"
 
 
 def test_fit_recovers_polynomial_form_exactly():

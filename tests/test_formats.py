@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -219,6 +220,13 @@ def test_form_header_fields_are_checked(key, value):
     with pytest.raises(ParseError) as err:
         form_from_document(doc)
     assert f"{key}: expected" in str(err.value)
+
+
+@pytest.mark.parametrize("degree", [7, -1])
+def test_form_degree_out_of_range_is_refused_by_name(degree):
+    doc = {"format": "contactkit-form", "version": 1, "m": 3, "degree": degree, "terms": []}
+    with pytest.raises(ParseError, match=re.escape(f"degree: expected 0..6, got {degree}")):
+        form_from_document(doc)
 
 
 def test_load_form_reports_json_position(tmp_path):
@@ -470,6 +478,21 @@ def test_section_header_and_value_errors_name_their_line(edit, line):
     with pytest.raises(ParseError) as err:
         section_from_text("\n".join(edit(lines)))
     assert str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize("bounds, axis", [
+    ("-1e308 1e308 0.0 1.0 0.0 1.0", 0),
+    ("0.0 1.0 0.0 1.0 -1.5e308 1.5e308", 2),
+    ("0.0 1.0 0.0 5e-324 0.0 1.0", 1),
+])
+def test_section_bounds_with_an_infinite_or_zero_mesh_step_are_refused(bounds, axis):
+    """Finite bounds whose difference overflows give an infinite mesh step,
+    a subnormal interval a zero one."""
+    lines = _replace_line("bounds", f"bounds {bounds}")(
+        section_to_text(messy_section(nodes=5)).splitlines())
+    with pytest.raises(ParseError, match=f"^line 4: bounds: axis {axis}: .* "
+                                         "must be finite and the step positive$"):
+        section_from_text("\n".join(lines))
 
 
 # Fuzzing: mutate one valid input a few times (drop, duplicate or retype a

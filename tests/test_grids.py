@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -31,6 +32,26 @@ def test_grid_validation():
         CubeGrid(1, nodes=5, bounds=[(0, 0)] * 3)
     with pytest.raises(DimensionError):
         CubeGrid(1, nodes=5, bounds=[(0, 1)] * 2)
+
+
+@pytest.mark.parametrize("bounds, axis", [
+    ([(0.0, 1.0), (0.0, math.inf), (0.0, 1.0)], 1),
+    ([(-math.inf, 0.0), (0.0, 1.0), (0.0, 1.0)], 0),
+    # finite bounds whose difference overflows
+    ([(0.0, 1.0), (0.0, 1.0), (-1e308, 1e308)], 2),
+    # a subnormal interval whose step underflows to 0
+    ([(0.0, 1.0), (0.0, 5e-324), (0.0, 1.0)], 1),
+])
+def test_grid_refuses_a_non_finite_bound_or_mesh_step(bounds, axis):
+    with pytest.raises(PreconditionError,
+                       match=f"^axis {axis}: .* must be finite and the step positive$"):
+        CubeGrid(1, 5, bounds)
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 5.5), (1, 5.0), (1, True), (1.5, 5), (True, 5)])
+def test_grid_sizes_must_be_ints(n, nodes):
+    with pytest.raises((DimensionError, PreconditionError), match="must be an int"):
+        CubeGrid(n, nodes)
 
 
 def test_interior_mask():
@@ -147,6 +168,19 @@ def test_gamma_cutoff_vanishes_past_strip():
     assert float(cut.max()) <= 1.0
     # empty spec: no cutoff anywhere
     assert np.all(GammaSpec.empty().cutoff_field(grid) == 1.0)
+
+
+@pytest.mark.parametrize("width, nodes", [(1, 9), (3, 9), (3, 17), (5, 17)])
+def test_gamma_cutoff_zero_set_is_strip_plus_two_layers(width, nodes):
+    """Zero exactly through distance width + 1 from each frozen face."""
+    grid = CubeGrid(1, nodes=nodes)
+    for side in (0, 1):
+        line = GammaSpec.of({(0, side)}, width).cutoff_field(grid)[:, 2, 2]
+        dist = np.arange(nodes) if side == 0 else np.arange(nodes)[::-1]
+        assert np.array_equal(line == 0.0, dist <= width + 1)
+    # width 3 on 9 nodes: nodes 0-4 are zero, node 5 starts the ramp
+    line = GammaSpec.of({(0, 0)}, 3).cutoff_field(CubeGrid(1, nodes=9))[:, 0, 0]
+    assert np.all(line[:5] == 0.0) and abs(line[5] - 0.05792) < 1e-12
 
 
 def test_gamma_validation():
