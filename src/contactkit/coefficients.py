@@ -25,8 +25,10 @@ multiply, differentiate, conjugate, evaluate, substitute):
   ``{Monomial: scalar}`` and :attr:`LaurentPoly.terms` gives it back.
 
 * :class:`Expr` — a small expression tree (constants, variables, sums,
-  products, integer powers, exp, sin, cos, sqrt) with formally
-  differentiated derivative trees and numeric evaluation.
+  products, integer powers, exp, sin, cos, sqrt) with numeric evaluation.
+  A leaf states its derivative, conjugate and substitution; a composite
+  node states how it is rebuilt from its children and its chain rule, and
+  :class:`Expr` derives, conjugates and substitutes through those two.
   No simplification is performed beyond constant folding.
 """
 
@@ -477,26 +479,41 @@ class LaurentPoly:
 
 
 class Expr:
-    """Base class for expression-tree coefficients (numeric evaluation)."""
+    """Base class for expression-tree coefficients (numeric evaluation).
+
+    A leaf states ``_diff``, ``conj`` and ``substitute``; a composite node
+    states ``_map(f)``, itself rebuilt over f of each child, and
+    ``_derive(d)``, its chain rule given d, the derivative of a child.
+    """
 
     __slots__ = ()
 
     def eval(self, zvalues) -> complex:
         raise NotImplementedError
 
-    def diff_z(self, i: int) -> "Expr":
+    def _map(self, f) -> "Expr":
         raise NotImplementedError
 
-    def diff_zbar(self, i: int) -> "Expr":
+    def _derive(self, d) -> "Expr":
         raise NotImplementedError
+
+    def _diff(self, i: int, bar: bool) -> "Expr":
+        """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based)."""
+        return self._derive(lambda p: p._diff(i, bar))
+
+    def diff_z(self, i: int) -> "Expr":
+        return self._diff(i, False)
+
+    def diff_zbar(self, i: int) -> "Expr":
+        return self._diff(i, True)
 
     def conj(self) -> "Expr":
         """Formal conjugate tree.  For sqrt this assumes the principal
         branch away from the negative real axis."""
-        raise NotImplementedError
+        return self._map(lambda p: p.conj())
 
     def substitute(self, args: list["Expr"]) -> "Expr":
-        raise NotImplementedError
+        return self._map(lambda p: p.substitute(args))
 
     @property
     def is_zero(self) -> bool:
@@ -541,10 +558,8 @@ class Const(Expr):
     def eval(self, zvalues):
         return self.value
 
-    def diff_z(self, i):
+    def _diff(self, i, bar):
         return Const(0j)
-
-    diff_zbar = diff_z
 
     def conj(self):
         return Const(self.value.conjugate())
@@ -559,7 +574,7 @@ class Const(Expr):
 
 @dataclass(frozen=True, slots=True)
 class _Coordinate(Expr):
-    """The index checks shared by Z and Zbar; ``i`` is 0-based."""
+    """Z and Zbar: the index checks and one derivative; ``i`` is 0-based."""
 
     i: int
 
@@ -572,17 +587,16 @@ class _Coordinate(Expr):
             raise DimensionError(f"z_{self.i + 1} does not exist on C^{len(values)}")
         return values[self.i]
 
+    def _diff(self, i, bar):
+        return Const(1 + 0j) if bar == self._bar and i == self.i else Const(0j)
+
 
 @dataclass(frozen=True, slots=True)
 class Z(_Coordinate):
+    _bar = False
+
     def eval(self, zvalues):
         return complex(self._pick(zvalues))
-
-    def diff_z(self, i):
-        return Const(1 + 0j) if i == self.i else Const(0j)
-
-    def diff_zbar(self, i):
-        return Const(0j)
 
     def conj(self):
         return Zbar(self.i)
@@ -593,14 +607,10 @@ class Z(_Coordinate):
 
 @dataclass(frozen=True, slots=True)
 class Zbar(_Coordinate):
+    _bar = True
+
     def eval(self, zvalues):
         return complex(self._pick(zvalues)).conjugate()
-
-    def diff_z(self, i):
-        return Const(0j)
-
-    def diff_zbar(self, i):
-        return Const(1 + 0j) if i == self.i else Const(0j)
 
     def conj(self):
         return Z(self.i)
@@ -616,17 +626,10 @@ class Add(Expr):
     def eval(self, zvalues):
         return sum(p.eval(zvalues) for p in self.parts)
 
-    def diff_z(self, i):
-        return eadd(*(p.diff_z(i) for p in self.parts))
+    def _map(self, f):
+        return eadd(*map(f, self.parts))
 
-    def diff_zbar(self, i):
-        return eadd(*(p.diff_zbar(i) for p in self.parts))
-
-    def conj(self):
-        return eadd(*(p.conj() for p in self.parts))
-
-    def substitute(self, args):
-        return eadd(*(p.substitute(args) for p in self.parts))
+    _derive = _map  # d is linear
 
 
 @dataclass(frozen=True, slots=True)
@@ -639,25 +642,16 @@ class Mul(Expr):
             out *= p.eval(zvalues)
         return out
 
-    def _product_rule(self, derive):
+    def _map(self, f):
+        return emul(*map(f, self.parts))
+
+    def _derive(self, d):
         terms = []
         for k in range(len(self.parts)):
             factors = list(self.parts)
-            factors[k] = derive(factors[k])
+            factors[k] = d(factors[k])
             terms.append(emul(*factors))
         return eadd(*terms)
-
-    def diff_z(self, i):
-        return self._product_rule(lambda p: p.diff_z(i))
-
-    def diff_zbar(self, i):
-        return self._product_rule(lambda p: p.diff_zbar(i))
-
-    def conj(self):
-        return emul(*(p.conj() for p in self.parts))
-
-    def substitute(self, args):
-        return emul(*(p.substitute(args) for p in self.parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -668,20 +662,11 @@ class Pow(Expr):
     def eval(self, zvalues):
         return _power(self.base.eval(zvalues), self.k)
 
-    def _chain(self, db):
-        return emul(Const(complex(self.k)), epow(self.base, self.k - 1), db)
+    def _map(self, f):
+        return epow(f(self.base), self.k)
 
-    def diff_z(self, i):
-        return self._chain(self.base.diff_z(i))
-
-    def diff_zbar(self, i):
-        return self._chain(self.base.diff_zbar(i))
-
-    def conj(self):
-        return epow(self.base.conj(), self.k)
-
-    def substitute(self, args):
-        return epow(self.base.substitute(args), self.k)
+    def _derive(self, d):
+        return emul(Const(complex(self.k)), epow(self.base, self.k - 1), d(self.base))
 
 
 def _unary(name, fn, dfn):
@@ -694,17 +679,11 @@ def _unary(name, fn, dfn):
         def eval(self, zvalues):
             return fn(self.u.eval(zvalues))
 
-        def diff_z(self, i):
-            return dfn(self.u, self.u.diff_z(i))
+        def _map(self, f):
+            return Node(f(self.u))
 
-        def diff_zbar(self, i):
-            return dfn(self.u, self.u.diff_zbar(i))
-
-        def conj(self):
-            return Node(self.u.conj())
-
-        def substitute(self, args):
-            return Node(self.u.substitute(args))
+        def _derive(self, d):
+            return dfn(self.u, d(self.u))
 
     Node.__name__ = Node.__qualname__ = name
     return Node
@@ -713,9 +692,8 @@ def _unary(name, fn, dfn):
 Exp = _unary("Exp", cmath.exp, lambda u, du: emul(Exp(u), du))
 Sin = _unary("Sin", cmath.sin, lambda u, du: emul(Cos(u), du))
 Cos = _unary("Cos", cmath.cos, lambda u, du: emul(Const(-1 + 0j), Sin(u), du))
-Sqrt = _unary(
-    "Sqrt", cmath.sqrt, lambda u, du: emul(Const(0.5 + 0j), epow(Sqrt(u), -1), du)
-)
+Sqrt = _unary("Sqrt", cmath.sqrt,
+              lambda u, du: emul(Const(0.5 + 0j), epow(Sqrt(u), -1), du))
 
 
 def eadd(*parts: Expr) -> Expr:

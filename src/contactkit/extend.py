@@ -34,6 +34,7 @@ from .coefficients import Coefficient, LaurentPoly, Monomial
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, PolyMap, pullback
 from .grids import CubeGrid
+from .jets import grid_derivative
 from .reports import VerificationReport, fmt_num
 from .scalars import QC
 
@@ -183,7 +184,7 @@ class SampledExtension:
         self.l = l
         self.jets = _derivative_tower(
             np.asarray(values, dtype=complex), l + 1, grid.m,
-            lambda J, k: np.gradient(J, grid.h[k], axis=k, edge_order=2))
+            lambda J, k: grid_derivative(J, grid, k))
 
     def _series(self, node, y, lowest: int, bump: tuple[int, ...]) -> complex:
         """sum over lowest <= |I| <= l of (1/I!) J_{I+bump}(node) (iy)^I."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .contact import contact_defect
 from .errors import PreconditionError
 from .forms import Form, Point, PolyMap, pullback
 from .reports import VerificationReport, fmt_num
+from .sampling import numeric_points
 from .scalars import QC
 
 SAMPLE_TOL = 1e-12
@@ -149,20 +149,6 @@ def cover_target_form() -> Form:
 # -- sampling helpers ------------------------------------------------------
 
 
-def _annulus_samples(count: int, seed: int) -> list[Point]:
-    """Points with |z1| in [1/2, 2] (clear of the C* puncture) and the
-    remaining coordinates in the unit box."""
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        r = 0.5 + 1.5 * rng.random()
-        phi = 2 * math.pi * rng.random()
-        z1 = r * cmath.exp(1j * phi)
-        rest = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
-        pts.append(Point((z1, *rest)))
-    return pts
-
-
 def _relative_error(got: complex, want: complex) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
@@ -220,7 +206,7 @@ def covering_check(samples: list[Point] | None = None,
                    seed: int = 0) -> VerificationReport:
     """Both displayed pullback identities onto cos z1 dz3 + sin z1 dz2."""
     if samples is None:
-        samples = _annulus_samples(100, seed)
+        samples = numeric_points(3, 100, seed)
     report = VerificationReport("covering and automorphism pullbacks")
     target = cover_target_form()
 
@@ -250,7 +236,7 @@ def gallery_verify_all(name_filter: str | None = None,
             report.add("no entries matched filter", True,
                        f"warning: filter {name_filter!r} selected nothing; vacuous pass")
             return report
-    samples = _annulus_samples(100, seed)
+    samples = numeric_points(3, 100, seed)
     for entry in entries:
         defect = contact_defect(entry.form)
         if entry.mode == "exact":

@@ -52,13 +52,11 @@ class CubeGrid:
         if len(bounds) != self.m:
             raise DimensionError("bounds count != 2n+1")
         self.bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-        for lo, hi in self.bounds:
-            if not hi > lo:
-                raise PreconditionError(f"empty axis interval [{lo}, {hi}]")
         self.h = tuple((hi - lo) / (nodes - 1) for lo, hi in self.bounds)
         for k, ((lo, hi), h) in enumerate(zip(self.bounds, self.h)):
-            # finite bounds far apart overflow hi - lo to inf, and a subnormal
-            # interval divides down to a zero step
+            # an empty or reversed interval gives a step <= 0 and a NaN bound a
+            # NaN step; finite bounds far apart overflow hi - lo to inf, and a
+            # subnormal interval divides down to a zero step
             if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < h < math.inf):
                 raise PreconditionError(f"axis {k}: interval [{lo}, {hi}] and mesh "
                                         f"step {h} must be finite and the step positive")

@@ -166,14 +166,19 @@ def holonomic_jet(alpha: Form, pt: Point) -> Jet1:
     return Jet1.build((m - 1) // 2, a, p)
 
 
-def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
-    """All first derivatives of an a field: out[..., i, j] = da_i/dx_j.
+def grid_derivative(values: np.ndarray, grid: CubeGrid, axis: int) -> np.ndarray:
+    """The derivative of a sampled field along grid axis ``axis``: the
+    package's one finite-difference stencil.
 
     Second-order central differences inside, second-order one-sided at the
     faces (the numpy gradient stencils with edge_order=2).
     """
-    return np.stack([np.gradient(a, grid.h[j], axis=j, edge_order=2)
-                     for j in range(grid.m)], axis=-1)
+    return np.gradient(values, grid.h[axis], axis=axis, edge_order=2)
+
+
+def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
+    """All first derivatives of an a field: out[..., i, j] = da_i/dx_j."""
+    return np.stack([grid_derivative(a, grid, j) for j in range(grid.m)], axis=-1)
 
 
 def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ be reproducible and pole-free, not dense.  Everything here is driven by
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -35,19 +37,18 @@ def exact_points(m: int, count: int, seed: int = 0, spread: int = 1) -> list[Poi
     return pts
 
 
-def numeric_points(m: int, count: int, seed: int = 0, radius: float = 1.0,
-                   min_abs: float = 0.25) -> list[Point]:
-    """Random complex points in an annulus (floats, for expr coefficients)."""
+def numeric_points(m: int, count: int, seed: int = 0) -> list[Point]:
+    """Random complex points (floats, for expr coefficients) with |z1| in
+    [1/2, 2], clear of the C* puncture, and the other m - 1 coordinates in
+    the unit box."""
     rng = random.Random(seed)
-    pts: list[Point] = []
-    while len(pts) < count:
-        vals = []
-        for _ in range(m):
-            z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-            vals.append(z)
-        if any(abs(z) < min_abs for z in vals):
-            continue
-        pts.append(Point(vals))
+    pts = []
+    for _ in range(count):
+        r = 0.5 + 1.5 * rng.random()
+        phi = 2 * math.pi * rng.random()
+        z1 = r * cmath.exp(1j * phi)
+        rest = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(m - 1)]
+        pts.append(Point((z1, *rest)))
     return pts
 
 

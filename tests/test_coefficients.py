@@ -1,14 +1,15 @@
 import cmath
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactkit.coefficients import (
-    EXPONENT_LIMIT, Const, Cos, Exp, LaurentPoly, Monomial, Sin, Sqrt, Z, Zbar,
-    coefficient_variant, eadd, emul, epow,
+    EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow, Sin, Sqrt, Z,
+    Zbar, coefficient_variant, eadd, emul, epow,
 )
 from contactkit.errors import DimensionError, ExponentRangeError, PoleError, VariantError
 from contactkit.forms import Form, Point
@@ -411,3 +412,228 @@ def test_exponents_past_the_field_limit_raise_and_name_the_exponent():
     # operand bounds that reach the limit together are checked term by term
     assert top * LaurentPoly.z(1, 0, -1) == LaurentPoly.z(1, 0, LIMIT - 2)
     assert top.inverse().terms == {Monomial((1 - LIMIT,), (0,)): QC(1)}
+
+
+# -- expression trees: commuting squares and the per-node rules --------------
+
+_TREE_M = 2
+_powers = st.sampled_from([-3, -2, -1, 2, 3])
+_expr_leaves = st.one_of(
+    st.builds(lambda a, b: Const(complex(a, b) / 4), st.integers(-4, 4), st.integers(-4, 4)),
+    st.builds(Z, st.integers(0, _TREE_M - 1)),
+    st.builds(Zbar, st.integers(0, _TREE_M - 1)))
+
+
+@functools.cache
+def expr_trees(depth):
+    """Trees of depth <= ``depth`` on C^2 over every node kind, built with
+    the raw constructors so no folding hides a node."""
+    if depth == 0:
+        return _expr_leaves
+    sub = expr_trees(depth - 1)
+    parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    unary = st.builds(lambda node, u: node(u), st.sampled_from([Exp, Sin, Cos, Sqrt]), sub)
+    return st.one_of(_expr_leaves, parts.map(Add), parts.map(Mul), st.builds(Pow, sub, _powers),
+                     unary)
+
+
+# one tree with every node kind, a three-factor product and a negative power
+EVERY_NODE = Add((Mul((Cos(Z(0)), Pow(Add((Zbar(1), Const(2 + 0j))), -2), Sin(Z(1)))),
+                  Sqrt(Add((Exp(Zbar(0)), Const(4 + 0j))))))
+EVERY_NODE_ARGS = [Mul((Z(1), Zbar(0))), Add((Z(0), Const(0.5j)))]
+
+
+def children(e):
+    if isinstance(e, (Add, Mul)):
+        return e.parts
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Exp, Sin, Cos, Sqrt)):
+        return (e.u,)
+    return ()
+
+
+def tame(e, z, bound=100.0) -> bool:
+    """Every node of ``e`` at ``z`` is below ``bound``, every negative power
+    is clear of its pole and every Sqrt of its branch cut (the negative real
+    axis), so differences, conjugates and substitutions apply."""
+    try:
+        v = e.eval(z)
+    except (ArithmeticError, ValueError):
+        return False
+    if not abs(v) <= bound:
+        return False
+    if isinstance(e, Pow) and e.k < 0 and abs(e.base.eval(z)) < 0.2:
+        return False
+    if isinstance(e, Sqrt):
+        u = e.u.eval(z)
+        if abs(u) < 0.1 or (u.real < 0 and abs(u.imag) < 0.05):
+            return False
+    return all(tame(p, z, bound) for p in children(e))
+
+
+def tame_point(trees, seed):
+    """The first of 20 seeded points in the box |x|, |y| <= 1.2 of C^2 at
+    which every tree is tame, or None."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        z = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(_TREE_M)]
+        if all(tame(e, z) for e in trees):
+            return z
+    return None
+
+
+def relative_gap(got, want):
+    return abs(got - want) / max(1.0, abs(want))
+
+
+def wirtinger_differences(e, z, i, h=1e-6):
+    """Central differences (d/dx -+ i d/dy) / 2 along z_i: d/dz_i, d/dzbar_i."""
+    def at(step):
+        w = list(z)
+        w[i] += step
+        return e.eval(w)
+
+    dx = (at(h) - at(-h)) / (2 * h)
+    dy = (at(1j * h) - at(-1j * h)) / (2 * h)
+    return (dx - 1j * dy) / 2, (dx + 1j * dy) / 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(expr_trees(4), st.integers(0, 2 ** 32))
+@example(EVERY_NODE, 0)
+def test_expr_derivatives_match_central_differences(e, seed):
+    """Steps of 1e-6 agree to about 1e-8 of the larger derivative on tame
+    points; a wrong chain rule misses by order one."""
+    z = tame_point([e], seed)
+    assume(z is not None)
+    for i in range(_TREE_M):
+        want = wirtinger_differences(e, z, i)
+        got = e.diff_z(i).eval(z), e.diff_zbar(i).eval(z)
+        scale = max(1.0, *map(abs, want))
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-6 * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(expr_trees(4), st.lists(expr_trees(2), min_size=_TREE_M, max_size=_TREE_M),
+       st.integers(0, 2 ** 32))
+@example(EVERY_NODE, EVERY_NODE_ARGS, 0)
+def test_expr_conj_and_substitute_commute_with_evaluation(e, args, seed):
+    z = tame_point([e, *args], seed)
+    assume(z is not None)
+    assert relative_gap(e.conj().eval(z), e.eval(z).conjugate()) <= 1e-13
+    image = [a.eval(z) for a in args]
+    assume(tame(e, image))
+    assert relative_gap(e.substitute(args).eval(z), e.eval(image)) <= 1e-13
+
+
+def reference_diff(e, i, bar):
+    """The derivative in z_i (zbar_i when ``bar``) by the rules each node
+    class used to write out for itself, one method per rule."""
+    def d(p):
+        return reference_diff(p, i, bar)
+
+    if isinstance(e, Const):
+        return Const(0j)
+    if isinstance(e, Z):
+        return Const(1 + 0j) if not bar and i == e.i else Const(0j)
+    if isinstance(e, Zbar):
+        return Const(1 + 0j) if bar and i == e.i else Const(0j)
+    if isinstance(e, Add):
+        return eadd(*(d(p) for p in e.parts))
+    if isinstance(e, Mul):
+        terms = []
+        for k in range(len(e.parts)):
+            factors = list(e.parts)
+            factors[k] = d(factors[k])
+            terms.append(emul(*factors))
+        return eadd(*terms)
+    if isinstance(e, Pow):
+        return emul(Const(complex(e.k)), epow(e.base, e.k - 1), d(e.base))
+    u, du = e.u, d(e.u)
+    if isinstance(e, Exp):
+        return emul(Exp(u), du)
+    if isinstance(e, Sin):
+        return emul(Cos(u), du)
+    if isinstance(e, Cos):
+        return emul(Const(-1 + 0j), Sin(u), du)
+    if isinstance(e, Sqrt):
+        return emul(Const(0.5 + 0j), epow(Sqrt(u), -1), du)
+    raise TypeError(type(e).__name__)
+
+
+def reference_conj(e):
+    if isinstance(e, Const):
+        return Const(e.value.conjugate())
+    if isinstance(e, Z):
+        return Zbar(e.i)
+    if isinstance(e, Zbar):
+        return Z(e.i)
+    if isinstance(e, Add):
+        return eadd(*(reference_conj(p) for p in e.parts))
+    if isinstance(e, Mul):
+        return emul(*(reference_conj(p) for p in e.parts))
+    if isinstance(e, Pow):
+        return epow(reference_conj(e.base), e.k)
+    return type(e)(reference_conj(e.u))
+
+
+def reference_substitute(e, args):
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Z):
+        return args[e.i]
+    if isinstance(e, Zbar):
+        return reference_conj(args[e.i])
+    if isinstance(e, Add):
+        return eadd(*(reference_substitute(p, args) for p in e.parts))
+    if isinstance(e, Mul):
+        return emul(*(reference_substitute(p, args) for p in e.parts))
+    if isinstance(e, Pow):
+        return epow(reference_substitute(e.base, args), e.k)
+    return type(e)(reference_substitute(e.u, args))
+
+
+def assert_same_tree(got, want):
+    """``got()`` and ``want()`` give equal trees holding the same bits (repr
+    tells -0.0 from 0.0), or raise the same error (a pole of a constant)."""
+    try:
+        w = want()
+    except PoleError:
+        with pytest.raises(PoleError):
+            got()
+        return
+    g = got()
+    assert g == w and repr(g) == repr(w)
+
+
+def assert_rules_match_the_reference(e, args, m):
+    for i in range(m):
+        assert_same_tree(lambda: e.diff_z(i), lambda: reference_diff(e, i, False))
+        assert_same_tree(lambda: e.diff_zbar(i), lambda: reference_diff(e, i, True))
+    assert_same_tree(e.conj, lambda: reference_conj(e))
+    assert_same_tree(lambda: e.substitute(args), lambda: reference_substitute(e, args))
+
+
+@settings(deadline=None, max_examples=60)
+@given(expr_trees(4), st.lists(expr_trees(2), min_size=_TREE_M, max_size=_TREE_M))
+@example(EVERY_NODE, EVERY_NODE_ARGS)
+def test_expr_rules_match_the_per_node_reference(e, args):
+    assert_rules_match_the_reference(e, args, _TREE_M)
+
+
+def test_expr_rules_match_the_per_node_reference_on_the_gallery():
+    from contactkit.gallery import (alpha_prime, cover_target_form, covering_map,
+                                    gallery_entries, rotation_automorphism)
+
+    forms = [cover_target_form(), alpha_prime()]
+    for entry in gallery_entries():
+        forms += [entry.form, entry.expected]
+    maps = [covering_map().components, rotation_automorphism().components]
+    for f in forms:
+        for c in f.to_expr().terms.values():
+            for args in maps:
+                assert_rules_match_the_reference(c, args, 3)
+    for comps in maps:
+        for c in comps:
+            assert_rules_match_the_reference(c, [Zbar(1), Z(0), Const(2j)], 3)

@@ -5,6 +5,7 @@ checked with ``==`` on forms, not with tolerances.  The acceptance suite
 repeats the core ones with larger sample counts.
 """
 
+import cmath
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit.coefficients import LaurentPoly, Monomial
+from contactkit.contact import contact_defect
 from contactkit.errors import ContactKitError, DimensionError, VariantError
 from contactkit.forms import (
     Form, Point, PolyMap, _form, covector_index, covector_name, dee_bar, ext_d,
@@ -442,3 +444,49 @@ def test_pullback_matches_the_parent(seed, m_src, m_dst, degree, expr):
     if expr:
         F = F.to_expr()
     assert_same_pullback(F, f)
+
+
+# -- commuting squares: each operation commutes with to_expr() ---------------
+
+def sampled_gap(got: Form, want: Form, points) -> float:
+    """The largest gap between two expression forms' coefficients over the
+    points, relative to max(1, |want|)."""
+    assert (got.m, got.degree, got.variant) == (want.m, want.degree, "expr")
+    worst = 0.0
+    for pt in points:
+        for w in set(got.terms) | set(want.terms):
+            g, e = got.coefficient_at(pt, w), want.coefficient_at(pt, w)
+            worst = max(worst, abs(g - e) / max(1.0, abs(e)))
+    return worst
+
+
+def leaves_the_ring(F: PolyMap, f: Form) -> bool:
+    """A negative exponent of z_j or zbar_j meets a component j with more
+    than one term, which has no inverse in the Laurent ring."""
+    m = f.m
+    return any(e < 0 and len(F.components[j % m].terms) != 1
+               for c in f.terms.values() for mono in c.terms
+               for j, e in enumerate(mono.zexp + mono.zbarexp))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(0, 2))
+def test_laurent_operations_commute_with_to_expr(seed, deg, deg2):
+    """ext_d, dee_bar, wedge, contact_defect and pullback on C^3, then
+    to_expr(), against the same operation on the to_expr()'d inputs."""
+    rng = random.Random(seed)
+    f = random_form(3, deg, rng, allow_negative=True)
+    g = random_form(3, deg2, rng, allow_negative=True)
+    alpha = random_form(3, 1, rng, allow_negative=True)
+    F = random_poly_map(3, rng)
+    points = [Point([cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-3, 3)) for _ in range(3)])
+              for _ in range(3)]
+    squares = [(ext_d, (f,)), (dee_bar, (f,)), (wedge, (f, g)), (contact_defect, (alpha,))]
+    if leaves_the_ring(F, f):
+        with pytest.raises(VariantError, match="pullback left the Laurent ring"):
+            pullback(F, f)
+    else:
+        squares.append((pullback, (F, f)))
+    for op, args in squares:
+        want = op(*(a.to_expr() for a in args))
+        assert sampled_gap(op(*args).to_expr(), want, points) <= 1e-10

@@ -12,12 +12,13 @@ from contactkit.contact import contact_defect, top_coefficient
 from contactkit.errors import PreconditionError
 from contactkit.forms import Form, Point, pullback
 from contactkit.gallery import (
-    CIRCLE_EXPONENTS, SAMPLE_TOL, SIGMA_TIMES, TORUS_TRIPLES, GalleryEntry, _annulus_samples,
+    CIRCLE_EXPONENTS, SAMPLE_TOL, SIGMA_TIMES, TORUS_TRIPLES, GalleryEntry,
     _check_sampled, alpha_prime, circle_form, cover_target_form,
     covering_check, covering_map, gallery_entries, gallery_verify_all,
     named_form, rotation_automorphism, sigma_homotopy, std_form, torus_form,
 )
 from contactkit.reports import VerificationReport
+from contactkit.sampling import numeric_points
 from contactkit.scalars import QC
 
 
@@ -172,7 +173,7 @@ def test_sampled_check_catches_wrong_expected():
     report = VerificationReport("corrupted entry")
     got = contact_defect(circle_form(1))
     wrong = Form(3, 3, {top_word(): LaurentPoly.z(3, 0, 2)})
-    _check_sampled(report, "bad", got, wrong, _annulus_samples(20, 3), SAMPLE_TOL)
+    _check_sampled(report, "bad", got, wrong, numeric_points(3, 20, 3), SAMPLE_TOL)
     assert not report.passed
 
 

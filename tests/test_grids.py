@@ -48,6 +48,14 @@ def test_grid_refuses_a_non_finite_bound_or_mesh_step(bounds, axis):
         CubeGrid(1, 5, bounds)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.0), (1.0, -1.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_grid_refuses_an_empty_or_nan_interval_by_its_one_axis_check(lo, hi):
+    with pytest.raises(PreconditionError,
+                       match=f"^axis 2: interval \\[{lo}, {hi}\\] .* must be finite and the "
+                             "step positive$"):
+        CubeGrid(1, 5, [(0.0, 1.0), (0.0, 1.0), (lo, hi)])
+
+
 @pytest.mark.parametrize("n, nodes", [(1, 5.5), (1, 5.0), (1, True), (1.5, 5), (True, 5)])
 def test_grid_sizes_must_be_ints(n, nodes):
     with pytest.raises((DimensionError, PreconditionError), match="must be an int"):

@@ -2,10 +2,12 @@
 
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contactkit
 from contactkit.coefficients import LaurentPoly
 from contactkit.contact import contact_defect, relation_h, relation_slope, top_coefficient
 from contactkit.errors import DimensionError
@@ -383,3 +385,11 @@ def test_jet_refuses_a_negative_n():
         Jet1(-1, (), ())
     with pytest.raises(DimensionError, match="need n >= 0, got -2"):
         Jet1.build(-2, (), [])
+
+
+def test_grid_derivative_is_the_only_stencil_in_the_package():
+    """Extension jets and the Jacobian both difference through
+    grid_derivative; no module calls numpy's stencil itself."""
+    counts = {path.name: path.read_text().count("np.gradient(")
+              for path in Path(contactkit.__file__).parent.rglob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"jets.py": 1}

@@ -6,10 +6,12 @@ same two ints per value and reduce ``(a, b, den)`` once, so the stored
 triples must agree draw for draw.
 """
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
-from contactkit.sampling import exact_points, random_qc
+from contactkit.sampling import exact_points, numeric_points, random_qc
 from contactkit.scalars import QC
 
 
@@ -41,3 +43,26 @@ def test_exact_points_match_the_fraction_path():
                 want.append([triple(v) for v in vals])
         got = [[triple(v) for v in pt.values] for pt in exact_points(3, 40, seed, spread)]
         assert got == want
+
+
+def annulus_samples(count, seed):
+    """The gallery's three-fold sampler before it moved into sampling."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(count):
+        r = 0.5 + 1.5 * rng.random()
+        phi = 2 * math.pi * rng.random()
+        z1 = r * cmath.exp(1j * phi)
+        rest = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+        pts.append((z1, *rest))
+    return pts
+
+
+def test_numeric_points_keep_the_gallery_draws():
+    for seed in (0, 3, 17):
+        got = [pt.values for pt in numeric_points(3, 100, seed)]
+        assert repr(got) == repr(annulus_samples(100, seed))
+    for m in (1, 2, 5):
+        for pt in numeric_points(m, 50, m):
+            assert pt.m == m and 0.5 <= abs(pt.values[0]) <= 2
+            assert all(abs(z.real) <= 1 and abs(z.imag) <= 1 for z in pt.values[1:])
