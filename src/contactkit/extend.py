@@ -15,10 +15,10 @@ close the loop from sampled output back to a symbolic form.
 Each object has one implementation here: every jet d^I (of symbolic data,
 of a sampled field, of the dbar-components behind the defect) comes from
 ``_derivative_tower``, which takes each derivative once from its parent;
-every "max |c(pt)|" over samples is ``_sup``; and the exact fit builds
-its design matrix from ``_design_row``.  The float fit builds the same
-matrix column-wise in ``_design_matrix``, every entry with the products
-Python's complex arithmetic takes, so it keeps ``_design_row``'s bits.
+every "max |c(pt)|" over samples is ``_sup``; and both fits take their
+design matrix from ``_design_matrix``, which uses only the ring's own
+``*`` and ``**``: with QC entries for the exact solve and with Python
+complex ones, converted to a numpy array, for ``lstsq``.
 """
 
 from __future__ import annotations
@@ -333,70 +333,29 @@ def _holomorphic_form(m: int, monos, cols) -> Form:
         for i, col in enumerate(cols)}, "laurent")
 
 
-def _design_row(values, monos, one) -> list:
-    """The monomials z^I at one point, each v = one times values[k] ** e
-    over the nonzero exponents e of I."""
-    row = []
+def _design_matrix(values, monos, one) -> list[list]:
+    """The monomials z^I at each point, one row per point of ``values``,
+    for ``monos`` in multi_indices order.
+
+    Entry (p, I) is one times values[p][k] ** e over the nonzero exponents
+    e of I, multiplied in slot order.  Only the ring's own * and ** are
+    used, so both fit paths build their matrix here: QC entries for the
+    exact solve, Python complex ones that numpy takes bit for bit.  Each
+    power is taken once per (k, e) across all points, and each column is
+    an earlier column times one power: I with its last nonzero slot k
+    zeroed is the same product stopped one factor short."""
+    powers = {}
+    cols = {}
     for I in monos:
-        v = one
-        for k, e in enumerate(I):
-            if e:
-                v = v * values[k] ** e
-        row.append(v)
-    return row
-
-
-# CPython raises a complex to an integer power of at most this size by
-# square-and-multiply (c_powu); larger exponents go through polar form
-_SQUARE_MULTIPLY_LIMIT = 100
-
-
-def _cmul(x, y):
-    """x * y on (real, imag) pairs of float arrays, in the order of
-    CPython's complex product, so each entry keeps its bits."""
-    (xr, xi), (yr, yi) = x, y
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _powers(z: np.ndarray, top: int) -> list:
-    """[z ** e for e in 0..top] as (real, imag) pairs, each bit-equal to
-    Python's complex z ** e.  Square-and-multiply applies the bits of e
-    from the lowest, so z ** e is z ** (e less its top bit) times the
-    top bit's square."""
-    pw = [(np.ones(len(z)), np.zeros(len(z)))]
-    squares = [(z.real.copy(), z.imag.copy())]
-    for e in range(1, min(top, _SQUARE_MULTIPLY_LIMIT) + 1):
-        bit = e.bit_length() - 1
-        if bit == len(squares):
-            squares.append(_cmul(squares[-1], squares[-1]))
-        pw.append(_cmul(pw[e - (1 << bit)], squares[bit]))
-    for e in range(_SQUARE_MULTIPLY_LIMIT + 1, top + 1):
-        big = np.array([complex(x) ** e for x in z])
-        pw.append((big.real, big.imag))
-    if any(np.isinf(r).any() or np.isinf(i).any() for r, i in pw[1:]):
-        raise OverflowError("complex exponentiation")  # as Python's ** does
-    return pw
-
-
-def _design_matrix(points, monos) -> np.ndarray:
-    """The float design matrix, column by column: entry (p, I) is
-    bit-equal to _design_row(points[p].as_complex(), monos, 1 + 0j)[I]."""
-    z = np.array([pt.as_complex() for pt in points], dtype=complex).reshape(len(points), -1)
-    top = max((max(I) for I in monos), default=0)
-    one = (np.ones(len(points)), np.zeros(len(points)))
-    A = np.empty((len(points), len(monos)), dtype=complex)
-    # Python's complex arithmetic overflows to inf without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        pw = [_powers(z[:, k], top) for k in range(z.shape[1])]
-        for c, I in enumerate(monos):
-            v = one
-            for k, e in enumerate(I):
-                if e:
-                    v = _cmul(v, pw[k][e])
-            # real and imag parts are set apart: adding 1j * imag could
-            # flip the sign of a zero real part
-            A.real[:, c], A.imag[:, c] = v
-    return A
+        k = max((j for j, e in enumerate(I) if e), default=None)
+        if k is None:
+            cols[I] = [one] * len(values)
+            continue
+        e = I[k]
+        if (k, e) not in powers:
+            powers[k, e] = [v[k] ** e for v in values]
+        cols[I] = [c * w for c, w in zip(cols[I[:k] + (0,) + I[k + 1:]], powers[k, e])]
+    return [list(row) for row in zip(*cols.values())]
 
 
 def fit_holomorphic(points, values, degree: int) -> FitResult:
@@ -435,7 +394,7 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
 
     if all(pt.is_exact for pt in points) and all(
             exact_value(v) is not None for r in rows for v in r):
-        A = [_design_row(pt.values, monos, QC(1)) for pt in points]
+        A = _design_matrix([pt.values for pt in points], monos, QC(1))
         exact_rows = [[exact_value(v) for v in r] for r in rows]
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         sols, rank = _solve_exact_normal(A, rhs_cols)
@@ -450,14 +409,15 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
                 worst = max(worst, extra.abs2())
         return FitResult(form, sqrt(worst), rank, len(monos), len(points), True)
 
-    A = _design_matrix(points, monos)
+    A = np.array(_design_matrix([pt.as_complex() for pt in points], monos, 1 + 0j),
+                 dtype=complex)
     rhs = np.array([[complex(rows[r][i]) for i in range(m)] for r in range(len(rows))])
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     form = _holomorphic_form(m, monos, [
         [QC(Fraction(c.real), Fraction(c.imag)) for c in map(complex, sol[:, i])]
         for i in range(m)])
     fitted = A @ sol
-    residual = float(np.max(np.abs(fitted - rhs))) if len(points) else 0.0
+    residual = float(np.max(np.abs(fitted - rhs)))
     for r in range(len(rows)):
         for extra in rows[r][m:]:
             residual = max(residual, abs(complex(extra)))

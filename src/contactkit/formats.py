@@ -307,12 +307,8 @@ def section_from_text(text: str) -> GridSection:
         raise ParseError(f"line {lineno}: bounds: {exc}") from None
     if len(flat) != 2 * m:
         raise ParseError(f"line {lineno}: bounds carry {len(flat)} numbers, expected {2 * m}")
-    bounds = tuple(zip(flat[::2], flat[1::2]))
-    for lo, hi in bounds:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
     try:
-        grid = CubeGrid(n, nodes, bounds)
+        grid = CubeGrid(n, nodes, tuple(zip(flat[::2], flat[1::2])))
     except PreconditionError as exc:
         raise ParseError(f"line {lineno}: bounds: {exc}") from None
     # checked before allocating: a huge node count must not reach np.empty

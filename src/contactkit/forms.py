@@ -136,6 +136,9 @@ class Form:
         clean: dict[Word, Coefficient] = {}
         for word, coeff in (terms or {}).items():
             word = tuple(word)
+            # type() is exact: neither a bool nor 0.5 names a covector
+            if any(type(w) is not int for w in word):
+                raise DimensionError(f"covector word {word!r} has an index that is not an int")
             if len(word) != degree:
                 raise DimensionError(f"word {word} has length != degree {degree}")
             if any(word[i] >= word[i + 1] for i in range(len(word) - 1)):

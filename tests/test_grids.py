@@ -201,6 +201,15 @@ def test_gamma_validation():
         GammaSpec.of({(5, 0)}).frozen_mask(grid)
 
 
+def test_gamma_refuses_an_out_of_range_face_axis_alike_in_mask_and_cutoff():
+    gamma = GammaSpec.of({(0, 0), (3, 1)})
+    grid = CubeGrid(1, nodes=9)
+    for method in (gamma.frozen_mask, gamma.cutoff_field):
+        with pytest.raises(DimensionError, match="^face axis 3 out of range$"):
+            method(grid)
+    assert gamma.frozen_mask(CubeGrid(2, nodes=9)).any()
+
+
 @pytest.mark.parametrize("bad", [
     (0, 0, 1), (0,), (0.5, 0), (0, 0.0), (True, 0), (0, True), (-1, 0), (1, 2), "ab",
 ])
