@@ -15,6 +15,10 @@ it, on exact, complex and ndarray entries alike.  It reads each matrix
 once into an upper table and expands each sub-Pfaffian once per matrix:
 h and its slopes on one bordered matrix (``ampleness_slice``), or the m
 minors of one beta (``pfaffian_coeffs``), share their sub-Pfaffians.
+The expansion's structure (per index tuple: the partners, sub-tuples and
+parities) is a plan built once per process; four indices take a closed
+formula, and odd terms are subtracted rather than negated and added, so
+each result keeps the bits of the plain expansion.
 
 The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
 ``pencil_check``) read their margins from ``relation_h`` on point values:
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import DimensionError, PreconditionError, VariantError
@@ -84,17 +89,18 @@ class SkewMatrix:
         for (i, j), v in sorted(self._up.items()):
             yield i, j, v
 
-    def __eq__(self, other):
-        if not isinstance(other, SkewMatrix):
-            return NotImplemented
-        if self.m != other.m:
-            return False
-        keys = set(self._up) | set(other._up)
-        return all(self.get(*k) == other.get(*k) for k in keys)
 
-    def __repr__(self):
-        ent = ", ".join(f"b{i + 1}{j + 1}={fmt_num(v)}" for i, j, v in self.upper_entries())
-        return f"SkewMatrix(m={self.m}, {ent or '0'})"
+@lru_cache(maxsize=1024)
+def _plan(idx: tuple) -> tuple:
+    """The expansion of ``idx`` along its first index: that index and, per
+    term, the partner, the sub-index tuple and whether the term is odd.
+
+    A plan depends only on the tuple, never on the entries, so each is
+    built once per process; the cache holds at most 1024 plans, since
+    ``pfaffian`` passes index tuples in any order.
+    """
+    rest = idx[1:]
+    return idx[0], tuple((p, rest[:k] + rest[k + 1:], k % 2) for k, p in enumerate(rest))
 
 
 def _pf(up, idx: tuple, memo: dict):
@@ -104,21 +110,32 @@ def _pf(up, idx: tuple, memo: dict):
     ``up[i][j]`` holds the (i, j) entry for i preceding j in ``idx``.  The
     expansion runs along the first index,
     Pf = sum_k (-1)^k up[idx[0]][idx[k+1]] Pf(idx without both),
-    and each sub-Pfaffian of four or more indices is expanded once and
-    kept in ``memo`` under its index tuple; calls on the same table that
-    share a memo share their sub-Pfaffians.  The empty Pfaffian is 1.
+    walking the cached ``_plan`` of ``idx``: each term is the table entry
+    times the sub-Pfaffian, and odd terms are subtracted.  Four indices
+    i, j, k, l take the closed form
+    up[i][j]*up[k][l] - up[i][k]*up[j][l] + up[i][l]*up[j][k], which is
+    that expansion term for term.  Each sub-Pfaffian of four or more
+    indices is computed once and kept in ``memo`` under its index tuple;
+    calls on the same table that share a memo share their sub-Pfaffians.
+    The empty Pfaffian is 1.
     """
     if len(idx) < 4:
         return up[idx[0]][idx[1]] if idx else 1
     total = memo.get(idx)
     if total is None:
-        first, rest = idx[0], idx[1:]
-        row = up[first]
-        for k, partner in enumerate(rest):
-            term = row[partner] * _pf(up, rest[:k] + rest[k + 1:], memo)
-            if k % 2:
-                term = -term
-            total = term if total is None else total + term
+        if len(idx) == 4:
+            i, j, k, l = idx
+            ui, uj = up[i], up[j]
+            total = ui[j] * up[k][l] - ui[k] * uj[l] + ui[l] * uj[k]
+        else:
+            first, terms = _plan(idx)
+            row = up[first]
+            terms = iter(terms)
+            partner, sub, _ = next(terms)
+            total = row[partner] * _pf(up, sub, memo)
+            for partner, sub, odd in terms:
+                term = row[partner] * _pf(up, sub, memo)
+                total = total - term if odd else total + term
         memo[idx] = total
     return total
 
@@ -142,6 +159,12 @@ def pfaffian(entry, idx: tuple[int, ...]):
     return _pf(_table(entry, idx), idx, {})
 
 
+@lru_cache(maxsize=1024)
+def _bordered_idx(n: int, *drop: int) -> tuple:
+    """The bordered matrix's indices -1 .. 2n, without those in ``drop``."""
+    return tuple(k for k in range(-1, 2 * n + 1) if k not in drop)
+
+
 class _Bordered:
     """h and its slopes on one bordered matrix [[0, a^T], [-a, beta]].
 
@@ -159,16 +182,14 @@ class _Bordered:
         self._memo: dict = {}
 
     def h(self):
-        return factorial(self.n) * _pf(self._up, tuple(range(-1, 2 * self.n + 1)), self._memo)
+        return factorial(self.n) * _pf(self._up, _bordered_idx(self.n), self._memo)
 
     def slope(self, r: int, s: int):
         if r == s:
             raise DimensionError(f"slope needs two distinct indices, got ({r},{s})")
-        if r > s:
-            return -self.slope(s, r)
-        rest = tuple(k for k in range(-1, 2 * self.n + 1) if k not in (r, s))
-        v = factorial(self.n) * _pf(self._up, rest, self._memo)
-        return v if (r + s) % 2 else -v
+        v = factorial(self.n) * _pf(self._up, _bordered_idx(self.n, r, s), self._memo)
+        # the minor's sign is (-1)^(r+s+1) for r < s and flips for r > s
+        return v if (r + s) % 2 != (r > s) else -v
 
 
 def relation_h(a, beta, n: int):

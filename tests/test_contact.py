@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactkit import contact
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
     FormalPair, SkewMatrix, contact_defect, formal_defect, is_contact_on,
     is_formal_contact_on, pencil_check, pfaffian, pfaffian_coeffs, relation_coefficient,
     relation_h, relation_slope, top_coefficient,
 )
-from contactkit.errors import DimensionError, VariantError
+from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
 from contactkit.forms import Form, ext_d, wedge, wedge_power
 from contactkit.gallery import circle_form, gallery_entries, sigma_homotopy, std_form
 from contactkit.jets import (
@@ -431,15 +432,17 @@ KINDS = ("qc", "complex", "ndarray")
        st.integers(0, 2 ** 32))
 def test_pfaffian_kernel_matches_plain_expansion(kind, half, order, seed):
     """Index sets of size 0..8, in any order, on exact, complex and ndarray
-    entries of a skew matrix."""
+    entries of two skew matrices in turn."""
     rng = random.Random(seed)
-    upper = {(i, j): random_entry(kind, rng) for i in range(9) for j in range(i + 1, 9)}
-
-    def entry(i, j):
-        return upper[i, j] if i < j else -upper[j, i]
-
     idx = tuple(order[:2 * half])
-    assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
+    # a second matrix on the same index tuple: a plan must keep no entries
+    for _ in range(2):
+        upper = {(i, j): random_entry(kind, rng) for i in range(9) for j in range(i + 1, 9)}
+
+        def entry(i, j):
+            return upper[i, j] if i < j else -upper[j, i]
+
+        assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
 
 
 def test_pfaffian_refuses_an_odd_index_set():
@@ -517,3 +520,103 @@ def test_jet_path_takes_each_product_once(monkeypatch):
         calls.clear()
         ampleness_slice(RestrictedJet(jet, i))
         assert len(calls) == products
+
+
+def test_jet_path_sums_each_term_once(monkeypatch):
+    """At n = 3, h of a bordered matrix makes 32 additions and 32
+    subtractions beside the 21 beta reads (p[s][r] - p[r][s]), and no
+    negation: odd terms are subtracted, and a four-index sub-Pfaffian is
+    one closed formula.  A slice's slopes add one negation per minor of
+    sign -1."""
+    calls = {}
+
+    def counting(name):
+        inner = getattr(QC, name)
+
+        def counted(self, *other):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(self, *other)
+        return counted
+
+    for name in ("__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(QC, name, counting(name))
+    jet = random_jet(3, random.Random(257))
+    want = relation_value(jet)
+    calls.clear()
+    assert relation_value(jet) == want
+    assert calls == {"__add__": 32, "__sub__": 21 + 32}
+    for i, sums in ((0, {"__add__": 44, "__sub__": 21 + 44, "__neg__": 3}),
+                    (1, {"__add__": 54, "__sub__": 21 + 54, "__neg__": 3}),
+                    (6, {"__add__": 54, "__sub__": 21 + 54, "__neg__": 3})):
+        calls.clear()
+        ampleness_slice(RestrictedJet(jet, i))
+        assert calls == sums
+
+
+def test_pfaffian_plans_stay_bounded_under_any_index_order():
+    """``pfaffian`` accepts index tuples in any order, and each order has
+    its own plans; after many random orders the plan cache holds at most
+    its fixed 1024 plans, and the relation paths still expand correctly."""
+    rng = random.Random(263)
+    upper = {(i, j): random_entry("complex", rng) for i in range(10) for j in range(i + 1, 10)}
+
+    def entry(i, j):
+        return upper[i, j] if i < j else -upper[j, i]
+
+    for _ in range(300):
+        idx = tuple(rng.sample(range(10), 8))
+        pfaffian(entry, idx)
+    info = contact._plan.cache_info()
+    assert info.maxsize == 1024 and info.currsize == 1024
+    idx = tuple(rng.sample(range(10), 8))
+    assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
+    jet = random_jet(3, rng)
+    a, beta = jet_readers(jet)
+    assert_same(relation_value(jet), relation_h_oracle(a, beta, 3))
+
+
+def _dz_pair(m, variant="laurent"):
+    """dz_1 and dz_1^dz_2 on C^m, the 2-form in the given variant."""
+    alpha = Form.dz(m, 0)
+    beta = Form(m, 2, {(0, 1): LaurentPoly.const(m, 1)})
+    return alpha, (beta.to_expr() if variant == "expr" else beta)
+
+
+REFUSALS = [
+    (lambda: SkewMatrix(0), DimensionError, "need m >= 1"),
+    (lambda: SkewMatrix(3).get(0, 3), DimensionError, "index (0,3) out of range for m=3"),
+    (lambda: SkewMatrix(3).set(1, 1, QC(1)), DimensionError,
+     "diagonal of a skew matrix is fixed at zero"),
+    (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 2)), DimensionError,
+     "Pfaffian needs an even number of indices, got 3"),
+    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 2, 2), DimensionError,
+     "slope needs two distinct indices, got (2,2)"),
+    (lambda: pfaffian_coeffs(SkewMatrix(5), 1), DimensionError,
+     "skew matrix has m=5, expected 3"),
+    (lambda: FormalPair(Form.dz(3, 0), Form.dz(3, 1)), DimensionError,
+     "pair needs a 1-form and a 2-form"),
+    (lambda: FormalPair(Form.dz(3, 0), _dz_pair(5)[1]), DimensionError,
+     "pair members live on different spaces"),
+    (lambda: FormalPair(*_dz_pair(4)), DimensionError, "odd complex dimension 2n+1 required"),
+    (lambda: FormalPair(*_dz_pair(3, "expr")), VariantError,
+     "pair members mix coefficient variants"),
+    (lambda: pencil_check(std_form(1), _dz_pair(3)[1], [], steps=2, tol=1e-9),
+     DimensionError, "pencil_check expects two 1-forms"),
+    (lambda: pencil_check(std_form(1), std_form(2), [], steps=2, tol=1e-9),
+     DimensionError, "pencil endpoints live on different spaces"),
+    (lambda: pencil_check(std_form(1), std_form(1), [], steps=1, tol=1e-9),
+     PreconditionError, "pencil_check needs steps >= 2"),
+    (lambda: relation_coefficient([QC(1)], [QC(1), QC(2)]), DimensionError,
+     "vector length mismatch"),
+    (lambda: relation_coefficient([], []), DimensionError, "empty vectors"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_every_contact_refusal_is_reached(call, error, fragment):
+    """One row per ``raise`` in ``contact.py``: the malformed input, its
+    error class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from contactkit import ci
 from contactkit.ci import N_FRAMES, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial
-from contactkit.errors import ParseError, VariantError
+from contactkit.errors import ParseError, PreconditionError, VariantError
 from contactkit.formats import (
     _columns, _header_int, dump_ci_result, form_from_document, form_to_document,
     load_form, load_section, save_form, save_report, save_section,
@@ -312,7 +312,11 @@ def reference_section_from_text(text):
     for lo, hi in bounds:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParseError(f"line {lineno}: bounds: [{lo}, {hi}] is not a finite nonempty interval")
-    grid = CubeGrid(n, nodes, bounds)
+    try:
+        grid = CubeGrid(n, nodes, bounds)
+    except PreconditionError as exc:
+        # finite bounds whose mesh step overflows or underflows
+        raise ParseError(f"line {lineno}: bounds: {exc}") from None
     if len(rows) != grid.n_nodes:
         raise ParseError(f"{len(rows)} node rows, expected {grid.n_nodes}")
     columns = _columns(m)
@@ -500,11 +504,15 @@ def test_section_bounds_with_an_infinite_or_zero_mesh_step_are_refused(bounds, a
     ("0.0 1.0 0.0 1.0 0.5 0.5", "axis 2: interval [0.5, 0.5] and mesh step 0.0"),
     ("nan 1.0 0.0 1.0 0.0 1.0", "axis 0: interval [nan, 1.0] and mesh step nan"),
     ("0.0 1.0 -inf 1.0 0.0 1.0", "axis 1: interval [-inf, 1.0] and mesh step inf"),
+    ("-1e308 1e308 0.0 1.0 0.0 1.0", "axis 0: interval [-1e+308, 1e+308] and mesh step inf"),
+    ("0.0 5e-324 0.0 1.0 0.0 1.0", "axis 0: interval [0.0, 5e-324] and mesh step 0.0"),
 ])
 def test_section_bounds_are_refused_by_the_grid_on_the_bounds_line(bounds, message):
     """The reader has no interval check of its own: CubeGrid's refusal is
     reported on the bounds line, where the reference reader gives its own
-    "not a finite nonempty interval" message for the same interval."""
+    "not a finite nonempty interval" message for the same interval.  Finite
+    bounds whose mesh step overflows or underflows pass the reference's
+    check, and both readers report the grid's refusal."""
     lines = _replace_line("bounds", f"bounds {bounds}")(
         section_to_text(messy_section(nodes=5)).splitlines())
     text = "\n".join(lines)
