@@ -51,6 +51,8 @@ PHASE_BLOCK_ELEMENTS = 2 ** 16
 
 
 def _check_phases(k: int) -> None:
+    if type(k) is not int:
+        raise PreconditionError(f"a loop's phase count k must be an int, got {k!r}")
     if k < 1:
         raise PreconditionError(f"a loop needs k >= 1 phases, got {k}")
 
@@ -379,6 +381,8 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     grid = inp.grid
     if not (0 < eps < math.inf and 0 < delta < math.inf):
         raise PreconditionError(f"eps and delta must be finite and positive, got {eps}, {delta}")
+    if type(max_sweeps) is not int:
+        raise PreconditionError(f"max_sweeps must be an int, got {max_sweeps!r}")
     if max_sweeps < 1:
         raise PreconditionError("max_sweeps must be at least 1")
 

@@ -41,9 +41,7 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
-from .scalars import QC, QC_ONE, power
-
-_EXACT_SCALARS = (int, Fraction, QC)
+from .scalars import QC, QC_ONE, exact, power
 
 _WIDTH = 32
 # exponents satisfy |e| < EXPONENT_LIMIT; a field stores e + EXPONENT_LIMIT
@@ -59,11 +57,10 @@ def _reject_float(other):
 
 
 def _as_qc(value) -> QC:
-    if isinstance(value, QC):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QC(value)
-    raise VariantError(f"expected an exact scalar, got {type(value).__name__}")
+    q = exact(value)
+    if q is None:
+        raise VariantError(f"expected an exact scalar, got {type(value).__name__}")
+    return q
 
 
 class Monomial(NamedTuple):
@@ -242,11 +239,12 @@ class LaurentPoly:
             raise DimensionError(f"variable count mismatch: {self.m} vs {other.m}")
 
     def __add__(self, other):
-        if isinstance(other, _EXACT_SCALARS):
-            other = _const(self.m, _as_qc(other))
         if not isinstance(other, LaurentPoly):
-            _reject_float(other)
-            return NotImplemented
+            s = exact(other)
+            if s is None:
+                _reject_float(other)
+                return NotImplemented
+            other = _const(self.m, s)
         self._check_same(other)
         return _collect(self.m, other._terms.items(), max(self._bound, other._bound),
                         self._terms)
@@ -263,14 +261,14 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _EXACT_SCALARS):
-            s = _as_qc(other)
+        if not isinstance(other, LaurentPoly):
+            s = exact(other)
+            if s is None:
+                _reject_float(other)
+                return NotImplemented
             if s.is_zero:
                 return _poly(self.m, {}, 0)
             return _poly(self.m, {k: c * s for k, c in self._terms.items()}, self._bound)
-        if not isinstance(other, LaurentPoly):
-            _reject_float(other)
-            return NotImplemented
         self._check_same(other)
         bound = _product_bound(self, other)
         # k1 + k2 - ONE[m] is the product monomial; ONE[m] leaves the left key once
@@ -371,8 +369,8 @@ class LaurentPoly:
         m = self.m
         if len(zvalues) != m:
             raise DimensionError("point arity mismatch")
-        exact = all(isinstance(v, QC) for v in zvalues)
-        if exact:
+        is_exact = all(isinstance(v, QC) for v in zvalues)
+        if is_exact:
             zs = list(zvalues)
             vals = zs + [v.conj() for v in zs]
             total = QC(0)
@@ -384,7 +382,7 @@ class LaurentPoly:
         # z_i, then zbar_i, for each i in turn
         fields = [(_WIDTH * j, vals[j], j % m + 1) for i in range(m) for j in (i, m + i)]
         for key, coeff in self._terms.items():
-            term = coeff if exact else complex(coeff)
+            term = coeff if is_exact else complex(coeff)
             if key != one:
                 for shift, val, i in fields:
                     e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
@@ -446,10 +444,11 @@ class LaurentPoly:
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, _EXACT_SCALARS):
-            other = _const(self.m, _as_qc(other))
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            other = exact(other)
+            if other is None:
+                return NotImplemented
+            other = _const(self.m, other)
         return self.m == other.m and self._terms == other._terms
 
     def __hash__(self):
@@ -538,16 +537,17 @@ class Expr:
     def __mul__(self, other):
         return emul(self, _as_expr(other))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # the scalar comes first: emul folds its constants left to right
+        return emul(_as_expr(other), self)
 
 
 def _as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (int, float, complex)):
+    if isinstance(value, (int, float, complex, Fraction, QC)):
+        # complex(Fraction) and complex(QC) round each part once, alike
         return Const(complex(value))
-    if isinstance(value, (Fraction, QC)):
-        return Const(complex(QC(value) if not isinstance(value, QC) else value))
     raise VariantError(f"cannot lift {type(value).__name__} into an expression")
 
 

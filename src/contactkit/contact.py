@@ -210,6 +210,8 @@ def relation_slope(a, beta, n: int, r: int, s: int):
     r+1 and s+1); swapping r and s flips the sign.  h is affine in each
     beta entry, so the slope is exact and does not read beta_rs.
     """
+    if not all(type(k) is int and 0 <= k <= 2 * n for k in (r, s)):
+        raise DimensionError(f"slope indices ({r},{s}) are not ints in 0..{2 * n}")
     return _Bordered(a, beta, n).slope(r, s)
 
 
@@ -361,6 +363,8 @@ def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
         raise DimensionError("pencil_check expects two 1-forms")
     if alpha.m != beta1.m:
         raise DimensionError("pencil endpoints live on different spaces")
+    if type(steps) is not int:
+        raise PreconditionError(f"pencil_check steps must be an int, got {steps!r}")
     if steps < 2:
         raise PreconditionError("pencil_check needs steps >= 2")
     pairs = [FormalPair.holonomic(f) for f in (alpha, beta1)]

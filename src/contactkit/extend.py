@@ -23,10 +23,10 @@ complex ones, converted to a numpy array, for ``lstsq``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from itertools import combinations_with_replacement
+from math import factorial, prod, sqrt
 
 import numpy as np
 
@@ -36,21 +36,15 @@ from .forms import Form, PolyMap, pullback
 from .grids import CubeGrid
 from .jets import grid_derivative
 from .reports import VerificationReport, fmt_num
-from .scalars import QC
+from .scalars import QC, exact
 
 
 def multi_indices(m: int, max_total: int):
     """Multi-indices over m slots with total degree at most max_total, by
-    increasing total."""
+    increasing total; within a total the last slot's exponent falls first."""
     for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + m - 1), m - 1):
-            prev = -1
-            idx = []
-            for c in cuts:
-                idx.append(c - prev - 1)
-                prev = c
-            idx.append(total + m - 2 - prev)
-            yield tuple(idx)
+        for slots in reversed(list(combinations_with_replacement(range(m), total))):
+            yield tuple(map(slots.count, range(m)))
 
 
 def _derivative_tower(base, top: int, m: int, derive) -> dict:
@@ -65,10 +59,7 @@ def _derivative_tower(base, top: int, m: int, derive) -> dict:
 
 
 def _index_factorial(I: tuple[int, ...]) -> int:
-    out = 1
-    for k in I:
-        out *= factorial(k)
-    return out
+    return prod(map(factorial, I))
 
 
 def _check_real_slice_poly(f: LaurentPoly) -> None:
@@ -85,6 +76,8 @@ def extend_function(f: LaurentPoly, l: int) -> LaurentPoly:
     there to order l-1.  For f = x^I with l = |I| the output is exactly
     z^I.
     """
+    if type(l) is not int:
+        raise PreconditionError(f"extension order l must be an int, got {l!r}")
     if l < 1:
         raise PreconditionError("extension order l must be >= 1")
     _check_real_slice_poly(f)
@@ -152,6 +145,8 @@ def dbar_defect(target, samples, order: int) -> float:
     lie on the real slice for the flatness semantics to apply, though the
     evaluation itself works anywhere.
     """
+    if type(order) is not int:
+        raise PreconditionError(f"defect order must be an int, got {order!r}")
     if order < 1:
         raise PreconditionError("defect order must be >= 1")
     m, coeffs = _coefficients_of(target)
@@ -174,6 +169,8 @@ class SampledExtension:
     """
 
     def __init__(self, grid: CubeGrid, values: np.ndarray, l: int):
+        if type(l) is not int:
+            raise PreconditionError(f"extension order l must be an int, got {l!r}")
         if l < 1:
             raise PreconditionError("extension order l must be >= 1")
         if values.shape != grid.shape:
@@ -371,6 +368,8 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     points = list(points)
     if not points:
         raise PreconditionError("fit needs at least one sample")
+    if type(degree) is not int:
+        raise PreconditionError(f"fit degree must be an int, got {degree!r}")
     if degree < 0:
         raise PreconditionError(f"fit degree must be >= 0, got {degree}")
     m = points[0].m
@@ -385,17 +384,10 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     if len(rows) != len(points):
         raise DimensionError("one value row per point required")
 
-    def exact_value(v):
-        if isinstance(v, QC):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return QC(v)
-        return None
-
-    if all(pt.is_exact for pt in points) and all(
-            exact_value(v) is not None for r in rows for v in r):
+    exact_rows = ([[exact(v) for v in r] for r in rows]
+                  if all(pt.is_exact for pt in points) else None)
+    if exact_rows and all(v is not None for r in exact_rows for v in r):
         A = _design_matrix([pt.values for pt in points], monos, QC(1))
-        exact_rows = [[exact_value(v) for v in r] for r in rows]
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         sols, rank = _solve_exact_normal(A, rhs_cols)
         form = _holomorphic_form(m, monos, sols)

@@ -7,24 +7,18 @@ Coefficients are either exact Laurent polynomials or expression trees;
 the two variants never mix silently.  Only ``coefficients`` knows which
 kind it holds: this module asks every coefficient the same questions
 (evaluate, differentiate, negate, ``is_zero``) and never checks its type.
-``Form(m, degree, terms)`` checks outside data; sums, wedges and ``d`` add
-their terms through one ``_sum_into`` and skip the re-checks.
+``Form(m, degree, terms)`` checks outside data.  Every result of an
+operation on forms is built by ``_form``, which skips the re-checks; sums,
+wedges and ``d`` add their terms through one ``_sum_into``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-from .coefficients import (
-    Coefficient,
-    Const,
-    LaurentPoly,
-    coefficient_variant,
-    emul,
-)
+from .coefficients import Coefficient, Const, LaurentPoly, coefficient_variant
 from .errors import DimensionError, VariantError
-from .scalars import QC
+from .scalars import QC, exact
 
 Word = tuple[int, ...]
 
@@ -78,19 +72,18 @@ class Point:
 
     def __init__(self, values: Iterable):
         vals = []
-        exact = True
+        is_exact = True
         for v in values:
-            if isinstance(v, QC):
-                vals.append(v)
-            elif isinstance(v, (int, Fraction)):
-                vals.append(QC(v))
+            q = exact(v)
+            if q is not None:
+                vals.append(q)
             elif isinstance(v, (float, complex)):
                 vals.append(complex(v))
-                exact = False
+                is_exact = False
             else:
                 raise VariantError(f"bad coordinate type {type(v).__name__}")
         self.values = tuple(vals)
-        self.is_exact = exact
+        self.is_exact = is_exact
 
     @property
     def m(self) -> int:
@@ -202,7 +195,7 @@ class Form:
         return _form(self.m, self.degree, terms, self.variant)
 
     def __neg__(self) -> "Form":
-        return self.scale(-1)
+        return _form(self.m, self.degree, {w: -c for w, c in self.terms.items()}, self.variant)
 
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
@@ -210,15 +203,10 @@ class Form:
         return self + (-other)
 
     def scale(self, s) -> "Form":
-        """Multiply by a scalar (exact for laurent forms, numeric for expr)."""
-        if self.variant == "laurent":
-            if isinstance(s, (float, complex)):
-                raise VariantError("scaling an exact form by a float; convert with to_expr()")
-            return Form(self.m, self.degree,
-                        {w: c * s for w, c in self.terms.items()}, self.variant)
-        return Form(self.m, self.degree,
-                    {w: emul(Const(complex(s)), c) for w, c in self.terms.items()},
-                    self.variant)
+        """Multiply by a scalar through the ring's reflected ``*``: exact
+        for laurent forms, which refuse a float, and numeric for expr."""
+        return _form(self.m, self.degree, {w: s * c for w, c in self.terms.items()},
+                     self.variant)
 
     def __mul__(self, s):
         return self.scale(s)
@@ -230,8 +218,8 @@ class Form:
     def to_expr(self) -> "Form":
         if self.variant == "expr":
             return self
-        return Form(self.m, self.degree,
-                    {w: c.to_expr() for w, c in self.terms.items()}, "expr")
+        return _form(self.m, self.degree, {w: c.to_expr() for w, c in self.terms.items()},
+                     "expr")
 
     # -- structure queries -----------------------------------------------------
 
@@ -245,7 +233,7 @@ class Form:
             holo = sum(1 for idx in word if idx < self.m)
             if holo == p:
                 terms[word] = coeff
-        return Form(self.m, self.degree, terms, self.variant)
+        return _form(self.m, self.degree, terms, self.variant)
 
     @property
     def is_zero(self) -> bool:
@@ -257,10 +245,9 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        if (self.m, self.degree, self.variant) != (other.m, other.degree, other.variant):
-            return False
-        words = set(self.terms) | set(other.terms)
-        return all(self.coeff(w) == other.coeff(w) for w in words)
+        # neither build path stores a zero coefficient
+        return ((self.m, self.degree, self.variant) == (other.m, other.degree, other.variant)
+                and self.terms == other.terms)
 
     def __hash__(self):  # pragma: no cover - forms rarely used as keys
         return hash((self.m, self.degree, self.variant, frozenset(self.terms)))
@@ -309,7 +296,7 @@ def wedge(f: Form, g: Form) -> Form:
         raise VariantError("wedge requires a common coefficient variant")
     degree = f.degree + g.degree
     if degree > 2 * f.m:
-        return Form.zero(f.m, 2 * f.m, f.variant)
+        return _form(f.m, 2 * f.m, {}, f.variant)
     terms: dict[Word, Coefficient] = {}
     for wu, cu in f.terms.items():
         for wv, cv in g.terms.items():
@@ -336,7 +323,7 @@ def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
     m = f.m
     degree = f.degree + 1
     if degree > 2 * m:
-        return Form.zero(m, 2 * m, f.variant)
+        return _form(m, 2 * m, {}, f.variant)
     terms: dict[Word, Coefficient] = {}
     for word, coeff in f.terms.items():
         for i in range(m):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +26,7 @@ MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
 def upper_pairs(m: int) -> list[tuple[int, int]]:
     """The upper-triangle pairs (r, s), r < s, row by row: (0,1), (0,2), ...,
     (m-2,m-1).  Column c of a sampled beta is the entry at upper_pairs(m)[c]."""
-    return [(r, s) for r in range(m) for s in range(r + 1, m)]
+    return list(combinations(range(m), 2))
 
 
 class CubeGrid:
@@ -87,11 +88,10 @@ class CubeGrid:
             out.append(lo + i * self.h[k])
         return tuple(out)
 
-    def interior_mask(self, width: int = 1) -> np.ndarray:
-        """Boolean mask excluding ``width`` node layers at every face."""
+    def interior_mask(self) -> np.ndarray:
+        """Boolean mask excluding the outer node layer at every face."""
         mask = np.zeros(self.shape, dtype=bool)
-        core = tuple(slice(width, self.nodes - width) for _ in range(self.m))
-        mask[core] = True
+        mask[(slice(1, self.nodes - 1),) * self.m] = True
         return mask
 
     def __eq__(self, other):

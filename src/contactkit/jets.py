@@ -82,6 +82,8 @@ class RestrictedJet:
     i: int
 
     def __post_init__(self):
+        if type(self.i) is not int:
+            raise DimensionError(f"row index i must be an int, got {self.i!r}")
         if not 0 <= self.i < self.jet.m:
             raise DimensionError(f"row index {self.i} out of range")
 

@@ -8,10 +8,11 @@ Sums, products and quotients work on the ints directly and reduce each
 result by one ``math.gcd``; they are exact.  Integer powers go through
 :func:`power`, the one square-and-multiply of the exact rings.  The real and
 imaginary parts are read as ``fractions.Fraction`` through :attr:`QC.re`
-and :attr:`QC.im`.  Mixing an exact scalar with a float or a Python complex
-raises :class:`~contactkit.errors.VariantError`; conversion to binary
-floats is always an explicit ``complex(q)`` call at the edge of a
-computation.
+and :attr:`QC.im`.  Ints and Fractions are exact too: :func:`exact`, the
+one test of what is exact, lifts them.  Mixing an exact scalar with a float
+or a Python complex raises :class:`~contactkit.errors.VariantError`;
+conversion to binary floats is always an explicit ``complex(q)`` call at
+the edge of a computation.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import VariantError
-
-_EXACT_PARTS = (int, Fraction)
 
 
 def _coerce_part(value):
@@ -132,16 +131,12 @@ class QC:
 
     @staticmethod
     def _lift(other):
-        if isinstance(other, QC):
-            return other
-        if isinstance(other, _EXACT_PARTS):
-            return QC(other)
         if isinstance(other, (float, complex)):
             raise VariantError(
                 "cannot mix exact scalars with binary floats; "
                 "convert with complex(q) at the edge instead"
             )
-        return None
+        return exact(other)
 
     def __add__(self, other):
         if type(other) is not QC:
@@ -242,3 +237,13 @@ class QC:
 
 
 QC_ONE = QC(1)
+
+
+def exact(value) -> QC | None:
+    """``value`` as a QC when it is exact (a QC, an int or a Fraction), else
+    None.  This is the package's one test of what counts as exact."""
+    if isinstance(value, QC):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return QC(value)
+    return None

@@ -11,7 +11,9 @@ from contactkit.coefficients import (
     EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow, Sin, Sqrt, Z,
     Zbar, coefficient_variant, eadd, emul, epow,
 )
-from contactkit.errors import DimensionError, ExponentRangeError, PoleError, VariantError
+from contactkit.errors import (
+    ContactKitError, DimensionError, ExponentRangeError, PoleError, VariantError,
+)
 from contactkit.forms import Form, Point
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC, power
@@ -637,3 +639,54 @@ def test_expr_rules_match_the_per_node_reference_on_the_gallery():
     for comps in maps:
         for c in comps:
             assert_rules_match_the_reference(c, [Zbar(1), Z(0), Const(2j)], 3)
+
+
+_BIG = 1 << 30  # two of these overflow a packed exponent field
+
+COEFFICIENTS_REFUSALS = [
+    (lambda: LaurentPoly.z(1, 0) * 0.5, VariantError,
+     "cannot mix an exact Laurent polynomial with binary floats"),
+    (lambda: LaurentPoly.const(1, 0.5), VariantError, "expected an exact scalar, got float"),
+    (lambda: LaurentPoly.z(2, 5), DimensionError, "z_6 (index 5) does not exist on C^2"),
+    (lambda: LaurentPoly(1, {Monomial((0.5,), (0,)): 1}), VariantError,
+     "exponent 0.5 of z1 is not an integer"),
+    (lambda: LaurentPoly(1, {Monomial((0,), (EXPONENT_LIMIT,)): 1}), ExponentRangeError,
+     f"exponent {EXPONENT_LIMIT} of zbar1 is outside the packed range"),
+    (lambda: LaurentPoly.z(1, 0, _BIG) ** 2, ExponentRangeError,
+     f"exponent {2 * _BIG} of z1 is outside the packed range"),
+    (lambda: LaurentPoly(0), DimensionError, "need at least one variable"),
+    (lambda: LaurentPoly(2, {Monomial((0,), (0,)): 1}), DimensionError,
+     "monomial arity 1 != m=2"),
+    (lambda: LaurentPoly.z(1, 0) + LaurentPoly.z(2, 0), DimensionError,
+     "variable count mismatch: 1 vs 2"),
+    (lambda: (LaurentPoly.z(1, 0) + 1).inverse(), VariantError,
+     "only monomials are invertible in the Laurent ring; got 2 terms"),
+    (lambda: LaurentPoly.z(1, 0, 1 - EXPONENT_LIMIT).diff_z(0), ExponentRangeError,
+     f"exponent {-EXPONENT_LIMIT} of z1 is outside the packed range"),
+    (lambda: LaurentPoly.z(2, 0).eval([QC(1)]), DimensionError, "point arity mismatch"),
+    (lambda: LaurentPoly.zbar(1, 0, -1).eval([QC(0)]), PoleError,
+     "coordinate z_1 = 0 hit exponent -1"),
+    (lambda: LaurentPoly.z(2, 0).substitute([LaurentPoly.z(1, 0)]), DimensionError,
+     "substitution arity mismatch"),
+    (lambda: LaurentPoly.z(2, 0).substitute([LaurentPoly.z(1, 0), LaurentPoly.z(2, 0)]),
+     DimensionError, "substitution arguments live in different rings"),
+    (lambda: Z(0) + "a", VariantError, "cannot lift str into an expression"),
+    (lambda: Zbar(-1), DimensionError, "coordinate index -1 is negative"),
+    (lambda: Z(2).eval([1j]), DimensionError, "z_3 does not exist on C^1"),
+    (lambda: epow(Const(0j), -1), PoleError, "zero raised to the negative power -1"),
+    (lambda: epow(Z(0), 0.5), VariantError, "expression powers take integer exponents only"),
+    (lambda: coefficient_variant(0.5), VariantError, "not a coefficient: float"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", COEFFICIENTS_REFUSALS,
+                         ids=[r[2] for r in COEFFICIENTS_REFUSALS])
+def test_every_coefficients_refusal_is_reached(call, error, fragment):
+    """One row per ``raise`` in ``coefficients.py`` but the three abstract
+    ``Expr`` methods: the malformed input, its error class and a fragment
+    of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
+

@@ -25,7 +25,7 @@ from contactkit.errors import ContactKitError, DimensionError, PreconditionError
 from contactkit.forms import Form, ext_d, wedge, wedge_power
 from contactkit.gallery import circle_form, gallery_entries, sigma_homotopy, std_form
 from contactkit.jets import (
-    Jet1, RestrictedJet, ampleness_slice, holonomic_jet, relation_value,
+    Jet1, RestrictedJet, ampleness_slice, holonomic_jet, relation_value, slope_grid,
 )
 from contactkit.reports import fmt_num
 from contactkit.sampling import exact_points, random_jet, random_qc
@@ -591,6 +591,14 @@ REFUSALS = [
      "Pfaffian needs an even number of indices, got 3"),
     (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 2, 2), DimensionError,
      "slope needs two distinct indices, got (2,2)"),
+    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 5, 7), DimensionError,
+     "slope indices (5,7) are not ints in 0..2"),
+    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, -1, 0), DimensionError,
+     "slope indices (-1,0) are not ints in 0..2"),
+    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 0.5, 2), DimensionError,
+     "slope indices (0.5,2) are not ints in 0..2"),
+    (lambda: slope_grid(np.ones((2, 3)), np.ones((2, 3)), 1, 0, 3), DimensionError,
+     "slope indices (0,3) are not ints in 0..2"),
     (lambda: pfaffian_coeffs(SkewMatrix(5), 1), DimensionError,
      "skew matrix has m=5, expected 3"),
     (lambda: FormalPair(Form.dz(3, 0), Form.dz(3, 1)), DimensionError,

@@ -1,6 +1,7 @@
 """Extension operators: symbolic dbar-flat extension, sampled variant,
 asymptotic-holomorphy checks, and the holomorphic fit."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit import extend
+from contactkit.ci import Loop, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial, Z, Zbar, emul
-from contactkit.errors import DimensionError, PreconditionError, VariantError
+from contactkit.contact import pencil_check
+from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
 from contactkit.extend import (
     SampledExtension, _design_matrix, _solve_exact_normal, ah_pullback_verify, ah_verify,
     dbar_defect, extend_form, extend_function, fit_holomorphic, multi_indices,
@@ -20,7 +23,8 @@ from contactkit.extend import (
 from contactkit.forms import Form, Point, PolyMap
 from contactkit.gallery import covering_map, std_form
 from contactkit.grids import CubeGrid
-from contactkit.sampling import exact_points, random_qc
+from contactkit.jets import RestrictedJet
+from contactkit.sampling import exact_points, random_jet, random_qc
 from contactkit.scalars import QC
 
 
@@ -36,6 +40,37 @@ def test_multi_index_counts():
     assert len(list(multi_indices(1, 4))) == 5
     for I in multi_indices(3, 4):
         assert sum(I) <= 4 and all(e >= 0 for e in I)
+
+
+def parent_multi_indices(m, max_total):
+    """``multi_indices`` before it took ``combinations_with_replacement``:
+    stars and bars over the cut positions, verbatim, as the oracle."""
+    for total in range(max_total + 1):
+        for cuts in itertools.combinations(range(total + m - 1), m - 1):
+            prev = -1
+            idx = []
+            for c in cuts:
+                idx.append(c - prev - 1)
+                prev = c
+            idx.append(total + m - 2 - prev)
+            yield tuple(idx)
+
+
+def parent_index_factorial(I):
+    out = 1
+    for k in I:
+        out *= math.factorial(k)
+    return out
+
+
+@settings(deadline=None)
+@given(st.integers(1, 7), st.integers(0, 7))
+def test_multi_indices_and_factorials_match_the_parent(m, max_total):
+    """Same multi-indices in the same order, and the same I!, as the
+    enumeration every tower, series and design matrix used before."""
+    got = list(multi_indices(m, max_total))
+    assert got == list(parent_multi_indices(m, max_total))
+    assert [extend._index_factorial(I) for I in got] == list(map(parent_index_factorial, got))
 
 
 def test_monomials_extend_to_themselves():
@@ -111,6 +146,47 @@ def test_extend_rejects_bad_data():
         extend_function(LaurentPoly.z(2, 0, -1), 1)
     with pytest.raises(PreconditionError):
         extend_function(LaurentPoly.z(2, 0), 0)
+
+
+_LOOP = Loop((0, 0, 0), (1, 0, 0), 1.0)
+_GRID = CubeGrid(1, nodes=5)
+
+INT_PARAMETERS = [
+    (lambda: _LOOP.mean_quadrature(2.5), PreconditionError,
+     "phase count k must be an int, got 2.5"),
+    (lambda: _LOOP.min_affine_margin((1, 0, 0), 0, k=720.0), PreconditionError,
+     "phase count k must be an int, got 720.0"),
+    (lambda: RestrictedJet(random_jet(1, random.Random(0)), 1.0), DimensionError,
+     "row index i must be an int, got 1.0"),
+    (lambda: RestrictedJet(random_jet(1, random.Random(0)), True), DimensionError,
+     "row index i must be an int, got True"),
+    (lambda: fit_holomorphic(exact_points(1, 4), [[1]] * 4, 1.5), PreconditionError,
+     "fit degree must be an int, got 1.5"),
+    (lambda: extend_function(LaurentPoly.z(1, 0), 1.5), PreconditionError,
+     "extension order l must be an int, got 1.5"),
+    (lambda: extend_form([LaurentPoly.z(1, 0)], 2.5), PreconditionError,
+     "extension order l must be an int, got 2.5"),
+    (lambda: SampledExtension(_GRID, np.zeros(_GRID.shape), 3.5), PreconditionError,
+     "extension order l must be an int, got 3.5"),
+    (lambda: dbar_defect(LaurentPoly.z(1, 0), [], 1.5), PreconditionError,
+     "defect order must be an int, got 1.5"),
+    (lambda: ci_solve(*demo_flat_section(5), 0.5, 1e-3, max_sweeps=2.5), PreconditionError,
+     "max_sweeps must be an int, got 2.5"),
+    (lambda: pencil_check(std_form(1), std_form(1), [], steps=2.5, tol=1e-9),
+     PreconditionError, "pencil_check steps must be an int, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", INT_PARAMETERS,
+                         ids=[r[2] for r in INT_PARAMETERS])
+def test_int_parameters_refuse_every_other_type(call, error, fragment):
+    """A count, order or index that is not an int is refused by name; a
+    float would otherwise give a raw TypeError or, for a loop's phase
+    count, a silently wrong mean."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
 
 
 def test_extend_form_components():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactkit.coefficients import LaurentPoly, Monomial
+from contactkit.coefficients import Const, LaurentPoly, Monomial, Mul, Z, emul
 from contactkit.contact import contact_defect
 from contactkit.errors import ContactKitError, DimensionError, VariantError
 from contactkit.forms import (
@@ -499,3 +499,150 @@ def test_laurent_operations_commute_with_to_expr(seed, deg, deg2):
     for op, args in squares:
         want = op(*(a.to_expr() for a in args))
         assert sampled_gap(op(*args).to_expr(), want, points) <= 1e-10
+
+
+def parent_scale(f: Form, s) -> Form:
+    """``Form.scale`` before it went through the rings' reflected ``*``,
+    verbatim, as the oracle; ``-f`` was ``f.scale(-1)``."""
+    if f.variant == "laurent":
+        if isinstance(s, (float, complex)):
+            raise VariantError("scaling an exact form by a float; convert with to_expr()")
+        return Form(f.m, f.degree, {w: c * s for w, c in f.terms.items()}, f.variant)
+    return Form(f.m, f.degree, {w: emul(Const(complex(s)), c) for w, c in f.terms.items()},
+                f.variant)
+
+
+SIGNED = [complex(x, y) for x in (0.0, -0.0, 1.5, -0.25) for y in (0.0, -0.0, -1.0, 3.0)]
+form_scalars = st.one_of(
+    st.booleans(), st.integers(-4, 4), st.fractions(-4, 4, max_denominator=7),
+    st.builds(QC, st.fractions(-4, 4, max_denominator=7), st.fractions(-4, 4, max_denominator=7)),
+    st.floats(-4, 4), st.sampled_from(SIGNED), st.complex_numbers(max_magnitude=4))
+
+
+def expr_form(m, degree, rng):
+    """A nonzero expression form: a Laurent form's trees, and trees whose
+    constants carry signed zeros, which no QC converts to."""
+    f = random_form(m, degree, rng, allow_negative=True).to_expr()
+    words = list(combinations(range(2 * m), degree))
+    raw = Form(m, degree, {w: Mul((Const(rng.choice(SIGNED[1:])), Z(rng.randrange(m))))
+                           for w in rng.sample(words, min(2, len(words)))}, "expr")
+    return f + raw
+
+
+def assert_same_laurent(got: Form, want: Form):
+    """Equal coefficients, the parent's word order and each coefficient's
+    term order."""
+    assert (got.m, got.degree, got.variant) == (want.m, want.degree, want.variant)
+    assert got.terms == want.terms and list(got.terms) == list(want.terms)
+    for w, c in got.terms.items():
+        assert list(c.terms) == list(want.terms[w].terms)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), form_scalars)
+def test_scale_and_negation_match_the_parent(seed, deg, s):
+    """Expression results are the parent's trees bit for bit (``repr``
+    shows a -0.0); Laurent results are ``==`` in the parent's orders, and a
+    float or complex scalar is refused on both sides."""
+    rng = random.Random(seed)
+    e = expr_form(3, deg, rng)
+    for got, want in ((e.scale(s), parent_scale(e, s)), (-e, parent_scale(e, -1))):
+        assert (got.m, got.degree, got.variant) == (want.m, want.degree, "expr")
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+    f = random_form(3, deg, rng, allow_negative=True)
+    assert_same_laurent(-f, parent_scale(f, -1))
+    if isinstance(s, (float, complex)):
+        with pytest.raises(VariantError):
+            parent_scale(f, s)
+        with pytest.raises(VariantError):
+            f.scale(s)
+    else:
+        assert_same_laurent(f.scale(s), parent_scale(f, s))
+
+
+def parent_eq(f: Form, g: Form) -> bool:
+    """``Form.__eq__`` before it compared term dicts: one coefficient
+    comparison per word of either side, verbatim, as the oracle."""
+    if (f.m, f.degree, f.variant) != (g.m, g.degree, g.variant):
+        return False
+    words = set(f.terms) | set(g.terms)
+    return all(f.coeff(w) == g.coeff(w) for w in words)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(0, 2))
+def test_form_equality_matches_the_parent(seed, deg, deg2):
+    """Small random pairs on C^2, equal ones built along different paths
+    among them, in both variants and in both orders."""
+    rng = random.Random(seed)
+    f = random_form(2, deg, rng, n_terms=2, max_exp=1)
+    g = random_form(2, deg2, rng, n_terms=2, max_exp=1)
+    h = random_form(2, deg, rng, n_terms=2, max_exp=1)
+    first = dict(list(f.terms.items())[:1])
+    pairs = [(f, g), (f, h), (f, f), (f, (f + h) - h), (f, -(-f)), (f, f.scale(2)),
+             (f, _form(2, deg, first, "laurent")), (f, f.to_expr()),
+             (f.to_expr(), h.to_expr()), (f.to_expr(), (-(-f)).to_expr()),
+             (f.to_expr(), g.to_expr()), (Form.zero(2, deg), f - f)]
+    for a, b in pairs:
+        assert (a == b) == parent_eq(a, b)
+        assert (b == a) == parent_eq(b, a)
+    assert f == (f + h) - h and f.to_expr() == (-(-f)).to_expr()
+
+
+_z = LaurentPoly.z(3, 0)
+_dz = Form.dz(3, 0)
+
+FORMS_REFUSALS = [
+    (lambda: covector_index("dw1", 3), DimensionError, "unknown covector name 'dw1'"),
+    (lambda: covector_index("dz4", 3), DimensionError, "covector 'dz4' out of range for m=3"),
+    (lambda: Point([1, "a"]), VariantError, "bad coordinate type str"),
+    (lambda: Form(0, 0), DimensionError, "need m >= 1"),
+    (lambda: Form(2, 5), DimensionError, "degree 5 out of range for m=2"),
+    (lambda: Form(3, 1, {(0.5,): _z}), DimensionError, "(0.5,) has an index that is not an int"),
+    (lambda: Form(3, 2, {(0,): _z}), DimensionError, "word (0,) has length != degree 2"),
+    (lambda: Form(3, 2, {(1, 0): _z}), DimensionError, "word (1, 0) is not strictly increasing"),
+    (lambda: Form(3, 1, {(6,): _z}), DimensionError, "word (6,) out of range for m=3"),
+    (lambda: Form(3, 1, {(0,): _z, (1,): _z.to_expr()}), VariantError,
+     "mixed coefficient variants in one form"),
+    (lambda: Form(3, 1, {(0,): LaurentPoly.z(2, 0)}), DimensionError,
+     "coefficient variable count != m"),
+    (lambda: _dz + Form.dz(2, 0), DimensionError, "forms live on different spaces"),
+    (lambda: _dz + Form.zero(3, 2), DimensionError, "cannot add forms of different degree"),
+    (lambda: _dz - _dz.to_expr(), VariantError, "cannot combine laurent and expr forms"),
+    (lambda: _dz.pq_part(1, 1), DimensionError, "p+q = 2 != degree 1"),
+    (lambda: _dz.evaluate(Point([1, 2])), DimensionError, "point dimension mismatch"),
+    (lambda: Form.zero(3, 2).covector_at(Point([1, 2, 3])), DimensionError,
+     "covector_at applies to 1-forms"),
+    (lambda: wedge(_dz, Form.dz(2, 0)), DimensionError, "forms live on different spaces"),
+    (lambda: wedge(_dz, _dz.to_expr()), VariantError,
+     "wedge requires a common coefficient variant"),
+    (lambda: wedge_power(_dz, 0), DimensionError, "wedge_power needs n >= 1"),
+    (lambda: PolyMap(1, []), DimensionError, "a map needs at least one component"),
+    (lambda: PolyMap(3, [_z, _z.to_expr()]), VariantError,
+     "map components must share one coefficient variant"),
+    (lambda: PolyMap(2, [_z]), DimensionError, "component variable count != source dimension"),
+    (lambda: PolyMap.identity(3).evaluate(Point([1])), DimensionError,
+     "point dimension mismatch"),
+    (lambda: PolyMap.identity(2).compose(PolyMap.identity(3)), DimensionError,
+     "composition dimensions do not match"),
+    (lambda: pullback(PolyMap.identity(2), _dz), DimensionError,
+     "map hits C^2 but form lives on C^3"),
+    (lambda: pullback(PolyMap(1, [LaurentPoly.z(1, 0)] * 3),
+                      Form(3, 3, {(0, 1, 2): LaurentPoly.const(3, 1)})),
+     DimensionError, "degree 3 out of range for m=1"),
+    (lambda: pullback(PolyMap(1, [LaurentPoly.z(1, 0) + 1]),
+                      Form(1, 0, {(): LaurentPoly.z(1, 0, -1)})),
+     VariantError, "pullback left the Laurent ring"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", FORMS_REFUSALS,
+                         ids=[r[2] for r in FORMS_REFUSALS])
+def test_every_forms_refusal_is_reached(call, error, fragment):
+    """One row per ``raise`` in ``forms.py``: the malformed input, its
+    error class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
+

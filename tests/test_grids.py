@@ -10,7 +10,7 @@ from contactkit.forms import Form
 from contactkit.gallery import std_form
 from contactkit.grids import (
     CubeGrid, GammaSpec, GridSection, _smoothstep5, coefficient_on_grid,
-    expr_on_grid, laurent_on_grid,
+    expr_on_grid, laurent_on_grid, upper_pairs,
 )
 from contactkit.scalars import QC
 
@@ -64,10 +64,16 @@ def test_grid_sizes_must_be_ints(n, nodes):
 
 def test_interior_mask():
     grid = CubeGrid(1, nodes=5)
-    mask = grid.interior_mask(1)
+    mask = grid.interior_mask()
     assert mask.sum() == 27
     assert not mask[0, 2, 2] and mask[2, 2, 2]
-    assert grid.interior_mask(2).sum() == 1
+
+
+def test_upper_pairs_match_the_row_loop():
+    """Against the row-by-row loop ``upper_pairs`` replaced, the oracle:
+    every sampled beta's column layout depends on this order."""
+    for m in range(12):
+        assert upper_pairs(m) == [(r, s) for r in range(m) for s in range(r + 1, m)]
 
 
 def test_laurent_on_grid_matches_pointwise():

@@ -2,12 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactkit.errors import VariantError
-from contactkit.scalars import QC
+from contactkit.scalars import QC, exact
 
 
 def test_construction_and_parts():
@@ -220,3 +221,31 @@ def test_reflected_subtraction_matches_the_lifted_operand(x, q):
     assert q.__rsub__(x) == want
     assert x - q == want
     assert q.__rsub__(object()) is NotImplemented
+
+
+def parent_exact_value(v):
+    """The exact-value test ``fit_holomorphic`` kept for itself before
+    ``scalars.exact``, verbatim, as the oracle."""
+    if isinstance(v, QC):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return QC(v)
+    return None
+
+
+@props
+@given(st.one_of(
+    st.booleans(), st.integers(-10 ** 30, 10 ** 30), parts, scalars, st.floats(),
+    st.complex_numbers(), st.text(max_size=3), st.none(),
+    st.sampled_from([np.float64(0.5), np.int64(3), np.complex128(1j), np.bool_(True),
+                     [1], (QC(1),), object()])))
+def test_exact_lifts_what_the_parent_fit_lifted(v):
+    got, want = exact(v), parent_exact_value(v)
+    if want is None:
+        assert got is None
+    else:
+        assert type(got) is QC and got == want
+        assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+        if isinstance(v, QC):
+            assert got is v
+
