@@ -12,10 +12,10 @@ from .ci import (CIResult, Loop, ci_solve, demo_flat_section,
                  verify_ci)
 from .coefficients import (Coefficient, Const, Cos, Exp, Expr, LaurentPoly,
                            Monomial, Sin, Sqrt, Z, Zbar, eadd, emul, epow)
-from .contact import (FormalPair, SkewMatrix, contact_defect, formal_defect,
-                      is_contact_on, is_formal_contact_on, pencil_check,
-                      pfaffian, pfaffian_coeffs, relation_coefficient,
-                      relation_h, relation_slope)
+from .contact import (FormalPair, contact_defect, formal_defect, is_contact_on,
+                      is_formal_contact_on, pencil_check, pfaffian,
+                      pfaffian_coeffs, relation_coefficient, relation_h,
+                      relation_slope)
 from .errors import (ContactKitError, DimensionError, ExponentRangeError,
                      ParseError, PoleError, PreconditionError, VariantError)
 from .extend import (FitResult, SampledExtension, ah_pullback_verify, ah_verify,

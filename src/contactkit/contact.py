@@ -20,6 +20,11 @@ parities) is a plan built once per process; four indices take a closed
 formula, and odd terms are subtracted rather than negated and added, so
 each result keeps the bits of the plain expansion.
 
+Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
+caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
+columns of a grid field through one.  ``_Bordered`` checks n and takes n!
+once per matrix, in the ring of its entries.
+
 The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
 ``pencil_check``) read their margins from ``relation_h`` on point values:
 alpha's dz_i coefficients and the dz_r^dz_s coefficients of d alpha (taken
@@ -38,56 +43,6 @@ from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, Point, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
 from .scalars import QC
-
-
-class SkewMatrix:
-    """Skew-symmetric matrix storing the upper triangle.
-
-    Entries may be exact (QC) or numeric (complex); reads below the
-    diagonal negate, the diagonal is zero.
-    """
-
-    __slots__ = ("m", "_up")
-
-    def __init__(self, m: int, entries: dict[tuple[int, int], object] | None = None):
-        if m < 1:
-            raise DimensionError("need m >= 1")
-        self.m = m
-        self._up: dict[tuple[int, int], object] = {}
-        for (i, j), v in (entries or {}).items():
-            self.set(i, j, v)
-
-    @classmethod
-    def zero(cls, m: int) -> "SkewMatrix":
-        return cls(m)
-
-    def _check(self, i: int, j: int):
-        if not (0 <= i < self.m and 0 <= j < self.m):
-            raise DimensionError(f"index ({i},{j}) out of range for m={self.m}")
-
-    def get(self, i: int, j: int):
-        self._check(i, j)
-        if i == j:
-            return 0
-        if i < j:
-            return self._up.get((i, j), 0)
-        return -self._up.get((j, i), 0)
-
-    def set(self, i: int, j: int, value):
-        self._check(i, j)
-        if i == j:
-            raise DimensionError("diagonal of a skew matrix is fixed at zero")
-        if i > j:
-            i, j = j, i
-            value = -value
-        if value == 0:
-            self._up.pop((i, j), None)
-        else:
-            self._up[(i, j)] = value
-
-    def upper_entries(self):
-        for (i, j), v in sorted(self._up.items()):
-            yield i, j, v
 
 
 @lru_cache(maxsize=1024)
@@ -156,7 +111,14 @@ def pfaffian(entry, idx: tuple[int, ...]):
     idx = tuple(idx)
     if len(idx) % 2:
         raise DimensionError(f"Pfaffian needs an even number of indices, got {len(idx)}")
+    if len(set(idx)) < len(idx):
+        raise DimensionError(f"Pfaffian indices must be distinct, got {idx}")
     return _pf(_table(entry, idx), idx, {})
+
+
+@lru_cache(maxsize=64)
+def _exact_factorial(n: int) -> QC:
+    return QC(factorial(n))
 
 
 @lru_cache(maxsize=1024)
@@ -166,28 +128,40 @@ def _bordered_idx(n: int, *drop: int) -> tuple:
 
 
 class _Bordered:
-    """h and its slopes on one bordered matrix [[0, a^T], [-a, beta]].
+    """n! times the Pfaffians of one bordered matrix [[0, a^T], [-a, beta]].
 
-    Index -1 is the border and beta keeps its indices 0 .. m-1.  The
-    entries are read once into an upper table, and h and every slope share
-    one memo of sub-Pfaffians, which lives as long as this object.
+    Index -1 is the border and beta keeps its indices 0 .. m-1; with ``a``
+    None the table holds beta alone.  The entries are read once into an
+    upper table, and every Pfaffian shares one memo of sub-Pfaffians, which
+    lives as long as this object.  Here n is checked and n! taken, once, in
+    the ring of the table's first row: a QC (made once per n) when the row
+    holds one, so exact products skip the int lift, and the int otherwise,
+    so complex and ndarray products keep their bits.
     """
 
-    __slots__ = ("n", "_up", "_memo")
+    __slots__ = ("n", "_up", "_memo", "_scale")
 
     def __init__(self, a, beta, n: int):
-        m = 2 * n + 1
-        self.n = n
-        self._up = _table(beta, tuple(range(m))) | {-1: {j: a(j) for j in range(m)}}
-        self._memo: dict = {}
+        if type(n) is not int or n < 0:
+            raise DimensionError(f"n must be an int >= 0, got {n!r}")
+        full = tuple(range(2 * n + 1))
+        self.n, self._memo, self._up = n, {}, _table(beta, full)
+        first = self._up[0]
+        if a is not None:
+            first = self._up[-1] = {j: a(j) for j in full}
+        exact = any(isinstance(v, QC) for v in first.values())
+        self._scale = _exact_factorial(n) if exact else factorial(n)
 
-    def h(self):
-        return factorial(self.n) * _pf(self._up, _bordered_idx(self.n), self._memo)
+    def pf(self, *drop: int):
+        """n! Pf of the bordered matrix without the indices in ``drop``."""
+        return self._scale * _pf(self._up, _bordered_idx(self.n, *drop), self._memo)
+
+    h = pf  # h is n! Pf of the whole bordered matrix
 
     def slope(self, r: int, s: int):
         if r == s:
             raise DimensionError(f"slope needs two distinct indices, got ({r},{s})")
-        v = factorial(self.n) * _pf(self._up, _bordered_idx(self.n, r, s), self._memo)
+        v = self.pf(r, s)
         # the minor's sign is (-1)^(r+s+1) for r < s and flips for r > s
         return v if (r + s) % 2 != (r > s) else -v
 
@@ -210,27 +184,23 @@ def relation_slope(a, beta, n: int, r: int, s: int):
     r+1 and s+1); swapping r and s flips the sign.  h is affine in each
     beta entry, so the slope is exact and does not read beta_rs.
     """
+    bordered = _Bordered(a, beta, n)
     if not all(type(k) is int and 0 <= k <= 2 * n for k in (r, s)):
         raise DimensionError(f"slope indices ({r},{s}) are not ints in 0..{2 * n}")
-    return _Bordered(a, beta, n).slope(r, s)
+    return bordered.slope(r, s)
 
 
-def pfaffian_coeffs(B: SkewMatrix, n: int) -> list:
+def pfaffian_coeffs(beta, n: int) -> list:
     """Expand beta^n into its 2n-fold wedge coefficients.
 
+    ``beta(r, s)`` (r < s) reads the skew matrix, 0-based with m = 2n+1.
     Returns b with beta^n = sum_i b[i] dz_1^...(dz_{i+1} omitted)...^dz_m,
-    where b[i] = n! Pf(B without index i).  The m minors share one memo of
-    sub-Pfaffians.  The sign is forced by direct expansion of the wedge
+    where b[i] = n! Pf(beta without index i).  The m minors share one memo
+    of sub-Pfaffians.  The sign is forced by direct expansion of the wedge
     power; tests pin this against a brute-force oracle.
     """
-    m = 2 * n + 1
-    if B.m != m:
-        raise DimensionError(f"skew matrix has m={B.m}, expected {m}")
-    full = tuple(range(m))
-    # with any exact entry an unset one reads as QC(0), so every b[i] is a QC
-    zero = QC(0) if any(isinstance(v, QC) for v in B._up.values()) else 0
-    up, memo = _table(lambda i, j: B._up.get((i, j), zero), full), {}
-    return [_pf(up, full[:i] + full[i + 1:], memo) * factorial(n) for i in range(m)]
+    minors = _Bordered(None, beta, n)
+    return [minors.pf(-1, i) for i in range(2 * n + 1)]
 
 
 @dataclass(frozen=True)
@@ -389,7 +359,7 @@ def relation_coefficient(a: list, b: list):
 
     This is the scalar whose nonvanishing defines the contact relation;
     it equals the holomorphic-volume coefficient of alpha ^ beta^n when
-    b comes from pfaffian_coeffs of beta's skew matrix.
+    b comes from pfaffian_coeffs of beta's reader.
     """
     if len(a) != len(b):
         raise DimensionError("vector length mismatch")

@@ -7,6 +7,7 @@ powers of the 2-form, term by term.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from contactkit import contact
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
-    FormalPair, SkewMatrix, contact_defect, formal_defect, is_contact_on,
+    FormalPair, contact_defect, formal_defect, is_contact_on,
     is_formal_contact_on, pencil_check, pfaffian, pfaffian_coeffs, relation_coefficient,
     relation_h, relation_slope, top_coefficient,
 )
@@ -33,20 +34,22 @@ from contactkit.scalars import QC
 
 
 def random_skew(m, rng):
-    B = SkewMatrix(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            B.set(i, j, random_qc(rng))
-    return B
+    """The upper entries {(i, j): B_ij} (i < j) of a random exact skew matrix."""
+    return {(i, j): random_qc(rng) for i in range(m) for j in range(i + 1, m)}
 
 
-def skew_to_two_form(B):
-    """The constant 2-form sum_{i<j} B_ij dz_i ^ dz_j."""
+def skew_reader(upper):
+    """The kernel's beta(r, s) reader of upper entries; an unset one is QC(0)."""
+    return lambda r, s: upper.get((r, s), QC(0))
+
+
+def skew_to_two_form(B, m):
+    """The constant 2-form sum_{i<j} B_ij dz_i ^ dz_j on C^m."""
     terms = {}
-    for i, j, v in B.upper_entries():
+    for (i, j), v in B.items():
         if not v.is_zero:
-            terms[(i, j)] = LaurentPoly.const(B.m, v)
-    return Form(B.m, 2, terms)
+            terms[(i, j)] = LaurentPoly.const(m, v)
+    return Form(m, 2, terms)
 
 
 def formal_pair_margin(pair, pt):
@@ -81,11 +84,12 @@ def symbolic_margins(defect, pts):
 
 def wedge_expansion_oracle(B, n):
     """Read the Pfaffian coefficients off a literal wedge power."""
-    beta = skew_to_two_form(B)
+    m = 2 * n + 1
+    beta = skew_to_two_form(B, m)
     power = wedge_power(beta, n)
     out = []
-    for i in range(B.m):
-        word = tuple(k for k in range(B.m) if k != i)
+    for i in range(m):
+        word = tuple(k for k in range(m) if k != i)
         coeff = power.coeff(word)
         out.append(coeff.constant_value())
     return out
@@ -97,30 +101,27 @@ def test_pfaffian_matches_wedge_expansion():
     for n, count in ((1, 40), (2, 20)):
         for _ in range(count):
             B = random_skew(2 * n + 1, rng)
-            assert pfaffian_coeffs(B, n) == wedge_expansion_oracle(B, n)
+            assert pfaffian_coeffs(skew_reader(B), n) == wedge_expansion_oracle(B, n)
 
 
 def test_pfaffian_known_values():
     # n=1: beta = dz1^dz2, so beta^1 misses only index 2
-    B = SkewMatrix(3)
-    B.set(0, 1, QC(1))
+    B = skew_reader({(0, 1): QC(1)})
     assert pfaffian_coeffs(B, 1) == [QC(0), QC(0), QC(1)]
     # n=2 picks up the 2! normalization on a product of disjoint pairs
-    B = SkewMatrix(5)
-    B.set(0, 1, QC(1))
-    B.set(2, 3, QC(1))
+    B = skew_reader({(0, 1): QC(1), (2, 3): QC(1)})
     b = pfaffian_coeffs(B, 2)
     assert b == [QC(0), QC(0), QC(0), QC(0), QC(2)]
 
 
 def test_pfaffian_coeffs_of_an_exact_matrix_are_all_qc():
-    """An unset entry of a matrix with exact entries reads as QC(0), so a
-    coefficient whose every term meets one is QC(0), not int 0."""
+    """A reader whose unset entries read as QC(0) gives QC coefficients, so
+    a coefficient whose every term meets one is QC(0), not int 0."""
     cases = [(1, {(0, 1): QC(1)}, [QC(0), QC(0), QC(1)]),
              (2, {(0, 1): QC(1)}, [QC(0)] * 5),
              (3, {(4, 6): QC(2, 1)}, [QC(0)] * 7)]
     for n, entries, want in cases:
-        b = pfaffian_coeffs(SkewMatrix(2 * n + 1, entries), n)
+        b = pfaffian_coeffs(skew_reader(entries), n)
         assert [type(x) for x in b] == [QC] * len(b)
         assert b == want
 
@@ -136,10 +137,10 @@ def test_relation_coefficient_matches_top_coefficient():
             B = random_skew(m, rng)
             alpha = Form(m, 1, {(i,): LaurentPoly.const(m, v)
                                 for i, v in enumerate(a) if not v.is_zero})
-            pair = FormalPair(alpha, skew_to_two_form(B))
+            pair = FormalPair(alpha, skew_to_two_form(B, m))
             pt = pts[0] if m == 3 else exact_points(5, 1, seed=rng.randint(0, 99))[0]
             want = top_coefficient(formal_defect(pair), pt)
-            got = relation_coefficient(a, pfaffian_coeffs(B, n))
+            got = relation_coefficient(a, pfaffian_coeffs(skew_reader(B), n))
             assert got == want
 
 
@@ -158,7 +159,7 @@ def test_relation_coefficient_varying_pair():
     })
     pair = FormalPair(alpha, beta)
     for pt in exact_points(m, 10, seed=31):
-        B = SkewMatrix(m, beta.evaluate(pt))  # every word of beta is holomorphic
+        B = skew_reader(beta.evaluate(pt))  # every word of beta is holomorphic
         a = [alpha.coefficient_at(pt, (i,)) for i in range(m)]
         assert relation_coefficient(a, pfaffian_coeffs(B, 1)) == \
             top_coefficient(formal_defect(pair), pt)
@@ -237,15 +238,6 @@ def test_pencil_between_linearly_connected_forms():
     # a pencil that crosses zero must fail: alpha to -alpha passes through 0
     bad = pencil_check(alpha, alpha.scale(QC(-1)), pts, steps=3, tol=1e-9)
     assert not bad.passed
-
-
-def test_skew_matrix_antisymmetry():
-    B = SkewMatrix(3)
-    B.set(0, 2, QC(5))
-    assert B.get(2, 0) == QC(-5)
-    assert B.get(1, 1) == QC(0)
-    with pytest.raises(DimensionError):
-        B.get(0, 3)
 
 
 def test_even_dimension_rejected():
@@ -451,6 +443,46 @@ def test_pfaffian_refuses_an_odd_index_set():
             pfaffian(lambda i, j: QC(1), idx)
 
 
+def matching_pfaffian(entry, size):
+    """Pf of the size x size skew matrix read by ``entry(i, j)`` (i < j), by
+    its definition as a signed sum over perfect matchings: a matching is a
+    permutation (i1, j1, ..., ik, jk) with each i_l < j_l and
+    i_1 < ... < i_k, signed by the parity of its inversions."""
+    total = 0
+    for perm in permutations(range(size)):
+        firsts, seconds = perm[0::2], perm[1::2]
+        if list(firsts) != sorted(firsts) or any(i > j for i, j in zip(firsts, seconds)):
+            continue
+        inversions = sum(perm[p] > perm[q] for p in range(size) for q in range(p + 1, size))
+        term = 1
+        for i, j in zip(firsts, seconds):
+            term = term * entry(i, j)
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pfaffian_coeffs_match_the_perfect_matching_definition(kind):
+    """b[i] = n! Pf(beta without i) at n = 0..3 on exact, complex and
+    ndarray readers, against the matching sum, which shares no code with
+    the kernel's expansion; exact coefficients are QC from n = 1 on."""
+    rng = random.Random(271)
+    for n in (0, 1, 2, 3):
+        m = 2 * n + 1
+        for _ in range(3):
+            upper = {(i, j): random_entry(kind, rng) for i in range(m) for j in range(i + 1, m)}
+            b = pfaffian_coeffs(skew_reader(upper), n)
+            assert len(b) == m
+            for i, got in enumerate(b):
+                keep = [k for k in range(m) if k != i]
+                want = factorial(n) * matching_pfaffian(
+                    lambda p, q: upper[keep[p], keep[q]], 2 * n)
+                if kind == "qc":
+                    assert got == want and (n == 0 or type(got) is QC)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def random_kind_jet(kind, n, rng):
     """A jet of QC or complex entries, or (a, beta) arrays over 4 nodes."""
     m = 2 * n + 1
@@ -502,7 +534,9 @@ def test_relation_kernels_match_plain_expansion(kind, n, seed):
 def test_jet_path_takes_each_product_once(monkeypatch):
     """At n = 3 each sub-Pfaffian of a bordered matrix is expanded once:
     87 products for h instead of 147, and the slice's m - 1 slopes reuse
-    h's minors (147 products instead of 267, 117 when i = 0)."""
+    h's minors (147 products instead of 267, 117 when i = 0).  Each of
+    these Pfaffians takes one more product, by n!, whichever operand
+    holds it, so both ``__mul__`` and ``__rmul__`` are counted."""
     calls = []
     inner = QC.__mul__
 
@@ -511,12 +545,13 @@ def test_jet_path_takes_each_product_once(monkeypatch):
         return inner(self, other)
 
     monkeypatch.setattr(QC, "__mul__", counted)
+    monkeypatch.setattr(QC, "__rmul__", counted)
     jet = random_jet(3, random.Random(257))
     want = relation_value(jet)
     calls.clear()
     assert relation_value(jet) == want
-    assert len(calls) == 87
-    for i, products in ((0, 117), (1, 147), (6, 147)):
+    assert len(calls) == 87 + 1
+    for i, products in ((0, 117 + 7), (1, 147 + 7), (6, 147 + 7)):
         calls.clear()
         ampleness_slice(RestrictedJet(jet, i))
         assert len(calls) == products
@@ -583,12 +618,22 @@ def _dz_pair(m, variant="laurent"):
 
 
 REFUSALS = [
-    (lambda: SkewMatrix(0), DimensionError, "need m >= 1"),
-    (lambda: SkewMatrix(3).get(0, 3), DimensionError, "index (0,3) out of range for m=3"),
-    (lambda: SkewMatrix(3).set(1, 1, QC(1)), DimensionError,
-     "diagonal of a skew matrix is fixed at zero"),
     (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 2)), DimensionError,
      "Pfaffian needs an even number of indices, got 3"),
+    (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 0, 1)), DimensionError,
+     "Pfaffian indices must be distinct, got (0, 1, 0, 1)"),
+    (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 2, 1)), DimensionError,
+     "Pfaffian indices must be distinct, got (0, 1, 2, 1)"),
+    (lambda: pfaffian(lambda i, j: QC(1), (2, 2)), DimensionError,
+     "Pfaffian indices must be distinct, got (2, 2)"),
+    (lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), -1), DimensionError,
+     "n must be an int >= 0, got -1"),
+    (lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), 1.5), DimensionError,
+     "n must be an int >= 0, got 1.5"),
+    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), -2, 0, 1), DimensionError,
+     "n must be an int >= 0, got -2"),
+    (lambda: pfaffian_coeffs(lambda r, s: QC(1), 2.0), DimensionError,
+     "n must be an int >= 0, got 2.0"),
     (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 2, 2), DimensionError,
      "slope needs two distinct indices, got (2,2)"),
     (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 5, 7), DimensionError,
@@ -599,8 +644,6 @@ REFUSALS = [
      "slope indices (0.5,2) are not ints in 0..2"),
     (lambda: slope_grid(np.ones((2, 3)), np.ones((2, 3)), 1, 0, 3), DimensionError,
      "slope indices (0,3) are not ints in 0..2"),
-    (lambda: pfaffian_coeffs(SkewMatrix(5), 1), DimensionError,
-     "skew matrix has m=5, expected 3"),
     (lambda: FormalPair(Form.dz(3, 0), Form.dz(3, 1)), DimensionError,
      "pair needs a 1-form and a 2-form"),
     (lambda: FormalPair(Form.dz(3, 0), _dz_pair(5)[1]), DimensionError,

@@ -10,8 +10,8 @@ import pytest
 import contactkit
 from contactkit.coefficients import LaurentPoly
 from contactkit.contact import contact_defect, relation_h, relation_slope, top_coefficient
-from contactkit.errors import DimensionError
-from contactkit.forms import Form
+from contactkit.errors import ContactKitError, DimensionError
+from contactkit.forms import Form, Point
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection, upper_pairs
 from contactkit.jets import (
@@ -203,15 +203,18 @@ def test_ampleness_slice_matches_probe_oracle():
 
 def test_relation_h_is_the_pfaffian_contraction():
     """h = sum_i (-1)^i a_i b_i with b_i from the pfaffian coefficients."""
-    from contactkit.contact import SkewMatrix, pfaffian_coeffs, relation_coefficient
+    from contactkit.contact import pfaffian_coeffs, relation_coefficient
     rng = random.Random(353)
     for n in (0, 1, 2):
         jet = random_jet(n, rng)
         m = jet.m
-        B = SkewMatrix(m, {(r, s): jet.p[s][r] - jet.p[r][s]
-                           for r in range(m) for s in range(r + 1, m)})
-        want = relation_coefficient(list(jet.a), pfaffian_coeffs(B, n))
-        assert relation_h(jet.a.__getitem__, B.get, n) == want
+        upper = {(r, s): jet.p[s][r] - jet.p[r][s] for r in range(m) for s in range(r + 1, m)}
+
+        def beta(r, s):
+            return upper[r, s]
+
+        want = relation_coefficient(list(jet.a), pfaffian_coeffs(beta, n))
+        assert relation_h(jet.a.__getitem__, beta, n) == want
 
 
 def test_holonomic_jet_matches_defect():
@@ -393,3 +396,35 @@ def test_grid_derivative_is_the_only_stencil_in_the_package():
     counts = {path.name: path.read_text().count("np.gradient(")
               for path in Path(contactkit.__file__).parent.rglob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"jets.py": 1}
+
+
+def _qc_jet():
+    return Jet1.build(1, (QC(0),) * 3, [[QC(0)] * 3] * 3)
+
+
+REFUSALS = [
+    (lambda: Jet1(-1, (), ()), DimensionError, "need n >= 0, got -1"),
+    (lambda: Jet1.build(1, (QC(0),) * 4, [[QC(0)] * 3] * 3), DimensionError,
+     "a has length 4, expected 3"),
+    (lambda: Jet1.build(1, (QC(0),) * 3, [[QC(0)] * 2] * 3), DimensionError,
+     "p is not a (2n+1) x (2n+1) matrix"),
+    (lambda: RestrictedJet(_qc_jet(), 1.0), DimensionError,
+     "row index i must be an int, got 1.0"),
+    (lambda: RestrictedJet(_qc_jet(), 3), DimensionError, "row index 3 out of range"),
+    (lambda: holonomic_jet(Form.dz(4, 0), Point([QC(1)] * 4)), DimensionError,
+     "jet space needs odd dimension"),
+    (lambda: holonomic_jet(Form(3, 2, {(0, 1): LaurentPoly.const(3, 1)}), Point([QC(1)] * 3)),
+     DimensionError, "holonomic_jet expects a 1-form"),
+    (lambda: relation_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3, 3)), 1), DimensionError,
+     "n = 1 needs a of shape (..., 3) and beta of shape (..., 3), got (5, 5, 5, 3) and"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", REFUSALS, ids=[r[2] for r in REFUSALS])
+def test_every_jets_refusal_is_reached(call, error, fragment):
+    """One row per ``raise`` in ``jets.py``: the malformed input, its error
+    class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
