@@ -22,8 +22,8 @@ each result keeps the bits of the plain expansion.
 
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
-columns of a grid field through one.  ``_Bordered`` checks n and takes n!
-once per matrix, in the ring of its entries.
+columns of a grid field through one.  ``_Bordered`` checks n and applies
+n!, in one place.
 
 The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
 ``pencil_check``) read their margins from ``relation_h`` on point values:
@@ -42,7 +42,6 @@ from math import factorial
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, Point, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
-from .scalars import QC
 
 
 @lru_cache(maxsize=1024)
@@ -116,11 +115,6 @@ def pfaffian(entry, idx: tuple[int, ...]):
     return _pf(_table(entry, idx), idx, {})
 
 
-@lru_cache(maxsize=64)
-def _exact_factorial(n: int) -> QC:
-    return QC(factorial(n))
-
-
 @lru_cache(maxsize=1024)
 def _bordered_idx(n: int, *drop: int) -> tuple:
     """The bordered matrix's indices -1 .. 2n, without those in ``drop``."""
@@ -133,10 +127,7 @@ class _Bordered:
     Index -1 is the border and beta keeps its indices 0 .. m-1; with ``a``
     None the table holds beta alone.  The entries are read once into an
     upper table, and every Pfaffian shares one memo of sub-Pfaffians, which
-    lives as long as this object.  Here n is checked and n! taken, once, in
-    the ring of the table's first row: a QC (made once per n) when the row
-    holds one, so exact products skip the int lift, and the int otherwise,
-    so complex and ndarray products keep their bits.
+    lives as long as this object.  Here n is checked and n! taken, once.
     """
 
     __slots__ = ("n", "_up", "_memo", "_scale")
@@ -146,17 +137,13 @@ class _Bordered:
             raise DimensionError(f"n must be an int >= 0, got {n!r}")
         full = tuple(range(2 * n + 1))
         self.n, self._memo, self._up = n, {}, _table(beta, full)
-        first = self._up[0]
         if a is not None:
-            first = self._up[-1] = {j: a(j) for j in full}
-        exact = any(isinstance(v, QC) for v in first.values())
-        self._scale = _exact_factorial(n) if exact else factorial(n)
+            self._up[-1] = {j: a(j) for j in full}
+        self._scale = factorial(n)
 
     def pf(self, *drop: int):
         """n! Pf of the bordered matrix without the indices in ``drop``."""
         return self._scale * _pf(self._up, _bordered_idx(self.n, *drop), self._memo)
-
-    h = pf  # h is n! Pf of the whole bordered matrix
 
     def slope(self, r: int, s: int):
         if r == s:
@@ -174,7 +161,7 @@ def relation_h(a, beta, n: int):
     h = sum_i (-1)^i a_i b_i with b_i = n! Pf(beta without i), the
     holomorphic-volume coefficient of alpha ^ beta^n.
     """
-    return _Bordered(a, beta, n).h()
+    return _Bordered(a, beta, n).pf()
 
 
 def relation_slope(a, beta, n: int, r: int, s: int):

@@ -141,7 +141,7 @@ def ampleness_slice(e: RestrictedJet) -> SliceClass:
     m = jet.m
     zero = _zero_like(jet.a[0])
     bordered = _Bordered(*_readers(jet.with_row(i, [zero] * m)), jet.n)
-    base = bordered.h()
+    base = bordered.pf()
     w = [zero if jcol == i else bordered.slope(jcol, i) for jcol in range(m)]
     if not any(w):
         if not base:
