@@ -294,6 +294,11 @@ class Homotopy(Sequence):
         h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (self.start, self.end))
         return np.abs(h0), np.abs(h1), np.angle(h0), np.angle(h1 / h0)
 
+    @functools.cached_property
+    def _line(self) -> tuple[np.ndarray, np.ndarray]:
+        """end - start in a and in beta, the straight line's direction."""
+        return self.end.a - self.start.a, self.end.beta - self.start.beta
+
     def __getitem__(self, k) -> GridSection:
         k = range(N_FRAMES)[operator.index(k)]
         start, end = self.start, self.end
@@ -302,25 +307,35 @@ class Homotopy(Sequence):
         if k == N_FRAMES - 1:
             return end.copy()
         grid, tau = start.grid, k / (N_FRAMES - 1)
-        a_k = start.a + tau * (end.a - start.a)
-        beta_k = start.beta + tau * (end.beta - start.beta)
+        da, dbeta = self._line
+        a_k = start.a + tau * da
+        beta_k = start.beta + tau * dbeta
         hk = relation_grid(a_k, beta_k, grid.n)
         # polar path: moduli linear, arguments geodesic; never zero if h0, h1 are not
         mod0, mod1, arg0, turn = self._polar
         target = ((1 - tau) * mod0 + tau * mod1) * np.exp(1j * (arg0 + tau * turn))
 
         # steer h to the polar path with one skew entry per node, chosen
-        # for the largest affine slope
-        slopes = np.stack([slope_grid(a_k, beta_k, grid.n, r, s)
-                           for r, s in upper_pairs(grid.m)], axis=-1)
-        choice = np.argmax(np.abs(slopes), axis=-1)
-        slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
-        lam = np.divide(target - hk, slope, out=np.zeros_like(hk), where=np.abs(slope) > 1e-30)
+        # for the largest affine slope: a strict > keeps the first column
+        # on ties, as argmax does
+        for c, (r, s) in enumerate(upper_pairs(grid.m)):
+            slope_c = slope_grid(a_k, beta_k, grid.n, r, s)
+            size_c = np.abs(slope_c)
+            if c == 0:
+                slope, size, choice = slope_c, size_c, np.zeros(size_c.shape, dtype=int)
+            else:
+                better = size_c > size
+                slope = np.where(better, slope_c, slope)
+                size = np.where(better, size_c, size)
+                choice = np.where(better, c, choice)
+        lam = np.divide(target - hk, slope, out=np.zeros_like(hk), where=size > 1e-30)
         # lam goes to the chosen column; every other column gets a zero
-        beta_k += np.where(choice[..., None] == np.arange(slopes.shape[-1]), lam[..., None], 0)
-        a_k[self.frozen] = start.a[self.frozen]
-        beta_k[self.frozen] = start.beta[self.frozen]
-        return GridSection(grid, a_k, beta_k)
+        for c in range(beta_k.shape[-1]):
+            beta_k[..., c] += np.where(choice == c, lam, 0)
+        if self.frozen.any():
+            np.copyto(a_k, start.a, where=self.frozen[..., None])
+            np.copyto(beta_k, start.beta, where=self.frozen[..., None])
+        return GridSection._trusted(grid, a_k, beta_k)
 
 
 # -- result and verification ----------------------------------------------
@@ -494,15 +509,19 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
                f"{_worst_node(-dev_field)}")
 
     # (d) frames: endpoints exact, formal margin strictly positive throughout;
-    # (e) frames constant on frozen strips.  One pass reads each frame once.
-    mask = result.gamma.frozen_mask(grid)
+    # (e) frames constant on frozen strips, checked only when there are
+    # strips.  One pass reads each frame once.
+    strips = not result.gamma.is_empty
+    if strips:
+        mask = result.gamma.frozen_mask(grid)
+        held = inp.a[mask], inp.beta[mask]
     frame_mins, constant = [], True
     for k, fr in enumerate(result.frames):
         if k == 0:
             first_ok = fr == inp
         frame_mins.append(float(formal_margin_grid(fr).min()))
-        constant = (constant and np.array_equal(fr.a[mask], inp.a[mask])
-                    and np.array_equal(fr.beta[mask], inp.beta[mask]))
+        constant = constant and (not strips or (np.array_equal(fr.a[mask], held[0])
+                                                and np.array_equal(fr.beta[mask], held[1])))
         last = fr
     report.add("frame count", len(frame_mins) == N_FRAMES, f"{len(frame_mins)} frames")
     if frame_mins:
@@ -511,7 +530,7 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
         worst_k = int(np.argmin(frame_mins))
         report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
                    f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")
-    if not result.gamma.is_empty:
+    if strips:
         report.add("frames constant on frozen strips", constant)
     return report
 

@@ -185,6 +185,15 @@ class GridSection:
         self.beta = beta
 
     @classmethod
+    def _trusted(cls, grid: CubeGrid, a: np.ndarray, beta: np.ndarray) -> "GridSection":
+        """A section over complex arrays of the grid's shapes that the
+        package computed from checked sections, without the constructor's
+        re-checks, which stay for outside data."""
+        section = object.__new__(cls)
+        section.grid, section.a, section.beta = grid, a, beta
+        return section
+
+    @classmethod
     def sample(cls, grid: CubeGrid, alpha: Form, beta: Form | None = None) -> "GridSection":
         """Sample symbolic forms on the real slice of the grid.
 

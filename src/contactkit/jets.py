@@ -212,8 +212,15 @@ def slope_grid(a: np.ndarray, beta: np.ndarray, n: int, r: int, s: int) -> np.nd
 
 def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
     """The finite-difference curl of an a field: skew of its jacobian, the
-    beta a holonomic section carries."""
-    return skew_of_jacobian(grid_jacobian(a, grid))
+    beta a holonomic section carries.
+
+    Only the m(m-1) off-diagonal derivatives are taken, one component at a
+    time: column (r, s) is da_s/dx_r - da_r/dx_s, bit for bit
+    ``skew_of_jacobian(grid_jacobian(a, grid))``."""
+    def deriv(i: int, j: int) -> np.ndarray:
+        return grid_derivative(a[..., i], grid, j)
+
+    return np.stack([deriv(s, r) - deriv(r, s) for r, s in upper_pairs(grid.m)], axis=-1)
 
 
 def holonomy_defect(s: GridSection) -> float:

@@ -445,6 +445,18 @@ def test_verifier_rejects_moved_frozen_strip():
     assert "frames constant on frozen strips" in _failed_checks(report)
 
 
+def test_verifier_refuses_a_non_finite_output():
+    """Interior frames skip the public constructor's checks, but the last
+    frame is the output read through it, so a NaN in the output is still
+    refused by name."""
+    inp, gamma = demo_gamma_section(nodes=21)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed, result.failure
+    result.output.a[10, 10, 10, 1] = math.nan
+    with pytest.raises(PreconditionError, match="non-finite"):
+        verify_ci(result, inp, 0.5, 1e-3)
+
+
 def test_verifier_names_the_frame_that_leaves_the_relation():
     inp, gamma, result = run_flat()
     result.frames = list(result.frames)
@@ -500,32 +512,34 @@ def test_strip_holonomy_uses_the_strip_bound():
         ci_solve(broken, gamma, 0.5, 1e-3)
 
 
-def _count_jacobians(monkeypatch):
+def _count_curls(monkeypatch):
+    """Count finite-difference curls: ``curl_grid`` takes the derivatives
+    of a section's a field, so one call is one Jacobian's worth."""
     import contactkit.ci as ci_mod
     import contactkit.jets as jets_mod
     calls = []
-    real = jets_mod.grid_jacobian
+    real = jets_mod.curl_grid
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(jets_mod, "grid_jacobian", counting)
-    monkeypatch.setattr(ci_mod, "grid_jacobian", counting, raising=False)
+    monkeypatch.setattr(jets_mod, "curl_grid", counting)
+    monkeypatch.setattr(ci_mod, "curl_grid", counting)
     return calls
 
 
 def test_verifier_takes_one_jacobian(monkeypatch):
     inp, gamma, result = run_flat(nodes=9)
     assert result.passed
-    calls = _count_jacobians(monkeypatch)
+    calls = _count_curls(monkeypatch)
     assert verify_ci(result, inp, 0.5, 1e-3).passed
     assert len(calls) == 1
 
 
 def test_holonomic_solve_takes_one_jacobian(monkeypatch):
     inp, gamma = demo_holonomic_section(nodes=9)
-    calls = _count_jacobians(monkeypatch)
+    calls = _count_curls(monkeypatch)
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     assert result.passed and result.rung == 0
     assert len(calls) == 1
@@ -743,6 +757,47 @@ def test_frames_match_the_stored_field_formula(demo, nodes):
         got = frames[k]
         want = frame_oracle(frames.start, frames.end, frozen, h0, h1, k)
         assert got.grid == want.grid
+        assert got.a.tobytes() == want.a.tobytes(), k
+        assert got.beta.tobytes() == want.beta.tobytes(), k
+
+
+def _tied_sections(grid, rng):
+    """Two sections whose a components have equal moduli at most nodes,
+    and so does every point of the line between them: at each node a is a
+    complex value times a unit per component, from {1, -1, i, -i}, the
+    same units at both ends.  The slopes of h, which at n = 1 are the a
+    components up to sign, then tie exactly.  A third of the nodes double
+    the last component, tying only the first two columns, and beta carries
+    -0.0 parts."""
+    units = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, grid.shape + (3,))]
+    units[rng.random(grid.shape) < 1 / 3, 2] *= 2.0
+
+    def section():
+        c = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        beta = rng.normal(size=grid.shape + (3,)) + 1j * rng.normal(size=grid.shape + (3,))
+        beta.real[rng.random(beta.shape) < 0.2] = -0.0
+        beta.imag[rng.random(beta.shape) < 0.2] = -0.0
+        return GridSection(grid, c[..., None] * units, beta)
+
+    return section(), section()
+
+
+@pytest.mark.parametrize("faces", [set(), {(0, 0), (2, 1)}])
+def test_frames_pick_the_first_column_when_slopes_tie(faces):
+    """With equal |slopes| the steering takes the first upper column, as
+    the oracle's argmax does, bit for bit, strips or no strips."""
+    rng = np.random.default_rng(2818)
+    grid = CubeGrid(1, nodes=9)
+    start, end = _tied_sections(grid, rng)
+    n = grid.n
+    mods = np.abs(start.a + (1 / (N_FRAMES - 1)) * (end.a - start.a))
+    assert (mods[..., 0] == mods[..., 1]).all()
+    assert 0 < (mods[..., 0] == mods[..., 2]).mean() < 1
+    frozen = GammaSpec.of(faces, width=2).frozen_mask(grid)
+    frames = Homotopy(start, end, frozen)
+    h0, h1 = relation_grid(start.a, start.beta, n), relation_grid(end.a, end.beta, n)
+    for k in range(N_FRAMES):
+        got, want = frames[k], frame_oracle(start, end, frozen, h0, h1, k)
         assert got.a.tobytes() == want.a.tobytes(), k
         assert got.beta.tobytes() == want.beta.tobytes(), k
 

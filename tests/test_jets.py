@@ -15,7 +15,7 @@ from contactkit.forms import Form, Point
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection, upper_pairs
 from contactkit.jets import (
-    Jet1, RestrictedJet, ampleness_slice, formal_margin_grid,
+    Jet1, RestrictedJet, ampleness_slice, curl_grid, formal_margin_grid,
     grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
     relation_value, skew_of_jacobian, slope_grid,
 )
@@ -269,6 +269,30 @@ def finite_diff_jet(s: GridSection, node: tuple[int, ...]) -> Jet1:
         for i in range(m):
             p[i][j] = complex(deriv[i])
     return Jet1.build((m - 1) // 2, a, p)
+
+
+def curl_oracle(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
+    """The curl as it was taken from the whole Jacobian: numpy's stencil
+    along every axis of every component, then its skew part.  Kept as the
+    oracle of ``curl_grid``."""
+    jac = np.stack([np.gradient(a, grid.h[j], axis=j, edge_order=2)
+                    for j in range(grid.m)], axis=-1)
+    return skew_of_jacobian(jac)
+
+
+@pytest.mark.parametrize("nodes", [5, 13, 33])
+def test_curl_matches_the_whole_jacobian_oracle(nodes):
+    """Bit-equal to the skew of the full Jacobian on random complex fields
+    with signed zeros, on a cube with unequal mesh steps."""
+    rng = np.random.default_rng(nodes)
+    grid = CubeGrid(1, nodes=nodes, bounds=[(0.0, 1.0), (-2.0, 0.5), (0.25, 0.375)])
+    a = rng.normal(size=grid.shape + (3,)) + 1j * rng.normal(size=grid.shape + (3,))
+    a.real[rng.random(a.shape) < 0.3] = -0.0
+    a.imag[rng.random(a.shape) < 0.3] = -0.0
+    a[rng.random(grid.shape) < 0.1] = 0.0
+    got, want = curl_grid(a, grid), curl_oracle(a, grid)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_finite_diff_jet_exact_on_affine_fields():
