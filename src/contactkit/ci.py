@@ -142,11 +142,13 @@ def oscillation_field(ell: np.ndarray, nu: float, phi0, rho: np.ndarray,
 
 def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
                     d: int, freq: int, delta: float, interior: np.ndarray,
-                    beta: np.ndarray, h_act: np.ndarray) -> bool:
+                    beta: np.ndarray, h_act: np.ndarray, a_in: np.ndarray,
+                    eps: float) -> bool:
     """One oscillation pass along axis d, in place; ``beta`` is the curl
     of a on entry and ``h_act`` the relation field of (a, beta).  Returns
-    False, leaving a untouched, when the margins made the pass unnecessary
-    or its amplitude rho is zero on the whole grid."""
+    False, leaving a untouched, when the margins made the pass unnecessary,
+    its amplitude rho is zero on the whole grid, or its step would take
+    some component of a more than eps away from the input ``a_in``."""
     n = grid.n
     margins = np.abs(h_act)
     if margins[interior].min() >= 3 * delta:
@@ -172,6 +174,12 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
 
     h_mesh = grid.h[d]
     nu = freq * h_mesh
+    # the oscillation moves component k of a by exactly
+    # h / |sin nu| * rho * |u_k| at each node: a pass never overspends eps
+    step = (h_mesh / abs(math.sin(nu))) * rho[..., None] * np.abs(u)
+    if float(np.max(np.abs(a - a_in) + step)) > eps:
+        return False
+
     shape_d = [1] * grid.m
     shape_d[d] = grid.nodes
     ell = np.arange(grid.nodes, dtype=float).reshape(shape_d)
@@ -243,6 +251,20 @@ def _stencil_bound(s: GridSection, guard: np.ndarray | None = None) -> float:
 def _worst_node(values: np.ndarray) -> tuple[int, ...]:
     """Index of the smallest entry, the first one on ties."""
     return tuple(int(k) for k in np.unravel_index(int(values.argmin()), values.shape))
+
+
+def _out_of_reach(cutoff: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Interior nodes whose relation value no pass can change.  A pass
+    moves a only where the cutoff is positive, and h at an interior node
+    reads a at the node and at its neighbours one step along each axis."""
+    live = cutoff > 0
+    reached = live.copy()
+    for d in range(live.ndim):
+        below = (slice(None),) * d + (slice(None, -1),)
+        above = (slice(None),) * d + (slice(1, None),)
+        reached[below] |= live[above]
+        reached[above] |= live[below]
+    return interior & ~reached
 
 
 def _check_gamma_preconditions(s: GridSection, gamma: GammaSpec, delta: float,
@@ -416,6 +438,12 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         return _unchanged(inp, gamma, eps, delta, margin=already, passed=True)
 
     cutoff = gamma.cutoff_field(grid)
+    stuck = np.where(_out_of_reach(cutoff, interior), margins_in, np.inf)
+    if float(stuck.min()) < delta:
+        return _unchanged(inp, gamma, eps, delta, margin=0.0, failure=(
+            f"refused before rung 0: margin {float(stuck.min()):.3e} < delta "
+            f"{delta:.3e} at node {_worst_node(stuck)}, where the cutoff is 0 on "
+            f"the whole stencil, so no pass can change h"))
     frozen = gamma.frozen_mask(grid)
     mesh = min(grid.h)
     base_freq = FREQ_BASE / mesh
@@ -434,7 +462,8 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
             per_direction = []
             for d in range(grid.m):
                 nd = good_frequency(round(freq), grid.h[d])
-                if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl, h):
+                if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl, h,
+                                   inp.a, eps):
                     curl = curl_grid(a, grid)
                     h = relation_grid(a, curl, grid.n)
                 else:

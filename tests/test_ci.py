@@ -564,9 +564,9 @@ def test_gamma_solve_takes_each_relation_field_once(monkeypatch):
 
 
 def test_pass_with_zero_amplitude_does_not_act(monkeypatch):
-    """On the coarse gamma input rho is zero on every pass, so no pass
-    searches phases; the refusal note is the one the solver gave when such
-    passes still ran."""
+    """On the coarse gamma input rho is zero on every pass of every rung, so
+    no pass searches phases or touches a; the solver refuses before rung 0,
+    naming a node that no pass can reach."""
     calls = []
     real = ci_mod._line_phases
 
@@ -576,11 +576,26 @@ def test_pass_with_zero_amplitude_does_not_act(monkeypatch):
 
     monkeypatch.setattr(ci_mod, "_line_phases", counting)
     inp, gamma = demo_gamma_section(nodes=9)
+    grid = inp.grid
+    curl = curl_grid(inp.a, grid)
+    h = relation_grid(inp.a, curl, grid.n)
+    cutoff, interior = gamma.cutoff_field(grid), grid.interior_mask()
+    a = inp.a.copy()
+    freq = FREQ_BASE / min(grid.h)
+    while freq <= ci_mod.FREQ_CAP / min(grid.h):
+        for d in range(grid.m):
+            nd = good_frequency(round(freq), grid.h[d])
+            assert not ci_mod._direction_pass(a, grid, cutoff, d, nd, 1e-3, interior, curl, h,
+                                              inp.a, 0.5)
+        freq *= 2
+    assert not calls
+    assert a.tobytes() == inp.a.tobytes()
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     assert not calls
-    assert result.failure == ("frequency ladder exhausted; last attempt: rung 11 "
-                              "(freq 131072): margin 0.000e+00 at node (4, 1, 1), "
-                              "deviation 0.000e+00")
+    assert (result.passed, result.rung) == (False, 0)
+    assert result.failure == ("refused before rung 0: margin 0.000e+00 < delta 1.000e-03 "
+                              "at node (4, 1, 1), where the cutoff is 0 on the whole "
+                              "stencil, so no pass can change h")
 
 
 def test_solved_result_retains_two_sections():
@@ -674,9 +689,11 @@ def test_direction_pass_matches_the_per_phase_loop(demo, nodes):
     acted = []
     for d in range(grid.m):
         freq = good_frequency(round(FREQ_BASE / min(grid.h)), grid.h[d])
-        acted.append(ci_mod._direction_pass(a, grid, cutoff, d, freq, 1e-3, interior, curl, h))
+        acted.append(ci_mod._direction_pass(a, grid, cutoff, d, freq, 1e-3, interior, curl, h,
+                                            inp.a, 0.5))
         with patch.object(ci_mod, "_line_phases", line_phases_oracle):
-            ci_mod._direction_pass(a_want, grid, cutoff, d, freq, 1e-3, interior, curl, h)
+            ci_mod._direction_pass(a_want, grid, cutoff, d, freq, 1e-3, interior, curl, h,
+                                   inp.a, 0.5)
         assert a.tobytes() == a_want.tobytes()
         curl = curl_grid(a, grid)
         h = relation_grid(a, curl, grid.n)
@@ -695,7 +712,8 @@ def test_phase_search_memory_on_a_fully_active_grid():
     a = inp.a.copy()
     tracemalloc.start()
     try:
-        assert ci_mod._direction_pass(a, grid, cutoff, 0, freq, 1e-3, interior, curl, h)
+        assert ci_mod._direction_pass(a, grid, cutoff, 0, freq, 1e-3, interior, curl, h,
+                                      inp.a, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

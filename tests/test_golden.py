@@ -43,8 +43,9 @@ def test_cli_report_matches_golden(name, capsys):
 DUMPS = {
     "flat": (0, "e8c043eb56f2046c2d9a045426fe86fdcd72b39be982bf1e3f995bb6a3a80ba0"),
     "holonomic": (0, "cb8bf226733a6645adc615421936caa9208df433b440e22c28abc478fd17b9c8"),
-    # refused at 9 nodes: every frame is the input
-    "gamma": (1, "48f21d6baa083d5ac2f06af17901d75a1633b5e4abef32b219f830f384df79e5"),
+    # refused at 9 nodes before rung 0, naming a node no pass can reach:
+    # every frame is the input
+    "gamma": (1, "99e1e4dc0764361d6281d20a4fae0b7e15e24073a774b99d8f0c71329a15c64f"),
 }
 
 
