@@ -35,6 +35,9 @@ class Jet1:
     p: tuple
 
     def __post_init__(self):
+        # type() is exact: neither a bool nor 1.5 passes as a dimension
+        if type(self.n) is not int:
+            raise DimensionError(f"n must be an int, got {self.n!r}")
         if self.n < 0:
             raise DimensionError(f"need n >= 0, got {self.n}")
         m = 2 * self.n + 1
@@ -191,6 +194,9 @@ def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
 
 
 def _grid_readers(a: np.ndarray, beta: np.ndarray, n: int):
+    # n sizes the columns, so it is checked here before the kernel sees it
+    if type(n) is not int or n < 0:
+        raise DimensionError(f"n must be an int >= 0, got {n!r}")
     m = 2 * n + 1
     pairs = upper_pairs(m)
     if a.shape[-1:] != (m,) or beta.shape != a.shape[:-1] + (len(pairs),):

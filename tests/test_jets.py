@@ -441,6 +441,14 @@ REFUSALS = [
      DimensionError, "holonomic_jet expects a 1-form"),
     (lambda: relation_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3, 3)), 1), DimensionError,
      "n = 1 needs a of shape (..., 3) and beta of shape (..., 3), got (5, 5, 5, 3) and"),
+    (lambda: Jet1(True, (QC(0),) * 3, ((QC(0),) * 3,) * 3), DimensionError,
+     "n must be an int, got True"),
+    (lambda: Jet1.build(1.5, (QC(0),) * 4, [[QC(0)] * 4] * 4), DimensionError,
+     "n must be an int, got 1.5"),
+    (lambda: relation_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), 1.5), DimensionError,
+     "n must be an int >= 0, got 1.5"),
+    (lambda: slope_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), -1, 0, 1), DimensionError,
+     "n must be an int >= 0, got -1"),
 ]
 
 
