@@ -3,10 +3,12 @@ determinism, and the independent verifier including fault injection."""
 
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 import re
 import tracemalloc
+from collections.abc import Sequence
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -596,6 +598,88 @@ def test_pass_with_zero_amplitude_does_not_act(monkeypatch):
     assert result.failure == ("refused before rung 0: margin 0.000e+00 < delta 1.000e-03 "
                               "at node (4, 1, 1), where the cutoff is 0 on the whole "
                               "stencil, so no pass can change h")
+
+
+class _HashedFrames(Sequence):
+    """The frames of a result, hashed in the order the verifier reads them,
+    so each frame is built once."""
+
+    def __init__(self, frames, digest):
+        self.frames, self.digest = frames, digest
+
+    def __len__(self):
+        return len(self.frames)
+
+    def __getitem__(self, k):
+        frame = self.frames[k]
+        self.digest.update(frame.a.tobytes() + frame.beta.tobytes())
+        return frame
+
+
+def solve_digest(demo, nodes, eps, delta):
+    """Solve a demo, verify the result, and hash the output, the meta, every
+    frame as the verifier reads it, and the report text."""
+    inp, gamma = demo(nodes)
+    result = ci_solve(inp, gamma, eps, delta)
+    digest = hashlib.sha256(result.output.a.tobytes() + result.output.beta.tobytes())
+    digest.update(repr(result.meta()).encode())
+    report = verify_ci(dataclasses.replace(result, frames=_HashedFrames(result.frames, digest)),
+                       inp, eps, delta)
+    digest.update(report.to_text().encode())
+    return result, report, digest.hexdigest()
+
+
+# solve_digest of the flat and holonomic demos as the solver gave them
+# before its passes were bounded by eps; those runs never came near eps
+UNMOVED = {
+    ("flat", 9, 0.5, 0.001): "1c39e12b76329d861c355d998e6793e061e67fec5efaf5287e8ee28bb948cec1",
+    ("flat", 9, 0.1, 0.001): "6c47efc725da04d815d6e9d3f4c39cda45bc00b87e1eff060e8f1a9bd3537a8c",
+    ("flat", 13, 0.5, 0.001): "451d2587748ac5cc24bcf1fd187a9f10aa151b4d7eb51f160998b3e53364d3a2",
+    ("flat", 13, 0.1, 0.001): "ecd2dead6398aaea553b7a8c07b08d3507f20c958eb497b94f428ca6759f30a5",
+    ("flat", 17, 0.5, 0.001): "890bfe54193b79c16fc20159c63e6d9acdbd93f5ce367717da57a70104603a7c",
+    ("flat", 17, 0.1, 0.001): "bbb1ee7609dd01081d769eaff8c5b0a1543aad0a20bd3e41d319a9391a6c0278",
+    ("flat", 21, 0.5, 0.001): "a8259cf8a7a9e82bc3411e787e16cec51515266ce287638773de2216ef9c231b",
+    ("flat", 21, 0.1, 0.001): "42a625bdd2353949adbfb6a3cef547177e22a956cd937ecdb11e771c4425b6d1",
+    ("flat", 33, 0.5, 0.001): "809685d6da767bd74266e62b7a8b263150511c56165eab4532196f75cd61d9a9",
+    ("flat", 33, 0.1, 0.001): "db3c75f656db88d5d475b1191d1e535f852da50dfcb512e82c02912493e552b7",
+    ("holonomic", 9, 0.5, 0.001): "3e2b67bcaa22f016ae28cfbfaebb411d1443cc8af177c9b58af8cf146166a3f8",
+    ("holonomic", 9, 0.1, 0.001): "e985e5ce4db9a6c51d007f8106c945c6099b61aed588bcd832cb471d8ce0af1e",
+    ("holonomic", 13, 0.5, 0.001): "5222f025c2bdc8b6879093f9185a48515a17d51feaa314bb9453f15653ea004b",
+    ("holonomic", 13, 0.1, 0.001): "65ad3a8eec0714fa05f1180da87b0e52ef8e831a659a5c4e9e32807f12fca04d",
+    ("holonomic", 17, 0.5, 0.001): "e6b70093dc814ab5738ac0ff770611412bae547ef4a50026d4ba82a5e6161fb8",
+    ("holonomic", 17, 0.1, 0.001): "a4cb8ecc4e4f067de60bc2bebb58c00e520b0d4544f4ab2801cb0db60804eeac",
+    ("holonomic", 21, 0.5, 0.001): "ebe9ea584c31512ccf9692a72ec4cbacfd9950fc073b91215ee3b9e7e1980334",
+    ("holonomic", 21, 0.1, 0.001): "21b6598fddf70c3e3c429d3b74b60de29dec7cb3988ca72b831c50e08459fd21",
+    ("holonomic", 33, 0.5, 0.001): "13415da2584b48a15e30ea5cbe11e4af2c1971db50329fd23ece07162c69f42e",
+    ("holonomic", 33, 0.1, 0.001): "ec0b24375d91bc5f092e55f48297852cef23d43af3d83f00108f067d033a5740",
+}
+
+
+@pytest.mark.parametrize("eps, delta", [(0.5, 1e-3), (0.1, 1e-3)])
+@pytest.mark.parametrize("nodes", [9, 13, 17, 21, 33])
+@pytest.mark.parametrize("demo", [demo_gamma_section, demo_flat_section,
+                                  demo_holonomic_section])
+def test_no_solve_passes_that_the_verifier_refuses(demo, nodes, eps, delta):
+    """Every passed result verifies.  Gamma passes at rung 0 from 11 nodes
+    and refuses before rung 0 at 9 and 17, naming a node no pass can
+    reach; gamma-13 acts on at most 10 passes.  Flat and holonomic keep
+    their outputs, frames and reports bit for bit."""
+    result, report, digest = solve_digest(demo, nodes, eps, delta)
+    assert report.passed == result.passed, report.to_text()
+    name = demo.__name__.split("_")[1]
+    if name == "gamma":
+        if nodes in (9, 17):
+            assert (result.passed, result.rung) == (False, 0)
+            assert re.fullmatch(r"refused before rung 0: .* at node \(\d+, \d+, \d+\), .*",
+                                result.failure)
+        else:
+            assert (result.passed, result.rung) == (True, 0), result.failure
+        if nodes == 13:
+            acted = sum(1 for sweep in result.sweep_frequencies for f in sweep if f)
+            assert acted <= 10
+    else:
+        assert result.passed, result.failure
+        assert digest == UNMOVED[name, nodes, eps, delta]
 
 
 def test_solved_result_retains_two_sections():
