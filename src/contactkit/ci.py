@@ -340,16 +340,16 @@ class Homotopy(Sequence):
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope: a strict > keeps the first column
         # on ties, as argmax does
-        for c, (r, s) in enumerate(upper_pairs(grid.m)):
+        pairs = upper_pairs(grid.m)
+        slope = slope_grid(a_k, beta_k, grid.n, *pairs[0])
+        size, choice = np.abs(slope), np.zeros(hk.shape, dtype=int)
+        for c, (r, s) in enumerate(pairs[1:], 1):
             slope_c = slope_grid(a_k, beta_k, grid.n, r, s)
             size_c = np.abs(slope_c)
-            if c == 0:
-                slope, size, choice = slope_c, size_c, np.zeros(size_c.shape, dtype=int)
-            else:
-                better = size_c > size
-                slope = np.where(better, slope_c, slope)
-                size = np.where(better, size_c, size)
-                choice = np.where(better, c, choice)
+            better = size_c > size
+            slope = np.where(better, slope_c, slope)
+            size = np.where(better, size_c, size)
+            choice = np.where(better, c, choice)
         lam = np.divide(target - hk, slope, out=np.zeros_like(hk), where=size > 1e-30)
         # lam goes to the chosen column; every other column gets a zero
         for c in range(beta_k.shape[-1]):
@@ -439,9 +439,10 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
 
     cutoff = gamma.cutoff_field(grid)
     stuck = np.where(_out_of_reach(cutoff, interior), margins_in, np.inf)
-    if float(stuck.min()) < delta:
+    unreachable = float(stuck.min())
+    if unreachable < delta:
         return _unchanged(inp, gamma, eps, delta, margin=0.0, failure=(
-            f"refused before rung 0: margin {float(stuck.min()):.3e} < delta "
+            f"refused before rung 0: margin {unreachable:.3e} < delta "
             f"{delta:.3e} at node {_worst_node(stuck)}, where the cutoff is 0 on "
             f"the whole stencil, so no pass can change h"))
     frozen = gamma.frozen_mask(grid)
@@ -543,14 +544,15 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
     strips = not result.gamma.is_empty
     if strips:
         mask = result.gamma.frozen_mask(grid)
-        held = inp.a[mask], inp.beta[mask]
+        held_a, held_beta = inp.a[mask], inp.beta[mask]
     frame_mins, constant = [], True
     for k, fr in enumerate(result.frames):
         if k == 0:
             first_ok = fr == inp
         frame_mins.append(float(formal_margin_grid(fr).min()))
-        constant = constant and (not strips or (np.array_equal(fr.a[mask], held[0])
-                                                and np.array_equal(fr.beta[mask], held[1])))
+        if strips and constant:
+            constant = (np.array_equal(fr.a[mask], held_a)
+                        and np.array_equal(fr.beta[mask], held_beta))
         last = fr
     report.add("frame count", len(frame_mins) == N_FRAMES, f"{len(frame_mins)} frames")
     if frame_mins:

@@ -223,10 +223,8 @@ def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
     Only the m(m-1) off-diagonal derivatives are taken, one component at a
     time: column (r, s) is da_s/dx_r - da_r/dx_s, bit for bit
     ``skew_of_jacobian(grid_jacobian(a, grid))``."""
-    def deriv(i: int, j: int) -> np.ndarray:
-        return grid_derivative(a[..., i], grid, j)
-
-    return np.stack([deriv(s, r) - deriv(r, s) for r, s in upper_pairs(grid.m)], axis=-1)
+    return np.stack([grid_derivative(a[..., s], grid, r) - grid_derivative(a[..., r], grid, s)
+                     for r, s in upper_pairs(grid.m)], axis=-1)
 
 
 def holonomy_defect(s: GridSection) -> float:
