@@ -16,9 +16,11 @@ jet.  The relation value h is affine in that column, so per node the
 oscillation moves h on a circle of chosen radius around its current
 value; radius = current |h| + headroom keeps the worst phase away from
 zero.  The discrete amplitude is divided by sin(frequency * mesh), which
-makes the central-difference change exact for constant envelopes.  Each
-section's finite-difference curl is taken once and shared by the solver
-checks and the verifier.
+makes the central-difference change exact for constant envelopes, so a
+pass knows its step in a before it acts and does not act when that step
+would take a further than eps from the input.  Each section's
+finite-difference curl is taken once and shared by the solver checks and
+the verifier.
 """
 
 from __future__ import annotations
@@ -300,8 +302,8 @@ class Homotopy(Sequence):
     h1, the formal relation fields of ``start`` and ``end``, held at
     ``start`` on the ``frozen`` nodes.  The endpoints are held by
     reference, so changing them changes the frames; the polar path's
-    moduli and arguments are read from them once, on the first interior
-    frame."""
+    moduli and arguments and the differences end - start are read from
+    them once, on the first interior frame."""
 
     start: GridSection
     end: GridSection
