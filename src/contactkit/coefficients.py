@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import index
 from typing import NamedTuple
@@ -129,6 +130,15 @@ def _pack(m: int, mono: Monomial) -> tuple[int, int]:
         key |= (e + EXPONENT_LIMIT) << (_WIDTH * j)
         bound = max(bound, abs(e))
     return key, bound
+
+
+@lru_cache(maxsize=4096)
+def _eval_plan(m: int, key: int) -> tuple:
+    """The nonzero exponents of ``key`` as ``(field, e)`` pairs, z_i then
+    zbar_i for each i in turn.  A plan depends only on (m, key), so each is
+    built once per process; the cache holds at most 4096 plans."""
+    exps = _fields(m, key)
+    return tuple((j, exps[j]) for i in range(m) for j in (i, m + i) if exps[j])
 
 
 def _product_bound(f: "LaurentPoly", g: "LaurentPoly") -> int:
@@ -364,33 +374,33 @@ class LaurentPoly:
 
         With exact (QC) coordinates the result is an exact QC; with complex
         coordinates it is a Python complex.  Raises PoleError when a negative
-        exponent meets a zero coordinate.
+        exponent meets a zero coordinate.  Each term multiplies in its
+        powers in the order of its ``_eval_plan``, and conjugates are taken
+        only when some term has a zbar exponent.
         """
         m = self.m
         if len(zvalues) != m:
             raise DimensionError("point arity mismatch")
         is_exact = all(isinstance(v, QC) for v in zvalues)
         if is_exact:
-            zs = list(zvalues)
-            vals = zs + [v.conj() for v in zs]
+            vals = list(zvalues)
             total = QC(0)
         else:
-            zs = [complex(v) for v in zvalues]
-            vals = zs + [v.conjugate() for v in zs]
+            vals = [complex(v) for v in zvalues]
             total = 0j
-        one = _ONE[m]
-        # z_i, then zbar_i, for each i in turn
-        fields = [(_WIDTH * j, vals[j], j % m + 1) for i in range(m) for j in (i, m + i)]
-        for key, coeff in self._terms.items():
+        terms = self._terms
+        if not terms:
+            return total
+        plans = [_eval_plan(m, key) for key in terms]
+        if any(j >= m for plan in plans for j, _ in plan):
+            vals += [v.conj() if is_exact else v.conjugate() for v in vals]
+        for plan, coeff in zip(plans, terms.values()):
             term = coeff if is_exact else complex(coeff)
-            if key != one:
-                for shift, val, i in fields:
-                    e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
-                    if e == 0:
-                        continue
-                    if e < 0 and not val:
-                        raise PoleError(f"coordinate z_{i} = 0 hit exponent {e}")
-                    term = term * val ** e
+            for j, e in plan:
+                val = vals[j]
+                if e < 0 and not val:
+                    raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
+                term = term * val ** e
             total = total + term
         return total
 

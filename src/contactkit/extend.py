@@ -26,17 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, prod, sqrt
+from math import factorial, gcd, prod, sqrt
+from operator import mul
 
 import numpy as np
 
-from .coefficients import Coefficient, LaurentPoly, Monomial
+from .coefficients import _ONE, _WIDTH, Coefficient, LaurentPoly, _poly
 from .errors import DimensionError, PreconditionError, VariantError
-from .forms import Form, PolyMap, pullback
+from .forms import Form, PolyMap, _form, pullback
 from .grids import CubeGrid
 from .jets import grid_derivative
 from .reports import VerificationReport, fmt_num
-from .scalars import QC, exact
+from .scalars import QC, _gaussian, _reduced, exact
 
 
 def multi_indices(m: int, max_total: int):
@@ -281,52 +282,109 @@ class FitResult:
 def _solve_exact_normal(A: list[list[QC]], rhs_cols: list[list[QC]]):
     """Least squares over Gaussian rationals via the normal equations.
 
-    One Gauss-Jordan pass over [A^H A | A^H b].  Over Q(i) the reduced
-    row-echelon form is unique, so any nonzero entry is an exact pivot and
-    each column takes its first one.  Returns (solutions per rhs, rank).
-    Free columns of a rank-deficient system get coefficient zero.
+    [A | b] is scaled once to Gaussian integers by the common denominator L
+    of its entries (L^2 cancels from A^H A x = A^H b), and one Gauss-Jordan
+    pass runs over [A^H A | A^H b] fraction-free, on int pairs: a row is
+    eliminated as pivot * row - entry * pivot row and then divided by its
+    integer content.  Each row stays a nonzero multiple of the row that
+    division by the pivot would give, so the zero pattern, the pivot of
+    each column (its first nonzero entry) and the rank are those of the
+    reduced row-echelon form over Q(i), which is unique; a solution entry
+    is its row's rhs entry over its pivot, reduced once.  Returns
+    (solutions per rhs, rank).  Free columns of a rank-deficient system
+    get coefficient zero.
     """
-    n_cols = len(A[0]) if A else 0
-    width = n_cols + len(rhs_cols)
-    rows = [row + [rhs[r] for rhs in rhs_cols] for r, row in enumerate(A)]
-    bar = [[v.conj() for v in row] for row in A]
-    aug = [[QC(0)] * width for _ in range(n_cols)]
+    _, re, im = _gaussian([*zip(*A), *rhs_cols])
+    return _solve_gaussian(re, im, len(A[0]) if A else 0)
+
+
+def _solve_gaussian(re: list[list[int]], im: list[list[int]], n_cols: int):
+    """``_solve_exact_normal`` on the columns of [A | b] times L, real parts
+    in ``re`` and imaginary parts in ``im``; the exact fit calls it directly
+    and takes its residual on the same integers."""
+    width = len(re)
+    # sum_r conj(a_r) b_r is (a_re|a_im).(b_re|b_im) + i (a_re|a_im).(b_im|-b_re)
+    flat = [r + i for r, i in zip(re, im)]
+    turned = [i + [-v for v in r] for r, i in zip(re, im)]
+    rows = [([0] * width, [0] * width) for _ in range(n_cols)]
     for i in range(n_cols):
+        a = flat[i]
+        row_re, row_im = rows[i]
         for j in range(i, width):
-            acc = QC(0)
-            for b, row in zip(bar, rows):
-                acc = acc + b[i] * row[j]
-            aug[i][j] = acc
+            x = sum(map(mul, a, flat[j]))
+            y = sum(map(mul, a, turned[j]))
+            row_re[j], row_im[j] = x, y
             if i < j < n_cols:
-                aug[j][i] = acc.conj()
+                rows[j][0][i], rows[j][1][i] = x, -y
+    rows = [_primitive(*row) for row in rows]
 
     pivots = []
     for col in range(n_cols):
         rank = len(pivots)
-        p = next((r for r in range(rank, n_cols) if not aug[r][col].is_zero), None)
+        p = next((r for r in range(rank, n_cols) if rows[r][0][col] or rows[r][1][col]), None)
         if p is None:
             continue
-        aug[rank], aug[p] = aug[p], aug[rank]
-        inv = aug[rank][col].inverse()
-        aug[rank] = [v * inv for v in aug[rank]]
+        rows[rank], rows[p] = rows[p], rows[rank]
+        pr, pi = rows[rank]
+        a, b = pr[col], pi[col]
         for r in range(n_cols):
-            if r != rank and not aug[r][col].is_zero:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[rank])]
+            rr, ri = rows[r]
+            c, d = rr[col], ri[col]
+            if r != rank and (c or d):
+                rows[r] = _primitive(
+                    [a * x - b * y - c * u + d * v for x, y, u, v in zip(rr, ri, pr, pi)],
+                    [a * y + b * x - c * v - d * u for x, y, u, v in zip(rr, ri, pr, pi)])
         pivots.append(col)
-    sols = [[QC(0)] * n_cols for _ in rhs_cols]
-    for r, col in enumerate(pivots):
-        for k, x in enumerate(sols):
-            x[col] = aug[r][n_cols + k]
+    sols = [[QC(0)] * n_cols for _ in range(width - n_cols)]
+    for (row_re, row_im), col in zip(rows, pivots):
+        c, d = row_re[col], row_im[col]
+        n = c * c + d * d
+        for x, a, b in zip(sols, row_re[n_cols:], row_im[n_cols:]):
+            x[col] = _reduced(a * c + b * d, b * c - a * d, n)
     return sols, len(pivots)
 
 
+def _primitive(re: list[int], im: list[int]):
+    """The row (re, im) divided by the gcd of all its ints."""
+    g = gcd(*re, *im)
+    if g > 1:
+        return [x // g for x in re], [y // g for y in im]
+    return re, im
+
+
+def _worst_misfit(L: int, re: list[list[int]], im: list[list[int]], sols) -> Fraction:
+    """max over rows r and columns k of |(A x_k)[r] - b_k[r]|^2, exact, on
+    the solve's Gaussian integers: with [A | b] times L (``re``, ``im``)
+    and x_k times its own common denominator D, the misfit of row r is
+    (sum_c A[r][c] x_k[c] - D b_k[r]) / (L D), and only a nonzero
+    numerator makes a Fraction."""
+    n_cols = len(re) - len(sols)
+    # row r of A as (a_re|a_im): a.x is that row dotted with (x_re|-x_im)
+    # in its real part and with (x_im|x_re) in its imaginary part
+    rows = [r + i for r, i in zip(zip(*re[:n_cols]), zip(*im[:n_cols]))]
+    worst = Fraction(0)
+    for x, b_re, b_im in zip(sols, re[n_cols:], im[n_cols:]):
+        D, (x_re,), (x_im,) = _gaussian([x])
+        real = x_re + [-v for v in x_im]
+        imag = x_im + x_re
+        top = 0
+        for a, br, bi in zip(rows, b_re, b_im):
+            u = sum(map(mul, a, real)) - D * br
+            v = sum(map(mul, a, imag)) - D * bi
+            top = max(top, u * u + v * v)
+        if top:
+            worst = max(worst, Fraction(top, (L * D) ** 2))
+    return worst
+
+
 def _holomorphic_form(m: int, monos, cols) -> Form:
-    """sum_i (sum_I cols[i][I] z^I) dz_i, one LaurentPoly per component;
-    LaurentPoly and Form drop the zero coefficients and components."""
-    zero = (0,) * m
-    return Form(m, 1, {
-        (i,): LaurentPoly(m, {Monomial(tuple(I), zero): c for I, c in zip(monos, col)})
+    """sum_i (sum_I cols[i][I] z^I) dz_i, one LaurentPoly per component,
+    built from packed keys; zero coefficients and components are dropped."""
+    one = _ONE[m]
+    keys = [one + sum(e << (_WIDTH * k) for k, e in enumerate(I)) for I in monos]
+    bound = max(map(max, monos), default=0)
+    return _form(m, 1, {
+        (i,): _poly(m, {key: c for key, c in zip(keys, col) if not c.is_zero}, bound)
         for i, col in enumerate(cols)}, "laurent")
 
 
@@ -389,17 +447,16 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     if exact_rows and all(v is not None for r in exact_rows for v in r):
         A = _design_matrix([pt.values for pt in points], monos, QC(1))
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
-        sols, rank = _solve_exact_normal(A, rhs_cols)
-        form = _holomorphic_form(m, monos, sols)
+        L, re, im = _gaussian([*zip(*A), *rhs_cols])
+        sols, rank = _solve_gaussian(re, im, len(monos))
         # sup of the squared misfit, exact; an exact recovery reports 0.0
-        worst = Fraction(0)
-        for r, row in enumerate(exact_rows):
-            for i in range(m):
-                fit_v = sum((c * av for c, av in zip(sols[i], A[r])), QC(0))
-                worst = max(worst, (fit_v - row[i]).abs2())
+        worst = _worst_misfit(L, re, im, sols)
+        for row in exact_rows:
             for extra in row[m:]:
-                worst = max(worst, extra.abs2())
-        return FitResult(form, sqrt(worst), rank, len(monos), len(points), True)
+                if extra:
+                    worst = max(worst, extra.abs2())
+        return FitResult(_holomorphic_form(m, monos, sols), sqrt(worst), rank, len(monos),
+                         len(points), True)
 
     A = np.array(_design_matrix([pt.as_complex() for pt in points], monos, 1 + 0j),
                  dtype=complex)

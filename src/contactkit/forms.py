@@ -171,7 +171,9 @@ class Form:
         return LaurentPoly.zero(self.m) if self.variant == "laurent" else Const(0j)
 
     def coeff(self, word: Word) -> Coefficient:
-        return self.terms.get(tuple(word), self.zero_coeff())
+        """The coefficient of ``word``; a zero is built only for a missing word."""
+        c = self.terms.get(tuple(word))
+        return self.zero_coeff() if c is None else c
 
     # -- linear structure -----------------------------------------------------
 

@@ -61,6 +61,19 @@ def _reduced(a: int, b: int, d: int) -> "QC":
     return q
 
 
+def _gaussian(columns) -> tuple[int, list[list[int]], list[list[int]]]:
+    """``columns`` (lists of QC) over one common denominator: ``(L, re,
+    im)``, with L the lcm of every denominator and
+    ``re[c][r] + i*im[c][r] == L * columns[c][r]`` in ints."""
+    L = lcm(*{q._d for col in columns for q in col})
+    re, im = [], []
+    for col in columns:
+        scale = [L // q._d for q in col]
+        re.append([q._a * s for q, s in zip(col, scale)])
+        im.append([q._b * s for q, s in zip(col, scale)])
+    return L, re, im
+
+
 def power(base, e: int, one):
     """``base ** e`` for ``e >= 0`` in any ring, ``one`` for ``e == 0``.  No
     squaring follows the top bit: ``x ** 2`` is one product, ``x ** 5`` three."""

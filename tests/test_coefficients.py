@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactkit.coefficients import (
-    EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow, Sin, Sqrt, Z,
-    Zbar, coefficient_variant, eadd, emul, epow,
+    _FIELD, _ONE, _WIDTH, EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow,
+    Sin, Sqrt, Z, Zbar, coefficient_variant, eadd, emul, epow,
 )
 from contactkit.errors import (
     ContactKitError, DimensionError, ExponentRangeError, PoleError, VariantError,
@@ -82,6 +82,82 @@ def test_eval_exact_matches_float():
             approx = f.eval(pt.as_complex())
             assert isinstance(exact, QC)
             assert abs(complex(exact) - approx) < 1e-12
+
+
+def parent_eval(p, zvalues):
+    """LaurentPoly.eval before it read a cached plan per key, kept as the
+    oracle: every field of every key, z_i then zbar_i for each i."""
+    m = p.m
+    if len(zvalues) != m:
+        raise DimensionError("point arity mismatch")
+    is_exact = all(isinstance(v, QC) for v in zvalues)
+    if is_exact:
+        zs = list(zvalues)
+        vals = zs + [v.conj() for v in zs]
+        total = QC(0)
+    else:
+        zs = [complex(v) for v in zvalues]
+        vals = zs + [v.conjugate() for v in zs]
+        total = 0j
+    one = _ONE[m]
+    fields = [(_WIDTH * j, vals[j], j % m + 1) for i in range(m) for j in (i, m + i)]
+    for key, coeff in p._terms.items():
+        term = coeff if is_exact else complex(coeff)
+        if key != one:
+            for shift, val, i in fields:
+                e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
+                if e == 0:
+                    continue
+                if e < 0 and not val:
+                    raise PoleError(f"coordinate z_{i} = 0 hit exponent {e}")
+                term = term * val ** e
+        total = total + term
+    return total
+
+
+# zeros of both signs, units and values whose powers round
+_EVAL_COORDS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1j, complex(0.5, -2.5),
+                complex(-0.0, 1.0), complex(1e-3, 7.0)]
+
+
+def _bits(value):
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return repr(value)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, 2 ** 32))
+def test_eval_matches_the_field_by_field_oracle(seed):
+    """Exact and complex points, negative and zbar exponents, the zero
+    polynomial and poles: the same value bit for bit, or the same PoleError
+    text."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    p = LaurentPoly(m, {
+        Monomial(tuple(rng.randint(-3, 3) for _ in range(m)),
+                 tuple(rng.choice([0, 0, rng.randint(-3, 3)]) for _ in range(m))):
+        QC(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), 3))
+        for _ in range(rng.randint(0, 4))})
+    kind = rng.choice(["exact", "complex", "mixed"])
+    if kind == "exact":
+        pt = [QC(0) if rng.random() < 0.2
+              else QC(Fraction(rng.randint(-9, 9), 7), rng.randint(-2, 2)) for _ in range(m)]
+    else:
+        pt = [rng.choice(_EVAL_COORDS) if rng.random() < 0.5
+              else complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(m)]
+        if kind == "mixed":
+            pt[rng.randrange(m)] = QC(Fraction(rng.randint(-9, 9), 7), 1)
+    try:
+        want = parent_eval(p, pt)
+    except PoleError as err:
+        with pytest.raises(PoleError) as got:
+            p.eval(pt)
+        assert str(got.value) == str(err)
+        return
+    got = p.eval(pt)
+    assert type(got) is type(want)
+    assert _bits(got) == _bits(want)
 
 
 def test_eval_at_pole_raises():

@@ -25,7 +25,7 @@ from contactkit.gallery import covering_map, std_form
 from contactkit.grids import CubeGrid
 from contactkit.jets import RestrictedJet
 from contactkit.sampling import exact_points, random_jet, random_qc
-from contactkit.scalars import QC
+from contactkit.scalars import QC, exact
 
 
 def real_points(m, count, seed=0):
@@ -481,19 +481,88 @@ def test_exact_solver_matches_the_parent(seed):
     assert repr(sols) == repr(want_sols)
 
 
-def test_exact_solver_conjugates_each_entry_once(monkeypatch):
-    A, rhs = random_system(random.Random(5))
+def test_exact_solver_makes_no_qc_arithmetic(monkeypatch):
+    """The solve runs on Gaussian integers: the only QC it makes are the
+    zeros of free columns and one reduced value per solution entry."""
+    systems = [random_system(random.Random(seed)) for seed in (5, 11, 17)]
+    want = [parent_solve_exact_normal(A, rhs) for A, rhs in systems]
     calls = []
-    conj = QC.conj
 
-    def counted(self):
-        calls.append(self)
-        return conj(self)
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
 
-    monkeypatch.setattr(QC, "conj", counted)
-    _solve_exact_normal(A, rhs)
-    n_cols = len(A[0])
-    assert len(calls) == len(A) * n_cols + n_cols * (n_cols - 1) // 2
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "conj",
+                 "inverse"):
+        monkeypatch.setattr(QC, name, counted(name, getattr(QC, name)))
+    got = [_solve_exact_normal(A, rhs) for A, rhs in systems]
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
+
+
+def parent_exact_fit(points, values, degree):
+    """The exact path of the fit before it solved on Gaussian integers,
+    kept as the oracle: the QC solve, the row-by-row residual loop and the
+    public constructors.  Returns (form, rank, residual)."""
+    m = points[0].m
+    monos = list(multi_indices(m, degree))
+    rows = [[exact(v) for v in r] for r in values]
+    A = [reference_design_row(pt.values, monos, QC(1)) for pt in points]
+    sols, rank = parent_solve_exact_normal(A, [[row[i] for row in rows] for i in range(m)])
+    zero = (0,) * m
+    form = Form(m, 1, {
+        (i,): LaurentPoly(m, {Monomial(tuple(I), zero): c for I, c in zip(monos, col)})
+        for i, col in enumerate(sols)}, "laurent")
+    worst = Fraction(0)
+    for r, row in enumerate(rows):
+        for i in range(m):
+            fit_v = sum((c * av for c, av in zip(sols[i], A[r])), QC(0))
+            worst = max(worst, (fit_v - row[i]).abs2())
+        for extra in row[m:]:
+            worst = max(worst, extra.abs2())
+    return form, rank, math.sqrt(worst)
+
+
+def random_exact_fit(rng):
+    """Points drawn from a small pool (repeats and zero coordinates make
+    rank-deficient designs), values from a polynomial form with some rows
+    moved off it, and sometimes the 2m-component rows of a covector whose
+    dzbar half is nonzero."""
+    m, degree = rng.randint(1, 3), rng.randint(0, 2)
+    n_monos = len(list(multi_indices(m, degree)))
+    pool = [Point([QC(0) if rng.random() < 0.2 else random_qc(rng, rng.choice([1, 3, 7]), 2)
+                   for _ in range(m)]) for _ in range(rng.randint(1, n_monos + 2))]
+    points = [rng.choice(pool) for _ in range(n_monos + rng.randint(0, 4))]
+    alpha = Form(m, 1, {(i,): sum((LaurentPoly(m, {Monomial(I, (0,) * m): random_qc(rng, 5, 1)})
+                                   for I in multi_indices(m, degree)), LaurentPoly.zero(m))
+                        for i in range(m)})
+    width = rng.choice([m, 2 * m])
+    values = []
+    for pt in points:
+        row = list(alpha.covector_at(pt))[:m]
+        if rng.random() < 0.3:
+            row[rng.randrange(m)] += random_qc(rng, 3, 1)
+        row += [QC(0) if rng.random() < 0.5 else random_qc(rng, 2, 1) for _ in range(width - m)]
+        values.append(row)
+    return points, values, degree
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32))
+def test_exact_fit_matches_the_parent(seed):
+    points, values, degree = random_exact_fit(random.Random(seed))
+    fit = fit_holomorphic(points, values, degree)
+    form, rank, residual = parent_exact_fit(points, values, degree)
+    assert fit.exact
+    assert fit.rank == rank
+    assert fit.form == form
+    assert repr(fit.form) == repr(form)
+    assert [list(c.terms) for c in fit.form.terms.values()] == \
+        [list(c.terms) for c in form.terms.values()]
+    assert fit.residual.hex() == residual.hex()
 
 
 def reference_design_row(values, monos, one) -> list:
@@ -593,3 +662,59 @@ def test_both_fit_paths_build_through_the_one_design_matrix(monkeypatch):
     assert not fit_holomorphic(floats, [[complex(v) for v in r] for r in rows], 2).exact
     assert ones == [QC(1), 1 + 0j]
     assert [type(one) for one in ones] == [QC, complex]
+
+
+def _qc_points(m, count):
+    return exact_points(m, count, seed=3)
+
+
+EXTEND_REFUSALS = [
+    (lambda: extend_function(LaurentPoly.zbar(2, 0), 1), PreconditionError,
+     "real-slice data must not involve zbar variables"),
+    (lambda: extend_function(LaurentPoly.z(2, 0, -1), 1), PreconditionError,
+     "symbolic extension needs polynomial data (no poles)"),
+    (lambda: extend_function(LaurentPoly.z(1, 0), 1.5), PreconditionError,
+     "extension order l must be an int, got 1.5"),
+    (lambda: extend_function(LaurentPoly.z(1, 0), 0), PreconditionError,
+     "extension order l must be >= 1"),
+    (lambda: extend_form([], 1), DimensionError, "need at least one coefficient"),
+    (lambda: extend_form([LaurentPoly.z(2, 0)], 1), DimensionError,
+     "coefficient variable count != number of components"),
+    (lambda: dbar_defect(Zbar(0), [], 1), VariantError, "cannot measure dbar defect of Zbar"),
+    (lambda: dbar_defect(LaurentPoly.z(1, 0), [], 1.5), PreconditionError,
+     "defect order must be an int, got 1.5"),
+    (lambda: dbar_defect(LaurentPoly.z(1, 0), [], 0), PreconditionError,
+     "defect order must be >= 1"),
+    (lambda: SampledExtension(_GRID, np.zeros(_GRID.shape), 3.5), PreconditionError,
+     "extension order l must be an int, got 3.5"),
+    (lambda: SampledExtension(_GRID, np.zeros(_GRID.shape), 0), PreconditionError,
+     "extension order l must be >= 1"),
+    (lambda: SampledExtension(_GRID, np.zeros(4), 1), DimensionError,
+     "value field shape != grid shape"),
+    (lambda: SampledExtension(_GRID, np.zeros(_GRID.shape), 4), PreconditionError,
+     "grid too small for the requested jets"),
+    (lambda: ah_verify(Form(2, 2, {(0, 1): LaurentPoly.const(2, 1)}), [], 1e-9),
+     DimensionError, "ah_verify expects a 1-form"),
+    (lambda: fit_holomorphic([], [], 0), PreconditionError, "fit needs at least one sample"),
+    (lambda: fit_holomorphic(_qc_points(1, 4), [[1]] * 4, 1.5), PreconditionError,
+     "fit degree must be an int, got 1.5"),
+    (lambda: fit_holomorphic(_qc_points(1, 4), [[1]] * 4, -1), PreconditionError,
+     "fit degree must be >= 0, got -1"),
+    (lambda: fit_holomorphic(_qc_points(2, 2), [[1, 1]] * 2, 1), PreconditionError,
+     "2 samples cannot determine 3 monomials"),
+    (lambda: fit_holomorphic(_qc_points(2, 4), [[1, 1, 1]] * 4, 1), DimensionError,
+     "value rows must have m or 2m components"),
+    (lambda: fit_holomorphic(_qc_points(2, 4), [[1, 1]] * 3, 1), DimensionError,
+     "one value row per point required"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", EXTEND_REFUSALS,
+                         ids=[r[2] for r in EXTEND_REFUSALS])
+def test_every_extend_refusal_is_reached(call, error, fragment):
+    """One row per ``raise`` in ``extend.py``: the malformed input, its
+    error class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)

@@ -188,6 +188,31 @@ def test_wedge_power_matches_repeated_wedge():
         wedge_power(random_form(3, 2, rng), 0)
 
 
+def test_reading_a_present_word_makes_no_zero_coefficient(monkeypatch):
+    """Form.coeff builds its zero only for a missing word; covector_at reads
+    every word of a 1-form through it."""
+    made = []
+    zero = LaurentPoly.zero
+
+    def counted(m):
+        made.append(m)
+        return zero(m)
+
+    monkeypatch.setattr(LaurentPoly, "zero", counted)
+    alpha = std_form(1)
+    for word, c in alpha.terms.items():
+        assert alpha.coeff(word) is c
+        assert alpha.coeff(list(word)) is c
+    assert made == []
+    missing = next(w for w in ((i,) for i in range(2 * alpha.m)) if w not in alpha.terms)
+    assert alpha.coeff(missing).is_zero
+    assert made == [alpha.m]
+    pt = exact_points(alpha.m, 1, seed=4)[0]
+    made.clear()
+    alpha.covector_at(pt)
+    assert len(made) == 2 * alpha.m - len(alpha.terms)
+
+
 def test_evaluate_is_linear_in_coefficients():
     rng = random.Random(139)
     pts = exact_points(3, 5, seed=2)
