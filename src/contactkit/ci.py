@@ -541,20 +541,20 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
                f"{_worst_node(-dev_field)}")
 
     # (d) frames: endpoints exact, formal margin strictly positive throughout;
-    # (e) frames constant on frozen strips, checked only when there are
-    # strips.  One pass reads each frame once.
+    # (e) frames constant on frozen strips, compared with the input strip by
+    # strip; checked only when there are strips.  One pass reads each frame
+    # once.
     strips = not result.gamma.is_empty
     if strips:
-        mask = result.gamma.frozen_mask(grid)
-        held_a, held_beta = inp.a[mask], inp.beta[mask]
+        held = [(s, inp.a[s], inp.beta[s]) for s in result.gamma.strips(grid)]
     frame_mins, constant = [], True
     for k, fr in enumerate(result.frames):
         if k == 0:
             first_ok = fr == inp
         frame_mins.append(float(formal_margin_grid(fr).min()))
         if strips and constant:
-            constant = (np.array_equal(fr.a[mask], held_a)
-                        and np.array_equal(fr.beta[mask], held_beta))
+            constant = all(np.array_equal(fr.a[s], a) and np.array_equal(fr.beta[s], beta)
+                           for s, a, beta in held)
         last = fr
     report.add("frame count", len(frame_mins) == N_FRAMES, f"{len(frame_mins)} frames")
     if frame_mins:

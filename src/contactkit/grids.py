@@ -280,16 +280,22 @@ class GammaSpec:
                 raise DimensionError(f"face axis {axis} out of range")
             yield axis, side
 
-    def frozen_mask(self, grid: CubeGrid) -> np.ndarray:
-        """Nodes inside a declared strip (width nodes from a frozen face)."""
-        mask = np.zeros(grid.shape, dtype=bool)
+    def strips(self, grid: CubeGrid):
+        """Each declared strip (width nodes from a frozen face) as a tuple of
+        slices into a grid-shaped array."""
         for axis, side in self._faces_on(grid):
             sl = [slice(None)] * grid.m
             if side == 0:
                 sl[axis] = slice(0, self.width)
             else:
                 sl[axis] = slice(grid.nodes - self.width, grid.nodes)
-            mask[tuple(sl)] = True
+            yield tuple(sl)
+
+    def frozen_mask(self, grid: CubeGrid) -> np.ndarray:
+        """Nodes inside a declared strip: the union of ``strips``."""
+        mask = np.zeros(grid.shape, dtype=bool)
+        for strip in self.strips(grid):
+            mask[strip] = True
         return mask
 
     def cutoff_field(self, grid: CubeGrid) -> np.ndarray:
