@@ -6,7 +6,7 @@ jet lies in the relation with margin delta at every interior node, within
 sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
 strips.  The homotopy is a function of its endpoints: a result keeps the
-input, the output and the frozen mask, and builds frame k when it is
+input, the output and the frozen strips, and builds frame k when it is
 read.  The first interior read takes both endpoints' formal relation
 fields and keeps the moduli and arguments every frame reads.
 
@@ -159,14 +159,14 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
     # h is affine in column d of the jacobian: jac[k, d] enters beta only
     # through beta_dk = jac[k, d] - jac[d, k], and that slope never reads
     # column d
-    w = np.zeros(a.shape, dtype=complex)
+    w = np.zeros_like(a)
     for k in range(grid.m):
         if k != d:
             w[..., k] = slope_grid(a, beta, n, d, k)
     wnorm2 = np.sum(np.abs(w) ** 2, axis=-1)
     usable = wnorm2 > 1e-30
-    u = np.zeros_like(w)
-    u[usable] = np.conj(w[usable]) / wnorm2[usable][..., None]
+    u = np.divide(np.conj(w), wnorm2[..., None], out=np.zeros_like(w),
+                  where=usable[..., None])
 
     # amplitude: needed only where |h| is small, headroom 4 delta
     need = 1.0 - _smoothstep5((margins - 2 * delta) / (4 * delta))
@@ -300,14 +300,14 @@ class Homotopy(Sequence):
     when ``end`` is ``start``).  Frame k between is the straight line at
     tau = k / (N_FRAMES - 1) with h steered onto the polar path from h0 to
     h1, the formal relation fields of ``start`` and ``end``, held at
-    ``start`` on the ``frozen`` nodes.  The endpoints are held by
-    reference, so changing them changes the frames; the polar path's
-    moduli and arguments and the differences end - start are read from
-    them once, on the first interior frame."""
+    ``start`` on the ``frozen`` strips (``GammaSpec.strips``' slices).
+    The endpoints are held by reference, so changing them changes the
+    frames; the polar path's moduli and arguments and the differences
+    end - start are read from them once, on the first interior frame."""
 
     start: GridSection
     end: GridSection
-    frozen: np.ndarray
+    frozen: tuple
 
     def __len__(self) -> int:
         return N_FRAMES
@@ -356,9 +356,9 @@ class Homotopy(Sequence):
         # lam goes to the chosen column; every other column gets a zero
         for c in range(beta_k.shape[-1]):
             beta_k[..., c] += np.where(choice == c, lam, 0)
-        if self.frozen.any():
-            np.copyto(a_k, start.a, where=self.frozen[..., None])
-            np.copyto(beta_k, start.beta, where=self.frozen[..., None])
+        for strip in self.frozen:
+            a_k[strip] = start.a[strip]
+            beta_k[strip] = start.beta[strip]
         return GridSection._trusted(grid, a_k, beta_k)
 
 
@@ -404,7 +404,7 @@ def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                **outcome) -> CIResult:
     """A result whose output and every frame equal the input."""
     out = inp.copy()
-    frames = Homotopy(out, out, gamma.frozen_mask(inp.grid))
+    frames = Homotopy(out, out, tuple(gamma.strips(inp.grid)))
     return CIResult(out, frames, gamma, eps, delta, deviation=0.0, **outcome)
 
 
@@ -447,7 +447,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
             f"refused before rung 0: margin {unreachable:.3e} < delta "
             f"{delta:.3e} at node {_worst_node(stuck)}, where the cutoff is 0 on "
             f"the whole stencil, so no pass can change h"))
-    frozen = gamma.frozen_mask(grid)
+    frozen = tuple(gamma.strips(grid))
     mesh = min(grid.h)
     base_freq = FREQ_BASE / mesh
     cap = FREQ_CAP / mesh
@@ -457,7 +457,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     freq = base_freq
     while freq <= cap:
         # curl and h always belong to the current a
-        a = inp.a.copy()
+        a = inp.a.copy(order="K")
         curl, h = curl_in, h_in
         sweep_freqs: list[list[int]] = []
         success = False
@@ -482,8 +482,9 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                 break
         deviation = float(np.max(np.abs(a - inp.a)))
         if success and deviation <= eps:
-            curl[frozen] = inp.beta[frozen]
-            a[frozen] = inp.a[frozen]
+            for strip in frozen:
+                curl[strip] = inp.beta[strip]
+                a[strip] = inp.a[strip]
             out = GridSection(grid, a, curl)
             frames = Homotopy(inp, out, frozen)
             return CIResult(out, frames, gamma, eps, delta,
@@ -574,12 +575,13 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
 def _demo_section(nodes: int, a2) -> GridSection:
     """a = (0, a2(x1), 1) with beta = dz1^dz2 on the unit cube, n = 1."""
     grid = CubeGrid(1, nodes)
-    a = np.zeros(grid.shape + (3,), dtype=complex)
-    a[..., 1] = a2(grid.axis(0)).reshape(-1, 1, 1)
-    a[..., 2] = 1.0
-    beta = np.zeros(grid.shape + (3,), dtype=complex)
-    beta[..., 0] = 1.0  # beta_12, the first upper column
-    return GridSection(grid, a, beta)
+    # built as component planes, the sections' layout, so nothing is copied
+    a = np.zeros((3,) + grid.shape, dtype=complex)
+    a[1] = a2(grid.axis(0)).reshape(-1, 1, 1)
+    a[2] = 1.0
+    beta = np.zeros((3,) + grid.shape, dtype=complex)
+    beta[0] = 1.0  # beta_12, the first upper column
+    return GridSection(grid, np.moveaxis(a, 0, -1), np.moveaxis(beta, 0, -1))
 
 
 def demo_flat_section(nodes: int = 33) -> tuple[GridSection, GammaSpec]:

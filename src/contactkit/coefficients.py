@@ -132,6 +132,13 @@ def _pack(m: int, mono: Monomial) -> tuple[int, int]:
     return key, bound
 
 
+def _zero_at(m: int, zvalues):
+    """A zero polynomial's value: ``QC(0)`` at an exact point, else 0j."""
+    if len(zvalues) != m:
+        raise DimensionError("point arity mismatch")
+    return QC(0) if all(isinstance(v, QC) for v in zvalues) else 0j
+
+
 @lru_cache(maxsize=4096)
 def _eval_plan(m: int, key: int) -> tuple:
     """The nonzero exponents of ``key`` as ``(field, e)`` pairs, z_i then
@@ -379,29 +386,27 @@ class LaurentPoly:
         only when some term has a zbar exponent.
         """
         m = self.m
+        terms = self._terms
+        if not terms:
+            return _zero_at(m, zvalues)
         if len(zvalues) != m:
             raise DimensionError("point arity mismatch")
         is_exact = all(isinstance(v, QC) for v in zvalues)
-        if is_exact:
-            vals = list(zvalues)
-            total = QC(0)
-        else:
-            vals = [complex(v) for v in zvalues]
-            total = 0j
-        terms = self._terms
-        if not terms:
-            return total
+        vals = list(zvalues) if is_exact else [complex(v) for v in zvalues]
         plans = [_eval_plan(m, key) for key in terms]
         if any(j >= m for plan in plans for j, _ in plan):
             vals += [v.conj() if is_exact else v.conjugate() for v in vals]
+        # the complex sum starts at 0j and takes x ** 1, as both can turn a
+        # -0.0 part into 0.0; an exact sum starts at its first term
+        total = None if is_exact else 0j
         for plan, coeff in zip(plans, terms.values()):
             term = coeff if is_exact else complex(coeff)
             for j, e in plan:
                 val = vals[j]
                 if e < 0 and not val:
                     raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
-                term = term * val ** e
-            total = total + term
+                term = term * (val if e == 1 and is_exact else val ** e)
+            total = term if total is None else total + term
         return total
 
     def substitute(self, args: list["LaurentPoly"]) -> "LaurentPoly":

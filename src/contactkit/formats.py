@@ -6,7 +6,8 @@ text, one node per row, with a header declaring the mesh; float columns
 use repr, which round-trips binary-exactly.  A section is written and read
 as one (nodes x columns) table, each distinct row of values formatted or
 parsed once, and a malformed body is reported at its first bad line in
-file order.  Solver results dump as a
+file order; a body in the writer's own layout is read without a Python
+statement per row.  Solver results dump as a
 metadata document plus one columnar file per homotopy frame.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 import struct
 import sys
@@ -174,6 +176,14 @@ def _columns(m: int) -> list[str]:
     return cols + [f"beta{i + 1}{j + 1}.{p}" for i, j in upper_pairs(m) for p in ("re", "im")]
 
 
+def _node_prefixes(nodes: int, m: int) -> list[str]:
+    """Each node's row prefix "i1 ... im ", in C order: the rows' order."""
+    prefixes, indices = [""], [f"{i} " for i in range(nodes)]
+    for _ in range(m):
+        prefixes = list(map("".join, itertools.product(prefixes, indices)))
+    return prefixes
+
+
 def section_to_text(section: GridSection) -> str:
     grid = section.grid
     m = grid.m
@@ -193,9 +203,7 @@ def section_to_text(section: GridSection) -> str:
     keys = values.view(np.dtype((np.void, values.shape[1] * 8))).ravel().tolist()
     unpack = struct.Struct(f"{values.shape[1]}d").unpack  # native doubles, as values holds them
     texts = {key: " ".join(map(repr, unpack(key))) for key in dict.fromkeys(keys)}
-    # product() of the index strings runs in C order, the order of the rows
-    nodes = itertools.product(map(str, range(grid.nodes)), repeat=m)
-    lines += [" ".join(node) + " " + texts[key] for node, key in zip(nodes, keys)]
+    lines += map(operator.add, _node_prefixes(grid.nodes, m), map(texts.__getitem__, keys))
     return "\n".join(lines) + "\n"
 
 
@@ -236,14 +244,27 @@ def _raise_row_error(body, width: int, m: int, nodes: int) -> None:
         seen.add(node)
 
 
-def _read_table(body, width: int, m: int, nodes: int):
-    """Parse the body as one table, its rows in node order.
+def _distinct_values(texts, width: int, sep: str | None):
+    """Each value text split at ``sep`` and parsed with Python's float, as
+    row by row: a (texts x width) array, or None for a bad text."""
+    rows = [text.split(sep) for text in texts]
+    if not all(len(row) == width for row in rows):
+        return None
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
+                             len(rows) * width)
+    except ValueError:
+        return None
+    return values.reshape(len(rows), width) if np.isfinite(values).all() else None
 
-    Returns the values as complex columns (a, then upper beta).  Each row
-    splits once into its m index tokens and its value text; each distinct
-    value text is split and parsed once, and so is each distinct index
-    token.  Any failed check hands over to ``_raise_row_error`` for the
-    message of the first bad row.
+
+def _read_table(body, width: int, m: int, nodes: int):
+    """Parse the body as one table: its distinct value rows and each node's row.
+
+    Each row splits once into its m index tokens and its value text; each
+    distinct value text is split and parsed once, and so is each distinct
+    index token.  Any failed check hands over to ``_raise_row_error`` for
+    the message of the first bad row.
     """
     count = len(body)
     ids: dict[str, int] = {}  # value text -> distinct-row id
@@ -257,43 +278,28 @@ def _read_table(body, width: int, m: int, nodes: int):
         index_tokens += node
         which.append(ids.setdefault(text, len(ids)))
     else:
-        rows = [text.split() for text in ids]
-        if all(len(row) == width - m for row in rows):
+        distinct = _distinct_values(ids, width - m, None)
+        if distinct is not None:
             try:
-                # Python's int and float, so a token reads as it does row by row
-                distinct = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
-                                       len(rows) * (width - m)).reshape(len(rows), -1)
                 ints = {t: int(t) for t in set(index_tokens)}
                 index = np.fromiter(map(ints.__getitem__, index_tokens), np.int64,
                                     count * m).reshape(count, m)
             except (ValueError, OverflowError):  # OverflowError: past int64, out of range
                 pass
             else:
-                if np.isfinite(distinct).all() and ((index >= 0) & (index < nodes)).all():
+                if ((index >= 0) & (index < nodes)).all():
                     flat = np.ravel_multi_index(tuple(index.T), (nodes,) * m)
                     # count == nodes ** m rows, all in range: no repeat means all present
                     if np.bincount(flat, minlength=count).max() <= 1:
                         order = np.empty(count, dtype=np.intp)
                         order[flat] = which
-                        return distinct.view(complex)[order]
+                        return distinct, order
     _raise_row_error(body, width, m, nodes)
 
 
-def section_from_text(text: str) -> GridSection:
-    header: dict[str, tuple[int, list[str]]] = {}
-    body = []  # (line number, stripped text) per body line
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # header keys begin with a letter, body lines with a node index
-        key = line.split(None, 1)[0] if line[0].isalpha() else None
-        if key in ("n", "nodes", "bounds", "columns"):
-            if key in header:
-                raise ParseError(f"line {lineno}: repeated header key {key!r}")
-            header[key] = (lineno, line.split()[1:])
-            continue
-        body.append((lineno, line))
+def _read_header(header, rows: int) -> tuple[CubeGrid, int]:
+    """The grid a section header declares and its column count, checked
+    against the number of body ``rows`` and the ``columns`` line."""
     for key in ("n", "nodes", "bounds"):
         if key not in header:
             raise ParseError(f"bad section header: missing {key!r}")
@@ -312,15 +318,67 @@ def section_from_text(text: str) -> GridSection:
     except PreconditionError as exc:
         raise ParseError(f"line {lineno}: bounds: {exc}") from None
     # checked before allocating: a huge node count must not reach np.empty
-    if len(body) != grid.n_nodes:
-        raise ParseError(f"{len(body)} node rows, expected {grid.n_nodes}")
+    if rows != grid.n_nodes:
+        raise ParseError(f"{rows} node rows, expected {grid.n_nodes}")
     columns = _columns(m)
     if "columns" in header and header["columns"][1] != columns:
         raise ParseError(f"line {header['columns'][0]}: columns do not match "
                          f"the n = {n} layout")
-    table = _read_table(body, len(columns), m, nodes)
-    return GridSection(grid, table[:, :m].reshape(grid.shape + (m,)),
-                       table[:, m:].reshape(grid.shape + (-1,)))
+    return grid, len(columns)
+
+
+def _canonical_section(text: str, body: list[str], header) -> GridSection | None:
+    """The section of ``text`` when its header is valid and its ``body`` is
+    in the writer's layout (per node in C order, its prefix "i1 ... im " and
+    its values between single spaces, lines ended by "\\n"), else None.  Such
+    a body is read in C-level passes, with no Python statement per row."""
+    try:
+        grid, width = _read_header(header, len(body))
+    except ParseError:
+        return None
+    prefixes = _node_prefixes(grid.nodes, grid.m)
+    if "\r" in text or not all(map(str.startswith, body, prefixes)):
+        return None
+    ids: dict[str, int] = {}  # value text -> the row of its first copy
+    first = np.fromiter(map(ids.setdefault, map(str.removeprefix, body, prefixes),
+                            itertools.count()), np.intp, len(body))
+    distinct = _distinct_values(ids, width - grid.m, " ")
+    if distinct is None:
+        return None
+    # the first copies' rows increase in the order of the distinct texts
+    order = np.empty(len(body), dtype=np.intp)
+    order[np.fromiter(ids.values(), np.intp, len(ids))] = np.arange(len(ids))
+    return _section(grid, distinct, order[first])
+
+
+def _section(grid: CubeGrid, distinct: np.ndarray, order: np.ndarray) -> GridSection:
+    """The section whose node k carries the value row distinct[order[k]],
+    gathered straight into component planes."""
+    planes = np.moveaxis(np.take(distinct.view(complex).T, order, axis=1).reshape(
+        (-1,) + grid.shape), 0, -1)
+    return GridSection(grid, planes[..., :grid.m], planes[..., grid.m:])
+
+
+def section_from_text(text: str) -> GridSection:
+    lines = text.splitlines()
+    header: dict[str, tuple[int, list[str]]] = {}
+    body = []  # (line number, stripped text) per body line
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        # header keys begin with a letter, body lines with a node index
+        key = line.split(None, 1)[0] if line[0].isalpha() else None
+        if key in ("n", "nodes", "bounds", "columns"):
+            if key in header:
+                raise ParseError(f"line {lineno}: repeated header key {key!r}")
+            header[key] = (lineno, line.split()[1:])
+            continue
+        if not body and (section := _canonical_section(text, lines[lineno - 1:], header)):
+            return section
+        body.append((lineno, line))
+    grid, width = _read_header(header, len(body))
+    return _section(grid, *_read_table(body, width, grid.m, grid.nodes))
 
 
 def save_section(section: GridSection, path: str | Path) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coefficients import Coefficient, Const, LaurentPoly, coefficient_variant
+from .coefficients import Coefficient, Const, LaurentPoly, _zero_at, coefficient_variant
 from .errors import DimensionError, VariantError
 from .scalars import QC, exact
 
@@ -281,7 +281,10 @@ class Form:
         return out
 
     def coefficient_at(self, pt: Point, word: Word):
-        return self.coeff(word).eval(pt.values)
+        c = self.terms.get(tuple(word))
+        if c is None:  # the zero coefficient's value, without building the zero
+            return _zero_at(self.m, pt.values) if self.variant == "laurent" else 0j
+        return c.eval(pt.values)
 
     def covector_at(self, pt: Point) -> tuple:
         """Degree-1 helper: the 2m covector components at ``pt``."""

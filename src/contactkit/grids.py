@@ -5,7 +5,7 @@ complex vector field a (the dz-coefficients of a 1-form restricted to the
 real slice) and a skew matrix field beta (the formal stand-in for the curl
 of a), stored as its entries above the diagonal in ``upper_pairs`` order.
 Grids are uniform per axis; all heavy numerics are numpy arrays indexed
-[i1, ..., im] with trailing component axes.
+[i1, ..., im] with trailing component axes, stored component-major.
 """
 
 from __future__ import annotations
@@ -21,6 +21,14 @@ from .errors import DimensionError, PoleError, PreconditionError
 from .forms import Form
 
 MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
+
+
+def _component_major(arr: np.ndarray) -> np.ndarray:
+    """``arr`` (itself if already so laid out, else a copy) with its last
+    axis slowest in memory: each ``arr[..., c]`` is one contiguous block.
+    Ufuncs keep this layout (numpy's order "K")."""
+    planes = np.moveaxis(arr, -1, 0)
+    return arr if planes.flags.c_contiguous else np.moveaxis(planes.copy(), 0, -1)
 
 
 def upper_pairs(m: int) -> list[tuple[int, int]]:
@@ -166,7 +174,8 @@ class GridSection:
 
     ``a`` has shape grid.shape + (m,) and ``beta`` grid.shape + (m(m-1)/2,):
     column c of beta is the skew entry at ``upper_pairs(m)[c]``, so beta is
-    antisymmetric by construction.
+    antisymmetric by construction.  Both are stored component-major
+    (``_component_major``); outside data is copied into that layout once.
     """
 
     __slots__ = ("grid", "a", "beta")
@@ -181,14 +190,14 @@ class GridSection:
         if not (np.isfinite(a).all() and np.isfinite(beta).all()):
             raise PreconditionError("section contains non-finite values")
         self.grid = grid
-        self.a = a
-        self.beta = beta
+        self.a = _component_major(a)
+        self.beta = _component_major(beta)
 
     @classmethod
     def _trusted(cls, grid: CubeGrid, a: np.ndarray, beta: np.ndarray) -> "GridSection":
-        """A section over complex arrays of the grid's shapes that the
-        package computed from checked sections, without the constructor's
-        re-checks, which stay for outside data."""
+        """A section over component-major complex arrays of the grid's
+        shapes that the package computed from checked sections, without the
+        constructor's re-checks and copies, which stay for outside data."""
         section = object.__new__(cls)
         section.grid, section.a, section.beta = grid, a, beta
         return section
@@ -212,16 +221,17 @@ class GridSection:
         axes = grid.axes()
 
         def columns(form: Form, words: list) -> np.ndarray:
-            out = np.zeros(grid.shape + (len(words),), dtype=complex)
+            planes = np.zeros((len(words),) + grid.shape, dtype=complex)
             for c, word in enumerate(words):
                 if word in form.terms:
-                    out[..., c] = coefficient_on_grid(form.terms[word], axes)
-            return out
+                    planes[c] = coefficient_on_grid(form.terms[word], axes)
+            return np.moveaxis(planes, 0, -1)
 
         return cls(grid, columns(alpha, [(i,) for i in range(m)]), columns(beta, upper_pairs(m)))
 
     def copy(self) -> "GridSection":
-        return GridSection(self.grid, self.a.copy(), self.beta.copy())
+        # order "K" keeps the layout; the checks stay, for a changed output
+        return GridSection(self.grid, self.a.copy(order="K"), self.beta.copy(order="K"))
 
     def __eq__(self, other):
         if not isinstance(other, GridSection):

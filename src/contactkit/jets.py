@@ -222,9 +222,11 @@ def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
 
     Only the m(m-1) off-diagonal derivatives are taken, one component at a
     time: column (r, s) is da_s/dx_r - da_r/dx_s, bit for bit
-    ``skew_of_jacobian(grid_jacobian(a, grid))``."""
-    return np.stack([grid_derivative(a[..., s], grid, r) - grid_derivative(a[..., r], grid, s)
-                     for r, s in upper_pairs(grid.m)], axis=-1)
+    ``skew_of_jacobian(grid_jacobian(a, grid))``.  The columns are stacked
+    as planes, so the result is component-major."""
+    return np.moveaxis(np.stack([grid_derivative(a[..., s], grid, r)
+                                 - grid_derivative(a[..., r], grid, s)
+                                 for r, s in upper_pairs(grid.m)]), 0, -1)
 
 
 def holonomy_defect(s: GridSection) -> float:

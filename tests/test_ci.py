@@ -895,8 +895,9 @@ def test_frames_pick_the_first_column_when_slopes_tie(faces):
     mods = np.abs(start.a + (1 / (N_FRAMES - 1)) * (end.a - start.a))
     assert (mods[..., 0] == mods[..., 1]).all()
     assert 0 < (mods[..., 0] == mods[..., 2]).mean() < 1
-    frozen = GammaSpec.of(faces, width=2).frozen_mask(grid)
-    frames = Homotopy(start, end, frozen)
+    gamma = GammaSpec.of(faces, width=2)
+    frozen = gamma.frozen_mask(grid)
+    frames = Homotopy(start, end, tuple(gamma.strips(grid)))
     h0, h1 = relation_grid(start.a, start.beta, n), relation_grid(end.a, end.beta, n)
     for k in range(N_FRAMES):
         got, want = frames[k], frame_oracle(start, end, frozen, h0, h1, k)
@@ -921,3 +922,51 @@ def test_unread_solved_result_keeps_no_relation_field():
         tracemalloc.stop()
     assert result.passed, result.failure
     assert retained <= 3.75 * 2 ** 20, f"{retained / 2 ** 20:.2f} MB retained"
+
+
+def _is_component_major(x):
+    return np.moveaxis(x, -1, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("demo", [demo_flat_section, demo_gamma_section,
+                                  demo_holonomic_section])
+def test_fields_are_component_major_and_keep_their_bits(demo, monkeypatch):
+    """Each component of a field is one contiguous block: in every field
+    the solver, its frames and the verifier hand to the relation kernels,
+    in the solver's output and frames, in curl_grid, in a section read back
+    from text and in a section built from row-major data.  Each holds the
+    bytes of the same computation on row-major arrays."""
+    from contactkit.formats import section_from_text, section_to_text
+    from contactkit.jets import grid_jacobian, skew_of_jacobian
+    seen = []
+
+    def spied(kernel):
+        def call(a, beta_or_grid, *rest):
+            seen.extend(_is_component_major(x) for x in (a, beta_or_grid)
+                        if isinstance(x, np.ndarray))
+            return kernel(a, beta_or_grid, *rest)
+        return call
+
+    for name in ("relation_grid", "slope_grid", "curl_grid"):
+        monkeypatch.setattr(ci_mod, name, spied(getattr(ci_mod, name)))
+    inp, gamma = demo(13)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    outputs = [result.output, *result.frames]
+    assert verify_ci(result, inp, 0.5, 1e-3).passed
+    assert seen and all(seen)
+    monkeypatch.undo()
+
+    rows = GridSection._trusted(inp.grid, np.ascontiguousarray(inp.a),
+                                np.ascontiguousarray(inp.beta))
+    assert not _is_component_major(rows.a)
+    plain = ci_solve(rows, gamma, 0.5, 1e-3)
+    pairs = [(x, y) for s, t in zip(outputs, [plain.output, *plain.frames])
+             for x, y in ((s.a, t.a), (s.beta, t.beta))]
+    back = section_from_text(section_to_text(result.output))
+    built = GridSection(inp.grid, rows.a, rows.beta)
+    pairs += [(back.a, result.output.a), (back.beta, result.output.beta),
+              (curl_grid(inp.a, inp.grid), skew_of_jacobian(grid_jacobian(rows.a, inp.grid))),
+              (built.a, rows.a), (built.beta, rows.beta), (built.copy().a, rows.a)]
+    for got, want in pairs:
+        assert _is_component_major(got)
+        assert got.tobytes() == want.tobytes()

@@ -160,6 +160,91 @@ def test_eval_matches_the_field_by_field_oracle(seed):
     assert _bits(got) == _bits(want)
 
 
+def plan_eval(p, zvalues):
+    """LaurentPoly.eval before an exact sum started at its first term and
+    took a first power as it is, kept as the oracle: both sums start at
+    zero and every factor goes through ``**``."""
+    from contactkit.coefficients import _eval_plan
+    m = p.m
+    if len(zvalues) != m:
+        raise DimensionError("point arity mismatch")
+    is_exact = all(isinstance(v, QC) for v in zvalues)
+    if is_exact:
+        vals = list(zvalues)
+        total = QC(0)
+    else:
+        vals = [complex(v) for v in zvalues]
+        total = 0j
+    terms = p._terms
+    if not terms:
+        return total
+    plans = [_eval_plan(m, key) for key in terms]
+    if any(j >= m for plan in plans for j, _ in plan):
+        vals += [v.conj() if is_exact else v.conjugate() for v in vals]
+    for plan, coeff in zip(plans, terms.values()):
+        term = coeff if is_exact else complex(coeff)
+        for j, e in plan:
+            val = vals[j]
+            if e < 0 and not val:
+                raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
+            term = term * val ** e
+        total = total + term
+    return total
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32))
+def test_eval_matches_the_plan_oracle(seed):
+    """First powers and first terms, exact and complex points with signed
+    zeros, the zero polynomial, poles and a wrong arity: the same value bit
+    for bit, or the same error text."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    p = LaurentPoly(m, {
+        Monomial(tuple(rng.choice([0, 1, 1, rng.randint(-2, 3)]) for _ in range(m)),
+                 tuple(rng.choice([0, 0, 1, -1]) for _ in range(m))):
+        QC(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), 3))
+        for _ in range(rng.randint(0, 4))})
+    arity = m if rng.random() < 0.9 else m + 1
+    if rng.random() < 0.5:
+        pt = [QC(0) if rng.random() < 0.2
+              else QC(Fraction(rng.randint(-9, 9), 7), rng.randint(-2, 2)) for _ in range(arity)]
+    else:
+        pt = [rng.choice(_EVAL_COORDS) for _ in range(arity)]
+    try:
+        want = plan_eval(p, pt)
+    except (PoleError, DimensionError) as err:
+        with pytest.raises(type(err)) as got:
+            p.eval(pt)
+        assert str(got.value) == str(err)
+        return
+    got = p.eval(pt)
+    assert type(got) is type(want)
+    assert _bits(got) == _bits(want)
+
+
+def test_exact_eval_adds_each_term_once(monkeypatch):
+    """At an exact point a degree-1 coefficient with t terms makes t - 1
+    additions and takes no power."""
+    counts = {"add": 0, "pow": 0}
+    add, pow_ = QC.__add__, QC.__pow__
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(QC, "__add__", counted("add", add))
+    monkeypatch.setattr(QC, "__pow__", counted("pow", pow_))
+    p = LaurentPoly.z(3, 0) * 2 + LaurentPoly.z(3, 1) + LaurentPoly.zbar(3, 2) + QC(1, 1)
+    pt = exact_points(3, 1, seed=6)[0]
+    want = plan_eval(p, pt.values)
+    counts.update(add=0, pow=0)
+    assert p.eval(pt.values) == want
+    assert counts == {"add": 3, "pow": 0}
+
+
 def test_eval_at_pole_raises():
     f = LaurentPoly.z(1, 0, -1)
     with pytest.raises(PoleError):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from contactkit import ci
 from contactkit.ci import N_FRAMES, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial
-from contactkit.errors import ParseError, PreconditionError, VariantError
+from contactkit.errors import ContactKitError, ParseError, PreconditionError, VariantError
 from contactkit.formats import (
     _columns, _header_int, dump_ci_result, form_from_document, form_to_document,
     load_form, load_section, save_form, save_report, save_section,
@@ -832,3 +832,197 @@ def test_section_text_memory_on_the_flat_33_output():
     assert back == section
     assert write_peak <= 28 * 2 ** 20, f"write: {write_peak / 2 ** 20:.1f} MB peak"
     assert read_peak <= 32 * 2 ** 20, f"read: {read_peak / 2 ** 20:.1f} MB peak"
+
+
+_DELETE = object()
+
+
+def _doc_with(path, value, form=None):
+    """The document of ``form`` (default std_form(1)) with the entry at
+    ``path`` set to ``value``, or deleted."""
+    doc = form_to_document(form or std_form(1))
+    *inner, last = path
+    node = doc
+    for key in inner:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _doc_with_repeat(k):
+    """std_form(1)'s document with entry 0 of term k's coefficient twice."""
+    doc = form_to_document(std_form(1))
+    doc["terms"][k]["coeff"].append(dict(doc["terms"][k]["coeff"][0]))
+    return doc
+
+
+def _written(tmp_path, name, text, load):
+    path = tmp_path / name
+    path.write_text(text)
+    return load(path)
+
+
+def _section_with(k, line):
+    """SECTION_BASE with line k (0-based) replaced, or deleted for None."""
+    lines = list(SECTION_BASE)
+    if line is None:
+        del lines[k]
+    else:
+        lines[k] = line
+    return "\n".join(lines) + "\n"
+
+
+def _row_with(k, c, token):
+    """SECTION_BASE row at line k with token c replaced (dropped for None)."""
+    tokens = SECTION_BASE[k].split()
+    if token is None:
+        del tokens[c]
+    else:
+        tokens[c] = token
+    return _section_with(k, " ".join(tokens))
+
+
+_FORM2 = Form(3, 2, {(0, 1): LaurentPoly.const(3, 1)})
+
+FORMATS_REFUSALS = [
+    (lambda tmp: form_to_document(circle_form(-1)), VariantError,
+     "only exact-coefficient forms have a file format"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "coeff", 0, "zexp"), "100")),
+     ParseError, "terms[0].coeff[0]: exponents must be a list of integers, got '100'"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "coeff", 0, "re"), "1e-5000")),
+     ParseError, "terms[0].coeff[0]: exponent in '1e-5000' exceeds"),
+    (lambda tmp: form_from_document([1]), ParseError, "form document must be an object"),
+    (lambda tmp: form_from_document(_doc_with(("terms",), _DELETE)), ParseError,
+     "malformed form header: missing 'terms'"),
+    (lambda tmp: form_from_document(_doc_with(("format",), "x")), ParseError,
+     "format: expected 'contactkit-form', got 'x'"),
+    (lambda tmp: form_from_document(_doc_with(("version",), True)), ParseError,
+     "version: expected a JSON integer, got True"),
+    (lambda tmp: form_from_document(_doc_with(("version",), 2)), ParseError,
+     "version: expected 1, got 2"),
+    (lambda tmp: form_from_document(_doc_with(("m",), 0)), ParseError,
+     "m: expected a positive integer, got 0"),
+    (lambda tmp: form_from_document(_doc_with(("degree",), 7)), ParseError,
+     "degree: expected 0..6, got 7"),
+    (lambda tmp: form_from_document(_doc_with(("terms",), 5)), ParseError,
+     "terms: expected a list of terms, got 5"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "wedge"), ["dz9"])), ParseError,
+     "terms[0]: bad wedge: "),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "wedge"), ["dz1", "dz2"])),
+     ParseError, "terms[0]: wedge length 2 != degree 1"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "wedge"), ["dz2", "dz1"], _FORM2)),
+     ParseError, "terms[0]: wedge indices must be strictly increasing"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 1, "wedge"), ["dz2"])), ParseError,
+     "terms[1]: duplicate wedge"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "coeff"), 5)), ParseError,
+     "terms[0].coeff: expected a list of entries, got 5"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "coeff", 0, "im"), "x")),
+     ParseError, "terms[0].coeff[0]: Invalid literal for Fraction: 'x'"),
+    (lambda tmp: form_from_document(_doc_with(("terms", 0, "coeff", 0, "zexp"), [1, 0])),
+     ParseError, "terms[0].coeff[0]: exponent length != m"),
+    (lambda tmp: form_from_document(_doc_with_repeat(0)), ParseError,
+     "terms[0].coeff[1]: repeated monomial zexp=[1, 0, 0] zbarexp=[0, 0, 0]"),
+    (lambda tmp: form_from_document(
+        _doc_with(("terms", 0, "coeff", 0, "zbarexp"), [-2 ** 31, 0, 0])), ParseError,
+     "terms[0].coeff: exponent -2147483648 of zbar1"),
+    (lambda tmp: _written(tmp, "bad.json", "{", load_form), ParseError,
+     "bad.json: line 1 column 2: "),
+    (lambda tmp: _written(tmp, "form.json", "[1]", load_form), ParseError,
+     "form.json: form document must be an object"),
+    (lambda tmp: section_from_text(_section_with(1, "n 0")), ParseError,
+     "line 2: n: expected one integer >= 1, got '0'"),
+    (lambda tmp: section_from_text(_row_with(7, -1, None)), ParseError,
+     "line 8: 14 columns, expected 15"),
+    (lambda tmp: section_from_text(_row_with(7, 4, "x")), ParseError,
+     "line 8: could not convert string to float: 'x'"),
+    (lambda tmp: section_from_text(_row_with(7, 4, "nan")), ParseError,
+     "line 8: non-finite value"),
+    (lambda tmp: section_from_text(_row_with(7, 0, "9")), ParseError,
+     "line 8: node index (9, 0, 2) out of range"),
+    (lambda tmp: section_from_text(_section_with(8, SECTION_BASE[7])), ParseError,
+     "line 9: duplicate row for node (0, 0, 2)"),
+    (lambda tmp: section_from_text(_section_with(2, None)), ParseError,
+     "bad section header: missing 'nodes'"),
+    (lambda tmp: section_from_text(_section_with(3, "bounds 0.0 1.0 0.0 1.0 0.0 x")),
+     ParseError, "line 4: bounds: could not convert string to float: 'x'"),
+    (lambda tmp: section_from_text(_section_with(3, "bounds 0.0 1.0")), ParseError,
+     "line 4: bounds carry 2 numbers, expected 6"),
+    (lambda tmp: section_from_text(_section_with(3, "bounds 1.0 0.0 0.0 1.0 0.0 1.0")),
+     ParseError, "line 4: bounds: axis 0: interval [1.0, 0.0]"),
+    (lambda tmp: section_from_text(_section_with(len(SECTION_BASE) - 1, None)), ParseError,
+     "124 node rows, expected 125"),
+    (lambda tmp: section_from_text(_section_with(4, "columns bogus")), ParseError,
+     "line 5: columns do not match the n = 1 layout"),
+    (lambda tmp: section_from_text(_section_with(0, "n 1")), ParseError,
+     "line 2: repeated header key 'n'"),
+    (lambda tmp: _written(tmp, "s.txt", _section_with(1, "n 0"), load_section), ParseError,
+     "s.txt: line 2: n: expected one integer"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", FORMATS_REFUSALS,
+                         ids=[r[2] for r in FORMATS_REFUSALS])
+def test_every_formats_refusal_is_reached(call, error, fragment, tmp_path):
+    """One row per ``raise`` in ``formats.py`` (the two ValueErrors of a
+    coefficient part reach the caller as ParseErrors): the malformed input,
+    its error class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call(tmp_path)
+    assert type(err.value) is error
+    assert fragment in str(err.value)
+
+
+def _canonical_solver_lines():
+    """The flat 9-node solver output's text: few distinct rows, repeated."""
+    inp, gamma = demo_flat_section(9)
+    return section_to_text(ci_solve(inp, gamma, 0.5, 1e-3).output).splitlines()
+
+
+READER_PATHS = [
+    # (id, base lines, edit, line end, takes the general reader)
+    ("canonical", lambda: SECTION_BASE, lambda lines: lines, "\n", False),
+    ("canonical-repeated-rows", _canonical_solver_lines, lambda lines: lines, "\n", False),
+    ("canonical-comments-in-header", lambda: SECTION_BASE,
+     lambda lines: lines[:2] + ["# note", ""] + lines[2:], "\n", False),
+    ("rows-permuted", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + lines[6:7] + lines[5:6] + lines[7:], "\n", True),
+    ("comment-among-rows", lambda: SECTION_BASE,
+     lambda lines: lines[:40] + ["# a comment"] + lines[40:], "\n", True),
+    ("blank-among-rows", lambda: SECTION_BASE,
+     lambda lines: lines[:40] + [""] + lines[40:], "\n", True),
+    ("header-key-after-body", lambda: SECTION_BASE,
+     lambda lines: lines[:4] + lines[5:] + lines[4:5], "\n", True),
+    ("tab-separators", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + [line.replace(" ", "\t") for line in lines[5:]], "\n", True),
+    ("index-spelled-01", lambda: SECTION_BASE,
+     lambda lines: lines[:30] + ["0" + lines[30]] + lines[31:], "\n", True),
+    ("trailing-spaces", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + [line + " " for line in lines[5:]], "\n", True),
+    ("crlf-line-ends", lambda: SECTION_BASE, lambda lines: lines, "\r\n", True),
+    ("one-value-too-few", lambda: SECTION_BASE,
+     lambda lines: lines[:50] + [lines[50].rsplit(" ", 1)[0]] + lines[51:], "\n", True),
+]
+
+
+@pytest.mark.parametrize("base, edit, end, general", [r[1:] for r in READER_PATHS],
+                         ids=[r[0] for r in READER_PATHS])
+def test_reader_takes_the_canonical_path_only_on_the_writers_layout(base, edit, end, general,
+                                                                    monkeypatch):
+    """The writer's own text is read without the general reader; every
+    other text takes it.  Either way the section, or the ParseError
+    message, is the reference reader's."""
+    from contactkit import formats
+    calls = []
+    read_table = formats._read_table
+
+    def counted(*args):
+        calls.append(args)
+        return read_table(*args)
+
+    monkeypatch.setattr(formats, "_read_table", counted)
+    text = end.join(edit(list(base()))) + end
+    _assert_readers_agree(text)
+    assert len(calls) == general

@@ -209,8 +209,32 @@ def test_reading_a_present_word_makes_no_zero_coefficient(monkeypatch):
     assert made == [alpha.m]
     pt = exact_points(alpha.m, 1, seed=4)[0]
     made.clear()
-    alpha.covector_at(pt)
-    assert len(made) == 2 * alpha.m - len(alpha.terms)
+    row = alpha.covector_at(pt)
+    assert made == []  # a missing word reads as zero without building one
+    assert row == tuple(alpha.coeff((i,)).eval(pt.values) for i in range(2 * alpha.m))
+
+
+def _value_or_error(call):
+    try:
+        value = call()
+    except ContactKitError as err:
+        return type(err), str(err)
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("variant", ["laurent", "expr"])
+@pytest.mark.parametrize("kind", ["exact", "complex", "short"])
+def test_a_missing_word_reads_as_its_zero_coefficient(variant, kind):
+    """coefficient_at on a missing word gives what ``zero_coeff().eval``
+    gives: the same value and type, or the same error."""
+    alpha = std_form(1) if variant == "laurent" else std_form(1).to_expr()
+    pt = exact_points(alpha.m, 1, seed=4)[0]
+    values = {"exact": pt.values, "complex": pt.as_complex(), "short": pt.values[:-1]}[kind]
+    missing = [(i,) for i in range(2 * alpha.m) if (i,) not in alpha.terms]
+    assert missing
+    for word in missing:
+        got = _value_or_error(lambda: alpha.coefficient_at(Point(values), word))
+        assert got == _value_or_error(lambda: alpha.zero_coeff().eval(values))
 
 
 def test_evaluate_is_linear_in_coefficients():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contactkit.coefficients import LaurentPoly, Monomial, Sin, Z
-from contactkit.errors import DimensionError, PoleError, PreconditionError
+from contactkit.errors import ContactKitError, DimensionError, PoleError, PreconditionError
 from contactkit.forms import Form
 from contactkit.gallery import std_form
 from contactkit.grids import (
@@ -229,3 +229,46 @@ def test_gamma_refuses_malformed_faces_by_name(bad):
 def test_gamma_refuses_a_width_that_is_not_a_positive_int(width):
     with pytest.raises(PreconditionError, match=re.escape(f"got {width!r}")):
         GammaSpec.of({(0, 0)}, width)
+
+
+_G5 = CubeGrid(1, nodes=5)
+
+GRIDS_REFUSALS = [
+    (lambda: CubeGrid(1.0), DimensionError, "n must be an int, got 1.0"),
+    (lambda: CubeGrid(0), DimensionError, "need n >= 1"),
+    (lambda: CubeGrid(1, 5.0), PreconditionError, "node count must be an int, got 5.0"),
+    (lambda: CubeGrid(1, 4), PreconditionError, "stencils need at least 5 nodes per axis"),
+    (lambda: CubeGrid(1, 5, [(0, 1)]), DimensionError, "bounds count != 2n+1"),
+    (lambda: CubeGrid(1, 5, [(0, 1), (1, 0), (0, 1)]), PreconditionError,
+     "axis 1: interval [1.0, 0.0] and mesh step -0.25 must be finite"),
+    (lambda: _G5.node_coords((0, 0)), DimensionError, "node index length != m"),
+    (lambda: _G5.node_coords((0, 0, 5)), DimensionError, "node index (0, 0, 5) out of range"),
+    (lambda: laurent_on_grid(LaurentPoly.z(2, 0), [_G5.axis(0)]), DimensionError,
+     "axis count != number of variables"),
+    (lambda: laurent_on_grid(LaurentPoly.z(1, 0, -1), [_G5.axis(0)]), PoleError,
+     "negative exponent on axis 1 touching 0"),
+    (lambda: GridSection(_G5, np.zeros((5, 5, 5, 2)), np.zeros((5, 5, 5, 3))), DimensionError,
+     "a field shape (5, 5, 5, 2) != (5, 5, 5, 3)"),
+    (lambda: GridSection(_G5, np.full((5, 5, 5, 3), np.inf), np.zeros((5, 5, 5, 3))),
+     PreconditionError, "section contains non-finite values"),
+    (lambda: GridSection.sample(_G5, Form(3, 2, {})), DimensionError,
+     "alpha must be a 1-form on C^(2n+1)"),
+    (lambda: GridSection.sample(_G5, std_form(1), std_form(1)), DimensionError,
+     "beta must be a 2-form on C^(2n+1)"),
+    (lambda: GammaSpec.of({(0, 2)}), DimensionError, "bad face spec (0, 2)"),
+    (lambda: GammaSpec.of({(0, 0)}, width=0), PreconditionError,
+     "strip width must be an int >= 1 node, got 0"),
+    (lambda: list(GammaSpec.of({(5, 0)}).strips(_G5)), DimensionError,
+     "face axis 5 out of range"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", GRIDS_REFUSALS,
+                         ids=[r[2] for r in GRIDS_REFUSALS])
+def test_every_grids_refusal_is_reached(call, error, fragment):
+    """One row per ``raise`` in ``grids.py``: the malformed input, its
+    error class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
