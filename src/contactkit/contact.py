@@ -20,6 +20,11 @@ parities) is a plan built once per process; four indices take a closed
 formula, and odd terms are subtracted rather than negated and added, so
 each result keeps the bits of the plain expansion.
 
+Exact tables stay exact: from n = 2 on, a bordered table of QC entries
+within a proven bound runs on Gaussian integers held in Python complex,
+where every float operation is exact, and each result is reduced back to
+its one QC (``_Bordered``); any other table runs on its entries as read.
+
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
 columns of a grid field through one.  ``_Bordered`` checks n and applies
@@ -37,11 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, Point, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
+from .scalars import _gaussian_complex, _reduced
 
 
 @lru_cache(maxsize=1024)
@@ -94,10 +100,11 @@ def _pf(up, idx: tuple, memo: dict):
     return total
 
 
-def _table(entry, idx: tuple) -> dict:
-    """The upper table of the matrix read by ``entry`` on ``idx``: each
-    entry(i, j), i before j, read once."""
-    return {i: {j: entry(i, j) for j in idx[p + 1:]} for p, i in enumerate(idx)}
+def _table(entries, idx: tuple) -> dict:
+    """The upper table on ``idx`` of ``entries``, taken row by row: each
+    row i holds the entries (i, j) for j after i in ``idx``."""
+    read = iter(entries).__next__
+    return {i: {j: read() for j in idx[p + 1:]} for p, i in enumerate(idx)}
 
 
 def pfaffian(entry, idx: tuple[int, ...]):
@@ -112,7 +119,8 @@ def pfaffian(entry, idx: tuple[int, ...]):
         raise DimensionError(f"Pfaffian needs an even number of indices, got {len(idx)}")
     if len(set(idx)) < len(idx):
         raise DimensionError(f"Pfaffian indices must be distinct, got {idx}")
-    return _pf(_table(entry, idx), idx, {})
+    return _pf(_table((entry(i, j) for p, i in enumerate(idx) for j in idx[p + 1:]), idx),
+               idx, {})
 
 
 @lru_cache(maxsize=1024)
@@ -125,25 +133,56 @@ class _Bordered:
     """n! times the Pfaffians of one bordered matrix [[0, a^T], [-a, beta]].
 
     Index -1 is the border and beta keeps its indices 0 .. m-1; with ``a``
-    None the table holds beta alone.  The entries are read once into an
-    upper table, and every Pfaffian shares one memo of sub-Pfaffians, which
-    lives as long as this object.  Here n is checked and n! taken, once.
+    None the table holds beta alone.  The entries are read once, beta's in
+    ``upper_pairs`` order and the border after them, into one upper table,
+    and every Pfaffian shares one memo of sub-Pfaffians, which lives as long
+    as this object.  Here n is checked and n! taken, once.
+
+    From n = 2 on, a table of QC entries runs on Gaussian integers held in
+    Python complex: scaled by the common denominator L, the entries are
+    integers, and a Pfaffian on k indices is L^(k/2) times the exact one.
+    With E the largest scaled modulus (at least 1 unless all are 0) and
+    h = n + 1, every term and partial sum of the expansion of a
+    sub-Pfaffian on 2j indices is at most (2j-1)!! E^j <= (2h-1)!! E^h in
+    modulus, and so are both real products inside each complex product x*y
+    (|ac| + |bd| <= |x||y|).  The table takes this path only when
+    (2h-1)!! E^h < 2^52 (the bit below 53 absorbs the guard's own rounding),
+    so every float operation acts on integers below 2^53 and is exact.
+    Each result is ``_reduced(n! re, n! im, L^(k/2))``, the one reduced
+    triple of its value: the QC the QC arithmetic gives.  Any other table
+    (n <= 1, a non-QC entry, entries past the bound) runs on its entries.
     """
 
-    __slots__ = ("n", "_up", "_memo", "_scale")
+    __slots__ = ("n", "_up", "_memo", "_scale", "_den")
 
     def __init__(self, a, beta, n: int):
         if type(n) is not int or n < 0:
             raise DimensionError(f"n must be an int >= 0, got {n!r}")
         full = tuple(range(2 * n + 1))
-        self.n, self._memo, self._up = n, {}, _table(beta, full)
+        entries = [beta(r, s) for r in full for s in full[r + 1:]]
         if a is not None:
-            self._up[-1] = {j: a(j) for j in full}
-        self._scale = factorial(n)
+            entries += map(a, full)
+        # _den is L on Gaussian integers, 0 on the entries as read
+        self.n, self._memo, self._scale, self._den = n, {}, factorial(n), 0
+        if n >= 2:
+            # (2h-1)!! E^h < 2^52 as a bound on E; the quotient is at most 2^52
+            limit = (2 ** 52 / prod(range(1, 2 * n + 2, 2))) ** (1 / (n + 1))
+            scaled = _gaussian_complex(entries, limit)
+            if scaled is not None:
+                self._den, entries = scaled
+        entries = iter(entries)
+        self._up = _table(entries, full)
+        if a is not None:
+            self._up[-1] = dict(zip(full, entries))
 
     def pf(self, *drop: int):
         """n! Pf of the bordered matrix without the indices in ``drop``."""
-        return self._scale * _pf(self._up, _bordered_idx(self.n, *drop), self._memo)
+        idx = _bordered_idx(self.n, *drop)
+        v = _pf(self._up, idx, self._memo)
+        if self._den and idx:
+            s = self._scale
+            return _reduced(s * int(v.real), s * int(v.imag), self._den ** (len(idx) // 2))
+        return self._scale * v
 
     def slope(self, r: int, s: int):
         if r == s:

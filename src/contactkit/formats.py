@@ -195,9 +195,12 @@ def section_to_text(section: GridSection) -> str:
     ]
     lines.append("columns " + " ".join(_columns(m)))
     count = grid.n_nodes
-    table = np.concatenate([section.a.reshape(count, m), section.beta.reshape(count, -1)], axis=1)
+    # a C-ordered table whatever the fields' layout, so it is built once
+    table = np.empty((count, m + section.beta.shape[-1]), complex)
+    np.concatenate([section.a.reshape(count, m), section.beta.reshape(count, -1)], axis=1,
+                   out=table)
     # complex columns viewed as float interleave re and im, as the layout does
-    values = np.ascontiguousarray(table).view(float)
+    values = table.view(float)
     # one bytes key per row, so -0.0 stays apart from 0.0; the sections
     # written here repeat few distinct rows, and each is formatted once
     keys = values.view(np.dtype((np.void, values.shape[1] * 8))).ravel().tolist()

@@ -74,6 +74,22 @@ def _gaussian(columns) -> tuple[int, list[list[int]], list[list[int]]]:
     return L, re, im
 
 
+def _gaussian_complex(values: list, limit: float) -> tuple[int, list[complex]] | None:
+    """``values`` over one common denominator L as Gaussian integers held in
+    Python complex, ``(L, [complex(L * v)])``; None when a value is not a QC
+    or a scaled modulus reaches ``limit``, 2**53 or float range."""
+    if set(map(type, values)) != {QC}:
+        return None
+    L = lcm(*{q._d for q in values})
+    try:
+        scaled = [complex(q._a * s, q._b * s) for q in values for s in (L // q._d,)]
+        if max(map(abs, scaled)) < min(limit, 2.0 ** 53):
+            return L, scaled
+    except OverflowError:
+        pass
+    return None
+
+
 def power(base, e: int, one):
     """``base ** e`` for ``e >= 0`` in any ring, ``one`` for ``e == 0``.  No
     squaring follows the top bit: ``x ** 2`` is one product, ``x ** 5`` three."""

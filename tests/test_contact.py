@@ -8,7 +8,7 @@ powers of the 2-form, term by term.
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from contactkit.jets import (
 )
 from contactkit.reports import fmt_num
 from contactkit.sampling import exact_points, random_jet, random_qc
-from contactkit.scalars import QC
+from contactkit.scalars import QC, _reduced
 
 
 def random_skew(m, rng):
@@ -531,10 +531,21 @@ def test_relation_kernels_match_plain_expansion(kind, n, seed):
         assert_same(slc.c, c)
 
 
+def past_the_guard(jet):
+    """The jet with every entry times 2^40: its scaled entries are past the
+    Gaussian-integer bound, so its bordered tables take the QC arithmetic.
+    The expansion's structure does not depend on the values."""
+    big = QC(2 ** 40)
+    jet = Jet1.build(jet.n, [x * big for x in jet.a], [[x * big for x in row] for row in jet.p])
+    assert not contact._Bordered(*jet_readers(jet), jet.n)._den
+    return jet
+
+
 def test_jet_path_takes_each_product_once(monkeypatch):
     """At n = 3 each sub-Pfaffian of a bordered matrix is expanded once:
     87 products for h instead of 147, and the slice's m - 1 slopes reuse
-    h's minors (147 products instead of 267, 117 when i = 0)."""
+    h's minors (147 products instead of 267, 117 when i = 0).  Counted on
+    the QC arithmetic, on a jet past the Gaussian-integer bound."""
     calls = []
     inner = QC.__mul__
 
@@ -543,7 +554,7 @@ def test_jet_path_takes_each_product_once(monkeypatch):
         return inner(self, other)
 
     monkeypatch.setattr(QC, "__mul__", counted)
-    jet = random_jet(3, random.Random(257))
+    jet = past_the_guard(random_jet(3, random.Random(257)))
     want = relation_value(jet)
     calls.clear()
     assert relation_value(jet) == want
@@ -559,7 +570,8 @@ def test_jet_path_sums_each_term_once(monkeypatch):
     subtractions beside the 21 beta reads (p[s][r] - p[r][s]), and no
     negation: odd terms are subtracted, and a four-index sub-Pfaffian is
     one closed formula.  A slice's slopes add one negation per minor of
-    sign -1."""
+    sign -1.  Counted on the QC arithmetic, on a jet past the
+    Gaussian-integer bound."""
     calls = {}
 
     def counting(name):
@@ -572,7 +584,7 @@ def test_jet_path_sums_each_term_once(monkeypatch):
 
     for name in ("__add__", "__sub__", "__neg__"):
         monkeypatch.setattr(QC, name, counting(name))
-    jet = random_jet(3, random.Random(257))
+    jet = past_the_guard(random_jet(3, random.Random(257)))
     want = relation_value(jet)
     calls.clear()
     assert relation_value(jet) == want
@@ -583,6 +595,176 @@ def test_jet_path_sums_each_term_once(monkeypatch):
         calls.clear()
         ampleness_slice(RestrictedJet(jet, i))
         assert calls == sums
+
+
+def test_gaussian_jet_path_makes_only_the_beta_reads(monkeypatch):
+    """An exact n = 3 jet of denominator 7 runs on Gaussian integers: h
+    makes the 21 beta reads (p[s][r] - p[r][s]) and no other QC sum or
+    product, and a slice adds only the negations of its slopes of sign -1."""
+    calls = {}
+
+    def counting(name):
+        inner = getattr(QC, name)
+
+        def counted(self, *other):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(self, *other)
+        return counted
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__"):
+        monkeypatch.setattr(QC, name, counting(name))
+    jet = random_jet(3, random.Random(257))
+    want = relation_h_oracle(*jet_readers(jet), 3)
+    calls.clear()
+    assert relation_value(jet) == want
+    assert calls == {"__sub__": 21}
+    for i in (0, 1, 6):
+        calls.clear()
+        ampleness_slice(RestrictedJet(jet, i))
+        assert calls == {"__sub__": 21, "__neg__": 3}
+
+
+def guard_limit(n):
+    """The largest int E with (2h-1)!! E^h < 2^52, h = n + 1: the largest
+    scaled modulus a bordered table at n may have on Gaussian integers."""
+    odd, h = prod(range(1, 2 * n + 2, 2)), n + 1
+    E = int((2 ** 52 / odd) ** (1 / h)) + 2
+    while odd * E ** h >= 2 ** 52:
+        E -= 1
+    return E
+
+
+def skew_jet(n, a, upper):
+    """The exact jet with value vector ``a`` whose beta reads ``upper[r, s]``
+    (r < s): p[s][r] holds it and every other entry of p is QC(0)."""
+    m = 2 * n + 1
+    p = [[upper[j, i] if i > j else QC(0) for j in range(m)] for i in range(m)]
+    return Jet1.build(n, a, p)
+
+
+GUARD_MODES = ("den7", "mixed", "below", "past", "huge", "ints")
+
+
+def guard_jet(mode, n, rng):
+    """A jet for ``mode``: denominator 7; mixed denominators, small or up to
+    2^40 + 15;
+    integer entries of scaled modulus up to the bound, reached (below) or
+    passed by one (past); parts past float range (2^1100, and 3 * 2^1022,
+    whose modulus overflows); ints and Fractions among QC entries."""
+    m = 2 * n + 1
+    dens = rng.choice(((1, 2, 3, 7), (1, 7, 2 ** 40 + 15)))
+
+    def entry():
+        if mode == "den7":
+            return random_qc(rng)
+        if mode == "mixed":
+            d = rng.choice(dens)
+            return _reduced(rng.randint(-3 * d, 3 * d), rng.randint(-3 * d, 3 * d), d)
+        if mode == "huge":
+            return QC(rng.choice((2 ** 1100, 3 * 2 ** 1022, -5)), rng.choice((3 * 2 ** 1022, 1)))
+        if mode == "ints":
+            return rng.choice((0, 1, -2, Fraction(1, 3), random_qc(rng)))
+        half = int(guard_limit(n) / 2 ** 0.5)
+        return QC(rng.randint(-half, half), rng.randint(-half, half))
+
+    if mode not in ("below", "past"):
+        a = [random_qc(rng)] + [entry() for _ in range(m - 1)]
+        return Jet1.build(n, a, [[entry() for _ in range(m)] for _ in range(m)])
+    a = [entry() for _ in range(m)]
+    upper = {(r, s): entry() for r in range(m) for s in range(r + 1, m)}
+    top = guard_limit(n) + (mode == "past")
+    if m > 1:
+        upper[0, m - 1] = rng.choice((QC(top), QC(-top), QC(0, top), QC(0, -top)))
+    else:
+        a[0] = QC(top)
+    return skew_jet(n, a, upper)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(GUARD_MODES), st.integers(0, 3), st.integers(0, 2 ** 32))
+def test_exact_kernels_keep_the_qc_result_on_either_ring(mode, n, seed):
+    """relation_h, every relation_slope, ampleness_slice and
+    pfaffian_coeffs equal the plain expansion, with identical repr, at
+    n = 0..3 on exact tables on either side of the Gaussian-integer bound,
+    past float range, and mixing ints and Fractions with QC."""
+    rng = random.Random(seed)
+    jet = guard_jet(mode, n, rng)
+    a, beta = jet_readers(jet)
+    m = jet.m
+
+    def same(got, want):
+        assert got == want and repr(got) == repr(want)
+
+    same(relation_h(a, beta, n), relation_h_oracle(a, beta, n))
+    for r in range(m):
+        for s in range(m):
+            if r != s:
+                same(relation_slope(a, beta, n, r, s), relation_slope_oracle(a, beta, n, r, s))
+    same(pfaffian_coeffs(beta, n),
+         [factorial(n) * pfaffian_oracle(beta, tuple(k for k in range(m) if k != i))
+          for i in range(m)])
+    i = rng.randrange(m)
+    slc = ampleness_slice(RestrictedJet(jet, i))
+    c, w = ampleness_slice_oracle(jet, i)
+    if any(w):
+        same((slc.kind, slc.w, slc.c), ("hyperplane", w, c))
+    else:
+        same((slc.kind, slc.w, slc.c), ("full", None, c) if c else ("empty", None, 0))
+
+
+def test_exact_tables_choose_their_ring():
+    """A random n = 3 jet runs on Gaussian integers; so does a table whose
+    largest scaled modulus is the bound's, while one past it, n <= 1 and a
+    table with an int entry run on the QC arithmetic."""
+    jet = random_jet(3, random.Random(5))
+    table = contact._Bordered(*jet_readers(jet), 3)
+    assert table._den == 7
+    assert {type(x) for row in table._up.values() for x in row.values()} == {complex}
+    for n in (2, 3):
+        m, E = 2 * n + 1, guard_limit(n)
+        upper = {(r, s): QC(1) for r in range(m) for s in range(r + 1, m)}
+        for top, den in ((E, 1), (E + 1, 0)):
+            jet = skew_jet(n, [QC(0, top)] + [QC(1)] * (m - 1), upper)
+            table = contact._Bordered(*jet_readers(jet), n)
+            assert table._den == den
+            assert type(table._up[-1][0]) is (complex if den else QC)
+    assert not contact._Bordered(*jet_readers(random_jet(1, random.Random(5))), 1)._den
+    jet = random_jet(3, random.Random(5))
+    a, beta = jet_readers(jet)
+    assert not contact._Bordered(lambda i: 1 if i == 4 else a(i), beta, 3)._den
+
+
+def test_relation_squared_is_the_bordered_determinant():
+    """h^2 = (n!)^2 det [[0, a^T], [-a, beta]], with the determinant from
+    sympy's DomainMatrix over QQ_I, on 150 jets at n = 2 and 3 with mixed
+    denominators on both sides of the Gaussian-integer bound."""
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def gauss(q):
+        return QQ_I(q.re, q.im)
+
+    rng = random.Random(269)
+    rings = set()
+    for k in range(150):
+        n = 2 + k % 2
+        m = 2 * n + 1
+        dens = (1, 2, 3, 7) if k % 4 < 2 else (1, 3, 7, 2 ** 40 + 15)
+
+        def entry():
+            d = rng.choice(dens)
+            return _reduced(rng.randint(-2 * d, 2 * d), rng.randint(-2 * d, 2 * d), d)
+
+        jet = Jet1.build(n, [entry() for _ in range(m)], [[entry() for _ in range(m)] for _ in range(m)])
+        a, beta = jet_readers(jet)
+        rings.add(contact._Bordered(a, beta, n)._den != 0)
+        rows = [[QQ_I(0)] + [gauss(a(j)) for j in range(m)]]
+        rows += [[-gauss(a(i))] + [gauss(beta(i, j)) if i < j else -gauss(beta(j, i)) if i > j
+                                   else QQ_I(0) for j in range(m)] for i in range(m)]
+        det = DomainMatrix(rows, (m + 1, m + 1), QQ_I).det()
+        assert gauss(relation_value(jet)) ** 2 == QQ_I(factorial(n) ** 2) * det
+    assert rings == {True, False}
 
 
 def test_pfaffian_plans_stay_bounded_under_any_index_order():
