@@ -279,29 +279,23 @@ class FitResult:
                 f"{mode} solve, {rk}, sup residual {fmt_num(self.residual)}")
 
 
-def _solve_exact_normal(A: list[list[QC]], rhs_cols: list[list[QC]]):
+def _solve_gaussian(re: list[list[int]], im: list[list[int]], n_cols: int):
     """Least squares over Gaussian rationals via the normal equations.
 
-    [A | b] is scaled once to Gaussian integers by the common denominator L
-    of its entries (L^2 cancels from A^H A x = A^H b), and one Gauss-Jordan
-    pass runs over [A^H A | A^H b] fraction-free, on int pairs: a row is
-    eliminated as pivot * row - entry * pivot row and then divided by its
-    integer content.  Each row stays a nonzero multiple of the row that
-    division by the pivot would give, so the zero pattern, the pivot of
-    each column (its first nonzero entry) and the rank are those of the
-    reduced row-echelon form over Q(i), which is unique; a solution entry
-    is its row's rhs entry over its pivot, reduced once.  Returns
-    (solutions per rhs, rank).  Free columns of a rank-deficient system
-    get coefficient zero.
+    Takes the columns of [A | b] scaled once to Gaussian integers by the
+    common denominator L of their entries (``scalars._gaussian``; L^2
+    cancels from A^H A x = A^H b), real parts in ``re`` and imaginary parts
+    in ``im``, and the column count of A; the exact fit takes its residual
+    on the same integers.  One Gauss-Jordan pass runs over [A^H A | A^H b]
+    fraction-free, on int pairs: a row is eliminated as pivot * row -
+    entry * pivot row and then divided by its integer content.  Each row
+    stays a nonzero multiple of the row that division by the pivot would
+    give, so the zero pattern, the pivot of each column (its first nonzero
+    entry) and the rank are those of the reduced row-echelon form over
+    Q(i), which is unique; a solution entry is its row's rhs entry over its
+    pivot, reduced once.  Returns (solutions per rhs, rank).  Free columns
+    of a rank-deficient system get coefficient zero.
     """
-    _, re, im = _gaussian([*zip(*A), *rhs_cols])
-    return _solve_gaussian(re, im, len(A[0]) if A else 0)
-
-
-def _solve_gaussian(re: list[list[int]], im: list[list[int]], n_cols: int):
-    """``_solve_exact_normal`` on the columns of [A | b] times L, real parts
-    in ``re`` and imaginary parts in ``im``; the exact fit calls it directly
-    and takes its residual on the same integers."""
     width = len(re)
     # sum_r conj(a_r) b_r is (a_re|a_im).(b_re|b_im) + i (a_re|a_im).(b_im|-b_re)
     flat = [r + i for r, i in zip(re, im)]

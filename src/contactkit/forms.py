@@ -92,9 +92,6 @@ class Point:
     def as_complex(self) -> tuple[complex, ...]:
         return tuple(complex(v) for v in self.values)
 
-    def __iter__(self):
-        return iter(self.values)
-
     def __repr__(self):
         return f"Point({list(self.values)!r})"
 
@@ -210,11 +207,6 @@ class Form:
         return _form(self.m, self.degree, {w: s * c for w, c in self.terms.items()},
                      self.variant)
 
-    def __mul__(self, s):
-        return self.scale(s)
-
-    __rmul__ = __mul__
-
     # -- conversions --------------------------------------------------------
 
     def to_expr(self) -> "Form":
@@ -251,7 +243,7 @@ class Form:
         return ((self.m, self.degree, self.variant) == (other.m, other.degree, other.variant)
                 and self.terms == other.terms)
 
-    def __hash__(self):  # pragma: no cover - forms rarely used as keys
+    def __hash__(self):
         return hash((self.m, self.degree, self.variant, frozenset(self.terms)))
 
     def __repr__(self):

@@ -1,4 +1,4 @@
-"""Uniform cube grids in R^(2n+1) and per-node section data.
+"""Uniform cube grids in R^(2n+1), per-node section data and frozen strips.
 
 The convex-integration solver and its verifier work on sampled data: a
 complex vector field a (the dz-coefficients of a 1-form restricted to the
@@ -6,6 +6,10 @@ real slice) and a skew matrix field beta (the formal stand-in for the curl
 of a), stored as its entries above the diagonal in ``upper_pairs`` order.
 Grids are uniform per axis; all heavy numerics are numpy arrays indexed
 [i1, ..., im] with trailing component axes, stored component-major.
+
+This module is numpy geometry only and knows nothing of forms or their
+coefficients: sections are built from arrays (the solver demos,
+``jets.curl_grid``, the section reader) and checked here.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coefficients import Expr, LaurentPoly
-from .errors import DimensionError, PoleError, PreconditionError
-from .forms import Form
+from .errors import DimensionError, PreconditionError
 
 MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
 
@@ -82,9 +84,6 @@ class CubeGrid:
         lo, hi = self.bounds[k]
         return np.linspace(lo, hi, self.nodes)
 
-    def axes(self) -> list[np.ndarray]:
-        return [self.axis(k) for k in range(self.m)]
-
     def node_coords(self, idx: tuple[int, ...]) -> tuple[float, ...]:
         if len(idx) != self.m:
             raise DimensionError("node index length != m")
@@ -109,64 +108,6 @@ class CubeGrid:
 
     def __repr__(self):
         return f"CubeGrid(n={self.n}, nodes={self.nodes})"
-
-
-def laurent_on_grid(poly: LaurentPoly, axes: list[np.ndarray]) -> np.ndarray:
-    """Evaluate a Laurent coefficient on the real slice over a product grid.
-
-    On the slice both z_k and zbar_k equal the real coordinate x_k, so a
-    monomial contributes the product of per-axis power vectors; evaluation
-    is a sum of outer products, never a per-node Python loop.
-    """
-    m = poly.m
-    if len(axes) != m:
-        raise DimensionError("axis count != number of variables")
-    shape = tuple(len(ax) for ax in axes)
-    out = np.zeros(shape, dtype=complex)
-    pow_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def axis_pow(k: int, e: int) -> np.ndarray:
-        key = (k, e)
-        got = pow_cache.get(key)
-        if got is None:
-            ax = axes[k]
-            if e < 0 and np.any(ax == 0):
-                raise PoleError(f"negative exponent on axis {k + 1} touching 0")
-            got = ax.astype(float) ** e
-            pow_cache[key] = got
-        return got
-
-    for mono, coeff in poly.terms.items():
-        term = np.full(shape, complex(coeff))
-        for k in range(m):
-            e = mono.zexp[k] + mono.zbarexp[k]
-            if e == 0:
-                continue
-            vec = axis_pow(k, e)
-            idx = [None] * m
-            idx[k] = slice(None)
-            term = term * vec[tuple(idx)]
-        out += term
-    return out
-
-
-def expr_on_grid(expr: Expr, axes: list[np.ndarray]) -> np.ndarray:
-    """Pointwise Expr evaluation over a product grid (Python-loop fallback)."""
-    shape = tuple(len(ax) for ax in axes)
-    out = np.empty(shape, dtype=complex)
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    res = out.ravel()
-    for pos in range(res.size):
-        z = [complex(f[pos]) for f in flat]
-        res[pos] = expr.eval(z)
-    return out
-
-
-def coefficient_on_grid(coeff, axes: list[np.ndarray]) -> np.ndarray:
-    if isinstance(coeff, LaurentPoly):
-        return laurent_on_grid(coeff, axes)
-    return expr_on_grid(coeff, axes)
 
 
 class GridSection:
@@ -201,33 +142,6 @@ class GridSection:
         section = object.__new__(cls)
         section.grid, section.a, section.beta = grid, a, beta
         return section
-
-    @classmethod
-    def sample(cls, grid: CubeGrid, alpha: Form, beta: Form | None = None) -> "GridSection":
-        """Sample symbolic forms on the real slice of the grid.
-
-        ``alpha`` contributes its dz-coefficients; ``beta`` (a 2-form,
-        default d alpha) contributes its dz_r^dz_s coefficients, one column
-        per upper pair.
-        """
-        from .forms import ext_d
-        m = grid.m
-        if alpha.m != m or alpha.degree != 1:
-            raise DimensionError("alpha must be a 1-form on C^(2n+1)")
-        if beta is None:
-            beta = ext_d(alpha)
-        if beta.m != m or beta.degree != 2:
-            raise DimensionError("beta must be a 2-form on C^(2n+1)")
-        axes = grid.axes()
-
-        def columns(form: Form, words: list) -> np.ndarray:
-            planes = np.zeros((len(words),) + grid.shape, dtype=complex)
-            for c, word in enumerate(words):
-                if word in form.terms:
-                    planes[c] = coefficient_on_grid(form.terms[word], axes)
-            return np.moveaxis(planes, 0, -1)
-
-        return cls(grid, columns(alpha, [(i,) for i in range(m)]), columns(beta, upper_pairs(m)))
 
     def copy(self) -> "GridSection":
         # order "K" keeps the layout; the checks stay, for a changed output

@@ -9,22 +9,11 @@ included, so equal inputs give equal report text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
-from .scalars import QC
 
 
-def fmt_num(x) -> str:
-    """Render a number deterministically (repr for floats, a+bj for complex)."""
-    if isinstance(x, QC):
-        re, im = x.part_strings()
-        return f"{re}+{im}i" if not im.startswith("-") else f"{re}{im}i"
-    if isinstance(x, complex):
-        return f"{fmt_num(x.real)}{'+' if x.imag >= 0 else ''}{fmt_num(x.imag)}j"
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (int, Fraction)):
-        return str(x)
+def fmt_num(x: float) -> str:
+    """Render a float deterministically: its repr, the shortest text that
+    reads back to the same float."""
     return repr(x)
 
 

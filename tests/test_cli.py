@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+from contactkit import cli
 from contactkit.cli import main
 from contactkit.coefficients import LaurentPoly
+from contactkit.extend import ah_pullback_verify
 from contactkit.formats import save_form
-from contactkit.forms import Form
+from contactkit.forms import Form, Point
+from contactkit.gallery import rotation_automorphism
+from contactkit.jets import SliceClass
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +83,46 @@ def test_extend_with_map(capsys):
     assert code == 0
     assert "antiholomorphic defect at order 2" in out
     assert "pullback under covering" in out
+
+
+def test_extend_with_the_rotation_map(capsys, monkeypatch):
+    maps = []
+
+    def verify(F, *args):
+        maps.append(F)
+        return ah_pullback_verify(F, *args)
+
+    monkeypatch.setattr(cli, "ah_pullback_verify", verify)
+    code, out = run_cli(capsys, "extend", "--form", "std", "--samples", "20",
+                        "--map", "rotation")
+    assert code == 0
+    pt = Point([0.5 + 0.25j, -1.0 + 0j, 2.0 - 1j])
+    assert [F.evaluate(pt).values for F in maps] == [rotation_automorphism().evaluate(pt).values]
+    assert out.splitlines() == [
+        "== flat extension off the real slice ==",
+        "PASS  antiholomorphic defect at order 2: value=0.0 bound=1e-09",
+        "PASS  defect at order 3 (informational): 0.0",
+        "PASS  pullback under rotation: map dbar-defect at order 2: value=0.0 bound=1e-08",
+        "PASS  pullback under rotation: input form asymptotically holomorphic at image points",
+        "PASS  pullback under rotation: max |dbar a_i|: value=0.0 bound=1e-08",
+        "PASS  pullback under rotation: max |b_i|: value=0.0 bound=1e-08",
+        "PASS  pullback under rotation: max |d b_i|: value=0.0 bound=1e-08",
+        "PASS  run configuration: form=std degree=2 samples=20 seed=0 tol=1e-09",
+        "result: OK",
+        "",
+    ]
+
+
+def test_ample_fails_a_row_whose_slice_disagrees_with_the_relation(capsys, monkeypatch):
+    """The row check can fail: an empty slice claims h = 0 on every row,
+    while the random jets' relation values are nonzero."""
+    monkeypatch.setattr(cli, "ampleness_slice", lambda restricted: SliceClass("empty"))
+    code, out = run_cli(capsys, "ample", "--samples", "10", "--seed", "1")
+    assert code == 1
+    for i in (1, 2, 3):
+        assert (f"FAIL  row {i}: slice membership matches relation values: 10 jets: "
+                "empty=10 full=0 hyperplane=0") in out
+    assert "result: OK" not in out
 
 
 def test_extend_unknown_map(capsys):

@@ -851,3 +851,23 @@ def test_every_coefficients_refusal_is_reached(call, error, fragment):
     assert type(err.value) is error
     assert fragment in str(err.value)
 
+
+def test_laurent_zero_repr():
+    assert repr(LaurentPoly.zero(2)) == "0"
+    assert repr(LaurentPoly.z(2, 0) - LaurentPoly.z(2, 0)) == "0"
+
+
+def test_equal_laurent_polynomials_hash_equal():
+    """Insertion order is not part of equality, nor of the hash."""
+    p = LaurentPoly.z(2, 0) + LaurentPoly.const(2, QC(1, 2))
+    q = LaurentPoly.const(2, QC(1, 2)) + LaurentPoly.z(2, 0)
+    assert list(p.terms) != list(q.terms)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, LaurentPoly.z(2, 1)}) == 2
+
+
+def test_expression_subtraction_from_either_side():
+    z = [2.5 + 1j]
+    assert (Z(0) - 1).eval(z) == 1.5 + 1j
+    assert (1 - Z(0)).eval(z) == -1.5 - 1j
+    assert (Z(0) - Z(0)).eval(z) == 0

@@ -850,3 +850,27 @@ def test_every_contact_refusal_is_reached(call, error, fragment):
         call()
     assert type(err.value) is error
     assert fragment in str(err.value)
+
+
+def test_formal_defect_at_n_zero_is_alpha():
+    """On C^1 the defect alpha ^ beta^0 is alpha itself, whatever beta."""
+    alpha = Form(1, 1, {(0,): LaurentPoly.const(1, 1) + LaurentPoly.z(1, 0)})
+    pair = FormalPair(alpha, Form(1, 2, {(0, 1): LaurentPoly.z(1, 0)}))
+    assert pair.n == 0
+    assert formal_defect(pair) == alpha
+    assert contact_defect(alpha) == alpha
+
+
+def test_is_contact_on_no_samples_is_vacuous():
+    report = is_contact_on(std_form(1), [], 0.5)
+    assert [check.line() for check in report.checks] == [
+        "PASS  contact samples: no samples supplied (vacuous)"]
+    assert report.passed
+
+
+def test_formal_pairs_and_gallery_entries_hash_through_their_forms():
+    """Frozen dataclasses of forms hash through ``Form.__hash__``: equal
+    values hash equal."""
+    pairs = {FormalPair.holonomic(std_form(1)), FormalPair.holonomic(std_form(1))}
+    assert len(pairs) == 1
+    assert len(set(gallery_entries()) | set(gallery_entries())) == len(gallery_entries())

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import json
 import math
 import random
@@ -239,14 +240,26 @@ def test_load_form_reports_json_position(tmp_path):
 
 
 def messy_section(nodes=5):
+    """std_form(1) = z1 dz2 + dz3 on the real slice, a = (0, x1, 1) and
+    beta_12 = 1, plus a bump on every a and on beta_13."""
     grid = CubeGrid(1, nodes)
-    s = GridSection.sample(grid, std_form(1))
+    a = np.zeros(grid.shape + (3,), dtype=complex)
+    a[..., 1] = grid.axis(0).reshape(-1, 1, 1)
+    a[..., 2] = 1.0
+    beta = np.zeros(grid.shape + (3,), dtype=complex)
+    beta[..., 0] = 1.0
     idx = np.indices(grid.shape).sum(axis=0)
     bump = np.sin(idx / 3.0) + 1j * np.cos(idx / 7.0)
-    a = s.a + bump[..., None] / 9
-    beta = s.beta.copy()
+    a += bump[..., None] / 9
     beta[..., 1] += bump / 11  # beta_13
     return GridSection(grid, a, beta)
+
+
+def test_messy_section_text_is_pinned():
+    """The text every reader-path test starts from (``SECTION_BASE``)."""
+    text = section_to_text(messy_section(nodes=5))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ebd6f0d73a2b82fd283790b9880e91a17e0abbfb3fc2e310add4dab0c5181f51")
 
 
 def _upper_pairs(m):

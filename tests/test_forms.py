@@ -695,3 +695,41 @@ def test_every_forms_refusal_is_reached(call, error, fragment):
     assert type(err.value) is error
     assert fragment in str(err.value)
 
+
+def test_wedge_past_the_top_degree_is_the_top_zero():
+    """Degrees past 2m give the zero form of top degree, in either variant."""
+    top = Form(1, 2, {(0, 1): LaurentPoly.z(1, 0)})
+    dz = Form.dz(1, 0)
+    assert wedge(top, dz) == Form(1, 2, {})
+    assert wedge(top.to_expr(), dz.to_expr()) == Form(1, 2, {}, "expr")
+
+
+def test_d_of_a_top_degree_form_is_the_top_zero():
+    top = Form(1, 2, {(0, 1): LaurentPoly.z(1, 0) * LaurentPoly.zbar(1, 0)})
+    for op in (ext_d, dee_bar):
+        assert op(top) == Form(1, 2, {})
+        assert op(top.to_expr()) == Form(1, 2, {}, "expr")
+
+
+def test_compose_with_an_expression_map_on_either_side():
+    """An expression map on one side makes the composite an expression
+    map, equal pointwise to the expression map alone."""
+    cover, ident = covering_map(), PolyMap.identity(3)
+    pt = Point([0.25 + 0.5j, -1.0 + 0j, 2.0 - 1j])
+    for composed in (cover.compose(ident), ident.compose(cover)):
+        assert composed.variant == "expr"
+        assert composed.evaluate(pt).values == cover.evaluate(pt).values
+
+
+def test_reprs_of_the_zero_form_and_a_map():
+    assert repr(Form(3, 2, {})) == "Form<0, m=3, deg=2>"
+    assert repr(PolyMap.identity(3)) == "PolyMap(3->3, laurent)"
+    assert repr(covering_map()) == "PolyMap(3->3, expr)"
+
+
+def test_equal_forms_hash_equal():
+    z = LaurentPoly.z
+    f = Form(3, 1, {(0,): z(3, 1), (2,): LaurentPoly.const(3, 1)})
+    g = Form(3, 1, {(2,): LaurentPoly.const(3, 1), (0,): z(3, 1)})
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, f.to_expr()}) == 2

@@ -122,8 +122,8 @@ def _term_order_transcript() -> bytes:
     """The insertion order, unsorted, of exact ring results.
 
     Term order is not part of ring equality, but it reaches float output:
-    ``LaurentPoly.eval`` at complex points and ``grids.laurent_on_grid``
-    add the terms in dict order, and float addition is not associative.
+    ``LaurentPoly.eval`` at complex points adds the terms in dict order,
+    and float addition is not associative.
     The data here is exact, so this digest does not depend on the numpy
     build.
     """

@@ -1,18 +1,14 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactkit.coefficients import LaurentPoly, Monomial, Sin, Z
-from contactkit.errors import ContactKitError, DimensionError, PoleError, PreconditionError
-from contactkit.forms import Form
-from contactkit.gallery import std_form
-from contactkit.grids import (
-    CubeGrid, GammaSpec, GridSection, _smoothstep5, coefficient_on_grid,
-    expr_on_grid, laurent_on_grid, upper_pairs,
-)
-from contactkit.scalars import QC
+import contactkit
+from contactkit.errors import ContactKitError, DimensionError, PreconditionError
+from contactkit.grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
 
 
 def test_cube_grid_geometry():
@@ -76,56 +72,27 @@ def test_upper_pairs_match_the_row_loop():
         assert upper_pairs(m) == [(r, s) for r in range(m) for s in range(r + 1, m)]
 
 
-def test_laurent_on_grid_matches_pointwise():
-    """Vectorized evaluation equals per-node eval on the real slice."""
-    poly = (LaurentPoly.z(3, 0, 2) * QC(2, 1)
-            + LaurentPoly.zbar(3, 1) * LaurentPoly.z(3, 1)
-            + LaurentPoly.const(3, QC(0, 3)))
-    grid = CubeGrid(1, nodes=6, bounds=[(0.5, 1.5)] * 3)
-    vals = laurent_on_grid(poly, grid.axes())
-    for node in [(0, 0, 0), (3, 1, 4), (5, 5, 5)]:
-        z = [complex(x) for x in grid.node_coords(node)]
-        assert vals[node] == pytest.approx(poly.eval(z), abs=1e-13)
+def std_section(nodes: int = 5) -> GridSection:
+    """The standard form dz3 + z1 dz2 on the real slice of CubeGrid(1, nodes),
+    with its curl: a = (0, x1, 1) and beta_12 = 1."""
+    grid = CubeGrid(1, nodes)
+    a = np.zeros(grid.shape + (3,), dtype=complex)
+    a[..., 1] = grid.axis(0).reshape(-1, 1, 1)
+    a[..., 2] = 1.0
+    beta = np.zeros(grid.shape + (3,), dtype=complex)
+    beta[..., 0] = 1.0
+    return GridSection(grid, a, beta)
 
 
-def test_laurent_on_grid_mixes_z_and_zbar_powers():
-    # z1 * zbar1 restricted to the slice is x1^2
-    poly = LaurentPoly(1, {Monomial((1,), (1,)): QC(1)})
-    ax = np.array([0.0, 1.0, 2.0, 3.0])
-    assert np.allclose(laurent_on_grid(poly, [ax]), ax ** 2)
-
-
-def test_laurent_on_grid_pole_guard():
-    poly = LaurentPoly.z(1, 0, -1)
-    with pytest.raises(PoleError):
-        laurent_on_grid(poly, [np.array([0.0, 0.5, 1.0])])
-    vals = laurent_on_grid(poly, [np.array([0.5, 1.0, 2.0])])
-    assert np.allclose(vals, [2.0, 1.0, 0.5])
-
-
-def test_expr_on_grid_agrees_with_laurent():
-    poly = LaurentPoly.z(2, 0) * QC(2) + LaurentPoly.z(2, 1, 2)
-    axes = [np.linspace(0.2, 1.0, 4), np.linspace(-1.0, -0.2, 4)]
-    assert np.allclose(expr_on_grid(poly.to_expr(), axes),
-                       laurent_on_grid(poly, axes))
-    sin_field = coefficient_on_grid(Sin(Z(0)), axes)
-    assert np.allclose(sin_field, np.sin(axes[0]).reshape(-1, 1) * np.ones((4, 4)))
-
-
-def test_section_sampling_defaults_to_curl():
-    grid = CubeGrid(1, nodes=5)
-    s = GridSection.sample(grid, std_form(1))
-    # d(z1 dz2) = dz1^dz2: beta_{01} = 1 everywhere
-    assert np.allclose(s.beta[..., 0], 1.0)
-    assert np.allclose(s.beta[..., 1:], 0.0)
-    assert np.allclose(s.a[..., 2], 1.0)
-    x1 = grid.axis(0).reshape(-1, 1, 1)
-    assert np.allclose(s.a[..., 1], x1 * np.ones(grid.shape))
+def test_grid_and_section_reprs():
+    grid = CubeGrid(1, nodes=7)
+    assert repr(grid) == "CubeGrid(n=1, nodes=7)"
+    assert repr(std_section(7)) == "GridSection(CubeGrid(n=1, nodes=7))"
 
 
 def test_section_validation():
-    grid = CubeGrid(1, nodes=5)
-    good = GridSection.sample(grid, std_form(1))
+    good = std_section()
+    grid = good.grid
     with pytest.raises(DimensionError):
         GridSection(grid, good.a[..., :2], good.beta)
     # beta holds the three upper columns; a full (3, 3) matrix is the wrong width
@@ -140,8 +107,7 @@ def test_section_validation():
 
 
 def test_section_deviations_and_copy():
-    grid = CubeGrid(1, nodes=5)
-    s = GridSection.sample(grid, std_form(1))
+    s = std_section()
     t = s.copy()
     assert s == t and s.a is not t.a
     t.a[2, 2, 2, 1] += 0.25
@@ -243,18 +209,10 @@ GRIDS_REFUSALS = [
      "axis 1: interval [1.0, 0.0] and mesh step -0.25 must be finite"),
     (lambda: _G5.node_coords((0, 0)), DimensionError, "node index length != m"),
     (lambda: _G5.node_coords((0, 0, 5)), DimensionError, "node index (0, 0, 5) out of range"),
-    (lambda: laurent_on_grid(LaurentPoly.z(2, 0), [_G5.axis(0)]), DimensionError,
-     "axis count != number of variables"),
-    (lambda: laurent_on_grid(LaurentPoly.z(1, 0, -1), [_G5.axis(0)]), PoleError,
-     "negative exponent on axis 1 touching 0"),
     (lambda: GridSection(_G5, np.zeros((5, 5, 5, 2)), np.zeros((5, 5, 5, 3))), DimensionError,
      "a field shape (5, 5, 5, 2) != (5, 5, 5, 3)"),
     (lambda: GridSection(_G5, np.full((5, 5, 5, 3), np.inf), np.zeros((5, 5, 5, 3))),
      PreconditionError, "section contains non-finite values"),
-    (lambda: GridSection.sample(_G5, Form(3, 2, {})), DimensionError,
-     "alpha must be a 1-form on C^(2n+1)"),
-    (lambda: GridSection.sample(_G5, std_form(1), std_form(1)), DimensionError,
-     "beta must be a 2-form on C^(2n+1)"),
     (lambda: GammaSpec.of({(0, 2)}), DimensionError, "bad face spec (0, 2)"),
     (lambda: GammaSpec.of({(0, 0)}, width=0), PreconditionError,
      "strip width must be an int >= 1 node, got 0"),
@@ -272,3 +230,29 @@ def test_every_grids_refusal_is_reached(call, error, fragment):
         call()
     assert type(err.value) is error
     assert fragment in str(err.value)
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Every module a ``contactkit`` module's source imports, by absolute
+    name, function-local imports included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "contactkit" if node.level else ""
+            if node.module:
+                names.add(f"{base}.{node.module}".lstrip("."))
+            else:  # from . import forms
+                names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_grids_imports_nothing_from_forms_or_coefficients():
+    """Grids are numpy geometry: a section is built from arrays, and only
+    ``coefficients.py`` knows whether a coefficient is a Laurent polynomial
+    or an expression tree."""
+    source = (Path(contactkit.__file__).parent / "grids.py").read_text()
+    imported = _imported_modules(source)
+    assert "contactkit.errors" in imported  # the walk sees the relative imports
+    assert not {"contactkit.coefficients", "contactkit.forms"} & imported

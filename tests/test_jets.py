@@ -15,7 +15,7 @@ from contactkit.forms import Form, Point
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection, upper_pairs
 from contactkit.jets import (
-    Jet1, RestrictedJet, ampleness_slice, curl_grid, formal_margin_grid,
+    Jet1, RestrictedJet, SliceClass, ampleness_slice, curl_grid, formal_margin_grid,
     grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
     relation_value, skew_of_jacobian, slope_grid,
 )
@@ -236,11 +236,26 @@ def test_holonomic_jet_entries():
     assert jet.p[2] == (QC(0), QC(0), QC(0))
 
 
-def grid_section_from_polys(grid, coeffs, beta_const):
-    """Sample a polynomial 1-form and a constant beta on a grid."""
-    alpha = Form(grid.m, 1, {(i,): c for i, c in enumerate(coeffs) if c is not None})
-    beta = Form(grid.m, 2, beta_const)
-    return GridSection.sample(grid, alpha, beta)
+def grid_section(grid, a_cols, beta_cols):
+    """A section built with numpy from fields of the node coordinates:
+    ``a_cols[i](x)`` (None for zero) and ``beta_cols[(r, s)](x)`` for the
+    upper pairs given, every other beta entry zero; x holds one
+    grid-shaped coordinate array per axis."""
+    x = np.meshgrid(*(grid.axis(k) for k in range(grid.m)), indexing="ij")
+    a = np.zeros(grid.shape + (grid.m,), dtype=complex)
+    for i, field in enumerate(a_cols):
+        if field is not None:
+            a[..., i] = field(x)
+    pairs = upper_pairs(grid.m)
+    beta = np.zeros(grid.shape + (len(pairs),), dtype=complex)
+    for c, pair in enumerate(pairs):
+        if pair in beta_cols:
+            beta[..., c] = beta_cols[pair](x)
+    return GridSection(grid, a, beta)
+
+
+def one(x):
+    return 1.0
 
 
 def finite_diff_jet(s: GridSection, node: tuple[int, ...]) -> Jet1:
@@ -298,8 +313,7 @@ def test_curl_matches_the_whole_jacobian_oracle(nodes):
 def test_finite_diff_jet_exact_on_affine_fields():
     """Central and one-sided stencils are exact on degree-1 data."""
     grid = CubeGrid(1, nodes=9)
-    coeffs = [LaurentPoly.z(3, 1) * QC(2), LaurentPoly.z(3, 0), LaurentPoly.const(3, 1)]
-    s = grid_section_from_polys(grid, coeffs, {(0, 1): LaurentPoly.const(3, 1)})
+    s = grid_section(grid, [lambda x: 2 * x[1], lambda x: x[0], one], {(0, 1): one})
     for node in [(0, 0, 0), (4, 4, 4), (8, 0, 3), (1, 8, 8)]:
         jet = finite_diff_jet(s, node)
         assert jet.p[0][1] == pytest.approx(2.0, abs=1e-12)
@@ -311,10 +325,8 @@ def test_grid_jacobian_matches_pointwise_jets():
     """The vectorized jacobian equals per-node stencil jets everywhere probed."""
     rng = random.Random(317)
     grid = CubeGrid(1, nodes=7)
-    coeffs = [LaurentPoly.z(3, 0) * LaurentPoly.z(3, 1),
-              LaurentPoly.z(3, 2) * QC(0, 1) + QC(3),
-              LaurentPoly.z(3, 0, 2)]
-    s = grid_section_from_polys(grid, coeffs, {(0, 2): LaurentPoly.const(3, 1)})
+    s = grid_section(grid, [lambda x: x[0] * x[1], lambda x: 1j * x[2] + 3, lambda x: x[0] ** 2],
+                     {(0, 2): one})
     jac = grid_jacobian(s.a, s.grid)
     for i in range(3):  # bit for bit the per-component stencil
         for j in range(3):
@@ -331,18 +343,17 @@ def test_grid_jacobian_matches_pointwise_jets():
 def test_relation_grid_matches_per_node_jets():
     """Vectorized h agrees with scalar relation_value on stencil jets."""
     rng = random.Random(331)
-    z = LaurentPoly.z
     cases = [
         (CubeGrid(1, nodes=7),
-         [z(3, 1), z(3, 0) * QC(2, 1), LaurentPoly.const(3, 1)],
-         {(0, 1): LaurentPoly.const(3, 1)}),
+         [lambda x: x[1], lambda x: (2 + 1j) * x[0], one],
+         {(0, 1): one}),
         (CubeGrid(2, nodes=5),
-         [z(5, 1) * z(5, 2), z(5, 0) * QC(2, 1), z(5, 3) + z(5, 4) * QC(0, 1),
-          z(5, 2), z(5, 0, 2)],
-         {(0, 1): LaurentPoly.const(5, 1), (2, 3): LaurentPoly.const(5, 1)}),
+         [lambda x: x[1] * x[2], lambda x: (2 + 1j) * x[0], lambda x: x[3] + 1j * x[4],
+          lambda x: x[2], lambda x: x[0] ** 2],
+         {(0, 1): one, (2, 3): one}),
     ]
-    for grid, coeffs, beta in cases:
-        s = grid_section_from_polys(grid, coeffs, beta)
+    for grid, a_cols, beta in cases:
+        s = grid_section(grid, a_cols, beta)
         jac = grid_jacobian(s.a, s.grid)
         hgrid = relation_grid(s.a, skew_of_jacobian(jac), grid.n)
         for _ in range(10):
@@ -365,22 +376,20 @@ def test_skew_of_jacobian_antisymmetric():
 
 def test_holonomy_defect_zero_iff_curl():
     grid = CubeGrid(1, nodes=9)
-    alpha = Form(3, 1, {(1,): LaurentPoly.z(3, 0), (2,): LaurentPoly.const(3, 1)})
-    holo = GridSection.sample(grid, alpha)
+    a_cols = [None, lambda x: x[0], one]  # z1 dz2 + dz3, whose curl is dz1^dz2
+    holo = grid_section(grid, a_cols, {(0, 1): one})
     assert holonomy_defect(holo) < 1e-12
     # declaring the wrong beta leaves a visible defect
-    wrong = Form(3, 2, {(0, 1): LaurentPoly.const(3, 3)})
-    bad = GridSection.sample(grid, alpha, wrong)
+    bad = grid_section(grid, a_cols, {(0, 1): lambda x: 3.0})
     assert holonomy_defect(bad) >= 1.9
 
 
 def test_stencil_refinement_is_second_order():
     """Quadratic fields are differentiated exactly; cubics shrink ~4x."""
-    alpha = Form(3, 1, {(2,): LaurentPoly.z(3, 0, 3)})  # a_2 = x^3
     defects = []
     for nodes in (9, 17):
         grid = CubeGrid(1, nodes=nodes)
-        s = GridSection.sample(grid, alpha, Form(3, 2, {}))
+        s = grid_section(grid, [None, None, lambda x: x[0] ** 3], {})  # a_2 = x^3
         jac = grid_jacobian(s.a, s.grid)
         x = grid.axis(0).reshape(-1, 1, 1)
         exact = 3 * x ** 2 * np.ones(grid.shape)
@@ -390,9 +399,8 @@ def test_stencil_refinement_is_second_order():
 
 
 def test_margin_floor_guard():
-    grid = CubeGrid(1, nodes=5)
-    alpha = std_form(1)
-    s = GridSection.sample(grid, alpha)
+    # std_form(1) = z1 dz2 + dz3 with its curl dz1^dz2
+    s = grid_section(CubeGrid(1, nodes=5), [None, lambda x: x[0], one], {(0, 1): one})
     worst = formal_margin_grid(s).min()
     assert worst == pytest.approx(1.0)
 
@@ -460,3 +468,11 @@ def test_every_jets_refusal_is_reached(call, error, fragment):
         call()
     assert type(err.value) is error
     assert fragment in str(err.value)
+
+
+def test_slice_h_of_row_on_empty_and_full_slices():
+    """An empty slice reads h = 0 and a full one its constant on every row."""
+    row = (QC(1), QC(2, 1), QC(-3))
+    empty, full = SliceClass("empty"), SliceClass("full", None, QC(5, -1))
+    assert empty.h_of_row(row) == 0 and not empty.contains(row)
+    assert full.h_of_row(row) == QC(5, -1) and full.contains(row)
