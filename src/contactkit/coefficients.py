@@ -10,6 +10,14 @@ multiply, differentiate, conjugate, evaluate, substitute):
   conjugation at evaluation time is what ties ``zbar_i`` to ``conj(z_i)``.
   The constructor checks and coerces outside data; ring operations sum
   their terms through one collector, ``_collect``, and skip the re-checks.
+  Products, derivatives and exact evaluation call no ``QC`` operator per
+  term: they pair keys with coefficients and hand the pairs to the triple
+  kernels of :mod:`~contactkit.scalars`.  A product's term products come
+  from ``scalars._products`` (one reduction each) and go to ``_collect``;
+  ``d/dz_i`` scales each by its exponent with ``scalars._scaled``; an exact
+  value is summed by ``scalars._eval_terms`` and reduced once.  Each result
+  is the QC that the ``QC`` arithmetic gives, since a value has one reduced
+  triple.
 
   Each term is keyed by one packed int, not by its :class:`Monomial`.  The
   2m exponents sit in 32-bit fields, ``z_1..z_m`` from the low end and then
@@ -42,7 +50,7 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
-from .scalars import QC, QC_ONE, exact, power
+from .scalars import QC, QC_ONE, _eval_terms, _products, _scaled, exact, power
 
 _WIDTH = 32
 # exponents satisfy |e| < EXPONENT_LIMIT; a field stores e + EXPONENT_LIMIT
@@ -104,6 +112,10 @@ def _out_of_range(m: int, j: int, e: int) -> ExponentRangeError:
         f"exponent {e} of {_variable(m, j)} is outside the packed range "
         f"|e| < {EXPONENT_LIMIT}"
     )
+
+
+def _pole(m: int, j: int, e: int) -> PoleError:
+    return PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
 
 
 def _fields(m: int, key: int) -> list[int]:
@@ -288,12 +300,9 @@ class LaurentPoly:
             return _poly(self.m, {k: c * s for k, c in self._terms.items()}, self._bound)
         self._check_same(other)
         bound = _product_bound(self, other)
-        # k1 + k2 - ONE[m] is the product monomial; ONE[m] leaves the left key once
-        one = _ONE[self.m]
-        left = [(k - one, c) for k, c in self._terms.items()]
-        right = other._terms.items()
-        return _collect(self.m, ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right),
-                        bound)
+        # k1 + k2 - ONE[m] is the product monomial
+        return _collect(self.m, _products(self._terms.items(), other._terms.items(),
+                                          _ONE[self.m]), bound)
 
     __rmul__ = __mul__
 
@@ -331,7 +340,7 @@ class LaurentPoly:
                 continue
             if e == 1 - EXPONENT_LIMIT:
                 raise _out_of_range(m, j, e - 1)
-            terms[key - step] = coeff * e
+            terms[key - step] = _scaled(coeff, e)
         return _poly(m, terms, min(self._bound + 1, EXPONENT_LIMIT - 1))
 
     def diff_z(self, i: int) -> "LaurentPoly":
@@ -382,8 +391,10 @@ class LaurentPoly:
         With exact (QC) coordinates the result is an exact QC; with complex
         coordinates it is a Python complex.  Raises PoleError when a negative
         exponent meets a zero coordinate.  Each term multiplies in its
-        powers in the order of its ``_eval_plan``, and conjugates are taken
-        only when some term has a zbar exponent.
+        powers in the order of its ``_eval_plan``.  An exact value is summed
+        on unreduced Gaussian-rational triples and reduced once, by
+        ``scalars._eval_terms``; the complex path takes conjugates only when
+        some term has a zbar exponent.
         """
         m = self.m
         terms = self._terms
@@ -391,22 +402,24 @@ class LaurentPoly:
             return _zero_at(m, zvalues)
         if len(zvalues) != m:
             raise DimensionError("point arity mismatch")
-        is_exact = all(isinstance(v, QC) for v in zvalues)
-        vals = list(zvalues) if is_exact else [complex(v) for v in zvalues]
         plans = [_eval_plan(m, key) for key in terms]
+        if all(isinstance(v, QC) for v in zvalues):
+            return _eval_terms(plans, terms.values(), [*zvalues, *(v.conj() for v in zvalues)],
+                               lambda j, e: _pole(m, j, e))
+        vals = [complex(v) for v in zvalues]
         if any(j >= m for plan in plans for j, _ in plan):
-            vals += [v.conj() if is_exact else v.conjugate() for v in vals]
-        # the complex sum starts at 0j and takes x ** 1, as both can turn a
-        # -0.0 part into 0.0; an exact sum starts at its first term
-        total = None if is_exact else 0j
+            vals += [v.conjugate() for v in vals]
+        # the sum starts at 0j and takes x ** 1, as both can turn a -0.0
+        # part into 0.0
+        total = 0j
         for plan, coeff in zip(plans, terms.values()):
-            term = coeff if is_exact else complex(coeff)
+            term = complex(coeff)
             for j, e in plan:
                 val = vals[j]
                 if e < 0 and not val:
-                    raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
-                term = term * (val if e == 1 and is_exact else val ** e)
-            total = term if total is None else total + term
+                    raise _pole(m, j, e)
+                term = term * val ** e
+            total = total + term
         return total
 
     def substitute(self, args: list["LaurentPoly"]) -> "LaurentPoly":

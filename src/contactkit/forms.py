@@ -14,6 +14,7 @@ wedges and ``d`` add their terms through one ``_sum_into``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from .coefficients import Coefficient, Const, LaurentPoly, _zero_at, coefficient_variant
@@ -23,10 +24,13 @@ from .scalars import QC, exact
 Word = tuple[int, ...]
 
 
+@lru_cache(maxsize=4096)
 def merge_words(u: Word, w: Word) -> tuple[Word | None, int]:
     """Merge two increasing covector words, tracking the wedge sign.
 
-    Returns ``(None, 0)`` when the words share a covector.
+    Returns ``(None, 0)`` when the words share a covector.  The result
+    depends only on the two words, so each pair is merged once per process;
+    the cache holds at most 4096 pairs.
     """
     i, j = 0, 0
     sign = 1
@@ -244,7 +248,7 @@ class Form:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.m, self.degree, self.variant, frozenset(self.terms)))
+        return hash((self.m, self.degree, self.variant, frozenset(self.terms.items())))
 
     def __repr__(self):
         if self.is_zero:

@@ -6,13 +6,21 @@ These are the coefficients of the exact Laurent ring.  A value
 form: equality is a comparison of triples and zero is ``(0, 0, 1)``.
 Sums, products and quotients work on the ints directly and reduce each
 result by one ``math.gcd``; they are exact.  Integer powers go through
-:func:`power`, the one square-and-multiply of the exact rings.  The real and
-imaginary parts are read as ``fractions.Fraction`` through :attr:`QC.re`
-and :attr:`QC.im`.  Ints and Fractions are exact too: :func:`exact`, the
-one test of what is exact, lifts them.  Mixing an exact scalar with a float
-or a Python complex raises :class:`~contactkit.errors.VariantError`;
-conversion to binary floats is always an explicit ``complex(q)`` call at
-the edge of a computation.
+:func:`power`, the one square-and-multiply of the exact rings.  The exact
+Laurent kernels of :mod:`~contactkit.coefficients` pass their terms here as
+``(key, QC)`` pairs and call no ``QC`` operator per term: :func:`_products`
+takes each term product as one :func:`_reduced` of the product's ints,
+:func:`_scaled` multiplies a coefficient's parts by an int exponent, and
+:func:`_eval_terms` sums the terms of an exact evaluation as unreduced
+triples (powers from :func:`_power_triple`) and reduces once at the end.
+Because a value has one reduced triple, each of these gives the QC the
+``QC`` arithmetic gives.  The real and imaginary parts are read as
+``fractions.Fraction`` through :attr:`QC.re` and :attr:`QC.im`.  Ints and
+Fractions are exact too: :func:`exact`, the one test of what is exact,
+lifts them.  Mixing an exact scalar with a float or a Python complex
+raises :class:`~contactkit.errors.VariantError`; conversion to binary
+floats is always an explicit ``complex(q)`` call at the edge of a
+computation.
 """
 
 from __future__ import annotations
@@ -106,6 +114,74 @@ def power(base, e: int, one):
             result = result * base
         e >>= 1
     return result
+
+
+def _power_triple(a: int, b: int, d: int, e: int) -> tuple[int, int, int]:
+    """``((a + b*i) / d) ** e`` as an unreduced triple, for ``e != 0`` and a
+    nonzero value when ``e < 0``: square-and-multiply on Gaussian integers."""
+    if e < 0:
+        # d / (a + b*i) = d * (a - b*i) / (a**2 + b**2)
+        a, b, d, e = d * a, -d * b, a * a + b * b, -e
+    d **= e
+    ra, rb = 1, 0
+    while True:
+        if e & 1:
+            ra, rb = ra * a - rb * b, ra * b + rb * a
+        e >>= 1
+        if not e:
+            return ra, rb, d
+        a, b = a * a - b * b, 2 * a * b
+
+
+def _products(left, right, one: int):
+    """The term products of two iterables of ``(key, QC)`` pairs whose int
+    keys add, with ``one`` the key of the unit, left-major:
+    ``(k1 + k2 - one, q1 * q2)``, each coefficient one :func:`_reduced` of
+    the triples' product."""
+    left = [(k - one, q._a, q._b, q._d) for k, q in left]
+    right = [(k, q._a, q._b, q._d) for k, q in right]
+    return ((k1 + k2, _reduced(a * c - b * e, a * e + b * c, d * f))
+            for k1, a, b, d in left for k2, c, e, f in right)
+
+
+def _scaled(q: "QC", n: int) -> "QC":
+    """``q * n`` for an int ``n``: one :func:`_reduced` of the parts times
+    ``n``, without lifting ``n`` to a QC."""
+    return _reduced(q._a * n, q._b * n, q._d)
+
+
+def _eval_terms(plans: list, coeffs, values: list, pole) -> "QC":
+    """The sum over terms of ``coeff * prod(values[j] ** e for (j, e) in
+    plan)``, for QC ``coeffs`` and ``values`` and nonzero exponents.  Each
+    power ``(j, e)`` is taken once, when a term first uses it, and
+    ``pole(j, e)`` is raised when a negative exponent first meets a zero
+    value.  Terms stay unreduced triples; the sum puts each one over the
+    lcm of the denominators so far, and the one :func:`_reduced` at the end
+    gives the value's one reduced triple."""
+    vals = [(v._a, v._b, v._d) for v in values]
+    powers: dict[tuple[int, int], tuple[int, int, int]] = {}
+    ta, tb, td = 0, 0, 1
+    for plan, q in zip(plans, coeffs):
+        a, b, d = q._a, q._b, q._d
+        for je in plan:
+            p = powers.get(je)
+            if p is None:
+                j, e = je
+                va, vb, vd = p = vals[j]
+                if e < 0 and not (va or vb):
+                    raise pole(j, e)
+                if e != 1:
+                    p = _power_triple(va, vb, vd, e)
+                powers[je] = p
+            pa, pb, pd = p
+            a, b, d = a * pa - b * pb, a * pb + b * pa, d * pd
+        if d != td:
+            g = gcd(td, d)
+            s, t = d // g, td // g
+            ta, tb, a, b, td = ta * s, tb * s, a * t, b * t, td * s
+        ta += a
+        tb += b
+    return _reduced(ta, tb, td)
 
 
 class QC:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from contactkit.coefficients import (
     _FIELD, _ONE, _WIDTH, EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow,
-    Sin, Sqrt, Z, Zbar, coefficient_variant, eadd, emul, epow,
+    Sin, Sqrt, Z, Zbar, _collect, _product_bound, _zero_at, coefficient_variant, eadd, emul,
+    epow,
 )
 from contactkit.errors import (
     ContactKitError, DimensionError, ExponentRangeError, PoleError, VariantError,
@@ -223,11 +224,40 @@ def test_eval_matches_the_plan_oracle(seed):
     assert _bits(got) == _bits(want)
 
 
-def test_exact_eval_adds_each_term_once(monkeypatch):
-    """At an exact point a degree-1 coefficient with t terms makes t - 1
-    additions and takes no power."""
-    counts = {"add": 0, "pow": 0}
-    add, pow_ = QC.__add__, QC.__pow__
+def parent_exact_eval(p, zvalues):
+    """LaurentPoly.eval at an exact point before it summed on (a, b, d)
+    triples, kept as the oracle: each term is a QC product over its plan,
+    taking a first power as it is, and the sum QC additions from the first
+    term."""
+    from contactkit.coefficients import _eval_plan
+    m = p.m
+    terms = p._terms
+    if not terms:
+        return _zero_at(m, zvalues)
+    if len(zvalues) != m:
+        raise DimensionError("point arity mismatch")
+    vals = list(zvalues)
+    plans = [_eval_plan(m, key) for key in terms]
+    if any(j >= m for plan in plans for j, _ in plan):
+        vals += [v.conj() for v in vals]
+    total = None
+    for plan, coeff in zip(plans, terms.values()):
+        term = coeff
+        for j, e in plan:
+            val = vals[j]
+            if e < 0 and not val:
+                raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
+            term = term * (val if e == 1 else val ** e)
+        total = term if total is None else total + term
+    return total
+
+
+def test_exact_eval_takes_no_qc_arithmetic_and_one_reduction(monkeypatch):
+    """At an exact point the terms, their powers and their sum are taken on
+    (a, b, d) triples: no QC addition, product or power, and one reduction
+    for the value."""
+    from contactkit import scalars
+    counts = {"add": 0, "mul": 0, "pow": 0, "reduce": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -235,14 +265,148 @@ def test_exact_eval_adds_each_term_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(QC, "__add__", counted("add", add))
-    monkeypatch.setattr(QC, "__pow__", counted("pow", pow_))
-    p = LaurentPoly.z(3, 0) * 2 + LaurentPoly.z(3, 1) + LaurentPoly.zbar(3, 2) + QC(1, 1)
+    for name, attrs in (("add", ("__add__", "__radd__")), ("mul", ("__mul__", "__rmul__")),
+                        ("pow", ("__pow__",))):
+        for attr in attrs:
+            monkeypatch.setattr(QC, attr, counted(name, getattr(QC, attr)))
+    monkeypatch.setattr(scalars, "_reduced", counted("reduce", scalars._reduced))
+    z, zbar = LaurentPoly.z, LaurentPoly.zbar
+    p = (z(3, 0, 2) * QC(Fraction(2, 3)) + z(3, 1, -1) * zbar(3, 0) + zbar(3, 2, -2) * QC(1, 5)
+         + QC(Fraction(1, 2), 1))
     pt = exact_points(3, 1, seed=6)[0]
-    want = plan_eval(p, pt.values)
-    counts.update(add=0, pow=0)
-    assert p.eval(pt.values) == want
-    assert counts == {"add": 3, "pow": 0}
+    want = parent_exact_eval(p, pt.values)
+    counts.update(add=0, mul=0, pow=0, reduce=0)
+    got = p.eval(pt.values)
+    assert counts == {"add": 0, "mul": 0, "pow": 0, "reduce": 1}
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+
+
+def parent_mul(f, g):
+    """LaurentPoly.__mul__ of two polynomials before it took each product
+    on the (a, b, d) triples, kept as the oracle: a generator of
+    ``c1 * c2`` into ``_collect``."""
+    bound = _product_bound(f, g)
+    one = _ONE[f.m]
+    left = [(k - one, c) for k, c in f._terms.items()]
+    right = g._terms.items()
+    return _collect(f.m, ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right), bound)
+
+
+def triples(p):
+    """The terms of ``p`` in order, each coefficient as its stored triple."""
+    return [(k, (c._a, c._b, c._d)) for k, c in p._terms.items()]
+
+
+_UNIT_COEFFS = [QC(1), QC(-1), QC(0, 1), QC(0, -1), QC(Fraction(1, 2)), QC(Fraction(-1, 2))]
+
+
+def oracle_scalar(rng):
+    """Half the time a unit-sized scalar, so term products often cancel;
+    else a Gaussian rational with mixed denominators."""
+    if rng.random() < 0.5:
+        return rng.choice(_UNIT_COEFFS)
+    return QC(Fraction(rng.randint(-6, 6), rng.randint(1, 12)),
+              Fraction(rng.randint(-6, 6), rng.randint(1, 12)))
+
+
+def oracle_poly(rng, m, step=None):
+    """A monomial a third of the time, else up to 5 terms on few keys with
+    negative z and zbar exponents.  Given a ``step`` monomial, sometimes
+    ``c0 + c1 step + c2 step^2`` in a random order instead: two of these
+    meet three times on ``step^2``, where the first two products may cancel
+    and the third bring the key back."""
+    if step is not None and rng.random() < 0.6:
+        powers = [0, 1, 2]
+        rng.shuffle(powers)
+        units = _UNIT_COEFFS[:4]
+        return LaurentPoly(m, {Monomial(tuple(k * e for e in step.zexp),
+                                        tuple(k * e for e in step.zbarexp)): rng.choice(units)
+                               for k in powers})
+    n_terms = 1 if rng.random() < 0.3 else rng.randint(0, 5)
+    return LaurentPoly(m, {
+        Monomial(tuple(rng.randint(-1, 1) for _ in range(m)),
+                 tuple(rng.choice([0, 0, 1, -1]) for _ in range(m))): oracle_scalar(rng)
+        for _ in range(n_terms)})
+
+
+def _one_variable(coeffs):
+    return LaurentPoly(1, {Monomial((e,), (0,)): QC(c) for e, c in coeffs})
+
+
+def test_a_cancelled_product_term_comes_back_last():
+    """(1 + z + z^2)(z^2 - z + 1): z^2 gets +1, then -1, so it cancels and
+    leaves, then +1 again, so it comes back after z^4."""
+    f = _one_variable([(0, 1), (1, 1), (2, 1)])
+    g = _one_variable([(2, 1), (1, -1), (0, 1)])
+    got = f * g
+    assert [mono.zexp for mono in got.terms] == [(0,), (4,), (2,)]
+    assert triples(got) == triples(parent_mul(f, g))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, 2 ** 32))
+def test_product_matches_the_per_term_oracle(seed):
+    """Cancelled keys that come back, monomial operands on either side,
+    negative exponents and mixed denominators: the same triples in the same
+    term order, and the same exponent bound."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    step = Monomial((rng.choice([-1, 1]),) + tuple(rng.randint(-1, 1) for _ in range(m - 1)),
+                    tuple(rng.randint(-1, 1) for _ in range(m)))
+    f, g = oracle_poly(rng, m, step), oracle_poly(rng, m, step)
+    want = parent_mul(f, g)
+    got = f * g
+    assert triples(got) == triples(want)
+    assert got._bound == want._bound
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, 2 ** 32))
+def test_exact_eval_matches_the_per_term_oracle(seed):
+    """Negative and zbar exponents, mixed denominators and zero coordinates:
+    the same triple, or the same PoleError text."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    p = oracle_poly(rng, m)
+    pt = [QC(0) if rng.random() < 0.2 else oracle_scalar(rng) for _ in range(m)]
+    try:
+        want = parent_exact_eval(p, pt)
+    except PoleError as err:
+        with pytest.raises(PoleError) as got:
+            p.eval(pt)
+        assert str(got.value) == str(err)
+        return
+    got = p.eval(pt)
+    assert type(got) is QC
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+
+
+def test_exact_eval_sums_over_the_lcm_of_the_term_denominators(monkeypatch):
+    """Three hundred terms of degree 0..24 in z and zbar, with coefficient
+    denominators 1, 2, 3, 4 and 6, at a point with denominator 7: the one
+    reduction gets a denominator that divides 12 * 7**24, the lcm of the
+    term denominators, not their product, and the parent's value."""
+    from contactkit import scalars
+    rng = random.Random(34)
+    dens = [1, 2, 3, 4, 6]
+    p = LaurentPoly(1, {Monomial((a,), (b,)): QC(Fraction(rng.randint(1, 9), rng.choice(dens)),
+                                               Fraction(rng.randint(-9, 9), rng.choice(dens)))
+                        for a in range(25) for b in range(25 - a) if rng.random() < 0.95})
+    assert len(p.terms) >= 300
+    pt = [QC(Fraction(2, 7), Fraction(-3, 7))]
+    denominators = []
+    reduced = scalars._reduced
+
+    def recorded(a, b, d):
+        denominators.append(d)
+        return reduced(a, b, d)
+
+    monkeypatch.setattr(scalars, "_reduced", recorded)
+    got = p.eval(pt)
+    assert len(denominators) == 1 and (12 * 7 ** 24) % denominators[0] == 0
+    monkeypatch.undo()
+    want = parent_exact_eval(p, pt)
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
 
 
 def test_eval_at_pole_raises():
@@ -871,3 +1035,86 @@ def test_expression_subtraction_from_either_side():
     assert (Z(0) - 1).eval(z) == 1.5 + 1j
     assert (1 - Z(0)).eval(z) == -1.5 - 1j
     assert (Z(0) - Z(0)).eval(z) == 0
+
+
+# -- sympy as an oracle from outside the package ---------------------------
+
+
+def sympy_ring(m):
+    """Independent sympy symbols for z_1..z_m and zbar_1..zbar_m, with the
+    three maps of the ring: a LaurentPoly to its expression, a QC to its
+    number, and the formal conjugate (sympy's ``conjugate`` with each
+    ``conjugate(z_i)`` read as ``zbar_i`` and back)."""
+    import sympy
+    zs = sympy.symbols(f"z1:{m + 1}")
+    zbs = sympy.symbols(f"zb1:{m + 1}")
+
+    def number(q):
+        return sympy.Rational(q._a, q._d) + sympy.I * sympy.Rational(q._b, q._d)
+
+    def expr(p):
+        out = sympy.Integer(0)
+        for mono, c in p.terms.items():
+            term = number(c)
+            for sym, e in zip(zs + zbs, mono.zexp + mono.zbarexp):
+                term *= sym ** e
+            out += term
+        return out
+
+    swap = {sympy.conjugate(z): zb for z, zb in zip(zs, zbs)}
+    swap.update({sympy.conjugate(zb): z for z, zb in zip(zs, zbs)})
+
+    def conj(e):
+        return sympy.conjugate(e).xreplace(swap)
+
+    return zs, zbs, number, expr, conj
+
+
+def same_in_sympy(got, want) -> bool:
+    import sympy
+    return sympy.expand(got - want) == 0
+
+
+def random_unit(m, rng):
+    """A monomial with a nonzero Gaussian-rational coefficient and exponents
+    of either sign in z and zbar."""
+    return LaurentPoly(m, {Monomial(tuple(rng.randint(-2, 2) for _ in range(m)),
+                                    tuple(rng.randint(-2, 2) for _ in range(m))):
+                           QC(Fraction(rng.randint(1, 6), rng.randint(1, 4)), rng.randint(-3, 3))})
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32))
+def test_laurent_ring_matches_sympy(seed):
+    """``+``, ``*``, ``**``, ``substitute``, ``conj``, ``diff_z``,
+    ``diff_zbar`` and exact ``eval`` against sympy's own expansion,
+    derivative and substitution, in independent symbols z_i and zbar_i."""
+    import sympy
+    rng = random.Random(seed)
+    m = rng.randint(1, 2)
+    zs, zbs, number, expr, conj = sympy_ring(m)
+    f, g, unit = random_laurent(m, rng), random_laurent(m, rng), random_unit(m, rng)
+    F, G = expr(f), expr(g)
+    assert same_in_sympy(expr(f + g), F + G)
+    assert same_in_sympy(expr(f * g), F * G)
+    k, e = rng.randint(0, 3), rng.randint(-3, 3)
+    assert same_in_sympy(expr(f ** k), F ** k)
+    assert same_in_sympy(expr(unit ** e), expr(unit) ** e)
+    assert same_in_sympy(expr(f.conj()), conj(F))
+    i = rng.randrange(m)
+    assert same_in_sympy(expr(f.diff_z(i)), sympy.diff(F, zs[i]))
+    assert same_in_sympy(expr(f.diff_zbar(i)), sympy.diff(F, zbs[i]))
+    if rng.random() < 0.5:
+        # any exponent composes with monomial arguments
+        source, args = f, [random_unit(m, rng) for _ in range(m)]
+    else:
+        source = random_laurent(m, rng, allow_negative=False)
+        args = [random_laurent(m, rng, max_exp=1, allow_negative=False) for _ in range(m)]
+    A = [expr(a) for a in args]
+    subs = dict(zip(zs, A)) | dict(zip(zbs, map(conj, A)))
+    assert same_in_sympy(expr(source.substitute(args)), expr(source).xreplace(subs))
+    pt = [QC(Fraction(rng.randint(1, 9), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), 5))
+          for _ in range(m)]
+    values = {z: number(q) for z, q in zip(zs, pt)}
+    values |= {zb: sympy.conjugate(number(q)) for zb, q in zip(zbs, pt)}
+    assert same_in_sympy(number(f.eval(pt)), F.xreplace(values))

@@ -23,7 +23,7 @@ from contactkit.forms import (
     merge_words, pullback, wedge, wedge_power,
 )
 from contactkit.gallery import (
-    cover_target_form, covering_map, rotation_automorphism, std_form,
+    cover_target_form, covering_map, gallery_entries, rotation_automorphism, std_form,
 )
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC
@@ -725,6 +725,23 @@ def test_reprs_of_the_zero_form_and_a_map():
     assert repr(Form(3, 2, {})) == "Form<0, m=3, deg=2>"
     assert repr(PolyMap.identity(3)) == "PolyMap(3->3, laurent)"
     assert repr(covering_map()) == "PolyMap(3->3, expr)"
+
+
+def test_distinct_gallery_forms_hash_apart():
+    """The hash reads coefficients, not only words: the distinct forms of
+    the gallery hash apart, and a form rebuilt in the other term order
+    hashes equal."""
+    distinct = []
+    for entry in gallery_entries():
+        for f in (entry.form, entry.expected):
+            if f not in distinct:
+                distinct.append(f)
+            g = Form(f.m, f.degree, dict(reversed(f.terms.items())), f.variant)
+            assert g == f and hash(g) == hash(f)
+    assert len(distinct) > 24
+    assert len({hash(f) for f in distinct}) == len(distinct)
+    z = LaurentPoly.z
+    assert hash(Form(3, 1, {(0,): z(3, 1)})) != hash(Form(3, 1, {(0,): z(3, 2)}))
 
 
 def test_equal_forms_hash_equal():

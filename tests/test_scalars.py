@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactkit.errors import VariantError
-from contactkit.scalars import QC, exact
+from contactkit.scalars import QC, _power_triple, exact
 
 
 def test_construction_and_parts():
@@ -221,6 +221,14 @@ def test_reflected_subtraction_matches_the_lifted_operand(x, q):
     assert q.__rsub__(x) == want
     assert x - q == want
     assert q.__rsub__(object()) is NotImplemented
+
+
+@props
+@given(scalars, st.integers(-6, 6))
+def test_power_triple_is_the_power(q, e):
+    assume(e and not (e < 0 and q.is_zero))
+    a, b, d = _power_triple(q._a, q._b, q._d, e)
+    assert QC(Fraction(a, d), Fraction(b, d)) == q ** e
 
 
 def parent_exact_value(v):
