@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DimensionError, PreconditionError
 from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
 from .jets import SliceClass, curl_grid, formal_margin_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
@@ -59,6 +59,15 @@ def _check_phases(k: int) -> None:
         raise PreconditionError(f"a loop needs k >= 1 phases, got {k}")
 
 
+@functools.lru_cache(maxsize=32)
+def _unit_phases(k: int) -> np.ndarray:
+    """The k unit phases e^{2 pi i j / k}, j = 0 .. k-1, read-only: every
+    loop's sampling shares them."""
+    units = np.exp(1j * (2 * np.pi * np.arange(k) / k))
+    units.flags.writeable = False
+    return units
+
+
 @dataclass(frozen=True)
 class Loop:
     """theta -> center + radius * e^{i theta} * direction in C^m."""
@@ -67,6 +76,11 @@ class Loop:
     direction: tuple
     radius: float
 
+    def __post_init__(self):
+        if len(self.center) != len(self.direction):
+            raise DimensionError(f"a loop's center has length {len(self.center)} and its "
+                                 f"direction length {len(self.direction)}")
+
     def point(self, theta: float) -> tuple:
         ph = self.radius * complex(math.cos(theta), math.sin(theta))
         return tuple(c + ph * v for c, v in zip(self.center, self.direction))
@@ -74,23 +88,31 @@ class Loop:
     def mean_quadrature(self, k: int = 64) -> tuple:
         """Uniform average over k phases; exact for circular harmonics."""
         _check_phases(k)
-        ph = self.radius * np.exp(1j * (2 * np.pi * np.arange(k) / k))
-        center, direction = (np.asarray(v, complex) for v in (self.center, self.direction))
+        ph = self.radius * _unit_phases(k)
+        center, direction = np.array((self.center, self.direction), complex)
         pts = center + ph[:, None] * direction
-        return tuple(complex(x) for x in pts.sum(axis=0) / k)
+        return tuple((pts.sum(axis=0) / k).tolist())
 
     def min_affine_margin(self, w, c, k: int = 720) -> float:
         """min over the loop of |<w, point> + c|, sampling plus the
         analytically worst phase."""
         _check_phases(k)
+        if len(w) != len(self.center):
+            raise DimensionError(f"w has length {len(w)}, the loop's center has length "
+                                 f"{len(self.center)}")
         w = [complex(x) for x in w]
         c = complex(c)
         base = sum(wi * ci for wi, ci in zip(w, self.center)) + c
         slope = sum(wi * vi for wi, vi in zip(w, self.direction))
-        thetas = 2 * np.pi * np.arange(k) / k
+        units = _unit_phases(k)
         if base != 0 and slope != 0:
-            thetas = np.append(thetas, math.pi + (np.angle(base) - np.angle(slope)))
-        return float(np.abs(base + self.radius * slope * np.exp(1j * thetas)).min())
+            # np.angle of base and of slope, in one arctan2 call
+            at_base, at_slope = np.arctan2((base.imag, slope.imag), (base.real, slope.real)).tolist()
+            worst = math.pi + (at_base - at_slope)
+            # the worst phase stays an element of the array: the same
+            # elementwise exp and products as the k sampled phases
+            units = np.concatenate((units, np.exp(1j * np.array([worst]))))
+        return float(np.abs(base + self.radius * slope * units).min())
 
 
 def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
@@ -105,6 +127,9 @@ def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
         raise PreconditionError("empty slice admits no loop")
     if slc.kind == "full":
         return Loop(target, tuple(0j for _ in target), 0.0)
+    if len(target) != len(slc.w):
+        raise DimensionError(f"target has length {len(target)}, the slice's w has length "
+                             f"{len(slc.w)}")
     w = [complex(x) for x in slc.w]
     norm2 = sum(abs(x) ** 2 for x in w)
     v = tuple(x.conjugate() / norm2 for x in w)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import _Bordered, relation_h, relation_slope
-from .errors import DimensionError
+from .errors import DimensionError, PreconditionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection, upper_pairs
-from .scalars import QC
+from .scalars import QC, _affine
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,35 @@ class SliceClass:
     w: tuple | None = None
     c: object = 0
 
+    def __post_init__(self):
+        if self.kind not in ("empty", "full", "hyperplane"):
+            raise PreconditionError(f"unknown slice kind {self.kind!r}; expected "
+                                    "'empty', 'full' or 'hyperplane'")
+        if self.kind == "hyperplane" and self.w is None:
+            raise PreconditionError("a hyperplane slice needs its slopes w")
+
     @property
     def is_ample(self) -> bool:
         return self.kind in ("full", "hyperplane")
 
     def h_of_row(self, row):
-        """The affine functional evaluated on a candidate row."""
+        """The affine functional evaluated on a candidate row, in the row's
+        ring: an empty slice answers QC(0) for an exact row and 0j for a
+        complex one.  A hyperplane slice's row has the length of w; when c,
+        w and the row are all QC, the sum is taken on their triples, and
+        any other row goes through the scalars' own operators."""
         if self.kind == "empty":
-            return 0
+            return _zero_like(row[0])
         if self.kind == "full":
             return self.c
-        total = self.c
-        for wj, rj in zip(self.w, row):
-            total = total + wj * rj
+        c, w = self.c, self.w
+        if len(row) != len(w):
+            raise DimensionError(f"row has length {len(row)}, the slice's w has length {len(w)}")
+        total = _affine(c, w, row)
+        if total is None:
+            total = c
+            for wj, rj in zip(w, row):
+                total = total + wj * rj
         return total
 
     def contains(self, row) -> bool:

@@ -13,8 +13,10 @@ takes each term product as one :func:`_reduced` of the product's ints,
 :func:`_scaled` multiplies a coefficient's parts by an int exponent, and
 :func:`_eval_terms` sums the terms of an exact evaluation as unreduced
 triples (powers from :func:`_power_triple`) and reduces once at the end.
-Because a value has one reduced triple, each of these gives the QC the
-``QC`` arithmetic gives.  The real and imaginary parts are read as
+The slices of :mod:`~contactkit.jets` evaluate their affine functional
+``c + <w, row>`` the same way, through :func:`_affine`.  Because a value
+has one reduced triple, each of these gives the QC the ``QC`` arithmetic
+gives.  The real and imaginary parts are read as
 ``fractions.Fraction`` through :attr:`QC.re` and :attr:`QC.im`.  Ints and
 Fractions are exact too: :func:`exact`, the one test of what is exact,
 lifts them.  Mixing an exact scalar with a float or a Python complex
@@ -175,6 +177,32 @@ def _eval_terms(plans: list, coeffs, values: list, pole) -> "QC":
                 powers[je] = p
             pa, pb, pd = p
             a, b, d = a * pa - b * pb, a * pb + b * pa, d * pd
+        if d != td:
+            g = gcd(td, d)
+            s, t = d // g, td // g
+            ta, tb, a, b, td = ta * s, tb * s, a * t, b * t, td * s
+        ta += a
+        tb += b
+    return _reduced(ta, tb, td)
+
+
+def _affine(c, w, row) -> "QC | None":
+    """``c + sum(w[j] * row[j])`` for sequences ``w`` and ``row`` of one
+    length, or None when ``c`` or an entry is not a QC.  Each product stays
+    an unreduced triple (a zero ``w[j]`` adds nothing), the sum puts each
+    one over the lcm of the denominators so far, and the one
+    :func:`_reduced` at the end gives the value's one reduced triple."""
+    if type(c) is not QC:
+        return None
+    ta, tb, td = c._a, c._b, c._d
+    for p, q in zip(w, row, strict=True):
+        if type(p) is not QC or type(q) is not QC:
+            return None
+        a, b = p._a, p._b
+        if not (a or b):
+            continue
+        e, f = q._a, q._b
+        a, b, d = a * e - b * f, a * f + b * e, p._d * q._d
         if d != td:
             g = gcd(td, d)
             s, t = d // g, td // g

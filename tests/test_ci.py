@@ -23,10 +23,13 @@ from contactkit.ci import (
     demo_holonomic_section, good_frequency, loop_for_target,
     oscillation_field, verify_ci, FREQ_BASE, N_FRAMES, PHASE_CANDIDATES, SINC_GUARD,
 )
-from contactkit.errors import PreconditionError
+from contactkit.errors import ContactKitError, DimensionError, PreconditionError
 from contactkit.grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
-from contactkit.jets import RestrictedJet, ampleness_slice, curl_grid, relation_grid, slope_grid
+from contactkit.jets import (
+    RestrictedJet, SliceClass, ampleness_slice, curl_grid, relation_grid, slope_grid,
+)
 from contactkit.sampling import random_jet
+from contactkit.scalars import QC
 
 
 def test_loop_mean_is_center():
@@ -133,6 +136,92 @@ def test_loop_phases_as_arrays_match_per_phase_oracles():
             loop.mean_quadrature(k)
         with pytest.raises(PreconditionError, match="k >= 1"):
             loop.min_affine_margin(w, c, k)
+
+
+def parent_mean_quadrature(loop, k):
+    """``Loop.mean_quadrature``'s array body before the unit phases were
+    cached per k, kept as the bit-level oracle."""
+    ph = loop.radius * np.exp(1j * (2 * np.pi * np.arange(k) / k))
+    center, direction = (np.asarray(v, complex) for v in (loop.center, loop.direction))
+    pts = center + ph[:, None] * direction
+    return tuple(complex(x) for x in pts.sum(axis=0) / k)
+
+
+def parent_min_affine_margin(loop, w, c, k):
+    """``Loop.min_affine_margin``'s array body before the unit phases were
+    cached per k, kept as the bit-level oracle."""
+    w = [complex(x) for x in w]
+    c = complex(c)
+    base = sum(wi * ci for wi, ci in zip(w, loop.center)) + c
+    slope = sum(wi * vi for wi, vi in zip(w, loop.direction))
+    thetas = 2 * np.pi * np.arange(k) / k
+    if base != 0 and slope != 0:
+        thetas = np.append(thetas, math.pi + (np.angle(base) - np.angle(slope)))
+    return float(np.abs(base + loop.radius * slope * np.exp(1j * thetas)).min())
+
+
+_unit_box = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 7).flatmap(lambda m: st.tuples(
+    st.lists(_unit_box, min_size=m, max_size=m), st.lists(_unit_box, min_size=m, max_size=m),
+    st.lists(_unit_box, min_size=m, max_size=m), _unit_box, st.floats(0, 3),
+    st.sampled_from(("any", "base 0", "slope 0", "radius 0")))))
+def test_loop_phases_keep_the_parents_bits(case):
+    """Both loop methods give the parent's floats byte for byte at
+    k = 1, 7, 64, 72 and 720, on both degenerate branches of the worst
+    phase (base == 0, slope == 0) and on a radius-0 loop."""
+    center, direction, w, c, radius, branch = case
+    if branch == "base 0":
+        c = -sum(wi * ci for wi, ci in zip(w, center))
+    elif branch == "slope 0":
+        direction = [0j] * len(w)
+    elif branch == "radius 0":
+        radius = 0.0
+    loop = Loop(tuple(center), tuple(direction), radius)
+    for k in (1, 7, 64, 72, 720):
+        got, want = loop.mean_quadrature(k), parent_mean_quadrature(loop, k)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        got, want = loop.min_affine_margin(w, c, k), parent_min_affine_margin(loop, w, c, k)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_unit_phases_are_shared_and_read_only():
+    units = ci_mod._unit_phases(64)
+    assert ci_mod._unit_phases(64) is units
+    with pytest.raises(ValueError):
+        units[0] = 0j
+    loop = Loop((1 + 1j,), (1j,), 2.0)
+    loop.mean_quadrature(64)
+    loop.min_affine_margin((1,), 0.5, k=64)
+    assert np.array_equal(units, np.exp(1j * (2 * np.pi * np.arange(64) / 64)))
+
+
+_HYPERPLANE = SliceClass("hyperplane", (QC(1), QC(0, 1), QC(0)), QC(2))
+
+LOOP_REFUSALS = [
+    (lambda: Loop((0j, 0j), (1j, 0j, 0j), 1.0), DimensionError,
+     "a loop's center has length 2 and its direction length 3"),
+    (lambda: Loop((0j,) * 3, (1j, 0j, 0j), 1.0).min_affine_margin((1, 1j), 0j, 72),
+     DimensionError, "w has length 2, the loop's center has length 3"),
+    (lambda: loop_for_target(_HYPERPLANE, (0j, 1j), 1e-3), DimensionError,
+     "target has length 2, the slice's w has length 3"),
+    (lambda: loop_for_target(_HYPERPLANE, (0j,) * 4, 1e-3), DimensionError,
+     "target has length 4, the slice's w has length 3"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", LOOP_REFUSALS,
+                         ids=[r[2] for r in LOOP_REFUSALS])
+def test_every_loop_length_refusal_is_reached(call, error, fragment):
+    """A loop's center, direction, w and target lengths must agree: one row
+    per length check, with its error class and a fragment of its message."""
+    with pytest.raises(ContactKitError) as err:
+        call()
+    assert type(err.value) is error
+    assert fragment in str(err.value)
 
 
 def test_empty_slice_has_no_loop():

@@ -738,7 +738,8 @@ def test_exact_tables_choose_their_ring():
 def test_relation_squared_is_the_bordered_determinant():
     """h^2 = (n!)^2 det [[0, a^T], [-a, beta]], with the determinant from
     sympy's DomainMatrix over QQ_I, on 150 jets at n = 2 and 3 with mixed
-    denominators on both sides of the Gaussian-integer bound."""
+    denominators on both sides of the Gaussian-integer bound, and on 50 at
+    n = 1, whose tables run on QC."""
     from sympy import QQ_I
     from sympy.polys.matrices import DomainMatrix
 
@@ -747,8 +748,8 @@ def test_relation_squared_is_the_bordered_determinant():
 
     rng = random.Random(269)
     rings = set()
-    for k in range(150):
-        n = 2 + k % 2
+    for k in range(200):
+        n = 2 + k % 2 if k < 150 else 1
         m = 2 * n + 1
         dens = (1, 2, 3, 7) if k % 4 < 2 else (1, 3, 7, 2 ** 40 + 15)
 
@@ -758,7 +759,9 @@ def test_relation_squared_is_the_bordered_determinant():
 
         jet = Jet1.build(n, [entry() for _ in range(m)], [[entry() for _ in range(m)] for _ in range(m)])
         a, beta = jet_readers(jet)
-        rings.add(contact._Bordered(a, beta, n)._den != 0)
+        den = contact._Bordered(a, beta, n)._den
+        rings.add(den != 0)
+        assert n > 1 or not den
         rows = [[QQ_I(0)] + [gauss(a(j)) for j in range(m)]]
         rows += [[-gauss(a(i))] + [gauss(beta(i, j)) if i < j else -gauss(beta(j, i)) if i > j
                                    else QQ_I(0) for j in range(m)] for i in range(m)]

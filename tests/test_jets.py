@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactkit
 from contactkit.coefficients import LaurentPoly
 from contactkit.contact import contact_defect, relation_h, relation_slope, top_coefficient
-from contactkit.errors import ContactKitError, DimensionError
+from contactkit.errors import ContactKitError, DimensionError, PreconditionError
 from contactkit.forms import Form, Point
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection, upper_pairs
@@ -20,7 +22,7 @@ from contactkit.jets import (
     relation_value, skew_of_jacobian, slope_grid,
 )
 from contactkit.sampling import exact_points, random_jet, random_qc
-from contactkit.scalars import QC
+from contactkit.scalars import QC, _reduced
 
 
 def test_relation_value_known():
@@ -457,6 +459,13 @@ REFUSALS = [
      "n must be an int >= 0, got 1.5"),
     (lambda: slope_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), -1, 0, 1), DimensionError,
      "n must be an int >= 0, got -1"),
+    (lambda: SliceClass("ample"), PreconditionError, "unknown slice kind 'ample'"),
+    (lambda: SliceClass("hyperplane", None, QC(1)), PreconditionError,
+     "a hyperplane slice needs its slopes w"),
+    (lambda: SliceClass("hyperplane", (QC(1),) * 3, QC(1)).h_of_row((QC(1),) * 2),
+     DimensionError, "row has length 2, the slice's w has length 3"),
+    (lambda: SliceClass("hyperplane", (1j,) * 3, 1j).contains((0j,) * 4),
+     DimensionError, "row has length 4, the slice's w has length 3"),
 ]
 
 
@@ -468,6 +477,133 @@ def test_every_jets_refusal_is_reached(call, error, fragment):
         call()
     assert type(err.value) is error
     assert fragment in str(err.value)
+
+
+def test_an_empty_slice_answers_in_the_rows_ring():
+    """With a = 0 the slice is empty and h is zero: QC(0) on an exact row,
+    which is relation_value's answer, and 0j on a complex row."""
+    rng = random.Random(337)
+    for n in (1, 2):
+        m = 2 * n + 1
+        jet = random_jet(n, rng)
+        jet = Jet1(n, (QC(0),) * m, jet.p)
+        i = rng.randrange(m)
+        slc = ampleness_slice(RestrictedJet(jet, i))
+        assert slc.kind == "empty"
+        row = tuple(random_qc(rng) for _ in range(m))
+        got, want = slc.h_of_row(row), relation_value(jet.with_row(i, row))
+        assert type(got) is QC and got.is_zero and got == want
+        cjet = Jet1.build(n, (0j,) * m, [[complex(x) for x in r] for r in jet.p])
+        cslc = ampleness_slice(RestrictedJet(cjet, i))
+        assert cslc.kind == "empty"
+        crow = tuple(complex(x) for x in row)
+        got = cslc.h_of_row(crow)
+        assert type(got) is complex and got == 0 == relation_value(cjet.with_row(i, crow))
+
+
+def parent_h_of_row(slc, row):
+    """``SliceClass.h_of_row`` before exact rows were summed on (a, b, d)
+    triples, kept as the oracle: the operator loop."""
+    if slc.kind == "empty":
+        return 0
+    if slc.kind == "full":
+        return slc.c
+    total = slc.c
+    for wj, rj in zip(slc.w, row):
+        total = total + wj * rj
+    return total
+
+
+# mixed denominators, among them one past 2**40; zero and d = 1 entries
+_DENS = (1, 2, 3, 7, 12, 2 ** 40 + 15)
+_exact = st.one_of(
+    st.just(QC(0)),
+    st.builds(QC, st.integers(-9, 9), st.integers(-9, 9)),
+    st.builds(lambda a, b, d: _reduced(a, b, d), st.integers(-10 ** 14, 10 ** 14),
+              st.integers(-10 ** 14, 10 ** 14), st.sampled_from(_DENS)),
+)
+_integral = st.builds(QC, st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from((1, 3, 5, 7)).flatmap(lambda m: st.tuples(
+    _exact, st.lists(_exact, min_size=m, max_size=m),
+    st.one_of(st.lists(_exact, min_size=m, max_size=m),
+              st.lists(_integral, min_size=m, max_size=m)))))
+def test_h_of_row_matches_the_operator_loop_oracle(case):
+    """Triple for triple, the exact sum is the operator loop's QC: zero and
+    nonzero c, zero slopes, d = 1 rows and mixed denominators."""
+    c, w, row = case
+    slc = SliceClass("hyperplane", tuple(w), c)
+    got, want = slc.h_of_row(row), parent_h_of_row(slc, row)
+    assert type(got) is QC
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+    assert slc.contains(row) == bool(want)
+
+
+def test_an_exact_row_takes_no_qc_arithmetic(monkeypatch):
+    """An exact row is summed on triples: no QC product or sum.  A complex
+    or mixed row keeps the operators, so an exact slice still refuses a
+    float row."""
+    from contactkit.errors import VariantError
+    rng = random.Random(347)
+    slices = []
+    while len(slices) < 6:
+        n = 1 + len(slices) % 3
+        jet = random_jet(n, rng)
+        slc = ampleness_slice(RestrictedJet(jet, rng.randrange(2 * n + 1)))
+        if slc.kind == "hyperplane":
+            slices.append((slc, tuple(random_qc(rng) for _ in range(2 * n + 1))))
+    counts = {"add": 0, "mul": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name, attrs in (("add", ("__add__", "__radd__")), ("mul", ("__mul__", "__rmul__"))):
+        for attr in attrs:
+            monkeypatch.setattr(QC, attr, counted(name, getattr(QC, attr)))
+    for slc, row in slices:
+        slc.h_of_row(row)
+    assert counts == {"add": 0, "mul": 0}
+    slc, row = slices[0]
+    assert slc.h_of_row(row[:-1] + (1,)) == parent_h_of_row(slc, row[:-1] + (1,))
+    assert counts["mul"] > 0
+    with pytest.raises(VariantError):
+        slc.h_of_row(row[:-1] + (0.5,))
+
+
+def test_h_of_row_squared_is_the_bordered_determinant():
+    """The affine decomposition against an outside oracle: h(row)^2 =
+    (n!)^2 det of the bordered matrix of the jet with that row, from sympy's
+    DomainMatrix over QQ_I, at n = 1, 2, 3."""
+    from math import factorial
+
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def gauss(q):
+        return QQ_I(q.re, q.im)
+
+    rng = random.Random(349)
+    kinds = set()
+    for k in range(24):
+        n = 1 + k % 3
+        m = 2 * n + 1
+        jet = random_jet(n, rng)
+        i = rng.randrange(m)
+        slc = ampleness_slice(RestrictedJet(jet, i))
+        kinds.add(slc.kind)
+        row = tuple(random_qc(rng) for _ in range(m))
+        p = jet.with_row(i, row).p
+        beta = [[p[s][r] - p[r][s] for s in range(m)] for r in range(m)]
+        rows = [[QQ_I(0)] + [gauss(x) for x in jet.a]]
+        rows += [[-gauss(jet.a[r])] + [gauss(x) for x in beta[r]] for r in range(m)]
+        det = DomainMatrix(rows, (m + 1, m + 1), QQ_I).det()
+        assert gauss(slc.h_of_row(row)) ** 2 == QQ_I(factorial(n) ** 2) * det
+    assert "hyperplane" in kinds
 
 
 def test_slice_h_of_row_on_empty_and_full_slices():

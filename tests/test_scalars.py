@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactkit.errors import VariantError
-from contactkit.scalars import QC, _power_triple, exact
+from contactkit.scalars import QC, _affine, _power_triple, exact
 
 
 def test_construction_and_parts():
@@ -257,3 +259,38 @@ def test_exact_lifts_what_the_parent_fit_lifted(v):
         if isinstance(v, QC):
             assert got is v
 
+
+
+TRIPLE = {"_a", "_b", "_d"}
+
+
+def triple_reads(source: str) -> list[int]:
+    """The lines of ``source`` that read or write a ``_a``, ``_b`` or
+    ``_d`` attribute, by any name and in any expression."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in TRIPLE)
+
+
+def test_triple_reads_are_found():
+    assert triple_reads("x = q._a\ny = f(z)._d + 1\nq._b = 2\ngetattr(q, '_a')") == [1, 2, 3]
+
+
+def test_only_scalars_reads_the_triple_layout():
+    """``(a, b, d)`` is the layout of one module: every other module in the
+    package works through QC's operators and the kernels in ``scalars``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
+    readers = {path.name for path in src.rglob("*.py") if triple_reads(path.read_text())}
+    assert readers == {"scalars.py"}
+
+
+def test_affine_refuses_other_scalars_and_other_lengths():
+    """``_affine`` answers None when c or an entry is not a QC, so the
+    caller's operators decide; it never truncates a longer sequence."""
+    w, row = (QC(1), QC(0), QC(2, 1)), (QC(3), 1j, QC(-1))
+    assert _affine(QC(1), w, row) is None
+    assert _affine(1, w, (QC(1),) * 3) is None
+    assert _affine(QC(1), w, (QC(1), QC(2), 2)) is None
+    assert _affine(QC(1), w, (QC(1), QC(2), QC(1, 1))) == QC(1) + QC(1) + QC(2, 1) * QC(1, 1)
+    for short in ((QC(1),) * 2, (QC(1),) * 4):
+        with pytest.raises(ValueError):
+            _affine(QC(1), w, short)
