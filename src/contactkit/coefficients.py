@@ -188,6 +188,15 @@ def _poly(m: int, terms: dict[int, QC], bound: int) -> "LaurentPoly":
     return p
 
 
+def _holomorphic(m: int, zexps: list[tuple[int, ...]], coeffs: list[QC]) -> "LaurentPoly":
+    """sum_k coeffs[k] z^zexps[k], from trusted nonnegative exponent tuples
+    below EXPONENT_LIMIT and exact coefficients; zeros are dropped."""
+    one = _ONE[m]
+    terms = {one + sum(e << (_WIDTH * j) for j, e in enumerate(I)): c
+             for I, c in zip(zexps, coeffs) if not c.is_zero}
+    return _poly(m, terms, max(map(max, zexps), default=0))
+
+
 def _const(m: int, value: QC) -> "LaurentPoly":
     return _poly(m, {} if value.is_zero else {_ONE[m]: value}, 0)
 

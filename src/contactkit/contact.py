@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .errors import DimensionError, PreconditionError, VariantError
-from .forms import Form, Point, ext_d, wedge, wedge_power
+from .forms import Form, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
 from .scalars import _gaussian_complex, _reduced
 
@@ -270,11 +270,6 @@ def formal_defect(pair: FormalPair) -> Form:
     if n == 0:
         return pair.alpha
     return wedge(pair.alpha, wedge_power(pair.beta, n))
-
-
-def top_coefficient(defect: Form, pt: Point):
-    """The coefficient of dz_1^...^dz_m of a top-degree defect form."""
-    return defect.coefficient_at(pt, tuple(range(defect.m)))
 
 
 def _volume_values(pair: FormalPair):

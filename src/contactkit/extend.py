@@ -31,7 +31,7 @@ from operator import mul
 
 import numpy as np
 
-from .coefficients import _ONE, _WIDTH, Coefficient, LaurentPoly, _poly
+from .coefficients import Coefficient, LaurentPoly, _holomorphic
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, PolyMap, _form, pullback
 from .grids import CubeGrid
@@ -372,14 +372,10 @@ def _worst_misfit(L: int, re: list[list[int]], im: list[list[int]], sols) -> Fra
 
 
 def _holomorphic_form(m: int, monos, cols) -> Form:
-    """sum_i (sum_I cols[i][I] z^I) dz_i, one LaurentPoly per component,
-    built from packed keys; zero coefficients and components are dropped."""
-    one = _ONE[m]
-    keys = [one + sum(e << (_WIDTH * k) for k, e in enumerate(I)) for I in monos]
-    bound = max(map(max, monos), default=0)
-    return _form(m, 1, {
-        (i,): _poly(m, {key: c for key, c in zip(keys, col) if not c.is_zero}, bound)
-        for i, col in enumerate(cols)}, "laurent")
+    """sum_i (sum_I cols[i][I] z^I) dz_i, one LaurentPoly per component;
+    zero coefficients and components are dropped."""
+    return _form(m, 1, {(i,): _holomorphic(m, monos, col) for i, col in enumerate(cols)},
+                 "laurent")
 
 
 def _design_matrix(values, monos, one) -> list[list]:

@@ -3,12 +3,12 @@
 Forms travel as JSON with exact rational coefficient parts, so the
 Laurent variant round-trips losslessly.  Sampled sections are columnar
 text, one node per row, with a header declaring the mesh; float columns
-use repr, which round-trips binary-exactly.  A section is written and read
-as one (nodes x columns) table, each distinct row of values formatted or
-parsed once, and a malformed body is reported at its first bad line in
-file order; a body in the writer's own layout is read without a Python
-statement per row.  Solver results dump as a
-metadata document plus one columnar file per homotopy frame.
+use repr, which round-trips binary-exactly.  A section is written as one
+(nodes x columns) table and read row by row in file order, each distinct
+row of values formatted or parsed once, and a malformed body is reported
+at its first bad line; a body in the writer's own layout is read without a
+Python statement per row.  Solver results dump as a metadata document plus
+one columnar file per homotopy frame.
 """
 
 from __future__ import annotations
@@ -221,36 +221,10 @@ def _header_int(header, key: str, least: int) -> int:
     return value
 
 
-def _raise_row_error(body, width: int, m: int, nodes: int) -> None:
-    """Raise the ParseError of the first bad row in file order.
-
-    ``body`` holds (line number, stripped text) per body line.  Called once
-    a table-wide check has failed, so some row is bad; rows are checked as
-    Python values, one at a time.
-    """
-    seen: set[tuple[int, ...]] = set()
-    for lineno, line in body:
-        parts = line.split()
-        if len(parts) != width:
-            raise ParseError(f"line {lineno}: {len(parts)} columns, expected {width}")
-        try:
-            node = tuple(int(p) for p in parts[:m])
-            vals = [float(p) for p in parts[m:]]
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if not all(map(math.isfinite, vals)):
-            raise ParseError(f"line {lineno}: non-finite value")
-        if any(not 0 <= k < nodes for k in node):
-            raise ParseError(f"line {lineno}: node index {node} out of range")
-        if node in seen:
-            raise ParseError(f"line {lineno}: duplicate row for node {node}")
-        seen.add(node)
-
-
-def _distinct_values(texts, width: int, sep: str | None):
-    """Each value text split at ``sep`` and parsed with Python's float, as
-    row by row: a (texts x width) array, or None for a bad text."""
-    rows = [text.split(sep) for text in texts]
+def _distinct_values(texts, width: int):
+    """Each value text split at single spaces and parsed with Python's
+    float, as row by row: a (texts x width) array, or None for a bad text."""
+    rows = [text.split(" ") for text in texts]
     if not all(len(row) == width for row in rows):
         return None
     try:
@@ -261,43 +235,52 @@ def _distinct_values(texts, width: int, sep: str | None):
     return values.reshape(len(rows), width) if np.isfinite(values).all() else None
 
 
-def _read_table(body, width: int, m: int, nodes: int):
-    """Parse the body as one table: its distinct value rows and each node's row.
+def _value_row(text: str, distinct: list) -> tuple[int, int | str]:
+    """The token count of a value text and, when its tokens are finite
+    floats, the id of its row, appended to ``distinct``; else the error."""
+    tokens = text.split()
+    try:
+        row = [float(t) for t in tokens]
+    except ValueError as exc:
+        return len(tokens), str(exc)
+    if not all(map(math.isfinite, row)):
+        return len(tokens), "non-finite value"
+    distinct.append(row)
+    return len(tokens), len(distinct) - 1
 
-    Each row splits once into its m index tokens and its value text; each
-    distinct value text is split and parsed once, and so is each distinct
-    index token.  Any failed check hands over to ``_raise_row_error`` for
-    the message of the first bad row.
-    """
-    count = len(body)
-    ids: dict[str, int] = {}  # value text -> distinct-row id
-    which = []
-    index_tokens: list[str] = []
-    for _, line in body:
-        node = line.split(None, m)
-        text = node.pop()
-        if len(node) != m:
-            break
-        index_tokens += node
-        which.append(ids.setdefault(text, len(ids)))
-    else:
-        distinct = _distinct_values(ids, width - m, None)
-        if distinct is not None:
-            try:
-                ints = {t: int(t) for t in set(index_tokens)}
-                index = np.fromiter(map(ints.__getitem__, index_tokens), np.int64,
-                                    count * m).reshape(count, m)
-            except (ValueError, OverflowError):  # OverflowError: past int64, out of range
-                pass
-            else:
-                if ((index >= 0) & (index < nodes)).all():
-                    flat = np.ravel_multi_index(tuple(index.T), (nodes,) * m)
-                    # count == nodes ** m rows, all in range: no repeat means all present
-                    if np.bincount(flat, minlength=count).max() <= 1:
-                        order = np.empty(count, dtype=np.intp)
-                        order[flat] = which
-                        return distinct, order
-    _raise_row_error(body, width, m, nodes)
+
+def _read_rows(body, width: int, m: int, nodes: int):
+    """Read the body row by row, in file order: its distinct value rows and
+    each node's row.  Each row splits once into its m index tokens and its
+    value text, and each distinct value text is parsed once; the first bad
+    row raises its ParseError."""
+    texts: dict[str, tuple[int, int | str]] = {}  # value text -> _value_row's answer
+    distinct: list[list[float]] = []
+    which: dict[tuple[int, ...], int] = {}  # node -> the id of its value row
+    for lineno, line in body:
+        index = line.split(None, m)
+        text = index.pop() if len(index) > m else ""
+        if text not in texts:
+            texts[text] = _value_row(text, distinct)
+        count, row = texts[text]
+        if len(index) + count != width:
+            raise ParseError(f"line {lineno}: {len(index) + count} columns, expected {width}")
+        try:
+            node = tuple(map(int, index))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if type(row) is str:
+            raise ParseError(f"line {lineno}: {row}")
+        if min(node) < 0 or max(node) >= nodes:
+            raise ParseError(f"line {lineno}: node index {node} out of range")
+        if node in which:
+            raise ParseError(f"line {lineno}: duplicate row for node {node}")
+        which[node] = row
+    # nodes ** m rows, all in range and none repeated: every node is present
+    flat = np.ravel_multi_index(np.array(list(which), np.intp).T, (nodes,) * m)
+    order = np.empty(len(which), dtype=np.intp)
+    order[flat] = list(which.values())
+    return np.array(distinct, float), order
 
 
 def _read_header(header, rows: int) -> tuple[CubeGrid, int]:
@@ -345,7 +328,7 @@ def _canonical_section(text: str, body: list[str], header) -> GridSection | None
     ids: dict[str, int] = {}  # value text -> the row of its first copy
     first = np.fromiter(map(ids.setdefault, map(str.removeprefix, body, prefixes),
                             itertools.count()), np.intp, len(body))
-    distinct = _distinct_values(ids, width - grid.m, " ")
+    distinct = _distinct_values(ids, width - grid.m)
     if distinct is None:
         return None
     # the first copies' rows increase in the order of the distinct texts
@@ -381,7 +364,7 @@ def section_from_text(text: str) -> GridSection:
             return section
         body.append((lineno, line))
     grid, width = _read_header(header, len(body))
-    return _section(grid, *_read_table(body, width, grid.m, grid.nodes))
+    return _section(grid, *_read_rows(body, width, grid.m, grid.nodes))
 
 
 def save_section(section: GridSection, path: str | Path) -> None:

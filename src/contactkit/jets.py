@@ -202,13 +202,6 @@ def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
     return np.stack([grid_derivative(a, grid, j) for j in range(grid.m)], axis=-1)
 
 
-def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
-    """The upper columns of skew(p): column c is beta_rs = p[..., s, r] -
-    p[..., r, s] for (r, s) = upper_pairs(m)[c]."""
-    r, s = np.array(upper_pairs(jac.shape[-1])).T
-    return jac[..., s, r] - jac[..., r, s]
-
-
 def _grid_readers(a: np.ndarray, beta: np.ndarray, n: int):
     # n sizes the columns, so it is checked here before the kernel sees it
     if type(n) is not int or n < 0:
@@ -238,8 +231,8 @@ def curl_grid(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
 
     Only the m(m-1) off-diagonal derivatives are taken, one component at a
     time: column (r, s) is da_s/dx_r - da_r/dx_s, bit for bit
-    ``skew_of_jacobian(grid_jacobian(a, grid))``.  The columns are stacked
-    as planes, so the result is component-major."""
+    ``jac[..., s, r] - jac[..., r, s]`` of ``jac = grid_jacobian(a, grid)``.
+    The columns are stacked as planes, so the result is component-major."""
     return np.moveaxis(np.stack([grid_derivative(a[..., s], grid, r)
                                  - grid_derivative(a[..., r], grid, s)
                                  for r, s in upper_pairs(grid.m)]), 0, -1)

@@ -1026,7 +1026,8 @@ def test_fields_are_component_major_and_keep_their_bits(demo, monkeypatch):
     from text and in a section built from row-major data.  Each holds the
     bytes of the same computation on row-major arrays."""
     from contactkit.formats import section_from_text, section_to_text
-    from contactkit.jets import grid_jacobian, skew_of_jacobian
+    from contactkit.jets import grid_jacobian
+    from oracles import skew_of_jacobian
     seen = []
 
     def spied(kernel):

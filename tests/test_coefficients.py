@@ -1,7 +1,9 @@
+import ast
 import cmath
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from contactkit.coefficients import (
     _FIELD, _ONE, _WIDTH, EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow,
-    Sin, Sqrt, Z, Zbar, _collect, _product_bound, _zero_at, coefficient_variant, eadd, emul,
+    Sin, Sqrt, Z, Zbar, _collect, _holomorphic, _product_bound, _zero_at, coefficient_variant,
+    eadd, emul,
     epow,
 )
 from contactkit.errors import (
@@ -593,6 +596,41 @@ def test_ring_results_pass_the_public_constructor(f, g, u, s, e, units, p, affin
         results += [f.diff_z(i), f.diff_zbar(i)]
     for r in results:
         assert_rebuilds(r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          st.builds(QC, _parts, _parts)), unique_by=lambda t: t[0], max_size=5))
+def test_holomorphic_polys_are_the_public_constructors(terms):
+    """The fit's builder from z-exponent tuples: the constructor's terms,
+    zero coefficients dropped, and a bound that covers every exponent."""
+    zexps, coeffs = [I for I, _ in terms], [c for _, c in terms]
+    p = _holomorphic(2, zexps, coeffs)
+    assert p == LaurentPoly(2, {Monomial(I, (0, 0)): c for I, c in terms})
+    assert_rebuilds(p)
+    assert p._bound == max(map(max, zexps), default=0)
+
+
+PACKED = {"_ONE", "_WIDTH", "_FIELD", "_fields", "_pack", "_poly"}
+
+
+def packed_imports(source: str) -> list[int]:
+    """The lines of ``source`` that import a name of the packed key layout."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and any(alias.name in PACKED for alias in node.names))
+
+
+def test_packed_imports_are_found():
+    assert packed_imports("from .coefficients import _ONE\nimport os\n"
+                          "from x import (a,\n _poly)\nfrom y import _fields as f") == [1, 3, 5]
+
+
+def test_only_coefficients_packs_laurent_keys():
+    """The packed monomial key is the layout of one module: every other
+    module in the package builds polynomials through ``coefficients``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
+    assert {path.name for path in src.rglob("*.py") if packed_imports(path.read_text())} == set()
 
 
 # -- packed monomial keys against the tuple oracle --------------------------

@@ -20,7 +20,7 @@ from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
     FormalPair, contact_defect, formal_defect, is_contact_on,
     is_formal_contact_on, pencil_check, pfaffian, pfaffian_coeffs, relation_coefficient,
-    relation_h, relation_slope, top_coefficient,
+    relation_h, relation_slope,
 )
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
 from contactkit.forms import Form, ext_d, wedge, wedge_power
@@ -31,6 +31,7 @@ from contactkit.jets import (
 from contactkit.reports import fmt_num
 from contactkit.sampling import exact_points, random_jet, random_qc
 from contactkit.scalars import QC, _reduced
+from oracles import top_coefficient
 
 
 def random_skew(m, rng):

@@ -1,6 +1,7 @@
 """Lossless file formats and their parse diagnostics."""
 
 import copy
+import functools
 import gc
 import hashlib
 import json
@@ -988,16 +989,34 @@ def test_every_formats_refusal_is_reached(call, error, fragment, tmp_path):
     assert fragment in str(err.value)
 
 
-def _canonical_solver_lines():
-    """The flat 9-node solver output's text: few distinct rows, repeated."""
-    inp, gamma = demo_flat_section(9)
+def _solver_lines(demo, nodes):
+    """A demo solver output's text at eps 0.5, delta 1e-3: few distinct
+    rows, each repeated."""
+    inp, gamma = getattr(ci, f"demo_{demo}_section")(nodes)
     return section_to_text(ci_solve(inp, gamma, 0.5, 1e-3).output).splitlines()
+
+
+@pytest.mark.parametrize("demo, nodes, distinct", [
+    ("flat", 33, 60), ("holonomic", 33, 33), ("gamma", 33, 488), ("gamma", 25, 346),
+    ("gamma", 13, 521)])
+def test_solver_sections_repeat_few_distinct_rows(demo, nodes, distinct):
+    """The distinct value rows of each output that the README quotes."""
+    body = _solver_lines(demo, nodes)[5:]
+    assert len(body) == nodes ** 3
+    assert len({line.split(" ", 3)[3] for line in body}) == distinct
+
+
+def _shuffled(lines):
+    body = lines[5:]
+    random.Random(13).shuffle(body)
+    return lines[:5] + body
 
 
 READER_PATHS = [
     # (id, base lines, edit, line end, takes the general reader)
     ("canonical", lambda: SECTION_BASE, lambda lines: lines, "\n", False),
-    ("canonical-repeated-rows", _canonical_solver_lines, lambda lines: lines, "\n", False),
+    ("canonical-repeated-rows", lambda: _solver_lines("flat", 9), lambda lines: lines, "\n",
+     False),
     ("canonical-comments-in-header", lambda: SECTION_BASE,
      lambda lines: lines[:2] + ["# note", ""] + lines[2:], "\n", False),
     ("rows-permuted", lambda: SECTION_BASE,
@@ -1017,6 +1036,11 @@ READER_PATHS = [
     ("crlf-line-ends", lambda: SECTION_BASE, lambda lines: lines, "\r\n", True),
     ("one-value-too-few", lambda: SECTION_BASE,
      lambda lines: lines[:50] + [lines[50].rsplit(" ", 1)[0]] + lines[51:], "\n", True),
+] + [
+    # 2,197 rows with many repeated value texts, off the writer's layout
+    (f"{demo}-13-{name}", functools.partial(_solver_lines, demo, 13), edit, end, True)
+    for demo in ("flat", "gamma")
+    for name, edit, end in (("crlf", lambda lines: lines, "\r\n"), ("shuffled", _shuffled, "\n"))
 ]
 
 
@@ -1029,13 +1053,13 @@ def test_reader_takes_the_canonical_path_only_on_the_writers_layout(base, edit, 
     message, is the reference reader's."""
     from contactkit import formats
     calls = []
-    read_table = formats._read_table
+    read_rows = formats._read_rows
 
     def counted(*args):
         calls.append(args)
-        return read_table(*args)
+        return read_rows(*args)
 
-    monkeypatch.setattr(formats, "_read_table", counted)
+    monkeypatch.setattr(formats, "_read_rows", counted)
     text = end.join(edit(list(base()))) + end
     _assert_readers_agree(text)
     assert len(calls) == general

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from contactkit.coefficients import LaurentPoly
-from contactkit.contact import contact_defect, top_coefficient
+from contactkit.contact import contact_defect
 from contactkit.errors import PreconditionError
 from contactkit.forms import Form, Point, pullback
 from contactkit.gallery import (
@@ -20,6 +20,7 @@ from contactkit.gallery import (
 from contactkit.reports import VerificationReport
 from contactkit.sampling import numeric_points
 from contactkit.scalars import QC
+from oracles import top_coefficient
 
 
 def top_word(m=3):
