@@ -8,16 +8,23 @@ multiply, differentiate, conjugate, evaluate, substitute):
   negative) exponents.  The variables ``z_i`` and ``zbar_i`` are formally
   independent, so both Wirtinger derivatives are exact term operations;
   conjugation at evaluation time is what ties ``zbar_i`` to ``conj(z_i)``.
-  The constructor checks and coerces outside data; ring operations sum
-  their terms through one collector, ``_collect``, and skip the re-checks.
-  Products, derivatives and exact evaluation call no ``QC`` operator per
-  term: they pair keys with coefficients and hand the pairs to the triple
-  kernels of :mod:`~contactkit.scalars`.  A product's term products come
-  from ``scalars._products`` (one reduction each) and go to ``_collect``;
-  ``d/dz_i`` scales each by its exponent with ``scalars._scaled``; an exact
-  value is summed by ``scalars._eval_terms`` and reduced once.  Each result
-  is the QC that the ``QC`` arithmetic gives, since a value has one reduced
-  triple.
+  A polynomial stores Gaussian-integer numerators over one denominator:
+  ``_terms`` maps each key to an int pair ``(re, im)`` and ``_den > 0`` is
+  shared, reduced by their content so that ``gcd(_den, every part) == 1``
+  and zero is ``({}, 1)``.  A value then has one stored form, so ``==`` and
+  the hash compare ``(m, _den, _terms)``.  The constructor checks and
+  coerces outside data and puts the reduced QC over their lcm; ring
+  operations skip the re-checks and call no ``QC`` operator: the int
+  kernels of :mod:`~contactkit.scalars` multiply (with no sum when an
+  operand has one term), bring sums to the lcm of their denominators and
+  reduce each result once by its content.  ``d/dz_i`` scales numerators by
+  their exponents, ``conj`` and ``-`` keep the denominator, and an exact
+  value is summed on the numerators and reduced once.  Only the public
+  views build a QC, each term as ``_reduced(re, im, _den)``:
+  :attr:`~LaurentPoly.terms`, ``constant_value``, ``repr`` and ``to_expr``.
+  That is the QC the ``QC`` arithmetic gives, since a value has one
+  reduced triple.  :meth:`~LaurentPoly.variables` tells ``forms`` which
+  Wirtinger derivatives can be nonzero.
 
   Each term is keyed by one packed int, not by its :class:`Monomial`.  The
   2m exponents sit in 32-bit fields, ``z_1..z_m`` from the low end and then
@@ -50,7 +57,8 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
-from .scalars import QC, QC_ONE, _eval_terms, _products, _scaled, exact, power
+from .scalars import (QC, QC_ONE, _add, _content, _eval_terms, _numerators, _reduced, _sum,
+                      _term_products, _times, exact, power)
 
 _WIDTH = 32
 # exponents satisfy |e| < EXPONENT_LIMIT; a field stores e + EXPONENT_LIMIT
@@ -160,6 +168,14 @@ def _eval_plan(m: int, key: int) -> tuple:
     return tuple((j, exps[j]) for i in range(m) for j in (i, m + i) if exps[j])
 
 
+@lru_cache(maxsize=4096)
+def _variable_bits(m: int, mask: int) -> int:
+    """Bit j set for each nonzero field j of ``mask``, the OR of some keys'
+    ``key ^ ONE[m]``.  The bits depend only on (m, mask), so each is found
+    once per process; the cache holds at most 4096 masks."""
+    return sum(1 << j for j in range(2 * m) if mask >> (_WIDTH * j) & _FIELD)
+
+
 def _product_bound(f: "LaurentPoly", g: "LaurentPoly") -> int:
     """A bound on the exponents of ``f * g``.  When the operands' bounds
     leave the range, every term product is checked field by field and the
@@ -178,12 +194,14 @@ def _product_bound(f: "LaurentPoly", g: "LaurentPoly") -> int:
     return EXPONENT_LIMIT - 1
 
 
-def _poly(m: int, terms: dict[int, QC], bound: int) -> "LaurentPoly":
-    """A ring result, built without the constructor's checks; no zeros.
+def _poly(m: int, terms: dict[int, tuple[int, int]], den: int, bound: int) -> "LaurentPoly":
+    """A ring result, built without the constructor's checks: nonzero
+    numerator pairs already reduced by their content over ``den``.
     ``bound`` is at least the largest |exponent| in ``terms``."""
     p = object.__new__(LaurentPoly)
     p.m = m
     p._terms = terms
+    p._den = den
     p._bound = bound
     return p
 
@@ -192,38 +210,21 @@ def _holomorphic(m: int, zexps: list[tuple[int, ...]], coeffs: list[QC]) -> "Lau
     """sum_k coeffs[k] z^zexps[k], from trusted nonnegative exponent tuples
     below EXPONENT_LIMIT and exact coefficients; zeros are dropped."""
     one = _ONE[m]
-    terms = {one + sum(e << (_WIDTH * j) for j, e in enumerate(I)): c
-             for I, c in zip(zexps, coeffs) if not c.is_zero}
-    return _poly(m, terms, max(map(max, zexps), default=0))
+    terms, den = _numerators((one + sum(e << (_WIDTH * j) for j, e in enumerate(I)), c)
+                             for I, c in zip(zexps, coeffs) if not c.is_zero)
+    return _poly(m, terms, den, max(map(max, zexps), default=0))
 
 
 def _const(m: int, value: QC) -> "LaurentPoly":
-    return _poly(m, {} if value.is_zero else {_ONE[m]: value}, 0)
-
-
-def _collect(m: int, pairs, bound: int, start=None) -> "LaurentPoly":
-    """Sum ``(key, QC)`` pairs in order onto a copy of ``start``; a
-    monomial whose sum cancels leaves at once.  No pair carries a zero
-    coefficient: ring terms are nonzero, and so are their products."""
-    terms = {} if start is None else dict(start)
-    get = terms.get
-    for key, coeff in pairs:
-        acc = get(key)
-        if acc is None:
-            terms[key] = coeff
-        else:
-            coeff = acc + coeff
-            if coeff.is_zero:
-                del terms[key]
-            else:
-                terms[key] = coeff
-    return _poly(m, terms, bound)
+    if value.is_zero:
+        return _poly(m, {}, 1, 0)
+    return _poly(m, *_numerators([(_ONE[m], value)]), 0)
 
 
 class LaurentPoly:
     """Exact Laurent polynomial in ``z_1..z_m`` and ``zbar_1..zbar_m``."""
 
-    __slots__ = ("m", "_terms", "_bound")
+    __slots__ = ("m", "_terms", "_den", "_bound")
 
     def __init__(self, m: int, terms: dict[Monomial, QC] | None = None):
         if m < 1:
@@ -239,13 +240,14 @@ class LaurentPoly:
                 clean[key] = coeff
                 bound = max(bound, top)
         self.m = m
-        self._terms = clean
+        self._terms, self._den = _numerators(clean.items())
         self._bound = bound
 
     @property
     def terms(self) -> dict[Monomial, QC]:
         """The terms as ``{Monomial: QC}``, in the ring's term order."""
-        return {_monomial(self.m, k): c for k, c in self._terms.items()}
+        m, den = self.m, self._den
+        return {_monomial(m, k): _reduced(a, b, den) for k, (a, b) in self._terms.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -284,13 +286,14 @@ class LaurentPoly:
                 return NotImplemented
             other = _const(self.m, s)
         self._check_same(other)
-        return _collect(self.m, other._terms.items(), max(self._bound, other._bound),
-                        self._terms)
+        terms, den = _add(self._terms, self._den, other._terms, other._den)
+        return _poly(self.m, terms, den, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.m, {k: -c for k, c in self._terms.items()}, self._bound)
+        return _poly(self.m, {k: (-a, -b) for k, (a, b) in self._terms.items()}, self._den,
+                     self._bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -305,13 +308,14 @@ class LaurentPoly:
                 _reject_float(other)
                 return NotImplemented
             if s.is_zero:
-                return _poly(self.m, {}, 0)
-            return _poly(self.m, {k: c * s for k, c in self._terms.items()}, self._bound)
+                return _poly(self.m, {}, 1, 0)
+            return _poly(self.m, *_times(self._terms, self._den, s), self._bound)
         self._check_same(other)
         bound = _product_bound(self, other)
         # k1 + k2 - ONE[m] is the product monomial
-        return _collect(self.m, _products(self._terms.items(), other._terms.items(),
-                                          _ONE[self.m]), bound)
+        terms, den = _content(_term_products(self._terms, other._terms, _ONE[self.m]),
+                              self._den * other._den)
+        return _poly(self.m, terms, den, bound)
 
     __rmul__ = __mul__
 
@@ -320,7 +324,7 @@ class LaurentPoly:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return power(self, exponent, _const(self.m, QC_ONE))
+        return power(self, exponent, _poly(self.m, {_ONE[self.m]: (1, 0)}, 1, 0))
 
     def inverse(self) -> "LaurentPoly":
         """Invert a single-term Laurent polynomial (the ring units)."""
@@ -329,28 +333,33 @@ class LaurentPoly:
                 "only monomials are invertible in the Laurent ring; "
                 f"got {len(self._terms)} terms"
             )
-        (key, coeff), = self._terms.items()
-        return _poly(self.m, {2 * _ONE[self.m] - key: coeff.inverse()}, self._bound)
+        # den / (a + b*i) = den * (a - b*i) / (a**2 + b**2)
+        (key, (a, b)), = self._terms.items()
+        den = self._den
+        terms, den = _content({2 * _ONE[self.m] - key: (den * a, -den * b)}, a * a + b * b)
+        return _poly(self.m, terms, den, self._bound)
 
     # -- calculus ----------------------------------------------------------
 
     def _diff(self, i: int, bar: bool) -> "LaurentPoly":
         """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based).
-        e -> e - 1 is injective, so no two terms meet."""
+        e -> e - 1 is injective, so no two terms meet; the numerators scale
+        by their exponents over the same denominator."""
         m = self.m
         i = _coordinate(m, i)
         j = m + i if bar else i
         shift = _WIDTH * j
         step = 1 << shift
-        terms: dict[int, QC] = {}
-        for key, coeff in self._terms.items():
+        terms: dict[int, tuple[int, int]] = {}
+        for key, (a, b) in self._terms.items():
             e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
             if e == 0:
                 continue
             if e == 1 - EXPONENT_LIMIT:
                 raise _out_of_range(m, j, e - 1)
-            terms[key - step] = _scaled(coeff, e)
-        return _poly(m, terms, min(self._bound + 1, EXPONENT_LIMIT - 1))
+            terms[key - step] = a * e, b * e
+        terms, den = _content(terms, self._den)
+        return _poly(m, terms, den, min(self._bound + 1, EXPONENT_LIMIT - 1))
 
     def diff_z(self, i: int) -> "LaurentPoly":
         """Formal derivative with respect to ``z_i`` (0-based)."""
@@ -365,14 +374,24 @@ class LaurentPoly:
         coefficients.  Compatible with evaluation-time conjugation."""
         half = _WIDTH * self.m
         low = (1 << half) - 1
-        return _poly(self.m, {(k & low) << half | k >> half: c.conj()
-                              for k, c in self._terms.items()}, self._bound)
+        return _poly(self.m, {(k & low) << half | k >> half: (a, -b)
+                              for k, (a, b) in self._terms.items()}, self._den, self._bound)
 
     # -- queries -------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    def variables(self) -> int:
+        """The variables some term has a nonzero exponent of, as a bitmask:
+        bit j is ``z_{j+1}`` for j < m and ``zbar_{j-m+1}`` after, the
+        numbering of covectors.  Every other Wirtinger derivative is zero."""
+        one = _ONE[self.m]
+        mask = 0
+        for k in self._terms:
+            mask |= k ^ one
+        return _variable_bits(self.m, mask)
 
     @property
     def has_zbar(self) -> bool:
@@ -387,7 +406,7 @@ class LaurentPoly:
 
     def constant_value(self) -> QC:
         """The coefficient of the constant monomial."""
-        return self._terms.get(_ONE[self.m], QC(0))
+        return _reduced(*self._terms.get(_ONE[self.m], (0, 0)), self._den)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].zexp, kv[0].zbarexp))
@@ -401,9 +420,9 @@ class LaurentPoly:
         coordinates it is a Python complex.  Raises PoleError when a negative
         exponent meets a zero coordinate.  Each term multiplies in its
         powers in the order of its ``_eval_plan``.  An exact value is summed
-        on unreduced Gaussian-rational triples and reduced once, by
-        ``scalars._eval_terms``; the complex path takes conjugates only when
-        some term has a zbar exponent.
+        on the numerators and unreduced Gaussian-rational powers and reduced
+        once over the denominator, by ``scalars._eval_terms``; the complex
+        path takes conjugates only when some term has a zbar exponent.
         """
         m = self.m
         terms = self._terms
@@ -413,16 +432,19 @@ class LaurentPoly:
             raise DimensionError("point arity mismatch")
         plans = [_eval_plan(m, key) for key in terms]
         if all(isinstance(v, QC) for v in zvalues):
-            return _eval_terms(plans, terms.values(), [*zvalues, *(v.conj() for v in zvalues)],
+            return _eval_terms(plans, terms.values(), self._den,
+                               [*zvalues, *(v.conj() for v in zvalues)],
                                lambda j, e: _pole(m, j, e))
         vals = [complex(v) for v in zvalues]
         if any(j >= m for plan in plans for j, _ in plan):
             vals += [v.conjugate() for v in vals]
         # the sum starts at 0j and takes x ** 1, as both can turn a -0.0
         # part into 0.0
+        den = self._den
         total = 0j
-        for plan, coeff in zip(plans, terms.values()):
-            term = complex(coeff)
+        for plan, (a, b) in zip(plans, terms.values()):
+            # int true division rounds once, as complex() of the term's QC
+            term = complex(a / den, b / den)
             for j, e in plan:
                 val = vals[j]
                 if e < 0 and not val:
@@ -452,17 +474,20 @@ class LaurentPoly:
 
         one = _ONE[m_src]
         order = [j for i in range(m) for j in (i, m + i)]
+        den = self._den
         parts = []
-        for key, coeff in self._terms.items():
-            term = _poly(m_src, {one: coeff}, 0)
+        bound = 0
+        for key, num in self._terms.items():
+            # the numerator alone is a polynomial over 1; den divides the sum
+            term = _poly(m_src, {one: num}, 1, 0)
             exps = _fields(m, key)
             for j in order:
                 if exps[j]:
                     term = term * arg_power(j, exps[j])
-            parts.append(term)
+            parts.append((term._terms, term._den * den))
+            bound = max(bound, term._bound)
         # the same sum as adding the terms one by one, in one dict
-        return _collect(m_src, (kv for t in parts for kv in t._terms.items()),
-                        max((t._bound for t in parts), default=0))
+        return _poly(m_src, *_sum(parts), bound)
 
     def to_expr(self) -> "Expr":
         """Promote to an expression tree (explicit, never implicit)."""
@@ -486,10 +511,11 @@ class LaurentPoly:
             if other is None:
                 return NotImplemented
             other = _const(self.m, other)
-        return self.m == other.m and self._terms == other._terms
+        return (self.m == other.m and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.m, frozenset(self._terms.items())))
+        return hash((self.m, self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         if self.is_zero:
@@ -550,6 +576,10 @@ class Expr:
 
     def substitute(self, args: list["Expr"]) -> "Expr":
         return self._map(lambda p: p.substitute(args))
+
+    def variables(self) -> int:
+        """Every variable, ``-1`` as a bitmask: no tree is searched."""
+        return -1
 
     @property
     def is_zero(self) -> bool:

@@ -317,13 +317,16 @@ def _canonical_section(text: str, body: list[str], header) -> GridSection | None
     """The section of ``text`` when its header is valid and its ``body`` is
     in the writer's layout (per node in C order, its prefix "i1 ... im " and
     its values between single spaces, lines ended by "\\n"), else None.  Such
-    a body is read in C-level passes, with no Python statement per row."""
+    a body is read in C-level passes, with no Python statement per row.  A
+    text with a "\r" is refused before any prefix is built."""
+    if "\r" in text:
+        return None
     try:
         grid, width = _read_header(header, len(body))
     except ParseError:
         return None
     prefixes = _node_prefixes(grid.nodes, grid.m)
-    if "\r" in text or not all(map(str.startswith, body, prefixes)):
+    if not all(map(str.startswith, body, prefixes)):
         return None
     ids: dict[str, int] = {}  # value text -> the row of its first copy
     first = np.fromiter(map(ids.setdefault, map(str.removeprefix, body, prefixes),

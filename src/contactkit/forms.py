@@ -6,7 +6,8 @@ index ``i < m`` is ``dz_{i+1}`` and index ``m + i`` is ``dzbar_{i+1}``.
 Coefficients are either exact Laurent polynomials or expression trees;
 the two variants never mix silently.  Only ``coefficients`` knows which
 kind it holds: this module asks every coefficient the same questions
-(evaluate, differentiate, negate, ``is_zero``) and never checks its type.
+(evaluate, differentiate, negate, ``is_zero``, which ``variables`` it has)
+and never checks its type.
 ``Form(m, degree, terms)`` checks outside data.  Every result of an
 operation on forms is built by ``_form``, which skips the re-checks; sums,
 wedges and ``d`` add their terms through one ``_sum_into``.
@@ -320,15 +321,20 @@ def wedge_power(f: Form, n: int) -> Form:
 
 def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
     """Sum over terms c dw and i of (dc/dzbar_i) dzbar_i ^ dw, plus
-    (dc/dz_i) dz_i ^ dw when ``holomorphic`` is set."""
+    (dc/dz_i) dz_i ^ dw when ``holomorphic`` is set.  Each coefficient is
+    asked once which variables it has (``variables()``, a bitmask in
+    covector numbering), and only those derivatives are taken."""
     m = f.m
     degree = f.degree + 1
     if degree > 2 * m:
         return _form(m, 2 * m, {}, f.variant)
     terms: dict[Word, Coefficient] = {}
     for word, coeff in f.terms.items():
+        has = coeff.variables()
         for i in range(m):
             for idx in (i, m + i) if holomorphic else (m + i,):
+                if not has >> idx & 1:
+                    continue
                 merged, sign = merge_words((idx,), word)
                 if merged is None:
                     continue

@@ -1,28 +1,35 @@
-"""Exact complex scalars with rational real and imaginary parts.
+"""Exact complex scalars with rational real and imaginary parts, and the
+int kernels of the exact Laurent ring.
 
-These are the coefficients of the exact Laurent ring.  A value
-``(a + b*i) / d`` is stored as three Python ints ``(a, b, d)`` with
+A value ``(a + b*i) / d`` is stored as three Python ints ``(a, b, d)`` with
 ``d > 0`` and ``gcd(a, b, d) == 1``, so every value has exactly one stored
 form: equality is a comparison of triples and zero is ``(0, 0, 1)``.
 Sums, products and quotients work on the ints directly and reduce each
 result by one ``math.gcd``; they are exact.  Integer powers go through
-:func:`power`, the one square-and-multiply of the exact rings.  The exact
-Laurent kernels of :mod:`~contactkit.coefficients` pass their terms here as
-``(key, QC)`` pairs and call no ``QC`` operator per term: :func:`_products`
-takes each term product as one :func:`_reduced` of the product's ints,
-:func:`_scaled` multiplies a coefficient's parts by an int exponent, and
-:func:`_eval_terms` sums the terms of an exact evaluation as unreduced
-triples (powers from :func:`_power_triple`) and reduces once at the end.
-The slices of :mod:`~contactkit.jets` evaluate their affine functional
-``c + <w, row>`` the same way, through :func:`_affine`.  Because a value
-has one reduced triple, each of these gives the QC the ``QC`` arithmetic
-gives.  The real and imaginary parts are read as
-``fractions.Fraction`` through :attr:`QC.re` and :attr:`QC.im`.  Ints and
-Fractions are exact too: :func:`exact`, the one test of what is exact,
-lifts them.  Mixing an exact scalar with a float or a Python complex
-raises :class:`~contactkit.errors.VariantError`; conversion to binary
-floats is always an explicit ``complex(q)`` call at the edge of a
-computation.
+:func:`power`, the one square-and-multiply of the exact rings.
+
+A Laurent polynomial of :mod:`~contactkit.coefficients` stores its terms
+the same way, over one denominator: ``{key: (re, im)}`` with int numerator
+pairs and one ``den > 0``, divided by their content so that ``gcd(den,
+every part) == 1`` and zero is ``({}, 1)``.  Its arithmetic runs here, on
+ints, and calls no ``QC`` operator: :func:`_numerators` puts reduced QC
+over their lcm, :func:`_term_products` multiplies and :func:`_add` and
+:func:`_sum` add numerator dicts, :func:`_times` scales by a QC, and
+:func:`_content` divides a result by its content, stopping at the first
+term that brings the gcd to one.  :func:`_eval_terms` sums an exact
+evaluation on the numerators and unreduced powers (from
+:func:`_power_triple`) and reduces once over the denominator.  The slices
+of :mod:`~contactkit.jets` evaluate their affine functional ``c + <w,
+row>`` the same way, through :func:`_affine`.  Because a value has one
+reduced triple, ``_reduced(re, im, den)`` of each term is the QC that the
+``QC`` arithmetic gives.
+
+The real and imaginary parts are read as ``fractions.Fraction`` through
+:attr:`QC.re` and :attr:`QC.im`.  Ints and Fractions are exact too:
+:func:`exact`, the one test of what is exact, lifts them.  Mixing an exact
+scalar with a float or a Python complex raises
+:class:`~contactkit.errors.VariantError`; conversion to binary floats is
+always an explicit ``complex(q)`` call at the edge of a computation.
 """
 
 from __future__ import annotations
@@ -135,36 +142,146 @@ def _power_triple(a: int, b: int, d: int, e: int) -> tuple[int, int, int]:
         a, b = a * a - b * b, 2 * a * b
 
 
-def _products(left, right, one: int):
-    """The term products of two iterables of ``(key, QC)`` pairs whose int
-    keys add, with ``one`` the key of the unit, left-major:
-    ``(k1 + k2 - one, q1 * q2)``, each coefficient one :func:`_reduced` of
-    the triples' product."""
-    left = [(k - one, q._a, q._b, q._d) for k, q in left]
-    right = [(k, q._a, q._b, q._d) for k, q in right]
-    return ((k1 + k2, _reduced(a * c - b * e, a * e + b * c, d * f))
-            for k1, a, b, d in left for k2, c, e, f in right)
+def _numerators(pairs) -> tuple[dict, int]:
+    """``(key, QC)`` pairs with nonzero QC over the lcm L of their
+    denominators: ``({key: (re, im)}, L)`` with ``re + i*im == L * q`` in
+    ints.  Each QC is a reduced triple, so a prime power that divides L
+    exactly divides some q's denominator, and that q's parts are not both
+    multiples of the prime: the content is already one."""
+    pairs = [(k, q._a, q._b, q._d) for k, q in pairs]
+    L = lcm(*{d for _, _, _, d in pairs})
+    if L == 1:
+        return {k: (a, b) for k, a, b, _ in pairs}, 1
+    return {k: (a * (L // d), b * (L // d)) for k, a, b, d in pairs}, L
 
 
-def _scaled(q: "QC", n: int) -> "QC":
-    """``q * n`` for an int ``n``: one :func:`_reduced` of the parts times
-    ``n``, without lifting ``n`` to a QC."""
-    return _reduced(q._a * n, q._b * n, q._d)
+def _content(terms: dict, den: int) -> tuple[dict, int]:
+    """``{key: (re, im)}`` over ``den > 0`` divided by the gcd of ``den``
+    and every part: the one stored form of its value, with zero as
+    ``({}, 1)``.  The gcd stops at the first term that brings it to one;
+    ``terms`` comes back as it is when nothing divides."""
+    if den == 1:
+        return terms, 1
+    g = den
+    for a, b in terms.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return terms, den
+    return {k: (a // g, b // g) for k, (a, b) in terms.items()}, den // g
 
 
-def _eval_terms(plans: list, coeffs, values: list, pole) -> "QC":
-    """The sum over terms of ``coeff * prod(values[j] ** e for (j, e) in
-    plan)``, for QC ``coeffs`` and ``values`` and nonzero exponents.  Each
-    power ``(j, e)`` is taken once, when a term first uses it, and
-    ``pole(j, e)`` is raised when a negative exponent first meets a zero
-    value.  Terms stay unreduced triples; the sum puts each one over the
-    lcm of the denominators so far, and the one :func:`_reduced` at the end
-    gives the value's one reduced triple."""
+def _term_products(left: dict, right: dict, one: int) -> dict:
+    """The product of two ``{key: (re, im)}`` numerator dicts whose int keys
+    add, with ``one`` the key of the unit: the term products
+    ``(k1 + k2 - one, n1 * n2)`` left-major, summed by key, a key whose sum
+    cancels leaving at once (a later product brings it back last).  When
+    either side has one term no two keys meet, so there is no sum."""
+    if len(left) == 1:
+        (k, (a, b)), = left.items()
+        k -= one
+        return {k + k2: (a * c - b * e, a * e + b * c) for k2, (c, e) in right.items()}
+    if len(right) == 1:
+        (k, (c, e)), = right.items()
+        k -= one
+        return {k1 + k: (a * c - b * e, a * e + b * c) for k1, (a, b) in left.items()}
+    terms: dict = {}
+    get = terms.get
+    right = list(right.items())
+    for k1, (a, b) in left.items():
+        k1 -= one
+        for k2, (c, e) in right:
+            k = k1 + k2
+            re, im = a * c - b * e, a * e + b * c
+            acc = get(k)
+            if acc is None:
+                terms[k] = re, im
+            else:
+                re += acc[0]
+                im += acc[1]
+                if re or im:
+                    terms[k] = re, im
+                else:
+                    del terms[k]
+    return terms
+
+
+def _accumulate(terms: dict, part: dict, s: int) -> bool:
+    """Add ``s`` times the numerators of ``part`` into ``terms`` in order: a
+    key whose sum cancels leaves at once, and a later sum brings it back
+    last.  True when some key of ``part`` was already in ``terms``."""
+    get = terms.get
+    met = False
+    for k, (a, b) in part.items():
+        if s != 1:
+            a *= s
+            b *= s
+        acc = get(k)
+        if acc is None:
+            terms[k] = a, b
+        else:
+            met = True
+            a += acc[0]
+            b += acc[1]
+            if a or b:
+                terms[k] = a, b
+            else:
+                del terms[k]
+    return met
+
+
+def _add(left: dict, ld: int, right: dict, rd: int) -> tuple[dict, int]:
+    """``left / ld + right / rd`` over ``lcm(ld, rd)``, with the left's keys
+    in order and then the right's new ones.  Both operands are reduced, so
+    when no key meets, the content is already one (a prime power that
+    exactly divides the lcm exactly divides ``ld`` or ``rd``, whose
+    numerators it then does not divide); else :func:`_content` reduces."""
+    if ld == rd:
+        terms = dict(left)
+        den = ld
+        met = _accumulate(terms, right, 1)
+    else:
+        g = gcd(ld, rd)
+        s = rd // g
+        terms = {k: (a * s, b * s) for k, (a, b) in left.items()}
+        den = ld * s
+        met = _accumulate(terms, right, ld // g)
+    return _content(terms, den) if met else (terms, den)
+
+
+def _sum(parts: list) -> tuple[dict, int]:
+    """The sum of ``(terms, den)`` parts in order, as one :func:`_add` after
+    another would give it, summed in one dict over the lcm of every
+    denominator."""
+    den = 1
+    for _, d in parts:
+        den = lcm(den, d)
+    terms: dict = {}
+    for part, d in parts:
+        _accumulate(terms, part, den // d)
+    return _content(terms, den)
+
+
+def _times(terms: dict, den: int, q: "QC") -> tuple[dict, int]:
+    """``(terms, den)`` times a nonzero QC, content-reduced."""
+    c, e, f = q._a, q._b, q._d
+    return _content({k: (a * c - b * e, a * e + b * c) for k, (a, b) in terms.items()},
+                    den * f)
+
+
+def _eval_terms(plans: list, nums, den: int, values: list, pole) -> "QC":
+    """The sum over terms of ``(re + i*im) / den * prod(values[j] ** e for
+    (j, e) in plan)``, for numerator pairs ``nums``, QC ``values`` and
+    nonzero exponents.  Each power ``(j, e)`` is taken once, when a term
+    first uses it, and ``pole(j, e)`` is raised when a negative exponent
+    first meets a zero value.  Terms stay unreduced triples over the powers'
+    denominators; the sum puts each one over the lcm of the denominators so
+    far, and the one :func:`_reduced` over that lcm times ``den`` gives the
+    value's one reduced triple."""
     vals = [(v._a, v._b, v._d) for v in values]
     powers: dict[tuple[int, int], tuple[int, int, int]] = {}
     ta, tb, td = 0, 0, 1
-    for plan, q in zip(plans, coeffs):
-        a, b, d = q._a, q._b, q._d
+    for plan, (a, b) in zip(plans, nums):
+        d = 1
         for je in plan:
             p = powers.get(je)
             if p is None:
@@ -183,7 +300,7 @@ def _eval_terms(plans: list, coeffs, values: list, pole) -> "QC":
             ta, tb, a, b, td = ta * s, tb * s, a * t, b * t, td * s
         ta += a
         tb += b
-    return _reduced(ta, tb, td)
+    return _reduced(ta, tb, td * den)
 
 
 def _affine(c, w, row) -> "QC | None":

@@ -15,3 +15,165 @@ def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
 def top_coefficient(defect, pt):
     """The coefficient of dz_1^...^dz_m of a top-degree defect form."""
     return defect.coefficient_at(pt, tuple(range(defect.m)))
+
+
+# -- the Laurent ring as it was stored before one denominator ---------------
+#
+# Each term was a reduced ``QC``; sums went through ``_collect`` and each term
+# product was one ``QC`` product.  ``ParentPoly`` is that storage, with the
+# parent's bodies of ``_collect``, ``__mul__``, ``_diff`` and exact ``eval``
+# as the bit and term-order oracles of ``LaurentPoly``.
+
+
+class ParentPoly:
+    """A Laurent polynomial as ``{key: QC}`` and an exponent bound; the
+    ring's ``_product_bound`` reads it as it reads a ``LaurentPoly``."""
+
+    __slots__ = ("m", "_terms", "_bound")
+
+    def __init__(self, m, terms, bound):
+        self.m, self._terms, self._bound = m, terms, bound
+
+    def __add__(self, other):
+        return collect(self.m, other._terms.items(), max(self._bound, other._bound),
+                       self._terms)
+
+    def __neg__(self):
+        return ParentPoly(self.m, {k: -c for k, c in self._terms.items()}, self._bound)
+
+    def __mul__(self, other):
+        return parent_mul(self, other)
+
+    def __pow__(self, e):
+        from contactkit.coefficients import _ONE
+        from contactkit.scalars import QC, power
+        if e < 0:
+            return self.inverse() ** -e
+        return power(self, e, ParentPoly(self.m, {_ONE[self.m]: QC(1)}, 0))
+
+    def inverse(self):
+        from contactkit.coefficients import _ONE
+        (key, coeff), = self._terms.items()
+        return ParentPoly(self.m, {2 * _ONE[self.m] - key: coeff.inverse()}, self._bound)
+
+    def conj(self):
+        from contactkit.coefficients import _WIDTH
+        half = _WIDTH * self.m
+        low = (1 << half) - 1
+        return ParentPoly(self.m, {(k & low) << half | k >> half: c.conj()
+                                   for k, c in self._terms.items()}, self._bound)
+
+
+def parent(p) -> ParentPoly:
+    """``p`` in the parent's storage: each term its one reduced ``QC``."""
+    from contactkit.scalars import _reduced
+    den = p._den
+    return ParentPoly(p.m, {k: _reduced(a, b, den) for k, (a, b) in p._terms.items()}, p._bound)
+
+
+def triples(p):
+    """The terms of ``p`` (a LaurentPoly or a ParentPoly) in order, each
+    coefficient as its reduced ``(a, b, d)`` triple."""
+    if not isinstance(p, ParentPoly):
+        p = parent(p)
+    return [(k, (c._a, c._b, c._d)) for k, c in p._terms.items()]
+
+
+def collect(m, pairs, bound, start=None) -> ParentPoly:
+    """The parent's ``coefficients._collect``: sum ``(key, QC)`` pairs in
+    order onto a copy of ``start``; a monomial whose sum cancels leaves at
+    once.  No pair carries a zero coefficient."""
+    terms = {} if start is None else dict(start)
+    get = terms.get
+    for key, coeff in pairs:
+        acc = get(key)
+        if acc is None:
+            terms[key] = coeff
+        else:
+            coeff = acc + coeff
+            if coeff.is_zero:
+                del terms[key]
+            else:
+                terms[key] = coeff
+    return ParentPoly(m, terms, bound)
+
+
+def parent_mul(f, g) -> ParentPoly:
+    """``LaurentPoly.__mul__`` of two polynomials before it took each
+    product on ints: a generator of ``c1 * c2`` into ``collect``."""
+    from contactkit.coefficients import _ONE, _product_bound
+    f, g = (p if isinstance(p, ParentPoly) else parent(p) for p in (f, g))
+    bound = _product_bound(f, g)
+    one = _ONE[f.m]
+    left = [(k - one, c) for k, c in f._terms.items()]
+    right = g._terms.items()
+    return collect(f.m, ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right), bound)
+
+
+def parent_diff(f, i, bar) -> ParentPoly:
+    """``LaurentPoly._diff`` before it scaled numerators: each coefficient
+    times its exponent as one ``QC`` product."""
+    from contactkit.coefficients import _FIELD, _WIDTH, EXPONENT_LIMIT
+    if not isinstance(f, ParentPoly):
+        f = parent(f)
+    m = f.m
+    shift = _WIDTH * (m + i if bar else i)
+    terms = {}
+    for key, coeff in f._terms.items():
+        e = ((key >> shift) & _FIELD) - EXPONENT_LIMIT
+        if e:
+            terms[key - (1 << shift)] = coeff * e
+    return ParentPoly(m, terms, min(f._bound + 1, EXPONENT_LIMIT - 1))
+
+
+def parent_substitute(f, args) -> ParentPoly:
+    """``LaurentPoly.substitute`` on the parent's ring: each term a
+    one-term polynomial times its argument powers, the parts collected."""
+    from contactkit.coefficients import _ONE, _fields
+    if not isinstance(f, ParentPoly):
+        f = parent(f)
+    args = [a if isinstance(a, ParentPoly) else parent(a) for a in args]
+    m, m_src = f.m, args[0].m
+    one = _ONE[m_src]
+    order = [j for i in range(m) for j in (i, m + i)]
+    parts = []
+    for key, coeff in f._terms.items():
+        term = ParentPoly(m_src, {one: coeff}, 0)
+        exps = _fields(m, key)
+        for j in order:
+            if exps[j]:
+                base = args[j - m].conj() if j >= m else args[j]
+                term = term * base ** exps[j]
+        parts.append(term)
+    return collect(m_src, (kv for t in parts for kv in t._terms.items()),
+                   max((t._bound for t in parts), default=0))
+
+
+def parent_exact_eval(p, zvalues):
+    """LaurentPoly.eval at an exact point before it summed on (a, b, d)
+    triples: each term is a QC product over its plan, taking a first power
+    as it is, and the sum QC additions from the first term."""
+    from contactkit.coefficients import _eval_plan, _zero_at
+    from contactkit.errors import DimensionError, PoleError
+    if not isinstance(p, ParentPoly):
+        p = parent(p)
+    m = p.m
+    terms = p._terms
+    if not terms:
+        return _zero_at(m, zvalues)
+    if len(zvalues) != m:
+        raise DimensionError("point arity mismatch")
+    vals = list(zvalues)
+    plans = [_eval_plan(m, key) for key in terms]
+    if any(j >= m for plan in plans for j, _ in plan):
+        vals += [v.conj() for v in vals]
+    total = None
+    for plan, coeff in zip(plans, terms.values()):
+        term = coeff
+        for j, e in plan:
+            val = vals[j]
+            if e < 0 and not val:
+                raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
+            term = term * (val if e == 1 else val ** e)
+        total = term if total is None else total + term
+    return total

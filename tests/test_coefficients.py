@@ -1,6 +1,7 @@
 import ast
 import cmath
 import functools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,9 +12,7 @@ from hypothesis import strategies as st
 
 from contactkit.coefficients import (
     _FIELD, _ONE, _WIDTH, EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow,
-    Sin, Sqrt, Z, Zbar, _collect, _holomorphic, _product_bound, _zero_at, coefficient_variant,
-    eadd, emul,
-    epow,
+    Sin, Sqrt, Z, Zbar, _holomorphic, coefficient_variant, eadd, emul, epow,
 )
 from contactkit.errors import (
     ContactKitError, DimensionError, ExponentRangeError, PoleError, VariantError,
@@ -21,6 +20,9 @@ from contactkit.errors import (
 from contactkit.forms import Form, Point
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC, power
+from oracles import (
+    ParentPoly, parent, parent_diff, parent_exact_eval, parent_mul, parent_substitute, triples,
+)
 
 
 def random_laurent(m, rng, n_terms=3, max_exp=2, allow_negative=True):
@@ -105,7 +107,7 @@ def parent_eval(p, zvalues):
         total = 0j
     one = _ONE[m]
     fields = [(_WIDTH * j, vals[j], j % m + 1) for i in range(m) for j in (i, m + i)]
-    for key, coeff in p._terms.items():
+    for key, coeff in parent(p)._terms.items():
         term = coeff if is_exact else complex(coeff)
         if key != one:
             for shift, val, i in fields:
@@ -179,7 +181,7 @@ def plan_eval(p, zvalues):
     else:
         vals = [complex(v) for v in zvalues]
         total = 0j
-    terms = p._terms
+    terms = parent(p)._terms
     if not terms:
         return total
     plans = [_eval_plan(m, key) for key in terms]
@@ -227,34 +229,6 @@ def test_eval_matches_the_plan_oracle(seed):
     assert _bits(got) == _bits(want)
 
 
-def parent_exact_eval(p, zvalues):
-    """LaurentPoly.eval at an exact point before it summed on (a, b, d)
-    triples, kept as the oracle: each term is a QC product over its plan,
-    taking a first power as it is, and the sum QC additions from the first
-    term."""
-    from contactkit.coefficients import _eval_plan
-    m = p.m
-    terms = p._terms
-    if not terms:
-        return _zero_at(m, zvalues)
-    if len(zvalues) != m:
-        raise DimensionError("point arity mismatch")
-    vals = list(zvalues)
-    plans = [_eval_plan(m, key) for key in terms]
-    if any(j >= m for plan in plans for j, _ in plan):
-        vals += [v.conj() for v in vals]
-    total = None
-    for plan, coeff in zip(plans, terms.values()):
-        term = coeff
-        for j, e in plan:
-            val = vals[j]
-            if e < 0 and not val:
-                raise PoleError(f"coordinate z_{j % m + 1} = 0 hit exponent {e}")
-            term = term * (val if e == 1 else val ** e)
-        total = term if total is None else total + term
-    return total
-
-
 def test_exact_eval_takes_no_qc_arithmetic_and_one_reduction(monkeypatch):
     """At an exact point the terms, their powers and their sum are taken on
     (a, b, d) triples: no QC addition, product or power, and one reduction
@@ -282,22 +256,6 @@ def test_exact_eval_takes_no_qc_arithmetic_and_one_reduction(monkeypatch):
     got = p.eval(pt.values)
     assert counts == {"add": 0, "mul": 0, "pow": 0, "reduce": 1}
     assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
-
-
-def parent_mul(f, g):
-    """LaurentPoly.__mul__ of two polynomials before it took each product
-    on the (a, b, d) triples, kept as the oracle: a generator of
-    ``c1 * c2`` into ``_collect``."""
-    bound = _product_bound(f, g)
-    one = _ONE[f.m]
-    left = [(k - one, c) for k, c in f._terms.items()]
-    right = g._terms.items()
-    return _collect(f.m, ((k1 + k2, c1 * c2) for k1, c1 in left for k2, c2 in right), bound)
-
-
-def triples(p):
-    """The terms of ``p`` in order, each coefficient as its stored triple."""
-    return [(k, (c._a, c._b, c._d)) for k, c in p._terms.items()]
 
 
 _UNIT_COEFFS = [QC(1), QC(-1), QC(0, 1), QC(0, -1), QC(Fraction(1, 2)), QC(Fraction(-1, 2))]
@@ -330,6 +288,71 @@ def oracle_poly(rng, m, step=None):
         Monomial(tuple(rng.randint(-1, 1) for _ in range(m)),
                  tuple(rng.choice([0, 0, 1, -1]) for _ in range(m))): oracle_scalar(rng)
         for _ in range(n_terms)})
+
+
+def assert_one_stored_form(p):
+    """Numerators reduced by their content: a positive denominator, no zero
+    pair, gcd(den, every part) == 1, and so zero stored as ``({}, 1)``.
+    The public constructor and a detour through a sum give the same
+    storage and the same hash."""
+    assert p._den > 0 and all(a or b for a, b in p._terms.values())
+    assert math.gcd(p._den, *(x for pair in p._terms.values() for x in pair)) == 1
+    for same in (LaurentPoly(p.m, p.terms), p + p - p):
+        assert (same._den, same._terms) == (p._den, p._terms)
+        assert same == p and hash(same) == hash(p)
+
+
+def _same_value_or_pole(got, want_of, pt):
+    try:
+        want = parent_exact_eval(want_of, pt)
+    except PoleError as err:
+        with pytest.raises(PoleError) as raised:
+            got.eval(pt)
+        assert str(raised.value) == str(err)
+        return
+    value = got.eval(pt)
+    assert (value._a, value._b, value._d) == (want._a, want._b, want._d)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 32))
+def test_storage_is_one_reduced_form_with_the_parents_terms(seed):
+    """Sums, products, powers, inverses, derivatives, conjugates, scalar
+    products and substitutions of polynomials whose products cancel: each
+    result is stored in its one reduced form, and its terms, their order,
+    its bound and its exact values are those of the ring that stored a
+    reduced QC per term."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    step = Monomial((rng.choice([-1, 1]),) + tuple(rng.randint(-1, 1) for _ in range(m - 1)),
+                    tuple(rng.randint(-1, 1) for _ in range(m)))
+    f, g = oracle_poly(rng, m, step), oracle_poly(rng, m, step)
+    units = [LaurentPoly(m, {Monomial(tuple(rng.randint(-1, 1) for _ in range(m)),
+                                      tuple(rng.randint(-1, 1) for _ in range(m))):
+                             rng.choice([oracle_scalar(rng), QC(2), QC(1, 1)])})
+             for _ in range(m + 1)]
+    units = [u for u in units if not u.is_zero] or [LaurentPoly.z(m, 0)]
+    u, s = units[0], oracle_scalar(rng)
+    F, G, U = parent(f), parent(g), parent(u)
+    i, bar = rng.randrange(m), rng.random() < 0.5
+    k, e = rng.randint(0, 3), rng.randint(-3, 3)
+    if f.has_negative_exponent or rng.random() < 0.5:
+        args = [units[j % len(units)] for j in range(m)]
+    else:
+        args = [oracle_poly(rng, m, step) for _ in range(m)]
+    cases = [
+        (f + g, F + G), (f - g, F + -G), (f * g, F * G), (f ** k, F ** k), (u ** e, U ** e),
+        (u.inverse(), U.inverse()), (f._diff(i, bar), parent_diff(F, i, bar)),
+        (f.conj(), F.conj()), (f.substitute(args), parent_substitute(F, args)),
+        (f * s, ParentPoly(m, {key: c * s for key, c in F._terms.items()}
+                              if s else {}, F._bound if s else 0)),
+    ]
+    pt = [QC(0) if rng.random() < 0.2 else oracle_scalar(rng) for _ in range(m)]
+    for got, want in cases:
+        assert_one_stored_form(got)
+        assert triples(got) == triples(want)
+        assert got._bound == want._bound
+        _same_value_or_pole(got, want, pt)
 
 
 def _one_variable(coeffs):

@@ -1063,3 +1063,25 @@ def test_reader_takes_the_canonical_path_only_on_the_writers_layout(base, edit, 
     text = end.join(edit(list(base()))) + end
     _assert_readers_agree(text)
     assert len(calls) == general
+
+
+def test_a_crlf_body_builds_no_node_prefixes(monkeypatch):
+    """A "\r" sends the text to the general reader before the canonical
+    path builds its per-node prefixes, and the section keeps every bit of
+    the same text with "\n" line ends."""
+    from contactkit import formats
+    lines = _solver_lines("flat", 9)
+    want = section_from_text("\n".join(lines) + "\n")
+    built = []
+    node_prefixes = formats._node_prefixes
+
+    def counted(*args):
+        built.append(args)
+        return node_prefixes(*args)
+
+    monkeypatch.setattr(formats, "_node_prefixes", counted)
+    got = section_from_text("\r\n".join(lines) + "\r\n")
+    assert built == []
+    assert_bit_equal(got, want)
+    section_from_text("\n".join(lines) + "\n")
+    assert len(built) == 1

@@ -306,8 +306,8 @@ def test_pullback_respects_wedge():
 
 
 def test_pullback_differentiates_only_the_covectors_it_uses(monkeypatch):
-    """z3 dz1 needs d(F_1) alone: 2 * 3 derivatives, not 2 * 3 for each of
-    the 6 target covectors."""
+    """z3 dz1 needs d(F_1) alone, and F_1 = z1 z2 + zbar3 has three
+    variables: 3 derivatives, not 2 * 3 for each of the 6 target covectors."""
     calls = []
     diff = LaurentPoly._diff
 
@@ -320,10 +320,48 @@ def test_pullback_differentiates_only_the_covectors_it_uses(monkeypatch):
     F = PolyMap(3, [z[0] * z[1] + LaurentPoly.zbar(3, 2), z[1], z[2] * z[2]])
     w = Form(3, 1, {(0,): LaurentPoly.z(3, 2)})
     pulled = pullback(F, w)
-    assert len(calls) == 6
+    assert calls == [(0, False), (1, False), (2, True)]
     monkeypatch.undo()
     assert pulled == Form(3, 1, {
         (0,): z[2] * z[2] * z[1], (1,): z[2] * z[2] * z[0], (5,): z[2] * z[2]})
+
+
+def test_exact_form_operations_call_no_qc_operator(monkeypatch):
+    """Pullbacks along composed maps, d, wedges and contact defects of exact
+    forms on C^3 with the benchmark's denominator 7: the Laurent kernels do
+    every term sum and product on ints, so no QC ``*``, ``+`` or ``-``
+    runs.  The last product shows that the count sees QC operators."""
+    from contactkit.sampling import random_qc
+    rng = random.Random(37)
+    m = 3
+    inputs = []
+    for _ in range(12):
+        f = LaurentPoly.z(m, rng.randrange(m)) * random_qc(rng) + random_qc(rng)
+        alpha = Form(m, 1, {(0,): LaurentPoly.const(m, random_qc(rng)),
+                            (1,): LaurentPoly.z(m, 0) * random_qc(rng) + QC(1),
+                            (2,): LaurentPoly.const(m, QC(1))})
+        inputs.append((random_poly_map(m, rng), random_poly_map(m, rng),
+                       random_form(m, rng.choice([1, 2]), rng, max_exp=1).scale(random_qc(rng)),
+                       random_form(m, rng.choice([1, 2]), rng, allow_negative=True)
+                       .scale(random_qc(rng)),
+                       random_form(m, 1, rng).scale(random_qc(rng)), f, alpha))
+    calls = []
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        def counted(self, other, real=getattr(QC, attr), attr=attr):
+            calls.append(attr)
+            return real(self, other)
+
+        monkeypatch.setattr(QC, attr, counted)
+    for F, G, w, a, b, f, alpha in inputs:
+        assert pullback(G.compose(F), w) == pullback(F, pullback(G, w))
+        assert ext_d(ext_d(a)).is_zero
+        assert ext_d(wedge(a, b)) == wedge(ext_d(a), b) + wedge(a, ext_d(b)).scale(
+            -1 if a.degree % 2 else 1)
+        assert (contact_defect(wedge(Form.scalar(m, f), alpha))
+                == wedge(Form.scalar(m, f * f), contact_defect(alpha)))
+    assert calls == []
+    QC(1, 2) * QC(3)
+    assert calls == ["__mul__"]
 
 
 def test_ring_internal_constants_skip_the_public_constructors(monkeypatch):
