@@ -240,7 +240,7 @@ class LaurentPoly:
                 clean[key] = coeff
                 bound = max(bound, top)
         self.m = m
-        self._terms, self._den = _numerators(clean.items())
+        self._terms, self._den = _numerators(clean.items()) if clean else ({}, 1)
         self._bound = bound
 
     @property

@@ -145,14 +145,25 @@ def _power_triple(a: int, b: int, d: int, e: int) -> tuple[int, int, int]:
 def _numerators(pairs) -> tuple[dict, int]:
     """``(key, QC)`` pairs with nonzero QC over the lcm L of their
     denominators: ``({key: (re, im)}, L)`` with ``re + i*im == L * q`` in
-    ints.  Each QC is a reduced triple, so a prime power that divides L
-    exactly divides some q's denominator, and that q's parts are not both
-    multiples of the prime: the content is already one."""
-    pairs = [(k, q._a, q._b, q._d) for k, q in pairs]
-    L = lcm(*{d for _, _, _, d in pairs})
-    if L == 1:
-        return {k: (a, b) for k, a, b, _ in pairs}, 1
-    return {k: (a * (L // d), b * (L // d)) for k, a, b, d in pairs}, L
+    ints, in one pass that rescales the pairs so far when L grows.  Each QC
+    is a reduced triple, so a prime power that divides L exactly divides
+    some q's denominator, and that q's parts are not both multiples of the
+    prime: the content is already one."""
+    terms: dict = {}
+    L = 1
+    for k, q in pairs:
+        a, b, d = q._a, q._b, q._d
+        if L % d:
+            s = d // gcd(L, d)
+            if terms:
+                terms = {key: (x * s, y * s) for key, (x, y) in terms.items()}
+            L *= s
+        if L != d:
+            t = L // d
+            a *= t
+            b *= t
+        terms[k] = a, b
+    return terms, L
 
 
 def _content(terms: dict, den: int) -> tuple[dict, int]:
@@ -235,17 +246,11 @@ def _add(left: dict, ld: int, right: dict, rd: int) -> tuple[dict, int]:
     when no key meets, the content is already one (a prime power that
     exactly divides the lcm exactly divides ``ld`` or ``rd``, whose
     numerators it then does not divide); else :func:`_content` reduces."""
-    if ld == rd:
-        terms = dict(left)
-        den = ld
-        met = _accumulate(terms, right, 1)
-    else:
-        g = gcd(ld, rd)
-        s = rd // g
-        terms = {k: (a * s, b * s) for k, (a, b) in left.items()}
-        den = ld * s
-        met = _accumulate(terms, right, ld // g)
-    return _content(terms, den) if met else (terms, den)
+    g = gcd(ld, rd)
+    s = rd // g
+    terms = dict(left) if s == 1 else {k: (a * s, b * s) for k, (a, b) in left.items()}
+    met = _accumulate(terms, right, ld // g)
+    return _content(terms, ld * s) if met else (terms, ld * s)
 
 
 def _sum(parts: list) -> tuple[dict, int]:
