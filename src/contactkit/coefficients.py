@@ -421,8 +421,8 @@ class LaurentPoly:
         exponent meets a zero coordinate.  Each term multiplies in its
         powers in the order of its ``_eval_plan``.  An exact value is summed
         on the numerators and unreduced Gaussian-rational powers and reduced
-        once over the denominator, by ``scalars._eval_terms``; the complex
-        path takes conjugates only when some term has a zbar exponent.
+        once over the denominator, by ``scalars._eval_terms``.  Both paths
+        take conjugates only when some term has a zbar exponent.
         """
         m = self.m
         terms = self._terms
@@ -431,13 +431,13 @@ class LaurentPoly:
         if len(zvalues) != m:
             raise DimensionError("point arity mismatch")
         plans = [_eval_plan(m, key) for key in terms]
+        bar = any(j >= m for plan in plans for j, _ in plan)
         if all(isinstance(v, QC) for v in zvalues):
             return _eval_terms(plans, terms.values(), self._den,
-                               [*zvalues, *(v.conj() for v in zvalues)],
+                               [*zvalues, *(v.conj() for v in zvalues)] if bar else zvalues,
                                lambda j, e: _pole(m, j, e))
         vals = [complex(v) for v in zvalues]
-        if any(j >= m for plan in plans for j, _ in plan):
-            vals += [v.conjugate() for v in vals]
+        vals += [v.conjugate() for v in vals] if bar else []
         # the sum starts at 0j and takes x ** 1, as both can turn a -0.0
         # part into 0.0
         den = self._den

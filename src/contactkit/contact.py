@@ -33,8 +33,11 @@ n!, in one place.
 The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
 ``pencil_check``) read their margins from ``relation_h`` on point values:
 alpha's dz_i coefficients and the dz_r^dz_s coefficients of d alpha (taken
-once per form) or of the pair's beta.  The symbolic defect forms
-``contact_defect`` and ``formal_defect`` are kept for exact identities.
+once per form) or of the pair's beta.  A missing word reads as the point's
+zero, decided once by ``Form._zero_value``, so a Laurent form at an exact
+point gives an all-QC table, which takes the Gaussian ring from n = 2 on.
+The symbolic defect forms ``contact_defect`` and ``formal_defect`` are
+kept for exact identities.
 """
 
 from __future__ import annotations
@@ -274,19 +277,19 @@ def formal_defect(pair: FormalPair) -> Form:
 
 def _volume_values(pair: FormalPair):
     """Per-point reader of the values h needs: alpha's dz_i and beta's
-    dz_r^dz_s coefficients, in one dict keyed by word.
+    dz_r^dz_s coefficients in one dict keyed by word, and the point's zero.
 
     No other word reaches the holomorphic volume coefficient, so the rest
     of both forms is dropped once, before any sample is read.
     """
     m = pair.m
-    parts = [Form(m, f.degree, {w: c for w, c in f.terms.items() if w[-1] < m}, f.variant)
-             for f in (pair.alpha, pair.beta)]
-    return lambda pt: parts[0].evaluate(pt) | parts[1].evaluate(pt)
+    alpha, beta = [Form(m, f.degree, {w: c for w, c in f.terms.items() if w[-1] < m},
+                        f.variant) for f in (pair.alpha, pair.beta)]
+    return lambda pt: (alpha.evaluate(pt) | beta.evaluate(pt), alpha._zero_value(pt))
 
 
-def _h(values: dict, n: int):
-    return relation_h(lambda i: values.get((i,), 0), lambda r, s: values.get((r, s), 0), n)
+def _h(values: dict, zero, n: int):
+    return relation_h(lambda i: values.get((i,), zero), lambda r, s: values.get((r, s), zero), n)
 
 
 def _margin_checks(samples: list, hs: list, tol: float, report: VerificationReport,
@@ -315,7 +318,7 @@ def _pair_margins(title: str, label: str, pair: FormalPair, samples, tol: float,
     report = VerificationReport(title)
     values = _volume_values(pair)
     samples = list(samples)
-    _margin_checks(samples, [_h(values(pt), pair.n) for pt in samples], tol, report,
+    _margin_checks(samples, [_h(*values(pt), pair.n) for pt in samples], tol, report,
                    label, verbose)
     return report
 
@@ -363,14 +366,13 @@ def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
     exact = alpha.variant == "laurent" and beta1.variant == "laurent"
     report = VerificationReport("interpolation pencil")
     samples = list(samples)
-    ends = []
-    for pt in samples:
-        vals = [values(pt) for values in readers]
-        ends.append(vals if exact else [{w: complex(x) for w, x in v.items()} for v in vals])
+    ends = [[values(pt) for values in readers] for pt in samples]
+    if not exact:
+        ends = [[({w: complex(x) for w, x in v.items()}, 0j) for v, _ in vals] for vals in ends]
     for k in range(steps):
         s, t = Fraction(steps - 1 - k, steps - 1), Fraction(k, steps - 1)
-        hs = [_h({w: v0.get(w, 0) * s + v1.get(w, 0) * t for w in v0.keys() | v1.keys()},
-                 pairs[0].n) for v0, v1 in ends]
+        hs = [_h({w: v0.get(w, zero) * s + v1.get(w, zero) * t for w in v0.keys() | v1.keys()},
+                 zero, pairs[0].n) for (v0, zero), (v1, _) in ends]
         _margin_checks(samples, hs, tol, report, f"t={t if exact else float(t)}", False)
     return report
 

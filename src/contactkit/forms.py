@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .coefficients import Coefficient, Const, LaurentPoly, _zero_at, coefficient_variant
 from .errors import DimensionError, VariantError
-from .scalars import QC, exact
+from .scalars import exact
 
 Word = tuple[int, ...]
 
@@ -263,31 +263,28 @@ class Form:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, pt: Point) -> dict[Word, object]:
-        """Evaluate every coefficient at ``pt``.
-
-        Keys are covector words; missing words are zero.  Exact Laurent
-        coefficients at exact points give exact values.
-        """
+        """Every word's value at ``pt``; a missing word reads as ``_zero_value``.
+        Exact Laurent coefficients at exact points give exact values."""
         if pt.m != self.m:
             raise DimensionError("point dimension mismatch")
-        out = {}
-        for word, coeff in self.terms.items():
-            val = coeff.eval(pt.values)
-            if not (isinstance(val, QC) and val.is_zero):
-                out[word] = val
-        return out
+        return {word: coeff.eval(pt.values) for word, coeff in self.terms.items()}
+
+    def _zero_value(self, pt: Point):
+        """A missing word's value at ``pt``: ``zero_coeff().eval(pt.values)``, unbuilt."""
+        return _zero_at(self.m, pt.values) if self.variant == "laurent" else 0j
 
     def coefficient_at(self, pt: Point, word: Word):
         c = self.terms.get(tuple(word))
-        if c is None:  # the zero coefficient's value, without building the zero
-            return _zero_at(self.m, pt.values) if self.variant == "laurent" else 0j
-        return c.eval(pt.values)
+        return self._zero_value(pt) if c is None else c.eval(pt.values)
 
     def covector_at(self, pt: Point) -> tuple:
         """Degree-1 helper: the 2m covector components at ``pt``."""
         if self.degree != 1:
             raise DimensionError("covector_at applies to 1-forms")
-        return tuple(self.coefficient_at(pt, (i,)) for i in range(2 * self.m))
+        zero = self._zero_value(pt)
+        get = self.terms.get
+        return tuple(zero if (c := get((i,))) is None else c.eval(pt.values)
+                     for i in range(2 * self.m))
 
 
 def wedge(f: Form, g: Form) -> Form:

@@ -407,6 +407,38 @@ def test_exact_eval_matches_the_per_term_oracle(seed):
     assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
 
 
+def test_eval_conjugates_only_for_a_zbar_exponent(monkeypatch):
+    """Exact eval of a holomorphic polynomial takes no conjugate; one zbar
+    exponent takes them.  Both values keep the bits of the per-term exact
+    oracle and of the field-by-field complex oracle."""
+    conj = QC.conj
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return conj(self)
+
+    monkeypatch.setattr(QC, "conj", counted)
+    rng = random.Random(383)
+    for k in range(120):
+        m = 1 + k % 3
+        p = LaurentPoly(m, {
+            Monomial(tuple(rng.randint(-2, 2) for _ in range(m)), (0,) * m):
+            QC(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), 3))
+            for _ in range(rng.randint(1, 4))})
+        bar = k % 4 == 3
+        if bar:
+            p = p + LaurentPoly.zbar(m, rng.randrange(m))
+        for pt in exact_points(m, 3, seed=k):
+            calls.clear()
+            got = p.eval(pt.values)
+            assert bool(calls) == bar
+            calls.clear()
+            want = parent_exact_eval(p, pt.values)
+            assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+            assert _bits(p.eval(pt.as_complex())) == _bits(parent_eval(p, pt.as_complex()))
+
+
 def test_exact_eval_sums_over_the_lcm_of_the_term_denominators(monkeypatch):
     """Three hundred terms of degree 0..24 in z and zbar, with coefficient
     denominators 1, 2, 3, 4 and 6, at a point with denominator 7: the one

@@ -736,6 +736,34 @@ def test_exact_tables_choose_their_ring():
     assert not contact._Bordered(lambda i: 1 if i == 4 else a(i), beta, 3)._den
 
 
+def test_verifier_tables_at_exact_points_take_the_gaussian_ring(monkeypatch):
+    """A missing word reads as the point's QC zero, not int 0, so every
+    table that the sampled verifiers build on exact points of Laurent forms
+    at n = 2 and 3 runs on Gaussian integers."""
+    dens = []
+    init = contact._Bordered.__init__
+
+    def recorded(self, a, beta, n):
+        init(self, a, beta, n)
+        dens.append(self._den)
+
+    monkeypatch.setattr(contact._Bordered, "__init__", recorded)
+    for n in (2, 3):
+        m = 2 * n + 1
+        alpha = std_form(n)
+        other = alpha + Form(m, 1, {(0,): LaurentPoly.zbar(m, 1) * QC(1, 2),
+                                    (m + 2,): LaurentPoly.z(m, 2, -1)})
+        beta = ext_d(other) + Form(m, 2, {(0, 2): LaurentPoly.z(m, 1) * Fraction(1, 3)})
+        pts = exact_points(m, 6, seed=n)
+        assert is_contact_on(alpha, pts, 1e-9).passed
+        is_contact_on(other, pts, 1e-9)
+        is_formal_contact_on(FormalPair(other, beta), pts, 1e-9)
+        pencil_check(alpha, other, pts, 5, 1e-9)
+        assert len(dens) == 6 * (3 + 5)
+        assert all(dens), f"{dens.count(0)} of {len(dens)} tables refused the ring at n = {n}"
+        dens.clear()
+
+
 def test_relation_squared_is_the_bordered_determinant():
     """h^2 = (n!)^2 det [[0, a^T], [-a, beta]], with the determinant from
     sympy's DomainMatrix over QQ_I, on 150 jets at n = 2 and 3 with mixed

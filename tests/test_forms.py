@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactkit.coefficients import Const, LaurentPoly, Monomial, Mul, Z, emul
+from contactkit.coefficients import Const, LaurentPoly, Monomial, Mul, Z, _zero_at, emul
 from contactkit.contact import contact_defect
 from contactkit.errors import ContactKitError, DimensionError, VariantError
 from contactkit.forms import (
@@ -235,6 +235,30 @@ def test_a_missing_word_reads_as_its_zero_coefficient(variant, kind):
     for word in missing:
         got = _value_or_error(lambda: alpha.coefficient_at(Point(values), word))
         assert got == _value_or_error(lambda: alpha.zero_coeff().eval(values))
+
+
+@pytest.mark.parametrize("variant", ["laurent", "expr"])
+def test_covector_at_decides_the_zero_once(monkeypatch, variant):
+    """covector_at finds a missing word's value once per call, not once per
+    missing word, and its row keeps coefficient_at's values and types."""
+    from contactkit import forms
+    calls = []
+
+    def counted(m, zvalues):
+        calls.append(m)
+        return _zero_at(m, zvalues)
+
+    monkeypatch.setattr(forms, "_zero_at", counted)
+    for n in (1, 2):
+        alpha = std_form(n) if variant == "laurent" else std_form(n).to_expr()
+        pt = exact_points(alpha.m, 1, seed=n)[0]
+        for p in (pt, Point(pt.as_complex())):
+            row = alpha.covector_at(p)
+            assert len(calls) <= 1
+            calls.clear()
+            want = [alpha.coefficient_at(p, (i,)) for i in range(2 * alpha.m)]
+            assert [(type(v), v) for v in row] == [(type(v), v) for v in want]
+            calls.clear()
 
 
 def test_evaluate_is_linear_in_coefficients():
