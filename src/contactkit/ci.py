@@ -7,8 +7,10 @@ sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
 strips.  The homotopy is a function of its endpoints: a result keeps the
 input, the output and the frozen strips, and builds frame k when it is
-read.  The first interior read takes both endpoints' formal relation
-fields and keeps the moduli and arguments every frame reads.
+read, into two arrays of its own.  The first interior read takes both
+endpoints' formal relation fields and keeps the moduli and arguments
+every frame reads; nothing else is kept, and the verifier holds one frame
+at a time.
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -327,8 +329,9 @@ class Homotopy(Sequence):
     h1, the formal relation fields of ``start`` and ``end``, held at
     ``start`` on the ``frozen`` strips (``GammaSpec.strips``' slices).
     The endpoints are held by reference, so changing them changes the
-    frames; the polar path's moduli and arguments and the differences
-    end - start are read from them once, on the first interior frame."""
+    frames.  The polar path's moduli and arguments are read from them
+    once, on the first interior frame, and kept in ``_polar``; each frame
+    reads end - start afresh, into the arrays it returns."""
 
     start: GridSection
     end: GridSection
@@ -343,11 +346,6 @@ class Homotopy(Sequence):
         h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (self.start, self.end))
         return np.abs(h0), np.abs(h1), np.angle(h0), np.angle(h1 / h0)
 
-    @functools.cached_property
-    def _line(self) -> tuple[np.ndarray, np.ndarray]:
-        """end - start in a and in beta, the straight line's direction."""
-        return self.end.a - self.start.a, self.end.beta - self.start.beta
-
     def __getitem__(self, k) -> GridSection:
         k = range(N_FRAMES)[operator.index(k)]
         start, end = self.start, self.end
@@ -356,28 +354,42 @@ class Homotopy(Sequence):
         if k == N_FRAMES - 1:
             return end.copy()
         grid, tau = start.grid, k / (N_FRAMES - 1)
-        da, dbeta = self._line
-        a_k = start.a + tau * da
-        beta_k = start.beta + tau * dbeta
-        hk = relation_grid(a_k, beta_k, grid.n)
+        # start + tau (end - start), each field built in its own array
+        a_k = np.subtract(end.a, start.a)
+        a_k *= tau
+        a_k += start.a
+        beta_k = np.subtract(end.beta, start.beta)
+        beta_k *= tau
+        beta_k += start.beta
         # polar path: moduli linear, arguments geodesic; never zero if h0, h1 are not
         mod0, mod1, arg0, turn = self._polar
-        target = ((1 - tau) * mod0 + tau * mod1) * np.exp(1j * (arg0 + tau * turn))
+        angle = np.multiply(turn, tau)
+        angle += arg0
+        target = 1j * angle
+        np.exp(target, out=target)
+        modulus = np.multiply(mod0, 1 - tau, out=angle)
+        modulus += np.multiply(mod1, tau)
+        target *= modulus
+        del angle, modulus
+        # the steering's numerator: the polar target less h
+        target -= relation_grid(a_k, beta_k, grid.n)
 
         # steer h to the polar path with one skew entry per node, chosen
         # for the largest affine slope: a strict > keeps the first column
         # on ties, as argmax does
         pairs = upper_pairs(grid.m)
         slope = slope_grid(a_k, beta_k, grid.n, *pairs[0])
-        size, choice = np.abs(slope), np.zeros(hk.shape, dtype=int)
+        size, choice = np.abs(slope), np.zeros(slope.shape, dtype=int)
         for c, (r, s) in enumerate(pairs[1:], 1):
             slope_c = slope_grid(a_k, beta_k, grid.n, r, s)
             size_c = np.abs(slope_c)
             better = size_c > size
-            slope = np.where(better, slope_c, slope)
-            size = np.where(better, size_c, size)
-            choice = np.where(better, c, choice)
-        lam = np.divide(target - hk, slope, out=np.zeros_like(hk), where=size > 1e-30)
+            np.copyto(slope, slope_c, where=better)
+            np.copyto(size, size_c, where=better)
+            choice[better] = c
+            del slope_c, size_c, better
+        lam = np.divide(target, slope, out=np.zeros_like(target), where=size > 1e-30)
+        del target, slope, size
         # lam goes to the chosen column; every other column gets a zero
         for c in range(beta_k.shape[-1]):
             beta_k[..., c] += np.where(choice == c, lam, 0)
@@ -566,26 +578,32 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
                f"deviation={fmt_num(deviation)} eps={fmt_num(eps)} at node "
                f"{_worst_node(-dev_field)}")
 
+    del curl, margins, dev_field
+
     # (d) frames: endpoints exact, formal margin strictly positive throughout;
     # (e) frames constant on frozen strips, compared with the input strip by
     # strip; checked only when there are strips.  One pass reads each frame
-    # once.
+    # once and holds one frame at a time: indexing, unlike iterating a
+    # Sequence, keeps no reference to the frame before.
     strips = not result.gamma.is_empty
     if strips:
         held = [(s, inp.a[s], inp.beta[s]) for s in result.gamma.strips(grid)]
-    frame_mins, constant = [], True
-    for k, fr in enumerate(result.frames):
+    frames, frame_mins, constant = result.frames, [], True
+    for k in range(len(frames)):
+        fr = frames[k]
         if k == 0:
             first_ok = fr == inp
+        if k == len(frames) - 1:
+            last_ok = fr == out
         frame_mins.append(float(formal_margin_grid(fr).min()))
         if strips and constant:
             constant = all(np.array_equal(fr.a[s], a) and np.array_equal(fr.beta[s], beta)
                            for s, a, beta in held)
-        last = fr
+        del fr
     report.add("frame count", len(frame_mins) == N_FRAMES, f"{len(frame_mins)} frames")
     if frame_mins:
         report.add("first frame equals input", first_ok)
-        report.add("last frame equals output", last == out)
+        report.add("last frame equals output", last_ok)
         worst_k = int(np.argmin(frame_mins))
         report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
                    f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import re
 import struct
 import sys
@@ -176,24 +175,31 @@ def _columns(m: int) -> list[str]:
     return cols + [f"beta{i + 1}{j + 1}.{p}" for i, j in upper_pairs(m) for p in ("re", "im")]
 
 
+def _row_parts(nodes: int, m: int) -> tuple[list[str], list[str]]:
+    """The row prefix "i1 ... im " in two parts, each list in C order: the
+    row heads "i1 ... i(m-1) " and the last indices "im ".  Row k's prefix
+    is head k // nodes followed by last index k % nodes."""
+    heads, lasts = [""], [f"{i} " for i in range(nodes)]
+    for _ in range(m - 1):
+        heads = list(map("".join, itertools.product(heads, lasts)))
+    return heads, lasts
+
+
 def _node_prefixes(nodes: int, m: int) -> list[str]:
     """Each node's row prefix "i1 ... im ", in C order: the rows' order."""
-    prefixes, indices = [""], [f"{i} " for i in range(nodes)]
-    for _ in range(m):
-        prefixes = list(map("".join, itertools.product(prefixes, indices)))
-    return prefixes
+    return list(map("".join, itertools.product(*_row_parts(nodes, m))))
 
 
 def section_to_text(section: GridSection) -> str:
     grid = section.grid
     m = grid.m
-    lines = [
+    header = [
         "# contactkit sampled section",
         f"n {grid.n}",
         f"nodes {grid.nodes}",
         "bounds " + " ".join(repr(float(b)) for lo_hi in grid.bounds for b in lo_hi),
+        "columns " + " ".join(_columns(m)),
     ]
-    lines.append("columns " + " ".join(_columns(m)))
     count = grid.n_nodes
     # a C-ordered table whatever the fields' layout, so it is built once
     table = np.empty((count, m + section.beta.shape[-1]), complex)
@@ -201,13 +207,24 @@ def section_to_text(section: GridSection) -> str:
                    out=table)
     # complex columns viewed as float interleave re and im, as the layout does
     values = table.view(float)
+    width = values.shape[1]
     # one bytes key per row, so -0.0 stays apart from 0.0; the sections
     # written here repeat few distinct rows, and each is formatted once
-    keys = values.view(np.dtype((np.void, values.shape[1] * 8))).ravel().tolist()
-    unpack = struct.Struct(f"{values.shape[1]}d").unpack  # native doubles, as values holds them
-    texts = {key: " ".join(map(repr, unpack(key))) for key in dict.fromkeys(keys)}
-    lines += map(operator.add, _node_prefixes(grid.nodes, m), map(texts.__getitem__, keys))
-    return "\n".join(lines) + "\n"
+    keys = values.view(np.dtype((np.void, width * 8))).ravel().tolist()
+    del table, values
+    unpack = struct.Struct(f"{width}d").unpack  # native doubles, as the table held them
+    texts = {key: " ".join(map(repr, unpack(key))) + "\n" for key in dict.fromkeys(keys)}
+    # the keys go before the text is built
+    row_texts = list(map(texts.__getitem__, keys))
+    del keys
+    # three shared parts per row, none built per node: its head, its last
+    # index and its value text
+    heads, lasts = _row_parts(grid.nodes, m)
+    rows = zip(itertools.chain.from_iterable(map(itertools.repeat, heads,
+                                                 itertools.repeat(grid.nodes))),
+               itertools.cycle(lasts), row_texts)
+    return "".join(itertools.chain(("\n".join(header) + "\n",),
+                                   itertools.chain.from_iterable(rows)))
 
 
 def _header_int(header, key: str, least: int) -> int:

@@ -6,10 +6,14 @@ a second instead of tens of milliseconds, which hides real timing changes
 in the acceptance criteria.  ``bench/run.py`` pins the same variables.
 With a derandomized profile and no example database, two checkouts run
 the same examples, so their tier-1 results compare one to one.
+
+``traced_peak`` is the memory tests' one tracemalloc reading.
 """
 
+import gc
 import os
 import sys
+import tracemalloc
 
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could pin "
@@ -22,3 +26,19 @@ from hypothesis import settings  # noqa: E402  (after the pinning above)
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def traced_peak(fn, *args):
+    """fn(*args) run under tracemalloc from a collected heap: its result,
+    the peak of the memory traced while it ran, and the traced memory it
+    still holds after a collection, both in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, peak, held

@@ -2,12 +2,10 @@
 determinism, and the independent verifier including fault injection."""
 
 import dataclasses
-import gc
 import hashlib
 import math
 import random
 import re
-import tracemalloc
 from collections.abc import Sequence
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -30,6 +28,7 @@ from contactkit.jets import (
 )
 from contactkit.sampling import random_jet
 from contactkit.scalars import QC
+from conftest import traced_peak
 
 
 def test_loop_mean_is_center():
@@ -773,18 +772,8 @@ def test_no_solve_passes_that_the_verifier_refuses(demo, nodes, eps, delta):
 
 def test_solved_result_retains_two_sections():
     """A result keeps its output and the frame recipe, not 17 sections."""
-    import gc
-    import tracemalloc
     inp, gamma = demo_gamma_section(nodes=33)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = ci_solve(inp, gamma, 0.5, 1e-3)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    result, _, retained = traced_peak(ci_solve, inp, gamma, 0.5, 1e-3)
     assert result.passed, result.failure
     assert retained < 32 * 2 ** 20, f"{retained / 2 ** 20:.1f} MB retained"
 
@@ -883,13 +872,9 @@ def test_phase_search_memory_on_a_fully_active_grid():
     cutoff, interior = gamma.cutoff_field(grid), grid.interior_mask()
     freq = good_frequency(round(FREQ_BASE / min(grid.h)), grid.h[0])
     a = inp.a.copy()
-    tracemalloc.start()
-    try:
-        assert ci_mod._direction_pass(a, grid, cutoff, 0, freq, 1e-3, interior, curl, h,
-                                      inp.a, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    acted, peak, _ = traced_peak(ci_mod._direction_pass, a, grid, cutoff, 0, freq, 1e-3,
+                                 interior, curl, h, inp.a, 0.5)
+    assert acted
     assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"
 
 
@@ -1000,17 +985,31 @@ def test_unread_solved_result_keeps_no_relation_field():
     3.3 MB; a stored complex relation field would add 0.55 MB each."""
     assert [f.name for f in dataclasses.fields(Homotopy)] == ["start", "end", "frozen"]
     inp, gamma = demo_gamma_section(nodes=33)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = ci_solve(inp, gamma, 0.5, 1e-3)
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    result, _, retained = traced_peak(ci_solve, inp, gamma, 0.5, 1e-3)
     assert result.passed, result.failure
     assert retained <= 3.75 * 2 ** 20, f"{retained / 2 ** 20:.2f} MB retained"
+
+
+def test_a_read_homotopy_keeps_only_its_endpoints_strips_and_polar_fields():
+    """After every frame has been read a homotopy holds its endpoints, its
+    strips and the polar path's fields, and no copy of end - start."""
+    inp, gamma = demo_gamma_section(nodes=13)
+    frames = ci_solve(inp, gamma, 0.5, 1e-3).frames
+    for k in range(N_FRAMES):
+        frames[k]
+    assert set(vars(frames)) == {"start", "end", "frozen", "_polar"}
+
+
+@pytest.mark.parametrize("demo", [demo_gamma_section, demo_flat_section])
+def test_verifier_holds_one_frame_at_a_time(demo):
+    """verify_ci's traced peak on a 33-node result: it drops the curl,
+    margin and deviation fields before the frame pass and holds one frame
+    at a time (17.4 MB when it held two frames and those fields)."""
+    inp, gamma = demo(33)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    report, peak, _ = traced_peak(verify_ci, result, inp, 0.5, 1e-3)
+    assert report.passed, report.to_text()
+    assert peak <= 13 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"
 
 
 def _is_component_major(x):
