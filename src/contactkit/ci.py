@@ -498,10 +498,10 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         curl, h = curl_in, h_in
         sweep_freqs: list[list[int]] = []
         success = False
+        rung_freqs = [good_frequency(round(freq), step) for step in grid.h]
         for _ in range(max_sweeps):
             per_direction = []
-            for d in range(grid.m):
-                nd = good_frequency(round(freq), grid.h[d])
+            for d, nd in enumerate(rung_freqs):
                 if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl, h,
                                    inp.a, eps):
                     curl = curl_grid(a, grid)

@@ -31,7 +31,7 @@ from .errors import ContactKitError, DimensionError, PreconditionError
 from .extend import ah_pullback_verify, dbar_defect, extend_form, fit_holomorphic
 from .formats import dump_ci_result, load_form, save_report
 from .forms import Form, Point, ext_d
-from .gallery import gallery_verify_all, named_form
+from .gallery import covering_map, gallery_verify_all, named_form, rotation_automorphism
 from .jets import RestrictedJet, ampleness_slice, relation_value
 from .reports import VerificationReport, fmt_num
 from .sampling import exact_points, random_jet
@@ -71,8 +71,6 @@ def _resolve_form(spec: str) -> Form:
 
 
 def _resolve_map(spec: str):
-    from .gallery import covering_map, rotation_automorphism
-
     if spec == "covering":
         return covering_map()
     if spec == "rotation":

@@ -52,13 +52,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
 from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
-from .scalars import (QC, QC_ONE, _add, _content, _eval_terms, _numerators, _reduced, _sum,
-                      _term_products, _times, exact, power)
+from .scalars import (QC, QC_ONE, _add, _content, _eval_terms, _exact_all, _numerators,
+                      _reduced, _sum, _term_products, _times, exact, power)
 
 _WIDTH = 32
 # exponents satisfy |e| < EXPONENT_LIMIT; a field stores e + EXPONENT_LIMIT
@@ -156,7 +155,7 @@ def _zero_at(m: int, zvalues):
     """A zero polynomial's value: ``QC(0)`` at an exact point, else 0j."""
     if len(zvalues) != m:
         raise DimensionError("point arity mismatch")
-    return QC(0) if all(isinstance(v, QC) for v in zvalues) else 0j
+    return QC(0) if _exact_all(zvalues) is not None else 0j
 
 
 @lru_cache(maxsize=4096)
@@ -416,8 +415,8 @@ class LaurentPoly:
     def eval(self, zvalues):
         """Evaluate at a point, with ``zbar_i`` read as ``conj(z_i)``.
 
-        With exact (QC) coordinates the result is an exact QC; with complex
-        coordinates it is a Python complex.  Raises PoleError when a negative
+        With exact coordinates (QC, int, Fraction) the result is an exact QC,
+        else a Python complex.  Raises PoleError when a negative
         exponent meets a zero coordinate.  Each term multiplies in its
         powers in the order of its ``_eval_plan``.  An exact value is summed
         on the numerators and unreduced Gaussian-rational powers and reduced
@@ -432,9 +431,9 @@ class LaurentPoly:
             raise DimensionError("point arity mismatch")
         plans = [_eval_plan(m, key) for key in terms]
         bar = any(j >= m for plan in plans for j, _ in plan)
-        if all(isinstance(v, QC) for v in zvalues):
+        if (qs := _exact_all(zvalues)) is not None:
             return _eval_terms(plans, terms.values(), self._den,
-                               [*zvalues, *(v.conj() for v in zvalues)] if bar else zvalues,
+                               [*qs, *(v.conj() for v in qs)] if bar else qs,
                                lambda j, e: _pole(m, j, e))
         vals = [complex(v) for v in zvalues]
         vals += [v.conjugate() for v in vals] if bar else []
@@ -612,7 +611,7 @@ class Expr:
 def _as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (int, float, complex, Fraction, QC)):
+    if isinstance(value, (float, complex)) or exact(value) is not None:
         # complex(Fraction) and complex(QC) round each part once, alike
         return Const(complex(value))
     raise VariantError(f"cannot lift {type(value).__name__} into an expression")

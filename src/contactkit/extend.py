@@ -31,9 +31,9 @@ from operator import mul
 
 import numpy as np
 
-from .coefficients import Coefficient, LaurentPoly, _holomorphic
-from .errors import DimensionError, PreconditionError, VariantError
-from .forms import Form, PolyMap, _form, pullback
+from .coefficients import LaurentPoly, _holomorphic, coefficient_variant
+from .errors import DimensionError, PreconditionError
+from .forms import Form, PolyMap, _covector_derivative, _form, pullback
 from .grids import CubeGrid
 from .jets import grid_derivative
 from .reports import VerificationReport, fmt_num
@@ -114,22 +114,15 @@ def extend_form(coeffs: list[LaurentPoly], l: int) -> Form:
     return Form(m, 1, terms, "laurent")
 
 
-def _wirtinger_derivative(c: Coefficient, slot: int, m: int) -> Coefficient:
-    """Derivative along Wirtinger slot: 0..m-1 are z, m..2m-1 are zbar."""
-    if slot < m:
-        return c.diff_z(slot)
-    return c.diff_zbar(slot - m)
-
-
-def _coefficients_of(target):
-    """Normalize Form / PolyMap / LaurentPoly input to (m, coefficients)."""
+def _coefficients_of(target, samples: list):
+    """``(m, coefficients)`` of a Form, a PolyMap or one coefficient, on
+    its samples' C^m; ``coefficient_variant`` refuses anything else."""
     if isinstance(target, Form):
         return target.m, list(target.terms.values())
     if isinstance(target, PolyMap):
         return target.m_src, list(target.components)
-    if isinstance(target, LaurentPoly):
-        return target.m, [target]
-    raise VariantError(f"cannot measure dbar defect of {type(target).__name__}")
+    coefficient_variant(target)
+    return (samples[0].m if samples else 0), [target]
 
 
 def _sup(coeffs, samples) -> float:
@@ -142,19 +135,19 @@ def _sup(coeffs, samples) -> float:
 def dbar_defect(target, samples, order: int) -> float:
     """Max norm of derivatives of the dbar-components up to order-1.
 
-    ``target`` may be a LaurentPoly, a Form, or a PolyMap; samples should
-    lie on the real slice for the flatness semantics to apply, though the
-    evaluation itself works anywhere.
+    ``target`` may be a Form, a PolyMap, or one coefficient on the samples'
+    C^m; samples should lie on the real slice for the flatness semantics
+    to apply, though the evaluation itself works anywhere.
     """
     if type(order) is not int:
         raise PreconditionError(f"defect order must be an int, got {order!r}")
     if order < 1:
         raise PreconditionError("defect order must be >= 1")
-    m, coeffs = _coefficients_of(target)
     samples = list(samples)  # _sup reads them once per coefficient
+    m, coeffs = _coefficients_of(target, samples)
 
     def derive(c, slot):
-        return _wirtinger_derivative(c, slot, m)
+        return _covector_derivative(c, slot, m)
 
     return max((_sup(_derivative_tower(c.diff_zbar(j), order - 1, 2 * m, derive).values(),
                      samples)
@@ -229,7 +222,7 @@ def ah_verify(alpha: Form, samples, tol: float) -> VerificationReport:
     a = [c for (w,), c in alpha.terms.items() if w < m]
     b = [c for (w,), c in alpha.terms.items() if w >= m]
     dbar_a = [c.diff_zbar(j) for c in a for j in range(m)]
-    db = [_wirtinger_derivative(c, slot, m) for c in b for slot in range(2 * m)]
+    db = [_covector_derivative(c, slot, m) for c in b for slot in range(2 * m)]
     report = VerificationReport(f"asymptotic holomorphy at {len(samples)} samples")
     report.add_bound("max |dbar a_i|", _sup(dbar_a, samples), tol)
     report.add_bound("max |b_i|", _sup(b, samples), tol)

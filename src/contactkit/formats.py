@@ -238,26 +238,12 @@ def _header_int(header, key: str, least: int) -> int:
     return value
 
 
-def _distinct_values(texts, width: int):
-    """Each value text split at single spaces and parsed with Python's
-    float, as row by row: a (texts x width) array, or None for a bad text."""
-    rows = [text.split(" ") for text in texts]
-    if not all(len(row) == width for row in rows):
-        return None
-    try:
-        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
-                             len(rows) * width)
-    except ValueError:
-        return None
-    return values.reshape(len(rows), width) if np.isfinite(values).all() else None
-
-
 def _value_row(text: str, distinct: list) -> tuple[int, int | str]:
     """The token count of a value text and, when its tokens are finite
     floats, the id of its row, appended to ``distinct``; else the error."""
     tokens = text.split()
     try:
-        row = [float(t) for t in tokens]
+        row = list(map(float, tokens))
     except ValueError as exc:
         return len(tokens), str(exc)
     if not all(map(math.isfinite, row)):
@@ -332,10 +318,10 @@ def _read_header(header, rows: int) -> tuple[CubeGrid, int]:
 
 def _canonical_section(text: str, body: list[str], header) -> GridSection | None:
     """The section of ``text`` when its header is valid and its ``body`` is
-    in the writer's layout (per node in C order, its prefix "i1 ... im " and
-    its values between single spaces, lines ended by "\\n"), else None.  Such
-    a body is read in C-level passes, with no Python statement per row.  A
-    text with a "\r" is refused before any prefix is built."""
+    in the writer's index layout (per node in C order, its prefix "i1 ...
+    im ", "\\n" line ends) and its values parse, else None.  Each distinct
+    value text is parsed once, by the general path's ``_value_row``; no
+    Python statement runs per row, and a text with a "\r" is refused first."""
     if "\r" in text:
         return None
     try:
@@ -348,13 +334,15 @@ def _canonical_section(text: str, body: list[str], header) -> GridSection | None
     ids: dict[str, int] = {}  # value text -> the row of its first copy
     first = np.fromiter(map(ids.setdefault, map(str.removeprefix, body, prefixes),
                             itertools.count()), np.intp, len(body))
-    distinct = _distinct_values(ids, width - grid.m)
-    if distinct is None:
-        return None
+    distinct: list[list[float]] = []
+    for value_text in ids:
+        count, row = _value_row(value_text, distinct)
+        if count != width - grid.m or type(row) is str:
+            return None
     # the first copies' rows increase in the order of the distinct texts
     order = np.empty(len(body), dtype=np.intp)
     order[np.fromiter(ids.values(), np.intp, len(ids))] = np.arange(len(ids))
-    return _section(grid, distinct, order[first])
+    return _section(grid, np.array(distinct, float), order[first])
 
 
 def _section(grid: CubeGrid, distinct: np.ndarray, order: np.ndarray) -> GridSection:
@@ -402,7 +390,8 @@ def load_section(path: str | Path) -> GridSection:
 
 
 def dump_ci_result(result: CIResult, outdir: str | Path) -> list[Path]:
-    """Write meta.json plus frame_0000 ... frame_NNNN columnar files."""
+    """Write meta.json plus frame_0000 ... frame_NNNN columnar files, each
+    frame read by index and let go before the next one is built."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -410,9 +399,9 @@ def dump_ci_result(result: CIResult, outdir: str | Path) -> list[Path]:
     meta_path.write_text(json.dumps(result.meta(), indent=2) + "\n")
     written.append(meta_path)
     digits = max(4, int(math.log10(max(1, len(result.frames) - 1))) + 1)
-    for k, frame in enumerate(result.frames):
+    for k in range(len(result.frames)):
         path = outdir / f"frame_{k:0{digits}d}.txt"
-        save_section(frame, path)
+        save_section(result.frames[k], path)
         written.append(path)
     return written
 

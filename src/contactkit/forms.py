@@ -316,6 +316,12 @@ def wedge_power(f: Form, n: int) -> Form:
     return acc
 
 
+def _covector_derivative(c: Coefficient, idx: int, m: int) -> Coefficient:
+    """The derivative of ``c`` along covector ``idx``: d/dz_(idx+1) for
+    ``idx < m``, else d/dzbar_(idx-m+1)."""
+    return c.diff_z(idx) if idx < m else c.diff_zbar(idx - m)
+
+
 def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
     """Sum over terms c dw and i of (dc/dzbar_i) dzbar_i ^ dw, plus
     (dc/dz_i) dz_i ^ dw when ``holomorphic`` is set.  Each coefficient is
@@ -335,7 +341,7 @@ def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
                 merged, sign = merge_words((idx,), word)
                 if merged is None:
                     continue
-                dc = coeff.diff_z(i) if idx < m else coeff.diff_zbar(i)
+                dc = _covector_derivative(coeff, idx, m)
                 if dc.is_zero:
                     continue
                 _sum_into(terms, merged, dc if sign > 0 else -dc)

@@ -12,6 +12,7 @@ signed minor Pfaffians of the bordered matrix (see ``contact``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .contact import _Bordered, relation_h, relation_slope
 from .errors import DimensionError, PreconditionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection, upper_pairs
-from .scalars import QC, _affine
+from .scalars import QC, _affine, _exact_all
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,12 @@ class SliceClass:
 
     def h_of_row(self, row):
         """The affine functional evaluated on a candidate row, in the row's
-        ring: an empty slice answers QC(0) for an exact row and 0j for a
-        complex one.  A hyperplane slice's row has the length of w; when c,
+        ring: an empty slice answers QC(0) for an exact row and 0j for any
+        other.  A hyperplane slice's row has the length of w; when c,
         w and the row are all QC, the sum is taken on their triples, and
         any other row goes through the scalars' own operators."""
         if self.kind == "empty":
-            return _zero_like(row[0])
+            return QC(0) if _exact_all(row) is not None else 0j
         if self.kind == "full":
             return self.c
         c, w = self.c, self.w
@@ -142,10 +143,6 @@ class SliceClass:
         return bool(self.h_of_row(row))
 
 
-def _zero_like(template):
-    return QC(0) if isinstance(template, QC) else 0j
-
-
 def ampleness_slice(e: RestrictedJet) -> SliceClass:
     """Decompose h as an affine function of the free row.
 
@@ -158,7 +155,9 @@ def ampleness_slice(e: RestrictedJet) -> SliceClass:
     """
     jet, i = e.jet, e.i
     m = jet.m
-    zero = _zero_like(jet.a[0])
+    # the zero row is exact when every entry the kernel reads is
+    read = (*jet.a, *chain.from_iterable(jet.p[:i] + jet.p[i + 1:]))
+    zero = QC(0) if _exact_all(read) is not None else 0j
     bordered = _Bordered(*_readers(jet.with_row(i, [zero] * m)), jet.n)
     base = bordered.pf()
     w = [zero if jcol == i else bordered.slope(jcol, i) for jcol in range(m)]

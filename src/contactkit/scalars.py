@@ -26,10 +26,12 @@ reduced triple, ``_reduced(re, im, den)`` of each term is the QC that the
 
 The real and imaginary parts are read as ``fractions.Fraction`` through
 :attr:`QC.re` and :attr:`QC.im`.  Ints and Fractions are exact too:
-:func:`exact`, the one test of what is exact, lifts them.  Mixing an exact
-scalar with a float or a Python complex raises
-:class:`~contactkit.errors.VariantError`; conversion to binary floats is
-always an explicit ``complex(q)`` call at the edge of a computation.
+:func:`exact`, the one test of what is exact, lifts them, and
+:func:`_exact_all` asks it of each value of a point or a row: no other
+module tests a value against ``QC``.  Mixing an exact scalar with a float
+or a Python complex raises :class:`~contactkit.errors.VariantError`;
+conversion to binary floats is always an explicit ``complex(q)`` call at
+the edge of a computation.
 """
 
 from __future__ import annotations
@@ -502,3 +504,17 @@ def exact(value) -> QC | None:
     if isinstance(value, (int, Fraction)):
         return QC(value)
     return None
+
+
+def _exact_all(values):
+    """``values`` as QCs when every one is exact, by :func:`exact`, else
+    None.  All-QC values come back as they are."""
+    if all(type(v) is QC for v in values):
+        return values
+    lifted = []
+    for v in values:
+        q = exact(v)
+        if q is None:
+            return None
+        lifted.append(q)
+    return lifted

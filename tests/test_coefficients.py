@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from contactkit import coefficients
 from contactkit.coefficients import (
-    _FIELD, _ONE, _WIDTH, EXPONENT_LIMIT, Add, Const, Cos, Exp, LaurentPoly, Monomial, Mul, Pow,
-    Sin, Sqrt, Z, Zbar, _holomorphic, coefficient_variant, eadd, emul, epow,
+    _FIELD, _ONE, _WIDTH, EXPONENT_LIMIT, Add, Const, Cos, Exp, Expr, LaurentPoly, Monomial, Mul,
+    Pow, Sin, Sqrt, Z, Zbar, _holomorphic, coefficient_variant, eadd, emul, epow,
 )
 from contactkit.errors import (
     ContactKitError, DimensionError, ExponentRangeError, PoleError, VariantError,
@@ -20,6 +21,7 @@ from contactkit.errors import (
 from contactkit.forms import Form, Point
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC, power
+from conftest import class_tests
 from oracles import (
     ParentPoly, parent, parent_diff, parent_exact_eval, parent_mul, parent_substitute, triples,
 )
@@ -88,6 +90,21 @@ def test_eval_exact_matches_float():
             approx = f.eval(pt.as_complex())
             assert isinstance(exact, QC)
             assert abs(complex(exact) - approx) < 1e-12
+
+
+def test_exact_ints_and_fractions_are_exact_coordinates():
+    """eval asks ``scalars`` which points are exact: ints and Fractions are,
+    so they give the QC of the same point in QC, not a float; one complex
+    coordinate makes the point a float one.  A zero polynomial answers in
+    the same ring."""
+    f = LaurentPoly.z(2, 0) * Fraction(1, 3) + LaurentPoly.zbar(2, 1)
+    for point in ((2, 3), (QC(2), Fraction(3)), (Fraction(2), QC(3))):
+        got = f.eval(point)
+        assert type(got) is QC and got == f.eval((QC(2), QC(3))) == QC(Fraction(11, 3))
+    assert f.eval((2, 3 + 0j)) == complex(f.eval((QC(2), QC(3))))
+    zero = LaurentPoly.zero(2)
+    assert type(zero.eval((2, Fraction(1, 2)))) is QC
+    assert type(zero.eval((QC(2), 0.5))) is complex
 
 
 def parent_eval(p, zvalues):
@@ -686,6 +703,19 @@ def test_only_coefficients_packs_laurent_keys():
     module in the package builds polynomials through ``coefficients``."""
     src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
     assert {path.name for path in src.rglob("*.py") if packed_imports(path.read_text())} == set()
+
+
+def test_only_coefficients_tests_a_coefficients_class():
+    """``coefficients`` alone knows which kind a coefficient is: no other
+    module in the package tests a value against ``LaurentPoly``, ``Expr``
+    or an expression node class; they ask ``coefficient_variant``."""
+    kinds = {name for name, obj in vars(coefficients).items()
+             if isinstance(obj, type) and issubclass(obj, (LaurentPoly, Expr))}
+    assert {"LaurentPoly", "Expr", "Const", "Z", "Mul", "Exp"} <= kinds
+    kinds.add("Coefficient")
+    src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
+    testers = {path.name for path in src.rglob("*.py") if class_tests(path.read_text(), kinds)}
+    assert testers == {"coefficients.py"}
 
 
 # -- packed monomial keys against the tuple oracle --------------------------

@@ -131,12 +131,15 @@ def test_dbar_defect_takes_each_derivative_once(monkeypatch):
     assert len(calls) == 3 * math.comb(9, 3)
 
 
-def test_dbar_defect_refuses_an_expression():
-    """An expression carries no variable count; it gets the refusal of
-    any other unmeasurable input."""
-    for expr in (Zbar(0), emul(Z(0), Zbar(1))):
-        with pytest.raises(VariantError, match="cannot measure dbar defect"):
-            dbar_defect(expr, real_points(2, 2), order=1)
+def test_a_bare_coefficient_measures_as_it_does_inside_a_form():
+    """A bare coefficient, expression or Laurent, is measured on C^m for
+    its samples' m, as the same coefficient inside a Form on C^m is."""
+    pts = [Point(tuple(QC(v.re) for v in p.values)) for p in exact_points(3, 4, 1)]
+    mixed = emul(Z(0), Zbar(1))
+    assert dbar_defect(mixed, pts, 2) == dbar_defect(Form(3, 1, {(0,): mixed}), pts, 2) == 1.0
+    for c in (Zbar(0), mixed, LaurentPoly.z(3, 0, 2) * LaurentPoly.zbar(3, 2)):
+        for order in (1, 2, 3):
+            assert dbar_defect(c, pts, order) == dbar_defect(Form(3, 1, {(1,): c}), pts, order)
 
 
 def test_extend_rejects_bad_data():
@@ -686,7 +689,7 @@ EXTEND_REFUSALS = [
     (lambda: extend_form([], 1), DimensionError, "need at least one coefficient"),
     (lambda: extend_form([LaurentPoly.z(2, 0)], 1), DimensionError,
      "coefficient variable count != number of components"),
-    (lambda: dbar_defect(Zbar(0), [], 1), VariantError, "cannot measure dbar defect of Zbar"),
+    (lambda: dbar_defect("z1", [], 1), VariantError, "not a coefficient: str"),
     (lambda: dbar_defect(LaurentPoly.z(1, 0), [], 1.5), PreconditionError,
      "defect order must be an int, got 1.5"),
     (lambda: dbar_defect(LaurentPoly.z(1, 0), [], 0), PreconditionError,
@@ -718,8 +721,9 @@ EXTEND_REFUSALS = [
 @pytest.mark.parametrize("call, error, fragment", EXTEND_REFUSALS,
                          ids=[r[2] for r in EXTEND_REFUSALS])
 def test_every_extend_refusal_is_reached(call, error, fragment):
-    """One row per ``raise`` in ``extend.py``: the malformed input, its
-    error class and a fragment of its message."""
+    """One row per ``raise`` in ``extend.py``, and one for the
+    non-coefficient that ``dbar_defect`` leaves to ``coefficient_variant``:
+    the malformed input, its error class and a fragment of its message."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error

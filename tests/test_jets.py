@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,24 @@ def test_relation_value_known():
     p[1][0] = QC(1)
     jet = Jet1.build(1, (QC(0), QC(0), QC(1)), p)
     assert relation_value(jet) == QC(1)
+
+
+def test_every_entry_the_kernel_reads_decides_the_slice_zero():
+    """An exact int entry makes a jet no less exact: its slices are those of
+    the same jet in QC, whichever entry is the int.  The free row's probe
+    defaults are never read, so a complex one there changes nothing.  An
+    empty slice answers QC(0) for any exact row."""
+    j = random_jet(1, random.Random(3))
+    with_int = Jet1(1, (0,) + j.a[1:], j.p)
+    with_qc = Jet1(1, (QC(0),) + j.a[1:], j.p)
+    assert relation_value(with_int) == QC(Fraction(-248, 49), Fraction(-2, 7))
+    for i in range(3):
+        want = ampleness_slice(RestrictedJet(with_qc, i))
+        assert ampleness_slice(RestrictedJet(with_int, i)) == want
+        assert ampleness_slice(RestrictedJet(with_qc.with_row(i, [1j] * 3), i)) == want
+    empty = SliceClass("empty")
+    assert type(empty.h_of_row((0, QC(1), QC(2)))) is QC
+    assert type(empty.h_of_row((0, QC(1), 2j))) is complex
 
 
 def test_relation_affine_in_each_row():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from contactkit.errors import VariantError
 from contactkit.scalars import QC, _affine, _power_triple, exact
+from conftest import class_tests
 
 
 def test_construction_and_parts():
@@ -281,6 +282,21 @@ def test_only_scalars_reads_the_triple_layout():
     src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
     readers = {path.name for path in src.rglob("*.py") if triple_reads(path.read_text())}
     assert readers == {"scalars.py"}
+
+
+def test_class_tests_are_found():
+    source = ("isinstance(v, QC)\nisinstance(v, (int, QC))\ntype(v) is QC\n"
+              "QC is not type(v)\nx = [v for v in w if type(v) in (QC, int)]\n"
+              "isinstance(v, Fraction)\ntype(v) is int\nQC(v)\nissubclass(t, QC)\n")
+    assert class_tests(source, {"QC"}) == [1, 2, 3, 4, 5, 9]
+
+
+def test_only_scalars_tests_a_value_against_qc():
+    """``scalars.exact`` and ``scalars._exact_all`` decide what is exact: no
+    other module in the package tests a value's class against ``QC``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
+    testers = {path.name for path in src.rglob("*.py") if class_tests(path.read_text(), {"QC"})}
+    assert testers == {"scalars.py"}
 
 
 def test_affine_refuses_other_scalars_and_other_lengths():
