@@ -20,10 +20,11 @@ parities) is a plan built once per process; four indices take a closed
 formula, and odd terms are subtracted rather than negated and added, so
 each result keeps the bits of the plain expansion.
 
-Exact tables stay exact: from n = 2 on, a bordered table of QC entries
-within a proven bound runs on Gaussian integers held in Python complex,
-where every float operation is exact, and each result is reduced back to
-its one QC (``_Bordered``); any other table runs on its entries as read.
+Exact tables stay exact: a table whose entries ``scalars._exact_all``
+lifts (QC, int or Fraction) runs on the lifted QCs, and from n = 2 on,
+within a proven bound, on Gaussian integers held in Python complex, where
+every float operation is exact, each result reduced back to its one QC
+(``_Bordered``); any other table runs on its entries as read.
 
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
@@ -50,7 +51,7 @@ from math import factorial, prod
 from .errors import DimensionError, PreconditionError, VariantError
 from .forms import Form, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
-from .scalars import _gaussian_complex, _reduced
+from .scalars import _exact_all, _gaussian_complex, _reduced
 
 
 @lru_cache(maxsize=1024)
@@ -114,16 +115,16 @@ def pfaffian(entry, idx: tuple[int, ...]):
     """Pfaffian of the skew matrix read by ``entry`` on the indices ``idx``.
 
     ``entry(i, j)`` returns the (i, j) entry for i < j, where i precedes j
-    in ``idx``; each entry is read once.  Entries may be QC, complex or
-    ndarray; the empty Pfaffian is 1.
+    in ``idx``; each entry is read once.  Entries may be exact (QC, int or
+    Fraction, taken as QC), complex or ndarray; the empty Pfaffian is 1.
     """
     idx = tuple(idx)
     if len(idx) % 2:
         raise DimensionError(f"Pfaffian needs an even number of indices, got {len(idx)}")
     if len(set(idx)) < len(idx):
         raise DimensionError(f"Pfaffian indices must be distinct, got {idx}")
-    return _pf(_table((entry(i, j) for p, i in enumerate(idx) for j in idx[p + 1:]), idx),
-               idx, {})
+    entries = [entry(i, j) for p, i in enumerate(idx) for j in idx[p + 1:]]
+    return _pf(_table(_exact_all(entries) or entries, idx), idx, {})
 
 
 @lru_cache(maxsize=1024)
@@ -141,9 +142,10 @@ class _Bordered:
     and every Pfaffian shares one memo of sub-Pfaffians, which lives as long
     as this object.  Here n is checked and n! taken, once.
 
-    From n = 2 on, a table of QC entries runs on Gaussian integers held in
-    Python complex: scaled by the common denominator L, the entries are
-    integers, and a Pfaffian on k indices is L^(k/2) times the exact one.
+    A table whose entries ``_exact_all`` lifts is read as those QCs, and
+    from n = 2 on it runs on Gaussian integers held in Python complex:
+    scaled by the common denominator L, the entries are integers, and a
+    Pfaffian on k indices is L^(k/2) times the exact one.
     With E the largest scaled modulus (at least 1 unless all are 0) and
     h = n + 1, every term and partial sum of the expansion of a
     sub-Pfaffian on 2j indices is at most (2j-1)!! E^j <= (2h-1)!! E^h in
@@ -152,8 +154,9 @@ class _Bordered:
     (2h-1)!! E^h < 2^52 (the bit below 53 absorbs the guard's own rounding),
     so every float operation acts on integers below 2^53 and is exact.
     Each result is ``_reduced(n! re, n! im, L^(k/2))``, the one reduced
-    triple of its value: the QC the QC arithmetic gives.  Any other table
-    (n <= 1, a non-QC entry, entries past the bound) runs on its entries.
+    triple of its value: the QC the QC arithmetic gives.  An exact table at
+    n <= 1 or past the bound runs on its QCs, and any other table on its
+    entries as read.
     """
 
     __slots__ = ("n", "_up", "_memo", "_scale", "_den")
@@ -165,14 +168,17 @@ class _Bordered:
         entries = [beta(r, s) for r in full for s in full[r + 1:]]
         if a is not None:
             entries += map(a, full)
-        # _den is L on Gaussian integers, 0 on the entries as read
+        # _den is L on Gaussian integers, 0 on the QCs or the entries as read
         self.n, self._memo, self._scale, self._den = n, {}, factorial(n), 0
-        if n >= 2:
-            # (2h-1)!! E^h < 2^52 as a bound on E; the quotient is at most 2^52
-            limit = (2 ** 52 / prod(range(1, 2 * n + 2, 2))) ** (1 / (n + 1))
-            scaled = _gaussian_complex(entries, limit)
-            if scaled is not None:
-                self._den, entries = scaled
+        lifted = _exact_all(entries)
+        if lifted is not None:
+            entries = lifted
+            if n >= 2:
+                # (2h-1)!! E^h < 2^52 as a bound on E; the quotient is at most 2^52
+                limit = (2 ** 52 / prod(range(1, 2 * n + 2, 2))) ** (1 / (n + 1))
+                scaled = _gaussian_complex(entries, limit)
+                if scaled is not None:
+                    self._den, entries = scaled
         entries = iter(entries)
         self._up = _table(entries, full)
         if a is not None:

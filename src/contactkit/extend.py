@@ -37,7 +37,7 @@ from .forms import Form, PolyMap, _covector_derivative, _form, pullback
 from .grids import CubeGrid
 from .jets import grid_derivative
 from .reports import VerificationReport, fmt_num
-from .scalars import QC, _gaussian, _reduced, exact
+from .scalars import QC, _exact_all, _gaussian, _reduced
 
 
 def multi_indices(m: int, max_total: int):
@@ -425,9 +425,8 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     if len(rows) != len(points):
         raise DimensionError("one value row per point required")
 
-    exact_rows = ([[exact(v) for v in r] for r in rows]
-                  if all(pt.is_exact for pt in points) else None)
-    if exact_rows and all(v is not None for r in exact_rows for v in r):
+    exact_rows = [_exact_all(r) for r in rows] if all(pt.is_exact for pt in points) else None
+    if exact_rows is not None and None not in exact_rows:
         A = _design_matrix([pt.values for pt in points], monos, QC(1))
         rhs_cols = [[exact_rows[r][i] for r in range(len(rows))] for i in range(m)]
         L, re, im = _gaussian([*zip(*A), *rhs_cols])

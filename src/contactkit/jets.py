@@ -121,22 +121,25 @@ class SliceClass:
 
     def h_of_row(self, row):
         """The affine functional evaluated on a candidate row, in the row's
-        ring: an empty slice answers QC(0) for an exact row and 0j for any
-        other.  A hyperplane slice's row has the length of w; when c,
-        w and the row are all QC, the sum is taken on their triples, and
-        any other row goes through the scalars' own operators."""
-        if self.kind == "empty":
-            return QC(0) if _exact_all(row) is not None else 0j
-        if self.kind == "full":
-            return self.c
+        ring: an empty slice answers the row's zero, QC(0) for an exact row
+        and 0j for any other, and a full slice c plus that zero.  A
+        hyperplane slice's row has the length of w; when ``_exact_all``
+        lifts c, w and the row, the sum is taken on the QCs' triples, and
+        any other row goes through the scalars' own operators.  A slice
+        and a row of different rings raise VariantError."""
+        if self.kind != "hyperplane":
+            zero = QC(0) if _exact_all(row) is not None else 0j
+            return zero if self.kind == "empty" else self.c + zero
         c, w = self.c, self.w
-        if len(row) != len(w):
-            raise DimensionError(f"row has length {len(row)}, the slice's w has length {len(w)}")
-        total = _affine(c, w, row)
-        if total is None:
-            total = c
-            for wj, rj in zip(w, row):
-                total = total + wj * rj
+        k = len(w)
+        if len(row) != k:
+            raise DimensionError(f"row has length {len(row)}, the slice's w has length {k}")
+        lifted = _exact_all((c, *w, *row))
+        if lifted is not None:
+            return _affine(lifted[0], lifted[1:k + 1], lifted[k + 1:])
+        total = c
+        for wj, rj in zip(w, row):
+            total = total + wj * rj
         return total
 
     def contains(self, row) -> bool:

@@ -27,11 +27,12 @@ reduced triple, ``_reduced(re, im, den)`` of each term is the QC that the
 The real and imaginary parts are read as ``fractions.Fraction`` through
 :attr:`QC.re` and :attr:`QC.im`.  Ints and Fractions are exact too:
 :func:`exact`, the one test of what is exact, lifts them, and
-:func:`_exact_all` asks it of each value of a point or a row: no other
-module tests a value against ``QC``.  Mixing an exact scalar with a float
-or a Python complex raises :class:`~contactkit.errors.VariantError`;
-conversion to binary floats is always an explicit ``complex(q)`` call at
-the edge of a computation.
+:func:`_exact_all` asks it of each value of a point, a row or a table: no
+other module tests a value against ``QC``, and the kernels here that read
+triples (:func:`_gaussian_complex`, :func:`_affine`) take the QCs it
+lifted.  Mixing an exact scalar with a float or a Python complex raises
+:class:`~contactkit.errors.VariantError`; conversion to binary floats is
+always an explicit ``complex(q)`` call at the edge of a computation.
 """
 
 from __future__ import annotations
@@ -94,11 +95,9 @@ def _gaussian(columns) -> tuple[int, list[list[int]], list[list[int]]]:
 
 
 def _gaussian_complex(values: list, limit: float) -> tuple[int, list[complex]] | None:
-    """``values`` over one common denominator L as Gaussian integers held in
-    Python complex, ``(L, [complex(L * v)])``; None when a value is not a QC
-    or a scaled modulus reaches ``limit``, 2**53 or float range."""
-    if set(map(type, values)) != {QC}:
-        return None
+    """QC ``values`` over one common denominator L as Gaussian integers held
+    in Python complex, ``(L, [complex(L * v)])``; None when a scaled modulus
+    reaches ``limit``, 2**53 or float range."""
     L = lcm(*{q._d for q in values})
     try:
         scaled = [complex(q._a * s, q._b * s) for q in values for s in (L // q._d,)]
@@ -310,18 +309,14 @@ def _eval_terms(plans: list, nums, den: int, values: list, pole) -> "QC":
     return _reduced(ta, tb, td * den)
 
 
-def _affine(c, w, row) -> "QC | None":
-    """``c + sum(w[j] * row[j])`` for sequences ``w`` and ``row`` of one
-    length, or None when ``c`` or an entry is not a QC.  Each product stays
-    an unreduced triple (a zero ``w[j]`` adds nothing), the sum puts each
-    one over the lcm of the denominators so far, and the one
-    :func:`_reduced` at the end gives the value's one reduced triple."""
-    if type(c) is not QC:
-        return None
+def _affine(c, w, row) -> "QC":
+    """``c + sum(w[j] * row[j])`` for a QC ``c`` and QC sequences ``w`` and
+    ``row`` of one length.  Each product stays an unreduced triple (a zero
+    ``w[j]`` adds nothing), the sum puts each one over the lcm of the
+    denominators so far, and the one :func:`_reduced` at the end gives the
+    value's one reduced triple."""
     ta, tb, td = c._a, c._b, c._d
     for p, q in zip(w, row, strict=True):
-        if type(p) is not QC or type(q) is not QC:
-            return None
         a, b = p._a, p._b
         if not (a or b):
             continue

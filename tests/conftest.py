@@ -59,14 +59,15 @@ def _called(node, functions) -> bool:
 def class_tests(source: str, names) -> list[int]:
     """The lines of ``source`` that test a value's class against one of
     ``names``: an ``isinstance`` or ``issubclass`` whose classes name one,
-    or a comparison of ``type(...)`` with an operand that names one."""
+    or a comparison of an operand that names ``type`` (``type(v)``,
+    ``set(map(type, values))``) with an operand that names one."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if _called(node, ("isinstance", "issubclass")) and len(node.args) == 2:
             found = _names(node.args[1], names)
         elif isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            types = [o for o in operands if _called(o, ("type",))]
+            types = [o for o in operands if _names(o, {"type"})]
             found = bool(types) and any(_names(o, names) for o in operands if o not in types)
         else:
             found = False

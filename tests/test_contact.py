@@ -30,7 +30,7 @@ from contactkit.jets import (
 )
 from contactkit.reports import fmt_num
 from contactkit.sampling import exact_points, random_jet, random_qc
-from contactkit.scalars import QC, _reduced
+from contactkit.scalars import QC, _reduced, exact
 from oracles import top_coefficient
 
 
@@ -688,26 +688,31 @@ def test_exact_kernels_keep_the_qc_result_on_either_ring(mode, n, seed):
     """relation_h, every relation_slope, ampleness_slice and
     pfaffian_coeffs equal the plain expansion, with identical repr, at
     n = 0..3 on exact tables on either side of the Gaussian-integer bound,
-    past float range, and mixing ints and Fractions with QC."""
+    past float range, and mixing ints and Fractions with QC.  The kernels
+    read the QCs that ``scalars.exact`` lifts, so the oracle is fed the
+    lifted entries (the same entries unless the mode mixes in ints and
+    Fractions)."""
     rng = random.Random(seed)
     jet = guard_jet(mode, n, rng)
     a, beta = jet_readers(jet)
+    lifted = Jet1.build(n, map(exact, jet.a), [map(exact, row) for row in jet.p])
+    la, lbeta = jet_readers(lifted)
     m = jet.m
 
     def same(got, want):
         assert got == want and repr(got) == repr(want)
 
-    same(relation_h(a, beta, n), relation_h_oracle(a, beta, n))
+    same(relation_h(a, beta, n), relation_h_oracle(la, lbeta, n))
     for r in range(m):
         for s in range(m):
             if r != s:
-                same(relation_slope(a, beta, n, r, s), relation_slope_oracle(a, beta, n, r, s))
+                same(relation_slope(a, beta, n, r, s), relation_slope_oracle(la, lbeta, n, r, s))
     same(pfaffian_coeffs(beta, n),
-         [factorial(n) * pfaffian_oracle(beta, tuple(k for k in range(m) if k != i))
+         [factorial(n) * pfaffian_oracle(lbeta, tuple(k for k in range(m) if k != i))
           for i in range(m)])
     i = rng.randrange(m)
     slc = ampleness_slice(RestrictedJet(jet, i))
-    c, w = ampleness_slice_oracle(jet, i)
+    c, w = ampleness_slice_oracle(lifted, i)
     if any(w):
         same((slc.kind, slc.w, slc.c), ("hyperplane", w, c))
     else:
@@ -715,9 +720,9 @@ def test_exact_kernels_keep_the_qc_result_on_either_ring(mode, n, seed):
 
 
 def test_exact_tables_choose_their_ring():
-    """A random n = 3 jet runs on Gaussian integers; so does a table whose
-    largest scaled modulus is the bound's, while one past it, n <= 1 and a
-    table with an int entry run on the QC arithmetic."""
+    """A random n = 3 jet runs on Gaussian integers; so do a table whose
+    largest scaled modulus is the bound's and a table with an int entry,
+    while one past the bound and n <= 1 run on the QC arithmetic."""
     jet = random_jet(3, random.Random(5))
     table = contact._Bordered(*jet_readers(jet), 3)
     assert table._den == 7
@@ -733,7 +738,38 @@ def test_exact_tables_choose_their_ring():
     assert not contact._Bordered(*jet_readers(random_jet(1, random.Random(5))), 1)._den
     jet = random_jet(3, random.Random(5))
     a, beta = jet_readers(jet)
-    assert not contact._Bordered(lambda i: 1 if i == 4 else a(i), beta, 3)._den
+    assert contact._Bordered(lambda i: 1 if i == 4 else a(i), beta, 3)._den == 7
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("other", (1, -2, Fraction(1, 3)))
+def test_an_int_or_fraction_entry_keeps_the_gaussian_ring(n, other):
+    """One int or Fraction entry, in a or in beta, leaves an n = 2 or 3
+    table exact: it takes the Gaussian ring and gives, for h and every
+    slope, the QC of the same table with that entry as a QC."""
+    a, beta = jet_readers(random_jet(n, random.Random(5)))
+    m = 2 * n + 1
+
+    def tables(entry):
+        return [contact._Bordered(lambda i: entry if i == 1 else a(i), beta, n),
+                contact._Bordered(a, lambda r, s: entry if (r, s) == (0, 2) else beta(r, s), n)]
+
+    for table, qc_table in zip(tables(other), tables(QC(other))):
+        assert table._den == qc_table._den != 0
+        pairs = [(table.pf(), qc_table.pf())] + [(table.slope(r, s), qc_table.slope(r, s))
+                                                  for r in range(m) for s in range(m) if r != s]
+        for got, want in pairs:
+            assert type(got) is QC and repr(got) == repr(want)
+
+
+def test_exact_readers_give_a_qc():
+    """relation_h and pfaffian on int readers answer a QC, at n = 0, 1 and
+    2 alike."""
+    for n, want in ((0, QC(1)), (1, QC(2)), (2, QC(24))):
+        got = relation_h(lambda i: i + 1, lambda r, s: r + s, n)
+        assert type(got) is QC and got == want
+    got = pfaffian(lambda i, j: i + j + 1, range(4))
+    assert type(got) is QC and got == QC(13)
 
 
 def test_verifier_tables_at_exact_points_take_the_gaussian_ring(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import contactkit
 from contactkit.coefficients import LaurentPoly
 from contactkit.contact import contact_defect, relation_h, relation_slope
-from contactkit.errors import ContactKitError, DimensionError, PreconditionError
+from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
 from contactkit.forms import Form, Point
 from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection, upper_pairs
@@ -51,6 +51,31 @@ def test_every_entry_the_kernel_reads_decides_the_slice_zero():
     empty = SliceClass("empty")
     assert type(empty.h_of_row((0, QC(1), QC(2)))) is QC
     assert type(empty.h_of_row((0, QC(1), 2j))) is complex
+
+
+def test_a_jet_with_an_int_entry_has_qc_slopes():
+    """Every slope and the c of each slice of a jet with an int entry are
+    QCs, as for the same jet in QC; reprs compare, since 0 == QC(0)."""
+    j = random_jet(1, random.Random(3))
+    with_int = Jet1(1, (0,) + j.a[1:], j.p)
+    with_qc = Jet1(1, (QC(0),) + j.a[1:], j.p)
+    for i in range(3):
+        got = ampleness_slice(RestrictedJet(with_int, i))
+        assert repr(got) == repr(ampleness_slice(RestrictedJet(with_qc, i)))
+        assert {type(x) for x in (got.c, *got.w)} == {QC}
+
+
+def test_a_full_slice_answers_in_the_row_ring():
+    """A full slice gives c for a row of c's ring, as a QC for any exact
+    row, and refuses a row of the other ring as a hyperplane slice does."""
+    assert repr(SliceClass("full", None, QC(2)).h_of_row((1, QC(1), Fraction(1, 2)))) \
+        == repr(QC(2))
+    assert repr(SliceClass("full", None, 2).h_of_row((1, 2, 3))) == repr(QC(2))
+    assert SliceClass("full", None, 2j).h_of_row((1j, 1j, 1j)) == 2j
+    with pytest.raises(VariantError):
+        SliceClass("full", None, QC(2)).h_of_row((1j, 1j, 1j))
+    with pytest.raises(VariantError):
+        SliceClass("full", None, 2j).h_of_row((QC(1),) * 3)
 
 
 def test_relation_affine_in_each_row():
@@ -562,10 +587,9 @@ def test_h_of_row_matches_the_operator_loop_oracle(case):
 
 
 def test_an_exact_row_takes_no_qc_arithmetic(monkeypatch):
-    """An exact row is summed on triples: no QC product or sum.  A complex
-    or mixed row keeps the operators, so an exact slice still refuses a
-    float row."""
-    from contactkit.errors import VariantError
+    """An exact row, an int among its QCs too, is summed on triples: no QC
+    product or sum.  A complex or mixed row keeps the operators, so an
+    exact slice still refuses a float row."""
     rng = random.Random(347)
     slices = []
     while len(slices) < 6:
@@ -589,10 +613,14 @@ def test_an_exact_row_takes_no_qc_arithmetic(monkeypatch):
         slc.h_of_row(row)
     assert counts == {"add": 0, "mul": 0}
     slc, row = slices[0]
-    assert slc.h_of_row(row[:-1] + (1,)) == parent_h_of_row(slc, row[:-1] + (1,))
-    assert counts["mul"] > 0
+    int_row = row[:-1] + (1,)
+    got = slc.h_of_row(int_row)
+    assert counts == {"add": 0, "mul": 0}
+    assert repr(got) == repr(parent_h_of_row(slc, int_row))
+    counts["mul"] = 0
     with pytest.raises(VariantError):
         slc.h_of_row(row[:-1] + (0.5,))
+    assert counts["mul"] > 0
 
 
 def test_h_of_row_squared_is_the_bordered_determinant():

@@ -299,13 +299,25 @@ def test_only_scalars_tests_a_value_against_qc():
     assert testers == {"scalars.py"}
 
 
-def test_affine_refuses_other_scalars_and_other_lengths():
-    """``_affine`` answers None when c or an entry is not a QC, so the
-    caller's operators decide; it never truncates a longer sequence."""
-    w, row = (QC(1), QC(0), QC(2, 1)), (QC(3), 1j, QC(-1))
-    assert _affine(QC(1), w, row) is None
-    assert _affine(1, w, (QC(1),) * 3) is None
-    assert _affine(QC(1), w, (QC(1), QC(2), 2)) is None
+def test_only_exact_and_qc_test_a_value_against_qc_in_scalars():
+    """Inside scalars too, only ``exact``, ``_exact_all`` and QC's own
+    methods test a value's class against QC: the kernels that read triples
+    (``_gaussian_complex``, ``_affine``) take what ``_exact_all`` lifted and
+    have no path of their own for other values."""
+    assert class_tests("set(map(type, values)) != {QC}", {"QC"}) == [1]
+    src = Path(__file__).resolve().parent.parent / "src" / "contactkit"
+    source = (src / "scalars.py").read_text()
+    tops = [node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    owners = {next((node.name for node in tops if node.lineno <= line <= node.end_lineno), None)
+              for line in class_tests(source, {"QC"})}
+    assert owners == {"exact", "_exact_all", "QC"}
+
+
+def test_affine_refuses_other_lengths():
+    """``_affine`` sums QC triples to the QC the operators give; it never
+    truncates a longer sequence."""
+    w = (QC(1), QC(0), QC(2, 1))
     assert _affine(QC(1), w, (QC(1), QC(2), QC(1, 1))) == QC(1) + QC(1) + QC(2, 1) * QC(1, 1)
     for short in ((QC(1),) * 2, (QC(1),) * 4):
         with pytest.raises(ValueError):
