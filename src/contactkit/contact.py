@@ -15,16 +15,19 @@ it, on exact, complex and ndarray entries alike.  It reads each matrix
 once into an upper table and expands each sub-Pfaffian once per matrix:
 h and its slopes on one bordered matrix (``ampleness_slice``), or the m
 minors of one beta (``pfaffian_coeffs``), share their sub-Pfaffians.
-The expansion's structure (per index tuple: the partners, sub-tuples and
-parities) is a plan built once per process; four indices take a closed
-formula, and odd terms are subtracted rather than negated and added, so
-each result keeps the bits of the plain expansion.
+The expansion's structure (per index tuple: every sub-Pfaffian it
+reaches, children first, with its partners, sub-Pfaffians and parities) is
+one schedule built once per process; four indices take a closed formula,
+and odd terms are subtracted rather than negated and added, so each result
+keeps the bits of the plain expansion.
 
 Exact tables stay exact: a table whose entries ``scalars._exact_all``
 lifts (QC, int or Fraction) runs on the lifted QCs, and from n = 2 on,
 within a proven bound, on Gaussian integers held in Python complex, where
 every float operation is exact, each result reduced back to its one QC
-(``_Bordered``); any other table runs on its entries as read.
+(``_Bordered``); any other table runs on its entries as read.  From n = 2
+on, an exact jet's table reads beta from the jet's Gaussian-integer view
+(``jets.Jet1._view``) with no QC arithmetic.
 
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
@@ -46,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial, prod
 
 from .errors import DimensionError, PreconditionError, VariantError
@@ -55,16 +59,32 @@ from .scalars import _exact_all, _gaussian_complex, _reduced
 
 
 @lru_cache(maxsize=1024)
-def _plan(idx: tuple) -> tuple:
-    """The expansion of ``idx`` along its first index: that index and, per
-    term, the partner, the sub-index tuple and whether the term is odd.
+def _schedule(idx: tuple) -> tuple:
+    """The bottom-up schedule of Pf on ``idx``: each sub-Pfaffian of four or
+    more indices that the expansion along the first index reaches, once,
+    keyed by its int mask (bit k + 1 for index k >= -1).
 
-    A plan depends only on the tuple, never on the entries, so each is
-    built once per process; the cache holds at most 1024 plans, since
-    ``pfaffian`` passes index tuples in any order.
+    ``(top, quads, steps)``: ``top`` is the mask of ``idx``; ``quads`` are
+    the four-index ones, ``(mask, i, j, k, l)``; ``steps`` are the others,
+    children first, ``(mask, first, partner, sub, terms)``, where
+    ``partner`` and ``sub`` (the sub-Pfaffian's mask) give the first term
+    and ``terms`` holds ``(partner, sub, odd)`` for the rest.  A schedule
+    depends only on the tuple, never on the entries, so each is built once
+    per process; the cache holds at most 1024 schedules.
     """
-    rest = idx[1:]
-    return idx[0], tuple((p, rest[:k] + rest[k + 1:], k % 2) for k, p in enumerate(rest))
+    quads, steps = {}, {}
+
+    def visit(sub: tuple) -> int:
+        mask = sum(1 << (k + 1) for k in sub)
+        if len(sub) == 4:
+            quads[mask] = (mask, *sub)
+        elif mask not in steps:
+            first, rest = sub[0], sub[1:]
+            terms = [(p, visit(rest[:k] + rest[k + 1:]), k % 2) for k, p in enumerate(rest)]
+            steps[mask] = (mask, first, *terms[0][:2], tuple(terms[1:]))
+        return mask
+
+    return visit(idx), tuple(quads.values()), tuple(steps.values())
 
 
 def _pf(up, idx: tuple, memo: dict):
@@ -74,34 +94,32 @@ def _pf(up, idx: tuple, memo: dict):
     ``up[i][j]`` holds the (i, j) entry for i preceding j in ``idx``.  The
     expansion runs along the first index,
     Pf = sum_k (-1)^k up[idx[0]][idx[k+1]] Pf(idx without both),
-    walking the cached ``_plan`` of ``idx``: each term is the table entry
-    times the sub-Pfaffian, and odd terms are subtracted.  Four indices
-    i, j, k, l take the closed form
+    and the kernel walks the cached ``_schedule`` of ``idx``, children
+    first: each term is the table entry times the sub-Pfaffian, and odd
+    terms are subtracted.  Four indices i, j, k, l take the closed form
     up[i][j]*up[k][l] - up[i][k]*up[j][l] + up[i][l]*up[j][k], which is
     that expansion term for term.  Each sub-Pfaffian of four or more
-    indices is computed once and kept in ``memo`` under its index tuple;
-    calls on the same table that share a memo share their sub-Pfaffians.
-    The empty Pfaffian is 1.
+    indices is computed once and kept in ``memo`` under its mask; calls on
+    the same table that share a memo share their sub-Pfaffians (one in the
+    memo has all of its own there too).  The empty Pfaffian is 1.
     """
     if len(idx) < 4:
         return up[idx[0]][idx[1]] if idx else 1
-    total = memo.get(idx)
-    if total is None:
-        if len(idx) == 4:
-            i, j, k, l = idx
-            ui, uj = up[i], up[j]
-            total = ui[j] * up[k][l] - ui[k] * uj[l] + ui[l] * uj[k]
-        else:
-            first, terms = _plan(idx)
-            row = up[first]
-            terms = iter(terms)
-            partner, sub, _ = next(terms)
-            total = row[partner] * _pf(up, sub, memo)
-            for partner, sub, odd in terms:
-                term = row[partner] * _pf(up, sub, memo)
-                total = total - term if odd else total + term
-        memo[idx] = total
-    return total
+    top, quads, steps = _schedule(idx)
+    if top not in memo:
+        for mask, i, j, k, l in quads:
+            if mask not in memo:
+                ui, uj = up[i], up[j]
+                memo[mask] = ui[j] * up[k][l] - ui[k] * uj[l] + ui[l] * uj[k]
+        for mask, first, partner, sub, terms in steps:
+            if mask not in memo:
+                row = up[first]
+                total = row[partner] * memo[sub]
+                for partner, sub, odd in terms:
+                    term = row[partner] * memo[sub]
+                    total = total - term if odd else total + term
+                memo[mask] = total
+    return memo[top]
 
 
 def _table(entries, idx: tuple) -> dict:
@@ -124,7 +142,9 @@ def pfaffian(entry, idx: tuple[int, ...]):
     if len(set(idx)) < len(idx):
         raise DimensionError(f"Pfaffian indices must be distinct, got {idx}")
     entries = [entry(i, j) for p, i in enumerate(idx) for j in idx[p + 1:]]
-    return _pf(_table(_exact_all(entries) or entries, idx), idx, {})
+    # the table is keyed by position, so every order of k indices walks one schedule
+    at = tuple(range(len(idx)))
+    return _pf(_table(_exact_all(entries) or entries, at), at, {})
 
 
 @lru_cache(maxsize=1024)
@@ -133,14 +153,23 @@ def _bordered_idx(n: int, *drop: int) -> tuple:
     return tuple(k for k in range(-1, 2 * n + 1) if k not in drop)
 
 
+@lru_cache(maxsize=64)
+def _limit(n: int) -> float:
+    """The bound on the largest scaled modulus E of a table at n on Gaussian
+    integers: (2h-1)!! E^h < 2^52 with h = n + 1, taken once per n."""
+    # the quotient is at most 2^52
+    return (2 ** 52 / prod(range(1, 2 * n + 2, 2))) ** (1 / (n + 1))
+
+
 class _Bordered:
     """n! times the Pfaffians of one bordered matrix [[0, a^T], [-a, beta]].
 
     Index -1 is the border and beta keeps its indices 0 .. m-1; with ``a``
     None the table holds beta alone.  The entries are read once, beta's in
     ``upper_pairs`` order and the border after them, into one upper table,
-    and every Pfaffian shares one memo of sub-Pfaffians, which lives as long
-    as this object.  Here n is checked and n! taken, once.
+    and every Pfaffian walks the schedule cached per index tuple and shares
+    one memo of sub-Pfaffians, which lives as long as this object.  Here n
+    is checked and n! taken, once.
 
     A table whose entries ``_exact_all`` lifts is read as those QCs, and
     from n = 2 on it runs on Gaussian integers held in Python complex:
@@ -151,34 +180,53 @@ class _Bordered:
     sub-Pfaffian on 2j indices is at most (2j-1)!! E^j <= (2h-1)!! E^h in
     modulus, and so are both real products inside each complex product x*y
     (|ac| + |bd| <= |x||y|).  The table takes this path only when
-    (2h-1)!! E^h < 2^52 (the bit below 53 absorbs the guard's own rounding),
-    so every float operation acts on integers below 2^53 and is exact.
-    Each result is ``_reduced(n! re, n! im, L^(k/2))``, the one reduced
-    triple of its value: the QC the QC arithmetic gives.  An exact table at
-    n <= 1 or past the bound runs on its QCs, and any other table on its
-    entries as read.
+    (2h-1)!! E^h < 2^52 (``_limit``; the bit below 53 absorbs the guard's
+    own rounding), so every float operation acts on integers below 2^53 and
+    is exact.  Each result is ``_reduced(n! re, n! im, L^(k/2))``, the one
+    reduced triple of its value: the QC the QC arithmetic gives.
+
+    A jet's ``view`` ``(L, top, a, p)`` (``jets.Jet1._view``, which jets
+    passes from n = 2 on: every entry as L times it, of modulus at most
+    ``top`` < 2^53) gives beta_rs = p[s][r] - p[r][s] as one complex
+    subtraction each, into a table of rows with the border last (index -1
+    reads it).  The bound holds for the whole table when 2 top is below it,
+    since no entry's modulus exceeds 2 top; else it is checked on each
+    entry after the subtraction, since a difference can reach 2^54.  A
+    table past the bound, or one with no view, is read through ``a`` and
+    ``beta``.  An exact table at n <= 1 or past the bound runs on its QCs,
+    its Pfaffians taken as they are when n! is 1, and any other table on
+    its entries as read.
     """
 
     __slots__ = ("n", "_up", "_memo", "_scale", "_den")
 
-    def __init__(self, a, beta, n: int):
+    def __init__(self, a, beta, n: int, view=None):
         if type(n) is not int or n < 0:
             raise DimensionError(f"n must be an int >= 0, got {n!r}")
+        # _den is L on Gaussian integers, 0 on the QCs or the entries as read
+        self.n, self._memo, self._scale, self._den = n, {}, factorial(n), 0
+        if view is not None:
+            den, top, va, vp = view
+            up = [[c - x for x, c in zip(row, col)] for row, col in zip(vp, zip(*vp))]
+            up.append(va)
+            limit = _limit(n)
+            if 2 * top < limit or max(map(abs, chain.from_iterable(up))) < limit:
+                self._up, self._den = up, den
+                return
         full = tuple(range(2 * n + 1))
         entries = [beta(r, s) for r in full for s in full[r + 1:]]
         if a is not None:
             entries += map(a, full)
-        # _den is L on Gaussian integers, 0 on the QCs or the entries as read
-        self.n, self._memo, self._scale, self._den = n, {}, factorial(n), 0
         lifted = _exact_all(entries)
         if lifted is not None:
             entries = lifted
-            if n >= 2:
-                # (2h-1)!! E^h < 2^52 as a bound on E; the quotient is at most 2^52
-                limit = (2 ** 52 / prod(range(1, 2 * n + 2, 2))) ** (1 / (n + 1))
-                scaled = _gaussian_complex(entries, limit)
+            if n <= 1:
+                # n! is 1: an exact Pfaffian comes back as the kernel gives it
+                self._scale = None
+            else:
+                scaled = _gaussian_complex(entries, _limit(n))
                 if scaled is not None:
-                    self._den, entries = scaled
+                    self._den, entries, _ = scaled
         entries = iter(entries)
         self._up = _table(entries, full)
         if a is not None:
@@ -191,7 +239,8 @@ class _Bordered:
         if self._den and idx:
             s = self._scale
             return _reduced(s * int(v.real), s * int(v.imag), self._den ** (len(idx) // 2))
-        return self._scale * v
+        # an array result stays a fresh array: the product by 1 copies it
+        return v if self._scale is None else self._scale * v
 
     def slope(self, r: int, s: int):
         if r == s:
@@ -199,7 +248,6 @@ class _Bordered:
         v = self.pf(r, s)
         # the minor's sign is (-1)^(r+s+1) for r < s and flips for r > s
         return v if (r + s) % 2 != (r > s) else -v
-
 
 def relation_h(a, beta, n: int):
     """The contact relation h = n! Pf([[0, a^T], [-a, beta]]).

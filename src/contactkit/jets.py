@@ -7,11 +7,18 @@ relation iff h != 0.  Restricting to one row (or column) of p, h is
 affine, which is what makes the relation ample in coordinate directions;
 the coefficients of that affine function are the slopes dh/dbeta_rs,
 signed minor Pfaffians of the bordered matrix (see ``contact``).
+
+An exact jet is read once: on its first kernel read from n = 2 on,
+``Jet1._view`` holds its entries as Gaussian integers over one denominator
+(``scalars._gaussian_jet``), and every bordered table of the jet, or of a
+``with_row`` child that inherits the view, reads beta from it with no QC
+arithmetic.  A jet without a view is read through ``_readers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -20,7 +27,7 @@ from .contact import _Bordered, relation_h, relation_slope
 from .errors import DimensionError, PreconditionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection, upper_pairs
-from .scalars import QC, _affine, _exact_all
+from .scalars import QC, _affine, _exact_all, _gaussian_jet, _gaussian_row
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,8 @@ class Jet1:
     """A point of the 1-jet space: value vector a, derivative matrix p.
 
     Entries are QC (exact) or complex (numeric); rows of p are indexed by
-    the component i, columns by the differentiation direction j.
+    the component i, columns by the differentiation direction j.  The
+    kernels' view of an exact jet is built on first read (``_view``).
     """
 
     n: int
@@ -55,10 +63,32 @@ class Jet1:
     def build(cls, n: int, a, p) -> "Jet1":
         return cls(n, tuple(a), tuple(tuple(row) for row in p))
 
+    @cached_property
+    def _view(self):
+        """``(L, top, a, p)``: every entry as L times it, a Gaussian integer
+        held in Python complex, over the lcm L of the denominators, and
+        ``top`` the largest of their moduli; None unless ``_exact_all``
+        lifts every entry and every part is below 2^53.  Built on the first
+        read, which is a kernel's."""
+        return _gaussian_jet(self.a, self.p)
+
     def with_row(self, i: int, row) -> "Jet1":
+        """The jet with row i of p replaced.  When this jet's view is built
+        and every denominator of the lifted row divides its L, the child
+        gets that view with row i replaced; otherwise the child builds its
+        own on first read (a complex row gives none)."""
         rows = list(self.p)
         rows[i] = tuple(row)
-        return Jet1(self.n, self.a, tuple(rows))
+        child = Jet1(self.n, self.a, tuple(rows))
+        view = self.__dict__.get("_view")
+        if view is not None:
+            den, top, a, p = view
+            scaled = _gaussian_row(rows[i], den)
+            if scaled is not None:
+                p = list(p)
+                p[i], row_top = scaled
+                object.__setattr__(child, "_view", (den, max(top, row_top), a, p))
+        return child
 
 
 def _readers(j: Jet1):
@@ -68,10 +98,17 @@ def _readers(j: Jet1):
     return j.a.__getitem__, lambda r, s: p[s][r] - p[r][s]
 
 
+def _bordered(j: Jet1) -> _Bordered:
+    """The jet's bordered table: from n = 2 on read from its view when it
+    has one, else through its readers.  At n <= 1 the view's conversion
+    costs what its reads save, so none is built."""
+    return _Bordered(*_readers(j), j.n, j._view if j.n >= 2 else None)
+
+
 def relation_value(j: Jet1):
     """h = n! Pf([[0, a^T], [-a, beta]]) with beta = skew(p).  The jet is
     in the relation iff the result is nonzero."""
-    return relation_h(*_readers(j), j.n)
+    return _bordered(j).pf()
 
 
 @dataclass(frozen=True)
@@ -158,10 +195,14 @@ def ampleness_slice(e: RestrictedJet) -> SliceClass:
     """
     jet, i = e.jet, e.i
     m = jet.m
-    # the zero row is exact when every entry the kernel reads is
-    read = (*jet.a, *chain.from_iterable(jet.p[:i] + jet.p[i + 1:]))
-    zero = QC(0) if _exact_all(read) is not None else 0j
-    bordered = _Bordered(*_readers(jet.with_row(i, [zero] * m)), jet.n)
+    # the zero row is exact when every entry the kernel reads is: so when
+    # the jet has a view, which the child then inherits
+    if jet.n >= 2 and jet._view is not None:
+        zero = QC(0)
+    else:
+        read = (*jet.a, *chain.from_iterable(jet.p[:i] + jet.p[i + 1:]))
+        zero = QC(0) if _exact_all(read) is not None else 0j
+    bordered = _bordered(jet.with_row(i, [zero] * m))
     base = bordered.pf()
     w = [zero if jcol == i else bordered.slope(jcol, i) for jcol in range(m)]
     if not any(w):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactkit import contact
+from contactkit import contact, jets
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
     FormalPair, contact_defect, formal_defect, is_contact_on,
@@ -26,7 +26,8 @@ from contactkit.errors import ContactKitError, DimensionError, PreconditionError
 from contactkit.forms import Form, ext_d, wedge, wedge_power
 from contactkit.gallery import circle_form, gallery_entries, sigma_homotopy, std_form
 from contactkit.jets import (
-    Jet1, RestrictedJet, ampleness_slice, holonomic_jet, relation_value, slope_grid,
+    Jet1, RestrictedJet, ampleness_slice, holonomic_jet, relation_grid, relation_value,
+    slope_grid,
 )
 from contactkit.reports import fmt_num
 from contactkit.sampling import exact_points, random_jet, random_qc
@@ -599,9 +600,10 @@ def test_jet_path_sums_each_term_once(monkeypatch):
 
 
 def test_gaussian_jet_path_makes_only_the_beta_reads(monkeypatch):
-    """An exact n = 3 jet of denominator 7 runs on Gaussian integers: h
-    makes the 21 beta reads (p[s][r] - p[r][s]) and no other QC sum or
-    product, and a slice adds only the negations of its slopes of sign -1."""
+    """An exact n = 3 jet of denominator 7 runs on Gaussian integers and
+    reads beta from its view: h makes no QC sum or product at all, and a
+    slice only the negations of its slopes of sign -1.  The same table
+    through the readers makes the 21 beta reads (p[s][r] - p[r][s])."""
     calls = {}
 
     def counting(name):
@@ -619,11 +621,14 @@ def test_gaussian_jet_path_makes_only_the_beta_reads(monkeypatch):
     want = relation_h_oracle(*jet_readers(jet), 3)
     calls.clear()
     assert relation_value(jet) == want
-    assert calls == {"__sub__": 21}
+    assert calls == {}
     for i in (0, 1, 6):
         calls.clear()
         ampleness_slice(RestrictedJet(jet, i))
-        assert calls == {"__sub__": 21, "__neg__": 3}
+        assert calls == {"__neg__": 3}
+    calls.clear()
+    assert contact._Bordered(*jet_readers(jet), 3).pf() == want
+    assert calls == {"__sub__": 21}
 
 
 def guard_limit(n):
@@ -800,6 +805,165 @@ def test_verifier_tables_at_exact_points_take_the_gaussian_ring(monkeypatch):
         dens.clear()
 
 
+def outcome(call):
+    """The repr of ``call()``, or the class of the package error it raises."""
+    try:
+        return repr(call())
+    except ContactKitError as exc:
+        return type(exc)
+
+
+def reader_slice(jet, i):
+    """Row i's slice with the zero row's table read through
+    ``jet_readers``, the zero decided by the entries the kernel reads."""
+    read = [*jet.a] + [x for k, row in enumerate(jet.p) if k != i for x in row]
+    zero = QC(0) if all(exact(x) is not None for x in read) else 0j
+    table = contact._Bordered(*jet_readers(jet.with_row(i, [zero] * jet.m)), jet.n)
+    c = table.pf()
+    w = tuple(zero if j == i else table.slope(j, i) for j in range(jet.m))
+    if any(w):
+        return jets.SliceClass("hyperplane", w, c)
+    return jets.SliceClass("full", None, c) if c else jets.SliceClass("empty")
+
+
+VIEW_JETS = ("den7", "ints", "mixed", "past", "huge")
+VIEW_ROWS = ("den7", "den11", "ints", "huge", "complex")
+
+
+def view_entry(mode, rng):
+    if mode == "den7":
+        return random_qc(rng)
+    if mode == "den11":
+        return _reduced(rng.randint(-30, 30), rng.randint(-30, 30), 11)
+    if mode == "ints":
+        return rng.choice((0, 1, -2, Fraction(1, 3), Fraction(-5, 2), random_qc(rng)))
+    if mode == "mixed":
+        d = rng.choice((1, 2, 3, 7, 2 ** 40 + 15))
+        return _reduced(rng.randint(-3 * d, 3 * d), rng.randint(-3 * d, 3 * d), d)
+    if mode == "past":
+        return random_qc(rng) * QC(2 ** 40)
+    if mode == "huge":
+        return rng.choice((QC(2 ** 60, 1), random_qc(rng)))
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+
+def view_and_reader_paths(jet, i):
+    """relation_value and row i's slice on ``jet``, and the same on the
+    reader path, each as ``outcome`` gives it."""
+    return ((outcome(lambda: relation_value(jet)),
+             outcome(lambda: ampleness_slice(RestrictedJet(jet, i)))),
+            (outcome(lambda: contact._Bordered(*jet_readers(jet), jet.n).pf()),
+             outcome(lambda: reader_slice(jet, i))))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(VIEW_JETS), st.sampled_from(VIEW_ROWS), st.integers(0, 3),
+       st.integers(0, 2 ** 32))
+def test_a_jets_view_gives_the_reader_paths_qc(jet_mode, row_mode, n, seed):
+    """relation_value and ampleness_slice on a jet, and then on a
+    ``with_row`` child of it, equal the reader path
+    ``_Bordered(*jet_readers(jet), n)`` with identical repr, at n = 0..3:
+    QC, int and Fraction entries, entries scaled past the 2^52 bound or
+    with a part past 2^53, child rows whose denominators do not divide the
+    parent's L, and complex rows, which from n = 1 on raise VariantError
+    on both paths."""
+    rng = random.Random(seed)
+    m = 2 * n + 1
+    jet = Jet1.build(n, [random_qc(rng)] + [view_entry(jet_mode, rng) for _ in range(m - 1)],
+                     [[view_entry(jet_mode, rng) for _ in range(m)] for _ in range(m)])
+    got, want = view_and_reader_paths(jet, rng.randrange(m))
+    assert got == want
+    # the child is built once the parent's view is, so it may inherit it
+    child = jet.with_row(rng.randrange(m), [view_entry(row_mode, rng) for _ in range(m)])
+    got, want = view_and_reader_paths(child, rng.randrange(m))
+    assert got == want
+    if row_mode == "complex" and n:
+        assert got[0] == VariantError
+
+
+def test_a_view_table_checks_the_bound_after_the_subtraction():
+    """beta_rs = p[s][r] - p[r][s] on the view may be twice its entries: at
+    n = 2 and 3, a jet whose one beta entry is the bound's largest modulus,
+    made of two entries of about half of it, runs on Gaussian integers from
+    its view, and one past it runs on the QC arithmetic.  Two entries past
+    2^53 whose difference is small leave the jet without a view, so beta is
+    their exact difference."""
+    for n in (2, 3):
+        m, E = 2 * n + 1, guard_limit(n)
+        jet = random_jet(n, random.Random(n))
+        p = [list(row) for row in jet.p]
+        p[m - 1][0], p[0][m - 1] = p[m - 1][0] + 2 ** 60, p[0][m - 1] + 2 ** 60
+        jet = Jet1.build(n, jet.a, p)
+        assert relation_value(jet) == relation_h_oracle(*jet_readers(jet), n)
+        assert jet._view is None
+        for top, ring in ((E, 1), (E + 1, 0)):
+            p = [[QC(0)] * m for _ in range(m)]
+            p[m - 1][0], p[0][m - 1] = QC(top - top // 2), QC(-(top // 2))
+            jet = Jet1.build(n, [QC(1)] * m, p)
+            table = jets._bordered(jet)
+            assert table._den == ring
+            assert type(table._up[-1][0]) is (complex if ring else QC)
+            assert table.pf() == relation_h_oracle(*jet_readers(jet), n)
+
+
+def test_a_jet_converts_once_inside_the_operation_that_reads_it(monkeypatch):
+    """Building a jet or a ``with_row`` child converts nothing; a
+    jet-slices operation (a slice, then h of the jet and of a child with
+    a probe row) converts its base jet once, and both children inherit
+    its view."""
+    calls = []
+    inner = jets._gaussian_jet
+
+    def counted(a, p):
+        calls.append(1)
+        return inner(a, p)
+
+    monkeypatch.setattr(jets, "_gaussian_jet", counted)
+    rng = random.Random(11)
+    for n in (2, 3):
+        m = 2 * n + 1
+        jet = random_jet(n, rng)
+        early = jet.with_row(1, [random_qc(rng) for _ in range(m)])
+        assert not calls and "_view" not in jet.__dict__ and "_view" not in early.__dict__
+        i, probe = rng.randrange(m), [random_qc(rng) for _ in range(m)]
+        slc = ampleness_slice(RestrictedJet(jet, i))
+        assert calls == [1]
+        child = jet.with_row(i, probe)
+        assert "_view" in child.__dict__
+        assert slc.h_of_row(probe) == relation_value(child)
+        assert slc.h_of_row(jet.p[i]) == relation_value(jet)
+        assert calls == [1]
+        calls.clear()
+
+
+def test_an_exact_pfaffian_at_n_up_to_1_takes_no_product_by_n_factorial(monkeypatch):
+    """n! is 1 at n <= 1, so an exact h or slope there is the kernel's QC,
+    with no product by a lifted int: h at n = 1 makes only the three
+    products of its closed form, and at n = 0 none.  An array result stays a
+    fresh array, not a view of the field it was read from."""
+    calls = {}
+
+    def counting(name):
+        inner = getattr(QC, name)
+
+        def counted(self, *other):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(self, *other)
+        return counted
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(QC, name, counting(name))
+    for n, want in ((0, {}), (1, {"__mul__": 3})):
+        jet = random_jet(n, random.Random(5))
+        h = relation_h_oracle(*jet_readers(jet), n)
+        calls.clear()
+        assert relation_value(jet) == h
+        assert calls == want
+    a, beta = np.ones((4, 3), complex), np.ones((4, 3), complex)
+    assert not np.shares_memory(slope_grid(a, beta, 1, 0, 1), a)
+    assert not np.shares_memory(relation_grid(a[:, :1], beta[:, :0], 0), a)
+
+
 def test_relation_squared_is_the_bordered_determinant():
     """h^2 = (n!)^2 det [[0, a^T], [-a, beta]], with the determinant from
     sympy's DomainMatrix over QQ_I, on 150 jets at n = 2 and 3 with mixed
@@ -836,22 +1000,23 @@ def test_relation_squared_is_the_bordered_determinant():
 
 
 def test_pfaffian_plans_stay_bounded_under_any_index_order():
-    """``pfaffian`` accepts index tuples in any order, and each order has
-    its own plans; after many random orders the plan cache holds at most
-    its fixed 1024 plans, and the relation paths still expand correctly."""
+    """``pfaffian`` accepts index tuples in any order and reads its table by
+    position, so every order of k indices walks one cached schedule: after
+    many random orders the schedule cache has grown by at most one entry
+    and holds at most its fixed 1024, and the relation paths still expand
+    correctly."""
     rng = random.Random(263)
     upper = {(i, j): random_entry("complex", rng) for i in range(10) for j in range(i + 1, 10)}
 
     def entry(i, j):
         return upper[i, j] if i < j else -upper[j, i]
 
+    before = contact._schedule.cache_info().currsize
     for _ in range(300):
         idx = tuple(rng.sample(range(10), 8))
-        pfaffian(entry, idx)
-    info = contact._plan.cache_info()
-    assert info.maxsize == 1024 and info.currsize == 1024
-    idx = tuple(rng.sample(range(10), 8))
-    assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
+        assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
+    info = contact._schedule.cache_info()
+    assert info.maxsize == 1024 and info.currsize <= min(before + 1, 1024)
     jet = random_jet(3, rng)
     a, beta = jet_readers(jet)
     assert_same(relation_value(jet), relation_h_oracle(a, beta, 3))
