@@ -27,7 +27,8 @@ within a proven bound, on Gaussian integers held in Python complex, where
 every float operation is exact, each result reduced back to its one QC
 (``_Bordered``); any other table runs on its entries as read.  From n = 2
 on, an exact jet's table reads beta from the jet's Gaussian-integer view
-(``jets.Jet1._view``) with no QC arithmetic.
+(``jets.Jet1._view``).  Every table is list rows: entry (r, s) at
+``up[r][s]`` for s > r, and the border last, so index -1 reads it.
 
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
@@ -122,11 +123,11 @@ def _pf(up, idx: tuple, memo: dict):
     return memo[top]
 
 
-def _table(entries, idx: tuple) -> dict:
-    """The upper table on ``idx`` of ``entries``, taken row by row: each
-    row i holds the entries (i, j) for j after i in ``idx``."""
+def _rows(entries, k: int) -> list:
+    """The upper table on indices 0 .. k-1 of ``entries``, taken row by row,
+    as list rows: entry (r, s) sits at ``up[r][s]`` for s > r."""
     read = iter(entries).__next__
-    return {i: {j: read() for j in idx[p + 1:]} for p, i in enumerate(idx)}
+    return [[None] * (r + 1) + [read() for _ in range(r + 1, k)] for r in range(k)]
 
 
 def pfaffian(entry, idx: tuple[int, ...]):
@@ -144,7 +145,7 @@ def pfaffian(entry, idx: tuple[int, ...]):
     entries = [entry(i, j) for p, i in enumerate(idx) for j in idx[p + 1:]]
     # the table is keyed by position, so every order of k indices walks one schedule
     at = tuple(range(len(idx)))
-    return _pf(_table(_exact_all(entries) or entries, at), at, {})
+    return _pf(_rows(_exact_all(entries) or entries, len(idx)), at, {})
 
 
 @lru_cache(maxsize=1024)
@@ -166,10 +167,9 @@ class _Bordered:
 
     Index -1 is the border and beta keeps its indices 0 .. m-1; with ``a``
     None the table holds beta alone.  The entries are read once, beta's in
-    ``upper_pairs`` order and the border after them, into one upper table,
-    and every Pfaffian walks the schedule cached per index tuple and shares
-    one memo of sub-Pfaffians, which lives as long as this object.  Here n
-    is checked and n! taken, once.
+    ``upper_pairs`` order and the border after them, and every Pfaffian
+    shares one memo of sub-Pfaffians, which lives as long as this object.
+    Here n is checked and n! taken, once.
 
     A table whose entries ``_exact_all`` lifts is read as those QCs, and
     from n = 2 on it runs on Gaussian integers held in Python complex:
@@ -185,17 +185,13 @@ class _Bordered:
     is exact.  Each result is ``_reduced(n! re, n! im, L^(k/2))``, the one
     reduced triple of its value: the QC the QC arithmetic gives.
 
-    A jet's ``view`` ``(L, top, a, p)`` (``jets.Jet1._view``, which jets
-    passes from n = 2 on: every entry as L times it, of modulus at most
-    ``top`` < 2^53) gives beta_rs = p[s][r] - p[r][s] as one complex
-    subtraction each, into a table of rows with the border last (index -1
-    reads it).  The bound holds for the whole table when 2 top is below it,
-    since no entry's modulus exceeds 2 top; else it is checked on each
-    entry after the subtraction, since a difference can reach 2^54.  A
-    table past the bound, or one with no view, is read through ``a`` and
-    ``beta``.  An exact table at n <= 1 or past the bound runs on its QCs,
-    its Pfaffians taken as they are when n! is 1, and any other table on
-    its entries as read.
+    A jet's ``view`` ``(L, top, a, p)`` (``jets.Jet1._view``: every entry
+    as L times it, of modulus at most ``top`` < 2^53) gives beta_rs =
+    p[s][r] - p[r][s] as one complex subtraction each.  The bound then
+    holds for the whole table when 2 top is below it, else it is checked on
+    each entry after the subtraction; a table past it, or one with no view,
+    is read through ``a`` and ``beta``.  An exact table at n <= 1 or past
+    the bound runs on its QCs, taken as they are when n! is 1.
     """
 
     __slots__ = ("n", "_up", "_memo", "_scale", "_den")
@@ -213,10 +209,10 @@ class _Bordered:
             if 2 * top < limit or max(map(abs, chain.from_iterable(up))) < limit:
                 self._up, self._den = up, den
                 return
-        full = tuple(range(2 * n + 1))
-        entries = [beta(r, s) for r in full for s in full[r + 1:]]
+        m = 2 * n + 1
+        entries = [beta(r, s) for r in range(m) for s in range(r + 1, m)]
         if a is not None:
-            entries += map(a, full)
+            entries += map(a, range(m))
         lifted = _exact_all(entries)
         if lifted is not None:
             entries = lifted
@@ -227,10 +223,9 @@ class _Bordered:
                 scaled = _gaussian_complex(entries, _limit(n))
                 if scaled is not None:
                     self._den, entries, _ = scaled
-        entries = iter(entries)
-        self._up = _table(entries, full)
+        self._up = _rows(entries, m)
         if a is not None:
-            self._up[-1] = dict(zip(full, entries))
+            self._up.append(entries[-m:])
 
     def pf(self, *drop: int):
         """n! Pf of the bordered matrix without the indices in ``drop``."""

@@ -9,10 +9,9 @@ the coefficients of that affine function are the slopes dh/dbeta_rs,
 signed minor Pfaffians of the bordered matrix (see ``contact``).
 
 An exact jet is read once: on its first kernel read from n = 2 on,
-``Jet1._view`` holds its entries as Gaussian integers over one denominator
-(``scalars._gaussian_jet``), and every bordered table of the jet, or of a
-``with_row`` child that inherits the view, reads beta from it with no QC
-arithmetic.  A jet without a view is read through ``_readers``.
+``Jet1._view`` holds its entries as Gaussian integers over one denominator,
+and every bordered table of the jet, or of a ``with_row`` child that
+inherits the view, reads beta from it with no QC arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .contact import _Bordered, relation_h, relation_slope
 from .errors import DimensionError, PreconditionError
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection, upper_pairs
-from .scalars import QC, _affine, _exact_all, _gaussian_jet, _gaussian_row
+from .scalars import QC, _affine, _exact_all, _gaussian_complex
 
 
 @dataclass(frozen=True)
@@ -67,26 +66,33 @@ class Jet1:
     def _view(self):
         """``(L, top, a, p)``: every entry as L times it, a Gaussian integer
         held in Python complex, over the lcm L of the denominators, and
-        ``top`` the largest of their moduli; None unless ``_exact_all``
-        lifts every entry and every part is below 2^53.  Built on the first
-        read, which is a kernel's."""
-        return _gaussian_jet(self.a, self.p)
+        ``top`` the largest of their moduli; None unless every entry is
+        exact and every part is below 2^53 (``_gaussian_complex``).  Built
+        on the first read, which is a kernel's."""
+        scaled = _gaussian_complex((*self.a, *chain.from_iterable(self.p)), 2.0 ** 53)
+        if scaled is None:
+            return None
+        L, flat, top = scaled
+        m = self.m
+        return L, top, flat[:m], [flat[k:k + m] for k in range(m, len(flat), m)]
 
     def with_row(self, i: int, row) -> "Jet1":
-        """The jet with row i of p replaced.  When this jet's view is built
-        and every denominator of the lifted row divides its L, the child
-        gets that view with row i replaced; otherwise the child builds its
-        own on first read (a complex row gives none)."""
+        """The jet with row i of p replaced, i an int in 0..m-1.  When this
+        jet's view is built and every denominator of the exact row divides
+        its L, the child gets that view with row i replaced; otherwise the
+        child builds its own on first read (a complex row gives none)."""
+        if type(i) is not int or not 0 <= i < self.m:
+            raise DimensionError(f"row index {i!r} is not an int in 0..{self.m - 1}")
         rows = list(self.p)
         rows[i] = tuple(row)
         child = Jet1(self.n, self.a, tuple(rows))
         view = self.__dict__.get("_view")
         if view is not None:
             den, top, a, p = view
-            scaled = _gaussian_row(rows[i], den)
+            scaled = _gaussian_complex(rows[i], 2.0 ** 53, den)
             if scaled is not None:
                 p = list(p)
-                p[i], row_top = scaled
+                _, p[i], row_top = scaled
                 object.__setattr__(child, "_view", (den, max(top, row_top), a, p))
         return child
 

@@ -29,12 +29,10 @@ The real and imaginary parts are read as ``fractions.Fraction`` through
 :func:`exact`, the one test of what is exact, lifts them, and
 :func:`_exact_all` asks it of each value of a point, a row or a table: no
 other module tests a value against ``QC``, and the kernels here that read
-triples (:func:`_gaussian_complex`, :func:`_gaussian_jet`,
-:func:`_gaussian_row`, :func:`_affine`) take the QCs it lifted.  An exact
-jet's view, its entries as Gaussian integers over one denominator, is
-built by :func:`_gaussian_jet`, and a replaced row is put over the same
-denominator by :func:`_gaussian_row`.  Mixing an exact scalar with a
-float or a Python complex raises
+triples (:func:`_gaussian_complex`, :func:`_affine`) take the QCs it
+lifted.  :func:`_gaussian_complex` is the one conversion of exact values
+to Gaussian integers over one denominator, held in Python complex.  Mixing
+an exact scalar with a float or a Python complex raises
 :class:`~contactkit.errors.VariantError`; conversion to binary floats is
 always an explicit ``complex(q)`` call at the edge of a computation.
 """
@@ -42,7 +40,6 @@ always an explicit ``complex(q)`` call at the edge of a computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .errors import VariantError
@@ -99,54 +96,29 @@ def _gaussian(columns) -> tuple[int, list[list[int]], list[list[int]]]:
     return L, re, im
 
 
-def _scaled(values, L: int, limit: float) -> tuple[list[complex], float] | None:
-    """QC ``values`` times ``L``, a multiple of every denominator, as
-    Gaussian integers held in Python complex, with the largest scaled
-    modulus; None when that modulus reaches ``limit``, 2**53 or float
-    range.  Each part converts exactly below 2**53, and one past it
-    converts to at least 2**53."""
+def _gaussian_complex(values, limit: float, L: int = 0) -> tuple[int, list[complex], float] | None:
+    """``values`` over one denominator L as Gaussian integers held in Python
+    complex, ``(L, [complex(L * v)], top)`` with ``top`` the largest scaled
+    modulus.  L is the lcm of the denominators, or the given ``L`` when each
+    of them divides it.  None unless :func:`_exact_all` lifts every value,
+    each denominator divides a given L and ``top`` is below ``limit``, 2**53
+    and float range.  Each part converts exactly below 2**53, and one past
+    it converts to at least 2**53."""
+    values = _exact_all(values)
+    if values is None:
+        return None
+    dens = {q._d for q in values}
+    if not L:
+        L = lcm(*dens)
+    elif any(L % d for d in dens):
+        return None
     try:
         scaled = [q._a + 1j * q._b if q._d == L else q._a * (s := L // q._d) + 1j * (q._b * s)
                   for q in values]
     except OverflowError:
         return None
     top = max(map(abs, scaled), default=0.0)
-    return (scaled, top) if top < min(limit, 2.0 ** 53) else None
-
-
-def _gaussian_complex(values: list, limit: float) -> tuple[int, list[complex], float] | None:
-    """QC ``values`` over one common denominator L as Gaussian integers held
-    in Python complex, ``(L, [complex(L * v)], top)`` with ``top`` the
-    largest scaled modulus; None when it reaches ``limit``, 2**53 or float
-    range."""
-    L = lcm(*{q._d for q in values})
-    scaled = _scaled(values, L, limit)
-    return None if scaled is None else (L, *scaled)
-
-
-def _gaussian_jet(a, p) -> tuple[int, float, list[complex], list[list[complex]]] | None:
-    """A jet's value vector ``a`` and derivative rows ``p`` over the lcm L
-    of their denominators as Gaussian integers held in Python complex,
-    ``(L, top, L*a, [L*row])`` with ``top`` the largest scaled modulus: the
-    jet's view.  None unless :func:`_exact_all` lifts every entry and
-    ``top`` (so every part) is below 2**53."""
-    lifted = _exact_all((*a, *chain.from_iterable(p)))
-    scaled = None if lifted is None else _gaussian_complex(lifted, 2.0 ** 53)
-    if scaled is None:
-        return None
-    L, flat, top = scaled
-    m = len(a)
-    return L, top, flat[:m], [flat[k:k + m] for k in range(m, len(flat), m)]
-
-
-def _gaussian_row(row, L: int) -> tuple[list[complex], float] | None:
-    """``row`` times L as Gaussian integers held in Python complex, with its
-    largest modulus, for a row that :func:`_exact_all` lifts and each of
-    whose denominators divides L; None for any other row or past 2**53."""
-    lifted = _exact_all(row)
-    if lifted is None or any(L % q._d for q in lifted):
-        return None
-    return _scaled(lifted, L, 2.0 ** 53)
+    return (L, scaled, top) if top < min(limit, 2.0 ** 53) else None
 
 
 def power(base, e: int, one):

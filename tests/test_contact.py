@@ -731,7 +731,7 @@ def test_exact_tables_choose_their_ring():
     jet = random_jet(3, random.Random(5))
     table = contact._Bordered(*jet_readers(jet), 3)
     assert table._den == 7
-    assert {type(x) for row in table._up.values() for x in row.values()} == {complex}
+    assert {type(x) for x in table_entries(table._up, 7, True)} == {complex}
     for n in (2, 3):
         m, E = 2 * n + 1, guard_limit(n)
         upper = {(r, s): QC(1) for r in range(m) for s in range(r + 1, m)}
@@ -909,16 +909,16 @@ def test_a_view_table_checks_the_bound_after_the_subtraction():
 def test_a_jet_converts_once_inside_the_operation_that_reads_it(monkeypatch):
     """Building a jet or a ``with_row`` child converts nothing; a
     jet-slices operation (a slice, then h of the jet and of a child with
-    a probe row) converts its base jet once, and both children inherit
-    its view."""
+    a probe row) converts its base jet once, and each child only its new
+    row, inheriting the base jet's view."""
     calls = []
-    inner = jets._gaussian_jet
+    inner = jets._gaussian_complex
 
-    def counted(a, p):
-        calls.append(1)
-        return inner(a, p)
+    def counted(values, *args):
+        calls.append(len(values))
+        return inner(values, *args)
 
-    monkeypatch.setattr(jets, "_gaussian_jet", counted)
+    monkeypatch.setattr(jets, "_gaussian_complex", counted)
     rng = random.Random(11)
     for n in (2, 3):
         m = 2 * n + 1
@@ -927,13 +927,78 @@ def test_a_jet_converts_once_inside_the_operation_that_reads_it(monkeypatch):
         assert not calls and "_view" not in jet.__dict__ and "_view" not in early.__dict__
         i, probe = rng.randrange(m), [random_qc(rng) for _ in range(m)]
         slc = ampleness_slice(RestrictedJet(jet, i))
-        assert calls == [1]
+        assert calls == [m + m * m, m]
         child = jet.with_row(i, probe)
         assert "_view" in child.__dict__
         assert slc.h_of_row(probe) == relation_value(child)
         assert slc.h_of_row(jet.p[i]) == relation_value(jet)
-        assert calls == [1]
+        assert calls == [m + m * m, m, m]
         calls.clear()
+
+
+def table_entries(up, m, border):
+    """The entries of an upper table of m indices in list rows, row by row
+    (entry (r, s) at ``up[r][s]`` for s > r), then the border row, which is
+    the last, when ``border``; the table must hold no other row."""
+    assert type(up) is list and all(type(row) is list for row in up)
+    assert len(up) == m + border
+    upper = [x for r, row in enumerate(up[:m]) for x in row[r + 1:m]]
+    if border:
+        assert len(up[-1]) >= m
+        upper += up[-1][:m]
+    return upper
+
+
+def test_every_pfaffian_table_is_list_rows_with_the_border_last(monkeypatch):
+    """The view, exact Gaussian, QC, complex and ndarray tables of
+    ``_Bordered``, and ``pfaffian``'s table by position, are list rows:
+    entry (r, s) at ``up[r][s]`` for s > r, and the border as the last row,
+    so index -1 reads it.  Each entry is the one read, scaled by L on
+    Gaussian integers."""
+    rng = random.Random(44)
+    n, m = 3, 7
+    jet = random_jet(n, rng)
+    a, beta = jet_readers(jet)
+    want = [beta(r, s) for r in range(m) for s in range(r + 1, m)] + list(jet.a)
+    for table in (jets._bordered(jet), contact._Bordered(a, beta, n)):
+        L = table._den
+        assert L == 7
+        assert table_entries(table._up, m, True) == [complex(x * L) for x in want]
+    qc_jet = random_jet(1, rng)
+    qa, qbeta = jet_readers(qc_jet)
+    table = contact._Bordered(qa, qbeta, 1)
+    assert table._den == 0
+    assert table_entries(table._up, 3, True) == [qbeta(0, 1), qbeta(0, 2), qbeta(1, 2),
+                                                 *qc_jet.a]
+    cjet = Jet1.build(2, [random_entry("complex", rng) for _ in range(5)],
+                      [[random_entry("complex", rng) for _ in range(5)] for _ in range(5)])
+    ca, cbeta = jet_readers(cjet)
+    got = table_entries(contact._Bordered(ca, cbeta, 2)._up, 5, True)
+    assert got == [cbeta(r, s) for r in range(5) for s in range(r + 1, 5)] + list(cjet.a)
+    grid_a = np.arange(12.0).reshape(4, 3)
+    grid_beta = np.arange(12.0, 24.0).reshape(4, 3)
+    got = table_entries(contact._Bordered(*jets._grid_readers(grid_a, grid_beta, 1), 1)._up,
+                        3, True)
+    assert all(np.array_equal(x, y) for x, y in zip(got, [*grid_beta.T, *grid_a.T], strict=True))
+    minors = contact._Bordered(None, qbeta, 1)
+    assert table_entries(minors._up, 3, False) == [qbeta(0, 1), qbeta(0, 2), qbeta(1, 2)]
+    tables = []
+    inner = contact._pf
+
+    def recorded(up, idx, memo):
+        tables.append(up)
+        return inner(up, idx, memo)
+
+    monkeypatch.setattr(contact, "_pf", recorded)
+    idx = (5, 0, 3, 1)
+    upper = random_skew(6, rng)
+
+    def entry(i, j):
+        return upper[i, j] if i < j else -upper[j, i]
+
+    assert pfaffian(entry, idx) == pfaffian_oracle(entry, idx)
+    assert table_entries(tables[0], 4, False) == [entry(idx[p], idx[q])
+                                                  for p in range(4) for q in range(p + 1, 4)]
 
 
 def test_an_exact_pfaffian_at_n_up_to_1_takes_no_product_by_n_factorial(monkeypatch):

@@ -490,6 +490,14 @@ REFUSALS = [
     (lambda: RestrictedJet(_qc_jet(), 1.0), DimensionError,
      "row index i must be an int, got 1.0"),
     (lambda: RestrictedJet(_qc_jet(), 3), DimensionError, "row index 3 out of range"),
+    (lambda: _qc_jet().with_row(7, [QC(0)] * 3), DimensionError,
+     "row index 7 is not an int in 0..2"),
+    (lambda: _qc_jet().with_row(1.0, [QC(0)] * 3), DimensionError,
+     "row index 1.0 is not an int in 0..2"),
+    (lambda: _qc_jet().with_row(True, [QC(0)] * 3), DimensionError,
+     "row index True is not an int in 0..2"),
+    (lambda: _qc_jet().with_row(-1, [QC(0)] * 3), DimensionError,
+     "row index -1 is not an int in 0..2"),
     (lambda: holonomic_jet(Form.dz(4, 0), Point([QC(1)] * 4)), DimensionError,
      "jet space needs odd dimension"),
     (lambda: holonomic_jet(Form(3, 2, {(0, 1): LaurentPoly.const(3, 1)}), Point([QC(1)] * 3)),

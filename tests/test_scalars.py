@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactkit.errors import VariantError
-from contactkit.scalars import QC, _affine, _power_triple, exact
+from contactkit.scalars import QC, _affine, _gaussian_complex, _power_triple, exact
 from conftest import class_tests
 
 
@@ -312,6 +312,37 @@ def test_only_exact_and_qc_test_a_value_against_qc_in_scalars():
     owners = {next((node.name for node in tops if node.lineno <= line <= node.end_lineno), None)
               for line in class_tests(source, {"QC"})}
     assert owners == {"exact", "_exact_all", "QC"}
+
+
+DENOMINATORS = (1, 2, 3, 7, 12, 2 ** 40 + 15)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99),
+                          st.sampled_from(DENOMINATORS), st.booleans()), max_size=9),
+       st.integers(2, 5))
+def test_the_gaussian_conversion_takes_the_lcm_or_a_multiple_of_it(parts, k):
+    """``_gaussian_complex`` on QC, int and Fraction values: given L equal to
+    the lcm of their denominators, it answers what it answers without L,
+    each value times L as a Gaussian integer held in complex, and given a
+    multiple k L each value times k L; given an L that some denominator
+    does not divide, None.  A value it cannot lift gives None."""
+    values = [Fraction(a, d) if real else QC(Fraction(a, d), Fraction(b, d))
+              for a, b, d, real in parts]
+    if values and type(values[0]) is Fraction and values[0].denominator == 1:
+        values[0] = int(values[0])
+    L = math.lcm(*(exact(v)._d for v in values))
+    got = _gaussian_complex(values, 2.0 ** 53)
+    assert _gaussian_complex(values, 2.0 ** 53, L) == got
+    if got is not None:
+        assert got[0] == L and got[1] == [complex(exact(v) * L) for v in values]
+        assert got[2] == max((abs(complex(exact(v) * L)) for v in values), default=0.0)
+        wider = _gaussian_complex(values, 2.0 ** 53, k * L)
+        assert wider is None or wider[:2] == (k * L, [complex(exact(v) * k * L) for v in values])
+    if L > 1:
+        assert _gaussian_complex(values, 2.0 ** 53, L - 1) is None
+        assert _gaussian_complex(values, 2.0 ** 53, k * L + 1) is None
+    assert _gaussian_complex([*values, 1j], 2.0 ** 53) is None
 
 
 def test_affine_refuses_other_lengths():
