@@ -18,7 +18,9 @@ multiply, differentiate, conjugate, evaluate, substitute):
   kernels of :mod:`~contactkit.scalars` multiply (with no sum when an
   operand has one term), bring sums to the lcm of their denominators and
   reduce each result once by its content.  ``d/dz_i`` scales numerators by
-  their exponents, ``conj`` and ``-`` keep the denominator, and an exact
+  their exponents; ``forms`` asks for a derivative or a product times its
+  wedge sign, which rides on the numerators, so no negated copy is built.
+  ``conj`` and ``-`` keep the denominator, and an exact
   value is summed on the numerators and reduced once.  Only the public
   views build a QC, each term as ``_reduced(re, im, _den)``:
   :attr:`~LaurentPoly.terms`, ``constant_value``, ``repr`` and ``to_expr``.
@@ -57,7 +59,7 @@ from typing import NamedTuple
 
 from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
 from .scalars import (QC, QC_ONE, _add, _content, _eval_terms, _exact_all, _numerators,
-                      _reduced, _sum, _term_products, _times, exact, power)
+                      _reduced, _scale, _sum, _term_products, _times, exact, power)
 
 _WIDTH = 32
 # exponents satisfy |e| < EXPONENT_LIMIT; a field stores e + EXPONENT_LIMIT
@@ -106,9 +108,20 @@ def _variable(m: int, j: int) -> str:
     return f"z{j + 1}" if j < m else f"zbar{j - m + 1}"
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int, or a DimensionError naming it: a bool, a float
+    or a string is no count or index."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise DimensionError(f"{what} {value!r} is not an int")
+
+
 def _coordinate(m: int, i: int) -> int:
     """``i`` as a 0-based coordinate index of C^m, or a DimensionError."""
-    i = index(i)
+    i = _count(i, "coordinate index")
     if not 0 <= i < m:
         raise DimensionError(f"z_{i + 1} (index {i}) does not exist on C^{m}")
     return i
@@ -226,6 +239,7 @@ class LaurentPoly:
     __slots__ = ("m", "_terms", "_den", "_bound")
 
     def __init__(self, m: int, terms: dict[Monomial, QC] | None = None):
+        m = _count(m, "variable count")
         if m < 1:
             raise DimensionError("need at least one variable")
         clean: dict[int, QC] = {}
@@ -256,18 +270,19 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, m: int, value) -> "LaurentPoly":
+        m = _count(m, "variable count")
         return cls(m, {Monomial.one(m): _as_qc(value)})
 
     @classmethod
     def z(cls, m: int, i: int, power: int = 1) -> "LaurentPoly":
         """The coordinate ``z_i`` (0-based ``i``), optionally to a power."""
-        ze = [0] * m
+        ze = [0] * _count(m, "variable count")
         ze[_coordinate(m, i)] = power
         return cls(m, {Monomial(tuple(ze), (0,) * m): QC_ONE})
 
     @classmethod
     def zbar(cls, m: int, i: int, power: int = 1) -> "LaurentPoly":
-        zb = [0] * m
+        zb = [0] * _count(m, "variable count")
         zb[_coordinate(m, i)] = power
         return cls(m, {Monomial((0,) * m, tuple(zb)): QC_ONE})
 
@@ -310,13 +325,19 @@ class LaurentPoly:
                 return _poly(self.m, {}, 1, 0)
             return _poly(self.m, *_times(self._terms, self._den, s), self._bound)
         self._check_same(other)
-        bound = _product_bound(self, other)
-        # k1 + k2 - ONE[m] is the product monomial
-        terms, den = _content(_term_products(self._terms, other._terms, _ONE[self.m]),
-                              self._den * other._den)
-        return _poly(self.m, terms, den, bound)
+        return self._signed_mul(other, 1)
 
     __rmul__ = __mul__
+
+    def _signed_mul(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """``sign * self * other`` for a sign of 1 or -1 and ``other`` on the
+        same C^m: the sign rides on the numerators inside the product, so a
+        sign of -1 builds no negated copy."""
+        bound = _product_bound(self, other)
+        # k1 + k2 - ONE[m] is the product monomial
+        terms, den = _content(_term_products(self._terms, other._terms, _ONE[self.m], sign),
+                              self._den * other._den)
+        return _poly(self.m, terms, den, bound)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -340,12 +361,12 @@ class LaurentPoly:
 
     # -- calculus ----------------------------------------------------------
 
-    def _diff(self, i: int, bar: bool) -> "LaurentPoly":
-        """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based).
-        e -> e - 1 is injective, so no two terms meet; the numerators scale
-        by their exponents over the same denominator."""
+    def _signed_diff(self, i: int, bar: bool, sign: int) -> "LaurentPoly":
+        """``sign`` (1 or -1) times the formal derivative in ``zbar_i`` if
+        ``bar`` else ``z_i``, for a coordinate index ``i`` already checked.
+        e -> e - 1 is injective, so no two terms meet; one pass scales each
+        numerator by its signed exponent over the same denominator."""
         m = self.m
-        i = _coordinate(m, i)
         j = m + i if bar else i
         shift = _WIDTH * j
         step = 1 << shift
@@ -356,9 +377,14 @@ class LaurentPoly:
                 continue
             if e == 1 - EXPONENT_LIMIT:
                 raise _out_of_range(m, j, e - 1)
+            e *= sign
             terms[key - step] = a * e, b * e
         terms, den = _content(terms, self._den)
         return _poly(m, terms, den, min(self._bound + 1, EXPONENT_LIMIT - 1))
+
+    def _diff(self, i: int, bar: bool) -> "LaurentPoly":
+        """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based)."""
+        return self._signed_diff(_coordinate(self.m, i), bar, 1)
 
     def diff_z(self, i: int) -> "LaurentPoly":
         """Formal derivative with respect to ``z_i`` (0-based)."""
@@ -477,12 +503,18 @@ class LaurentPoly:
         parts = []
         bound = 0
         for key, num in self._terms.items():
-            # the numerator alone is a polynomial over 1; den divides the sum
-            term = _poly(m_src, {one: num}, 1, 0)
+            # the numerator scales the first power, or stands alone over 1;
+            # den divides the sum
+            term = None
             exps = _fields(m, key)
             for j in order:
                 if exps[j]:
-                    term = term * arg_power(j, exps[j])
+                    p = arg_power(j, exps[j])
+                    term = (term * p if term is not None
+                            else _poly(m_src, *_scale(p._terms, p._den, *num), p._bound))
+            if term is None:
+                parts.append(({one: num}, den))
+                continue
             parts.append((term._terms, term._den * den))
             bound = max(bound, term._bound)
         # the same sum as adding the terms one by one, in one dict
@@ -562,6 +594,11 @@ class Expr:
         """Formal derivative in ``zbar_i`` if ``bar`` else ``z_i`` (0-based)."""
         return self._derive(lambda p: p._diff(i, bar))
 
+    def _signed_diff(self, i: int, bar: bool, sign: int) -> "Expr":
+        """``sign`` (1 or -1) times ``_diff(i, bar)``, negated as a tree."""
+        d = self._diff(i, bar)
+        return d if sign > 0 else -d
+
     def diff_z(self, i: int) -> "Expr":
         return self._diff(i, False)
 
@@ -606,6 +643,11 @@ class Expr:
     def __rmul__(self, other):
         # the scalar comes first: emul folds its constants left to right
         return emul(_as_expr(other), self)
+
+    def _signed_mul(self, other: "Expr", sign: int) -> "Expr":
+        """``sign`` (1 or -1) times ``self * other``, negated as a tree."""
+        p = self * other
+        return p if sign > 0 else -p
 
 
 def _as_expr(value) -> Expr:

@@ -147,7 +147,7 @@ def dbar_defect(target, samples, order: int) -> float:
     m, coeffs = _coefficients_of(target, samples)
 
     def derive(c, slot):
-        return _covector_derivative(c, slot, m)
+        return _covector_derivative(c, slot, m, 1)
 
     return max((_sup(_derivative_tower(c.diff_zbar(j), order - 1, 2 * m, derive).values(),
                      samples)
@@ -222,7 +222,7 @@ def ah_verify(alpha: Form, samples, tol: float) -> VerificationReport:
     a = [c for (w,), c in alpha.terms.items() if w < m]
     b = [c for (w,), c in alpha.terms.items() if w >= m]
     dbar_a = [c.diff_zbar(j) for c in a for j in range(m)]
-    db = [_covector_derivative(c, slot, m) for c in b for slot in range(2 * m)]
+    db = [_covector_derivative(c, slot, m, 1) for c in b for slot in range(2 * m)]
     report = VerificationReport(f"asymptotic holomorphy at {len(samples)} samples")
     report.add_bound("max |dbar a_i|", _sup(dbar_a, samples), tol)
     report.add_bound("max |b_i|", _sup(b, samples), tol)

@@ -190,6 +190,10 @@ def _node_prefixes(nodes: int, m: int) -> list[str]:
     return list(map("".join, itertools.product(*_row_parts(nodes, m))))
 
 
+# rows whose bytes keys are alive at once while a section is written
+_KEY_BLOCK = 4096
+
+
 def section_to_text(section: GridSection) -> str:
     grid = section.grid
     m = grid.m
@@ -206,17 +210,22 @@ def section_to_text(section: GridSection) -> str:
     np.concatenate([section.a.reshape(count, m), section.beta.reshape(count, -1)], axis=1,
                    out=table)
     # complex columns viewed as float interleave re and im, as the layout does
-    values = table.view(float)
-    width = values.shape[1]
-    # one bytes key per row, so -0.0 stays apart from 0.0; the sections
-    # written here repeat few distinct rows, and each is formatted once
-    keys = values.view(np.dtype((np.void, width * 8))).ravel().tolist()
-    del table, values
+    width = table.shape[1] * 2
+    rows = table.view(float).view(np.dtype((np.void, width * 8))).ravel()
     unpack = struct.Struct(f"{width}d").unpack  # native doubles, as the table held them
-    texts = {key: " ".join(map(repr, unpack(key))) + "\n" for key in dict.fromkeys(keys)}
-    # the keys go before the text is built
-    row_texts = list(map(texts.__getitem__, keys))
-    del keys
+    # one bytes key per row, so -0.0 stays apart from 0.0; the sections
+    # written here repeat few distinct rows, and each is formatted once.
+    # The keys are taken a block of rows at a time, so only one block's
+    # keys are alive beside the table.
+    texts: dict[bytes, str] = {}
+    row_texts: list[str] = []
+    for start in range(0, count, _KEY_BLOCK):
+        keys = rows[start:start + _KEY_BLOCK].tolist()
+        for key in set(keys).difference(texts):
+            texts[key] = " ".join(map(repr, unpack(key))) + "\n"
+        row_texts += map(texts.__getitem__, keys)
+    # the table and the keys go before the text is built
+    del table, rows, keys
     # three shared parts per row, none built per node: its head, its last
     # index and its value text
     heads, lasts = _row_parts(grid.nodes, m)

@@ -6,8 +6,8 @@ index ``i < m`` is ``dz_{i+1}`` and index ``m + i`` is ``dzbar_{i+1}``.
 Coefficients are either exact Laurent polynomials or expression trees;
 the two variants never mix silently.  Only ``coefficients`` knows which
 kind it holds: this module asks every coefficient the same questions
-(evaluate, differentiate, negate, ``is_zero``, which ``variables`` it has)
-and never checks its type.
+(evaluate, differentiate or multiply times a wedge sign, negate,
+``is_zero``, which ``variables`` it has) and never checks its type.
 ``Form(m, degree, terms)`` checks outside data.  Every result of an
 operation on forms is built by ``_form``, which skips the re-checks; sums,
 wedges and ``d`` add their terms through one ``_sum_into``.
@@ -18,7 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .coefficients import Coefficient, Const, LaurentPoly, _zero_at, coefficient_variant
+from .coefficients import (Coefficient, Const, LaurentPoly, _coordinate, _count, _zero_at,
+                           coefficient_variant)
 from .errors import DimensionError, VariantError
 from .scalars import exact
 
@@ -124,13 +125,18 @@ class Form:
 
     def __init__(self, m: int, degree: int, terms: dict[Word, Coefficient] | None = None,
                  variant: str | None = None):
+        m = _count(m, "dimension m")
         if m < 1:
             raise DimensionError("need m >= 1")
+        degree = _count(degree, "degree")
         if not 0 <= degree <= 2 * m:
             raise DimensionError(f"degree {degree} out of range for m={m}")
         clean: dict[Word, Coefficient] = {}
         for word, coeff in (terms or {}).items():
-            word = tuple(word)
+            try:
+                word = tuple(word)
+            except TypeError:
+                raise DimensionError(f"covector word {word!r} is not a tuple") from None
             # type() is exact: neither a bool nor 0.5 names a covector
             if any(type(w) is not int for w in word):
                 raise DimensionError(f"covector word {word!r} has an index that is not an int")
@@ -167,7 +173,8 @@ class Form:
     @classmethod
     def dz(cls, m: int, i: int) -> "Form":
         """Basis covector ``dz_{i+1}`` (0-based ``i``)."""
-        return cls(m, 1, {(i,): LaurentPoly.const(m, 1)})
+        one = LaurentPoly.const(m, 1)  # refuses a bad m before i is compared with it
+        return cls(m, 1, {(_coordinate(m, i),): one})
 
     def zero_coeff(self) -> Coefficient:
         return LaurentPoly.zero(self.m) if self.variant == "laurent" else Const(0j)
@@ -302,7 +309,7 @@ def wedge(f: Form, g: Form) -> Form:
             word, sign = merge_words(wu, wv)
             if word is None:
                 continue
-            _sum_into(terms, word, cu * cv if sign > 0 else -(cu * cv))
+            _sum_into(terms, word, cu._signed_mul(cv, sign))
     return _form(f.m, degree, terms, f.variant)
 
 
@@ -316,35 +323,43 @@ def wedge_power(f: Form, n: int) -> Form:
     return acc
 
 
-def _covector_derivative(c: Coefficient, idx: int, m: int) -> Coefficient:
-    """The derivative of ``c`` along covector ``idx``: d/dz_(idx+1) for
-    ``idx < m``, else d/dzbar_(idx-m+1)."""
-    return c.diff_z(idx) if idx < m else c.diff_zbar(idx - m)
+def _covector_derivative(c: Coefficient, idx: int, m: int, sign: int) -> Coefficient:
+    """``sign`` (1 or -1) times the derivative of ``c`` along covector
+    ``idx``: d/dz_(idx+1) for ``idx < m``, else d/dzbar_(idx-m+1).  The
+    ring applies the sign as it takes the derivative."""
+    return c._signed_diff(idx, False, sign) if idx < m else c._signed_diff(idx - m, True, sign)
+
+
+@lru_cache(maxsize=256)
+def _slots(mask: int, m: int, holomorphic: bool) -> tuple[int, ...]:
+    """The covectors of a ``variables()`` mask that ``d`` (``holomorphic``)
+    or dbar differentiates along, dz_i then dzbar_i for each i in turn.
+    They depend only on the key, so each tuple is built once per process;
+    the cache holds at most 256 keys."""
+    pairs = ((i, m + i) if holomorphic else (m + i,) for i in range(m))
+    return tuple(idx for pair in pairs for idx in pair if mask >> idx & 1)
 
 
 def _wirtinger_d(f: Form, holomorphic: bool) -> Form:
     """Sum over terms c dw and i of (dc/dzbar_i) dzbar_i ^ dw, plus
     (dc/dz_i) dz_i ^ dw when ``holomorphic`` is set.  Each coefficient is
     asked once which variables it has (``variables()``, a bitmask in
-    covector numbering), and only those derivatives are taken."""
+    covector numbering), only those derivatives are taken, and each is
+    taken with its wedge sign."""
     m = f.m
     degree = f.degree + 1
     if degree > 2 * m:
         return _form(m, 2 * m, {}, f.variant)
     terms: dict[Word, Coefficient] = {}
     for word, coeff in f.terms.items():
-        has = coeff.variables()
-        for i in range(m):
-            for idx in (i, m + i) if holomorphic else (m + i,):
-                if not has >> idx & 1:
-                    continue
-                merged, sign = merge_words((idx,), word)
-                if merged is None:
-                    continue
-                dc = _covector_derivative(coeff, idx, m)
-                if dc.is_zero:
-                    continue
-                _sum_into(terms, merged, dc if sign > 0 else -dc)
+        for idx in _slots(coeff.variables(), m, holomorphic):
+            merged, sign = merge_words((idx,), word)
+            if merged is None:
+                continue
+            dc = _covector_derivative(coeff, idx, m, sign)
+            if dc.is_zero:
+                continue
+            _sum_into(terms, merged, dc)
     return _form(m, degree, terms, f.variant)
 
 
@@ -371,6 +386,9 @@ class PolyMap:
     __slots__ = ("m_src", "m_dst", "components", "variant")
 
     def __init__(self, m_src: int, components: list[Coefficient]):
+        m_src = _count(m_src, "source dimension")
+        if m_src < 1:
+            raise DimensionError(f"source dimension {m_src} is not >= 1")
         if not components:
             raise DimensionError("a map needs at least one component")
         variants = {coefficient_variant(c) for c in components}

@@ -13,8 +13,9 @@ the same way, over one denominator: ``{key: (re, im)}`` with int numerator
 pairs and one ``den > 0``, divided by their content so that ``gcd(den,
 every part) == 1`` and zero is ``({}, 1)``.  Its arithmetic runs here, on
 ints, and calls no ``QC`` operator: :func:`_numerators` puts reduced QC
-over their lcm, :func:`_term_products` multiplies and :func:`_add` and
-:func:`_sum` add numerator dicts, :func:`_times` scales by a QC, and
+over their lcm, :func:`_term_products` multiplies (times a sign) and
+:func:`_add` and :func:`_sum` add numerator dicts, :func:`_scale` scales by
+a Gaussian integer and :func:`_times` by a QC, and
 :func:`_content` divides a result by its content, stopping at the first
 term that brings the gcd to one.  :func:`_eval_terms` sums an exact
 evaluation on the numerators and unreduced powers (from
@@ -195,25 +196,34 @@ def _content(terms: dict, den: int) -> tuple[dict, int]:
     return {k: (a // g, b // g) for k, (a, b) in terms.items()}, den // g
 
 
-def _term_products(left: dict, right: dict, one: int) -> dict:
-    """The product of two ``{key: (re, im)}`` numerator dicts whose int keys
-    add, with ``one`` the key of the unit: the term products
-    ``(k1 + k2 - one, n1 * n2)`` left-major, summed by key, a key whose sum
-    cancels leaving at once (a later product brings it back last).  When
-    either side has one term no two keys meet, so there is no sum."""
+def _term_products(left: dict, right: dict, one: int, sign: int) -> dict:
+    """``sign`` (1 or -1) times the product of two ``{key: (re, im)}``
+    numerator dicts whose int keys add, with ``one`` the key of the unit:
+    the term products ``(k1 + k2 - one, sign * n1 * n2)`` left-major,
+    summed by key, a key whose sum cancels leaving at once (a later product
+    brings it back last).  The sign rides on one side's numerators (the
+    single term, else each outer one), so a sign of -1 gives the negation
+    of the unsigned result with its keys in the same order.
+    When either side has one term no two keys meet, so there is no sum."""
     if len(left) == 1:
         (k, (a, b)), = left.items()
         k -= one
+        if sign < 0:
+            a, b = -a, -b
         return {k + k2: (a * c - b * e, a * e + b * c) for k2, (c, e) in right.items()}
     if len(right) == 1:
         (k, (c, e)), = right.items()
         k -= one
+        if sign < 0:
+            c, e = -c, -e
         return {k1 + k: (a * c - b * e, a * e + b * c) for k1, (a, b) in left.items()}
     terms: dict = {}
     get = terms.get
     right = list(right.items())
     for k1, (a, b) in left.items():
         k1 -= one
+        if sign < 0:
+            a, b = -a, -b
         for k2, (c, e) in right:
             k = k1 + k2
             re, im = a * c - b * e, a * e + b * c
@@ -280,11 +290,15 @@ def _sum(parts: list) -> tuple[dict, int]:
     return _content(terms, den)
 
 
+def _scale(terms: dict, den: int, c: int, e: int) -> tuple[dict, int]:
+    """``(terms, den)`` times the nonzero Gaussian integer ``c + e*i``,
+    content-reduced."""
+    return _content({k: (a * c - b * e, a * e + b * c) for k, (a, b) in terms.items()}, den)
+
+
 def _times(terms: dict, den: int, q: "QC") -> tuple[dict, int]:
     """``(terms, den)`` times a nonzero QC, content-reduced."""
-    c, e, f = q._a, q._b, q._d
-    return _content({k: (a * c - b * e, a * e + b * c) for k, (a, b) in terms.items()},
-                    den * f)
+    return _scale(terms, den * q._d, q._a, q._b)
 
 
 def _eval_terms(plans: list, nums, den: int, values: list, pole) -> "QC":

@@ -177,3 +177,106 @@ def parent_exact_eval(p, zvalues):
             term = term * (val if e == 1 else val ** e)
         total = term if total is None else total + term
     return total
+
+
+# -- the exterior kernels before each sign went inside the ring ---------------
+#
+# ``d`` took each slot's derivative by ``diff_z`` or ``diff_zbar`` and negated
+# it for an odd wedge sign, ``wedge`` negated the product ``cu * cv``, and
+# ``substitute`` started each term from its numerator as a one-term
+# polynomial over 1.  These are the parent's bodies, as the oracles of
+# ``forms`` and ``LaurentPoly.substitute``.
+
+
+def unsigned_wirtinger_d(f, holomorphic):
+    """``forms._wirtinger_d`` with a bit test per slot, an unsigned
+    derivative and a negated copy for an odd sign."""
+    from contactkit.forms import _form, _sum_into, merge_words
+    m = f.m
+    degree = f.degree + 1
+    if degree > 2 * m:
+        return _form(m, 2 * m, {}, f.variant)
+    terms = {}
+    for word, coeff in f.terms.items():
+        has = coeff.variables()
+        for i in range(m):
+            for idx in (i, m + i) if holomorphic else (m + i,):
+                if not has >> idx & 1:
+                    continue
+                merged, sign = merge_words((idx,), word)
+                if merged is None:
+                    continue
+                dc = coeff.diff_z(idx) if idx < m else coeff.diff_zbar(idx - m)
+                if dc.is_zero:
+                    continue
+                _sum_into(terms, merged, dc if sign > 0 else -dc)
+    return _form(m, degree, terms, f.variant)
+
+
+def unsigned_wedge(f, g):
+    """``forms.wedge`` with a negated copy of ``cu * cv`` for an odd sign."""
+    from contactkit.forms import _form, _sum_into, merge_words
+    degree = f.degree + g.degree
+    if degree > 2 * f.m:
+        return _form(f.m, 2 * f.m, {}, f.variant)
+    terms = {}
+    for wu, cu in f.terms.items():
+        for wv, cv in g.terms.items():
+            word, sign = merge_words(wu, wv)
+            if word is None:
+                continue
+            _sum_into(terms, word, cu * cv if sign > 0 else -(cu * cv))
+    return _form(f.m, degree, terms, f.variant)
+
+
+def substitute_from_one_term(p, args):
+    """``LaurentPoly.substitute`` with each term started as its numerator,
+    a one-term polynomial over 1, times its argument powers."""
+    from contactkit.coefficients import _ONE, _fields, _poly
+    from contactkit.scalars import _sum
+    m, m_src = p.m, args[0].m
+    cache = {}
+
+    def arg_power(j, e):
+        if (j, e) not in cache:
+            cache[j, e] = (args[j - m].conj() if j >= m else args[j]) ** e
+        return cache[j, e]
+
+    one = _ONE[m_src]
+    order = [j for i in range(m) for j in (i, m + i)]
+    parts = []
+    bound = 0
+    for key, num in p._terms.items():
+        term = _poly(m_src, {one: num}, 1, 0)
+        exps = _fields(m, key)
+        for j in order:
+            if exps[j]:
+                term = term * arg_power(j, exps[j])
+        parts.append((term._terms, term._den * p._den))
+        bound = max(bound, term._bound)
+    return _poly(m_src, *_sum(parts), bound)
+
+
+def unsigned_pullback(F, f):
+    """``forms.pullback`` on the three kernels above: d of each covector the
+    words use, each coefficient substituted, then wedged in word order."""
+    from contactkit.forms import _form, _sum_into
+    if F.variant == "expr" or f.variant == "expr":
+        F, f = F.to_expr(), f.to_expr()
+    m_src, m_dst, comps = F.m_src, F.m_dst, F.components
+    d_cov = {idx: unsigned_wirtinger_d(
+        _form(m_src, 0, {(): comps[idx] if idx < m_dst else comps[idx - m_dst].conj()},
+              F.variant), True)
+        for idx in {i for word in f.terms for i in word}}
+    terms = {}
+    for word, coeff in f.terms.items():
+        pulled = (substitute_from_one_term(coeff, comps) if F.variant == "laurent"
+                  else coeff.substitute(comps))
+        acc = _form(m_src, 0, {(): pulled}, F.variant)
+        for idx in word:
+            acc = unsigned_wedge(acc, d_cov[idx])
+        for w, c in acc.terms.items():
+            _sum_into(terms, w, c)
+            if terms[w].is_zero:
+                del terms[w]
+    return _form(m_src, f.degree, terms, F.variant)

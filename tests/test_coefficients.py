@@ -1103,6 +1103,12 @@ COEFFICIENTS_REFUSALS = [
     (lambda: LaurentPoly.z(1, 0, _BIG) ** 2, ExponentRangeError,
      f"exponent {2 * _BIG} of z1 is outside the packed range"),
     (lambda: LaurentPoly(0), DimensionError, "need at least one variable"),
+    (lambda: LaurentPoly(3.0), DimensionError, "variable count 3.0 is not an int"),
+    (lambda: LaurentPoly.const(True, 1), DimensionError, "variable count True is not an int"),
+    (lambda: LaurentPoly.z(2, 0).diff_z(True), DimensionError,
+     "coordinate index True is not an int"),
+    (lambda: LaurentPoly.z(2, 0).diff_zbar(0.5), DimensionError,
+     "coordinate index 0.5 is not an int"),
     (lambda: LaurentPoly(2, {Monomial((0,), (0,)): 1}), DimensionError,
      "monomial arity 1 != m=2"),
     (lambda: LaurentPoly.z(1, 0) + LaurentPoly.z(2, 0), DimensionError,

@@ -117,15 +117,16 @@ def test_dbar_defect_reads_a_one_shot_iterable_in_full():
 def test_dbar_defect_takes_each_derivative_once(monkeypatch):
     """Per (coefficient, j): dbar_j, then one Wirtinger derivative for each
     further multi-index of total <= order-1 over the 2m slots, taken from
-    its parent; at m = 3 and order 4 that is C(9, 3) = 84 derivatives."""
-    real = LaurentPoly._diff
+    its parent; at m = 3 and order 4 that is C(9, 3) = 84 derivatives.
+    Each is counted where it enters the ring, the signed derivative."""
+    real = LaurentPoly._signed_diff
     calls = []
 
-    def counting(self, i, bar):
+    def counting(self, i, bar, sign):
         calls.append((i, bar))
-        return real(self, i, bar)
+        return real(self, i, bar, sign)
 
-    monkeypatch.setattr(LaurentPoly, "_diff", counting)
+    monkeypatch.setattr(LaurentPoly, "_signed_diff", counting)
     f = LaurentPoly.z(3, 0, 3) * LaurentPoly.zbar(3, 1, 2) + LaurentPoly.zbar(3, 2, 4)
     dbar_defect(f, real_points(3, 2), order=4)
     assert len(calls) == 3 * math.comb(9, 3)

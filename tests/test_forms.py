@@ -27,6 +27,8 @@ from contactkit.gallery import (
 )
 from contactkit.sampling import exact_points
 from contactkit.scalars import QC
+from oracles import substitute_from_one_term, unsigned_pullback, unsigned_wedge, \
+    unsigned_wirtinger_d
 
 
 def random_coeff(m, rng, allow_negative=False, max_exp=2):
@@ -331,20 +333,21 @@ def test_pullback_respects_wedge():
 
 def test_pullback_differentiates_only_the_covectors_it_uses(monkeypatch):
     """z3 dz1 needs d(F_1) alone, and F_1 = z1 z2 + zbar3 has three
-    variables: 3 derivatives, not 2 * 3 for each of the 6 target covectors."""
+    variables: 3 derivatives, not 2 * 3 for each of the 6 target covectors.
+    Each is counted at the signed entry point, by covector slot."""
     calls = []
-    diff = LaurentPoly._diff
+    diff = LaurentPoly._signed_diff
 
-    def counted(self, i, bar):
-        calls.append((i, bar))
-        return diff(self, i, bar)
+    def counted(self, i, bar, sign):
+        calls.append((self.m * bar + i, sign))
+        return diff(self, i, bar, sign)
 
-    monkeypatch.setattr(LaurentPoly, "_diff", counted)
+    monkeypatch.setattr(LaurentPoly, "_signed_diff", counted)
     z = [LaurentPoly.z(3, i) for i in range(3)]
     F = PolyMap(3, [z[0] * z[1] + LaurentPoly.zbar(3, 2), z[1], z[2] * z[2]])
     w = Form(3, 1, {(0,): LaurentPoly.z(3, 2)})
     pulled = pullback(F, w)
-    assert calls == [(0, False), (1, False), (2, True)]
+    assert calls == [(0, 1), (1, 1), (5, 1)]
     monkeypatch.undo()
     assert pulled == Form(3, 1, {
         (0,): z[2] * z[2] * z[1], (1,): z[2] * z[2] * z[0], (5,): z[2] * z[2]})
@@ -386,6 +389,120 @@ def test_exact_form_operations_call_no_qc_operator(monkeypatch):
     assert calls == []
     QC(1, 2) * QC(3)
     assert calls == ["__mul__"]
+
+
+# -- each sign taken inside the ring: the unsigned kernels are the oracles ----
+
+def signed_kernel_form(m, degree, rng):
+    """A Laurent form with several terms per word, exponents in -2..2 and
+    parts over denominators 1..7, plus ``d`` and dbar of lower-degree forms
+    so that ``d``, dbar and wedges meet words that cancel."""
+    words = list(combinations(range(2 * m), degree))
+    terms = {}
+    for w in rng.sample(words, min(len(words), rng.randint(1, 3))):
+        terms[w] = LaurentPoly(m, {
+            Monomial(tuple(rng.randint(-2, 2) for _ in range(m)),
+                     tuple(rng.randint(-2, 2) for _ in range(m))):
+            QC(Fraction(rng.randint(-6, 6), rng.randint(1, 7)),
+               Fraction(rng.randint(-6, 6), rng.randint(1, 7))) or QC(1, 3)
+            for _ in range(rng.randint(1, 3))})
+    f = Form(m, degree, terms)
+    if degree:
+        f = (f + ext_d(signed_kernel_form(m, degree - 1, rng))
+             + dee_bar(signed_kernel_form(m, degree - 1, rng)))
+    return f
+
+
+def monomial_map(m_src, m_dst, rng):
+    """Components that are monomials with negative exponents, so Laurent
+    forms pull back inside the ring, or affine ones, which may leave it."""
+    comps = []
+    for _ in range(m_dst):
+        scale = QC(Fraction(rng.randint(1, 5), rng.randint(1, 7)), rng.randint(-2, 2))
+        mono = Monomial(tuple(rng.randint(-1, 2) for _ in range(m_src)),
+                        tuple(rng.randint(-1, 1) for _ in range(m_src)))
+        c = LaurentPoly(m_src, {mono: scale})
+        comps.append(c + QC(Fraction(1, rng.randint(1, 7))) if rng.random() < 0.25 else c)
+    return PolyMap(m_src, comps)
+
+
+def assert_same_kernel_result(got, want):
+    """Laurent results: the same words in order, and per word the same
+    numerators in term order, denominator and exponent bound.  Expression
+    results: the same trees, bit for bit (``repr`` shows a -0.0)."""
+    if isinstance(want, PolyMap):
+        assert (got.m_src, got.m_dst, got.variant) == (want.m_src, want.m_dst, want.variant)
+        pairs = list(zip(got.components, want.components))
+    else:
+        assert (got.m, got.degree, got.variant) == (want.m, want.degree, want.variant)
+        assert list(got.terms) == list(want.terms)
+        pairs = [(got.terms[w], c) for w, c in want.terms.items()]
+    for g, w in pairs:
+        if isinstance(w, LaurentPoly):
+            assert (list(g._terms.items()), g._den, g._bound) == \
+                (list(w._terms.items()), w._den, w._bound)
+        else:
+            assert repr(g) == repr(w)
+
+
+def assert_same_or_same_error(op, oracle, *args):
+    try:
+        want = oracle(*args)
+    except ContactKitError as exc:
+        with pytest.raises(type(exc)):
+            op(*args)
+        return
+    assert_same_kernel_result(op(*args), want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+def test_signed_kernels_match_the_unsigned_oracle(seed, m, deg, deg2):
+    """``ext_d``, ``dee_bar``, ``wedge``, ``pullback`` and ``PolyMap.compose``
+    against the parent's bodies, which took each derivative and product
+    unsigned and negated a copy (``tests/oracles.py``), on Laurent forms
+    with negative exponents, mixed denominators and cancelling words, and
+    on expression forms."""
+    rng = random.Random(seed)
+    deg, deg2 = min(deg, 2 * m), min(deg2, 2 * m)
+    f = signed_kernel_form(m, deg, rng)
+    g = signed_kernel_form(m, deg2, rng)
+    F, G = monomial_map(m, m, rng), monomial_map(m, m, rng)
+    for a, b in ((f, g), (f.to_expr(), expr_form(m, deg2, rng))):
+        assert_same_or_same_error(ext_d, lambda h: unsigned_wirtinger_d(h, True), a)
+        assert_same_or_same_error(dee_bar, lambda h: unsigned_wirtinger_d(h, False), a)
+        for x, y in ((a, b), (b, a), (a, a), (a, -a)):
+            assert_same_or_same_error(wedge, unsigned_wedge, x, y)
+    assert_same_or_same_error(pullback, unsigned_pullback, F, f)
+    assert_same_or_same_error(pullback, unsigned_pullback, F, f.to_expr())
+    assert_same_or_same_error(
+        G.compose, lambda inner: PolyMap(inner.m_src, [
+            substitute_from_one_term(c, inner.components) for c in G.components]), F)
+
+
+def test_laurent_d_and_wedge_build_no_negated_copy(monkeypatch):
+    """Exact ``ext_d``, ``dee_bar`` and ``wedge`` take each sign inside the
+    ring: no ``LaurentPoly.__neg__``, ``diff_z`` or ``diff_zbar`` runs.  The
+    last calls show that the count sees each of them."""
+    rng = random.Random(41)
+    forms = [signed_kernel_form(3, d, rng) for d in (0, 1, 1, 2, 3)]
+    calls = []
+    for attr in ("__neg__", "diff_z", "diff_zbar"):
+        def counted(self, *args, real=getattr(LaurentPoly, attr), attr=attr):
+            calls.append(attr)
+            return real(self, *args)
+
+        monkeypatch.setattr(LaurentPoly, attr, counted)
+    for f in forms:
+        for g in forms:
+            wedge(f, g)
+        ext_d(f)
+        dee_bar(f)
+        assert ext_d(ext_d(f)).is_zero and dee_bar(dee_bar(f)).is_zero
+    assert calls == []
+    z = LaurentPoly.z(3, 0)
+    -z, z.diff_z(0), z.diff_zbar(0)
+    assert calls == ["__neg__", "diff_z", "diff_zbar"]
 
 
 def test_ring_internal_constants_skip_the_public_constructors(monkeypatch):
@@ -708,6 +825,14 @@ FORMS_REFUSALS = [
     (lambda: covector_index("dz4", 3), DimensionError, "covector 'dz4' out of range for m=3"),
     (lambda: Point([1, "a"]), VariantError, "bad coordinate type str"),
     (lambda: Form(0, 0), DimensionError, "need m >= 1"),
+    (lambda: Form(3.0, 1, {(0,): _z}), DimensionError, "dimension m 3.0 is not an int"),
+    (lambda: Form(True, 1, {}), DimensionError, "dimension m True is not an int"),
+    (lambda: Form("3", 1, {}), DimensionError, "dimension m '3' is not an int"),
+    (lambda: Form(3, 1.0, {(0,): _z}), DimensionError, "degree 1.0 is not an int"),
+    (lambda: Form(3, True, {(0,): _z}), DimensionError, "degree True is not an int"),
+    (lambda: Form(3, 1, {0: _z}), DimensionError, "covector word 0 is not a tuple"),
+    (lambda: Form.dz(3, 5), DimensionError, "z_6 (index 5) does not exist on C^3"),
+    (lambda: Form.dz(3, True), DimensionError, "coordinate index True is not an int"),
     (lambda: Form(2, 5), DimensionError, "degree 5 out of range for m=2"),
     (lambda: Form(3, 1, {(0.5,): _z}), DimensionError, "(0.5,) has an index that is not an int"),
     (lambda: Form(3, 2, {(0,): _z}), DimensionError, "word (0,) has length != degree 2"),
@@ -729,6 +854,8 @@ FORMS_REFUSALS = [
      "wedge requires a common coefficient variant"),
     (lambda: wedge_power(_dz, 0), DimensionError, "wedge_power needs n >= 1"),
     (lambda: PolyMap(1, []), DimensionError, "a map needs at least one component"),
+    (lambda: PolyMap(3.0, [_z]), DimensionError, "source dimension 3.0 is not an int"),
+    (lambda: PolyMap(0, [Z(0)]), DimensionError, "source dimension 0 is not >= 1"),
     (lambda: PolyMap(3, [_z, _z.to_expr()]), VariantError,
      "map components must share one coefficient variant"),
     (lambda: PolyMap(2, [_z]), DimensionError, "component variable count != source dimension"),
