@@ -57,7 +57,7 @@ from functools import lru_cache
 from operator import index
 from typing import NamedTuple
 
-from .errors import DimensionError, ExponentRangeError, PoleError, VariantError
+from .errors import DimensionError, ExponentRangeError, PoleError, VariantError, _count
 from .scalars import (QC, QC_ONE, _add, _content, _eval_terms, _exact_all, _numerators,
                       _reduced, _scale, _sum, _term_products, _times, exact, power)
 
@@ -108,17 +108,6 @@ def _variable(m: int, j: int) -> str:
     return f"z{j + 1}" if j < m else f"zbar{j - m + 1}"
 
 
-def _count(value, what: str) -> int:
-    """``value`` as an int, or a DimensionError naming it: a bool, a float
-    or a string is no count or index."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise DimensionError(f"{what} {value!r} is not an int")
-
-
 def _coordinate(m: int, i: int) -> int:
     """``i`` as a 0-based coordinate index of C^m, or a DimensionError."""
     i = _count(i, "coordinate index")
@@ -153,6 +142,8 @@ def _pack(m: int, mono: Monomial) -> tuple[int, int]:
     key = bound = 0
     for j, e in enumerate(mono.zexp + mono.zbarexp):
         try:
+            if isinstance(e, bool):  # True is no exponent, though index() reads it as 1
+                raise TypeError
             e = index(e)
         except TypeError:
             raise VariantError(
@@ -687,7 +678,7 @@ class _Coordinate(Expr):
     i: int
 
     def __post_init__(self):
-        if self.i < 0:
+        if _count(self.i, "coordinate index") < 0:
             raise DimensionError(f"coordinate index {self.i} is negative")
 
     def _pick(self, values):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one int check that
+raises them for counts and indices."""
+
+from operator import index
 
 
 class ContactKitError(Exception):
@@ -37,3 +40,14 @@ class PreconditionError(ContactKitError, ValueError):
 
 class ParseError(ContactKitError, ValueError):
     """Raised for malformed input documents, with position information."""
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an int, or a DimensionError naming it: a bool, a float
+    or a string is no count or index."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise DimensionError(f"{what} {value!r} is not an int")

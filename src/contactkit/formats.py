@@ -6,8 +6,9 @@ text, one node per row, with a header declaring the mesh; float columns
 use repr, which round-trips binary-exactly.  A section is written as one
 (nodes x columns) table and read row by row in file order, each distinct
 row of values formatted or parsed once, and a malformed body is reported
-at its first bad line; a body in the writer's own layout is read without a
-Python statement per row.  Solver results dump as a metadata document plus
+at its first bad line; a body in the writer's own layout is read a block
+of lines at a time, without a Python statement per row and without
+splitting the whole text.  Solver results dump as a metadata document plus
 one columnar file per homotopy frame.
 """
 
@@ -185,13 +186,10 @@ def _row_parts(nodes: int, m: int) -> tuple[list[str], list[str]]:
     return heads, lasts
 
 
-def _node_prefixes(nodes: int, m: int) -> list[str]:
-    """Each node's row prefix "i1 ... im ", in C order: the rows' order."""
-    return list(map("".join, itertools.product(*_row_parts(nodes, m))))
-
-
 # rows whose bytes keys are alive at once while a section is written
 _KEY_BLOCK = 4096
+# characters of the body split into lines at once while a section is read
+_TEXT_BLOCK = 2 ** 18
 
 
 def section_to_text(section: GridSection) -> str:
@@ -325,31 +323,74 @@ def _read_header(header, rows: int) -> tuple[CubeGrid, int]:
     return grid, len(columns)
 
 
-def _canonical_section(text: str, body: list[str], header) -> GridSection | None:
-    """The section of ``text`` when its header is valid and its ``body`` is
-    in the writer's index layout (per node in C order, its prefix "i1 ...
-    im ", "\\n" line ends) and its values parse, else None.  Each distinct
-    value text is parsed once, by the general path's ``_value_row``; no
-    Python statement runs per row, and a text with a "\r" is refused first."""
-    if "\r" in text:
-        return None
+# every line boundary str.splitlines knows but "\n"
+_OTHER_BREAKS = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_HEADER_KEYS = ("n", "nodes", "bounds", "columns")
+
+
+def _canonical_section(text: str) -> GridSection | None:
+    """The section of ``text`` when its header lines are valid and its body
+    is in the writer's index layout (per node in C order, its prefix "i1 ...
+    im ", "\\n" line ends) and its values parse, else None.  The header is
+    read a line at a time up to the first body line, and a line holding any
+    line boundary but "\\n" is refused, so the text is never split whole and
+    every line is the one ``str.splitlines`` gives the general reader."""
+    header: dict[str, tuple[int, list[str]]] = {}
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        raw = text[start:end]
+        if _OTHER_BREAKS.search(raw):
+            return None
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            key = line.split(None, 1)[0] if line[0].isalpha() else None
+            if key not in _HEADER_KEYS:
+                return _canonical_body(text, start, header)
+            if key in header:
+                return None
+            header[key] = (lineno, line.split()[1:])
+        start, lineno = end + 1, lineno + 1
+    return None
+
+
+def _canonical_body(text: str, start: int, header) -> GridSection | None:
+    """``_canonical_section``'s body from offset ``start``, counted before
+    anything is allocated and split a block of ``_TEXT_BLOCK`` characters
+    (ending at a "\\n") at a time: each block's lines are checked against
+    their nodes' prefixes, taken lazily in C order, and its value texts
+    keyed by the row of their first copy.  Each distinct value text is
+    parsed once, by the general path's ``_value_row``; no Python statement
+    runs per row."""
+    rows = text.count("\n", start) + (not text.endswith("\n"))
     try:
-        grid, width = _read_header(header, len(body))
+        grid, width = _read_header(header, rows)
     except ParseError:
         return None
-    prefixes = _node_prefixes(grid.nodes, grid.m)
-    if not all(map(str.startswith, body, prefixes)):
-        return None
+    prefixes = map("".join, itertools.product(*_row_parts(grid.nodes, grid.m)))
     ids: dict[str, int] = {}  # value text -> the row of its first copy
-    first = np.fromiter(map(ids.setdefault, map(str.removeprefix, body, prefixes),
-                            itertools.count()), np.intp, len(body))
+    first = np.empty(rows, np.intp)
+    done = 0
+    while start < len(text):
+        # a block ends at a "\n", or at the end of the text
+        end = text.find("\n", min(start + _TEXT_BLOCK, len(text) - 1))
+        end = len(text) if end < 0 else end
+        lines = text[start:end].split("\n")
+        block = list(itertools.islice(prefixes, len(lines)))
+        if not all(map(str.startswith, lines, block)):
+            return None
+        first[done:done + len(lines)] = np.fromiter(
+            map(ids.setdefault, map(str.removeprefix, lines, block), itertools.count(done)),
+            np.intp, len(lines))
+        start, done = end + 1, done + len(lines)
     distinct: list[list[float]] = []
     for value_text in ids:
         count, row = _value_row(value_text, distinct)
-        if count != width - grid.m or type(row) is str:
+        if count != width - grid.m or type(row) is str or _OTHER_BREAKS.search(value_text):
             return None
     # the first copies' rows increase in the order of the distinct texts
-    order = np.empty(len(body), dtype=np.intp)
+    order = np.empty(rows, dtype=np.intp)
     order[np.fromiter(ids.values(), np.intp, len(ids))] = np.arange(len(ids))
     return _section(grid, np.array(distinct, float), order[first])
 
@@ -363,22 +404,24 @@ def _section(grid: CubeGrid, distinct: np.ndarray, order: np.ndarray) -> GridSec
 
 
 def section_from_text(text: str) -> GridSection:
-    lines = text.splitlines()
+    """The section ``text`` holds: read by ``_canonical_section`` when it
+    takes the text, else line by line in file order (``str.splitlines``)."""
+    section = _canonical_section(text)
+    if section is not None:
+        return section
     header: dict[str, tuple[int, list[str]]] = {}
     body = []  # (line number, stripped text) per body line
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         # header keys begin with a letter, body lines with a node index
         key = line.split(None, 1)[0] if line[0].isalpha() else None
-        if key in ("n", "nodes", "bounds", "columns"):
+        if key in _HEADER_KEYS:
             if key in header:
                 raise ParseError(f"line {lineno}: repeated header key {key!r}")
             header[key] = (lineno, line.split()[1:])
             continue
-        if not body and (section := _canonical_section(text, lines[lineno - 1:], header)):
-            return section
         body.append((lineno, line))
     grid, width = _read_header(header, len(body))
     return _section(grid, *_read_rows(body, width, grid.m, grid.nodes))

@@ -18,9 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .coefficients import (Coefficient, Const, LaurentPoly, _coordinate, _count, _zero_at,
+from .coefficients import (Coefficient, Const, LaurentPoly, _coordinate, _zero_at,
                            coefficient_variant)
-from .errors import DimensionError, VariantError
+from .errors import DimensionError, VariantError, _count
 from .scalars import exact
 
 Word = tuple[int, ...]

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, _count
 
 MIN_NODES = 5  # the second-order one-sided stencils reach two nodes in
 
@@ -81,6 +81,9 @@ class CubeGrid:
         return self.nodes ** self.m
 
     def axis(self, k: int) -> np.ndarray:
+        k = _count(k, "axis")
+        if not 0 <= k < self.m:
+            raise DimensionError(f"axis {k} does not exist on a grid in R^{self.m}")
         lo, hi = self.bounds[k]
         return np.linspace(lo, hi, self.nodes)
 

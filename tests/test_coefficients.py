@@ -1098,6 +1098,9 @@ COEFFICIENTS_REFUSALS = [
     (lambda: LaurentPoly.z(2, 5), DimensionError, "z_6 (index 5) does not exist on C^2"),
     (lambda: LaurentPoly(1, {Monomial((0.5,), (0,)): 1}), VariantError,
      "exponent 0.5 of z1 is not an integer"),
+    (lambda: LaurentPoly(1, {Monomial((True,), (0,)): 1}), VariantError,
+     "exponent True of z1 is not an integer"),
+    (lambda: LaurentPoly.z(3, 2, True), VariantError, "exponent True of z3 is not an integer"),
     (lambda: LaurentPoly(1, {Monomial((0,), (EXPONENT_LIMIT,)): 1}), ExponentRangeError,
      f"exponent {EXPONENT_LIMIT} of zbar1 is outside the packed range"),
     (lambda: LaurentPoly.z(1, 0, _BIG) ** 2, ExponentRangeError,
@@ -1126,6 +1129,9 @@ COEFFICIENTS_REFUSALS = [
      DimensionError, "substitution arguments live in different rings"),
     (lambda: Z(0) + "a", VariantError, "cannot lift str into an expression"),
     (lambda: Zbar(-1), DimensionError, "coordinate index -1 is negative"),
+    (lambda: Z(1.5), DimensionError, "coordinate index 1.5 is not an int"),
+    (lambda: Z(True), DimensionError, "coordinate index True is not an int"),
+    (lambda: Zbar(1j), DimensionError, "coordinate index 1j is not an int"),
     (lambda: Z(2).eval([1j]), DimensionError, "z_3 does not exist on C^1"),
     (lambda: epow(Const(0j), -1), PoleError, "zero raised to the negative power -1"),
     (lambda: epow(Z(0), 0.5), VariantError, "expression powers take integer exponents only"),

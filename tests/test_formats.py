@@ -844,14 +844,32 @@ def test_section_text_memory_on_the_flat_33_output():
     """Peak traced memory of writing, then of reading, the flat 33-node
     solver output (35,937 rows).  The writer drops its table before it
     builds the text and builds no string per node: 23.4 MB when it built a
-    prefix and a line per node and copied the body once more."""
+    prefix and a line per node and copied the body once more.  The reader
+    splits the body a block of lines at a time and takes each block's node
+    prefixes lazily: 13.2 MB when it split the whole text and built every
+    node's prefix first, under 5 MB now."""
     inp, gamma = demo_flat_section(33)
     section = ci_solve(inp, gamma, 0.5, 1e-3).output
     text, write_peak, _ = traced_peak(section_to_text, section)
     back, read_peak, _ = traced_peak(section_from_text, text)
     assert back == section
     assert write_peak <= 12 * 2 ** 20, f"write: {write_peak / 2 ** 20:.1f} MB peak"
-    assert read_peak <= 32 * 2 ** 20, f"read: {read_peak / 2 ** 20:.1f} MB peak"
+    assert read_peak <= 8 * 2 ** 20, f"read: {read_peak / 2 ** 20:.1f} MB peak"
+
+
+@pytest.mark.parametrize("demo, nodes", [
+    ("flat", 25), ("flat", 33), ("gamma", 25), ("gamma", 33), ("holonomic", 25),
+    ("holonomic", 33), ("gamma", 13)])
+def test_every_grid_solve_output_reads_back_bit_for_bit(demo, nodes):
+    """The seven solver outputs the grid-solve benchmark writes and reads
+    back: the read section's ``a`` and ``beta`` have the output's bytes and
+    strides."""
+    inp, gamma = getattr(ci, f"demo_{demo}_section")(nodes)
+    output = ci_solve(inp, gamma, 0.5, 1e-3).output
+    back = section_from_text(section_to_text(output))
+    for got, want in ((back.a, output.a), (back.beta, output.beta)):
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
 
 
 def test_the_writer_takes_row_keys_a_block_at_a_time():
@@ -1029,6 +1047,11 @@ def _shuffled(lines):
     return lines[:5] + body
 
 
+def _with_break_in_row(k, brk, lines):
+    head, tail = lines[k].rsplit(" ", 1)
+    return lines[:k] + [head + brk + tail] + lines[k + 1:]
+
+
 READER_PATHS = [
     # (id, base lines, edit, line end, takes the general reader)
     ("canonical", lambda: SECTION_BASE, lambda lines: lines, "\n", False),
@@ -1056,6 +1079,19 @@ READER_PATHS = [
     ("crlf-line-ends", lambda: SECTION_BASE, lambda lines: lines, "\r\n", True),
     ("one-value-too-few", lambda: SECTION_BASE,
      lambda lines: lines[:50] + [lines[50].rsplit(" ", 1)[0]] + lines[51:], "\n", True),
+    ("formfeed-for-one-line-end", lambda: SECTION_BASE,
+     lambda lines: lines[:40] + [lines[40] + "\f" + lines[41]] + lines[42:], "\n", True),
+    ("trailing-blank-line", lambda: SECTION_BASE, lambda lines: lines + [""], "\n", True),
+    # the comment line ends at the "\x1e", so "n 1" after it repeats a key
+    ("record-separator-in-a-comment", lambda: SECTION_BASE,
+     lambda lines: [lines[0] + "\x1e" + lines[1]] + lines[1:], "\n", True),
+    ("last-row-without-line-end", lambda: SECTION_BASE,
+     lambda lines: [line + "\n" for line in lines[:-1]] + lines[-1:], "", False),
+] + [
+    # a line boundary between two values, which str.split reads as a space
+    (f"{name}-inside-a-row", lambda: SECTION_BASE,
+     functools.partial(_with_break_in_row, 40, brk), "\n", True)
+    for name, brk in (("formfeed", "\f"), ("nel", "\x85"), ("line-separator", "\u2028"))
 ] + [
     # 2,197 rows with many repeated value texts, off the writer's layout
     (f"{demo}-13-{name}", functools.partial(_solver_lines, demo, 13), edit, end, True)
@@ -1068,39 +1104,50 @@ READER_PATHS = [
                          ids=[r[0] for r in READER_PATHS])
 def test_reader_takes_the_canonical_path_only_on_the_writers_layout(base, edit, end, general,
                                                                     monkeypatch):
-    """A body in the writer's index layout with well-formed values is
-    read without the general reader; every other text takes it.  Either
-    way the section, or the ParseError message, is the reference
-    reader's."""
+    """A body in the writer's index layout with well-formed values and no
+    line boundary but "\\n" is read without the general reader; the
+    canonical path refuses every other text and the general reader takes
+    it.  Either way the section, or the ParseError message, is the
+    reference reader's."""
     from contactkit import formats
-    calls = []
-    read_rows = formats._read_rows
+    results = []
+    canonical = formats._canonical_section
 
-    def counted(*args):
-        calls.append(args)
-        return read_rows(*args)
+    def spied(text):
+        results.append(canonical(text))
+        return results[-1]
 
-    monkeypatch.setattr(formats, "_read_rows", counted)
+    monkeypatch.setattr(formats, "_canonical_section", spied)
     text = end.join(edit(list(base()))) + end
     _assert_readers_agree(text)
-    assert len(calls) == general
+    assert [section is None for section in results] == [general]
+
+
+@pytest.mark.parametrize("block", [1, 2, 64, 131, 10 ** 6])
+def test_the_reader_does_not_depend_on_its_block_size(block, monkeypatch):
+    """Blocks that end at every line, mid-row or past the text: each
+    READER_PATHS text still reads as the reference reads it."""
+    from contactkit import formats
+    monkeypatch.setattr(formats, "_TEXT_BLOCK", block)
+    for _, base, edit, end, _ in READER_PATHS:
+        _assert_readers_agree(end.join(edit(list(base()))) + end)
 
 
 def test_a_crlf_body_builds_no_node_prefixes(monkeypatch):
     """A "\r" sends the text to the general reader before the canonical
-    path builds its per-node prefixes, and the section keeps every bit of
-    the same text with "\n" line ends."""
+    path takes the parts of its per-node prefixes, and the section keeps
+    every bit of the same text with "\n" line ends."""
     from contactkit import formats
     lines = _solver_lines("flat", 9)
     want = section_from_text("\n".join(lines) + "\n")
     built = []
-    node_prefixes = formats._node_prefixes
+    row_parts = formats._row_parts
 
     def counted(*args):
         built.append(args)
-        return node_prefixes(*args)
+        return row_parts(*args)
 
-    monkeypatch.setattr(formats, "_node_prefixes", counted)
+    monkeypatch.setattr(formats, "_row_parts", counted)
     got = section_from_text("\r\n".join(lines) + "\r\n")
     assert built == []
     assert_bit_equal(got, want)

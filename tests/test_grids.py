@@ -207,6 +207,10 @@ GRIDS_REFUSALS = [
     (lambda: CubeGrid(1, 5, [(0, 1)]), DimensionError, "bounds count != 2n+1"),
     (lambda: CubeGrid(1, 5, [(0, 1), (1, 0), (0, 1)]), PreconditionError,
      "axis 1: interval [1.0, 0.0] and mesh step -0.25 must be finite"),
+    (lambda: _G5.axis(-1), DimensionError, "axis -1 does not exist on a grid in R^3"),
+    (lambda: _G5.axis(3), DimensionError, "axis 3 does not exist on a grid in R^3"),
+    (lambda: _G5.axis(1.0), DimensionError, "axis 1.0 is not an int"),
+    (lambda: _G5.axis(True), DimensionError, "axis True is not an int"),
     (lambda: _G5.node_coords((0, 0)), DimensionError, "node index length != m"),
     (lambda: _G5.node_coords((0, 0, 5)), DimensionError, "node index (0, 0, 5) out of range"),
     (lambda: GridSection(_G5, np.zeros((5, 5, 5, 2)), np.zeros((5, 5, 5, 3))), DimensionError,
