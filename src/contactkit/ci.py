@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, _count
 from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
 from .jets import SliceClass, curl_grid, formal_margin_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
@@ -52,13 +52,6 @@ PHASE_BLOCK_ELEMENTS = 2 ** 16
 
 
 # -- loops in the relation slice ------------------------------------------
-
-
-def _check_phases(k: int) -> None:
-    if type(k) is not int:
-        raise PreconditionError(f"a loop's phase count k must be an int, got {k!r}")
-    if k < 1:
-        raise PreconditionError(f"a loop needs k >= 1 phases, got {k}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -89,7 +82,7 @@ class Loop:
 
     def mean_quadrature(self, k: int = 64) -> tuple:
         """Uniform average over k phases; exact for circular harmonics."""
-        _check_phases(k)
+        _count(k, "a loop's phase count k", 1, PreconditionError)
         ph = self.radius * _unit_phases(k)
         center, direction = np.array((self.center, self.direction), complex)
         pts = center + ph[:, None] * direction
@@ -98,7 +91,7 @@ class Loop:
     def min_affine_margin(self, w, c, k: int = 720) -> float:
         """min over the loop of |<w, point> + c|, sampling plus the
         analytically worst phase."""
-        _check_phases(k)
+        _count(k, "a loop's phase count k", 1, PreconditionError)
         if len(w) != len(self.center):
             raise DimensionError(f"w has length {len(w)}, the loop's center has length "
                                  f"{len(self.center)}")
@@ -153,7 +146,8 @@ def good_frequency(n_base: int, h: float) -> int:
     # every N below asin(SINC_GUARD) / h lies on the first rising arc of
     # |sin(N h)|, below the guard; the phase then moves by h per unit N, so
     # a guard window is reached quickly
-    n = max(1, int(n_base), int(math.asin(SINC_GUARD) / h) - 1)
+    n_base = _count(n_base, "n_base", error=PreconditionError)
+    n = max(1, n_base, int(math.asin(SINC_GUARD) / h) - 1)
     for _ in range(int(steps) + 2):
         if abs(math.sin(n * h)) >= SINC_GUARD:
             return n
@@ -457,10 +451,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     grid = inp.grid
     if not (0 < eps < math.inf and 0 < delta < math.inf):
         raise PreconditionError(f"eps and delta must be finite and positive, got {eps}, {delta}")
-    if type(max_sweeps) is not int:
-        raise PreconditionError(f"max_sweeps must be an int, got {max_sweeps!r}")
-    if max_sweeps < 1:
-        raise PreconditionError("max_sweeps must be at least 1")
+    _count(max_sweeps, "max_sweeps", 1, PreconditionError)
 
     formal = formal_margin_grid(inp)
     if float(formal.min()) <= 1e-12:

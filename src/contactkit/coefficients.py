@@ -54,7 +54,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import NamedTuple
 
 from .errors import DimensionError, ExponentRangeError, PoleError, VariantError, _count
@@ -89,6 +88,7 @@ class Monomial(NamedTuple):
 
     @classmethod
     def one(cls, m: int) -> "Monomial":
+        _count(m, "variable count m", 1)
         return cls((0,) * m, (0,) * m)
 
 
@@ -110,8 +110,7 @@ def _variable(m: int, j: int) -> str:
 
 def _coordinate(m: int, i: int) -> int:
     """``i`` as a 0-based coordinate index of C^m, or a DimensionError."""
-    i = _count(i, "coordinate index")
-    if not 0 <= i < m:
+    if _count(i, "coordinate index i", 0) >= m:
         raise DimensionError(f"z_{i + 1} (index {i}) does not exist on C^{m}")
     return i
 
@@ -137,17 +136,18 @@ def _monomial(m: int, key: int) -> Monomial:
     return Monomial(tuple(exps[:m]), tuple(exps[m:]))
 
 
+@lru_cache(maxsize=64)
+def _exponent_names(m: int) -> tuple[str, ...]:
+    """``"exponent of z1"`` .. ``"exponent of zbarm"``, each field's name in
+    a refusal, built once per m."""
+    return tuple(f"exponent of {_variable(m, j)}" for j in range(2 * m))
+
+
 def _pack(m: int, mono: Monomial) -> tuple[int, int]:
     """The key of an outside monomial and its largest |exponent|."""
     key = bound = 0
-    for j, e in enumerate(mono.zexp + mono.zbarexp):
-        try:
-            if isinstance(e, bool):  # True is no exponent, though index() reads it as 1
-                raise TypeError
-            e = index(e)
-        except TypeError:
-            raise VariantError(
-                f"exponent {e!r} of {_variable(m, j)} is not an integer") from None
+    for j, (e, what) in enumerate(zip(mono.zexp + mono.zbarexp, _exponent_names(m))):
+        _count(e, what, error=VariantError)
         if not -EXPONENT_LIMIT < e < EXPONENT_LIMIT:
             raise _out_of_range(m, j, e)
         key |= (e + EXPONENT_LIMIT) << (_WIDTH * j)
@@ -230,9 +230,7 @@ class LaurentPoly:
     __slots__ = ("m", "_terms", "_den", "_bound")
 
     def __init__(self, m: int, terms: dict[Monomial, QC] | None = None):
-        m = _count(m, "variable count")
-        if m < 1:
-            raise DimensionError("need at least one variable")
+        _count(m, "variable count m", 1)
         clean: dict[int, QC] = {}
         bound = 0
         for mono, coeff in (terms or {}).items():
@@ -261,21 +259,25 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, m: int, value) -> "LaurentPoly":
-        m = _count(m, "variable count")
         return cls(m, {Monomial.one(m): _as_qc(value)})
 
     @classmethod
     def z(cls, m: int, i: int, power: int = 1) -> "LaurentPoly":
         """The coordinate ``z_i`` (0-based ``i``), optionally to a power."""
-        ze = [0] * _count(m, "variable count")
-        ze[_coordinate(m, i)] = power
-        return cls(m, {Monomial(tuple(ze), (0,) * m): QC_ONE})
+        return cls._power_of(m, i, power, False)
 
     @classmethod
     def zbar(cls, m: int, i: int, power: int = 1) -> "LaurentPoly":
-        zb = [0] * _count(m, "variable count")
-        zb[_coordinate(m, i)] = power
-        return cls(m, {Monomial((0,) * m, tuple(zb)): QC_ONE})
+        return cls._power_of(m, i, power, True)
+
+    @classmethod
+    def _power_of(cls, m: int, i: int, power: int, bar: bool) -> "LaurentPoly":
+        """``z_i``, or ``zbar_i`` when ``bar``, to the given power."""
+        zero = Monomial.one(m).zexp
+        exps = list(zero)
+        exps[_coordinate(m, i)] = _count(power, "power", error=VariantError)
+        exps = tuple(exps)
+        return cls(m, {Monomial(zero, exps) if bar else Monomial(exps, zero): QC_ONE})
 
     # -- ring structure ---------------------------------------------------
 
@@ -335,7 +337,7 @@ class LaurentPoly:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return power(self, exponent, _poly(self.m, {_ONE[self.m]: (1, 0)}, 1, 0))
+        return power(self, int(exponent), _poly(self.m, {_ONE[self.m]: (1, 0)}, 1, 0))
 
     def inverse(self) -> "LaurentPoly":
         """Invert a single-term Laurent polynomial (the ring units)."""
@@ -591,10 +593,10 @@ class Expr:
         return d if sign > 0 else -d
 
     def diff_z(self, i: int) -> "Expr":
-        return self._diff(i, False)
+        return self._diff(_count(i, "coordinate index i", 0), False)
 
     def diff_zbar(self, i: int) -> "Expr":
-        return self._diff(i, True)
+        return self._diff(_count(i, "coordinate index i", 0), True)
 
     def conj(self) -> "Expr":
         """Formal conjugate tree.  For sqrt this assumes the principal
@@ -678,8 +680,7 @@ class _Coordinate(Expr):
     i: int
 
     def __post_init__(self):
-        if _count(self.i, "coordinate index") < 0:
-            raise DimensionError(f"coordinate index {self.i} is negative")
+        _count(self.i, "coordinate index i", 0)
 
     def _pick(self, values):
         if self.i >= len(values):
@@ -757,6 +758,9 @@ class Mul(Expr):
 class Pow(Expr):
     base: Expr
     k: int
+
+    def __post_init__(self):
+        _count(self.k, "exponent k", error=VariantError)
 
     def eval(self, zvalues):
         return _power(self.base.eval(zvalues), self.k)
@@ -854,9 +858,7 @@ def _power(value: complex, k: int) -> complex:
 
 
 def epow(base: Expr, k: int) -> Expr:
-    if not isinstance(k, int):
-        raise VariantError("expression powers take integer exponents only")
-    if k == 0:
+    if _count(k, "exponent k", error=VariantError) == 0:
         return Const(1 + 0j)
     if k == 1:
         return base

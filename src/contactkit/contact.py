@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import chain
 from math import factorial, prod
 
-from .errors import DimensionError, PreconditionError, VariantError
+from .errors import DimensionError, PreconditionError, VariantError, _count
 from .forms import Form, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
 from .scalars import _exact_all, _gaussian_complex, _reduced
@@ -197,8 +197,7 @@ class _Bordered:
     __slots__ = ("n", "_up", "_memo", "_scale", "_den")
 
     def __init__(self, a, beta, n: int, view=None):
-        if type(n) is not int or n < 0:
-            raise DimensionError(f"n must be an int >= 0, got {n!r}")
+        _count(n, "n", 0)
         # _den is L on Gaussian integers, 0 on the QCs or the entries as read
         self.n, self._memo, self._scale, self._den = n, {}, factorial(n), 0
         if view is not None:
@@ -263,7 +262,7 @@ def relation_slope(a, beta, n: int, r: int, s: int):
     beta entry, so the slope is exact and does not read beta_rs.
     """
     bordered = _Bordered(a, beta, n)
-    if not all(type(k) is int and 0 <= k <= 2 * n for k in (r, s)):
+    if max(_count(r, "slope index r", 0), _count(s, "slope index s", 0)) > 2 * n:
         raise DimensionError(f"slope indices ({r},{s}) are not ints in 0..{2 * n}")
     return bordered.slope(r, s)
 
@@ -406,10 +405,7 @@ def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
         raise DimensionError("pencil_check expects two 1-forms")
     if alpha.m != beta1.m:
         raise DimensionError("pencil endpoints live on different spaces")
-    if type(steps) is not int:
-        raise PreconditionError(f"pencil_check steps must be an int, got {steps!r}")
-    if steps < 2:
-        raise PreconditionError("pencil_check needs steps >= 2")
+    _count(steps, "pencil_check steps", 2, PreconditionError)
     pairs = [FormalPair.holonomic(f) for f in (alpha, beta1)]
     readers = [_volume_values(pair) for pair in pairs]
     exact = alpha.variant == "laurent" and beta1.variant == "laurent"

@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the one int check that
-raises them for counts and indices."""
-
-from operator import index
+raises them for counts, indices and orders."""
 
 
 class ContactKitError(Exception):
@@ -42,12 +40,12 @@ class ParseError(ContactKitError, ValueError):
     """Raised for malformed input documents, with position information."""
 
 
-def _count(value, what: str) -> int:
-    """``value`` as an int, or a DimensionError naming it: a bool, a float
-    or a string is no count or index."""
-    if not isinstance(value, bool):
-        try:
-            return index(value)
-        except TypeError:
-            pass
-    raise DimensionError(f"{what} {value!r} is not an int")
+def _count(value, what: str, least: int | None = None, error=DimensionError) -> int:
+    """``value`` when it is an int not below ``least``, else ``error`` naming
+    ``what`` and the value.  type() is exact: a bool, a float or a numpy
+    integer is no count, index or order."""
+    if type(value) is not int:
+        raise error(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value

@@ -32,7 +32,7 @@ from operator import mul
 import numpy as np
 
 from .coefficients import LaurentPoly, _holomorphic, coefficient_variant
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, _count
 from .forms import Form, PolyMap, _covector_derivative, _form, pullback
 from .grids import CubeGrid
 from .jets import grid_derivative
@@ -43,9 +43,10 @@ from .scalars import QC, _exact_all, _gaussian, _reduced
 def multi_indices(m: int, max_total: int):
     """Multi-indices over m slots with total degree at most max_total, by
     increasing total; within a total the last slot's exponent falls first."""
-    for total in range(max_total + 1):
-        for slots in reversed(list(combinations_with_replacement(range(m), total))):
-            yield tuple(map(slots.count, range(m)))
+    slots = range(_count(m, "slot count m", 0))
+    return (tuple(map(chosen.count, slots))
+            for total in range(_count(max_total, "max_total", 0) + 1)
+            for chosen in reversed(list(combinations_with_replacement(slots, total))))
 
 
 def _derivative_tower(base, top: int, m: int, derive) -> dict:
@@ -77,10 +78,7 @@ def extend_function(f: LaurentPoly, l: int) -> LaurentPoly:
     there to order l-1.  For f = x^I with l = |I| the output is exactly
     z^I.
     """
-    if type(l) is not int:
-        raise PreconditionError(f"extension order l must be an int, got {l!r}")
-    if l < 1:
-        raise PreconditionError("extension order l must be >= 1")
+    _count(l, "extension order l", 1, PreconditionError)
     _check_real_slice_poly(f)
     m = f.m
     half = Fraction(1, 2)
@@ -139,10 +137,7 @@ def dbar_defect(target, samples, order: int) -> float:
     C^m; samples should lie on the real slice for the flatness semantics
     to apply, though the evaluation itself works anywhere.
     """
-    if type(order) is not int:
-        raise PreconditionError(f"defect order must be an int, got {order!r}")
-    if order < 1:
-        raise PreconditionError("defect order must be >= 1")
+    _count(order, "defect order", 1, PreconditionError)
     samples = list(samples)  # _sup reads them once per coefficient
     m, coeffs = _coefficients_of(target, samples)
 
@@ -163,10 +158,7 @@ class SampledExtension:
     """
 
     def __init__(self, grid: CubeGrid, values: np.ndarray, l: int):
-        if type(l) is not int:
-            raise PreconditionError(f"extension order l must be an int, got {l!r}")
-        if l < 1:
-            raise PreconditionError("extension order l must be >= 1")
+        _count(l, "extension order l", 1, PreconditionError)
         if values.shape != grid.shape:
             raise DimensionError("value field shape != grid shape")
         if grid.nodes < l + 2:
@@ -196,7 +188,10 @@ class SampledExtension:
         return self._series(node, y, 0, (0,) * self.grid.m)
 
     def dbar_residual(self, node: tuple[int, ...], y: tuple[float, ...], j: int) -> complex:
-        """The zbar_j derivative of the extension at (node) + i y."""
+        """The zbar_j derivative of the extension at (node) + i y, j an int
+        in 0..m-1."""
+        if _count(j, "coordinate index j", 0) >= self.grid.m:
+            raise DimensionError(f"zbar_{j + 1} (index {j}) does not exist on C^{self.grid.m}")
         ej = tuple(1 if k == j else 0 for k in range(self.grid.m))
         return self._series(node, y, self.l, ej) / 2
 
@@ -409,10 +404,7 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     points = list(points)
     if not points:
         raise PreconditionError("fit needs at least one sample")
-    if type(degree) is not int:
-        raise PreconditionError(f"fit degree must be an int, got {degree!r}")
-    if degree < 0:
-        raise PreconditionError(f"fit degree must be >= 0, got {degree}")
+    _count(degree, "fit degree", 0, PreconditionError)
     m = points[0].m
     monos = list(multi_indices(m, degree))
     if len(points) < len(monos):

@@ -54,10 +54,13 @@ def merge_words(u: Word, w: Word) -> tuple[Word | None, int]:
 
 
 def covector_name(idx: int, m: int) -> str:
+    if _count(idx, "covector index idx", 0) >= 2 * _count(m, "dimension m", 1):
+        raise DimensionError(f"covector index {idx} out of range for m={m}")
     return f"dz{idx + 1}" if idx < m else f"dzbar{idx - m + 1}"
 
 
 def covector_index(name: str, m: int) -> int:
+    _count(m, "dimension m", 1)
     if name.startswith("dzbar"):
         i = int(name[5:]) - 1
         base = m
@@ -125,11 +128,8 @@ class Form:
 
     def __init__(self, m: int, degree: int, terms: dict[Word, Coefficient] | None = None,
                  variant: str | None = None):
-        m = _count(m, "dimension m")
-        if m < 1:
-            raise DimensionError("need m >= 1")
-        degree = _count(degree, "degree")
-        if not 0 <= degree <= 2 * m:
+        _count(m, "dimension m", 1)
+        if _count(degree, "degree", 0) > 2 * m:
             raise DimensionError(f"degree {degree} out of range for m={m}")
         clean: dict[Word, Coefficient] = {}
         for word, coeff in (terms or {}).items():
@@ -137,9 +137,9 @@ class Form:
                 word = tuple(word)
             except TypeError:
                 raise DimensionError(f"covector word {word!r} is not a tuple") from None
-            # type() is exact: neither a bool nor 0.5 names a covector
-            if any(type(w) is not int for w in word):
-                raise DimensionError(f"covector word {word!r} has an index that is not an int")
+            what = f"covector word {word!r} index"
+            for w in word:
+                _count(w, what)
             if len(word) != degree:
                 raise DimensionError(f"word {word} has length != degree {degree}")
             if any(word[i] >= word[i + 1] for i in range(len(word) - 1)):
@@ -232,7 +232,7 @@ class Form:
     def pq_part(self, p: int, q: int) -> "Form":
         """The part whose words use exactly p holomorphic and q
         antiholomorphic covectors."""
-        if p + q != self.degree:
+        if _count(p, "p", 0) + _count(q, "q", 0) != self.degree:
             raise DimensionError(f"p+q = {p + q} != degree {self.degree}")
         terms = {}
         for word, coeff in self.terms.items():
@@ -315,10 +315,8 @@ def wedge(f: Form, g: Form) -> Form:
 
 def wedge_power(f: Form, n: int) -> Form:
     """n-fold wedge of a form with itself (n >= 1)."""
-    if n < 1:
-        raise DimensionError("wedge_power needs n >= 1")
     acc = f
-    for _ in range(n - 1):
+    for _ in range(_count(n, "wedge power n", 1) - 1):
         acc = wedge(acc, f)
     return acc
 
@@ -386,9 +384,7 @@ class PolyMap:
     __slots__ = ("m_src", "m_dst", "components", "variant")
 
     def __init__(self, m_src: int, components: list[Coefficient]):
-        m_src = _count(m_src, "source dimension")
-        if m_src < 1:
-            raise DimensionError(f"source dimension {m_src} is not >= 1")
+        _count(m_src, "source dimension m_src", 1)
         if not components:
             raise DimensionError("a map needs at least one component")
         variants = {coefficient_variant(c) for c in components}
@@ -405,7 +401,7 @@ class PolyMap:
 
     @classmethod
     def identity(cls, m: int) -> "PolyMap":
-        return cls(m, [LaurentPoly.z(m, i) for i in range(m)])
+        return cls(m, [LaurentPoly.z(m, i) for i in range(_count(m, "dimension m", 1))])
 
     def to_expr(self) -> "PolyMap":
         if self.variant == "expr":

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import (Const, Cos, Exp, LaurentPoly, Sin, Sqrt, Z, eadd,
                            emul, epow)
 from .contact import contact_defect
-from .errors import PreconditionError
+from .errors import PreconditionError, _count
 from .forms import Form, Point, PolyMap, pullback
 from .reports import VerificationReport, fmt_num
 from .sampling import numeric_points
@@ -52,9 +53,7 @@ def _top_form(m: int, coeff) -> Form:
 def std_form(n: int = 1) -> Form:
     """Darboux form dz + sum x_j dy_j with the pairs interleaved as
     (x_j, y_j) = (z_{2j-1}, z_{2j}), so the defect constant is exactly n!."""
-    if n < 1:
-        raise PreconditionError("dimension parameter n must be at least 1")
-    m = 2 * n + 1
+    m = 2 * _count(n, "dimension parameter n", 1, PreconditionError) + 1
     terms = {(m - 1,): LaurentPoly.const(m, 1)}
     for j in range(n):
         terms[(2 * j + 1,)] = LaurentPoly.z(m, 2 * j)
@@ -67,7 +66,7 @@ def circle_form(k: int) -> Form:
     Rational coefficient 1/(k+1) for k != -1; the k = -1 branch carries
     the irrational 1/sqrt(2) and is an expression form.
     """
-    if k == -1:
+    if _count(k, "exponent k", error=PreconditionError) == -1:
         s = epow(Sqrt(Const(2 + 0j)), -1)
         return Form(3, 1, {
             (2,): emul(s, epow(Z(0), -1)),
@@ -96,6 +95,8 @@ def alpha_prime() -> Form:
 def sigma_homotopy(t: float) -> Form:
     """The homotopy from circle_form(-1) at t = 0 to alpha_prime at t = 1;
     its defect is e^{-i pi t / 2} / z1 for every t."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise PreconditionError(f"homotopy parameter t must be a real number, got {t!r}")
     if not 0 <= t <= 1:
         raise PreconditionError(f"homotopy parameter {t} outside [0, 1]")
     T = Const(complex(t))
@@ -112,6 +113,9 @@ def sigma_homotopy(t: float) -> Form:
 def torus_form(k: int, l: int, m: int) -> Form:
     """Contact form on (C*)^3 with defect exactly z1^k z2^l z3^m; both
     branches have rational coefficients."""
+    _count(k, "exponent k", error=PreconditionError)
+    _count(l, "exponent l", error=PreconditionError)
+    _count(m, "exponent m", error=PreconditionError)
     z3m = LaurentPoly.z(3, 2, m)
     if k == -1:
         return Form(3, 1, {
@@ -205,6 +209,7 @@ def gallery_entries() -> list[GalleryEntry]:
 def covering_check(samples: list[Point] | None = None,
                    seed: int = 0) -> VerificationReport:
     """Both displayed pullback identities onto cos z1 dz3 + sin z1 dz2."""
+    _count(seed, "seed", error=PreconditionError)
     if samples is None:
         samples = numeric_points(3, 100, seed)
     report = VerificationReport("covering and automorphism pullbacks")
@@ -228,6 +233,7 @@ def gallery_verify_all(name_filter: str | None = None,
                        seed: int = 0) -> VerificationReport:
     """Verify every entry in its declared mode, plus the pullback
     identities; a filter narrows by substring match on entry names."""
+    _count(seed, "seed", error=PreconditionError)
     report = VerificationReport("gallery identities")
     entries = gallery_entries()
     if name_filter is not None:
@@ -254,6 +260,8 @@ def gallery_verify_all(name_filter: str | None = None,
 
 def named_form(spec: str) -> Form:
     """Resolve CLI names: std[:n], circle:k, sigma:t, torus:k,l,m, prime."""
+    if not isinstance(spec, str):
+        raise PreconditionError(f"bad gallery name {spec!r}: not a string")
     head, _, arg = spec.partition(":")
     try:
         if head == "std":

@@ -36,7 +36,7 @@ def _component_major(arr: np.ndarray) -> np.ndarray:
 def upper_pairs(m: int) -> list[tuple[int, int]]:
     """The upper-triangle pairs (r, s), r < s, row by row: (0,1), (0,2), ...,
     (m-2,m-1).  Column c of a sampled beta is the entry at upper_pairs(m)[c]."""
-    return list(combinations(range(m), 2))
+    return list(combinations(range(_count(m, "dimension m", 0)), 2))
 
 
 class CubeGrid:
@@ -46,15 +46,8 @@ class CubeGrid:
 
     def __init__(self, n: int, nodes: int = 33,
                  bounds: list[tuple[float, float]] | None = None):
-        # type() is exact: neither a bool nor 5.5 passes as a size
-        if type(n) is not int:
-            raise DimensionError(f"n must be an int, got {n!r}")
-        if n < 1:
-            raise DimensionError("need n >= 1")
-        if type(nodes) is not int:
-            raise PreconditionError(f"node count must be an int, got {nodes!r}")
-        if nodes < MIN_NODES:
-            raise PreconditionError(f"stencils need at least {MIN_NODES} nodes per axis")
+        _count(n, "n", 1)
+        _count(nodes, "nodes per axis", MIN_NODES, PreconditionError)
         self.n = n
         self.m = 2 * n + 1
         self.nodes = nodes
@@ -81,8 +74,7 @@ class CubeGrid:
         return self.nodes ** self.m
 
     def axis(self, k: int) -> np.ndarray:
-        k = _count(k, "axis")
-        if not 0 <= k < self.m:
+        if _count(k, "axis k", 0) >= self.m:
             raise DimensionError(f"axis {k} does not exist on a grid in R^{self.m}")
         lo, hi = self.bounds[k]
         return np.linspace(lo, hi, self.nodes)
@@ -92,7 +84,7 @@ class CubeGrid:
             raise DimensionError("node index length != m")
         out = []
         for k, i in enumerate(idx):
-            if not 0 <= i < self.nodes:
+            if not 0 <= _count(i, f"node index {idx}") < self.nodes:
                 raise DimensionError(f"node index {idx} out of range")
             lo, _ = self.bounds[k]
             out.append(lo + i * self.h[k])
@@ -181,12 +173,13 @@ class GammaSpec:
     width: int = 3
 
     def __post_init__(self):
-        for face in self.faces:  # type() is exact, so a bool is no int here
-            if not (type(face) is tuple and len(face) == 2 and all(type(k) is int for k in face)
-                    and face[0] >= 0 and face[1] in (0, 1)):
-                raise DimensionError(f"bad face spec {face!r}: need (int axis >= 0, side 0 or 1)")
-        if type(self.width) is not int or self.width < 1:
-            raise PreconditionError(f"strip width must be an int >= 1 node, got {self.width!r}")
+        for face in self.faces:
+            bad = f"bad face spec {face!r}"
+            if not (type(face) is tuple and len(face) == 2
+                    and _count(face[1], f"{bad}: side", 0) <= 1):
+                raise DimensionError(f"{bad}: need (int axis >= 0, side 0 or 1)")
+            _count(face[0], f"{bad}: axis", 0)
+        _count(self.width, "strip width", 1, PreconditionError)
 
     @classmethod
     def empty(cls) -> "GammaSpec":

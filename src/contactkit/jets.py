@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .contact import _Bordered, relation_h, relation_slope
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, PreconditionError, _count
 from .forms import Form, Point
 from .grids import CubeGrid, GridSection, upper_pairs
 from .scalars import QC, _affine, _exact_all, _gaussian_complex
@@ -43,12 +43,7 @@ class Jet1:
     p: tuple
 
     def __post_init__(self):
-        # type() is exact: neither a bool nor 1.5 passes as a dimension
-        if type(self.n) is not int:
-            raise DimensionError(f"n must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise DimensionError(f"need n >= 0, got {self.n}")
-        m = 2 * self.n + 1
+        m = 2 * _count(self.n, "n", 0) + 1
         if len(self.a) != m:
             raise DimensionError(f"a has length {len(self.a)}, expected {m}")
         if len(self.p) != m or any(len(row) != m for row in self.p):
@@ -81,8 +76,8 @@ class Jet1:
         jet's view is built and every denominator of the exact row divides
         its L, the child gets that view with row i replaced; otherwise the
         child builds its own on first read (a complex row gives none)."""
-        if type(i) is not int or not 0 <= i < self.m:
-            raise DimensionError(f"row index {i!r} is not an int in 0..{self.m - 1}")
+        if _count(i, "row index i", 0) >= self.m:
+            raise DimensionError(f"row index {i} is not an int in 0..{self.m - 1}")
         rows = list(self.p)
         rows[i] = tuple(row)
         child = Jet1(self.n, self.a, tuple(rows))
@@ -129,9 +124,7 @@ class RestrictedJet:
     i: int
 
     def __post_init__(self):
-        if type(self.i) is not int:
-            raise DimensionError(f"row index i must be an int, got {self.i!r}")
-        if not 0 <= self.i < self.jet.m:
+        if _count(self.i, "row index i", 0) >= self.jet.m:
             raise DimensionError(f"row index {self.i} out of range")
 
 
@@ -243,6 +236,8 @@ def grid_derivative(values: np.ndarray, grid: CubeGrid, axis: int) -> np.ndarray
     Second-order central differences inside, second-order one-sided at the
     faces (the numpy gradient stencils with edge_order=2).
     """
+    if _count(axis, "axis", 0) >= grid.m:
+        raise DimensionError(f"axis {axis} does not exist on a grid in R^{grid.m}")
     return np.gradient(values, grid.h[axis], axis=axis, edge_order=2)
 
 
@@ -253,9 +248,7 @@ def grid_jacobian(a: np.ndarray, grid: CubeGrid) -> np.ndarray:
 
 def _grid_readers(a: np.ndarray, beta: np.ndarray, n: int):
     # n sizes the columns, so it is checked here before the kernel sees it
-    if type(n) is not int or n < 0:
-        raise DimensionError(f"n must be an int >= 0, got {n!r}")
-    m = 2 * n + 1
+    m = 2 * _count(n, "n", 0) + 1
     pairs = upper_pairs(m)
     if a.shape[-1:] != (m,) or beta.shape != a.shape[:-1] + (len(pairs),):
         raise DimensionError(f"n = {n} needs a of shape (..., {m}) and beta of shape "

@@ -12,8 +12,17 @@ import math
 import random
 from fractions import Fraction
 
+from .errors import PreconditionError, _count
 from .forms import Point
 from .scalars import QC, _reduced
+
+
+def _check_draw(m: int, count: int, seed: int) -> None:
+    """Refuse a point draw's dimension m, count or seed that is not an int
+    of its range, by name."""
+    _count(m, "dimension m", 1)
+    _count(count, "count", 0, PreconditionError)
+    _count(seed, "seed", error=PreconditionError)
 
 
 def _rand_fraction(rng: random.Random, den: int, spread: int) -> Fraction:
@@ -27,6 +36,8 @@ def exact_points(m: int, count: int, seed: int = 0, spread: int = 1) -> list[Poi
     Nonzero coordinates keep negative-exponent coefficients away from their
     poles, so every Laurent evaluation on these points is exact.
     """
+    _check_draw(m, count, seed)
+    _count(spread, "spread", 1, PreconditionError)
     rng = random.Random(seed)
     pts: list[Point] = []
     while len(pts) < count:
@@ -41,6 +52,7 @@ def numeric_points(m: int, count: int, seed: int = 0) -> list[Point]:
     """Random complex points (floats, for expr coefficients) with |z1| in
     [1/2, 2], clear of the C* puncture, and the other m - 1 coordinates in
     the unit box."""
+    _check_draw(m, count, seed)
     rng = random.Random(seed)
     pts = []
     for _ in range(count):
@@ -55,7 +67,8 @@ def numeric_points(m: int, count: int, seed: int = 0) -> list[Point]:
 def random_qc(rng: random.Random, den: int = 7, spread: int = 2) -> QC:
     """One random Gaussian rational ``(a + b*i) / den`` with ``|a|, |b| <=
     spread * den``, reduced once; ``den`` must be positive."""
-    top = spread * den
+    _count(den, "den", 1, PreconditionError)
+    top = _count(spread, "spread", 0, PreconditionError) * den
     return _reduced(rng.randint(-top, top), rng.randint(-top, top), den)
 
 
@@ -63,7 +76,7 @@ def random_jet(n: int, rng: random.Random):
     """A random exact first-order jet in ambient dimension 2n+1."""
     from .jets import Jet1
 
-    m = 2 * n + 1
+    m = 2 * _count(n, "n", 0) + 1
     a = tuple(random_qc(rng) for _ in range(m))
     p = tuple(tuple(random_qc(rng) for _ in range(m)) for _ in range(m))
     return Jet1(n, a, p)
@@ -72,7 +85,9 @@ def random_jet(n: int, rng: random.Random):
 def unit_modulus_values(count: int, seed: int = 0, den: int = 9) -> list[QC]:
     """Exact points on the unit circle via the rational parametrization
     ``t -> ((1-t^2) + 2ti) / (1+t^2)``."""
-    rng = random.Random(seed)
+    _count(count, "count", 0, PreconditionError)
+    _count(den, "den", 1, PreconditionError)
+    rng = random.Random(_count(seed, "seed", error=PreconditionError))
     vals: list[QC] = []
     seen: set[Fraction] = set()
     while len(vals) < count:

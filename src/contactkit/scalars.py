@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import VariantError
+from .errors import VariantError, _count
 
 
 def _coerce_part(value):
@@ -123,9 +123,10 @@ def _gaussian_complex(values, limit: float, L: int = 0) -> tuple[int, list[compl
 
 
 def power(base, e: int, one):
-    """``base ** e`` for ``e >= 0`` in any ring, ``one`` for ``e == 0``.  No
-    squaring follows the top bit: ``x ** 2`` is one product, ``x ** 5`` three."""
-    if not e:
+    """``base ** e`` for an int ``e >= 0`` in any ring, ``one`` for ``e == 0``.
+    No squaring follows the top bit: ``x ** 2`` is one product, ``x ** 5``
+    three."""
+    if not _count(e, "exponent e", 0, VariantError):
         return one
     while not e & 1:
         base = base * base
@@ -485,7 +486,7 @@ class QC:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return power(self, exponent, QC_ONE)
+        return power(self, int(exponent), QC_ONE)
 
     # -- comparison / hashing -------------------------------------------
 

@@ -131,9 +131,9 @@ def test_loop_phases_as_arrays_match_per_phase_oracles():
     assert {(True, False, False), (False, True, False), (False, True, True),
             (False, False, False)} <= branches
     for k in (0, -3):
-        with pytest.raises(PreconditionError, match="k >= 1"):
+        with pytest.raises(PreconditionError, match="phase count k must be >= 1"):
             loop.mean_quadrature(k)
-        with pytest.raises(PreconditionError, match="k >= 1"):
+        with pytest.raises(PreconditionError, match="phase count k must be >= 1"):
             loop.min_affine_margin(w, c, k)
 
 

@@ -588,7 +588,9 @@ def test_laurent_derivative_index_out_of_range_is_a_dimension_error():
 
 def test_laurent_coordinate_index_out_of_range_is_a_dimension_error():
     for make in (LaurentPoly.z, LaurentPoly.zbar):
-        for i in (-1, 2, 5):
+        with pytest.raises(DimensionError, match="coordinate index i must be >= 0, got -1"):
+            make(2, -1)
+        for i in (2, 5):
             with pytest.raises(DimensionError, match=rf"\(index {i}\) does not exist on C\^2"):
                 make(2, i)
         assert make(2, 1).m == 2
@@ -1096,22 +1098,31 @@ COEFFICIENTS_REFUSALS = [
      "cannot mix an exact Laurent polynomial with binary floats"),
     (lambda: LaurentPoly.const(1, 0.5), VariantError, "expected an exact scalar, got float"),
     (lambda: LaurentPoly.z(2, 5), DimensionError, "z_6 (index 5) does not exist on C^2"),
-    (lambda: LaurentPoly(1, {Monomial((0.5,), (0,)): 1}), VariantError,
-     "exponent 0.5 of z1 is not an integer"),
-    (lambda: LaurentPoly(1, {Monomial((True,), (0,)): 1}), VariantError,
-     "exponent True of z1 is not an integer"),
-    (lambda: LaurentPoly.z(3, 2, True), VariantError, "exponent True of z3 is not an integer"),
+    pytest.param(lambda: LaurentPoly(1, {Monomial((0.5,), (0,)): 1}), VariantError,
+                 "exponent of z1 must be an int, got 0.5",
+                 id="exponent 0.5 of z1 is not an integer"),
+    pytest.param(lambda: LaurentPoly(1, {Monomial((True,), (0,)): 1}), VariantError,
+                 "exponent of z1 must be an int, got True",
+                 id="exponent True of z1 is not an integer"),
+    pytest.param(lambda: LaurentPoly.z(3, 2, True), VariantError,
+                 "power must be an int, got True", id="exponent True of z3 is not an integer"),
     (lambda: LaurentPoly(1, {Monomial((0,), (EXPONENT_LIMIT,)): 1}), ExponentRangeError,
      f"exponent {EXPONENT_LIMIT} of zbar1 is outside the packed range"),
     (lambda: LaurentPoly.z(1, 0, _BIG) ** 2, ExponentRangeError,
      f"exponent {2 * _BIG} of z1 is outside the packed range"),
-    (lambda: LaurentPoly(0), DimensionError, "need at least one variable"),
-    (lambda: LaurentPoly(3.0), DimensionError, "variable count 3.0 is not an int"),
-    (lambda: LaurentPoly.const(True, 1), DimensionError, "variable count True is not an int"),
-    (lambda: LaurentPoly.z(2, 0).diff_z(True), DimensionError,
-     "coordinate index True is not an int"),
-    (lambda: LaurentPoly.z(2, 0).diff_zbar(0.5), DimensionError,
-     "coordinate index 0.5 is not an int"),
+    pytest.param(lambda: LaurentPoly(0), DimensionError,
+                 "variable count m must be >= 1, got 0", id="need at least one variable"),
+    pytest.param(lambda: LaurentPoly(3.0), DimensionError,
+                 "variable count m must be an int, got 3.0", id="variable count 3.0 is not an int"),
+    pytest.param(lambda: LaurentPoly.const(True, 1), DimensionError,
+                 "variable count m must be an int, got True",
+                 id="variable count True is not an int"),
+    pytest.param(lambda: LaurentPoly.z(2, 0).diff_z(True), DimensionError,
+                 "coordinate index i must be an int, got True",
+                 id="coordinate index True is not an int"),
+    pytest.param(lambda: LaurentPoly.z(2, 0).diff_zbar(0.5), DimensionError,
+                 "coordinate index i must be an int, got 0.5",
+                 id="coordinate index 0.5 is not an int"),
     (lambda: LaurentPoly(2, {Monomial((0,), (0,)): 1}), DimensionError,
      "monomial arity 1 != m=2"),
     (lambda: LaurentPoly.z(1, 0) + LaurentPoly.z(2, 0), DimensionError,
@@ -1128,13 +1139,22 @@ COEFFICIENTS_REFUSALS = [
     (lambda: LaurentPoly.z(2, 0).substitute([LaurentPoly.z(1, 0), LaurentPoly.z(2, 0)]),
      DimensionError, "substitution arguments live in different rings"),
     (lambda: Z(0) + "a", VariantError, "cannot lift str into an expression"),
-    (lambda: Zbar(-1), DimensionError, "coordinate index -1 is negative"),
-    (lambda: Z(1.5), DimensionError, "coordinate index 1.5 is not an int"),
-    (lambda: Z(True), DimensionError, "coordinate index True is not an int"),
-    (lambda: Zbar(1j), DimensionError, "coordinate index 1j is not an int"),
+    pytest.param(lambda: Zbar(-1), DimensionError,
+                 "coordinate index i must be >= 0, got -1", id="coordinate index -1 is negative"),
+    pytest.param(lambda: Z(1.5), DimensionError,
+                 "coordinate index i must be an int, got 1.5",
+                 id="coordinate index 1.5 is not an int"),
+    pytest.param(lambda: Z(True), DimensionError,
+                 "coordinate index i must be an int, got True",
+                 id="coordinate index True is not an int"),
+    pytest.param(lambda: Zbar(1j), DimensionError,
+                 "coordinate index i must be an int, got 1j",
+                 id="coordinate index 1j is not an int"),
     (lambda: Z(2).eval([1j]), DimensionError, "z_3 does not exist on C^1"),
     (lambda: epow(Const(0j), -1), PoleError, "zero raised to the negative power -1"),
-    (lambda: epow(Z(0), 0.5), VariantError, "expression powers take integer exponents only"),
+    pytest.param(lambda: epow(Z(0), 0.5), VariantError,
+                 "exponent k must be an int, got 0.5",
+                 id="expression powers take integer exponents only"),
     (lambda: coefficient_variant(0.5), VariantError, "not a coefficient: float"),
 ]
 
@@ -1144,7 +1164,8 @@ COEFFICIENTS_REFUSALS = [
 def test_every_coefficients_refusal_is_reached(call, error, fragment):
     """One row per ``raise`` in ``coefficients.py`` but the three abstract
     ``Expr`` methods: the malformed input, its error class and a fragment
-    of its message."""
+    of its message.
+    A row's id is its fragment, or the case its ``pytest.param`` names."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error

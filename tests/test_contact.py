@@ -1103,22 +1103,24 @@ REFUSALS = [
      "Pfaffian indices must be distinct, got (0, 1, 2, 1)"),
     (lambda: pfaffian(lambda i, j: QC(1), (2, 2)), DimensionError,
      "Pfaffian indices must be distinct, got (2, 2)"),
-    (lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), -1), DimensionError,
-     "n must be an int >= 0, got -1"),
-    (lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), 1.5), DimensionError,
-     "n must be an int >= 0, got 1.5"),
-    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), -2, 0, 1), DimensionError,
-     "n must be an int >= 0, got -2"),
-    (lambda: pfaffian_coeffs(lambda r, s: QC(1), 2.0), DimensionError,
-     "n must be an int >= 0, got 2.0"),
+    pytest.param(lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), -1), DimensionError,
+                 "n must be >= 0, got -1", id="n must be an int >= 0, got -1"),
+    pytest.param(lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), 1.5), DimensionError,
+                 "n must be an int, got 1.5", id="n must be an int >= 0, got 1.5"),
+    pytest.param(lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), -2, 0, 1),
+                 DimensionError, "n must be >= 0, got -2", id="n must be an int >= 0, got -2"),
+    pytest.param(lambda: pfaffian_coeffs(lambda r, s: QC(1), 2.0), DimensionError,
+                 "n must be an int, got 2.0", id="n must be an int >= 0, got 2.0"),
     (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 2, 2), DimensionError,
      "slope needs two distinct indices, got (2,2)"),
     (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 5, 7), DimensionError,
      "slope indices (5,7) are not ints in 0..2"),
-    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, -1, 0), DimensionError,
-     "slope indices (-1,0) are not ints in 0..2"),
-    (lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 0.5, 2), DimensionError,
-     "slope indices (0.5,2) are not ints in 0..2"),
+    pytest.param(lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, -1, 0),
+                 DimensionError, "slope index r must be >= 0, got -1",
+                 id="slope indices (-1,0) are not ints in 0..2"),
+    pytest.param(lambda: relation_slope(lambda i: QC(1), lambda r, s: QC(1), 1, 0.5, 2),
+                 DimensionError, "slope index r must be an int, got 0.5",
+                 id="slope indices (0.5,2) are not ints in 0..2"),
     (lambda: slope_grid(np.ones((2, 3)), np.ones((2, 3)), 1, 0, 3), DimensionError,
      "slope indices (0,3) are not ints in 0..2"),
     (lambda: FormalPair(Form.dz(3, 0), Form.dz(3, 1)), DimensionError,
@@ -1132,8 +1134,9 @@ REFUSALS = [
      DimensionError, "pencil_check expects two 1-forms"),
     (lambda: pencil_check(std_form(1), std_form(2), [], steps=2, tol=1e-9),
      DimensionError, "pencil endpoints live on different spaces"),
-    (lambda: pencil_check(std_form(1), std_form(1), [], steps=1, tol=1e-9),
-     PreconditionError, "pencil_check needs steps >= 2"),
+    pytest.param(lambda: pencil_check(std_form(1), std_form(1), [], steps=1, tol=1e-9),
+                 PreconditionError, "pencil_check steps must be >= 2, got 1",
+                 id="pencil_check needs steps >= 2"),
     (lambda: relation_coefficient([QC(1)], [QC(1), QC(2)]), DimensionError,
      "vector length mismatch"),
     (lambda: relation_coefficient([], []), DimensionError, "empty vectors"),
@@ -1143,7 +1146,8 @@ REFUSALS = [
 @pytest.mark.parametrize("call, error, fragment", REFUSALS, ids=[r[2] for r in REFUSALS])
 def test_every_contact_refusal_is_reached(call, error, fragment):
     """One row per ``raise`` in ``contact.py``: the malformed input, its
-    error class and a fragment of its message."""
+    error class and a fragment of its message.
+    A row's id is its fragment, or the case its ``pytest.param`` names."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error

@@ -678,6 +678,18 @@ def _qc_points(m, count):
     return exact_points(m, count, seed=3)
 
 
+def _x1_squared_residual(j):
+    """The zbar_j residual of x1^2 over a 9-node grid at its middle node;
+    a j that is no coordinate index once read as the unbumped series."""
+    grid = CubeGrid(1, 9)
+    values = grid.axis(0).reshape(-1, 1, 1) ** 2 * np.ones(grid.shape)
+    return SampledExtension(grid, values, 2).dbar_residual((4, 4, 4), (0.1, 0, 0), j)
+
+
+def test_the_x1_squared_residual_vanishes_at_order_2():
+    assert [_x1_squared_residual(j) for j in range(3)] == [0j, 0j, 0j]
+
+
 EXTEND_REFUSALS = [
     (lambda: extend_function(LaurentPoly.zbar(2, 0), 1), PreconditionError,
      "real-slice data must not involve zbar variables"),
@@ -701,6 +713,9 @@ EXTEND_REFUSALS = [
      "extension order l must be >= 1"),
     (lambda: SampledExtension(_GRID, np.zeros(4), 1), DimensionError,
      "value field shape != grid shape"),
+    (lambda: _x1_squared_residual(1.5), DimensionError,
+     "coordinate index j must be an int, got 1.5"),
+    (lambda: _x1_squared_residual(7), DimensionError, "zbar_8 (index 7) does not exist on C^3"),
     (lambda: SampledExtension(_GRID, np.zeros(_GRID.shape), 4), PreconditionError,
      "grid too small for the requested jets"),
     (lambda: ah_verify(Form(2, 2, {(0, 1): LaurentPoly.const(2, 1)}), [], 1e-9),

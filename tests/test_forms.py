@@ -823,18 +823,29 @@ _dz = Form.dz(3, 0)
 FORMS_REFUSALS = [
     (lambda: covector_index("dw1", 3), DimensionError, "unknown covector name 'dw1'"),
     (lambda: covector_index("dz4", 3), DimensionError, "covector 'dz4' out of range for m=3"),
+    (lambda: covector_name(6, 3), DimensionError, "covector index 6 out of range for m=3"),
     (lambda: Point([1, "a"]), VariantError, "bad coordinate type str"),
-    (lambda: Form(0, 0), DimensionError, "need m >= 1"),
-    (lambda: Form(3.0, 1, {(0,): _z}), DimensionError, "dimension m 3.0 is not an int"),
-    (lambda: Form(True, 1, {}), DimensionError, "dimension m True is not an int"),
-    (lambda: Form("3", 1, {}), DimensionError, "dimension m '3' is not an int"),
-    (lambda: Form(3, 1.0, {(0,): _z}), DimensionError, "degree 1.0 is not an int"),
-    (lambda: Form(3, True, {(0,): _z}), DimensionError, "degree True is not an int"),
+    pytest.param(lambda: Form(0, 0), DimensionError,
+                 "dimension m must be >= 1, got 0", id="need m >= 1"),
+    pytest.param(lambda: Form(3.0, 1, {(0,): _z}), DimensionError,
+                 "dimension m must be an int, got 3.0", id="dimension m 3.0 is not an int"),
+    pytest.param(lambda: Form(True, 1, {}), DimensionError,
+                 "dimension m must be an int, got True", id="dimension m True is not an int"),
+    pytest.param(lambda: Form("3", 1, {}), DimensionError,
+                 "dimension m must be an int, got '3'", id="dimension m '3' is not an int"),
+    pytest.param(lambda: Form(3, 1.0, {(0,): _z}), DimensionError,
+                 "degree must be an int, got 1.0", id="degree 1.0 is not an int"),
+    pytest.param(lambda: Form(3, True, {(0,): _z}), DimensionError,
+                 "degree must be an int, got True", id="degree True is not an int"),
     (lambda: Form(3, 1, {0: _z}), DimensionError, "covector word 0 is not a tuple"),
     (lambda: Form.dz(3, 5), DimensionError, "z_6 (index 5) does not exist on C^3"),
-    (lambda: Form.dz(3, True), DimensionError, "coordinate index True is not an int"),
+    pytest.param(lambda: Form.dz(3, True), DimensionError,
+                 "coordinate index i must be an int, got True",
+                 id="coordinate index True is not an int"),
     (lambda: Form(2, 5), DimensionError, "degree 5 out of range for m=2"),
-    (lambda: Form(3, 1, {(0.5,): _z}), DimensionError, "(0.5,) has an index that is not an int"),
+    pytest.param(lambda: Form(3, 1, {(0.5,): _z}), DimensionError,
+                 "covector word (0.5,) index must be an int, got 0.5",
+                 id="(0.5,) has an index that is not an int"),
     (lambda: Form(3, 2, {(0,): _z}), DimensionError, "word (0,) has length != degree 2"),
     (lambda: Form(3, 2, {(1, 0): _z}), DimensionError, "word (1, 0) is not strictly increasing"),
     (lambda: Form(3, 1, {(6,): _z}), DimensionError, "word (6,) out of range for m=3"),
@@ -852,10 +863,14 @@ FORMS_REFUSALS = [
     (lambda: wedge(_dz, Form.dz(2, 0)), DimensionError, "forms live on different spaces"),
     (lambda: wedge(_dz, _dz.to_expr()), VariantError,
      "wedge requires a common coefficient variant"),
-    (lambda: wedge_power(_dz, 0), DimensionError, "wedge_power needs n >= 1"),
+    pytest.param(lambda: wedge_power(_dz, 0), DimensionError,
+                 "wedge power n must be >= 1, got 0", id="wedge_power needs n >= 1"),
     (lambda: PolyMap(1, []), DimensionError, "a map needs at least one component"),
-    (lambda: PolyMap(3.0, [_z]), DimensionError, "source dimension 3.0 is not an int"),
-    (lambda: PolyMap(0, [Z(0)]), DimensionError, "source dimension 0 is not >= 1"),
+    pytest.param(lambda: PolyMap(3.0, [_z]), DimensionError,
+                 "source dimension m_src must be an int, got 3.0",
+                 id="source dimension 3.0 is not an int"),
+    pytest.param(lambda: PolyMap(0, [Z(0)]), DimensionError,
+                 "source dimension m_src must be >= 1, got 0", id="source dimension 0 is not >= 1"),
     (lambda: PolyMap(3, [_z, _z.to_expr()]), VariantError,
      "map components must share one coefficient variant"),
     (lambda: PolyMap(2, [_z]), DimensionError, "component variable count != source dimension"),
@@ -878,7 +893,8 @@ FORMS_REFUSALS = [
                          ids=[r[2] for r in FORMS_REFUSALS])
 def test_every_forms_refusal_is_reached(call, error, fragment):
     """One row per ``raise`` in ``forms.py``: the malformed input, its
-    error class and a fragment of its message."""
+    error class and a fragment of its message.
+    A row's id is its fragment, or the case its ``pytest.param`` names."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error

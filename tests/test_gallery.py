@@ -190,6 +190,28 @@ def test_named_form_parsing():
             named_form(bad)
 
 
+GALLERY_REFUSALS = [
+    (lambda: named_form(True), "bad gallery name True: not a string"),
+    (lambda: named_form(None), "bad gallery name None: not a string"),
+    (lambda: named_form(3), "bad gallery name 3: not a string"),
+    (lambda: sigma_homotopy("a"), "homotopy parameter t must be a real number, got 'a'"),
+    (lambda: sigma_homotopy(1j), "homotopy parameter t must be a real number, got 1j"),
+    (lambda: sigma_homotopy(None), "homotopy parameter t must be a real number, got None"),
+    (lambda: sigma_homotopy(True), "homotopy parameter t must be a real number, got True"),
+    (lambda: sigma_homotopy(1.5), "homotopy parameter 1.5 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("call, fragment", GALLERY_REFUSALS, ids=[r[1] for r in GALLERY_REFUSALS])
+def test_a_bad_gallery_argument_is_refused_by_name(call, fragment):
+    """A gallery name must be a string and a homotopy time a real number,
+    not a bool: each is refused with a PreconditionError naming it."""
+    with pytest.raises(PreconditionError) as err:
+        call()
+    assert type(err.value) is PreconditionError
+    assert fragment in str(err.value)
+
+
 def test_gallery_entry_catalog():
     entries = gallery_entries()
     names = [e.name for e in entries]

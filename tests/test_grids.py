@@ -201,25 +201,36 @@ _G5 = CubeGrid(1, nodes=5)
 
 GRIDS_REFUSALS = [
     (lambda: CubeGrid(1.0), DimensionError, "n must be an int, got 1.0"),
-    (lambda: CubeGrid(0), DimensionError, "need n >= 1"),
-    (lambda: CubeGrid(1, 5.0), PreconditionError, "node count must be an int, got 5.0"),
-    (lambda: CubeGrid(1, 4), PreconditionError, "stencils need at least 5 nodes per axis"),
+    pytest.param(lambda: CubeGrid(0), DimensionError,
+                 "n must be >= 1, got 0", id="need n >= 1"),
+    pytest.param(lambda: CubeGrid(1, 5.0), PreconditionError,
+                 "nodes per axis must be an int, got 5.0", id="node count must be an int, got 5.0"),
+    pytest.param(lambda: CubeGrid(1, 4), PreconditionError, "nodes per axis must be >= 5, got 4",
+                 id="stencils need at least 5 nodes per axis"),
     (lambda: CubeGrid(1, 5, [(0, 1)]), DimensionError, "bounds count != 2n+1"),
     (lambda: CubeGrid(1, 5, [(0, 1), (1, 0), (0, 1)]), PreconditionError,
      "axis 1: interval [1.0, 0.0] and mesh step -0.25 must be finite"),
-    (lambda: _G5.axis(-1), DimensionError, "axis -1 does not exist on a grid in R^3"),
+    pytest.param(lambda: _G5.axis(-1), DimensionError,
+                 "axis k must be >= 0, got -1", id="axis -1 does not exist on a grid in R^3"),
     (lambda: _G5.axis(3), DimensionError, "axis 3 does not exist on a grid in R^3"),
-    (lambda: _G5.axis(1.0), DimensionError, "axis 1.0 is not an int"),
-    (lambda: _G5.axis(True), DimensionError, "axis True is not an int"),
+    pytest.param(lambda: _G5.axis(1.0), DimensionError,
+                 "axis k must be an int, got 1.0", id="axis 1.0 is not an int"),
+    pytest.param(lambda: _G5.axis(True), DimensionError,
+                 "axis k must be an int, got True", id="axis True is not an int"),
     (lambda: _G5.node_coords((0, 0)), DimensionError, "node index length != m"),
     (lambda: _G5.node_coords((0, 0, 5)), DimensionError, "node index (0, 0, 5) out of range"),
+    (lambda: _G5.node_coords((0.5, 0, 0)), DimensionError,
+     "node index (0.5, 0, 0) must be an int, got 0.5"),
+    (lambda: _G5.node_coords((True, 0, 0)), DimensionError,
+     "node index (True, 0, 0) must be an int, got True"),
     (lambda: GridSection(_G5, np.zeros((5, 5, 5, 2)), np.zeros((5, 5, 5, 3))), DimensionError,
      "a field shape (5, 5, 5, 2) != (5, 5, 5, 3)"),
     (lambda: GridSection(_G5, np.full((5, 5, 5, 3), np.inf), np.zeros((5, 5, 5, 3))),
      PreconditionError, "section contains non-finite values"),
     (lambda: GammaSpec.of({(0, 2)}), DimensionError, "bad face spec (0, 2)"),
-    (lambda: GammaSpec.of({(0, 0)}, width=0), PreconditionError,
-     "strip width must be an int >= 1 node, got 0"),
+    pytest.param(lambda: GammaSpec.of({(0, 0)}, width=0), PreconditionError,
+                 "strip width must be >= 1, got 0",
+                 id="strip width must be an int >= 1 node, got 0"),
     (lambda: list(GammaSpec.of({(5, 0)}).strips(_G5)), DimensionError,
      "face axis 5 out of range"),
 ]
@@ -229,7 +240,8 @@ GRIDS_REFUSALS = [
                          ids=[r[2] for r in GRIDS_REFUSALS])
 def test_every_grids_refusal_is_reached(call, error, fragment):
     """One row per ``raise`` in ``grids.py``: the malformed input, its
-    error class and a fragment of its message."""
+    error class and a fragment of its message.
+    A row's id is its fragment, or the case its ``pytest.param`` names."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error

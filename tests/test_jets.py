@@ -19,7 +19,7 @@ from contactkit.gallery import std_form
 from contactkit.grids import CubeGrid, GridSection, upper_pairs
 from contactkit.jets import (
     Jet1, RestrictedJet, SliceClass, ampleness_slice, curl_grid, formal_margin_grid,
-    grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
+    grid_derivative, grid_jacobian, holonomic_jet, holonomy_defect, relation_grid,
     relation_value, slope_grid,
 )
 from contactkit.sampling import exact_points, random_jet, random_qc
@@ -463,9 +463,9 @@ def test_jet_validation():
 
 
 def test_jet_refuses_a_negative_n():
-    with pytest.raises(DimensionError, match="need n >= 0, got -1"):
+    with pytest.raises(DimensionError, match="n must be >= 0, got -1"):
         Jet1(-1, (), ())
-    with pytest.raises(DimensionError, match="need n >= 0, got -2"):
+    with pytest.raises(DimensionError, match="n must be >= 0, got -2"):
         Jet1.build(-2, (), [])
 
 
@@ -482,7 +482,8 @@ def _qc_jet():
 
 
 REFUSALS = [
-    (lambda: Jet1(-1, (), ()), DimensionError, "need n >= 0, got -1"),
+    pytest.param(lambda: Jet1(-1, (), ()), DimensionError,
+                 "n must be >= 0, got -1", id="need n >= 0, got -1"),
     (lambda: Jet1.build(1, (QC(0),) * 4, [[QC(0)] * 3] * 3), DimensionError,
      "a has length 4, expected 3"),
     (lambda: Jet1.build(1, (QC(0),) * 3, [[QC(0)] * 2] * 3), DimensionError,
@@ -492,12 +493,12 @@ REFUSALS = [
     (lambda: RestrictedJet(_qc_jet(), 3), DimensionError, "row index 3 out of range"),
     (lambda: _qc_jet().with_row(7, [QC(0)] * 3), DimensionError,
      "row index 7 is not an int in 0..2"),
-    (lambda: _qc_jet().with_row(1.0, [QC(0)] * 3), DimensionError,
-     "row index 1.0 is not an int in 0..2"),
-    (lambda: _qc_jet().with_row(True, [QC(0)] * 3), DimensionError,
-     "row index True is not an int in 0..2"),
-    (lambda: _qc_jet().with_row(-1, [QC(0)] * 3), DimensionError,
-     "row index -1 is not an int in 0..2"),
+    pytest.param(lambda: _qc_jet().with_row(1.0, [QC(0)] * 3), DimensionError,
+                 "row index i must be an int, got 1.0", id="row index 1.0 is not an int in 0..2"),
+    pytest.param(lambda: _qc_jet().with_row(True, [QC(0)] * 3), DimensionError,
+                 "row index i must be an int, got True", id="row index True is not an int in 0..2"),
+    pytest.param(lambda: _qc_jet().with_row(-1, [QC(0)] * 3), DimensionError,
+                 "row index i must be >= 0, got -1", id="row index -1 is not an int in 0..2"),
     (lambda: holonomic_jet(Form.dz(4, 0), Point([QC(1)] * 4)), DimensionError,
      "jet space needs odd dimension"),
     (lambda: holonomic_jet(Form(3, 2, {(0, 1): LaurentPoly.const(3, 1)}), Point([QC(1)] * 3)),
@@ -508,10 +509,12 @@ REFUSALS = [
      "n must be an int, got True"),
     (lambda: Jet1.build(1.5, (QC(0),) * 4, [[QC(0)] * 4] * 4), DimensionError,
      "n must be an int, got 1.5"),
-    (lambda: relation_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), 1.5), DimensionError,
-     "n must be an int >= 0, got 1.5"),
-    (lambda: slope_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), -1, 0, 1), DimensionError,
-     "n must be an int >= 0, got -1"),
+    pytest.param(lambda: relation_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), 1.5),
+                 DimensionError, "n must be an int, got 1.5", id="n must be an int >= 0, got 1.5"),
+    pytest.param(lambda: slope_grid(np.ones((5, 5, 5, 3)), np.ones((5, 5, 5, 3)), -1, 0, 1),
+                 DimensionError, "n must be >= 0, got -1", id="n must be an int >= 0, got -1"),
+    (lambda: grid_derivative(np.zeros((5, 5, 5)), CubeGrid(1, 5), 3), DimensionError,
+     "axis 3 does not exist on a grid in R^3"),
     (lambda: SliceClass("ample"), PreconditionError, "unknown slice kind 'ample'"),
     (lambda: SliceClass("hyperplane", None, QC(1)), PreconditionError,
      "a hyperplane slice needs its slopes w"),
@@ -525,7 +528,8 @@ REFUSALS = [
 @pytest.mark.parametrize("call, error, fragment", REFUSALS, ids=[r[2] for r in REFUSALS])
 def test_every_jets_refusal_is_reached(call, error, fragment):
     """One row per ``raise`` in ``jets.py``: the malformed input, its error
-    class and a fragment of its message."""
+    class and a fragment of its message.
+    A row's id is its fragment, or the case its ``pytest.param`` names."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error
