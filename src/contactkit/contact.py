@@ -21,14 +21,13 @@ one schedule built once per process; four indices take a closed formula,
 and odd terms are subtracted rather than negated and added, so each result
 keeps the bits of the plain expansion.
 
-Exact tables stay exact: a table whose entries ``scalars._exact_all``
-lifts (QC, int or Fraction) runs on the lifted QCs, and from n = 2 on,
-within a proven bound, on Gaussian integers held in Python complex, where
-every float operation is exact, each result reduced back to its one QC
-(``_Bordered``); any other table runs on its entries as read.  From n = 2
-on, an exact jet's table reads beta from the jet's Gaussian-integer view
-(``jets.Jet1._view``).  Every table is list rows: entry (r, s) at
-``up[r][s]`` for s > r, and the border last, so index -1 reads it.
+Exact tables stay exact, on one of two rings (``_Bordered``): from n = 2
+on, an exact jet's table runs on Gaussian integers read from the jet's
+view (``jets.Jet1._view``) while a proven bound holds, each result reduced
+back to its one QC; every other exact table runs on the QCs that
+``scalars._exact_all`` lifts, and any other table on its entries as read.
+Every table is list rows: entry (r, s) at ``up[r][s]`` for s > r, and the
+border last, so index -1 reads it.
 
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
@@ -40,7 +39,7 @@ The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
 alpha's dz_i coefficients and the dz_r^dz_s coefficients of d alpha (taken
 once per form) or of the pair's beta.  A missing word reads as the point's
 zero, decided once by ``Form._zero_value``, so a Laurent form at an exact
-point gives an all-QC table, which takes the Gaussian ring from n = 2 on.
+point gives an all-QC table.
 The symbolic defect forms ``contact_defect`` and ``formal_defect`` are
 kept for exact identities.
 """
@@ -50,13 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import factorial, prod
 
 from .errors import DimensionError, PreconditionError, VariantError, _count
 from .forms import Form, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
-from .scalars import _exact_all, _gaussian_complex, _reduced
+from .scalars import _exact_all, _reduced
 
 
 @lru_cache(maxsize=1024)
@@ -171,27 +169,24 @@ class _Bordered:
     shares one memo of sub-Pfaffians, which lives as long as this object.
     Here n is checked and n! taken, once.
 
-    A table whose entries ``_exact_all`` lifts is read as those QCs, and
-    from n = 2 on it runs on Gaussian integers held in Python complex:
-    scaled by the common denominator L, the entries are integers, and a
-    Pfaffian on k indices is L^(k/2) times the exact one.
-    With E the largest scaled modulus (at least 1 unless all are 0) and
-    h = n + 1, every term and partial sum of the expansion of a
-    sub-Pfaffian on 2j indices is at most (2j-1)!! E^j <= (2h-1)!! E^h in
-    modulus, and so are both real products inside each complex product x*y
-    (|ac| + |bd| <= |x||y|).  The table takes this path only when
-    (2h-1)!! E^h < 2^52 (``_limit``; the bit below 53 absorbs the guard's
-    own rounding), so every float operation acts on integers below 2^53 and
-    is exact.  Each result is ``_reduced(n! re, n! im, L^(k/2))``, the one
-    reduced triple of its value: the QC the QC arithmetic gives.
-
-    A jet's ``view`` ``(L, top, a, p)`` (``jets.Jet1._view``: every entry
-    as L times it, of modulus at most ``top`` < 2^53) gives beta_rs =
-    p[s][r] - p[r][s] as one complex subtraction each.  The bound then
-    holds for the whole table when 2 top is below it, else it is checked on
-    each entry after the subtraction; a table past it, or one with no view,
-    is read through ``a`` and ``beta``.  An exact table at n <= 1 or past
-    the bound runs on its QCs, taken as they are when n! is 1.
+    An exact table takes one of two rings.  An exact jet's table runs on
+    the jet's ``view`` ``(L, top, a, p)`` (``jets.Jet1._view``, passed from
+    n = 2 on by ``jets._bordered``): every entry as L times it, a Gaussian
+    integer held in Python complex of modulus at most ``top``, and beta_rs
+    = p[s][r] - p[r][s] one complex subtraction each, so no table entry
+    passes 2 top.  With E the largest scaled modulus and h = n + 1, every
+    term and partial sum of the expansion of a sub-Pfaffian on 2j indices
+    is at most (2j-1)!! E^j <= (2h-1)!! E^h in modulus, and so are both
+    real products inside each complex product x*y (|ac| + |bd| <=
+    |x||y|).  The view is taken only when 2 top is below ``_limit(n)``,
+    where (2h-1)!! E^h < 2^52 (the bit below 53 absorbs the guard's own
+    rounding), so every float operation acts on integers below 2^53 and
+    is exact.  A Pfaffian on k indices is then L^(k/2) times the exact
+    one, and each result is ``_reduced(n! re, n! im, L^(k/2))``, the one
+    reduced triple of its value: the QC the QC arithmetic gives.  Every
+    other table is read through ``a`` and ``beta``; one whose entries
+    ``_exact_all`` lifts runs on those QCs, taken as the kernel gives them
+    when n! is 1 (n <= 1).
     """
 
     __slots__ = ("n", "_up", "_memo", "_scale", "_den")
@@ -200,14 +195,11 @@ class _Bordered:
         _count(n, "n", 0)
         # _den is L on Gaussian integers, 0 on the QCs or the entries as read
         self.n, self._memo, self._scale, self._den = n, {}, factorial(n), 0
-        if view is not None:
-            den, top, va, vp = view
-            up = [[c - x for x, c in zip(row, col)] for row, col in zip(vp, zip(*vp))]
-            up.append(va)
-            limit = _limit(n)
-            if 2 * top < limit or max(map(abs, chain.from_iterable(up))) < limit:
-                self._up, self._den = up, den
-                return
+        if view is not None and 2 * view[1] < _limit(n):
+            self._den, _, va, vp = view
+            self._up = [[c - x for x, c in zip(row, col)] for row, col in zip(vp, zip(*vp))]
+            self._up.append(va)
+            return
         m = 2 * n + 1
         entries = [beta(r, s) for r in range(m) for s in range(r + 1, m)]
         if a is not None:
@@ -218,10 +210,6 @@ class _Bordered:
             if n <= 1:
                 # n! is 1: an exact Pfaffian comes back as the kernel gives it
                 self._scale = None
-            else:
-                scaled = _gaussian_complex(entries, _limit(n))
-                if scaled is not None:
-                    self._den, entries, _ = scaled
         self._up = _rows(entries, m)
         if a is not None:
             self._up.append(entries[-m:])

@@ -154,7 +154,8 @@ class SampledExtension:
 
     Stores stencil jets J_I for |I| <= l+1 (second-order differences),
     so the dbar-residual at height y is exactly the homogeneous-degree-l
-    polynomial (1/2) sum_{|I|=l} (1/I!) J_{I+e_j}(x) (iy)^I.
+    polynomial (1/2) sum_{|I|=l} (1/I!) J_{I+e_j}(x) (iy)^I.  The pairs
+    (I, I!) for |I| <= l are taken once, here.
     """
 
     def __init__(self, grid: CubeGrid, values: np.ndarray, l: int):
@@ -168,16 +169,17 @@ class SampledExtension:
         self.jets = _derivative_tower(
             np.asarray(values, dtype=complex), l + 1, grid.m,
             lambda J, k: grid_derivative(J, grid, k))
+        self._indices = [(I, _index_factorial(I)) for I in multi_indices(grid.m, l)]
 
     def _series(self, node, y, lowest: int, bump: tuple[int, ...]) -> complex:
         """sum over lowest <= |I| <= l of (1/I!) J_{I+bump}(node) (iy)^I."""
         iy = [1j * float(c) for c in y]
         total = 0j
-        for I in multi_indices(self.grid.m, self.l):
+        for I, I_factorial in self._indices:
             if sum(I) < lowest:
                 continue
             J = self.jets[tuple(a + b for a, b in zip(I, bump))]
-            term = complex(J[node]) / _index_factorial(I)
+            term = complex(J[node]) / I_factorial
             for k, e in enumerate(I):
                 term *= iy[k] ** e
             total += term

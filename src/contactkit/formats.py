@@ -293,9 +293,9 @@ def _read_rows(body, width: int, m: int, nodes: int):
     return np.array(distinct, float), order
 
 
-def _read_header(header, rows: int) -> tuple[CubeGrid, int]:
+def _read_header(header) -> tuple[CubeGrid, int]:
     """The grid a section header declares and its column count, checked
-    against the number of body ``rows`` and the ``columns`` line."""
+    against the ``columns`` line."""
     for key in ("n", "nodes", "bounds"):
         if key not in header:
             raise ParseError(f"bad section header: missing {key!r}")
@@ -313,9 +313,6 @@ def _read_header(header, rows: int) -> tuple[CubeGrid, int]:
         grid = CubeGrid(n, nodes, tuple(zip(flat[::2], flat[1::2])))
     except PreconditionError as exc:
         raise ParseError(f"line {lineno}: bounds: {exc}") from None
-    # checked before allocating: a huge node count must not reach np.empty
-    if rows != grid.n_nodes:
-        raise ParseError(f"{rows} node rows, expected {grid.n_nodes}")
     columns = _columns(m)
     if "columns" in header and header["columns"][1] != columns:
         raise ParseError(f"line {header['columns'][0]}: columns do not match "
@@ -356,17 +353,22 @@ def _canonical_section(text: str) -> GridSection | None:
 
 
 def _canonical_body(text: str, start: int, header) -> GridSection | None:
-    """``_canonical_section``'s body from offset ``start``, counted before
-    anything is allocated and split a block of ``_TEXT_BLOCK`` characters
-    (ending at a "\\n") at a time: each block's lines are checked against
-    their nodes' prefixes, taken lazily in C order, and its value texts
-    keyed by the row of their first copy.  Each distinct value text is
-    parsed once, by the general path's ``_value_row``; no Python statement
-    runs per row."""
-    rows = text.count("\n", start) + (not text.endswith("\n"))
+    """``_canonical_section``'s body from offset ``start``, split a block of
+    ``_TEXT_BLOCK`` characters (ending at a "\\n") at a time: each block's
+    lines are checked against their nodes' prefixes, taken lazily in C
+    order, and its value texts keyed by the row of their first copy.  The
+    header's node count is the row count; a body too short to hold that
+    many rows is refused before anything is allocated, and one that runs
+    out of prefixes or ends before them as it is read.  Each distinct value
+    text is parsed once, by the general path's ``_value_row``; no Python
+    statement runs per row."""
     try:
-        grid, width = _read_header(header, rows)
+        grid, width = _read_header(header)
     except ParseError:
+        return None
+    rows = grid.n_nodes
+    # every row but the last ends in "\n" after at least one character
+    if 2 * rows > len(text) - start + 1:
         return None
     prefixes = map("".join, itertools.product(*_row_parts(grid.nodes, grid.m)))
     ids: dict[str, int] = {}  # value text -> the row of its first copy
@@ -378,12 +380,14 @@ def _canonical_body(text: str, start: int, header) -> GridSection | None:
         end = len(text) if end < 0 else end
         lines = text[start:end].split("\n")
         block = list(itertools.islice(prefixes, len(lines)))
-        if not all(map(str.startswith, lines, block)):
+        if len(block) < len(lines) or not all(map(str.startswith, lines, block)):
             return None
         first[done:done + len(lines)] = np.fromiter(
             map(ids.setdefault, map(str.removeprefix, lines, block), itertools.count(done)),
             np.intp, len(lines))
         start, done = end + 1, done + len(lines)
+    if done < rows:
+        return None
     distinct: list[list[float]] = []
     for value_text in ids:
         count, row = _value_row(value_text, distinct)
@@ -423,7 +427,10 @@ def section_from_text(text: str) -> GridSection:
             header[key] = (lineno, line.split()[1:])
             continue
         body.append((lineno, line))
-    grid, width = _read_header(header, len(body))
+    grid, width = _read_header(header)
+    # checked before allocating: a huge node count must not reach np.empty
+    if len(body) != grid.n_nodes:
+        raise ParseError(f"{len(body)} node rows, expected {grid.n_nodes}")
     return _section(grid, *_read_rows(body, width, grid.m, grid.nodes))
 
 

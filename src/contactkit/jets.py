@@ -11,7 +11,8 @@ signed minor Pfaffians of the bordered matrix (see ``contact``).
 An exact jet is read once: on its first kernel read from n = 2 on,
 ``Jet1._view`` holds its entries as Gaussian integers over one denominator,
 and every bordered table of the jet, or of a ``with_row`` child that
-inherits the view, reads beta from it with no QC arithmetic.
+inherits the view, reads beta from it with no QC arithmetic while the
+kernel's bound holds (``contact._Bordered``).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Jet1:
         ``top`` the largest of their moduli; None unless every entry is
         exact and every part is below 2^53 (``_gaussian_complex``).  Built
         on the first read, which is a kernel's."""
-        scaled = _gaussian_complex((*self.a, *chain.from_iterable(self.p)), 2.0 ** 53)
+        scaled = _gaussian_complex((*self.a, *chain.from_iterable(self.p)))
         if scaled is None:
             return None
         L, flat, top = scaled
@@ -84,7 +85,7 @@ class Jet1:
         view = self.__dict__.get("_view")
         if view is not None:
             den, top, a, p = view
-            scaled = _gaussian_complex(rows[i], 2.0 ** 53, den)
+            scaled = _gaussian_complex(rows[i], den)
             if scaled is not None:
                 p = list(p)
                 _, p[i], row_top = scaled
@@ -101,8 +102,8 @@ def _readers(j: Jet1):
 
 def _bordered(j: Jet1) -> _Bordered:
     """The jet's bordered table: from n = 2 on read from its view when it
-    has one, else through its readers.  At n <= 1 the view's conversion
-    costs what its reads save, so none is built."""
+    has one within the bound, else through its readers.  At n <= 1 the
+    view's conversion costs what its reads save, so none is built."""
     return _Bordered(*_readers(j), j.n, j._view if j.n >= 2 else None)
 
 

@@ -31,8 +31,8 @@ The real and imaginary parts are read as ``fractions.Fraction`` through
 :func:`_exact_all` asks it of each value of a point, a row or a table: no
 other module tests a value against ``QC``, and the kernels here that read
 triples (:func:`_gaussian_complex`, :func:`_affine`) take the QCs it
-lifted.  :func:`_gaussian_complex` is the one conversion of exact values
-to Gaussian integers over one denominator, held in Python complex.  Mixing
+lifted.  :func:`_gaussian_complex` builds an exact jet's view
+(``jets.Jet1._view``): Gaussian integers over one denominator.  Mixing
 an exact scalar with a float or a Python complex raises
 :class:`~contactkit.errors.VariantError`; conversion to binary floats is
 always an explicit ``complex(q)`` call at the edge of a computation.
@@ -97,14 +97,13 @@ def _gaussian(columns) -> tuple[int, list[list[int]], list[list[int]]]:
     return L, re, im
 
 
-def _gaussian_complex(values, limit: float, L: int = 0) -> tuple[int, list[complex], float] | None:
+def _gaussian_complex(values, L: int = 0) -> tuple[int, list[complex], float] | None:
     """``values`` over one denominator L as Gaussian integers held in Python
     complex, ``(L, [complex(L * v)], top)`` with ``top`` the largest scaled
     modulus.  L is the lcm of the denominators, or the given ``L`` when each
     of them divides it.  None unless :func:`_exact_all` lifts every value,
-    each denominator divides a given L and ``top`` is below ``limit``, 2**53
-    and float range.  Each part converts exactly below 2**53, and one past
-    it converts to at least 2**53."""
+    each denominator divides a given L and ``top`` is below 2**53, where
+    each part converts exactly; one past it converts to at least 2**53."""
     values = _exact_all(values)
     if values is None:
         return None
@@ -116,10 +115,11 @@ def _gaussian_complex(values, limit: float, L: int = 0) -> tuple[int, list[compl
     try:
         scaled = [q._a + 1j * q._b if q._d == L else q._a * (s := L // q._d) + 1j * (q._b * s)
                   for q in values]
+        # a modulus past float range overflows even when both parts fit
+        top = max(map(abs, scaled), default=0.0)
     except OverflowError:
         return None
-    top = max(map(abs, scaled), default=0.0)
-    return (L, scaled, top) if top < min(limit, 2.0 ** 53) else None
+    return (L, scaled, top) if top < 2.0 ** 53 else None
 
 
 def power(base, e: int, one):

@@ -5,10 +5,12 @@ sign mistake, so its coefficients are pinned here against literal wedge
 powers of the 2-form, term by term.
 """
 
+import ast
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,7 +541,7 @@ def past_the_guard(jet):
     The expansion's structure does not depend on the values."""
     big = QC(2 ** 40)
     jet = Jet1.build(jet.n, [x * big for x in jet.a], [[x * big for x in row] for row in jet.p])
-    assert not contact._Bordered(*jet_readers(jet), jet.n)._den
+    assert not jets._bordered(jet)._den
     return jet
 
 
@@ -603,7 +605,9 @@ def test_gaussian_jet_path_makes_only_the_beta_reads(monkeypatch):
     """An exact n = 3 jet of denominator 7 runs on Gaussian integers and
     reads beta from its view: h makes no QC sum or product at all, and a
     slice only the negations of its slopes of sign -1.  The same table
-    through the readers makes the 21 beta reads (p[s][r] - p[r][s])."""
+    through the readers runs on the QCs: the 21 beta reads (p[s][r] -
+    p[r][s]), the expansion's 87 products, 32 sums and 32 differences, and
+    the one product by n!."""
     calls = {}
 
     def counting(name):
@@ -628,12 +632,13 @@ def test_gaussian_jet_path_makes_only_the_beta_reads(monkeypatch):
         assert calls == {"__neg__": 3}
     calls.clear()
     assert contact._Bordered(*jet_readers(jet), 3).pf() == want
-    assert calls == {"__sub__": 21}
+    assert calls == {"__sub__": 21 + 32, "__add__": 32, "__mul__": 87, "__rmul__": 1}
 
 
 def guard_limit(n):
-    """The largest int E with (2h-1)!! E^h < 2^52, h = n + 1: the largest
-    scaled modulus a bordered table at n may have on Gaussian integers."""
+    """The largest int E with (2h-1)!! E^h < 2^52, h = n + 1: a jet's table
+    at n runs on Gaussian integers from its view when twice the view's
+    largest scaled modulus is at most E."""
     odd, h = prod(range(1, 2 * n + 2, 2)), n + 1
     E = int((2 ** 52 / odd) ** (1 / h)) + 2
     while odd * E ** h >= 2 ** 52:
@@ -654,10 +659,10 @@ GUARD_MODES = ("den7", "mixed", "below", "past", "huge", "ints")
 
 def guard_jet(mode, n, rng):
     """A jet for ``mode``: denominator 7; mixed denominators, small or up to
-    2^40 + 15;
-    integer entries of scaled modulus up to the bound, reached (below) or
-    passed by one (past); parts past float range (2^1100, and 3 * 2^1022,
-    whose modulus overflows); ints and Fractions among QC entries."""
+    2^40 + 15; integer entries whose largest modulus, doubled, reaches the
+    bound (below) or passes it (past); parts past float range (2^1100, and
+    3 * 2^1022, whose modulus overflows); ints and Fractions among QC
+    entries."""
     m = 2 * n + 1
     dens = rng.choice(((1, 2, 3, 7), (1, 7, 2 ** 40 + 15)))
 
@@ -671,7 +676,7 @@ def guard_jet(mode, n, rng):
             return QC(rng.choice((2 ** 1100, 3 * 2 ** 1022, -5)), rng.choice((3 * 2 ** 1022, 1)))
         if mode == "ints":
             return rng.choice((0, 1, -2, Fraction(1, 3), random_qc(rng)))
-        half = int(guard_limit(n) / 2 ** 0.5)
+        half = int(guard_limit(n) // 2 / 2 ** 0.5)
         return QC(rng.randint(-half, half), rng.randint(-half, half))
 
     if mode not in ("below", "past"):
@@ -679,7 +684,7 @@ def guard_jet(mode, n, rng):
         return Jet1.build(n, a, [[entry() for _ in range(m)] for _ in range(m)])
     a = [entry() for _ in range(m)]
     upper = {(r, s): entry() for r in range(m) for s in range(r + 1, m)}
-    top = guard_limit(n) + (mode == "past")
+    top = guard_limit(n) // 2 + (mode == "past")
     if m > 1:
         upper[0, m - 1] = rng.choice((QC(top), QC(-top), QC(0, top), QC(0, -top)))
     else:
@@ -690,13 +695,13 @@ def guard_jet(mode, n, rng):
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from(GUARD_MODES), st.integers(0, 3), st.integers(0, 2 ** 32))
 def test_exact_kernels_keep_the_qc_result_on_either_ring(mode, n, seed):
-    """relation_h, every relation_slope, ampleness_slice and
-    pfaffian_coeffs equal the plain expansion, with identical repr, at
-    n = 0..3 on exact tables on either side of the Gaussian-integer bound,
-    past float range, and mixing ints and Fractions with QC.  The kernels
-    read the QCs that ``scalars.exact`` lifts, so the oracle is fed the
-    lifted entries (the same entries unless the mode mixes in ints and
-    Fractions)."""
+    """relation_h, every relation_slope, ampleness_slice, pfaffian_coeffs,
+    and relation_value on the jet and on a ``with_row`` child, equal the
+    plain expansion, with identical repr, at n = 0..3 on exact jets whose
+    views fall on either side of the Gaussian-integer bound, past float
+    range, and mixing ints and Fractions with QC.  The kernels read the QCs
+    that ``scalars.exact`` lifts, so the oracle is fed the lifted entries
+    (the same entries unless the mode mixes in ints and Fractions)."""
     rng = random.Random(seed)
     jet = guard_jet(mode, n, rng)
     a, beta = jet_readers(jet)
@@ -707,7 +712,11 @@ def test_exact_kernels_keep_the_qc_result_on_either_ring(mode, n, seed):
     def same(got, want):
         assert got == want and repr(got) == repr(want)
 
-    same(relation_h(a, beta, n), relation_h_oracle(la, lbeta, n))
+    h = relation_h_oracle(la, lbeta, n)
+    same(relation_h(a, beta, n), h)
+    same(relation_value(jet), h)
+    if n >= 2 and mode in ("below", "past"):
+        assert jets._bordered(jet)._den == (mode == "below")
     for r in range(m):
         for s in range(m):
             if r != s:
@@ -722,45 +731,64 @@ def test_exact_kernels_keep_the_qc_result_on_either_ring(mode, n, seed):
         same((slc.kind, slc.w, slc.c), ("hyperplane", w, c))
     else:
         same((slc.kind, slc.w, slc.c), ("full", None, c) if c else ("empty", None, 0))
+    # the child may inherit the view that relation_value built
+    row = jet.p[(i + 1) % m]
+    child = lifted.with_row(i, map(exact, row))
+    same(relation_value(jet.with_row(i, row)), relation_h_oracle(*jet_readers(child), n))
 
 
 def test_exact_tables_choose_their_ring():
-    """A random n = 3 jet runs on Gaussian integers; so do a table whose
-    largest scaled modulus is the bound's and a table with an int entry,
-    while one past the bound and n <= 1 run on the QC arithmetic."""
+    """A random n = 3 jet's table runs on Gaussian integers from its view,
+    and so does a jet's table whose view has twice its largest scaled
+    modulus at the bound, or an int entry; one past the bound, a jet at
+    n <= 1 and every table read through readers run on the QC arithmetic.
+    Each gives the plain expansion's QC."""
     jet = random_jet(3, random.Random(5))
-    table = contact._Bordered(*jet_readers(jet), 3)
-    assert table._den == 7
+    a, beta = jet_readers(jet)
+    want = relation_h_oracle(a, beta, 3)
+    table = jets._bordered(jet)
+    assert table._den == 7 and table.pf() == want
     assert {type(x) for x in table_entries(table._up, 7, True)} == {complex}
+    table = contact._Bordered(a, beta, 3)
+    assert table._den == 0 and table.pf() == want
+    assert {type(x) for x in table_entries(table._up, 7, True)} == {QC}
     for n in (2, 3):
         m, E = 2 * n + 1, guard_limit(n)
         upper = {(r, s): QC(1) for r in range(m) for s in range(r + 1, m)}
-        for top, den in ((E, 1), (E + 1, 0)):
+        for top, den in ((E // 2, 1), (E // 2 + 1, 0)):
             jet = skew_jet(n, [QC(0, top)] + [QC(1)] * (m - 1), upper)
-            table = contact._Bordered(*jet_readers(jet), n)
+            table = jets._bordered(jet)
             assert table._den == den
             assert type(table._up[-1][0]) is (complex if den else QC)
-    assert not contact._Bordered(*jet_readers(random_jet(1, random.Random(5))), 1)._den
+            assert table.pf() == relation_h_oracle(*jet_readers(jet), n)
+    jet = random_jet(1, random.Random(5))
+    assert not jets._bordered(jet)._den and relation_value(jet) == \
+        relation_h_oracle(*jet_readers(jet), 1)
     jet = random_jet(3, random.Random(5))
-    a, beta = jet_readers(jet)
-    assert contact._Bordered(lambda i: 1 if i == 4 else a(i), beta, 3)._den == 7
+    jet = Jet1.build(3, jet.a[:4] + (1,) + jet.a[5:], jet.p)
+    table = jets._bordered(jet)
+    assert table._den == 7 and table.pf() == relation_h_oracle(*jet_readers(jet), 3)
 
 
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("other", (1, -2, Fraction(1, 3)))
-def test_an_int_or_fraction_entry_keeps_the_gaussian_ring(n, other):
+def test_an_int_or_fraction_entry_keeps_the_table_exact(n, other):
     """One int or Fraction entry, in a or in beta, leaves an n = 2 or 3
-    table exact: it takes the Gaussian ring and gives, for h and every
-    slope, the QC of the same table with that entry as a QC."""
-    a, beta = jet_readers(random_jet(n, random.Random(5)))
+    table exact: read through readers it runs on the QCs, and from a jet's
+    view on Gaussian integers; either gives, for h and every slope, the QC
+    of the same table with that entry as a QC."""
+    jet = random_jet(n, random.Random(5))
+    a, beta = jet_readers(jet)
     m = 2 * n + 1
 
     def tables(entry):
         return [contact._Bordered(lambda i: entry if i == 1 else a(i), beta, n),
-                contact._Bordered(a, lambda r, s: entry if (r, s) == (0, 2) else beta(r, s), n)]
+                contact._Bordered(a, lambda r, s: entry if (r, s) == (0, 2) else beta(r, s), n),
+                jets._bordered(Jet1.build(n, (jet.a[0], entry, *jet.a[2:]), jet.p))]
 
-    for table, qc_table in zip(tables(other), tables(QC(other))):
-        assert table._den == qc_table._den != 0
+    L = lcm(7, Fraction(other).denominator)
+    for table, qc_table, den in zip(tables(other), tables(QC(other)), (0, 0, L)):
+        assert table._den == qc_table._den == den
         pairs = [(table.pf(), qc_table.pf())] + [(table.slope(r, s), qc_table.slope(r, s))
                                                   for r in range(m) for s in range(m) if r != s]
         for got, want in pairs:
@@ -777,16 +805,17 @@ def test_exact_readers_give_a_qc():
     assert type(got) is QC and got == QC(13)
 
 
-def test_verifier_tables_at_exact_points_take_the_gaussian_ring(monkeypatch):
+def test_verifier_tables_at_exact_points_run_on_the_qcs(monkeypatch):
     """A missing word reads as the point's QC zero, not int 0, so every
     table that the sampled verifiers build on exact points of Laurent forms
-    at n = 2 and 3 runs on Gaussian integers."""
-    dens = []
+    at n = 2 and 3 is all QC, and it runs on those QCs: no view reaches
+    them, so none takes Gaussian integers."""
+    tables = []
     init = contact._Bordered.__init__
 
     def recorded(self, a, beta, n):
         init(self, a, beta, n)
-        dens.append(self._den)
+        tables.append(self)
 
     monkeypatch.setattr(contact._Bordered, "__init__", recorded)
     for n in (2, 3):
@@ -800,9 +829,11 @@ def test_verifier_tables_at_exact_points_take_the_gaussian_ring(monkeypatch):
         is_contact_on(other, pts, 1e-9)
         is_formal_contact_on(FormalPair(other, beta), pts, 1e-9)
         pencil_check(alpha, other, pts, 5, 1e-9)
-        assert len(dens) == 6 * (3 + 5)
-        assert all(dens), f"{dens.count(0)} of {len(dens)} tables refused the ring at n = {n}"
-        dens.clear()
+        assert len(tables) == 6 * (3 + 5)
+        for table in tables:
+            assert table._den == 0
+            assert {type(x) for x in table_entries(table._up, m, True)} == {QC}
+        tables.clear()
 
 
 def outcome(call):
@@ -881,13 +912,15 @@ def test_a_jets_view_gives_the_reader_paths_qc(jet_mode, row_mode, n, seed):
         assert got[0] == VariantError
 
 
-def test_a_view_table_checks_the_bound_after_the_subtraction():
-    """beta_rs = p[s][r] - p[r][s] on the view may be twice its entries: at
-    n = 2 and 3, a jet whose one beta entry is the bound's largest modulus,
-    made of two entries of about half of it, runs on Gaussian integers from
-    its view, and one past it runs on the QC arithmetic.  Two entries past
-    2^53 whose difference is small leave the jet without a view, so beta is
-    their exact difference."""
+def test_a_view_table_checks_twice_its_top_against_the_bound():
+    """beta_rs = p[s][r] - p[r][s] on the view may be twice its entries, so
+    a jet's table takes its view only when twice the view's largest scaled
+    modulus is within the bound: at n = 2 and 3, a jet whose one beta entry
+    is twice half the bound's largest modulus, made of two entries of half
+    of it, runs on Gaussian integers from its view, and one whose two
+    entries are one past half of it runs on the QC arithmetic though their
+    difference is 0.  Two entries past 2^53 whose difference is small leave
+    the jet without a view, so beta is their exact difference."""
     for n in (2, 3):
         m, E = 2 * n + 1, guard_limit(n)
         jet = random_jet(n, random.Random(n))
@@ -896,14 +929,81 @@ def test_a_view_table_checks_the_bound_after_the_subtraction():
         jet = Jet1.build(n, jet.a, p)
         assert relation_value(jet) == relation_h_oracle(*jet_readers(jet), n)
         assert jet._view is None
-        for top, ring in ((E, 1), (E + 1, 0)):
+        for half, ring in ((E // 2, 1), (E // 2 + 1, 0)):
             p = [[QC(0)] * m for _ in range(m)]
-            p[m - 1][0], p[0][m - 1] = QC(top - top // 2), QC(-(top // 2))
+            p[m - 1][0], p[0][m - 1] = QC(half), QC(-half if ring else half)
             jet = Jet1.build(n, [QC(1)] * m, p)
             table = jets._bordered(jet)
             assert table._den == ring
             assert type(table._up[-1][0]) is (complex if ring else QC)
             assert table.pf() == relation_h_oracle(*jet_readers(jet), n)
+
+
+def test_a_jet_whose_modulus_overflows_has_no_view():
+    """An entry whose parts fit a float but whose modulus does not leaves
+    the jet without a view, so its tables read the exact entries."""
+    jet = random_jet(2, random.Random(3))
+    p = [list(row) for row in jet.p]
+    p[1][3] = QC(3 * 2 ** 1022, 3 * 2 ** 1022)
+    jet = Jet1.build(2, jet.a, p)
+    assert relation_value(jet) == relation_h_oracle(*jet_readers(jet), 2)
+    assert jet._view is None
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "contactkit"
+
+
+def owners(source: str, found) -> list:
+    """The qualified name (``Class.method``) of the def or class that holds
+    each node of ``source`` for which ``found`` is true, in source order."""
+    names = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if found(child):
+                names.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return names
+
+
+def sets_den(node) -> bool:
+    """An assignment with ``_den`` among its targets."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Attribute) and t.attr == "_den"
+        for target in node.targets for t in ast.walk(target))
+
+
+def test_only_a_jets_view_converts_to_gaussian_integers():
+    """Only ``Jet1._view`` and ``Jet1.with_row`` call
+    ``scalars._gaussian_complex``, and ``_Bordered`` gives ``_den`` a value
+    other than 0 only in its view branch: no other exact table runs on
+    Gaussian integers."""
+    def calls(node):
+        return isinstance(node, ast.Call) and "_gaussian_complex" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = {(path.name, owner) for path in SRC.glob("*.py")
+               for owner in owners(path.read_text(), calls)}
+    assert callers == {("jets.py", "Jet1._view"), ("jets.py", "Jet1.with_row")}
+    (bordered,) = [node for node in ast.parse((SRC / "contact.py").read_text()).body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Bordered"]
+    assigns = [node for node in ast.walk(bordered) if sets_den(node)]
+    (branch,) = [node for node in ast.walk(bordered) if isinstance(node, ast.If)
+                 and any(isinstance(x, ast.Name) and x.id == "view" for x in ast.walk(node.test))]
+    in_branch = [node for node in assigns if node in list(ast.walk(branch))]
+    assert len(in_branch) == 1
+    for node in assigns:
+        if node not in in_branch:
+            # the one other assignment sets every slot, _den to 0
+            (target,) = node.targets
+            assert isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+            values = dict(zip(map(ast.unparse, target.elts), node.value.elts))
+            assert ast.literal_eval(values["self._den"]) == 0
 
 
 def test_a_jet_converts_once_inside_the_operation_that_reads_it(monkeypatch):
@@ -950,20 +1050,22 @@ def table_entries(up, m, border):
 
 
 def test_every_pfaffian_table_is_list_rows_with_the_border_last(monkeypatch):
-    """The view, exact Gaussian, QC, complex and ndarray tables of
-    ``_Bordered``, and ``pfaffian``'s table by position, are list rows:
-    entry (r, s) at ``up[r][s]`` for s > r, and the border as the last row,
-    so index -1 reads it.  Each entry is the one read, scaled by L on
-    Gaussian integers."""
+    """The view, QC, complex and ndarray tables of ``_Bordered``, and
+    ``pfaffian``'s table by position, are list rows: entry (r, s) at
+    ``up[r][s]`` for s > r, and the border as the last row, so index -1
+    reads it.  Each entry is the one read, scaled by L on Gaussian
+    integers."""
     rng = random.Random(44)
     n, m = 3, 7
     jet = random_jet(n, rng)
     a, beta = jet_readers(jet)
     want = [beta(r, s) for r in range(m) for s in range(r + 1, m)] + list(jet.a)
-    for table in (jets._bordered(jet), contact._Bordered(a, beta, n)):
-        L = table._den
-        assert L == 7
-        assert table_entries(table._up, m, True) == [complex(x * L) for x in want]
+    table = jets._bordered(jet)
+    assert table._den == 7
+    assert table_entries(table._up, m, True) == [complex(x * 7) for x in want]
+    table = contact._Bordered(a, beta, n)
+    assert table._den == 0
+    assert table_entries(table._up, m, True) == want
     qc_jet = random_jet(1, rng)
     qa, qbeta = jet_readers(qc_jet)
     table = contact._Bordered(qa, qbeta, 1)
@@ -1032,8 +1134,8 @@ def test_an_exact_pfaffian_at_n_up_to_1_takes_no_product_by_n_factorial(monkeypa
 def test_relation_squared_is_the_bordered_determinant():
     """h^2 = (n!)^2 det [[0, a^T], [-a, beta]], with the determinant from
     sympy's DomainMatrix over QQ_I, on 150 jets at n = 2 and 3 with mixed
-    denominators on both sides of the Gaussian-integer bound, and on 50 at
-    n = 1, whose tables run on QC."""
+    denominators, whose views fall on both sides of the Gaussian-integer
+    bound, and on 50 at n = 1, whose tables run on QC."""
     from sympy import QQ_I
     from sympy.polys.matrices import DomainMatrix
 
@@ -1053,7 +1155,7 @@ def test_relation_squared_is_the_bordered_determinant():
 
         jet = Jet1.build(n, [entry() for _ in range(m)], [[entry() for _ in range(m)] for _ in range(m)])
         a, beta = jet_readers(jet)
-        den = contact._Bordered(a, beta, n)._den
+        den = jets._bordered(jet)._den
         rings.add(den != 0)
         assert n > 1 or not den
         rows = [[QQ_I(0)] + [gauss(a(j)) for j in range(m)]]

@@ -228,6 +228,55 @@ def test_sampled_extension_residual_is_homogeneous():
         assert hi / lo == pytest.approx(2 ** l, rel=1e-9)
 
 
+def parent_series(ext, node, y, lowest, bump):
+    """``SampledExtension._series`` before the extension kept its (I, I!)
+    pairs: the indices and factorials taken again on every call."""
+    iy = [1j * float(c) for c in y]
+    total = 0j
+    for I in multi_indices(ext.grid.m, ext.l):
+        if sum(I) < lowest:
+            continue
+        J = ext.jets[tuple(a + b for a, b in zip(I, bump))]
+        term = complex(J[node]) / math.prod(map(math.factorial, I))
+        for k, e in enumerate(I):
+            term *= iy[k] ** e
+        total += term
+    return total
+
+
+def test_sampled_extension_takes_its_indices_once(monkeypatch):
+    """The constructor takes ``multi_indices`` twice, for the tower and for
+    the (I, I!) pairs, and ``max_residual`` over every node of the grid
+    takes it no more; each residual and value is the parent's bit for
+    bit."""
+    from contactkit import extend
+    calls = []
+    inner = extend.multi_indices
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(extend, "multi_indices", counted)
+    grid = CubeGrid(1, nodes=9)
+    x1 = grid.axis(0).reshape(-1, 1, 1)
+    x3 = grid.axis(2).reshape(1, 1, -1)
+    values = np.sin(x1) * np.exp(x3) + 0.25j * x3 * np.ones(grid.shape)
+    nodes = list(np.ndindex(grid.shape))
+    y = (0.2, -0.1, 0.05)
+    for l in (1, 3):
+        ext = SampledExtension(grid, values, l=l)
+        assert calls == [(3, l + 1), (3, l)]
+        calls.clear()
+        got = ext.max_residual(nodes, y)
+        assert calls == []
+        want = max(abs(parent_series(ext, node, y, l, tuple(int(k == j) for k in range(3))) / 2)
+                   for node in nodes for j in range(3))
+        assert got.hex() == want.hex() and got > 0
+        for node in nodes[::97]:
+            assert ext.value(node, y) == parent_series(ext, node, y, 0, (0, 0, 0))
+
+
 def test_sampled_extension_tracks_true_function():
     """For data sin(x1) the order-2 extension approximates sin(z1)."""
     grid = CubeGrid(1, nodes=33)

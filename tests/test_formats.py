@@ -1153,3 +1153,28 @@ def test_a_crlf_body_builds_no_node_prefixes(monkeypatch):
     assert_bit_equal(got, want)
     section_from_text("\n".join(lines) + "\n")
     assert len(built) == 1
+
+
+def test_a_header_claiming_more_rows_than_the_body_holds_is_refused_at_once(monkeypatch):
+    """A header that claims ``nodes 100000`` (10^15 rows at n = 1) over a
+    one-row body is refused by its row count before the canonical path
+    builds a prefix or allocates an array for its rows, and the general
+    reader raises the count's ParseError."""
+    from contactkit import formats
+    lines = section_to_text(messy_section(nodes=5)).splitlines()
+    text = "\n".join("nodes 100000" if line.startswith("nodes ") else line
+                     for line in lines[:6]) + "\n"
+    built = []
+
+    def no_prefixes(*args):
+        built.append(args)
+        return [""], []
+
+    monkeypatch.setattr(formats, "_row_parts", no_prefixes)
+
+    def read():
+        with pytest.raises(ParseError, match=r"^1 node rows, expected 1000000000000000$"):
+            section_from_text(text)
+
+    _, peak, _ = traced_peak(read)
+    assert built == [] and peak < 2 ** 20

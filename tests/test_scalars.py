@@ -326,23 +326,25 @@ def test_the_gaussian_conversion_takes_the_lcm_or_a_multiple_of_it(parts, k):
     the lcm of their denominators, it answers what it answers without L,
     each value times L as a Gaussian integer held in complex, and given a
     multiple k L each value times k L; given an L that some denominator
-    does not divide, None.  A value it cannot lift gives None."""
+    does not divide, None.  A value it cannot lift gives None, and so does
+    one whose modulus passes float range though both its parts fit."""
     values = [Fraction(a, d) if real else QC(Fraction(a, d), Fraction(b, d))
               for a, b, d, real in parts]
     if values and type(values[0]) is Fraction and values[0].denominator == 1:
         values[0] = int(values[0])
     L = math.lcm(*(exact(v)._d for v in values))
-    got = _gaussian_complex(values, 2.0 ** 53)
-    assert _gaussian_complex(values, 2.0 ** 53, L) == got
+    got = _gaussian_complex(values)
+    assert _gaussian_complex(values, L) == got
     if got is not None:
         assert got[0] == L and got[1] == [complex(exact(v) * L) for v in values]
         assert got[2] == max((abs(complex(exact(v) * L)) for v in values), default=0.0)
-        wider = _gaussian_complex(values, 2.0 ** 53, k * L)
+        wider = _gaussian_complex(values, k * L)
         assert wider is None or wider[:2] == (k * L, [complex(exact(v) * k * L) for v in values])
     if L > 1:
-        assert _gaussian_complex(values, 2.0 ** 53, L - 1) is None
-        assert _gaussian_complex(values, 2.0 ** 53, k * L + 1) is None
-    assert _gaussian_complex([*values, 1j], 2.0 ** 53) is None
+        assert _gaussian_complex(values, L - 1) is None
+        assert _gaussian_complex(values, k * L + 1) is None
+    assert _gaussian_complex([*values, 1j]) is None
+    assert _gaussian_complex([*values, QC(3 * 2 ** 1022, 3 * 2 ** 1022)]) is None
 
 
 def test_affine_refuses_other_lengths():
