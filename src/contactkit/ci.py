@@ -115,8 +115,10 @@ def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
 
     Full slices give the degenerate constant loop; hyperplane complements
     give a circle in the conjugate-normal direction whose worst point
-    stays delta away from the hyperplane.
+    stays delta away from the hyperplane; delta must be finite and > 0.
     """
+    if not 0 < delta < math.inf:
+        raise PreconditionError(f"loop margin delta must be finite and > 0, got {delta!r}")
     target = tuple(complex(t) for t in target)
     if slc.kind == "empty":
         raise PreconditionError("empty slice admits no loop")
@@ -127,6 +129,8 @@ def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
                              f"{len(slc.w)}")
     w = [complex(x) for x in slc.w]
     norm2 = sum(abs(x) ** 2 for x in w)
+    if not norm2:
+        raise PreconditionError(f"a hyperplane slice needs a nonzero w, got {slc.w!r}")
     v = tuple(x.conjugate() / norm2 for x in w)
     h0 = sum(wi * ti for wi, ti in zip(w, target)) + complex(slc.c)
     return Loop(target, v, abs(h0) + delta)

@@ -34,12 +34,13 @@ caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
 columns of a grid field through one.  ``_Bordered`` checks n and applies
 n!, in one place.
 
-The sampled verifiers (``is_contact_on``, ``is_formal_contact_on``,
-``pencil_check``) read their margins from ``relation_h`` on point values:
-alpha's dz_i coefficients and the dz_r^dz_s coefficients of d alpha (taken
-once per form) or of the pair's beta.  A missing word reads as the point's
-zero, decided once by ``Form._zero_value``, so a Laurent form at an exact
-point gives an all-QC table.
+The sampled verifiers ``is_contact_on`` and ``is_formal_contact_on`` read
+their margins from ``relation_h`` on point values, one sample at a time
+(``_pair_margins``, which refuses a sample that is no Point): alpha's dz_i
+coefficients and the dz_r^dz_s coefficients of d alpha (taken once per
+form) or of the pair's beta.  A missing word reads as the point's zero,
+decided once by ``Form._zero_value``, so a Laurent form at an exact point
+gives an all-QC table.
 The symbolic defect forms ``contact_defect`` and ``formal_defect`` are
 kept for exact identities.
 """
@@ -47,12 +48,11 @@ kept for exact identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
 from .errors import DimensionError, PreconditionError, VariantError, _count
-from .forms import Form, ext_d, wedge, wedge_power
+from .forms import Form, Point, ext_d, wedge, wedge_power
 from .reports import VerificationReport, fmt_num
 from .scalars import _exact_all, _reduced
 
@@ -311,51 +311,31 @@ def formal_defect(pair: FormalPair) -> Form:
     return wedge(pair.alpha, wedge_power(pair.beta, n))
 
 
-def _volume_values(pair: FormalPair):
-    """Per-point reader of the values h needs: alpha's dz_i and beta's
-    dz_r^dz_s coefficients in one dict keyed by word, and the point's zero.
-
-    No other word reaches the holomorphic volume coefficient, so the rest
-    of both forms is dropped once, before any sample is read.
-    """
-    m = pair.m
+def _pair_margins(title: str, label: str, pair: FormalPair, samples, tol: float,
+                  verbose: bool) -> VerificationReport:
+    """The margin report of ``pair``: |h| at each sample, a missing word
+    read as the point's zero.  No word but alpha's dz_i and beta's
+    dz_r^dz_s reaches h, so the rest of both forms is dropped once."""
+    m, n = pair.m, pair.n
     alpha, beta = [Form(m, f.degree, {w: c for w, c in f.terms.items() if w[-1] < m},
                         f.variant) for f in (pair.alpha, pair.beta)]
-    return lambda pt: (alpha.evaluate(pt) | beta.evaluate(pt), alpha._zero_value(pt))
-
-
-def _h(values: dict, zero, n: int):
-    return relation_h(lambda i: values.get((i,), zero), lambda r, s: values.get((r, s), zero), n)
-
-
-def _margin_checks(samples: list, hs: list, tol: float, report: VerificationReport,
-                   label: str, verbose: bool) -> None:
-    worst = None
-    worst_pt = None
-    for idx, (pt, val) in enumerate(zip(samples, hs)):
-        mag = abs(complex(val))
+    report = VerificationReport(title)
+    worst = worst_pt = None
+    for idx, pt in enumerate(samples):
+        if not isinstance(pt, Point):
+            raise PreconditionError(f"sample {idx} is not a Point: {pt!r}")
+        values, zero = alpha.evaluate(pt) | beta.evaluate(pt), alpha._zero_value(pt)
+        mag = abs(complex(relation_h(lambda i: values.get((i,), zero),
+                                     lambda r, s: values.get((r, s), zero), n)))
         if verbose:
             report.add(f"{label} sample {idx}", mag >= tol, f"|coeff|={fmt_num(mag)}")
         if worst is None or mag < worst:
-            worst = mag
-            worst_pt = pt
+            worst, worst_pt = mag, pt
     if worst is None:
         report.add(f"{label} samples", True, "no samples supplied (vacuous)")
-        return
-    report.add(
-        f"{label} min margin",
-        worst >= tol,
-        f"min|coeff|={fmt_num(worst)} tol={fmt_num(tol)} at {worst_pt!r}",
-    )
-
-
-def _pair_margins(title: str, label: str, pair: FormalPair, samples, tol: float,
-                  verbose: bool) -> VerificationReport:
-    report = VerificationReport(title)
-    values = _volume_values(pair)
-    samples = list(samples)
-    _margin_checks(samples, [_h(*values(pt), pair.n) for pt in samples], tol, report,
-                   label, verbose)
+    else:
+        report.add(f"{label} min margin", worst >= tol,
+                   f"min|coeff|={fmt_num(worst)} tol={fmt_num(tol)} at {worst_pt!r}")
     return report
 
 
@@ -376,38 +356,6 @@ def is_formal_contact_on(pair: FormalPair, samples, tol: float,
                          verbose: bool = False) -> VerificationReport:
     return _pair_margins("formal contact condition on samples", "formal",
                          pair, samples, tol, verbose)
-
-
-def pencil_check(alpha: Form, beta1: Form, samples, steps: int,
-                 tol: float) -> VerificationReport:
-    """Check the interpolation pencil (1-t) alpha + t beta1 for contact.
-
-    t runs over ``steps`` equispaced values in [0,1] including both ends.
-    Passing certifies that the straight-line homotopy between the two
-    1-forms stays contact on the samples at the probed times.  d is
-    linear, so each endpoint's values are read once per sample and mixed
-    at each t: exactly when both endpoints are Laurent, through
-    ``complex()`` otherwise.
-    """
-    if alpha.degree != 1 or beta1.degree != 1:
-        raise DimensionError("pencil_check expects two 1-forms")
-    if alpha.m != beta1.m:
-        raise DimensionError("pencil endpoints live on different spaces")
-    _count(steps, "pencil_check steps", 2, PreconditionError)
-    pairs = [FormalPair.holonomic(f) for f in (alpha, beta1)]
-    readers = [_volume_values(pair) for pair in pairs]
-    exact = alpha.variant == "laurent" and beta1.variant == "laurent"
-    report = VerificationReport("interpolation pencil")
-    samples = list(samples)
-    ends = [[values(pt) for values in readers] for pt in samples]
-    if not exact:
-        ends = [[({w: complex(x) for w, x in v.items()}, 0j) for v, _ in vals] for vals in ends]
-    for k in range(steps):
-        s, t = Fraction(steps - 1 - k, steps - 1), Fraction(k, steps - 1)
-        hs = [_h({w: v0.get(w, zero) * s + v1.get(w, zero) * t for w in v0.keys() | v1.keys()},
-                 zero, pairs[0].n) for (v0, zero), (v1, _) in ends]
-        _margin_checks(samples, hs, tol, report, f"t={t if exact else float(t)}", False)
-    return report
 
 
 def relation_coefficient(a: list, b: list):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coefficients import LaurentPoly, _holomorphic, coefficient_variant
 from .errors import DimensionError, PreconditionError, _count
-from .forms import Form, PolyMap, _covector_derivative, _form, pullback
+from .forms import Form, Point, PolyMap, _covector_derivative, _form, pullback
 from .grids import CubeGrid
 from .jets import grid_derivative
 from .reports import VerificationReport, fmt_num
@@ -160,6 +160,7 @@ class SampledExtension:
 
     def __init__(self, grid: CubeGrid, values: np.ndarray, l: int):
         _count(l, "extension order l", 1, PreconditionError)
+        values = np.asarray(values, dtype=complex)
         if values.shape != grid.shape:
             raise DimensionError("value field shape != grid shape")
         if grid.nodes < l + 2:
@@ -167,12 +168,18 @@ class SampledExtension:
         self.grid = grid
         self.l = l
         self.jets = _derivative_tower(
-            np.asarray(values, dtype=complex), l + 1, grid.m,
+            values, l + 1, grid.m,
             lambda J, k: grid_derivative(J, grid, k))
         self._indices = [(I, _index_factorial(I)) for I in multi_indices(grid.m, l)]
 
     def _series(self, node, y, lowest: int, bump: tuple[int, ...]) -> complex:
-        """sum over lowest <= |I| <= l of (1/I!) J_{I+bump}(node) (iy)^I."""
+        """sum over lowest <= |I| <= l of (1/I!) J_{I+bump}(node) (iy)^I, at
+        a node that the grid has (``CubeGrid.node_coords`` refuses any
+        other) and a height y of m entries."""
+        m = self.grid.m
+        self.grid.node_coords(node)
+        if len(y) != m:
+            raise DimensionError(f"height y has {len(y)} entries, C^{m} needs {m}")
         iy = [1j * float(c) for c in y]
         total = 0j
         for I, I_factorial in self._indices:
@@ -401,12 +408,19 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     (the dzbar half then just adds to the residual, since the ansatz is
     holomorphic).  With exact inputs the normal equations are solved in
     rational arithmetic, so exactly representable data is recovered
-    exactly; floats go through numpy lstsq.
+    exactly; floats go through numpy lstsq.  A point that is no Point, lies
+    in another C^m or is not finite, and a value row that is not finite
+    numbers, is refused by its index.
     """
     points = list(points)
     if not points:
         raise PreconditionError("fit needs at least one sample")
     _count(degree, "fit degree", 0, PreconditionError)
+    for p, pt in enumerate(points):
+        if not isinstance(pt, Point):
+            raise PreconditionError(f"point {p} is not a Point: {pt!r}")
+        if pt.m != points[0].m:
+            raise DimensionError(f"point {p} lies in C^{pt.m}, point 0 in C^{points[0].m}")
     m = points[0].m
     monos = list(multi_indices(m, degree))
     if len(points) < len(monos):
@@ -414,8 +428,10 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
             f"{len(points)} samples cannot determine {len(monos)} monomials")
 
     rows = [list(r) for r in values]
-    if any(len(r) not in (m, 2 * m) for r in rows):
-        raise DimensionError("value rows must have m or 2m components")
+    for r, row in enumerate(rows):
+        if len(row) not in (m, 2 * m):
+            raise DimensionError(f"value rows must have m or 2m components: row {r} has "
+                                 f"{len(row)}, m = {m}")
     if len(rows) != len(points):
         raise DimensionError("one value row per point required")
 
@@ -434,16 +450,29 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
         return FitResult(_holomorphic_form(m, monos, sols), sqrt(worst), rank, len(monos),
                          len(points), True)
 
-    A = np.array(_design_matrix([pt.as_complex() for pt in points], monos, 1 + 0j),
-                 dtype=complex)
-    rhs = np.array([[complex(rows[r][i]) for i in range(m)] for r in range(len(rows))])
+    coords = [pt.as_complex() for pt in points]
+    bad = np.flatnonzero(~np.isfinite(np.array(coords)).all(axis=1))
+    if bad.size:
+        raise PreconditionError(f"point {bad[0]} is not finite: {points[bad[0]]!r}")
+    # every row, padded with zeros to 2m components: the dz half is the rhs
+    table = np.zeros((len(rows), 2 * m), dtype=complex)
+    for r, row in enumerate(rows):
+        try:
+            table[r, :len(row)] = row
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError(f"value row {r} is not a row of numbers: {row!r}") from None
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        r, i = bad[0].tolist()
+        raise PreconditionError(f"value row {r} component {i} is not finite: {rows[r][i]!r}")
+    A = np.array(_design_matrix(coords, monos, 1 + 0j), dtype=complex)
+    rhs = table[:, :m]
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     form = _holomorphic_form(m, monos, [
         [QC(Fraction(c.real), Fraction(c.imag)) for c in map(complex, sol[:, i])]
         for i in range(m)])
     fitted = A @ sol
-    residual = float(np.max(np.abs(fitted - rhs)))
-    for r in range(len(rows)):
-        for extra in rows[r][m:]:
-            residual = max(residual, abs(complex(extra)))
+    # the dzbar half, zero where a row has none, adds to the residual, each
+    # modulus by Python's abs (np.abs may differ in the last bit)
+    residual = max(float(np.max(np.abs(fitted - rhs))), *map(abs, table[:, m:].ravel().tolist()))
     return FitResult(form, residual, int(rank), len(monos), len(points), False)

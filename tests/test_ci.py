@@ -212,6 +212,22 @@ LOOP_REFUSALS = [
 ]
 
 
+@pytest.mark.parametrize("delta", (-5.0, 0.0, math.nan, math.inf))
+def test_loop_for_target_refuses_a_delta_it_cannot_honour(delta):
+    """A loop's worst margin is delta only for a finite delta > 0; a
+    negative one once gave radius -4.0 here, whose worst margin is 3."""
+    slc = SliceClass("hyperplane", (QC(1), QC(0), QC(0)), QC(1))
+    for case in (slc, SliceClass("full", None, QC(1))):
+        with pytest.raises(PreconditionError, match="delta must be finite and > 0"):
+            loop_for_target(case, (0, 0, 0), delta)
+
+
+def test_loop_for_target_refuses_a_hyperplane_with_zero_slopes():
+    slc = SliceClass("hyperplane", (QC(0), QC(0), QC(0)), QC(1))
+    with pytest.raises(PreconditionError, match="a hyperplane slice needs a nonzero w"):
+        loop_for_target(slc, (0, 0, 0), 1e-3)
+
+
 @pytest.mark.parametrize("call, error, fragment", LOOP_REFUSALS,
                          ids=[r[2] for r in LOOP_REFUSALS])
 def test_every_loop_length_refusal_is_reached(call, error, fragment):

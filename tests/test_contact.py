@@ -21,11 +21,11 @@ from contactkit import contact, jets
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
     FormalPair, contact_defect, formal_defect, is_contact_on,
-    is_formal_contact_on, pencil_check, pfaffian, pfaffian_coeffs, relation_coefficient,
+    is_formal_contact_on, pfaffian, pfaffian_coeffs, relation_coefficient,
     relation_h, relation_slope,
 )
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
-from contactkit.forms import Form, ext_d, wedge, wedge_power
+from contactkit.forms import Form, Point, ext_d, wedge, wedge_power
 from contactkit.gallery import circle_form, gallery_entries, sigma_homotopy, std_form
 from contactkit.jets import (
     Jet1, RestrictedJet, ampleness_slice, holonomic_jet, relation_grid, relation_value,
@@ -232,18 +232,6 @@ def test_formal_check_and_margin():
         assert formal_pair_margin(pair, pt) == pytest.approx(1.0)
 
 
-def test_pencil_between_linearly_connected_forms():
-    """The straight line between std and a small perturbation stays contact."""
-    alpha = std_form(1)
-    other = alpha + Form(3, 1, {(2,): LaurentPoly.const(3, QC(Fraction(1, 10)))})
-    pts = exact_points(3, 4, seed=29)
-    report = pencil_check(alpha, other, pts, steps=5, tol=1e-3)
-    assert report.passed
-    # a pencil that crosses zero must fail: alpha to -alpha passes through 0
-    bad = pencil_check(alpha, alpha.scale(QC(-1)), pts, steps=3, tol=1e-9)
-    assert not bad.passed
-
-
 def test_even_dimension_rejected():
     alpha = Form.dz(4, 0)
     with pytest.raises(DimensionError):
@@ -282,58 +270,15 @@ def test_expr_margins_match_symbolic_top_coefficient():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def symbolic_pencil(alpha, beta1, samples, steps):
-    """Oracle: min |top coefficient| of the defect of the mixed form at each t."""
-    exact = alpha.variant == "laurent" and beta1.variant == "laurent"
-    out = []
-    for k in range(steps):
-        if exact:
-            t = Fraction(k, steps - 1)
-            mix = alpha.scale(QC(1 - t)) + beta1.scale(QC(t))
-        else:
-            t = k / (steps - 1)
-            a = alpha.to_expr() if alpha.variant == "laurent" else alpha
-            b = beta1.to_expr() if beta1.variant == "laurent" else beta1
-            mix = a.scale(complex(1 - t)) + b.scale(complex(t))
-        defect = contact_defect(mix)
-        out.append((f"t={t} min margin",
-                    min(abs(complex(top_coefficient(defect, pt))) for pt in samples)))
-    return out
-
-
-def pencil_margins(report):
-    return [(c.name, float(c.detail.split()[0].split("=")[1])) for c in report.checks]
-
-
-def test_pencil_matches_symbolic_pencil_oracle():
-    rng = random.Random(241)
-    pts = exact_points(3, 4, seed=43)
-    for _ in range(4):
-        alpha, beta1 = random_mixed_form(1, 1, rng), random_mixed_form(1, 1, rng)
-        report = pencil_check(alpha, beta1, pts, steps=4, tol=1e-12)
-        assert pencil_margins(report) == symbolic_pencil(alpha, beta1, pts, 4)
-    # expression endpoints, and a Laurent endpoint mixed with an expr one
-    for alpha, beta1 in ((circle_form(-1), sigma_homotopy(0.5)),
-                         (std_form(1), circle_form(-1))):
-        got = pencil_margins(pencil_check(alpha, beta1, pts, steps=3, tol=1e-12))
-        want = symbolic_pencil(alpha, beta1, pts, 3)
-        assert [name for name, _ in got] == [name for name, _ in want]
-        assert [v for _, v in got] == pytest.approx([v for _, v in want], rel=1e-12)
-
-
 def test_verifiers_reject_even_dimension_and_non_one_forms():
     pts = exact_points(4, 2, seed=47)
     with pytest.raises(DimensionError):
         is_contact_on(Form.dz(4, 0), pts, 1e-9)
-    with pytest.raises(DimensionError):
-        pencil_check(Form.dz(4, 0), Form.dz(4, 1), pts, steps=2, tol=1e-9)
     two_form = ext_d(Form(3, 1, {(0,): LaurentPoly.z(3, 1), (1,): LaurentPoly.z(3, 0),
                                  (2,): LaurentPoly.const(3, 1)}))
     pts3 = exact_points(3, 2, seed=47)
     with pytest.raises(DimensionError):
         is_contact_on(two_form, pts3, 1e-9)
-    with pytest.raises(DimensionError):
-        pencil_check(std_form(1), two_form, pts3, steps=2, tol=1e-9)
 
 
 def test_formal_pair_rejects_mixed_variants():
@@ -828,8 +773,7 @@ def test_verifier_tables_at_exact_points_run_on_the_qcs(monkeypatch):
         assert is_contact_on(alpha, pts, 1e-9).passed
         is_contact_on(other, pts, 1e-9)
         is_formal_contact_on(FormalPair(other, beta), pts, 1e-9)
-        pencil_check(alpha, other, pts, 5, 1e-9)
-        assert len(tables) == 6 * (3 + 5)
+        assert len(tables) == 6 * 3
         for table in tables:
             assert table._den == 0
             assert {type(x) for x in table_entries(table._up, m, True)} == {QC}
@@ -1232,13 +1176,11 @@ REFUSALS = [
     (lambda: FormalPair(*_dz_pair(4)), DimensionError, "odd complex dimension 2n+1 required"),
     (lambda: FormalPair(*_dz_pair(3, "expr")), VariantError,
      "pair members mix coefficient variants"),
-    (lambda: pencil_check(std_form(1), _dz_pair(3)[1], [], steps=2, tol=1e-9),
-     DimensionError, "pencil_check expects two 1-forms"),
-    (lambda: pencil_check(std_form(1), std_form(2), [], steps=2, tol=1e-9),
-     DimensionError, "pencil endpoints live on different spaces"),
-    pytest.param(lambda: pencil_check(std_form(1), std_form(1), [], steps=1, tol=1e-9),
-                 PreconditionError, "pencil_check steps must be >= 2, got 1",
-                 id="pencil_check needs steps >= 2"),
+    (lambda: is_contact_on(std_form(1), [(1, 2, 3)], 1e-3), PreconditionError,
+     "sample 0 is not a Point: (1, 2, 3)"),
+    (lambda: is_formal_contact_on(FormalPair.holonomic(std_form(1)),
+                                  [Point([1, 2, 3]), "z"], 1e-3), PreconditionError,
+     "sample 1 is not a Point: 'z'"),
     (lambda: relation_coefficient([QC(1)], [QC(1), QC(2)]), DimensionError,
      "vector length mismatch"),
     (lambda: relation_coefficient([], []), DimensionError, "empty vectors"),

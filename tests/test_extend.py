@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from contactkit import extend
 from contactkit.ci import Loop, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial, Z, Zbar, emul
-from contactkit.contact import pencil_check
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
 from contactkit.extend import (
     SampledExtension, _design_matrix, _solve_gaussian, ah_pullback_verify, ah_verify,
@@ -24,7 +23,7 @@ from contactkit.forms import Form, Point, PolyMap
 from contactkit.gallery import covering_map, std_form
 from contactkit.grids import CubeGrid
 from contactkit.jets import RestrictedJet
-from contactkit.sampling import exact_points, random_jet, random_qc
+from contactkit.sampling import exact_points, numeric_points, random_jet, random_qc
 from contactkit.scalars import QC, _gaussian, exact
 
 
@@ -176,8 +175,6 @@ INT_PARAMETERS = [
      "defect order must be an int, got 1.5"),
     (lambda: ci_solve(*demo_flat_section(5), 0.5, 1e-3, max_sweeps=2.5), PreconditionError,
      "max_sweeps must be an int, got 2.5"),
-    (lambda: pencil_check(std_form(1), std_form(1), [], steps=2.5, tol=1e-9),
-     PreconditionError, "pencil_check steps must be an int, got 2.5"),
 ]
 
 
@@ -302,6 +299,16 @@ def test_sampled_extension_validation():
         SampledExtension(grid, values, l=4)
     with pytest.raises(DimensionError):
         SampledExtension(grid, np.zeros((5, 5)), l=1)
+
+
+def test_sampled_extension_takes_values_as_a_list():
+    grid = CubeGrid(1, nodes=5)
+    values = np.arange(125.0).reshape(grid.shape) * (1 - 0.5j)
+    listed, want = SampledExtension(grid, values.tolist(), 1), SampledExtension(grid, values, 1)
+    y = (0.1, 0.2, 0)
+    for node in ((1, 2, 3), (4, 0, 2)):
+        assert listed.value(node, y) == want.value(node, y)
+        assert listed.dbar_residual(node, y, 2) == want.dbar_residual(node, y, 2)
 
 
 def test_ah_verify_accepts_holomorphic_forms():
@@ -735,6 +742,19 @@ def _x1_squared_residual(j):
     return SampledExtension(grid, values, 2).dbar_residual((4, 4, 4), (0.1, 0, 0), j)
 
 
+def _float_points(m=3):
+    return numeric_points(m, 6, seed=1)
+
+
+def _ones_extension():
+    return SampledExtension(CubeGrid(1, 5), np.ones((5, 5, 5)), 1)
+
+
+def _nan_at_point_2():
+    pts = _float_points()
+    return pts[:2] + [Point([math.nan, 0j, 0j])] + pts[3:]
+
+
 def test_the_x1_squared_residual_vanishes_at_order_2():
     assert [_x1_squared_residual(j) for j in range(3)] == [0j, 0j, 0j]
 
@@ -778,6 +798,36 @@ EXTEND_REFUSALS = [
      "2 samples cannot determine 3 monomials"),
     (lambda: fit_holomorphic(_qc_points(2, 4), [[1, 1, 1]] * 4, 1), DimensionError,
      "value rows must have m or 2m components"),
+    (lambda: fit_holomorphic(_float_points(), [[1, 1, 1]] * 5 + [[1, 1]], 0), DimensionError,
+     "row 5 has 2, m = 3"),
+    (lambda: fit_holomorphic(_float_points()[:5] + [(1, 2, 3)], [[1, 1, 1]] * 6, 0),
+     PreconditionError, "point 5 is not a Point: (1, 2, 3)"),
+    (lambda: fit_holomorphic(_float_points()[:3] + _float_points(2)[:3], [[1, 1, 1]] * 6, 0),
+     DimensionError, "point 3 lies in C^2, point 0 in C^3"),
+    (lambda: fit_holomorphic(_float_points(2)[:3] + _float_points()[:3], [[1, 1]] * 6, 0),
+     DimensionError, "point 3 lies in C^3, point 0 in C^2"),
+    (lambda: fit_holomorphic(_nan_at_point_2(), [[1, 1, 1]] * 6, 0), PreconditionError,
+     "point 2 is not finite: Point([(nan+0j), 0j, 0j])"),
+    (lambda: fit_holomorphic(_float_points(), [["a", "b", "c"]] * 6, 0), PreconditionError,
+     "value row 0 is not a row of numbers: ['a', 'b', 'c']"),
+    (lambda: fit_holomorphic(_float_points(), [[1, 1, 1]] * 5 + [[1, math.inf, 1]], 0),
+     PreconditionError, "value row 5 component 1 is not finite: inf"),
+    (lambda: fit_holomorphic(_float_points(), [[1, 1, 1, math.nan, 0, 0]] * 6, 0),
+     PreconditionError, "value row 0 component 3 is not finite: nan"),
+    (lambda: fit_holomorphic(_qc_points(3, 6), [[1, 1, 1, math.inf, 0, 0]] * 6, 0),
+     PreconditionError, "value row 0 component 3 is not finite: inf"),
+    (lambda: _ones_extension().value((0, 0, 0), (0.1, 0, 0, 5, 6)), DimensionError,
+     "height y has 5 entries, C^3 needs 3"),
+    (lambda: _ones_extension().value((-1, 0, 0), (0.1, 0, 0)), DimensionError,
+     "node index (-1, 0, 0) out of range"),
+    (lambda: _ones_extension().max_residual([(-1, -1, -1)], (0.1, 0, 0)), DimensionError,
+     "node index (-1, -1, -1) out of range"),
+    (lambda: _ones_extension().dbar_residual((0, 5, 0), (0.1, 0, 0), 0), DimensionError,
+     "node index (0, 5, 0) out of range"),
+    (lambda: _ones_extension().value((0.5, 0, 0), (0.1, 0, 0)), DimensionError,
+     "node index (0.5, 0, 0) must be an int, got 0.5"),
+    (lambda: _ones_extension().value((0, 0), (0.1, 0, 0)), DimensionError,
+     "node index length != m"),
     (lambda: fit_holomorphic(_qc_points(2, 4), [[1, 1]] * 3, 1), DimensionError,
      "one value row per point required"),
 ]
@@ -786,9 +836,11 @@ EXTEND_REFUSALS = [
 @pytest.mark.parametrize("call, error, fragment", EXTEND_REFUSALS,
                          ids=[r[2] for r in EXTEND_REFUSALS])
 def test_every_extend_refusal_is_reached(call, error, fragment):
-    """One row per ``raise`` in ``extend.py``, and one for the
-    non-coefficient that ``dbar_defect`` leaves to ``coefficient_variant``:
-    the malformed input, its error class and a fragment of its message."""
+    """One row per ``raise`` in ``extend.py``, one for the non-coefficient
+    that ``dbar_defect`` leaves to ``coefficient_variant``, and one per
+    refused node that ``SampledExtension`` leaves to
+    ``CubeGrid.node_coords``: the malformed input, its error class and a
+    fragment of its message."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error

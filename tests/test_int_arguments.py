@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import contactkit
 from contactkit.ci import Loop, ci_solve, demo_flat_section, good_frequency
 from contactkit.coefficients import LaurentPoly, Monomial, Pow, Z, Zbar, epow
-from contactkit.contact import pencil_check, pfaffian_coeffs, relation_h, relation_slope
+from contactkit.contact import pfaffian_coeffs, relation_h, relation_slope
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
 from contactkit.extend import (SampledExtension, dbar_defect, extend_form, extend_function,
                                fit_holomorphic, multi_indices)
@@ -118,9 +118,6 @@ FIXTURES = {
                                {"a": _ONES[0], "beta": _ONES[1], "n": 1, "r": 0, "s": 1},
                                {"n": 0, "r": 0, "s": 0}),
     "contact.pfaffian_coeffs": (pfaffian_coeffs, {"beta": _ONES[1], "n": 1}, {"n": 0}),
-    "contact.pencil_check": (pencil_check, {"alpha": std_form(1), "beta1": std_form(1),
-                                            "samples": [], "steps": 2, "tol": 1e-9},
-                             {"steps": 2}),
     "extend.multi_indices": (multi_indices, {"m": 2, "max_total": 1},
                              {"m": 0, "max_total": 0}),
     "extend.extend_function": (extend_function, {"f": LaurentPoly.z(1, 0), "l": 1}, {"l": 1}),
