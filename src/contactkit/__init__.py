@@ -13,7 +13,7 @@ from .ci import (CIResult, Loop, ci_solve, demo_flat_section,
 from .coefficients import (Coefficient, Const, Cos, Exp, Expr, LaurentPoly,
                            Monomial, Sin, Sqrt, Z, Zbar, eadd, emul, epow)
 from .contact import (FormalPair, contact_defect, formal_defect, is_contact_on,
-                      is_formal_contact_on, pfaffian, pfaffian_coeffs,
+                      is_formal_contact_on, pfaffian_coeffs,
                       relation_coefficient, relation_h, relation_slope)
 from .errors import (ContactKitError, DimensionError, ExponentRangeError,
                      ParseError, PoleError, PreconditionError, VariantError)

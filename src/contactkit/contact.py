@@ -31,8 +31,9 @@ border last, so index -1 reads it.
 
 Skew data reaches the kernel only as a reader ``beta(r, s)`` (r < s) whose
 caller supplies the ring and its zero; ``jets`` reads the ``upper_pairs``
-columns of a grid field through one.  ``_Bordered`` checks n and applies
-n!, in one place.
+columns of a grid field through one.  ``_Bordered`` is the one way into
+``_pf``: it builds every table, decides its ring, checks n and applies n!,
+in one place.
 
 The sampled verifiers ``is_contact_on`` and ``is_formal_contact_on`` read
 their margins from ``relation_h`` on point values, one sample at a time
@@ -121,31 +122,6 @@ def _pf(up, idx: tuple, memo: dict):
     return memo[top]
 
 
-def _rows(entries, k: int) -> list:
-    """The upper table on indices 0 .. k-1 of ``entries``, taken row by row,
-    as list rows: entry (r, s) sits at ``up[r][s]`` for s > r."""
-    read = iter(entries).__next__
-    return [[None] * (r + 1) + [read() for _ in range(r + 1, k)] for r in range(k)]
-
-
-def pfaffian(entry, idx: tuple[int, ...]):
-    """Pfaffian of the skew matrix read by ``entry`` on the indices ``idx``.
-
-    ``entry(i, j)`` returns the (i, j) entry for i < j, where i precedes j
-    in ``idx``; each entry is read once.  Entries may be exact (QC, int or
-    Fraction, taken as QC), complex or ndarray; the empty Pfaffian is 1.
-    """
-    idx = tuple(idx)
-    if len(idx) % 2:
-        raise DimensionError(f"Pfaffian needs an even number of indices, got {len(idx)}")
-    if len(set(idx)) < len(idx):
-        raise DimensionError(f"Pfaffian indices must be distinct, got {idx}")
-    entries = [entry(i, j) for p, i in enumerate(idx) for j in idx[p + 1:]]
-    # the table is keyed by position, so every order of k indices walks one schedule
-    at = tuple(range(len(idx)))
-    return _pf(_rows(_exact_all(entries) or entries, len(idx)), at, {})
-
-
 @lru_cache(maxsize=1024)
 def _bordered_idx(n: int, *drop: int) -> tuple:
     """The bordered matrix's indices -1 .. 2n, without those in ``drop``."""
@@ -210,7 +186,9 @@ class _Bordered:
             if n <= 1:
                 # n! is 1: an exact Pfaffian comes back as the kernel gives it
                 self._scale = None
-        self._up = _rows(entries, m)
+        # beta's entries row by row, entry (r, s) at up[r][s] for s > r
+        read = iter(entries).__next__
+        self._up = [[None] * (r + 1) + [read() for _ in range(r + 1, m)] for r in range(m)]
         if a is not None:
             self._up.append(entries[-m:])
 

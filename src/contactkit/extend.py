@@ -178,6 +178,8 @@ class SampledExtension:
         other) and a height y of m entries."""
         m = self.grid.m
         self.grid.node_coords(node)
+        # a checked node indexes the jets as a tuple: a list would fancy-index
+        node = tuple(node)
         if len(y) != m:
             raise DimensionError(f"height y has {len(y)} entries, C^{m} needs {m}")
         iy = [1j * float(c) for c in y]
@@ -400,6 +402,18 @@ def _design_matrix(values, monos, one) -> list[list]:
     return [list(row) for row in zip(*cols.values())]
 
 
+def _float_design(coords, monos) -> np.ndarray:
+    """The float fit's design matrix.  A point whose power overflows in
+    Python's ``**``, which raises where ``*`` gives inf, gets a row of inf;
+    only then are the rows built one at a time."""
+    try:
+        return np.array(_design_matrix(coords, monos, 1 + 0j), dtype=complex)
+    except OverflowError:
+        if len(coords) == 1:
+            return np.full((1, len(monos)), np.inf, dtype=complex)
+        return np.concatenate([_float_design([c], monos) for c in coords])
+
+
 def fit_holomorphic(points, values, degree: int) -> FitResult:
     """Least-squares (1,0)-form with polynomial z-coefficients.
 
@@ -409,8 +423,8 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     holomorphic).  With exact inputs the normal equations are solved in
     rational arithmetic, so exactly representable data is recovered
     exactly; floats go through numpy lstsq.  A point that is no Point, lies
-    in another C^m or is not finite, and a value row that is not finite
-    numbers, is refused by its index.
+    in another C^m, is not finite or has a monomial that overflows, and a
+    value row that is not finite numbers, is refused by its index.
     """
     points = list(points)
     if not points:
@@ -465,7 +479,11 @@ def fit_holomorphic(points, values, degree: int) -> FitResult:
     if bad.size:
         r, i = bad[0].tolist()
         raise PreconditionError(f"value row {r} component {i} is not finite: {rows[r][i]!r}")
-    A = np.array(_design_matrix(coords, monos, 1 + 0j), dtype=complex)
+    A = _float_design(coords, monos)
+    bad = np.flatnonzero(~np.isfinite(A).all(axis=1))
+    if bad.size:
+        raise PreconditionError(f"point {bad[0]}'s monomials overflow at degree {degree}: "
+                                f"{points[bad[0]]!r}")
     rhs = table[:, :m]
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     form = _holomorphic_form(m, monos, [

@@ -25,23 +25,18 @@ def _check_draw(m: int, count: int, seed: int) -> None:
     _count(seed, "seed", error=PreconditionError)
 
 
-def _rand_fraction(rng: random.Random, den: int, spread: int) -> Fraction:
-    return Fraction(rng.randint(-spread * den, spread * den), den)
-
-
-def exact_points(m: int, count: int, seed: int = 0, spread: int = 1) -> list[Point]:
-    """Random Gaussian-rational points (denominator 7), all coordinates
-    nonzero.
+def exact_points(m: int, count: int, seed: int = 0) -> list[Point]:
+    """Random Gaussian-rational points, every coordinate a ``random_qc``
+    draw over 7 with spread 1, all coordinates nonzero.
 
     Nonzero coordinates keep negative-exponent coefficients away from their
     poles, so every Laurent evaluation on these points is exact.
     """
     _check_draw(m, count, seed)
-    _count(spread, "spread", 1, PreconditionError)
     rng = random.Random(seed)
     pts: list[Point] = []
     while len(pts) < count:
-        vals = [random_qc(rng, 7, spread) for _ in range(m)]
+        vals = [random_qc(rng, 1) for _ in range(m)]
         if any(v.is_zero for v in vals):
             continue
         pts.append(Point(vals))
@@ -64,12 +59,11 @@ def numeric_points(m: int, count: int, seed: int = 0) -> list[Point]:
     return pts
 
 
-def random_qc(rng: random.Random, den: int = 7, spread: int = 2) -> QC:
-    """One random Gaussian rational ``(a + b*i) / den`` with ``|a|, |b| <=
-    spread * den``, reduced once; ``den`` must be positive."""
-    _count(den, "den", 1, PreconditionError)
-    top = _count(spread, "spread", 0, PreconditionError) * den
-    return _reduced(rng.randint(-top, top), rng.randint(-top, top), den)
+def random_qc(rng: random.Random, spread: int = 2) -> QC:
+    """One random Gaussian rational ``(a + b*i) / 7`` with ``|a|, |b| <=
+    7 spread``, reduced once."""
+    top = _count(spread, "spread", 0, PreconditionError) * 7
+    return _reduced(rng.randint(-top, top), rng.randint(-top, top), 7)
 
 
 def random_jet(n: int, rng: random.Random):
@@ -82,16 +76,16 @@ def random_jet(n: int, rng: random.Random):
     return Jet1(n, a, p)
 
 
-def unit_modulus_values(count: int, seed: int = 0, den: int = 9) -> list[QC]:
+def unit_modulus_values(count: int, seed: int = 0) -> list[QC]:
     """Exact points on the unit circle via the rational parametrization
-    ``t -> ((1-t^2) + 2ti) / (1+t^2)``."""
+    ``t -> ((1-t^2) + 2ti) / (1+t^2)``, t a distinct draw of k/9 with
+    |k| <= 18."""
     _count(count, "count", 0, PreconditionError)
-    _count(den, "den", 1, PreconditionError)
     rng = random.Random(_count(seed, "seed", error=PreconditionError))
     vals: list[QC] = []
     seen: set[Fraction] = set()
     while len(vals) < count:
-        t = _rand_fraction(rng, den, 2)
+        t = Fraction(rng.randint(-18, 18), 9)
         if t in seen:
             continue
         seen.add(t)

@@ -21,7 +21,7 @@ from contactkit import contact, jets
 from contactkit.coefficients import LaurentPoly, Monomial
 from contactkit.contact import (
     FormalPair, contact_defect, formal_defect, is_contact_on,
-    is_formal_contact_on, pfaffian, pfaffian_coeffs, relation_coefficient,
+    is_formal_contact_on, pfaffian_coeffs, relation_coefficient,
     relation_h, relation_slope,
 )
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
@@ -366,30 +366,6 @@ def assert_same(got, want):
 
 
 KINDS = ("qc", "complex", "ndarray")
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.sampled_from(KINDS), st.integers(0, 4), st.permutations(range(9)),
-       st.integers(0, 2 ** 32))
-def test_pfaffian_kernel_matches_plain_expansion(kind, half, order, seed):
-    """Index sets of size 0..8, in any order, on exact, complex and ndarray
-    entries of two skew matrices in turn."""
-    rng = random.Random(seed)
-    idx = tuple(order[:2 * half])
-    # a second matrix on the same index tuple: a plan must keep no entries
-    for _ in range(2):
-        upper = {(i, j): random_entry(kind, rng) for i in range(9) for j in range(i + 1, 9)}
-
-        def entry(i, j):
-            return upper[i, j] if i < j else -upper[j, i]
-
-        assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
-
-
-def test_pfaffian_refuses_an_odd_index_set():
-    for idx in ((0,), (0, 1, 2)):
-        with pytest.raises(DimensionError, match=f"even number of indices, got {len(idx)}"):
-            pfaffian(lambda i, j: QC(1), idx)
 
 
 def matching_pfaffian(entry, size):
@@ -741,13 +717,10 @@ def test_an_int_or_fraction_entry_keeps_the_table_exact(n, other):
 
 
 def test_exact_readers_give_a_qc():
-    """relation_h and pfaffian on int readers answer a QC, at n = 0, 1 and
-    2 alike."""
+    """relation_h on int readers answers a QC, at n = 0, 1 and 2 alike."""
     for n, want in ((0, QC(1)), (1, QC(2)), (2, QC(24))):
         got = relation_h(lambda i: i + 1, lambda r, s: r + s, n)
         assert type(got) is QC and got == want
-    got = pfaffian(lambda i, j: i + j + 1, range(4))
-    assert type(got) is QC and got == QC(13)
 
 
 def test_verifier_tables_at_exact_points_run_on_the_qcs(monkeypatch):
@@ -950,6 +923,21 @@ def test_only_a_jets_view_converts_to_gaussian_integers():
             assert ast.literal_eval(values["self._den"]) == 0
 
 
+def test_only_bordered_builds_a_pfaffian_table():
+    """``_Bordered`` is the one way into the kernel: in the package only
+    ``_Bordered.pf`` calls ``_pf``, and within ``contact`` only
+    ``_Bordered`` asks ``_exact_all`` which ring a table takes."""
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    callers = {(path.name, owner) for path in SRC.glob("*.py")
+               for owner in owners(path.read_text(), calls("_pf"))}
+    assert callers == {("contact.py", "_Bordered.pf")}
+    rings = owners((SRC / "contact.py").read_text(), calls("_exact_all"))
+    assert rings and {owner.split(".")[0] for owner in rings} == {"_Bordered"}
+
+
 def test_a_jet_converts_once_inside_the_operation_that_reads_it(monkeypatch):
     """Building a jet or a ``with_row`` child converts nothing; a
     jet-slices operation (a slice, then h of the jet and of a child with
@@ -993,12 +981,11 @@ def table_entries(up, m, border):
     return upper
 
 
-def test_every_pfaffian_table_is_list_rows_with_the_border_last(monkeypatch):
-    """The view, QC, complex and ndarray tables of ``_Bordered``, and
-    ``pfaffian``'s table by position, are list rows: entry (r, s) at
-    ``up[r][s]`` for s > r, and the border as the last row, so index -1
-    reads it.  Each entry is the one read, scaled by L on Gaussian
-    integers."""
+def test_every_pfaffian_table_is_list_rows_with_the_border_last():
+    """The view, QC, complex and ndarray tables of ``_Bordered`` are list
+    rows: entry (r, s) at ``up[r][s]`` for s > r, and the border as the
+    last row, so index -1 reads it.  Each entry is the one read, scaled by
+    L on Gaussian integers."""
     rng = random.Random(44)
     n, m = 3, 7
     jet = random_jet(n, rng)
@@ -1028,23 +1015,6 @@ def test_every_pfaffian_table_is_list_rows_with_the_border_last(monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(got, [*grid_beta.T, *grid_a.T], strict=True))
     minors = contact._Bordered(None, qbeta, 1)
     assert table_entries(minors._up, 3, False) == [qbeta(0, 1), qbeta(0, 2), qbeta(1, 2)]
-    tables = []
-    inner = contact._pf
-
-    def recorded(up, idx, memo):
-        tables.append(up)
-        return inner(up, idx, memo)
-
-    monkeypatch.setattr(contact, "_pf", recorded)
-    idx = (5, 0, 3, 1)
-    upper = random_skew(6, rng)
-
-    def entry(i, j):
-        return upper[i, j] if i < j else -upper[j, i]
-
-    assert pfaffian(entry, idx) == pfaffian_oracle(entry, idx)
-    assert table_entries(tables[0], 4, False) == [entry(idx[p], idx[q])
-                                                  for p in range(4) for q in range(p + 1, 4)]
 
 
 def test_an_exact_pfaffian_at_n_up_to_1_takes_no_product_by_n_factorial(monkeypatch):
@@ -1110,29 +1080,6 @@ def test_relation_squared_is_the_bordered_determinant():
     assert rings == {True, False}
 
 
-def test_pfaffian_plans_stay_bounded_under_any_index_order():
-    """``pfaffian`` accepts index tuples in any order and reads its table by
-    position, so every order of k indices walks one cached schedule: after
-    many random orders the schedule cache has grown by at most one entry
-    and holds at most its fixed 1024, and the relation paths still expand
-    correctly."""
-    rng = random.Random(263)
-    upper = {(i, j): random_entry("complex", rng) for i in range(10) for j in range(i + 1, 10)}
-
-    def entry(i, j):
-        return upper[i, j] if i < j else -upper[j, i]
-
-    before = contact._schedule.cache_info().currsize
-    for _ in range(300):
-        idx = tuple(rng.sample(range(10), 8))
-        assert_same(pfaffian(entry, idx), pfaffian_oracle(entry, idx))
-    info = contact._schedule.cache_info()
-    assert info.maxsize == 1024 and info.currsize <= min(before + 1, 1024)
-    jet = random_jet(3, rng)
-    a, beta = jet_readers(jet)
-    assert_same(relation_value(jet), relation_h_oracle(a, beta, 3))
-
-
 def _dz_pair(m, variant="laurent"):
     """dz_1 and dz_1^dz_2 on C^m, the 2-form in the given variant."""
     alpha = Form.dz(m, 0)
@@ -1141,14 +1088,6 @@ def _dz_pair(m, variant="laurent"):
 
 
 REFUSALS = [
-    (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 2)), DimensionError,
-     "Pfaffian needs an even number of indices, got 3"),
-    (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 0, 1)), DimensionError,
-     "Pfaffian indices must be distinct, got (0, 1, 0, 1)"),
-    (lambda: pfaffian(lambda i, j: QC(1), (0, 1, 2, 1)), DimensionError,
-     "Pfaffian indices must be distinct, got (0, 1, 2, 1)"),
-    (lambda: pfaffian(lambda i, j: QC(1), (2, 2)), DimensionError,
-     "Pfaffian indices must be distinct, got (2, 2)"),
     pytest.param(lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), -1), DimensionError,
                  "n must be >= 0, got -1", id="n must be an int >= 0, got -1"),
     pytest.param(lambda: relation_h(lambda i: QC(1), lambda r, s: QC(1), 1.5), DimensionError,

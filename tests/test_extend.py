@@ -1,6 +1,7 @@
 """Extension operators: symbolic dbar-flat extension, sampled variant,
 asymptotic-holomorphy checks, and the holomorphic fit."""
 
+import cmath
 import itertools
 import math
 import random
@@ -24,7 +25,14 @@ from contactkit.gallery import covering_map, std_form
 from contactkit.grids import CubeGrid
 from contactkit.jets import RestrictedJet
 from contactkit.sampling import exact_points, numeric_points, random_jet, random_qc
-from contactkit.scalars import QC, _gaussian, exact
+from contactkit.scalars import QC, _gaussian, _reduced, exact
+
+
+def gauss_rational(rng, den, spread):
+    """A Gaussian rational ``(a + b*i) / den`` with ``|a|, |b| <= spread *
+    den``, reduced once: ``random_qc``'s draw over any denominator."""
+    top = spread * den
+    return _reduced(rng.randint(-top, top), rng.randint(-top, top), den)
 
 
 def real_points(m, count, seed=0):
@@ -337,7 +345,7 @@ def test_ah_verify_flags_each_family():
 
 def test_ah_pullback_with_named_map():
     from contactkit.gallery import alpha_prime
-    pts = exact_points(3, 5, seed=17, spread=1)
+    pts = exact_points(3, 5, seed=17)
     report = ah_pullback_verify(covering_map(), alpha_prime(), pts, 1e-8)
     assert report.passed, report.to_text()
 
@@ -516,7 +524,7 @@ def random_system(rng):
     n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 5)
 
     def entry():
-        return QC(0) if rng.random() < 0.3 else random_qc(rng, rng.randint(1, 3), 1)
+        return QC(0) if rng.random() < 0.3 else gauss_rational(rng, rng.randint(1, 3), 1)
 
     cols = []
     for _ in range(n_cols):
@@ -529,7 +537,7 @@ def random_system(rng):
             cols.append(list(rng.choice(cols)))
         else:
             u, v = rng.choice(cols), rng.choice(cols)
-            s = random_qc(rng, 2, 1)
+            s = gauss_rational(rng, 2, 1)
             cols.append([a + s * b for a, b in zip(u, v)])
     A = [[col[r] for col in cols] for r in range(n_rows)]
     rhs = [[entry() for _ in range(n_rows)] for _ in range(rng.randint(1, 3))]
@@ -599,10 +607,11 @@ def random_exact_fit(rng):
     dzbar half is nonzero."""
     m, degree = rng.randint(1, 3), rng.randint(0, 2)
     n_monos = len(list(multi_indices(m, degree)))
-    pool = [Point([QC(0) if rng.random() < 0.2 else random_qc(rng, rng.choice([1, 3, 7]), 2)
+    pool = [Point([QC(0) if rng.random() < 0.2 else gauss_rational(rng, rng.choice([1, 3, 7]), 2)
                    for _ in range(m)]) for _ in range(rng.randint(1, n_monos + 2))]
     points = [rng.choice(pool) for _ in range(n_monos + rng.randint(0, 4))]
-    alpha = Form(m, 1, {(i,): sum((LaurentPoly(m, {Monomial(I, (0,) * m): random_qc(rng, 5, 1)})
+    alpha = Form(m, 1, {(i,): sum((LaurentPoly(m, {Monomial(I, (0,) * m):
+                                                   gauss_rational(rng, 5, 1)})
                                    for I in multi_indices(m, degree)), LaurentPoly.zero(m))
                         for i in range(m)})
     width = rng.choice([m, 2 * m])
@@ -610,8 +619,9 @@ def random_exact_fit(rng):
     for pt in points:
         row = list(alpha.covector_at(pt))[:m]
         if rng.random() < 0.3:
-            row[rng.randrange(m)] += random_qc(rng, 3, 1)
-        row += [QC(0) if rng.random() < 0.5 else random_qc(rng, 2, 1) for _ in range(width - m)]
+            row[rng.randrange(m)] += gauss_rational(rng, 3, 1)
+        row += [QC(0) if rng.random() < 0.5 else gauss_rational(rng, 2, 1)
+                for _ in range(width - m)]
         values.append(row)
     return points, values, degree
 
@@ -703,7 +713,7 @@ def test_design_matrix_mixes_exact_and_float_coordinates():
 @given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 8), st.integers(0, 2 ** 32))
 def test_exact_design_matrix_matches_the_row_products(m, degree, count, seed):
     rng = random.Random(seed)
-    points = [Point([random_qc(rng, rng.choice([1, 3, 7]), 2) if rng.random() < 0.8 else QC(0)
+    points = [Point([gauss_rational(rng, rng.choice([1, 3, 7]), 2) if rng.random() < 0.8 else QC(0)
                      for _ in range(m)]) for _ in range(count)]
     monos = list(multi_indices(m, degree))
     got = _design_matrix([pt.values for pt in points], monos, QC(1))
@@ -750,9 +760,34 @@ def _ones_extension():
     return SampledExtension(CubeGrid(1, 5), np.ones((5, 5, 5)), 1)
 
 
+def _overflow_at_point_3():
+    """Point 3's coordinates have finite squares, |z|^2 / sqrt 2 each, but
+    their product is inf: no power overflows in ``**`` and the row still
+    does."""
+    z = cmath.rect(1.4e154, math.pi / 8)
+    pts = numeric_points(3, 10, 1)
+    return pts[:3] + [Point([z, z.conjugate(), 0j])] + pts[3:]
+
+
 def _nan_at_point_2():
     pts = _float_points()
     return pts[:2] + [Point([math.nan, 0j, 0j])] + pts[3:]
+
+
+def test_a_list_node_reads_as_its_tuple():
+    """A node given as a list passes ``CubeGrid.node_coords`` and then
+    indexes the jets as the tuple it is: ``value`` and ``dbar_residual``
+    give the tuple node's results bit for bit."""
+    rng = np.random.default_rng(7)
+    grid = CubeGrid(1, 5)
+    ext = SampledExtension(grid, rng.standard_normal(grid.shape)
+                           + 1j * rng.standard_normal(grid.shape), 2)
+    y = (0.1, -0.2, 0.3)
+    for node in ([1, 2, 3], [2, 2, 2], [0, 4, 1]):
+        assert repr(ext.value(node, y)) == repr(ext.value(tuple(node), y))
+        for j in range(3):
+            assert repr(ext.dbar_residual(node, y, j)) == repr(
+                ext.dbar_residual(tuple(node), y, j))
 
 
 def test_the_x1_squared_residual_vanishes_at_order_2():
@@ -808,6 +843,11 @@ EXTEND_REFUSALS = [
      DimensionError, "point 3 lies in C^3, point 0 in C^2"),
     (lambda: fit_holomorphic(_nan_at_point_2(), [[1, 1, 1]] * 6, 0), PreconditionError,
      "point 2 is not finite: Point([(nan+0j), 0j, 0j])"),
+    (lambda: fit_holomorphic(numeric_points(3, 10, 1) + [Point([1e200, 0j, 0j])],
+                             [[1, 0, 0]] * 11, 2), PreconditionError,
+     "point 10's monomials overflow at degree 2: Point([(1e+200+0j), 0j, 0j])"),
+    (lambda: fit_holomorphic(_overflow_at_point_3(), [[1, 0, 0]] * 11, 2), PreconditionError,
+     "point 3's monomials overflow at degree 2"),
     (lambda: fit_holomorphic(_float_points(), [["a", "b", "c"]] * 6, 0), PreconditionError,
      "value row 0 is not a row of numbers: ['a', 'b', 'c']"),
     (lambda: fit_holomorphic(_float_points(), [[1, 1, 1]] * 5 + [[1, math.inf, 1]], 0),
@@ -836,7 +876,8 @@ EXTEND_REFUSALS = [
 @pytest.mark.parametrize("call, error, fragment", EXTEND_REFUSALS,
                          ids=[r[2] for r in EXTEND_REFUSALS])
 def test_every_extend_refusal_is_reached(call, error, fragment):
-    """One row per ``raise`` in ``extend.py``, one for the non-coefficient
+    """One row per ``raise`` in ``extend.py``, one more for a design row
+    that overflows to inf without raising, one for the non-coefficient
     that ``dbar_defect`` leaves to ``coefficient_variant``, and one per
     refused node that ``SampledExtension`` leaves to
     ``CubeGrid.node_coords``: the malformed input, its error class and a

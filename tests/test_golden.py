@@ -94,7 +94,7 @@ def _extension_layer_transcript() -> bytes:
     x, y, z = Z(0), Z(1), Z(2)
     crooked = PolyMap(3, (emul(Exp(x), Zbar(1)), eadd(Sin(Zbar(0)), emul(z, Zbar(2))),
                           Cos(emul(y, Zbar(0)))))
-    pts = exact_points(3, 4, seed=17, spread=1)
+    pts = exact_points(3, 4, seed=17)
     for F in (covering_map(), rotation_automorphism(), crooked):
         out.append(dbar_defect(F, pts, 3))
 

@@ -165,15 +165,14 @@ FIXTURES = {
                            {"n": 0}),
     "jets.slope_grid": (slope_grid, {"a": _FIELDS[0], "beta": _FIELDS[1], "n": 1, "r": 0,
                                      "s": 1}, {"n": 0, "r": 0, "s": 0}),
-    "sampling.exact_points": (exact_points, {"m": 2, "count": 2, "seed": 0, "spread": 1},
-                              {"m": 1, "count": 0, "spread": 1}),
+    "sampling.exact_points": (exact_points, {"m": 2, "count": 2, "seed": 0},
+                              {"m": 1, "count": 0}),
     "sampling.numeric_points": (numeric_points, {"m": 2, "count": 2, "seed": 0},
                                 {"m": 1, "count": 0}),
-    "sampling.random_qc": (random_qc, {"rng": random.Random(0), "den": 7, "spread": 2},
-                           {"den": 1, "spread": 0}),
+    "sampling.random_qc": (random_qc, {"rng": random.Random(0), "spread": 2}, {"spread": 0}),
     "sampling.random_jet": (random_jet, {"n": 1, "rng": random.Random(0)}, {"n": 0}),
-    "sampling.unit_modulus_values": (unit_modulus_values, {"count": 2, "seed": 0, "den": 9},
-                                     {"count": 0, "den": 1}),
+    "sampling.unit_modulus_values": (unit_modulus_values, {"count": 2, "seed": 0},
+                                     {"count": 0}),
     "scalars.power": (power, {"base": QC(2), "e": 3, "one": QC(1)}, {"e": 0}),
 }
 

@@ -1,9 +1,9 @@
 """Exact sample points are drawn without building Fractions.
 
 The reference here is the earlier ``Fraction`` path: two reduced
-fractions over ``den``, joined into one ``QC``.  The generators draw the
-same two ints per value and reduce ``(a, b, den)`` once, so the stored
-triples must agree draw for draw.
+fractions over 7, joined into one ``QC``.  The generators draw the same
+two ints per value and reduce ``(a, b, 7)`` once, so the stored triples
+must agree draw for draw.
 """
 
 import cmath
@@ -11,13 +11,13 @@ import math
 import random
 from fractions import Fraction
 
-from contactkit.sampling import exact_points, numeric_points, random_qc
+from contactkit.sampling import exact_points, numeric_points, random_qc, unit_modulus_values
 from contactkit.scalars import QC
 
 
-def fraction_qc(rng, den=7, spread=2):
-    re = Fraction(rng.randint(-spread * den, spread * den), den)
-    im = Fraction(rng.randint(-spread * den, spread * den), den)
+def fraction_qc(rng, spread=2):
+    re = Fraction(rng.randint(-spread * 7, spread * 7), 7)
+    im = Fraction(rng.randint(-spread * 7, spread * 7), 7)
     return QC(re, im)
 
 
@@ -28,21 +28,36 @@ def triple(q):
 def test_random_qc_matches_the_fraction_path_on_20000_draws():
     fast, slow = random.Random(11), random.Random(11)
     for k in range(20000):
-        den, spread = (7, 2) if k % 2 else (1 + k % 12, 1 + k % 3)
-        assert triple(random_qc(fast, den, spread)) == triple(fraction_qc(slow, den, spread))
+        spread = 2 if k % 2 else k % 5
+        assert triple(random_qc(fast, spread)) == triple(fraction_qc(slow, spread))
     assert fast.random() == slow.random()
 
 
 def test_exact_points_match_the_fraction_path():
-    for seed, spread in ((0, 1), (5, 1), (9, 3)):
+    for seed in (0, 5, 9):
         rng = random.Random(seed)
         want = []
         while len(want) < 40:
-            vals = [fraction_qc(rng, 7, spread) for _ in range(3)]
+            vals = [fraction_qc(rng, 1) for _ in range(3)]
             if not any(v.is_zero for v in vals):
                 want.append([triple(v) for v in vals])
-        got = [[triple(v) for v in pt.values] for pt in exact_points(3, 40, seed, spread)]
+        got = [[triple(v) for v in pt.values] for pt in exact_points(3, 40, seed)]
         assert got == want
+
+
+def test_unit_modulus_values_keep_the_draws_over_9():
+    """Distinct t = k/9 with |k| <= 18, each mapped to the unit circle."""
+    for seed in (0, 4):
+        rng = random.Random(seed)
+        ts = []
+        while len(ts) < 20:
+            t = Fraction(rng.randint(-18, 18), 9)
+            if t not in ts:
+                ts.append(t)
+        want = [QC((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)) for t in ts]
+        got = unit_modulus_values(20, seed)
+        assert [triple(v) for v in got] == [triple(v) for v in want]
+        assert all(v.abs2() == 1 for v in got)
 
 
 def annulus_samples(count, seed):
