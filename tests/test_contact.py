@@ -1045,6 +1045,32 @@ def test_an_exact_pfaffian_at_n_up_to_1_takes_no_product_by_n_factorial(monkeypa
     assert not np.shares_memory(relation_grid(a[:, :1], beta[:, :0], 0), a)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_bordered_tables_in_turn_match_plain_expansion(kind):
+    """Two tables in turn at each n = 0 .. 3 walk one cached schedule and
+    share no entries: every Pfaffian of each, whole, without a pair of
+    indices, and of beta's minors, equals the plain expansion."""
+    rng = random.Random(29)
+    for n in range(4):
+        m = 2 * n + 1
+        for _ in range(2):
+            vec = [random_entry(kind, rng) for _ in range(m)]
+            upper = {(r, s): random_entry(kind, rng) for r in range(m) for s in range(r + 1, m)}
+            a, beta = vec.__getitem__, lambda r, s: upper[r, s]
+            full = contact._Bordered(a, beta, n)
+            assert_same(full.pf(), relation_h_oracle(a, beta, n))
+            bordered = bordered_oracle(a, beta)
+            for r in range(m):
+                for s in range(r + 1, m):
+                    rest = tuple(k for k in range(m + 1) if k not in (r + 1, s + 1))
+                    assert_same(full.pf(r, s), factorial(n) * pfaffian_oracle(bordered, rest))
+            if n:
+                minors = contact._Bordered(None, beta, n)
+                for i in range(m):
+                    rest = tuple(k for k in range(m) if k != i)
+                    assert_same(minors.pf(-1, i), factorial(n) * pfaffian_oracle(beta, rest))
+
+
 def test_relation_squared_is_the_bordered_determinant():
     """h^2 = (n!)^2 det [[0, a^T], [-a, beta]], with the determinant from
     sympy's DomainMatrix over QQ_I, on 150 jets at n = 2 and 3 with mixed

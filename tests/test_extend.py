@@ -774,6 +774,28 @@ def _nan_at_point_2():
     return pts[:2] + [Point([math.nan, 0j, 0j])] + pts[3:]
 
 
+def test_float_design_gives_inf_only_on_the_rows_that_overflow():
+    """When one point's power overflows in ``**``, that point's row is all
+    inf and every other row is the one the whole-matrix build gives."""
+    pts = [pt.as_complex() for pt in numeric_points(3, 10, 1)]
+    monos = list(multi_indices(3, 2))
+    coords = pts[:4] + [(1e200 + 0j, 0j, 0j)] + pts[4:]
+    got = extend._float_design(coords, monos)
+    assert got.shape == (11, len(monos)) and np.isinf(got[4]).all()
+    want = np.array(_design_matrix(pts, monos, 1 + 0j), dtype=complex)
+    assert np.array_equal(np.delete(got, 4, axis=0), want)
+
+
+def test_a_fit_refuses_monomials_only_past_the_float_range():
+    """A point with a coordinate of 1e150 fits at degree 2, where its
+    largest monomial is 1e300, and is refused at degree 3."""
+    pts = numeric_points(3, 20, 1) + [Point([1e150 + 0j, 0j, 0j])]
+    fit = fit_holomorphic(pts, [[1, 0, 0]] * 21, 2)
+    assert not fit.exact and math.isfinite(fit.residual)
+    with pytest.raises(PreconditionError, match="point 20's monomials overflow at degree 3"):
+        fit_holomorphic(pts, [[1, 0, 0]] * 21, 3)
+
+
 def test_a_list_node_reads_as_its_tuple():
     """A node given as a list passes ``CubeGrid.node_coords`` and then
     indexes the jets as the tuple it is: ``value`` and ``dbar_residual``

@@ -45,6 +45,16 @@ def test_exact_points_match_the_fraction_path():
         assert got == want
 
 
+def test_exact_points_are_sevenths_in_the_unit_box():
+    """Every coordinate is (a + b*i) / 7 with |a|, |b| <= 7, and none is
+    zero: the fixed denominator 7 and spread 1."""
+    for m, seed in ((1, 0), (3, 8), (5, 21)):
+        for pt in exact_points(m, 30, seed):
+            for v in pt.values:
+                assert not v.is_zero and 7 % v._d == 0
+                assert abs(v._a) <= v._d and abs(v._b) <= v._d
+
+
 def test_unit_modulus_values_keep_the_draws_over_9():
     """Distinct t = k/9 with |k| <= 18, each mapped to the unit circle."""
     for seed in (0, 4):
