@@ -5,12 +5,13 @@ value never vanishes.  Output: a corrected field whose finite-difference
 jet lies in the relation with margin delta at every interior node, within
 sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
-strips.  The homotopy is a function of its endpoints: a result keeps the
-input, the output and the frozen strips, and builds frame k when it is
-read, into two arrays of its own.  The first interior read takes both
-endpoints' formal relation fields and keeps the moduli and arguments
-every frame reads; nothing else is kept, and the verifier holds one frame
-at a time.
+strips.  The homotopy is a function of its endpoints and the strips, so a
+result stores only the input and the output; its ``frames`` are a view
+that builds frame k when it is read, into two arrays of its own.  The
+verifier builds its own homotopy from the caller's input and reads no
+frame from the result.  The first interior read takes both endpoints'
+formal relation fields and keeps the moduli and arguments every frame
+reads; nothing else is kept, and the verifier holds one frame at a time.
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -75,10 +76,6 @@ class Loop:
         if len(self.center) != len(self.direction):
             raise DimensionError(f"a loop's center has length {len(self.center)} and its "
                                  f"direction length {len(self.direction)}")
-
-    def point(self, theta: float) -> tuple:
-        ph = self.radius * complex(math.cos(theta), math.sin(theta))
-        return tuple(c + ph * v for c, v in zip(self.center, self.direction))
 
     def mean_quadrature(self, k: int = 64) -> tuple:
         """Uniform average over k phases; exact for circular harmonics."""
@@ -322,7 +319,7 @@ class Homotopy(Sequence):
     """The N_FRAMES frames from ``start`` to ``end``, each built when read.
 
     Frames 0 and N_FRAMES - 1 copy the endpoints (all frames copy ``start``
-    when ``end`` is ``start``).  Frame k between is the straight line at
+    when the endpoints are equal).  Frame k between is the straight line at
     tau = k / (N_FRAMES - 1) with h steered onto the polar path from h0 to
     h1, the formal relation fields of ``start`` and ``end``, held at
     ``start`` on the ``frozen`` strips (``GammaSpec.strips``' slices).
@@ -339,15 +336,18 @@ class Homotopy(Sequence):
         return N_FRAMES
 
     @functools.cached_property
-    def _polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """|h0|, |h1|, arg h0 and arg(h1 / h0), all that frames read."""
+    def _polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """|h0|, |h1|, arg h0 and arg(h1 / h0), all that frames read, or
+        None when the endpoints are equal and every frame copies start."""
+        if self.end == self.start:
+            return None
         h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (self.start, self.end))
         return np.abs(h0), np.abs(h1), np.angle(h0), np.angle(h1 / h0)
 
     def __getitem__(self, k) -> GridSection:
         k = range(N_FRAMES)[operator.index(k)]
         start, end = self.start, self.end
-        if k == 0 or end is start:
+        if k == 0 or self._polar is None:
             return start.copy()
         if k == N_FRAMES - 1:
             return end.copy()
@@ -400,13 +400,14 @@ class Homotopy(Sequence):
 # -- result and verification ----------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CIResult:
-    """Solver outcome: corrected section, homotopy frames (the solver's
-    ``Homotopy`` computes them on read), achieved bounds."""
+    """Solver outcome: the input it was given, the corrected section and
+    the achieved bounds.  ``frames`` is a read-only view, the ``Homotopy``
+    from the input to the output, built on first read."""
 
+    input: GridSection
     output: GridSection
-    frames: Sequence[GridSection]
     gamma: GammaSpec
     eps: float
     delta: float
@@ -429,18 +430,20 @@ class CIResult:
             "rung": self.rung,
             "passed": self.passed,
             "failure": self.failure,
-            "frames": len(self.frames),
+            "frames": N_FRAMES,
             "frozen_faces": sorted(list(self.gamma.faces)),
             "strip_width": self.gamma.width,
         }
 
+    @functools.cached_property
+    def frames(self) -> Homotopy:
+        return Homotopy(self.input, self.output, tuple(self.gamma.strips(self.input.grid)))
+
 
 def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                **outcome) -> CIResult:
-    """A result whose output and every frame equal the input."""
-    out = inp.copy()
-    frames = Homotopy(out, out, tuple(gamma.strips(inp.grid)))
-    return CIResult(out, frames, gamma, eps, delta, deviation=0.0, **outcome)
+    """A result whose output, and so every frame, equals the input."""
+    return CIResult(inp, inp.copy(), gamma, eps, delta, deviation=0.0, **outcome)
 
 
 def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
@@ -517,9 +520,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
             for strip in frozen:
                 curl[strip] = inp.beta[strip]
                 a[strip] = inp.a[strip]
-            out = GridSection(grid, a, curl)
-            frames = Homotopy(inp, out, frozen)
-            return CIResult(out, frames, gamma, eps, delta,
+            return CIResult(inp, GridSection(grid, a, curl), gamma, eps, delta,
                             margin=achieved, deviation=deviation,
                             sweep_frequencies=sweep_freqs, rung=rung, passed=True)
         masked = np.where(interior, margins, np.inf)
@@ -537,8 +538,9 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
               delta: float) -> VerificationReport:
     """Independent re-check of the solver postconditions.
 
-    Uses only jet and relation operations on the result data; no solver
-    internals are trusted.
+    Uses only jet and relation operations on the caller's input and the
+    result's output; no solver internals are trusted, and no frame is
+    read from the result: the homotopy is built here from its endpoints.
     """
     report = VerificationReport("convex integration postconditions")
     out = result.output
@@ -575,35 +577,23 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
 
     del curl, margins, dev_field
 
-    # (d) frames: endpoints exact, formal margin strictly positive throughout;
-    # (e) frames constant on frozen strips, compared with the input strip by
-    # strip; checked only when there are strips.  One pass reads each frame
-    # once and holds one frame at a time: indexing, unlike iterating a
-    # Sequence, keeps no reference to the frame before.
-    strips = not result.gamma.is_empty
+    # (d) formal margin strictly positive on every frame of the homotopy
+    # from the caller's input to the output, built here, not read from the
+    # result.  Frame k is read by index and let go before frame k + 1 is
+    # built: indexing, unlike iterating a Sequence, keeps no reference to
+    # the frame before.
+    strips = tuple(result.gamma.strips(grid))
+    frames = Homotopy(inp, out, strips)
+    frame_mins = [float(formal_margin_grid(frames[k]).min()) for k in range(N_FRAMES)]
+    worst_k = int(np.argmin(frame_mins))
+    report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
+               f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")
+    # (e) every frame copies the input on the strips except the last, the
+    # output, so the frames are constant there when the output is
     if strips:
-        held = [(s, inp.a[s], inp.beta[s]) for s in result.gamma.strips(grid)]
-    frames, frame_mins, constant = result.frames, [], True
-    for k in range(len(frames)):
-        fr = frames[k]
-        if k == 0:
-            first_ok = fr == inp
-        if k == len(frames) - 1:
-            last_ok = fr == out
-        frame_mins.append(float(formal_margin_grid(fr).min()))
-        if strips and constant:
-            constant = all(np.array_equal(fr.a[s], a) and np.array_equal(fr.beta[s], beta)
-                           for s, a, beta in held)
-        del fr
-    report.add("frame count", len(frame_mins) == N_FRAMES, f"{len(frame_mins)} frames")
-    if frame_mins:
-        report.add("first frame equals input", first_ok)
-        report.add("last frame equals output", last_ok)
-        worst_k = int(np.argmin(frame_mins))
-        report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
-                   f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")
-    if strips:
-        report.add("frames constant on frozen strips", constant)
+        report.add("frames constant on frozen strips",
+                   all(np.array_equal(out.a[s], inp.a[s])
+                       and np.array_equal(out.beta[s], inp.beta[s]) for s in strips))
     return report
 
 

@@ -145,13 +145,14 @@ def cmd_extend(cfg: Namespace) -> VerificationReport:
 def cmd_integrate(cfg: Namespace) -> VerificationReport:
     section, gamma = DEMOS[cfg.demo](cfg.grid)
     result = ci_solve(section, gamma, cfg.eps, cfg.delta, cfg.sweeps)
-    # the verifier and the dump each build a frame on read, so one is held at a time
+    # the verifier builds each frame from the two endpoints and holds one at
+    # a time; the dump writes only the endpoints
     report = verify_ci(result, section, cfg.eps, cfg.delta)
     report.add("solver summary", result.passed,
                f"margin={fmt_num(result.margin)} deviation={fmt_num(result.deviation)} "
                f"rung={result.rung} sweeps={len(result.sweep_frequencies)}")
     if cfg.out:
-        dump_ci_result(result, Path(cfg.out) / "frames")
+        dump_ci_result(result, Path(cfg.out) / "result")
     return report
 
 

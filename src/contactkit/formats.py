@@ -9,7 +9,7 @@ row of values formatted or parsed once, and a malformed body is reported
 at its first bad line; a body in the writer's own layout is read a block
 of lines at a time, without a Python statement per row and without
 splitting the whole text.  Solver results dump as a metadata document plus
-one columnar file per homotopy frame.
+the input and output sections, the homotopy's two endpoints.
 """
 
 from __future__ import annotations
@@ -449,20 +449,17 @@ def load_section(path: str | Path) -> GridSection:
 
 
 def dump_ci_result(result: CIResult, outdir: str | Path) -> list[Path]:
-    """Write meta.json plus frame_0000 ... frame_NNNN columnar files, each
-    frame read by index and let go before the next one is built."""
+    """Write meta.json, input.txt and output.txt: the homotopy is a
+    function of its two endpoints and the strips in meta.json, so no frame
+    is built or written."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    meta_path = outdir / "meta.json"
+    meta_path, inp_path, out_path = (outdir / name
+                                     for name in ("meta.json", "input.txt", "output.txt"))
     meta_path.write_text(json.dumps(result.meta(), indent=2) + "\n")
-    written.append(meta_path)
-    digits = max(4, int(math.log10(max(1, len(result.frames) - 1))) + 1)
-    for k in range(len(result.frames)):
-        path = outdir / f"frame_{k:0{digits}d}.txt"
-        save_section(result.frames[k], path)
-        written.append(path)
-    return written
+    save_section(result.input, inp_path)
+    save_section(result.output, out_path)
+    return [meta_path, inp_path, out_path]
 
 
 def save_report(report: VerificationReport, path: str | Path) -> None:

@@ -1,5 +1,7 @@
 """Small oracles several test modules share; the library never calls them."""
 
+import math
+
 import numpy as np
 
 from contactkit.grids import upper_pairs
@@ -15,6 +17,13 @@ def skew_of_jacobian(jac: np.ndarray) -> np.ndarray:
 def top_coefficient(defect, pt):
     """The coefficient of dz_1^...^dz_m of a top-degree defect form."""
     return defect.coefficient_at(pt, tuple(range(defect.m)))
+
+
+def loop_point(loop, theta: float) -> tuple:
+    """The point of a ``ci.Loop`` at phase theta: center + radius *
+    e^{i theta} * direction."""
+    ph = loop.radius * complex(math.cos(theta), math.sin(theta))
+    return tuple(c + ph * v for c, v in zip(loop.center, loop.direction))
 
 
 # -- the Laurent ring as it was stored before one denominator ---------------

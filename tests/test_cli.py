@@ -167,15 +167,16 @@ def test_integrate_out_inventory(tmp_path, capsys):
                       "--out", str(out_dir))
     assert code == 0
     assert (out_dir / "integrate_report.txt").exists()
-    meta = json.loads((out_dir / "frames" / "meta.json").read_text())
+    meta = json.loads((out_dir / "result" / "meta.json").read_text())
     assert meta["nodes"] == 9
-    frames = sorted((out_dir / "frames").glob("frame_*.txt"))
-    assert len(frames) == meta["frames"]
+    assert meta["frames"] == 17
+    assert sorted(p.name for p in (out_dir / "result").iterdir()) == [
+        "input.txt", "meta.json", "output.txt"]
 
 
 def test_integrate_out_builds_each_frame_on_read(tmp_path, capsys, monkeypatch):
-    """The verifier and then the dump each build every frame when they read
-    it, in order; neither keeps a list of the frames."""
+    """The verifier builds every frame when it reads it, in order, and
+    keeps no list of them; the dump builds none."""
     from contactkit.ci import N_FRAMES, Homotopy
 
     real = Homotopy.__getitem__
@@ -190,17 +191,18 @@ def test_integrate_out_builds_each_frame_on_read(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(capsys, "integrate", "--demo", "flat", "--grid", "9",
                       "--out", str(tmp_path))
     assert code == 0
-    assert built == list(range(N_FRAMES)) * 2
+    assert built == list(range(N_FRAMES))
 
 
 def test_integrate_out_holds_one_frame_at_a_time(tmp_path, capsys):
     """``integrate --demo gamma --grid 33 --out DIR`` holds one frame of
-    3.4 MB at a time: its traced peak is 19 MB, against 71 MB when it
-    listed all 17 frames for the verifier and the dump to share."""
+    3.4 MB at a time: its traced peak is 18 MB, against 71 MB when it
+    listed all 17 frames for the verifier and the dump to share.  The dump
+    is the two endpoints."""
     _, peak, _ = traced_peak(run_cli, capsys, "integrate", "--demo", "gamma", "--grid", "33",
                              "--out", str(tmp_path))
     assert peak <= 26 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"
-    assert len(list((tmp_path / "frames").glob("frame_*.txt"))) == 17
+    assert len(list((tmp_path / "result").glob("*.txt"))) == 2
 
 
 def test_verify_out_report_matches_stdout(tmp_path, capsys):

@@ -12,7 +12,7 @@ READERS = ("README.md", "tests/test_acceptance.py", "bench/probes.py", "bench/wo
 # exported names whose job lies outside those places, each with its reason
 ALLOWED = {
     "holonomic_jet": "the tier-1 oracle of the sampled verifiers and the defect form",
-    "load_section": "reads dumped solver frames back, for the tests and the frame history",
+    "load_section": "reads dumped solver sections back, for the tests and the frame history",
 }
 
 

@@ -721,34 +721,30 @@ def test_dump_ci_result_inventory(tmp_path):
     inp, gamma = demo_flat_section(nodes=9)
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     paths = dump_ci_result(result, tmp_path / "run")
-    assert paths[0].name == "meta.json"
-    assert len(paths) == 1 + N_FRAMES
+    assert [p.name for p in paths] == ["meta.json", "input.txt", "output.txt"]
+    assert sorted((tmp_path / "run").iterdir()) == sorted(paths)
     meta = json.loads(paths[0].read_text())
     assert meta["frames"] == N_FRAMES
     assert meta["passed"] is True
     assert meta["nodes"] == 9
-    first = load_section(paths[1])
-    assert np.array_equal(first.a, result.frames[0].a)
-    last = load_section(paths[-1])
-    assert np.array_equal(last.a, result.frames[-1].a)
-    assert np.array_equal(last.beta, result.frames[-1].beta)
+    assert load_section(paths[1]) == inp
+    assert load_section(paths[2]) == result.output
 
 
-def test_dump_holds_one_frame_at_a_time(tmp_path, monkeypatch):
-    """dump_ci_result reads frame k by index and lets it go before frame
-    k + 1 is built.  With the writer stubbed out, so that its own transient
-    (pinned by the section-text memory tests) does not hide the frames,
-    the traced peak on a fresh gamma-33 result is one frame and its build:
-    7.1 MB, against 10.4 MB when iterating the homotopy kept the frame
-    before alive."""
-    from contactkit import formats
-    inp, gamma = ci.demo_gamma_section(33)
+def test_dump_builds_no_frame(tmp_path, monkeypatch):
+    """dump_ci_result writes the homotopy's endpoints, not its frames: it
+    reads no frame and does not build the result's frame view."""
+    inp, gamma = ci.demo_gamma_section(13)
     result = ci_solve(inp, gamma, 0.5, 1e-3)
-    written = []
-    monkeypatch.setattr(formats, "save_section", lambda frame, path: written.append(path))
-    paths, peak, _ = traced_peak(dump_ci_result, result, tmp_path)
-    assert paths[1:] == written and len(written) == N_FRAMES
-    assert peak <= 8.5 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"
+    assert result.passed, result.failure
+
+    def unread(self, k):
+        raise AssertionError(f"the dump built frame {k}")
+
+    monkeypatch.setattr(ci.Homotopy, "__getitem__", unread)
+    paths = dump_ci_result(result, tmp_path)
+    assert len(paths) == 3
+    assert "frames" not in vars(result)
 
 
 def test_save_report(tmp_path):

@@ -5,12 +5,18 @@ the stored text is the same on any machine.  After an intended report
 change, rewrite a file from ``main()``'s stdout for the same arguments.
 
 The solver dumps are pinned by sha256 instead: their columns are numpy
-floats, so a digest holds for one numpy build and pins that the frames
-written by ``integrate --out`` do not move by a single bit.  The float
-outputs of the extension layer are pinned the same way.
+floats, so a digest pins that the input and output sections written by
+``integrate --out`` do not move by a single bit.  The dump holds no
+interior frame, so its digests hold at every SIMD dispatch level of one
+numpy build (``test_dump_digests_hold_at_every_dispatch_level``).  The
+float outputs of the extension layer are pinned the same way, for one
+numpy build.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,13 +45,13 @@ def test_cli_report_matches_golden(name, capsys):
 
 
 # sha256 over (file name, NUL, bytes) of every file in integrate --out's
-# frames directory, in name order
+# result directory, in name order
 DUMPS = {
-    "flat": (0, "e8c043eb56f2046c2d9a045426fe86fdcd72b39be982bf1e3f995bb6a3a80ba0"),
-    "holonomic": (0, "cb8bf226733a6645adc615421936caa9208df433b440e22c28abc478fd17b9c8"),
+    "flat": (0, "b4554f128e86fb1dfe136057e55dceeab8d035645051d3bb2704d71ce251a7ef"),
+    "holonomic": (0, "cd94bd5b8d678f8a0937d003501e80be020bd58b5b371ec6e93fa27f3043dc52"),
     # refused at 9 nodes before rung 0, naming a node no pass can reach:
-    # every frame is the input
-    "gamma": (1, "99e1e4dc0764361d6281d20a4fae0b7e15e24073a774b99d8f0c71329a15c64f"),
+    # the output is the input
+    "gamma": (1, "36270801d395e6507dcdaec99701bdc8a6fcdf045a12e2ab9dfe937759ff7179"),
 }
 
 
@@ -55,9 +61,49 @@ def test_integrate_dump_matches_golden_digest(demo, tmp_path, capsys):
     assert main(["integrate", "--demo", demo, "--grid", "9", "--out", str(tmp_path)]) == code
     capsys.readouterr()
     h = hashlib.sha256()
-    for path in sorted((tmp_path / "frames").iterdir()):
+    for path in sorted((tmp_path / "result").iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == want
+
+
+# numpy's SIMD dispatch levels below AVX-512, as the features to disable
+LEVELS = {
+    "avx2": "X86_V4 AVX512_ICL AVX512_SPR",
+    "x86-64-v2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+# runs the dump digest test, then names each feature meant to be disabled
+# that numpy still dispatches to; numpy is imported only after pytest has
+# loaded conftest.py, which pins the thread pools first
+_AT_LEVEL = """
+import sys
+import pytest
+code = pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]])
+from numpy._core._multiarray_umath import __cpu_features__
+print("still dispatched:", [f for f in sys.argv[2:] if __cpu_features__[f]])
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+def test_dump_digests_hold_at_every_dispatch_level(level):
+    """The dump digests above hold with numpy dispatching at a reduced
+    level, run in a subprocess with ``NPY_DISABLE_CPU_FEATURES``; a level
+    whose features this CPU's numpy lacks is skipped."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2 names no X86_V* levels
+        pytest.skip("numpy < 2 has no X86_V* dispatch levels")
+    features = LEVELS[level].split()
+    missing = [f for f in features if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU's numpy lacks {missing}")
+    test = "tests/test_golden.py::test_integrate_dump_matches_golden_digest"
+    run = subprocess.run([sys.executable, "-c", _AT_LEVEL, test, *features],
+                         cwd=GOLDEN.parent.parent, capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": LEVELS[level]})
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "3 passed" in run.stdout and "still dispatched: []" in run.stdout, run.stdout
 
 
 def _extension_layer_transcript() -> bytes:
