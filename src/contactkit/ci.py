@@ -581,10 +581,14 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
     # from the caller's input to the output, built here, not read from the
     # result.  Frame k is read by index and let go before frame k + 1 is
     # built: indexing, unlike iterating a Sequence, keeps no reference to
-    # the frame before.
+    # the frame before.  When the output equals the input every frame
+    # copies it, so its one margin is every frame's.
     strips = tuple(result.gamma.strips(grid))
-    frames = Homotopy(inp, out, strips)
-    frame_mins = [float(formal_margin_grid(frames[k]).min()) for k in range(N_FRAMES)]
+    if out == inp:
+        frame_mins = [float(formal_margin_grid(inp).min())]
+    else:
+        frames = Homotopy(inp, out, strips)
+        frame_mins = [float(formal_margin_grid(frames[k]).min()) for k in range(N_FRAMES)]
     worst_k = int(np.argmin(frame_mins))
     report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
                f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")

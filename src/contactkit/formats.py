@@ -4,12 +4,14 @@ Forms travel as JSON with exact rational coefficient parts, so the
 Laurent variant round-trips losslessly.  Sampled sections are columnar
 text, one node per row, with a header declaring the mesh; float columns
 use repr, which round-trips binary-exactly.  A section is written as one
-(nodes x columns) table and read row by row in file order, each distinct
-row of values formatted or parsed once, and a malformed body is reported
-at its first bad line; a body in the writer's own layout is read a block
-of lines at a time, without a Python statement per row and without
-splitting the whole text.  Solver results dump as a metadata document plus
-the input and output sections, the homotopy's two endpoints.
+(nodes x columns) table, each distinct row of values formatted once, and
+read back in that one layout: one row per node in C order, each starting
+with its node index, "\n" line ends.  The body is read a block of lines at
+a time, without a Python statement per row and without splitting the
+whole text, each distinct value text parsed once; any other text is
+refused at the line that leaves the layout.  Solver results dump as a
+metadata document plus the input and output sections, the homotopy's two
+endpoints.
 """
 
 from __future__ import annotations
@@ -245,52 +247,31 @@ def _header_int(header, key: str, least: int) -> int:
     return value
 
 
-def _value_row(text: str, distinct: list) -> tuple[int, int | str]:
-    """The token count of a value text and, when its tokens are finite
-    floats, the id of its row, appended to ``distinct``; else the error."""
-    tokens = text.split()
-    try:
-        row = list(map(float, tokens))
-    except ValueError as exc:
-        return len(tokens), str(exc)
+# every line boundary str.splitlines knows but "\n"
+_OTHER_BREAKS = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_HEADER_KEYS = ("n", "nodes", "bounds", "columns")
+
+
+def _one_line(text: str) -> str:
+    """``text``, or a ValueError when it holds a line boundary other than
+    "\\n", which ``str.split`` would read as a space."""
+    other = _OTHER_BREAKS.search(text)
+    if other:
+        raise ValueError(f"line boundary {other[0]!r} other than '\\n'")
+    return text
+
+
+def _value_row(text: str, m: int, width: int) -> list[float]:
+    """The values of a row's value text, one finite float per token, when
+    the row has ``width`` columns with its m index columns; else a
+    ValueError that says what is wrong."""
+    tokens = _one_line(text).split()
+    if m + len(tokens) != width:
+        raise ValueError(f"{m + len(tokens)} columns, expected {width}")
+    row = list(map(float, tokens))
     if not all(map(math.isfinite, row)):
-        return len(tokens), "non-finite value"
-    distinct.append(row)
-    return len(tokens), len(distinct) - 1
-
-
-def _read_rows(body, width: int, m: int, nodes: int):
-    """Read the body row by row, in file order: its distinct value rows and
-    each node's row.  Each row splits once into its m index tokens and its
-    value text, and each distinct value text is parsed once; the first bad
-    row raises its ParseError."""
-    texts: dict[str, tuple[int, int | str]] = {}  # value text -> _value_row's answer
-    distinct: list[list[float]] = []
-    which: dict[tuple[int, ...], int] = {}  # node -> the id of its value row
-    for lineno, line in body:
-        index = line.split(None, m)
-        text = index.pop() if len(index) > m else ""
-        if text not in texts:
-            texts[text] = _value_row(text, distinct)
-        count, row = texts[text]
-        if len(index) + count != width:
-            raise ParseError(f"line {lineno}: {len(index) + count} columns, expected {width}")
-        try:
-            node = tuple(map(int, index))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if type(row) is str:
-            raise ParseError(f"line {lineno}: {row}")
-        if min(node) < 0 or max(node) >= nodes:
-            raise ParseError(f"line {lineno}: node index {node} out of range")
-        if node in which:
-            raise ParseError(f"line {lineno}: duplicate row for node {node}")
-        which[node] = row
-    # nodes ** m rows, all in range and none repeated: every node is present
-    flat = np.ravel_multi_index(np.array(list(which), np.intp).T, (nodes,) * m)
-    order = np.empty(len(which), dtype=np.intp)
-    order[flat] = list(which.values())
-    return np.array(distinct, float), order
+        raise ValueError("non-finite value")
+    return row
 
 
 def _read_header(header) -> tuple[CubeGrid, int]:
@@ -320,56 +301,29 @@ def _read_header(header) -> tuple[CubeGrid, int]:
     return grid, len(columns)
 
 
-# every line boundary str.splitlines knows but "\n"
-_OTHER_BREAKS = re.compile("[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
-_HEADER_KEYS = ("n", "nodes", "bounds", "columns")
+def _row_count(text: str, start: int, lineno: int, rows: int) -> ParseError:
+    """The refusal of a body, from offset ``start`` and line ``lineno``,
+    that has not ``rows`` lines: at the line past the last node's row, or
+    past the end of the text."""
+    found = text.count("\n", start) + (not text.endswith("\n")) if start < len(text) else 0
+    return ParseError(f"line {lineno + min(found, rows)}: {found} node rows, expected {rows}")
 
 
-def _canonical_section(text: str) -> GridSection | None:
-    """The section of ``text`` when its header lines are valid and its body
-    is in the writer's index layout (per node in C order, its prefix "i1 ...
-    im ", "\\n" line ends) and its values parse, else None.  The header is
-    read a line at a time up to the first body line, and a line holding any
-    line boundary but "\\n" is refused, so the text is never split whole and
-    every line is the one ``str.splitlines`` gives the general reader."""
-    header: dict[str, tuple[int, list[str]]] = {}
-    start, lineno = 0, 1
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        raw = text[start:end]
-        if _OTHER_BREAKS.search(raw):
-            return None
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            key = line.split(None, 1)[0] if line[0].isalpha() else None
-            if key not in _HEADER_KEYS:
-                return _canonical_body(text, start, header)
-            if key in header:
-                return None
-            header[key] = (lineno, line.split()[1:])
-        start, lineno = end + 1, lineno + 1
-    return None
-
-
-def _canonical_body(text: str, start: int, header) -> GridSection | None:
-    """``_canonical_section``'s body from offset ``start``, split a block of
-    ``_TEXT_BLOCK`` characters (ending at a "\\n") at a time: each block's
-    lines are checked against their nodes' prefixes, taken lazily in C
-    order, and its value texts keyed by the row of their first copy.  The
-    header's node count is the row count; a body too short to hold that
-    many rows is refused before anything is allocated, and one that runs
-    out of prefixes or ends before them as it is read.  Each distinct value
-    text is parsed once, by the general path's ``_value_row``; no Python
-    statement runs per row."""
-    try:
-        grid, width = _read_header(header)
-    except ParseError:
-        return None
-    rows = grid.n_nodes
-    # every row but the last ends in "\n" after at least one character
-    if 2 * rows > len(text) - start + 1:
-        return None
+def _read_body(text: str, start: int, lineno: int, grid: CubeGrid, width: int) -> GridSection:
+    """The body from offset ``start``, line ``lineno`` of the text: one row
+    per node in C order, each its node's prefix "i1 ... im " and its value
+    text.  It is split a block of ``_TEXT_BLOCK`` characters (ending at a
+    "\\n") at a time, each block's lines checked against their nodes'
+    prefixes, taken lazily in C order, and its value texts keyed by the row
+    of their first copy; then each distinct value text is parsed once, in
+    the order of its first row.  No Python statement runs per row, and the
+    first line off the layout is refused before any value is parsed."""
+    rows, body = grid.n_nodes, start
+    # every row but the last ends in "\n" after at least one character, so
+    # a header that claims more rows than the text can hold is refused
+    # before a prefix is made or an array allocated
+    if 2 * rows - 1 > len(text) - start:
+        raise _row_count(text, body, lineno, rows)
     prefixes = map("".join, itertools.product(*_row_parts(grid.nodes, grid.m)))
     ids: dict[str, int] = {}  # value text -> the row of its first copy
     first = np.empty(rows, np.intp)
@@ -380,58 +334,60 @@ def _canonical_body(text: str, start: int, header) -> GridSection | None:
         end = len(text) if end < 0 else end
         lines = text[start:end].split("\n")
         block = list(itertools.islice(prefixes, len(lines)))
-        if len(block) < len(lines) or not all(map(str.startswith, lines, block)):
-            return None
+        if not all(map(str.startswith, lines, block)):
+            bad = next(k for k, (line, prefix) in enumerate(zip(lines, block))
+                       if not line.startswith(prefix))
+            node = tuple(map(int, np.unravel_index(done + bad, grid.shape)))
+            raise ParseError(f"line {lineno + done + bad}: expected the row of node {node}, "
+                             f"starting {block[bad]!r}")
+        if len(block) < len(lines):
+            raise _row_count(text, body, lineno, rows)
         first[done:done + len(lines)] = np.fromiter(
             map(ids.setdefault, map(str.removeprefix, lines, block), itertools.count(done)),
             np.intp, len(lines))
         start, done = end + 1, done + len(lines)
     if done < rows:
-        return None
-    distinct: list[list[float]] = []
-    for value_text in ids:
-        count, row = _value_row(value_text, distinct)
-        if count != width - grid.m or type(row) is str or _OTHER_BREAKS.search(value_text):
-            return None
+        raise _row_count(text, body, lineno, rows)
+    distinct = []
+    for value_text, row in ids.items():
+        try:
+            distinct.append(_value_row(value_text, grid.m, width))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno + row}: {exc}") from None
     # the first copies' rows increase in the order of the distinct texts
     order = np.empty(rows, dtype=np.intp)
     order[np.fromiter(ids.values(), np.intp, len(ids))] = np.arange(len(ids))
-    return _section(grid, np.array(distinct, float), order[first])
-
-
-def _section(grid: CubeGrid, distinct: np.ndarray, order: np.ndarray) -> GridSection:
-    """The section whose node k carries the value row distinct[order[k]],
-    gathered straight into component planes."""
-    planes = np.moveaxis(np.take(distinct.view(complex).T, order, axis=1).reshape(
-        (-1,) + grid.shape), 0, -1)
+    # node k carries the value row distinct[order[first[k]]], gathered
+    # straight into component planes
+    planes = np.moveaxis(np.take(np.array(distinct, float).view(complex).T, order[first],
+                                 axis=1).reshape((-1,) + grid.shape), 0, -1)
     return GridSection(grid, planes[..., :grid.m], planes[..., grid.m:])
 
 
 def section_from_text(text: str) -> GridSection:
-    """The section ``text`` holds: read by ``_canonical_section`` when it
-    takes the text, else line by line in file order (``str.splitlines``)."""
-    section = _canonical_section(text)
-    if section is not None:
-        return section
+    """The section ``text`` holds in the writer's layout.  The header is
+    read a line at a time: comments and blank lines are skipped, and each
+    key may come once, in any order.  The first other line starts the body,
+    which ``_read_body`` reads.  A line holding a line boundary other than
+    "\\n" is refused at that line."""
     header: dict[str, tuple[int, list[str]]] = {}
-    body = []  # (line number, stripped text) per body line
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # header keys begin with a letter, body lines with a node index
-        key = line.split(None, 1)[0] if line[0].isalpha() else None
-        if key in _HEADER_KEYS:
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        try:
+            line = _one_line(text[start:end]).strip()
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if line and not line.startswith("#"):
+            key = line.split(None, 1)[0] if line[0].isalpha() else None
+            if key not in _HEADER_KEYS:
+                break
             if key in header:
                 raise ParseError(f"line {lineno}: repeated header key {key!r}")
             header[key] = (lineno, line.split()[1:])
-            continue
-        body.append((lineno, line))
-    grid, width = _read_header(header)
-    # checked before allocating: a huge node count must not reach np.empty
-    if len(body) != grid.n_nodes:
-        raise ParseError(f"{len(body)} node rows, expected {grid.n_nodes}")
-    return _section(grid, *_read_rows(body, width, grid.m, grid.nodes))
+        start, lineno = end + 1, lineno + 1
+    return _read_body(text, start, lineno, *_read_header(header))
 
 
 def save_section(section: GridSection, path: str | Path) -> None:

@@ -610,6 +610,27 @@ def test_verifier_reads_no_frame_from_the_result(monkeypatch):
     assert report.passed, report.to_text()
 
 
+def test_verifier_checks_a_constant_homotopy_once(monkeypatch):
+    """An output equal to the input makes every frame a copy of it, so the
+    verifier takes the input's one margin and builds no frame: the
+    holonomic 25-node output, read back from its text as grid-solve reads
+    it, verifies with ``Homotopy.__getitem__`` raising, and the report
+    names frame 0, as the 17 frames' margins did."""
+    from contactkit.formats import section_from_text, section_to_text
+    inp, gamma = demo_holonomic_section(nodes=25)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    back = section_from_text(section_to_text(result.output))
+    assert back == inp and back is not inp
+
+    def unread(self, k):
+        raise AssertionError(f"the verifier built frame {k}")
+
+    monkeypatch.setattr(Homotopy, "__getitem__", unread)
+    report = verify_ci(dataclasses.replace(result, output=back), inp, 0.5, 1e-3)
+    assert report.passed, report.to_text()
+    assert "at frame 0" in report.to_text()
+
+
 def test_verifier_rejects_beta_that_is_not_the_curl():
     inp, gamma, result = run_flat()
     result.output.beta[8, 8, 8, 1] += 0.5  # beta_13

@@ -1,5 +1,6 @@
 """Lossless file formats and their parse diagnostics."""
 
+import ast
 import copy
 import functools
 import hashlib
@@ -8,6 +9,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,36 +418,6 @@ def test_section_parser_skips_comments_and_blanks():
                           messy_section(nodes=5).a)
 
 
-def test_section_parse_errors():
-    good = section_to_text(messy_section(nodes=5))
-    lines = good.splitlines()
-
-    with pytest.raises(ParseError) as err:
-        section_from_text("\n".join(l for l in lines if not l.startswith("nodes")))
-    assert "bad section header" in str(err.value)
-
-    with pytest.raises(ParseError) as err:
-        section_from_text(good.replace("bounds 0.0 1.0 0.0 1.0 0.0 1.0",
-                                       "bounds 0.0 1.0"))
-    assert "bounds carry" in str(err.value)
-
-    truncated = lines[:]
-    truncated[7] = " ".join(truncated[7].split()[:-1])
-    with pytest.raises(ParseError) as err:
-        section_from_text("\n".join(truncated))
-    assert "columns, expected" in str(err.value)
-
-    shifted = lines[:]
-    shifted[7] = "9 " + shifted[7].split(" ", 1)[1]
-    with pytest.raises(ParseError) as err:
-        section_from_text("\n".join(shifted))
-    assert "out of range" in str(err.value)
-
-    with pytest.raises(ParseError) as err:
-        section_from_text("\n".join(lines[:-4]))
-    assert "node rows" in str(err.value)
-
-
 def test_section_columns_line_is_checked():
     """A columns line must match the layout the writer uses; a missing one
     is still accepted."""
@@ -457,17 +429,6 @@ def test_section_columns_line_is_checked():
     assert str(err.value).startswith("line 5: ")
     missing = lines[:4] + lines[5:]
     assert section_from_text("\n".join(missing)) == messy_section(nodes=5)
-
-
-def test_section_parse_rejects_duplicate_node_row():
-    """A repeated node row standing in for a missing one must not read the
-    missing node as zeros."""
-    lines = section_to_text(messy_section(nodes=5)).splitlines()
-    first = next(k for k, line in enumerate(lines) if line.startswith("0 0 0 "))
-    lines[first + 1] = lines[first]
-    with pytest.raises(ParseError) as err:
-        section_from_text("\n".join(lines))
-    assert f"line {first + 2}: duplicate row" in str(err.value)
 
 
 def _replace_line(key, new):
@@ -589,25 +550,36 @@ def test_form_parser_fuzz(base, n_mutations, data):
 
 
 # "1_0", "+3", "-0", "1e0", "infinity", "0x10" and the full-width "３" pin
-# which index and value tokens Python's int and float accept.
+# which value tokens Python's float accepts.
 TOKENS = ["x", "-1", "0", "3", "7", "1.5", "nan", "inf", "1e999", "#", "nodes", "n",
           "1_0", "+3", "-0", "1e0", "infinity", "0x10", "３"]
 SECTION_BASE = section_to_text(messy_section(nodes=5)).splitlines()
 
 
-def _mutated_section_text(n_mutations, data):
-    lines = list(SECTION_BASE)
+def _mutated_section_text(n_mutations, data, in_layout=False):
+    """SECTION_BASE mutated a few times: a line dropped or repeated, or one
+    of its tokens dropped, repeated or retyped.  ``in_layout`` keeps the
+    text in the writer's layout: only header lines come and go, and each
+    line keeps its first token, a body row its node index and the nodes
+    line its count, which fixes the body's rows."""
+    lines, head = list(SECTION_BASE), 5
     for _ in range(n_mutations):
         k = data.draw(st.integers(0, len(lines) - 1))
         tokens = lines[k].split()
-        t = data.draw(st.integers(0, len(tokens) - 1))
-        op = data.draw(st.sampled_from(
-            ["drop line", "duplicate line", "drop", "duplicate", "retype"]))
+        keep, ops = 0, ["drop line", "duplicate line"]
+        if in_layout:
+            keep = 3 if k >= head else 2 if tokens[0] == "nodes" else 1
+            ops = ops if k < head else []
+        ops += ["drop", "duplicate", "retype"] if len(tokens) > keep else []
+        op = data.draw(st.sampled_from(ops))
         if op == "drop line":
             del lines[k]
+            head -= k < head
         elif op == "duplicate line":
             lines.insert(k, lines[k])
+            head += k < head
         else:
+            t = data.draw(st.integers(keep, len(tokens) - 1))
             if op == "drop":
                 del tokens[t]
             elif op == "duplicate":
@@ -651,70 +623,23 @@ def test_section_parser_fuzz(n_mutations, data):
 @fuzz
 @given(st.integers(1, 3), st.data())
 def test_section_reader_matches_reference(n_mutations, data):
-    """On every mutated input the column-wise reader and the row-by-row
-    reference both return bit-equal sections or both raise the same
-    ParseError."""
-    _assert_readers_agree(_mutated_section_text(n_mutations, data))
+    """On every mutated input in the writer's layout the reader and the
+    row-by-row reference both return bit-equal sections or both raise the
+    same ParseError."""
+    _assert_readers_agree(_mutated_section_text(n_mutations, data, in_layout=True))
 
 
-def test_section_readers_agree_on_every_token():
-    """Each fuzz token in each column of two rows, and each pair of tokens
-    in an index and a value column of one: the column-wise reader accepts,
-    reads and refuses exactly as the row-by-row reference does."""
+def test_section_readers_agree_on_every_value_token():
+    """Each fuzz token in each value column of two rows: the reader
+    accepts, reads and refuses exactly as the row-by-row reference does."""
     lines = list(SECTION_BASE)
-
-    def agree(node, edits):
-        k = next(k for k, line in enumerate(lines) if line.startswith(node + " "))
-        row = lines[k].split()
-        for c, token in edits:
-            row[c] = token
-        _assert_readers_agree("\n".join(lines[:k] + [" ".join(row)] + lines[k + 1:]))
-
-    # "1e0" and "1.5" hold the index 1 as floats; "+3" and "３" spell 3
     for node in ("1 1 1", "3 3 3"):
-        for c in range(len(lines[5].split())):
+        k = next(k for k, line in enumerate(lines) if line.startswith(node + " "))
+        for c in range(3, len(lines[k].split())):
             for token in TOKENS:
-                agree(node, [(c, token)])
-    for index_token in TOKENS:
-        for value_token in TOKENS:
-            agree("0 0 0", [(0, index_token), (-1, value_token)])
-
-
-def test_section_readers_agree_on_index_spellings():
-    """Each distinct index token is parsed once, and "1", "01", "+1" and
-    "0_1" all read as index 1 ("1_0" reads as 10), so a row spelled "01"
-    beside a row spelled "1" is a duplicate: both readers read and refuse
-    alike."""
-    def edited(edits):
-        lines = list(SECTION_BASE)
-        for node, c, token in edits:
-            k = next(k for k, line in enumerate(lines) if line.startswith(node + " "))
-            row = lines[k].split()
-            row[c] = token
-            lines[k] = " ".join(row)
-        return "\n".join(lines)
-
-    respelled = edited([("1 1 1", 0, "01"), ("1 0 0", 0, "+1"), ("0 1 0", 1, "0_1"),
-                        ("2 2 1", 2, "01")])
-    _assert_readers_agree(respelled)
-    assert section_from_text(respelled) == messy_section(nodes=5)
-    for edits in ([("0 1 1", 0, "01")], [("0 2 2", 0, "+1")], [("3 3 3", 2, "1_0")],
-                  [("0 1 1", 0, "01"), ("4 4 4", 0, "1_0")],
-                  [("4 4 4", 0, "1_0"), ("0 1 1", 0, "01")]):
-        text = edited(edits)
-        with pytest.raises(ParseError):
-            section_from_text(text)
-        _assert_readers_agree(text)
-
-
-def test_section_rows_may_come_in_any_order():
-    """Rows are placed by their node index, not by their position."""
-    lines = list(SECTION_BASE)
-    body = lines[5:]
-    random.Random(3).shuffle(body)
-    text = "\n".join(lines[:5] + body)
-    _assert_readers_agree(text)
-    assert section_from_text(text) == messy_section(nodes=5)
+                row = lines[k].split()
+                row[c] = token
+                _assert_readers_agree("\n".join(lines[:k] + [" ".join(row)] + lines[k + 1:]))
 
 
 def test_dump_ci_result_inventory(tmp_path):
@@ -985,10 +910,14 @@ FORMATS_REFUSALS = [
      "line 8: could not convert string to float: 'x'"),
     (lambda tmp: section_from_text(_row_with(7, 4, "nan")), ParseError,
      "line 8: non-finite value"),
+    (lambda tmp: section_from_text(_row_with(7, 4, "1\x85" + SECTION_BASE[7].split()[4])),
+     ParseError, "line 8: line boundary '\\x85' other than '\\n'"),
     (lambda tmp: section_from_text(_row_with(7, 0, "9")), ParseError,
-     "line 8: node index (9, 0, 2) out of range"),
+     "line 8: expected the row of node (0, 0, 2), starting '0 0 2 '"),
     (lambda tmp: section_from_text(_section_with(8, SECTION_BASE[7])), ParseError,
-     "line 9: duplicate row for node (0, 0, 2)"),
+     "line 9: expected the row of node (0, 0, 3), starting '0 0 3 '"),
+    (lambda tmp: section_from_text("\r\n".join(SECTION_BASE)), ParseError,
+     "line 1: line boundary '\\r' other than '\\n'"),
     (lambda tmp: section_from_text(_section_with(2, None)), ParseError,
      "bad section header: missing 'nodes'"),
     (lambda tmp: section_from_text(_section_with(3, "bounds 0.0 1.0 0.0 1.0 0.0 x")),
@@ -997,8 +926,12 @@ FORMATS_REFUSALS = [
      "line 4: bounds carry 2 numbers, expected 6"),
     (lambda tmp: section_from_text(_section_with(3, "bounds 1.0 0.0 0.0 1.0 0.0 1.0")),
      ParseError, "line 4: bounds: axis 0: interval [1.0, 0.0]"),
+    (lambda tmp: section_from_text(_section_with(2, "nodes 100000")), ParseError,
+     "line 131: 125 node rows, expected 1000000000000000"),
     (lambda tmp: section_from_text(_section_with(len(SECTION_BASE) - 1, None)), ParseError,
-     "124 node rows, expected 125"),
+     "line 130: 124 node rows, expected 125"),
+    (lambda tmp: section_from_text("\n".join(SECTION_BASE + SECTION_BASE[-1:])), ParseError,
+     "line 131: 126 node rows, expected 125"),
     (lambda tmp: section_from_text(_section_with(4, "columns bogus")), ParseError,
      "line 5: columns do not match the n = 1 layout"),
     (lambda tmp: section_from_text(_section_with(0, "n 1")), ParseError,
@@ -1048,114 +981,165 @@ def _with_break_in_row(k, brk, lines):
     return lines[:k] + [head + brk + tail] + lines[k + 1:]
 
 
-READER_PATHS = [
-    # (id, base lines, edit, line end, takes the general reader)
-    ("canonical", lambda: SECTION_BASE, lambda lines: lines, "\n", False),
-    ("canonical-repeated-rows", lambda: _solver_lines("flat", 9), lambda lines: lines, "\n",
-     False),
-    ("canonical-comments-in-header", lambda: SECTION_BASE,
-     lambda lines: lines[:2] + ["# note", ""] + lines[2:], "\n", False),
-    ("rows-permuted", lambda: SECTION_BASE,
-     lambda lines: lines[:5] + lines[6:7] + lines[5:6] + lines[7:], "\n", True),
-    ("comment-among-rows", lambda: SECTION_BASE,
-     lambda lines: lines[:40] + ["# a comment"] + lines[40:], "\n", True),
-    ("blank-among-rows", lambda: SECTION_BASE,
-     lambda lines: lines[:40] + [""] + lines[40:], "\n", True),
-    ("header-key-after-body", lambda: SECTION_BASE,
-     lambda lines: lines[:4] + lines[5:] + lines[4:5], "\n", True),
-    ("tab-separators", lambda: SECTION_BASE,
-     lambda lines: lines[:5] + [line.replace(" ", "\t") for line in lines[5:]], "\n", True),
-    ("index-spelled-01", lambda: SECTION_BASE,
-     lambda lines: lines[:30] + ["0" + lines[30]] + lines[31:], "\n", True),
+def _respelled(k, c, token):
+    """An edit that spells index c of the row at line k (0-based) as token."""
+    def edit(lines):
+        row = lines[k].split(" ")
+        row[c] = token
+        return lines[:k] + [" ".join(row)] + lines[k + 1:]
+    return edit
+
+
+def _expected_row(line, node):
+    prefix = "".join(f"{i} " for i in node)
+    return f"line {line}: expected the row of node {node}, starting {prefix!r}"
+
+
+SECTION_TEXTS = [
+    # (id, base lines, edit, line end, refusal): a refusal of None marks a
+    # text in the writer's layout, which reads as the reference reads it
+    ("as-written", lambda: SECTION_BASE, lambda lines: lines, "\n", None),
+    ("repeated-rows", lambda: _solver_lines("flat", 9), lambda lines: lines, "\n", None),
+    ("comments-and-blanks-in-header", lambda: SECTION_BASE,
+     lambda lines: lines[:2] + ["# note", "", "  "] + lines[2:], "\n", None),
+    ("header-keys-in-any-order", lambda: SECTION_BASE,
+     lambda lines: lines[:1] + lines[3:5] + lines[1:3] + lines[5:], "\n", None),
+    ("no-columns-line", lambda: SECTION_BASE, lambda lines: lines[:4] + lines[5:], "\n", None),
     ("trailing-spaces", lambda: SECTION_BASE,
-     lambda lines: lines[:5] + [line + " " for line in lines[5:]], "\n", False),
+     lambda lines: lines[:5] + [line + " " for line in lines[5:]], "\n", None),
     ("double-spaced-values", lambda: SECTION_BASE,
      lambda lines: lines[:5] + [line.replace(" ", "  ").replace("  ", " ", 3)
-                                for line in lines[5:]], "\n", False),
-    ("crlf-line-ends", lambda: SECTION_BASE, lambda lines: lines, "\r\n", True),
-    ("one-value-too-few", lambda: SECTION_BASE,
-     lambda lines: lines[:50] + [lines[50].rsplit(" ", 1)[0]] + lines[51:], "\n", True),
-    ("formfeed-for-one-line-end", lambda: SECTION_BASE,
-     lambda lines: lines[:40] + [lines[40] + "\f" + lines[41]] + lines[42:], "\n", True),
-    ("trailing-blank-line", lambda: SECTION_BASE, lambda lines: lines + [""], "\n", True),
-    # the comment line ends at the "\x1e", so "n 1" after it repeats a key
-    ("record-separator-in-a-comment", lambda: SECTION_BASE,
-     lambda lines: [lines[0] + "\x1e" + lines[1]] + lines[1:], "\n", True),
+                                for line in lines[5:]], "\n", None),
+    ("tabs-among-values", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + [line.replace(" ", "\t").replace("\t", " ", 3)
+                                for line in lines[5:]], "\n", None),
     ("last-row-without-line-end", lambda: SECTION_BASE,
-     lambda lines: [line + "\n" for line in lines[:-1]] + lines[-1:], "", False),
+     lambda lines: [line + "\n" for line in lines[:-1]] + lines[-1:], "", None),
+    ("one-value-too-few", lambda: SECTION_BASE,
+     lambda lines: lines[:50] + [lines[50].rsplit(" ", 1)[0]] + lines[51:], "\n", None),
+    ("a-value-not-a-float", lambda: SECTION_BASE, _respelled(7, 4, "x"), "\n", None),
+    ("a-non-finite-value", lambda: SECTION_BASE, _respelled(7, 4, "1e999"), "\n", None),
+    # rows off the writer's order or spelling
+    ("rows-permuted", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + lines[6:7] + lines[5:6] + lines[7:], "\n",
+     _expected_row(6, (0, 0, 0))),
+    ("flat-13-shuffled", functools.partial(_solver_lines, "flat", 13), _shuffled, "\n",
+     _expected_row(6, (0, 0, 0))),
+    ("row-missing", lambda: SECTION_BASE, lambda lines: lines[:40] + lines[41:], "\n",
+     _expected_row(41, (1, 2, 0))),
+    ("row-repeated", lambda: SECTION_BASE,
+     lambda lines: lines[:8] + lines[7:8] + lines[9:], "\n", _expected_row(9, (0, 0, 3))),
+    ("comment-among-rows", lambda: SECTION_BASE,
+     lambda lines: lines[:40] + ["# a comment"] + lines[40:], "\n", _expected_row(41, (1, 2, 0))),
+    ("blank-among-rows", lambda: SECTION_BASE,
+     lambda lines: lines[:40] + [""] + lines[40:], "\n", _expected_row(41, (1, 2, 0))),
+    ("tab-separators", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + [line.replace(" ", "\t") for line in lines[5:]], "\n",
+     _expected_row(6, (0, 0, 0))),
+    ("indented-row", lambda: SECTION_BASE,
+     lambda lines: lines[:9] + [" " + lines[9]] + lines[10:], "\n", _expected_row(10, (0, 0, 4))),
+    ("index-out-of-range", lambda: SECTION_BASE, _respelled(7, 0, "9"), "\n",
+     _expected_row(8, (0, 0, 2))),
+    ("index-spelled-01", lambda: SECTION_BASE, _respelled(30, 0, "01"), "\n",
+     _expected_row(31, (1, 0, 0))),
+    ("index-spelled-+1", lambda: SECTION_BASE, _respelled(10, 1, "+1"), "\n",
+     _expected_row(11, (0, 1, 0))),
+    ("index-spelled-0_1", lambda: SECTION_BASE, _respelled(6, 2, "0_1"), "\n",
+     _expected_row(7, (0, 0, 1))),
+    ("index-spelled-1e0", lambda: SECTION_BASE, _respelled(6, 2, "1e0"), "\n",
+     _expected_row(7, (0, 0, 1))),
+    ("index-spelled-full-width-3", lambda: SECTION_BASE, _respelled(8, 2, "３"), "\n",
+     _expected_row(9, (0, 0, 3))),
+    # the row count
+    ("header-only", lambda: SECTION_BASE, lambda lines: lines[:5], "\n",
+     "line 6: 0 node rows, expected 125"),
+    ("last-rows-missing", lambda: SECTION_BASE, lambda lines: lines[:-4], "\n",
+     "line 127: 121 node rows, expected 125"),
+    ("a-row-too-many", lambda: SECTION_BASE, lambda lines: lines + lines[-1:], "\n",
+     "line 131: 126 node rows, expected 125"),
+    ("trailing-blank-line", lambda: SECTION_BASE, lambda lines: lines + [""], "\n",
+     "line 131: 126 node rows, expected 125"),
+    ("header-key-after-body", lambda: SECTION_BASE,
+     lambda lines: lines[:4] + lines[5:] + lines[4:5], "\n",
+     "line 130: 126 node rows, expected 125"),
+    # line boundaries other than "\n"
+    ("crlf-line-ends", lambda: SECTION_BASE, lambda lines: lines, "\r\n",
+     "line 1: line boundary '\\r' other than '\\n'"),
+    ("cr-line-ends", lambda: SECTION_BASE, lambda lines: lines, "\r",
+     "line 1: line boundary '\\r' other than '\\n'"),
+    ("gamma-13-crlf", functools.partial(_solver_lines, "gamma", 13), lambda lines: lines,
+     "\r\n", "line 1: line boundary '\\r' other than '\\n'"),
+    ("crlf-rows-only", lambda: SECTION_BASE,
+     lambda lines: lines[:5] + ["\r\n".join(lines[5:])], "\n",
+     "line 6: line boundary '\\r' other than '\\n'"),
+    # the comment line ends at the "\x1e" for str.splitlines
+    ("record-separator-in-a-comment", lambda: SECTION_BASE,
+     lambda lines: [lines[0] + "\x1e" + lines[1]] + lines[1:], "\n",
+     "line 1: line boundary '\\x1e' other than '\\n'"),
+    ("formfeed-for-one-line-end", lambda: SECTION_BASE,
+     lambda lines: lines[:40] + [lines[40] + "\f" + lines[41]] + lines[42:], "\n",
+     _expected_row(42, (1, 2, 1))),
 ] + [
     # a line boundary between two values, which str.split reads as a space
     (f"{name}-inside-a-row", lambda: SECTION_BASE,
-     functools.partial(_with_break_in_row, 40, brk), "\n", True)
+     functools.partial(_with_break_in_row, 40, brk), "\n",
+     f"line 41: line boundary {brk!r} other than '\\n'")
     for name, brk in (("formfeed", "\f"), ("nel", "\x85"), ("line-separator", "\u2028"))
-] + [
-    # 2,197 rows with many repeated value texts, off the writer's layout
-    (f"{demo}-13-{name}", functools.partial(_solver_lines, demo, 13), edit, end, True)
-    for demo in ("flat", "gamma")
-    for name, edit, end in (("crlf", lambda lines: lines, "\r\n"), ("shuffled", _shuffled, "\n"))
 ]
 
 
-@pytest.mark.parametrize("base, edit, end, general", [r[1:] for r in READER_PATHS],
-                         ids=[r[0] for r in READER_PATHS])
-def test_reader_takes_the_canonical_path_only_on_the_writers_layout(base, edit, end, general,
-                                                                    monkeypatch):
-    """A body in the writer's index layout with well-formed values and no
-    line boundary but "\\n" is read without the general reader; the
-    canonical path refuses every other text and the general reader takes
-    it.  Either way the section, or the ParseError message, is the
-    reference reader's."""
-    from contactkit import formats
-    results = []
-    canonical = formats._canonical_section
+def _assert_read_as_listed(text, refusal):
+    if refusal is None:
+        _assert_readers_agree(text)
+    else:
+        with pytest.raises(ParseError) as err:
+            section_from_text(text)
+        assert str(err.value) == refusal
 
-    def spied(text):
-        results.append(canonical(text))
-        return results[-1]
 
-    monkeypatch.setattr(formats, "_canonical_section", spied)
-    text = end.join(edit(list(base()))) + end
-    _assert_readers_agree(text)
-    assert [section is None for section in results] == [general]
+@pytest.mark.parametrize("base, edit, end, refusal", [r[1:] for r in SECTION_TEXTS],
+                         ids=[r[0] for r in SECTION_TEXTS])
+def test_the_reader_accepts_the_writers_layout_and_refuses_the_rest(base, edit, end, refusal):
+    """A text in the writer's layout reads as the row-by-row reference
+    reads it: the same section, or the same ParseError.  Every other text
+    is refused at the line that leaves the layout."""
+    _assert_read_as_listed(end.join(edit(list(base()))) + end, refusal)
 
 
 @pytest.mark.parametrize("block", [1, 2, 64, 131, 10 ** 6])
 def test_the_reader_does_not_depend_on_its_block_size(block, monkeypatch):
     """Blocks that end at every line, mid-row or past the text: each
-    READER_PATHS text still reads as the reference reads it."""
+    SECTION_TEXTS text still reads, or is refused at the same line, as
+    listed."""
     from contactkit import formats
     monkeypatch.setattr(formats, "_TEXT_BLOCK", block)
-    for _, base, edit, end, _ in READER_PATHS:
-        _assert_readers_agree(end.join(edit(list(base()))) + end)
+    for _, base, edit, end, refusal in SECTION_TEXTS:
+        _assert_read_as_listed(end.join(edit(list(base()))) + end, refusal)
 
 
-def test_a_crlf_body_builds_no_node_prefixes(monkeypatch):
-    """A "\r" sends the text to the general reader before the canonical
-    path takes the parts of its per-node prefixes, and the section keeps
-    every bit of the same text with "\n" line ends."""
+def test_converted_line_ends_still_load(tmp_path, monkeypatch):
+    """A section file whose line ends became "\\r\\n" or "\\r" loads bit for
+    bit: ``Path.read_text``'s universal newlines give back "\\n".  The same
+    "\\r\\n" text handed to ``section_from_text`` is refused at line 1,
+    before any node prefix is made."""
     from contactkit import formats
-    lines = _solver_lines("flat", 9)
-    want = section_from_text("\n".join(lines) + "\n")
+    section = messy_section(nodes=5)
+    path = tmp_path / "section.txt"
+    for end in ("\r\n", "\r"):
+        path.write_bytes(section_to_text(section).replace("\n", end).encode())
+        assert_bit_equal(load_section(path), section)
+    crlf = section_to_text(section).replace("\n", "\r\n")
     built = []
-    row_parts = formats._row_parts
-
-    def counted(*args):
-        built.append(args)
-        return row_parts(*args)
-
-    monkeypatch.setattr(formats, "_row_parts", counted)
-    got = section_from_text("\r\n".join(lines) + "\r\n")
+    monkeypatch.setattr(formats, "_row_parts", lambda *args: built.append(args))
+    with pytest.raises(ParseError, match=r"^line 1: line boundary '\\r' other than '\\n'$"):
+        section_from_text(crlf)
     assert built == []
-    assert_bit_equal(got, want)
-    section_from_text("\n".join(lines) + "\n")
-    assert len(built) == 1
 
 
 def test_a_header_claiming_more_rows_than_the_body_holds_is_refused_at_once(monkeypatch):
     """A header that claims ``nodes 100000`` (10^15 rows at n = 1) over a
-    one-row body is refused by its row count before the canonical path
-    builds a prefix or allocates an array for its rows, and the general
-    reader raises the count's ParseError."""
+    one-row body is refused by its row count before the reader builds a
+    prefix or allocates an array for its rows."""
     from contactkit import formats
     lines = section_to_text(messy_section(nodes=5)).splitlines()
     text = "\n".join("nodes 100000" if line.startswith("nodes ") else line
@@ -1169,8 +1153,22 @@ def test_a_header_claiming_more_rows_than_the_body_holds_is_refused_at_once(monk
     monkeypatch.setattr(formats, "_row_parts", no_prefixes)
 
     def read():
-        with pytest.raises(ParseError, match=r"^1 node rows, expected 1000000000000000$"):
+        with pytest.raises(ParseError, match=r"^line 7: 1 node rows, expected 1000000000000000$"):
             section_from_text(text)
 
     _, peak, _ = traced_peak(read)
     assert built == [] and peak < 2 ** 20
+
+
+def test_formats_reads_a_section_body_one_way():
+    """One body reader: ``formats.py`` calls ``splitlines`` nowhere, and
+    ``_value_row``, the one parse of a value text, has one caller."""
+    from contactkit import formats
+    tree = ast.parse(Path(formats.__file__).read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_value_row"]
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_value_row"]
+    assert len(uses) == 1 and [call.func for call in calls] == uses
