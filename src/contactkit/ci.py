@@ -9,9 +9,9 @@ strips.  The homotopy is a function of its endpoints and the strips, so a
 result stores only the input and the output; its ``frames`` are a view
 that builds frame k when it is read, into two arrays of its own.  The
 verifier builds its own homotopy from the caller's input and reads no
-frame from the result.  The first interior read takes both endpoints'
-formal relation fields and keeps the moduli and arguments every frame
-reads; nothing else is kept, and the verifier holds one frame at a time.
+frame from the result.  The first interior read keeps the moduli and
+unit directions of both endpoints' formal relation fields, all that the
+chord path reads, and the verifier holds one frame at a time.
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -86,8 +86,8 @@ class Loop:
         return tuple((pts.sum(axis=0) / k).tolist())
 
     def min_affine_margin(self, w, c, k: int = 720) -> float:
-        """min over the loop of |<w, point> + c|, sampling plus the
-        analytically worst phase."""
+        """min over the loop of |<w, point> + c|: the k sampled phases and
+        the worst phase's value ||base| - radius |slope||, in closed form."""
         _count(k, "a loop's phase count k", 1, PreconditionError)
         if len(w) != len(self.center):
             raise DimensionError(f"w has length {len(w)}, the loop's center has length "
@@ -96,15 +96,8 @@ class Loop:
         c = complex(c)
         base = sum(wi * ci for wi, ci in zip(w, self.center)) + c
         slope = sum(wi * vi for wi, vi in zip(w, self.direction))
-        units = _unit_phases(k)
-        if base != 0 and slope != 0:
-            # np.angle of base and of slope, in one arctan2 call
-            at_base, at_slope = np.arctan2((base.imag, slope.imag), (base.real, slope.real)).tolist()
-            worst = math.pi + (at_base - at_slope)
-            # the worst phase stays an element of the array: the same
-            # elementwise exp and products as the k sampled phases
-            units = np.concatenate((units, np.exp(1j * np.array([worst]))))
-        return float(np.abs(base + self.radius * slope * units).min())
+        sampled = float(np.abs(base + self.radius * slope * _unit_phases(k)).min())
+        return min(sampled, abs(abs(base) - self.radius * abs(slope)))
 
 
 def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
@@ -320,13 +313,19 @@ class Homotopy(Sequence):
 
     Frames 0 and N_FRAMES - 1 copy the endpoints (all frames copy ``start``
     when the endpoints are equal).  Frame k between is the straight line at
-    tau = k / (N_FRAMES - 1) with h steered onto the polar path from h0 to
+    tau = k / (N_FRAMES - 1) with h steered onto the chord path from h0 to
     h1, the formal relation fields of ``start`` and ``end``, held at
     ``start`` on the ``frozen`` strips (``GammaSpec.strips``' slices).
+    The path takes + - * /, sqrt and hypot only: modulus (1 - tau) |h0| +
+    tau |h1|, direction the normalized chord from u0 = h0 / |h0| to
+    w = u0 sqrt(u1 / u0) for tau <= 1/2 and from w to u1 = h1 / |h1| after.
+    The root is principal, so each leg spans at most a quarter turn and
+    ends with u1 = -u0 turn counterclockwise, as arg in (-pi, pi] did; a
+    zero or non-finite endpoint value points along 1.
     The endpoints are held by reference, so changing them changes the
-    frames.  The polar path's moduli and arguments are read from them
-    once, on the first interior frame, and kept in ``_polar``; each frame
-    reads end - start afresh, into the arrays it returns."""
+    frames.  The path's moduli and directions are read from them once, on
+    the first interior frame, and kept in ``_path``; each frame reads
+    end - start afresh, into the arrays it returns."""
 
     start: GridSection
     end: GridSection
@@ -336,18 +335,34 @@ class Homotopy(Sequence):
         return N_FRAMES
 
     @functools.cached_property
-    def _polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """|h0|, |h1|, arg h0 and arg(h1 / h0), all that frames read, or
-        None when the endpoints are equal and every frame copies start."""
+    def _path(self) -> tuple[np.ndarray, ...] | None:
+        """|h0|, |h1|, u0, w and u1, all that frames read, or None when the
+        endpoints are equal and every frame copies start."""
         if self.end == self.start:
             return None
-        h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (self.start, self.end))
-        return np.abs(h0), np.abs(h1), np.angle(h0), np.angle(h1 / h0)
+        path = []
+        for section in (self.start, self.end):
+            h = relation_grid(section.a, section.beta, section.grid.n)
+            mod = np.hypot(h.real, h.imag)
+            path += [mod, np.divide(h, mod, out=np.ones_like(h),
+                                    where=(mod > 0) & (mod < math.inf))]
+        mod0, u0, mod1, u1 = path
+        # z = u1 conj(u0) = x + iy and its principal root c + is, from real
+        # parts: the larger of |c| and |s| is sqrt((1 + |x|) / 2) and the
+        # other |y| / (2 larger), so both keep their precision; s >= 0 at y = 0
+        x = u1.real * u0.real + u1.imag * u0.imag
+        y = u1.imag * u0.real - u1.real * u0.imag
+        big = np.sqrt((1 + np.abs(x)) / 2)
+        small = np.abs(y) / (2 * big)
+        c = np.where(x < 0, small, big)
+        s = np.where(y < 0, -1.0, 1.0) * np.where(x < 0, big, small)
+        w = (u0.real * c - u0.imag * s) + 1j * (u0.real * s + u0.imag * c)
+        return mod0, mod1, u0, w, u1
 
     def __getitem__(self, k) -> GridSection:
         k = range(N_FRAMES)[operator.index(k)]
         start, end = self.start, self.end
-        if k == 0 or self._polar is None:
+        if k == 0 or self._path is None:
             return start.copy()
         if k == N_FRAMES - 1:
             return end.copy()
@@ -359,20 +374,15 @@ class Homotopy(Sequence):
         beta_k = np.subtract(end.beta, start.beta)
         beta_k *= tau
         beta_k += start.beta
-        # polar path: moduli linear, arguments geodesic; never zero if h0, h1 are not
-        mod0, mod1, arg0, turn = self._polar
-        angle = np.multiply(turn, tau)
-        angle += arg0
-        target = 1j * angle
-        np.exp(target, out=target)
-        modulus = np.multiply(mod0, 1 - tau, out=angle)
-        modulus += np.multiply(mod1, tau)
-        target *= modulus
-        del angle, modulus
-        # the steering's numerator: the polar target less h
+        # the chord point on tau's leg, normalized, times the modulus
+        mod0, mod1, u0, w, u1 = self._path
+        t, (p, q) = (2 * tau, (u0, w)) if tau <= 0.5 else (2 * tau - 1, (w, u1))
+        target = p * (1 - t) + q * t
+        target *= (mod0 * (1 - tau) + mod1 * tau) / np.hypot(target.real, target.imag)
+        # the steering's numerator: the target less h
         target -= relation_grid(a_k, beta_k, grid.n)
 
-        # steer h to the polar path with one skew entry per node, chosen
+        # steer h to the chord path with one skew entry per node, chosen
         # for the largest affine slope: a strict > keeps the first column
         # on ties, as argmax does
         pairs = upper_pairs(grid.m)

@@ -9,8 +9,11 @@ floats, so a digest pins that the input and output sections written by
 ``integrate --out`` do not move by a single bit.  The dump holds no
 interior frame, so its digests hold at every SIMD dispatch level of one
 numpy build (``test_dump_digests_hold_at_every_dispatch_level``).  The
-float outputs of the extension layer are pinned the same way, for one
-numpy build.
+solve digests of test_ci.py hash every homotopy frame; the frames' chord
+path takes no angle and no exp, so those digests and the frames' oracle
+tests hold at the AVX2 level too
+(``test_frames_and_solve_digests_hold_at_avx2``).  The float outputs of
+the extension layer are pinned the same way, for one numpy build.
 """
 
 import hashlib
@@ -72,24 +75,24 @@ LEVELS = {
     "x86-64-v2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
 }
 
-# runs the dump digest test, then names each feature meant to be disabled
-# that numpy still dispatches to; numpy is imported only after pytest has
-# loaded conftest.py, which pins the thread pools first
+# runs the tests named in its first argument, then names each feature
+# meant to be disabled that numpy still dispatches to; numpy is imported
+# only after pytest has loaded conftest.py, which pins the thread pools first
 _AT_LEVEL = """
 import sys
 import pytest
-code = pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]])
+code = pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1].split()])
 from numpy._core._multiarray_umath import __cpu_features__
 print("still dispatched:", [f for f in sys.argv[2:] if __cpu_features__[f]])
 sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("level", sorted(LEVELS))
-def test_dump_digests_hold_at_every_dispatch_level(level):
-    """The dump digests above hold with numpy dispatching at a reduced
-    level, run in a subprocess with ``NPY_DISABLE_CPU_FEATURES``; a level
-    whose features this CPU's numpy lacks is skipped."""
+def _run_at_level(level: str, tests: str) -> str:
+    """pytest's output for ``tests`` (space-separated ids) run in a
+    subprocess with numpy dispatching at ``level`` through
+    ``NPY_DISABLE_CPU_FEATURES``; skipped where this CPU's numpy lacks the
+    level's features, failed where a test fails."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2 names no X86_V* levels
@@ -98,12 +101,41 @@ def test_dump_digests_hold_at_every_dispatch_level(level):
     missing = [f for f in features if not __cpu_features__.get(f)]
     if missing:
         pytest.skip(f"this CPU's numpy lacks {missing}")
-    test = "tests/test_golden.py::test_integrate_dump_matches_golden_digest"
-    run = subprocess.run([sys.executable, "-c", _AT_LEVEL, test, *features],
+    run = subprocess.run([sys.executable, "-c", _AT_LEVEL, tests, *features],
                          cwd=GOLDEN.parent.parent, capture_output=True, text=True, timeout=300,
                          env={**os.environ, "NPY_DISABLE_CPU_FEATURES": LEVELS[level]})
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "3 passed" in run.stdout and "still dispatched: []" in run.stdout, run.stdout
+    assert "still dispatched: []" in run.stdout, run.stdout
+    return run.stdout
+
+
+@pytest.mark.parametrize("level", sorted(LEVELS))
+def test_dump_digests_hold_at_every_dispatch_level(level):
+    """The dump digests above hold with numpy dispatching at a reduced
+    level."""
+    out = _run_at_level(level, "tests/test_golden.py::test_integrate_dump_matches_golden_digest")
+    assert "3 passed" in out, out
+
+
+# The solve digests pinned in test_ci.py, which hash every frame, and the
+# frames' bit-level tests.  The chord path takes real +, -, *, /, sqrt and
+# hypot and complex products by reals, which keep their bits at every
+# level.  x86-64-v2 is left out: there complex multiplication and complex
+# abs take other bits, the solver and relation_grid use both, and the flat
+# outputs at 17 nodes and more move, and with them the UNMOVED digests.
+# Of the 30 solves, the frames differ there only where the output does.
+FRAME_TESTS = " ".join(f"tests/test_ci.py::{name}" for name in (
+    "test_no_solve_passes_that_the_verifier_refuses",
+    "test_frames_match_the_stored_field_formula",
+    "test_frames_pick_the_first_column_when_slopes_tie",
+    "test_chord_path_directions_at_opposite_zero_and_nan_ends"))
+
+
+def test_frames_and_solve_digests_hold_at_avx2():
+    """The frame tests above pass with numpy dispatching at AVX2, so a
+    frame formula whose bits depend on the dispatch level fails here."""
+    out = _run_at_level("avx2", FRAME_TESTS)
+    assert "53 passed" in out, out
 
 
 def _extension_layer_transcript() -> bytes:
