@@ -5,13 +5,16 @@ value never vanishes.  Output: a corrected field whose finite-difference
 jet lies in the relation with margin delta at every interior node, within
 sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
-strips.  The homotopy is a function of its endpoints and the strips, so a
-result stores only the input and the output; its ``frames`` are a view
-that builds frame k when it is read, into two arrays of its own.  The
-verifier builds its own homotopy from the caller's input and reads no
-frame from the result.  The first interior read keeps the moduli and
-unit directions of both endpoints' formal relation fields, all that the
-chord path reads, and the verifier holds one frame at a time.
+strips.  Each interior frame is the straight line from the input to the
+output with its relation value steered onto a chord path by the
+least-norm change of beta, one formula at every node.  The homotopy is a
+function of its endpoints and the strips, so a result stores only the
+input and the output; its ``frames`` are a view that builds frame k when
+it is read, into two arrays of its own.  The verifier builds its own
+homotopy from the caller's input and reads no frame from the result.
+The first interior read keeps the moduli and unit directions of both
+endpoints' formal relation fields, all that the chord path reads, and
+the verifier holds one frame at a time.
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -322,6 +325,12 @@ class Homotopy(Sequence):
     The root is principal, so each leg spans at most a quarter turn and
     ends with u1 = -u0 turn counterclockwise, as arg in (-pi, pi] did; a
     zero or non-finite endpoint value points along 1.
+    The steering is the least-norm change of beta: with s_c the slope of h
+    in upper column c, every column gains lam conj(s_c), where
+    lam = (target - h) / sum |s_c|^2, or 0 where that sum is at most
+    1e-60.  At n = 1 h is linear in beta and the slopes are the entries of
+    a up to sign, so the step puts h on the target, up to rounding, and is
+    continuous in tau wherever a is not 0.
     The endpoints are held by reference, so changing them changes the
     frames.  The path's moduli and directions are read from them once, on
     the first interior frame, and kept in ``_path``; each frame reads
@@ -382,25 +391,23 @@ class Homotopy(Sequence):
         # the steering's numerator: the target less h
         target -= relation_grid(a_k, beta_k, grid.n)
 
-        # steer h to the chord path with one skew entry per node, chosen
-        # for the largest affine slope: a strict > keeps the first column
-        # on ties, as argmax does
-        pairs = upper_pairs(grid.m)
-        slope = slope_grid(a_k, beta_k, grid.n, *pairs[0])
-        size, choice = np.abs(slope), np.zeros(slope.shape, dtype=int)
-        for c, (r, s) in enumerate(pairs[1:], 1):
-            slope_c = slope_grid(a_k, beta_k, grid.n, r, s)
-            size_c = np.abs(slope_c)
-            better = size_c > size
-            np.copyto(slope, slope_c, where=better)
-            np.copyto(size, size_c, where=better)
-            choice[better] = c
-            del slope_c, size_c, better
-        lam = np.divide(target, slope, out=np.zeros_like(target), where=size > 1e-30)
-        del target, slope, size
-        # lam goes to the chosen column; every other column gets a zero
-        for c in range(beta_k.shape[-1]):
-            beta_k[..., c] += np.where(choice == c, lam, 0)
+        # steer h to the chord path by the least-norm change of beta: h is
+        # affine in beta with slope s_c in column c, so adding
+        # lam conj(s_c) to every column moves h by lam sum |s_c|^2, the
+        # numerator when lam = numerator / sum |s_c|^2.  Every product is
+        # taken on real parts: numpy's complex product rounds differently
+        # at different SIMD dispatch levels
+        slopes = [slope_grid(a_k, beta_k, grid.n, r, s) for r, s in upper_pairs(grid.m)]
+        norm2 = np.zeros(target.shape)
+        for s in slopes:
+            norm2 += s.real * s.real + s.imag * s.imag
+        live = norm2 > 1e-60
+        lam_r = np.divide(target.real, norm2, out=np.zeros_like(norm2), where=live)
+        lam_i = np.divide(target.imag, norm2, out=np.zeros_like(norm2), where=live)
+        del target, norm2, live
+        for c, s in enumerate(slopes):
+            beta_k.real[..., c] += lam_r * s.real + lam_i * s.imag
+            beta_k.imag[..., c] += lam_i * s.real - lam_r * s.imag
         for strip in self.frozen:
             a_k[strip] = start.a[strip]
             beta_k[strip] = start.beta[strip]
@@ -456,6 +463,13 @@ def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     return CIResult(inp, inp.copy(), gamma, eps, delta, deviation=0.0, **outcome)
 
 
+def _check_bounds(eps: float, delta: float) -> None:
+    """The solver and the verifier take only a finite, positive eps and
+    delta: the sup-distance and margin checks are vacuous at any other."""
+    if not (0 < eps < math.inf and 0 < delta < math.inf):
+        raise PreconditionError(f"eps and delta must be finite and positive, got {eps}, {delta}")
+
+
 def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
              max_sweeps: int = 8) -> CIResult:
     """Correct a formal pair into the relation by coordinate oscillations.
@@ -463,11 +477,14 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     Frequencies double from FREQ_BASE/mesh when a full sweep set fails to
     reach the margin, restarting from the input each time; the cap is
     FREQ_CAP/mesh.  A capped-out ladder returns a failure result carrying
-    the worst node, never a partial success.
+    the worst node, never a partial success.  The grid must have n = 1:
+    the homotopy's steering puts h on its target only where h is linear
+    in beta.
     """
     grid = inp.grid
-    if not (0 < eps < math.inf and 0 < delta < math.inf):
-        raise PreconditionError(f"eps and delta must be finite and positive, got {eps}, {delta}")
+    if grid.n != 1:
+        raise DimensionError(f"ci_solve takes n = 1 only, got a grid with n = {grid.n}")
+    _check_bounds(eps, delta)
     _count(max_sweeps, "max_sweeps", 1, PreconditionError)
 
     formal = formal_margin_grid(inp)
@@ -551,7 +568,9 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
     Uses only jet and relation operations on the caller's input and the
     result's output; no solver internals are trusted, and no frame is
     read from the result: the homotopy is built here from its endpoints.
+    eps and delta are refused as ``ci_solve`` refuses them.
     """
+    _check_bounds(eps, delta)
     report = VerificationReport("convex integration postconditions")
     out = result.output
     grid = out.grid

@@ -202,7 +202,15 @@ def test_unit_phases_are_shared_and_read_only():
 
 _HYPERPLANE = SliceClass("hyperplane", (QC(1), QC(0, 1), QC(0)), QC(2))
 
-LOOP_REFUSALS = [
+
+def _solve_at_n2():
+    grid = CubeGrid(2, nodes=5)
+    section = GridSection(grid, np.ones(grid.shape + (5,), complex),
+                          np.ones(grid.shape + (10,), complex))
+    return ci_solve(section, GammaSpec.empty(), 0.5, 1e-3)
+
+
+DIMENSION_REFUSALS = [
     (lambda: Loop((0j, 0j), (1j, 0j, 0j), 1.0), DimensionError,
      "a loop's center has length 2 and its direction length 3"),
     (lambda: Loop((0j,) * 3, (1j, 0j, 0j), 1.0).min_affine_margin((1, 1j), 0j, 72),
@@ -211,6 +219,7 @@ LOOP_REFUSALS = [
      "target has length 2, the slice's w has length 3"),
     (lambda: loop_for_target(_HYPERPLANE, (0j,) * 4, 1e-3), DimensionError,
      "target has length 4, the slice's w has length 3"),
+    (_solve_at_n2, DimensionError, "ci_solve takes n = 1 only, got a grid with n = 2"),
 ]
 
 
@@ -230,11 +239,13 @@ def test_loop_for_target_refuses_a_hyperplane_with_zero_slopes():
         loop_for_target(slc, (0, 0, 0), 1e-3)
 
 
-@pytest.mark.parametrize("call, error, fragment", LOOP_REFUSALS,
-                         ids=[r[2] for r in LOOP_REFUSALS])
-def test_every_loop_length_refusal_is_reached(call, error, fragment):
-    """A loop's center, direction, w and target lengths must agree: one row
-    per length check, with its error class and a fragment of its message."""
+@pytest.mark.parametrize("call, error, fragment", DIMENSION_REFUSALS,
+                         ids=[r[2] for r in DIMENSION_REFUSALS])
+def test_every_dimension_refusal_is_reached(call, error, fragment):
+    """A loop's center, direction, w and target lengths must agree, and the
+    solver takes n = 1 only (a grid with n = 2 once ran all 12 rungs to a
+    failure): one row per check, with its error class and a fragment of
+    its message."""
     with pytest.raises(ContactKitError) as err:
         call()
     assert type(err.value) is error
@@ -472,12 +483,22 @@ def test_solver_preconditions():
         ci_solve(dead, gamma, 0.5, 1e-3)
 
 
-def test_solver_refuses_non_finite_bounds():
-    """nan and inf eps or delta are refused before any rung runs."""
-    inp, gamma = demo_flat_section(nodes=9)
-    for eps, delta in ((math.nan, 1e-3), (0.5, math.nan), (math.inf, 1e-3), (0.5, math.inf)):
-        with pytest.raises(PreconditionError, match="finite and positive"):
-            ci_solve(inp, gamma, eps, delta)
+@pytest.mark.parametrize("eps, delta", [(0.5, -1.0), (0.5, 0.0), (0.0, 1e-3), (-0.5, 1e-3),
+                                        (math.inf, 1e-3), (0.5, math.inf),
+                                        (math.nan, 1e-3), (0.5, math.nan)])
+def test_solver_and_verifier_refuse_bounds_they_cannot_honour(eps, delta):
+    """Both refuse an eps or delta that is not finite and positive, with
+    one message, the solver before any rung runs: at delta <= 0 or
+    eps = inf the margin and sup-distance checks are vacuous, and the
+    verifier once passed a gamma-13 result at delta = -1, 0 and eps = inf."""
+    inp, gamma = demo_gamma_section(nodes=13)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed, result.failure
+    want = re.escape(f"eps and delta must be finite and positive, got {eps}, {delta}")
+    with pytest.raises(PreconditionError, match=want):
+        ci_solve(inp, gamma, eps, delta)
+    with pytest.raises(PreconditionError, match=want):
+        verify_ci(result, inp, eps, delta)
 
 
 def test_gamma_strip_preconditions():
@@ -756,18 +777,19 @@ def solve_digest(demo, nodes, eps, delta):
 # solve_digest of the flat and holonomic demos as the solver gave them
 # before its passes were bounded by eps; those runs never came near eps.
 # The flat digests were re-pinned when the frames moved to the chord path
-# (outputs, meta and reports unmoved); they hold at the AVX2 level too
+# and again when the steering became the least-norm step (outputs, meta
+# and reports unmoved both times); they hold at the AVX2 level too
 UNMOVED = {
-    ("flat", 9, 0.5, 0.001): "7a94c7c9cfb57f16b6d1748895cec201190d19fb330f7a01b9eed24037468206",
-    ("flat", 9, 0.1, 0.001): "6b414e9b2201352726164d502fd8c3a7ec915b345d21fe1119059dbfa3bd9ceb",
-    ("flat", 13, 0.5, 0.001): "1b064ca142beffd1c11ab6e9c4b7faf6bf7df71c2b8bda5dada36bbc1644bb49",
-    ("flat", 13, 0.1, 0.001): "aa393ef0e30953deb5fb85a24229e4e6f5cf90d08b9eaca8f17f55ad3176f416",
-    ("flat", 17, 0.5, 0.001): "ecd188cd49578064a95b7fbc217006b6cfea7d9ffd90f5d7c746cb9c8ffdf7de",
-    ("flat", 17, 0.1, 0.001): "83dd075eef277931c7236f119d94a01785e906ec4cf92cf90c8e9dfb2cc5ed83",
-    ("flat", 21, 0.5, 0.001): "984a4e74870855d7a266d35d71ef5a8d2c4dfb8d2afe9f573847e1da2922eb53",
-    ("flat", 21, 0.1, 0.001): "e51e1409c3473f793d86dada8f54494c66df3ce2eb904e2c710953464b5b6971",
-    ("flat", 33, 0.5, 0.001): "9c482291f9b4b92359ec7d4b158b1540faddf31461c7ae1ec6f8a7ba22ded872",
-    ("flat", 33, 0.1, 0.001): "071d8ab3ecb9b08e537db3d46da31e81831c3ca0ae8dd24f78fc21e8813184e1",
+    ("flat", 9, 0.5, 0.001): "a5debd0dd552caaf829a03f6cf9863cf90b1b561360dc5dd45ab361974528124",
+    ("flat", 9, 0.1, 0.001): "d624052c675d6b8f9c5da3fcc6b68a267be1ffb2f421452b3c5269d761da2e26",
+    ("flat", 13, 0.5, 0.001): "89692e2d636e240b6a0a18a11f35f718f7773b4f049d75db8ee3d761a0793655",
+    ("flat", 13, 0.1, 0.001): "5b2a1871b7e3b5be684ff1f45f3f6b6fd393f0763167fc9b3ba8571496e98dca",
+    ("flat", 17, 0.5, 0.001): "fc41e72b17b1f002948c2b3ed95421c5ff245f76f93b39204e72668f5170d242",
+    ("flat", 17, 0.1, 0.001): "63ac80e6ad85efbe09928b38eccce46b87515872e7eb6fb8203250d293a7df1e",
+    ("flat", 21, 0.5, 0.001): "df4a1d5aff48e522589aa9e793a88f861ad444a6278a738d4e471d83b3cdee37",
+    ("flat", 21, 0.1, 0.001): "7607650504a3077d53635527ac806728c18dae03d3a1767773becf2f5454be36",
+    ("flat", 33, 0.5, 0.001): "48c5b597dbf74978927ffce4d3c48660989f4b069be24ae369bfd04d0f904406",
+    ("flat", 33, 0.1, 0.001): "209f6114e3079a415ff22f2db0b2c4aed1995f2c20877df92018554e5c114c4b",
     ("holonomic", 9, 0.5, 0.001): "19cf8a46ead58ef5d44feb9b4b26414bcb2bcfedbc75f2e5d8a694f19fdd473a",
     ("holonomic", 9, 0.1, 0.001): "dd89f0a62e5409557b688641e4406e8ddfdb8ba9ef7c165d43ada531f3d00fa5",
     ("holonomic", 13, 0.5, 0.001): "cebcb37a12c8b41cc5c49be88ef2792190b15fb2675b1c53c5832807e0cecda1",
@@ -916,26 +938,14 @@ def test_phase_search_memory_on_a_fully_active_grid():
     assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"
 
 
-def frame_oracle(start, end, frozen, h0, h1, k):
-    """Frame k by the stated formula, with h0 and h1 passed in: the
-    straight line at tau = k / (N_FRAMES - 1), with h steered by the
-    largest slope onto the chord path.  The target's modulus is
-    (1 - tau) |h0| + tau |h1|; its direction is the chord from u0 to w for
-    tau <= 1/2 and from w to u1 after, normalized.  Here u = h / |h|, or 1
-    where |h| is 0 or not finite, and w = u0 (c + is), where c + is is the
-    principal square root of z = u1 conj(u0) = x + iy: for x >= 0,
-    c = sqrt((1 + x) / 2) and s = y / (2c); for x < 0,
-    s = sign(y) sqrt((1 - x) / 2) with sign(0) = 1 and c = |y| / (2|s|).
-    Every product is taken on real parts."""
-    if k == 0 or end == start:
-        return start.copy()
-    if k == N_FRAMES - 1:
-        return end.copy()
-    grid, tau = start.grid, k / (N_FRAMES - 1)
-    a_k = start.a + tau * (end.a - start.a)
-    beta_k = start.beta + tau * (end.beta - start.beta)
-    hk = relation_grid(a_k, beta_k, grid.n)
-
+def chord_target(h0, h1, tau):
+    """The chord path at tau from h0 to h1, every product on real parts.
+    Its modulus is (1 - tau) |h0| + tau |h1|; its direction is the chord
+    from u0 to w for tau <= 1/2 and from w to u1 after, normalized.  Here
+    u = h / |h|, or 1 where |h| is 0 or not finite, and w = u0 (c + is),
+    where c + is is the principal square root of z = u1 conj(u0) = x + iy:
+    for x >= 0, c = sqrt((1 + x) / 2) and s = y / (2c); for x < 0,
+    s = sign(y) sqrt((1 - x) / 2) with sign(0) = 1 and c = |y| / (2|s|)."""
     def unit(h):
         mod = np.hypot(h.real, h.imag)
         u = np.ones_like(h)
@@ -960,15 +970,44 @@ def frame_oracle(start, end, frozen, h0, h1, k):
         pr, pi, qr, qi, t = wr, wi, u1r, u1i, 2 * tau - 1
     chord_r, chord_i = (1 - t) * pr + t * qr, (1 - t) * pi + t * qi
     scale = ((1 - tau) * mod0 + tau * mod1) / np.hypot(chord_r, chord_i)
-    target = chord_r * scale + 1j * (chord_i * scale)
-    slopes = np.stack([slope_grid(a_k, beta_k, grid.n, r, s)
-                       for r, s in upper_pairs(grid.m)], axis=-1)
-    choice = np.argmax(np.abs(slopes), axis=-1)
-    slope = np.take_along_axis(slopes, choice[..., None], axis=-1)[..., 0]
-    ok = np.abs(slope) > 1e-30
-    lam = np.zeros_like(hk)
-    lam[ok] = (target[ok] - hk[ok]) / slope[ok]
-    beta_k += np.where(choice[..., None] == np.arange(slopes.shape[-1]), lam[..., None], 0)
+    return chord_r * scale + 1j * (chord_i * scale)
+
+
+def _straight_line(start, end, tau):
+    return start.a + tau * (end.a - start.a), start.beta + tau * (end.beta - start.beta)
+
+
+def _stacked_slopes(a, beta, grid):
+    return np.stack([slope_grid(a, beta, grid.n, r, s) for r, s in upper_pairs(grid.m)],
+                    axis=-1)
+
+
+def frame_oracle(start, end, frozen, k):
+    """Frame k by the stated formula: the straight line at
+    tau = k / (N_FRAMES - 1), with h steered onto ``chord_target`` of the
+    ends' relation fields by the least-norm change of beta.  With s the
+    slopes of h in the upper columns, lam = (target - h) / sum |s_c|^2
+    where that sum exceeds 1e-60 and 0 elsewhere, and column c gains
+    lam conj(s_c).  Every product is taken on real parts."""
+    if k == 0 or end == start:
+        return start.copy()
+    if k == N_FRAMES - 1:
+        return end.copy()
+    grid, tau = start.grid, k / (N_FRAMES - 1)
+    n = grid.n
+    a_k, beta_k = _straight_line(start, end, tau)
+    h0, h1 = relation_grid(start.a, start.beta, n), relation_grid(end.a, end.beta, n)
+    gap = chord_target(h0, h1, tau) - relation_grid(a_k, beta_k, n)
+    slopes = _stacked_slopes(a_k, beta_k, grid)
+    squares = slopes.real ** 2 + slopes.imag ** 2
+    norm2 = sum(squares[..., c] for c in range(squares.shape[-1]))
+    ok = norm2 > 1e-60
+    lam_r, lam_i = np.zeros(grid.shape), np.zeros(grid.shape)
+    lam_r[ok] = gap.real[ok] / norm2[ok]
+    lam_i[ok] = gap.imag[ok] / norm2[ok]
+    lam_r, lam_i = lam_r[..., None], lam_i[..., None]
+    beta_k.real += lam_r * slopes.real + lam_i * slopes.imag
+    beta_k.imag += lam_i * slopes.real - lam_r * slopes.imag
     a_k[frozen] = start.a[frozen]
     beta_k[frozen] = start.beta[frozen]
     return GridSection(grid, a_k, beta_k)
@@ -982,29 +1021,6 @@ def _turned(demo, turn):
         phase = np.exp(1j * turn)
         return GridSection(inp.grid, inp.a * phase, inp.beta * phase), gamma
     return make
-
-
-@pytest.mark.parametrize("nodes", [9, 13, 21, 33])
-@pytest.mark.parametrize("demo", [demo_flat_section, demo_gamma_section,
-                                  demo_holonomic_section,
-                                  _turned(demo_flat_section, 0.7),
-                                  _turned(demo_gamma_section, -2.1)])
-def test_frames_match_the_stored_field_formula(demo, nodes):
-    """Every frame is bit-equal to the oracle fed the solver's h0 and h1,
-    where h1 is the output's field with h0 on the strips reset to the
-    input."""
-    inp, gamma = demo(nodes)
-    frames = ci_solve(inp, gamma, 0.5, 1e-3).frames
-    n = inp.grid.n
-    frozen = gamma.frozen_mask(inp.grid)
-    h0 = relation_grid(inp.a, inp.beta, n)
-    h1 = np.where(frozen, h0, relation_grid(frames.end.a, frames.end.beta, n))
-    for k in range(N_FRAMES):
-        got = frames[k]
-        want = frame_oracle(frames.start, frames.end, frozen, h0, h1, k)
-        assert got.grid == want.grid
-        assert got.a.tobytes() == want.a.tobytes(), k
-        assert got.beta.tobytes() == want.beta.tobytes(), k
 
 
 def _tied_sections(grid, rng):
@@ -1028,25 +1044,77 @@ def _tied_sections(grid, rng):
     return section(), section()
 
 
-@pytest.mark.parametrize("faces", [set(), {(0, 0), (2, 1)}])
-def test_frames_pick_the_first_column_when_slopes_tie(faces):
-    """With equal |slopes| the steering takes the first upper column, as
-    the oracle's argmax does, bit for bit, strips or no strips."""
-    rng = np.random.default_rng(2818)
-    grid = CubeGrid(1, nodes=9)
-    start, end = _tied_sections(grid, rng)
-    n = grid.n
-    mods = np.abs(start.a + (1 / (N_FRAMES - 1)) * (end.a - start.a))
-    assert (mods[..., 0] == mods[..., 1]).all()
-    assert 0 < (mods[..., 0] == mods[..., 2]).mean() < 1
-    gamma = GammaSpec.of(faces, width=2)
-    frozen = gamma.frozen_mask(grid)
-    frames = Homotopy(start, end, tuple(gamma.strips(grid)))
-    h0, h1 = relation_grid(start.a, start.beta, n), relation_grid(end.a, end.beta, n)
+def _solved_frames(demo, nodes):
+    def make():
+        inp, gamma = demo(nodes)
+        return ci_solve(inp, gamma, 0.5, 1e-3).frames, gamma
+    return make
+
+
+def _tied_frames(faces):
+    def make():
+        grid = CubeGrid(1, nodes=9)
+        gamma = GammaSpec.of(faces, width=2)
+        start, end = _tied_sections(grid, np.random.default_rng(2818))
+        return Homotopy(start, end, tuple(gamma.strips(grid))), gamma
+    return make
+
+
+FRAME_DEMOS = {"flat": demo_flat_section, "gamma": demo_gamma_section,
+               "holonomic": demo_holonomic_section,
+               "flat-turned": _turned(demo_flat_section, 0.7),
+               "gamma-turned": _turned(demo_gamma_section, -2.1)}
+FRAME_CASES = {f"{name}-{nodes}": _solved_frames(demo, nodes)
+               for name, demo in FRAME_DEMOS.items() for nodes in (9, 13, 21, 33)}
+FRAME_CASES["tied"] = _tied_frames(set())
+FRAME_CASES["tied-strips"] = _tied_frames({(0, 0), (2, 1)})
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_frames_match_the_stored_field_formula(case):
+    """Every frame is bit-equal to the oracle: on the solved demos, and on
+    a pair with tied slopes and -0.0 parts in beta, with strips and
+    without."""
+    frames, gamma = FRAME_CASES[case]()
+    frozen = gamma.frozen_mask(frames.start.grid)
     for k in range(N_FRAMES):
-        got, want = frames[k], frame_oracle(start, end, frozen, h0, h1, k)
+        got = frames[k]
+        want = frame_oracle(frames.start, frames.end, frozen, k)
+        assert got.grid == want.grid
         assert got.a.tobytes() == want.a.tobytes(), k
         assert got.beta.tobytes() == want.beta.tobytes(), k
+
+
+@pytest.mark.parametrize("nodes", [13, 21])
+@pytest.mark.parametrize("demo", ["flat", "gamma", "flat-turned", "gamma-turned"])
+def test_frames_take_the_least_norm_step_onto_the_chord_path(demo, nodes):
+    """A check that compares no bits.  At every off-strip node of every
+    interior frame, the change dbeta of beta from the straight line's beta
+    is parallel to the conjugated slopes s of h there,
+    dbeta_c conj(s_d) = dbeta_d conj(s_c), and it moves h onto the chord
+    path, sum_c s_c dbeta_c = target - h.  Both hold to 1e-9 of
+    (|dbeta| + |beta|) |s|, the size of their terms beside the rounding of
+    beta + dbeta.  A step in the one column of the largest slope fails the
+    first (a relative residual of 0.16)."""
+    inp, gamma = FRAME_DEMOS[demo](nodes)
+    frames = ci_solve(inp, gamma, 0.5, 1e-3).frames
+    start, end, grid = frames.start, frames.end, inp.grid
+    assert end != start
+    n, off = grid.n, ~gamma.frozen_mask(grid)
+    h0, h1 = relation_grid(start.a, start.beta, n), relation_grid(end.a, end.beta, n)
+    for k in range(1, N_FRAMES - 1):
+        tau = k / (N_FRAMES - 1)
+        a_k, beta_k = _straight_line(start, end, tau)
+        s = _stacked_slopes(a_k, beta_k, grid)[off]
+        dbeta = frames[k].beta[off] - beta_k[off]
+        h = relation_grid(a_k, beta_k, n)[off]
+        target = chord_target(h0, h1, tau)[off]
+        scale = 1e-9 * (np.linalg.norm(dbeta, axis=-1)
+                        + np.linalg.norm(beta_k[off], axis=-1)) * np.linalg.norm(s, axis=-1)
+        cross = dbeta[:, :, None] * np.conj(s[:, None, :]) \
+            - dbeta[:, None, :] * np.conj(s[:, :, None])
+        assert (np.abs(cross).max(axis=(1, 2)) <= scale).all(), k
+        assert (np.abs((s * dbeta).sum(axis=-1) - (target - h)) <= scale).all(), k
 
 
 @pytest.mark.parametrize("nodes", [13, 21])
@@ -1089,8 +1157,9 @@ def test_frame_targets_keep_the_modulus_and_turn_of_the_polar_path(demo, nodes):
 def _pair_with_relation_values(h0, h1):
     """Two sections on the 125 nodes of a 5-node cube (n = 1) whose formal
     relation fields are h0 and h1: with a = (0, 0, 1) and beta = (b, 0, 0)
-    h is b, and the steering's largest slope, 1, is that column's.  They
-    are built without the constructor's checks, so a value may be NaN."""
+    h is b, its slopes are 1 in that column and 0 in the others, and the
+    least-norm steering changes that column only.  They are built without
+    the constructor's checks, so a value may be NaN."""
     grid = CubeGrid(1, nodes=5)
     a = np.zeros((3,) + grid.shape, complex)
     a[2] = 1
@@ -1159,7 +1228,7 @@ ANGLE_FUNCTIONS = {"angle", "arctan2", "atan2", "arctan", "atan", "phase"}
 # field operations, sqrt, hypot and abs, and the array builders and
 # selections around them
 HOMOTOPY_NUMPY_CALLS = {"subtract", "divide", "sqrt", "hypot", "abs",
-                        "ones_like", "zeros", "zeros_like", "where", "copyto"}
+                        "ones_like", "zeros", "zeros_like", "where"}
 
 
 def test_ci_takes_no_angle_and_homotopy_no_transcendental_function():

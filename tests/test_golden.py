@@ -10,12 +10,13 @@ floats, so a digest pins that the input and output sections written by
 interior frame, so its digests hold at every SIMD dispatch level of one
 numpy build (``test_dump_digests_hold_at_every_dispatch_level``).  The
 solve digests of test_ci.py hash every homotopy frame; the frames' chord
-path takes no angle and no exp, so those digests and the frames' oracle
-tests hold at the AVX2 level too
+path takes no angle and no exp, and their steering no complex product,
+so those digests and the frames' oracle tests hold at the AVX2 level too
 (``test_frames_and_solve_digests_hold_at_avx2``).  The float outputs of
 the extension layer are pinned the same way, for one numpy build.
 """
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -88,19 +89,44 @@ sys.exit(code)
 """
 
 
+# prints the features numpy can dispatch to; exits with 3 before numpy 2
+_CPU_FEATURES = """
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2 names no X86_V* levels
+    raise SystemExit(3)
+print(*[f for f, on in __cpu_features__.items() if on])
+"""
+
+
+@functools.lru_cache(maxsize=1)
+def _cpu_features() -> frozenset | None:
+    """The features this CPU offers numpy, or None before numpy 2.  They
+    are read in a child process whose environment has no
+    ``NPY_DISABLE_CPU_FEATURES``, since numpy reports a disabled feature
+    as absent: a run that is itself at a reduced level still reaches the
+    other levels."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    run = subprocess.run([sys.executable, "-c", _CPU_FEATURES], env=env,
+                         capture_output=True, text=True, timeout=60)
+    if run.returncode == 3:
+        return None
+    assert run.returncode == 0, run.stderr
+    return frozenset(run.stdout.split())
+
+
 def _run_at_level(level: str, tests: str) -> str:
     """pytest's output for ``tests`` (space-separated ids) run in a
     subprocess with numpy dispatching at ``level`` through
-    ``NPY_DISABLE_CPU_FEATURES``; skipped where this CPU's numpy lacks the
+    ``NPY_DISABLE_CPU_FEATURES``; skipped where this CPU lacks one of the
     level's features, failed where a test fails."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2 names no X86_V* levels
-        pytest.skip("numpy < 2 has no X86_V* dispatch levels")
     features = LEVELS[level].split()
-    missing = [f for f in features if not __cpu_features__.get(f)]
+    offered = _cpu_features()
+    if offered is None:
+        pytest.skip("numpy < 2 has no X86_V* dispatch levels")
+    missing = [f for f in features if f not in offered]
     if missing:
-        pytest.skip(f"this CPU's numpy lacks {missing}")
+        pytest.skip(f"this CPU does not offer numpy {missing}, with no feature disabled")
     run = subprocess.run([sys.executable, "-c", _AT_LEVEL, tests, *features],
                          cwd=GOLDEN.parent.parent, capture_output=True, text=True, timeout=300,
                          env={**os.environ, "NPY_DISABLE_CPU_FEATURES": LEVELS[level]})
@@ -119,15 +145,15 @@ def test_dump_digests_hold_at_every_dispatch_level(level):
 
 # The solve digests pinned in test_ci.py, which hash every frame, and the
 # frames' bit-level tests.  The chord path takes real +, -, *, /, sqrt and
-# hypot and complex products by reals, which keep their bits at every
-# level.  x86-64-v2 is left out: there complex multiplication and complex
-# abs take other bits, the solver and relation_grid use both, and the flat
+# hypot and complex products by reals, and the least-norm steering takes
+# its products on real parts, which keep their bits at every level.
+# x86-64-v2 is left out: there complex multiplication and complex abs
+# take other bits, the solver and relation_grid use both, and the flat
 # outputs at 17 nodes and more move, and with them the UNMOVED digests.
 # Of the 30 solves, the frames differ there only where the output does.
 FRAME_TESTS = " ".join(f"tests/test_ci.py::{name}" for name in (
     "test_no_solve_passes_that_the_verifier_refuses",
     "test_frames_match_the_stored_field_formula",
-    "test_frames_pick_the_first_column_when_slopes_tie",
     "test_chord_path_directions_at_opposite_zero_and_nan_ends"))
 
 
