@@ -10,11 +10,12 @@ output with its relation value steered onto a chord path by the
 least-norm change of beta, one formula at every node.  The homotopy is a
 function of its endpoints and the strips, so a result stores only the
 input and the output; its ``frames`` are a view that builds frame k when
-it is read, into two arrays of its own.  The verifier builds its own
-homotopy from the caller's input and reads no frame from the result.
-The first interior read keeps the moduli and unit directions of both
-endpoints' formal relation fields, all that the chord path reads, and
-the verifier holds one frame at a time.
+it is read, into two arrays of its own.  The first interior read keeps
+the moduli and unit directions of both endpoints' formal relation
+fields, all that the chord path reads.  The verifier builds no frame: at
+n = 1 the path is a formula per node, and it certifies every tau of the
+path from the caller's input, the output and the strips
+(``_path_bound``).
 
 The correction primitive is a rapid oscillation along one grid axis whose
 finite-difference derivative sweeps a circle in the complex column of the
@@ -40,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, _count
-from .grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
+from .grids import (CubeGrid, GammaSpec, GridSection, _require_finite, _smoothstep5,
+                    upper_pairs)
 from .jets import SliceClass, curl_grid, formal_margin_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
 
@@ -48,6 +50,10 @@ SINC_GUARD = 0.3
 FREQ_BASE = 8.0
 FREQ_CAP = 2.0 ** 14
 N_FRAMES = 17
+# the homotopy certificate's relative rounding allowance: on the demo
+# solves no frame's |h| fell more than 3.6e-14 relative below the stated
+# modulus (1 - tau) |h0| + tau |h1|
+PATH_ALLOWANCE = 1e-11
 PHASE_CANDIDATES = 64
 # complex elements scored per numpy call in the phase search: every phase
 # of a coarse grid's few active lines, or one phase of a fully active
@@ -463,9 +469,14 @@ def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     return CIResult(inp, inp.copy(), gamma, eps, delta, deviation=0.0, **outcome)
 
 
-def _check_bounds(eps: float, delta: float) -> None:
-    """The solver and the verifier take only a finite, positive eps and
-    delta: the sup-distance and margin checks are vacuous at any other."""
+def _check_problem(grid: CubeGrid, eps: float, delta: float) -> None:
+    """The solver and the verifier take only n = 1, where h is linear in
+    beta, so that the homotopy's steering puts h on its target, and only a
+    finite, positive eps and delta: the sup-distance and margin checks are
+    vacuous at any other."""
+    if grid.n != 1:
+        raise DimensionError(f"ci_solve and verify_ci take n = 1 only, got a grid with "
+                             f"n = {grid.n}")
     if not (0 < eps < math.inf and 0 < delta < math.inf):
         raise PreconditionError(f"eps and delta must be finite and positive, got {eps}, {delta}")
 
@@ -482,9 +493,7 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     in beta.
     """
     grid = inp.grid
-    if grid.n != 1:
-        raise DimensionError(f"ci_solve takes n = 1 only, got a grid with n = {grid.n}")
-    _check_bounds(eps, delta)
+    _check_problem(grid, eps, delta)
     _count(max_sweeps, "max_sweeps", 1, PreconditionError)
 
     formal = formal_margin_grid(inp)
@@ -561,16 +570,49 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                       failure=f"frequency ladder exhausted; last attempt: {worst_note}")
 
 
+def _path_bound(start: GridSection, end: GridSection, frozen: tuple) -> np.ndarray:
+    """Per node, a lower bound on the formal |h| of the homotopy from
+    ``start`` to ``end`` at every tau in [0, 1], or 0 where none holds.
+
+    At n = 1 the steering puts h(tau) on the chord path, of modulus
+    (1 - tau) |h0| + tau |h1| >= min(|h0|, |h1|), wherever the least-norm
+    step is live, that is, where |a(tau)|^2 > 1e-60 for
+    a(tau) = a0 + tau (a1 - a0); on the frozen strips h(tau) is h0.  A node
+    gets the bound min(|h0|, |h1|) when it exceeds PATH_ALLOWANCE times
+    max(|h0|, |h1|), which needs both moduli finite and positive, and, off
+    the strips, when the least |a(tau)|^2 over [0, 1] exceeds 1e-60.  The
+    frames ``Homotopy`` builds in floats are tested to keep
+    |h| >= (1 - PATH_ALLOWANCE) times the bound."""
+    h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (start, end))
+    mod0, mod1 = np.hypot(h0.real, h0.imag), np.hypot(h1.real, h1.imag)
+    lo = np.minimum(mod0, mod1)
+    # |a(tau)|^2 = A + 2 B tau + C tau^2: least at tau = -B / C when that
+    # lies in (0, 1), else at an end
+    a0, step = start.a, end.a - start.a
+    A, B, C = (np.sum(x.real * y.real + x.imag * y.imag, axis=-1)
+               for x, y in ((a0, a0), (a0, step), (step, step)))
+    least = np.minimum(A, A + 2 * B + C)
+    np.divide(A * C - B * B, C, out=least, where=(B < 0) & (B + C > 0))
+    live = least > 1e-60
+    for strip in frozen:
+        live[strip] = True
+    return np.where(live & (lo > PATH_ALLOWANCE * np.maximum(mod0, mod1)), lo, 0.0)
+
+
 def verify_ci(result: CIResult, inp: GridSection, eps: float,
               delta: float) -> VerificationReport:
     """Independent re-check of the solver postconditions.
 
     Uses only jet and relation operations on the caller's input and the
     result's output; no solver internals are trusted, and no frame is
-    read from the result: the homotopy is built here from its endpoints.
-    eps and delta are refused as ``ci_solve`` refuses them.
+    built or read: the homotopy from the input to the output is certified
+    at every tau from its formula, per node (``_path_bound``), with the
+    relative rounding allowance PATH_ALLOWANCE = 1e-11, about 280 times
+    the largest shortfall of a demo frame.  n, eps and delta are refused
+    as ``ci_solve`` refuses them, and a NaN or an infinite part of the
+    output as ``GridSection`` refuses it.
     """
-    _check_bounds(eps, delta)
+    _check_problem(inp.grid, eps, delta)
     report = VerificationReport("convex integration postconditions")
     out = result.output
     grid = out.grid
@@ -580,6 +622,7 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
     if grid != inp.grid:
         report.add("grid identity", False, "output grid differs from input grid")
         return report
+    _require_finite(out.a, out.beta)
     curl = curl_grid(out.a, grid)
 
     # (a) holonomy: beta equals the finite-difference curl within the
@@ -606,21 +649,14 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
 
     del curl, margins, dev_field
 
-    # (d) formal margin strictly positive on every frame of the homotopy
-    # from the caller's input to the output, built here, not read from the
-    # result.  Frame k is read by index and let go before frame k + 1 is
-    # built: indexing, unlike iterating a Sequence, keeps no reference to
-    # the frame before.  When the output equals the input every frame
-    # copies it, so its one margin is every frame's.
+    # (d) the formal margin stays positive at every tau of the homotopy
+    # from the caller's input to the output
     strips = tuple(result.gamma.strips(grid))
-    if out == inp:
-        frame_mins = [float(formal_margin_grid(inp).min())]
-    else:
-        frames = Homotopy(inp, out, strips)
-        frame_mins = [float(formal_margin_grid(frames[k]).min()) for k in range(N_FRAMES)]
-    worst_k = int(np.argmin(frame_mins))
-    report.add("frames keep positive formal margin", frame_mins[worst_k] > 0.0,
-               f"min over frames |h|={fmt_num(frame_mins[worst_k])} at frame {worst_k}")
+    path = _path_bound(inp, out, strips)
+    node = _worst_node(path)
+    report.add("homotopy keeps positive formal margin at every tau", path[node] > 0.0,
+               f"min |h| >= {fmt_num(float(path[node]))} at node {node}, "
+               f"allowance {PATH_ALLOWANCE:g} of max(|h0|, |h1|)")
     # (e) every frame copies the input on the strips except the last, the
     # output, so the frames are constant there when the output is
     if strips:

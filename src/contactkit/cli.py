@@ -145,8 +145,8 @@ def cmd_extend(cfg: Namespace) -> VerificationReport:
 def cmd_integrate(cfg: Namespace) -> VerificationReport:
     section, gamma = DEMOS[cfg.demo](cfg.grid)
     result = ci_solve(section, gamma, cfg.eps, cfg.delta, cfg.sweeps)
-    # the verifier builds each frame from the two endpoints and holds one at
-    # a time; the dump writes only the endpoints
+    # the verifier certifies the homotopy from its two endpoints and builds
+    # no frame; the dump writes only the endpoints
     report = verify_ci(result, section, cfg.eps, cfg.delta)
     report.add("solver summary", result.passed,
                f"margin={fmt_num(result.margin)} deviation={fmt_num(result.deviation)} "

@@ -105,6 +105,13 @@ class CubeGrid:
         return f"CubeGrid(n={self.n}, nodes={self.nodes})"
 
 
+def _require_finite(a: np.ndarray, beta: np.ndarray) -> None:
+    """The constructor's refusal of a NaN or an infinite part, also taken
+    by the verifier on an output changed in place."""
+    if not (np.isfinite(a).all() and np.isfinite(beta).all()):
+        raise PreconditionError("section contains non-finite values")
+
+
 class GridSection:
     """Sampled pair (a, beta) over a cube grid.
 
@@ -123,8 +130,7 @@ class GridSection:
         for name, arr, width in (("a", a, m), ("beta", beta, m * (m - 1) // 2)):
             if arr.shape != grid.shape + (width,):
                 raise DimensionError(f"{name} field shape {arr.shape} != {grid.shape + (width,)}")
-        if not (np.isfinite(a).all() and np.isfinite(beta).all()):
-            raise PreconditionError("section contains non-finite values")
+        _require_finite(a, beta)
         self.grid = grid
         self.a = _component_major(a)
         self.beta = _component_major(beta)

@@ -26,7 +26,8 @@ from contactkit.ci import (
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError
 from contactkit.grids import CubeGrid, GammaSpec, GridSection, _smoothstep5, upper_pairs
 from contactkit.jets import (
-    RestrictedJet, SliceClass, ampleness_slice, curl_grid, relation_grid, slope_grid,
+    RestrictedJet, SliceClass, ampleness_slice, curl_grid, formal_margin_grid, relation_grid,
+    slope_grid,
 )
 from contactkit.sampling import random_jet
 from contactkit.scalars import QC
@@ -203,11 +204,14 @@ def test_unit_phases_are_shared_and_read_only():
 _HYPERPLANE = SliceClass("hyperplane", (QC(1), QC(0, 1), QC(0)), QC(2))
 
 
-def _solve_at_n2():
+def _section_at_n2():
     grid = CubeGrid(2, nodes=5)
-    section = GridSection(grid, np.ones(grid.shape + (5,), complex),
-                          np.ones(grid.shape + (10,), complex))
-    return ci_solve(section, GammaSpec.empty(), 0.5, 1e-3)
+    return GridSection(grid, np.ones(grid.shape + (5,), complex),
+                       np.ones(grid.shape + (10,), complex))
+
+
+def _solve_at_n2():
+    return ci_solve(_section_at_n2(), GammaSpec.empty(), 0.5, 1e-3)
 
 
 DIMENSION_REFUSALS = [
@@ -219,7 +223,8 @@ DIMENSION_REFUSALS = [
      "target has length 2, the slice's w has length 3"),
     (lambda: loop_for_target(_HYPERPLANE, (0j,) * 4, 1e-3), DimensionError,
      "target has length 4, the slice's w has length 3"),
-    (_solve_at_n2, DimensionError, "ci_solve takes n = 1 only, got a grid with n = 2"),
+    (_solve_at_n2, DimensionError,
+     "ci_solve and verify_ci take n = 1 only, got a grid with n = 2"),
 ]
 
 
@@ -566,9 +571,8 @@ def test_verifier_rejects_moved_frozen_strip():
 
 
 def test_verifier_refuses_a_non_finite_output():
-    """Interior frames skip the public constructor's checks, but the last
-    frame is the output read through it, so a NaN in the output is still
-    refused by name."""
+    """The verifier refuses a NaN in the output itself, with the message
+    of the public constructor, before it takes any field of it."""
     inp, gamma = demo_gamma_section(nodes=21)
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     assert result.passed, result.failure
@@ -577,39 +581,82 @@ def test_verifier_refuses_a_non_finite_output():
         verify_ci(result, inp, 0.5, 1e-3)
 
 
-def test_verifier_names_the_frame_that_leaves_the_relation(monkeypatch):
-    inp, gamma, result = run_flat()
-    real = Homotopy.__getitem__
-
-    def zeroed(self, k):
-        frame = real(self, k)
-        if k == 8:
-            frame.a[...] = 0
-        return frame
-
-    monkeypatch.setattr(Homotopy, "__getitem__", zeroed)
-    report = verify_ci(result, inp, 0.5, 1e-3)
-    failed = _failed_checks(report)
-    assert "frames keep positive formal margin" in failed
-    assert "frame 8" in failed["frames keep positive formal margin"]
-
-
-def test_verifier_reads_each_frame_once(monkeypatch):
-    inp, gamma = demo_gamma_section(nodes=25)
+@pytest.mark.parametrize("field, node, value", [
+    ("beta", (10, 10, 10, 2), complex(math.nan, 0.0)),
+    ("a", (0, 20, 3, 0), complex(0.0, -math.inf)),
+])
+def test_verifier_refuses_a_non_finite_beta_or_an_infinite_part(field, node, value):
+    inp, gamma = demo_gamma_section(nodes=21)
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     assert result.passed, result.failure
-    real = Homotopy.__getitem__
-    reads = []
+    getattr(result.output, field)[node] = value
+    with pytest.raises(PreconditionError, match="section contains non-finite values"):
+        verify_ci(result, inp, 0.5, 1e-3)
 
-    def counting(self, k):
-        reads.append(k)
-        return real(self, k)
 
-    monkeypatch.setattr(Homotopy, "__getitem__", counting)
-    report = verify_ci(result, inp, 0.5, 1e-3)
-    assert report.passed, report.to_text()
-    assert "frames constant on frozen strips" in report.to_text()
-    assert sorted(reads) == list(range(N_FRAMES))
+def test_verifier_refuses_n_other_than_1_as_the_solver_does():
+    """The certificate holds only where h is linear in beta, at n = 1, so a
+    hand-built passed result on an n = 2 grid, which once got a report, is
+    refused with the solver's error and message, from one shared check."""
+    section = _section_at_n2()
+    result = ci_mod.CIResult(section, section.copy(), GammaSpec.empty(), 0.5, 1e-3,
+                             margin=1.0, deviation=0.0, passed=True)
+    with pytest.raises(DimensionError) as solver:
+        _solve_at_n2()
+    with pytest.raises(DimensionError) as verifier:
+        verify_ci(result, section, 0.5, 1e-3)
+    assert str(verifier.value) == str(solver.value) == (
+        "ci_solve and verify_ci take n = 1 only, got a grid with n = 2")
+
+
+def test_verifier_and_integrate_out_build_no_frame(monkeypatch, tmp_path, capsys):
+    """The verifier certifies the homotopy from its formula and builds no
+    frame: flat, gamma and holonomic results, the output read back from
+    its text as grid-solve reads it, verify with ``Homotopy`` unbuildable
+    and its frames unreadable, and so does ``integrate --out``."""
+    from contactkit.cli import main
+    from contactkit.formats import section_from_text, section_to_text
+
+    def unbuilt(*args):
+        raise AssertionError("a homotopy was built or read")
+
+    solved = {}
+    for demo in (demo_flat_section, demo_gamma_section, demo_holonomic_section):
+        inp, gamma = demo(13)
+        result = ci_solve(inp, gamma, 0.5, 1e-3)
+        assert result.passed, result.failure
+        back = section_from_text(section_to_text(result.output))
+        solved[demo.__name__.split("_")[1]] = dataclasses.replace(result, output=back), inp
+    monkeypatch.setattr(Homotopy, "__getitem__", unbuilt)
+    monkeypatch.setattr(ci_mod, "Homotopy", unbuilt)
+    for name, (result, inp) in solved.items():
+        report = verify_ci(result, inp, 0.5, 1e-3)
+        assert report.passed, report.to_text()
+        assert main(["integrate", "--demo", name, "--grid", "13",
+                     "--out", str(tmp_path / name)]) == 0
+        assert "result: OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps, scale", [(0.5, -7 / 3), (2.0, -0.5)])
+def test_verifier_refuses_an_output_whose_straight_line_meets_a_zero(eps, scale):
+    """Set a1 = scale a0 at one node of the flat-13 output: a(tau) is 0 at
+    tau = 0.3 (scale -7/3) or 2/3 (scale -1/2), between two frames, where
+    the steering cannot act and h is 0.  Every one of the 17 frames, all
+    that the verifier once checked, keeps a positive formal margin; the
+    certificate gives that node the bound 0.  At eps 2 its line is the
+    only one that fails, and the verifier once passed that output."""
+    inp, gamma = demo_flat_section(13)
+    result = ci_solve(inp, gamma, eps, 1e-3)
+    assert result.passed, result.failure
+    node = (6, 5, 7)
+    result.output.a[node] = scale * inp.a[node]
+    frames = Homotopy(inp, result.output, ())
+    assert min(float(formal_margin_grid(frames[k]).min()) for k in range(N_FRAMES)) > 0
+    failed = _failed_checks(verify_ci(result, inp, eps, 1e-3))
+    assert failed["homotopy keeps positive formal margin at every tau"] == (
+        f"min |h| >= 0.0 at node {node}, allowance 1e-11 of max(|h0|, |h1|)")
+    if eps == 2.0:
+        assert len(failed) == 1
 
 
 def test_verifier_reads_no_frame_from_the_result(monkeypatch):
@@ -631,27 +678,6 @@ def test_verifier_reads_no_frame_from_the_result(monkeypatch):
     monkeypatch.setattr(ci_mod.CIResult, "frames", property(unread))
     report = verify_ci(result, inp, 0.5, 1e-3)
     assert report.passed, report.to_text()
-
-
-def test_verifier_checks_a_constant_homotopy_once(monkeypatch):
-    """An output equal to the input makes every frame a copy of it, so the
-    verifier takes the input's one margin and builds no frame: the
-    holonomic 25-node output, read back from its text as grid-solve reads
-    it, verifies with ``Homotopy.__getitem__`` raising, and the report
-    names frame 0, as the 17 frames' margins did."""
-    from contactkit.formats import section_from_text, section_to_text
-    inp, gamma = demo_holonomic_section(nodes=25)
-    result = ci_solve(inp, gamma, 0.5, 1e-3)
-    back = section_from_text(section_to_text(result.output))
-    assert back == inp and back is not inp
-
-    def unread(self, k):
-        raise AssertionError(f"the verifier built frame {k}")
-
-    monkeypatch.setattr(Homotopy, "__getitem__", unread)
-    report = verify_ci(dataclasses.replace(result, output=back), inp, 0.5, 1e-3)
-    assert report.passed, report.to_text()
-    assert "at frame 0" in report.to_text()
 
 
 def test_verifier_rejects_beta_that_is_not_the_curl():
@@ -761,13 +787,17 @@ def test_pass_with_zero_amplitude_does_not_act(monkeypatch):
 
 def solve_digest(demo, nodes, eps, delta):
     """Solve a demo, verify the result, and hash the output, the meta, every
-    frame and the report text."""
+    frame and the report text.  ``Homotopy`` builds the path the verifier
+    certifies: every frame keeps at each node a formal margin of at least
+    1 - PATH_ALLOWANCE times that node's certified bound."""
     inp, gamma = demo(nodes)
     result = ci_solve(inp, gamma, eps, delta)
     digest = hashlib.sha256(result.output.a.tobytes() + result.output.beta.tobytes())
     digest.update(repr(result.meta()).encode())
+    bound = ci_mod._path_bound(inp, result.output, tuple(gamma.strips(inp.grid)))
     for k in range(N_FRAMES):
         frame = result.frames[k]
+        assert (formal_margin_grid(frame) >= (1 - ci_mod.PATH_ALLOWANCE) * bound).all(), k
         digest.update(frame.a.tobytes() + frame.beta.tobytes())
     report = verify_ci(result, inp, eps, delta)
     digest.update(report.to_text().encode())
@@ -778,28 +808,31 @@ def solve_digest(demo, nodes, eps, delta):
 # before its passes were bounded by eps; those runs never came near eps.
 # The flat digests were re-pinned when the frames moved to the chord path
 # and again when the steering became the least-norm step (outputs, meta
-# and reports unmoved both times); they hold at the AVX2 level too
+# and reports unmoved both times), and all of them when the verifier's
+# frame check became the per-node certificate of the path (outputs, meta
+# and frames unmoved, one report line changed); they hold at the AVX2
+# level too
 UNMOVED = {
-    ("flat", 9, 0.5, 0.001): "a5debd0dd552caaf829a03f6cf9863cf90b1b561360dc5dd45ab361974528124",
-    ("flat", 9, 0.1, 0.001): "d624052c675d6b8f9c5da3fcc6b68a267be1ffb2f421452b3c5269d761da2e26",
-    ("flat", 13, 0.5, 0.001): "89692e2d636e240b6a0a18a11f35f718f7773b4f049d75db8ee3d761a0793655",
-    ("flat", 13, 0.1, 0.001): "5b2a1871b7e3b5be684ff1f45f3f6b6fd393f0763167fc9b3ba8571496e98dca",
-    ("flat", 17, 0.5, 0.001): "fc41e72b17b1f002948c2b3ed95421c5ff245f76f93b39204e72668f5170d242",
-    ("flat", 17, 0.1, 0.001): "63ac80e6ad85efbe09928b38eccce46b87515872e7eb6fb8203250d293a7df1e",
-    ("flat", 21, 0.5, 0.001): "df4a1d5aff48e522589aa9e793a88f861ad444a6278a738d4e471d83b3cdee37",
-    ("flat", 21, 0.1, 0.001): "7607650504a3077d53635527ac806728c18dae03d3a1767773becf2f5454be36",
-    ("flat", 33, 0.5, 0.001): "48c5b597dbf74978927ffce4d3c48660989f4b069be24ae369bfd04d0f904406",
-    ("flat", 33, 0.1, 0.001): "209f6114e3079a415ff22f2db0b2c4aed1995f2c20877df92018554e5c114c4b",
-    ("holonomic", 9, 0.5, 0.001): "19cf8a46ead58ef5d44feb9b4b26414bcb2bcfedbc75f2e5d8a694f19fdd473a",
-    ("holonomic", 9, 0.1, 0.001): "dd89f0a62e5409557b688641e4406e8ddfdb8ba9ef7c165d43ada531f3d00fa5",
-    ("holonomic", 13, 0.5, 0.001): "cebcb37a12c8b41cc5c49be88ef2792190b15fb2675b1c53c5832807e0cecda1",
-    ("holonomic", 13, 0.1, 0.001): "e7b7967f865b883b02992db8ff5d76f8e324dc1e56cf23212f12375e67ba1563",
-    ("holonomic", 17, 0.5, 0.001): "3f82f953d7a648c61088cff06cb58933e4a1bba9078315e7e8dcf3168fad203a",
-    ("holonomic", 17, 0.1, 0.001): "a75f265cc9e784912c4097ba46b7ca637e48f3aa7d9e65da162265b5a3c39a33",
-    ("holonomic", 21, 0.5, 0.001): "53384e80e8c838ff7225b426712afe0ae8cfa0c96c6356a642bcd8d28acfe2cf",
-    ("holonomic", 21, 0.1, 0.001): "7f8b61a6121f3c919684350047e4f253164da43b3e181fe58d9a480c7a1f2f0c",
-    ("holonomic", 33, 0.5, 0.001): "34e3b5a3b6cfbf6deee70860256c877eb33726f03851d93704453e456de74597",
-    ("holonomic", 33, 0.1, 0.001): "9e3cc5aa9cd0c42683a008407ad134b795f7b7dc387ad05287cfde19ca7f849f",
+    ("flat", 9, 0.5, 0.001): "9b62ffb85f3189bf0aa0c1ad404ad0194341dded94ac9208de72de8906b8d8e3",
+    ("flat", 9, 0.1, 0.001): "8af1c5a69b9a58c94afaebe3a6288b5341a29f193071fdda26be3d3d657fba4e",
+    ("flat", 13, 0.5, 0.001): "f5b8dc9825b60bcb6fd66cf5a68809930b97c72f7109f60985ed3ffca2d5e95c",
+    ("flat", 13, 0.1, 0.001): "5c0ddcb91e53b92ea8c0a2fa3b19492944702a47e4117561b1936e1108b29c4d",
+    ("flat", 17, 0.5, 0.001): "7f3edf9af20973f9902a62ea2765aa62671ed972a759f11710fcae9c0452757f",
+    ("flat", 17, 0.1, 0.001): "2a825da1010551110f75e269258dd233ec3e89f17ba00ecab64d0835e82bd822",
+    ("flat", 21, 0.5, 0.001): "46edc255eeb52dbf5cc04f58b87bb155802d02f7036eb2c6c510e6278c1e9b35",
+    ("flat", 21, 0.1, 0.001): "d4af81e787c98b5b3e815c5955605367551dc764ad65157951bbeffa155f42f1",
+    ("flat", 33, 0.5, 0.001): "11e73229b9b8db8751c8f09c754c670a7520d399ceab1b79c38a0256ea2838c0",
+    ("flat", 33, 0.1, 0.001): "3941b932877e4e3ef3f4238bd92a7bf7fd99ea1882734665596fb9fc4f3f3fd5",
+    ("holonomic", 9, 0.5, 0.001): "e12ea6e06760eada9186c95fc808dca60e8e2d0237ca63f8a2b164b0852b8708",
+    ("holonomic", 9, 0.1, 0.001): "5456f76786509c1be1804f83fcd90ceec1a0e6f7279dddbc15a34d8534521161",
+    ("holonomic", 13, 0.5, 0.001): "bc072971d5876ade766ed2e843f733fb80229442b73e75e16c8e6b6efc7d5fca",
+    ("holonomic", 13, 0.1, 0.001): "7bfa835cc88a86d357d4d6df065fd047fa81d57eb364c8c94784f6e69df41a9f",
+    ("holonomic", 17, 0.5, 0.001): "ce0a439c1428a329fd10fe4930293fbaa2c5317a5cd3dc284622fad24aff0294",
+    ("holonomic", 17, 0.1, 0.001): "9b62c74473528561d398f85bd9dbc4135fe938b0434718c6674856f250b02e61",
+    ("holonomic", 21, 0.5, 0.001): "eec419d926b5a47d9887954f1b603a711e658029de8d51c5ed74f204ce9ac567",
+    ("holonomic", 21, 0.1, 0.001): "6271ce969733ad2ff32f042aa70ec3f5d8b2cefc56c83dfd5dbc0ac9b3ab33d4",
+    ("holonomic", 33, 0.5, 0.001): "73a29277d552fb9462984ebf5f49149609d093eba8a1bff654bc292e3de100a2",
+    ("holonomic", 33, 0.1, 0.001): "15a8360554a5361a90f8b6d8fb656acf319f26725f9794326e17af7479d55809",
 }
 
 
@@ -1272,10 +1305,11 @@ def test_a_read_homotopy_keeps_only_its_endpoints_strips_and_path_fields():
 
 
 @pytest.mark.parametrize("demo", [demo_gamma_section, demo_flat_section])
-def test_verifier_holds_one_frame_at_a_time(demo):
+def test_verifier_holds_no_frame(demo):
     """verify_ci's traced peak on a 33-node result: it drops the curl,
-    margin and deviation fields before the frame pass and holds one frame
-    at a time (17.4 MB when it held two frames and those fields)."""
+    margin and deviation fields before the path certificate and builds no
+    frame, 5.8 MiB (8.6 MiB when it held one frame at a time, 17.4 MB when
+    it held two frames and those fields)."""
     inp, gamma = demo(33)
     result = ci_solve(inp, gamma, 0.5, 1e-3)
     report, peak, _ = traced_peak(verify_ci, result, inp, 0.5, 1e-3)

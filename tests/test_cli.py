@@ -174,31 +174,11 @@ def test_integrate_out_inventory(tmp_path, capsys):
         "input.txt", "meta.json", "output.txt"]
 
 
-def test_integrate_out_builds_each_frame_on_read(tmp_path, capsys, monkeypatch):
-    """The verifier builds every frame when it reads it, in order, and
-    keeps no list of them; the dump builds none."""
-    from contactkit.ci import N_FRAMES, Homotopy
-
-    real = Homotopy.__getitem__
-    built = []
-
-    def counting(self, k):
-        frame = real(self, k)
-        built.append(k)
-        return frame
-
-    monkeypatch.setattr(Homotopy, "__getitem__", counting)
-    code, _ = run_cli(capsys, "integrate", "--demo", "flat", "--grid", "9",
-                      "--out", str(tmp_path))
-    assert code == 0
-    assert built == list(range(N_FRAMES))
-
-
-def test_integrate_out_holds_one_frame_at_a_time(tmp_path, capsys):
-    """``integrate --demo gamma --grid 33 --out DIR`` holds one frame of
-    3.4 MB at a time: its traced peak is 18 MB, against 71 MB when it
-    listed all 17 frames for the verifier and the dump to share.  The dump
-    is the two endpoints."""
+def test_integrate_out_holds_no_frame(tmp_path, capsys):
+    """``integrate --demo gamma --grid 33 --out DIR`` builds no frame: its
+    traced peak is 18 MB, set by the solver, against 71 MB when it listed
+    all 17 frames of 3.4 MB for the verifier and the dump to share.  The
+    dump is the two endpoints."""
     _, peak, _ = traced_peak(run_cli, capsys, "integrate", "--demo", "gamma", "--grid", "33",
                              "--out", str(tmp_path))
     assert peak <= 26 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB peak"

@@ -143,8 +143,9 @@ def test_dump_digests_hold_at_every_dispatch_level(level):
     assert "3 passed" in out, out
 
 
-# The solve digests pinned in test_ci.py, which hash every frame, and the
-# frames' bit-level tests.  The chord path takes real +, -, *, /, sqrt and
+# The solve digests pinned in test_ci.py, which hash every frame and check
+# it against the verifier's certified bound, and the frames' bit-level
+# tests.  The chord path takes real +, -, *, /, sqrt and
 # hypot and complex products by reals, and the least-norm steering takes
 # its products on real parts, which keep their bits at every level.
 # x86-64-v2 is left out: there complex multiplication and complex abs
