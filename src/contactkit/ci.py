@@ -5,7 +5,9 @@ value never vanishes.  Output: a corrected field whose finite-difference
 jet lies in the relation with margin delta at every interior node, within
 sup-distance eps of the input, together with a 17-frame homotopy whose
 formal margin stays strictly positive, all constant on frozen boundary
-strips.  Each interior frame is the straight line from the input to the
+strips.  A passed output, corrected or not, is the input on the strips
+and off them carries the finite-difference curl of its a as its beta, bit
+for bit.  Each interior frame is the straight line from the input to the
 output with its relation value steered onto a chord path by the
 least-norm change of beta, one formula at every node.  The homotopy is a
 function of its endpoints and the strips, so a result stores only the
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError, _count
 from .grids import (CubeGrid, GammaSpec, GridSection, _require_finite, _smoothstep5,
                     upper_pairs)
-from .jets import SliceClass, curl_grid, formal_margin_grid, relation_grid, slope_grid
+from .jets import SliceClass, curl_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
 
 SINC_GUARD = 0.3
@@ -252,28 +254,6 @@ def _line_phases(h_act: np.ndarray, rho: np.ndarray, nu: float, d: int) -> np.nd
     return np.expand_dims(best_phi, d)
 
 
-def _stencil_bound(s: GridSection, guard: np.ndarray | None = None) -> float:
-    """Certified stencil error: 10 h^2 times the max third difference / h^3.
-
-    With a ``guard`` mask only difference windows lying wholly inside it
-    count, so rough data elsewhere on the grid cannot launder a
-    non-holonomic strip through an inflated global bound.
-    """
-    grid = s.grid
-    worst = 0.0
-    for d in range(grid.m):
-        diffs = np.abs(np.diff(s.a, 3, axis=d) / grid.h[d] ** 3)
-        if guard is not None:
-            # a window covers nodes k..k+3 along d
-            inside = np.ones(diffs.shape[:-1], dtype=bool)
-            for off in range(4):
-                inside &= np.take(guard, range(off, grid.nodes - 3 + off), axis=d)
-            diffs = diffs[inside]
-        if diffs.size:
-            worst = max(worst, float(diffs.max()))
-    return 10.0 * max(grid.h) ** 2 * worst + 1e-12
-
-
 def _worst_node(values: np.ndarray) -> tuple[int, ...]:
     """Index of the smallest entry, the first one on ties."""
     return tuple(int(k) for k in np.unravel_index(int(values.argmin()), values.shape))
@@ -295,14 +275,27 @@ def _out_of_reach(cutoff: np.ndarray, interior: np.ndarray) -> np.ndarray:
 
 def _check_gamma_preconditions(s: GridSection, gamma: GammaSpec, delta: float,
                                curl: np.ndarray, margins: np.ndarray) -> None:
-    """Frozen strips must carry holonomic data whose margins clear delta."""
+    """Frozen strips must carry holonomic data whose margins clear delta.
+    Holonomic there means a curl defect within the certified stencil error:
+    10 h^2 times the max third difference / h^3 over the difference windows
+    lying wholly inside the strips plus their one guard layer, so rough data
+    elsewhere cannot launder a non-holonomic strip through an inflated bound."""
     if gamma.is_empty:
         return
-    mask = gamma.frozen_mask(s.grid)
-    defect_field = np.max(np.abs(curl - s.beta), axis=-1)
-    # the strips plus their one guard layer
-    bound = _stencil_bound(s, GammaSpec(gamma.faces, gamma.width + 1).frozen_mask(s.grid))
-    worst_defect = float(defect_field[mask].max())
+    grid = s.grid
+    mask = gamma.frozen_mask(grid)
+    guard = GammaSpec(gamma.faces, gamma.width + 1).frozen_mask(grid)
+    worst = 0.0
+    for d in range(grid.m):
+        diffs = np.abs(np.diff(s.a, 3, axis=d) / grid.h[d] ** 3)
+        # a window covers nodes k..k+3 along d
+        inside = np.ones(diffs.shape[:-1], dtype=bool)
+        for off in range(4):
+            inside &= np.take(guard, range(off, grid.nodes - 3 + off), axis=d)
+        if inside.any():
+            worst = max(worst, float(diffs[inside].max()))
+    bound = 10.0 * max(grid.h) ** 2 * worst + 1e-12
+    worst_defect = float(np.max(np.abs(curl - s.beta), axis=-1)[mask].max())
     if worst_defect > bound:
         raise PreconditionError(
             f"frozen strips are not holonomic: defect {worst_defect:.3e} exceeds "
@@ -465,8 +458,30 @@ class CIResult:
 
 def _unchanged(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                **outcome) -> CIResult:
-    """A result whose output, and so every frame, equals the input."""
-    return CIResult(inp, inp.copy(), gamma, eps, delta, deviation=0.0, **outcome)
+    """A refusal: its output, and so every frame, equals the input."""
+    return CIResult(inp, inp.copy(), gamma, eps, delta, deviation=0.0, margin=0.0, **outcome)
+
+
+def _passed(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
+            h_formal: np.ndarray, a: np.ndarray, curl: np.ndarray, h: np.ndarray,
+            rung: int = 0, **outcome) -> CIResult:
+    """The one success exit: the output (a, curl), ``curl`` the curl of
+    ``a`` and ``h`` their relation field, reset in place to the input,
+    whose formal relation field is ``h_formal``, on the frozen strips.
+    Refused by node where the homotopy to it has no certified margin."""
+    frozen = tuple(gamma.strips(inp.grid))
+    for strip in frozen:
+        curl[strip] = inp.beta[strip]
+        a[strip] = inp.a[strip]
+        h[strip] = h_formal[strip]
+    path = _path_bound(inp.a, a, h_formal, h, frozen)
+    node = _worst_node(path)
+    if path[node] == 0.0:
+        return _unchanged(inp, gamma, eps, delta, rung=rung, failure=(
+            f"refused at rung {rung}: the homotopy to the output has no certified "
+            f"formal margin at node {node}"))
+    return CIResult(inp, GridSection(inp.grid, a, curl), gamma, eps, delta, rung=rung,
+                    passed=True, **outcome)
 
 
 def _check_problem(grid: CubeGrid, eps: float, delta: float) -> None:
@@ -496,7 +511,8 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     _check_problem(grid, eps, delta)
     _count(max_sweeps, "max_sweeps", 1, PreconditionError)
 
-    formal = formal_margin_grid(inp)
+    h_formal = relation_grid(inp.a, inp.beta, grid.n)
+    formal = np.abs(h_formal)
     if float(formal.min()) <= 1e-12:
         raise PreconditionError(f"formal margin vanishes at node {_worst_node(formal)}")
 
@@ -507,18 +523,18 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
 
     interior = grid.interior_mask()
     already = float(margins_in[interior].min())
-    if already >= delta and float(np.max(np.abs(curl_in - inp.beta))) <= _stencil_bound(inp):
-        return _unchanged(inp, gamma, eps, delta, margin=already, passed=True)
+    if already >= delta:
+        return _passed(inp, gamma, eps, delta, h_formal, inp.a.copy(order="K"), curl_in,
+                       h_in, margin=already, deviation=0.0)
 
     cutoff = gamma.cutoff_field(grid)
     stuck = np.where(_out_of_reach(cutoff, interior), margins_in, np.inf)
     unreachable = float(stuck.min())
     if unreachable < delta:
-        return _unchanged(inp, gamma, eps, delta, margin=0.0, failure=(
+        return _unchanged(inp, gamma, eps, delta, failure=(
             f"refused before rung 0: margin {unreachable:.3e} < delta "
             f"{delta:.3e} at node {_worst_node(stuck)}, where the cutoff is 0 on "
             f"the whole stencil, so no pass can change h"))
-    frozen = tuple(gamma.strips(grid))
     mesh = min(grid.h)
     base_freq = FREQ_BASE / mesh
     cap = FREQ_CAP / mesh
@@ -553,12 +569,8 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
                 break
         deviation = float(np.max(np.abs(a - inp.a)))
         if success and deviation <= eps:
-            for strip in frozen:
-                curl[strip] = inp.beta[strip]
-                a[strip] = inp.a[strip]
-            return CIResult(inp, GridSection(grid, a, curl), gamma, eps, delta,
-                            margin=achieved, deviation=deviation,
-                            sweep_frequencies=sweep_freqs, rung=rung, passed=True)
+            return _passed(inp, gamma, eps, delta, h_formal, a, curl, h, margin=achieved,
+                           deviation=deviation, sweep_frequencies=sweep_freqs, rung=rung)
         masked = np.where(interior, margins, np.inf)
         worst_note = (f"rung {rung} (freq {freq:.0f}): margin "
                       f"{float(masked.min()):.3e} at node "
@@ -566,13 +578,15 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
         rung += 1
         freq *= 2
 
-    return _unchanged(inp, gamma, eps, delta, margin=0.0, rung=rung,
+    return _unchanged(inp, gamma, eps, delta, rung=rung,
                       failure=f"frequency ladder exhausted; last attempt: {worst_note}")
 
 
-def _path_bound(start: GridSection, end: GridSection, frozen: tuple) -> np.ndarray:
-    """Per node, a lower bound on the formal |h| of the homotopy from
-    ``start`` to ``end`` at every tau in [0, 1], or 0 where none holds.
+def _path_bound(a0: np.ndarray, a1: np.ndarray, h0: np.ndarray, h1: np.ndarray,
+                frozen: tuple) -> np.ndarray:
+    """Per node, a lower bound on the formal |h| of the homotopy from the
+    section with a field ``a0`` and formal relation field ``h0`` to the one
+    with ``a1`` and ``h1``, at every tau in [0, 1], or 0 where none holds.
 
     At n = 1 the steering puts h(tau) on the chord path, of modulus
     (1 - tau) |h0| + tau |h1| >= min(|h0|, |h1|), wherever the least-norm
@@ -583,12 +597,11 @@ def _path_bound(start: GridSection, end: GridSection, frozen: tuple) -> np.ndarr
     the strips, when the least |a(tau)|^2 over [0, 1] exceeds 1e-60.  The
     frames ``Homotopy`` builds in floats are tested to keep
     |h| >= (1 - PATH_ALLOWANCE) times the bound."""
-    h0, h1 = (relation_grid(s.a, s.beta, s.grid.n) for s in (start, end))
     mod0, mod1 = np.hypot(h0.real, h0.imag), np.hypot(h1.real, h1.imag)
     lo = np.minimum(mod0, mod1)
     # |a(tau)|^2 = A + 2 B tau + C tau^2: least at tau = -B / C when that
     # lies in (0, 1), else at an end
-    a0, step = start.a, end.a - start.a
+    step = a1 - a0
     A, B, C = (np.sum(x.real * y.real + x.imag * y.imag, axis=-1)
                for x, y in ((a0, a0), (a0, step), (step, step)))
     least = np.minimum(A, A + 2 * B + C)
@@ -605,12 +618,14 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
 
     Uses only jet and relation operations on the caller's input and the
     result's output; no solver internals are trusted, and no frame is
-    built or read: the homotopy from the input to the output is certified
-    at every tau from its formula, per node (``_path_bound``), with the
-    relative rounding allowance PATH_ALLOWANCE = 1e-11, about 280 times
-    the largest shortfall of a demo frame.  n, eps and delta are refused
-    as ``ci_solve`` refuses them, and a NaN or an infinite part of the
-    output as ``GridSection`` refuses it.
+    built or read.  Check (a) has tolerance 0: off the frozen strips beta
+    must be the finite-difference curl of a, bit for bit.  The homotopy is
+    certified at every tau from its formula, per node (``_path_bound``),
+    with the relative rounding allowance PATH_ALLOWANCE = 1e-11, about 280
+    times the largest shortfall of a demo frame.  The strips still come
+    from ``result.gamma``, so an output that moves them and claims none
+    passes.  n, eps and delta are refused as ``ci_solve`` refuses them,
+    and a NaN or an infinite part of the output as ``GridSection`` does.
     """
     _check_problem(inp.grid, eps, delta)
     report = VerificationReport("convex integration postconditions")
@@ -624,13 +639,17 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
         return report
     _require_finite(out.a, out.beta)
     curl = curl_grid(out.a, grid)
+    strips = tuple(result.gamma.strips(grid))
 
-    # (a) holonomy: beta equals the finite-difference curl within the
-    # certified stencil bound
-    defect = float(np.max(np.abs(curl - out.beta)))
-    bound = _stencil_bound(out)
-    report.add("holonomy defect within stencil bound", defect <= bound,
-               f"defect={fmt_num(defect)} bound={fmt_num(bound)} (bound from data)")
+    # (a) holonomy: off the strips the largest |real| or |imaginary| part
+    # of beta - curl is 0; (e) holds the strips to the input
+    diff = out.beta - curl
+    defect = np.maximum(np.abs(diff.real), np.abs(diff.imag)).max(axis=-1)
+    for s in strips:
+        defect[s] = 0.0
+    node = _worst_node(-defect)
+    report.add("beta is the curl of a off the frozen strips", defect[node] == 0.0,
+               f"defect={fmt_num(float(defect[node]))} at node {node}, tolerance 0")
 
     # (b) relation margin at interior nodes
     margins = np.where(grid.interior_mask(),
@@ -647,12 +666,12 @@ def verify_ci(result: CIResult, inp: GridSection, eps: float,
                f"deviation={fmt_num(deviation)} eps={fmt_num(eps)} at node "
                f"{_worst_node(-dev_field)}")
 
-    del curl, margins, dev_field
+    del curl, diff, defect, margins, dev_field
 
     # (d) the formal margin stays positive at every tau of the homotopy
     # from the caller's input to the output
-    strips = tuple(result.gamma.strips(grid))
-    path = _path_bound(inp, out, strips)
+    path = _path_bound(inp.a, out.a, relation_grid(inp.a, inp.beta, grid.n),
+                       relation_grid(out.a, out.beta, grid.n), strips)
     node = _worst_node(path)
     report.add("homotopy keeps positive formal margin at every tau", path[node] > 0.0,
                f"min |h| >= {fmt_num(float(path[node]))} at node {node}, "

@@ -415,13 +415,17 @@ def test_solver_is_deterministic():
 
 def test_holonomic_input_is_left_alone():
     """A section already deep in the relation short-circuits: the output
-    and every frame equal the input bit for bit."""
-    inp, gamma = demo_holonomic_section(nodes=9)
-    result = ci_solve(inp, gamma, 0.5, 1e-3)
-    assert result.passed
-    assert result.deviation == 0.0
-    assert np.array_equal(result.output.a, inp.a)
-    assert all(np.array_equal(f.a, inp.a) for f in result.frames)
+    and every frame keep the input's a bit for bit, and the output's beta
+    is its curl, which at 13 nodes differs from the input's beta."""
+    for nodes in (9, 13):
+        inp, gamma = demo_holonomic_section(nodes)
+        result = ci_solve(inp, gamma, 0.5, 1e-3)
+        assert result.passed
+        assert (result.deviation, result.rung, result.sweep_frequencies) == (0.0, 0, [])
+        assert np.array_equal(result.output.a, inp.a)
+        assert np.array_equal(result.output.beta, curl_grid(inp.a, inp.grid))
+        assert all(np.array_equal(f.a, inp.a) for f in result.frames)
+    assert not np.array_equal(result.output.beta, inp.beta)
 
 
 def test_frames_interpolate_between_input_and_output():
@@ -643,13 +647,15 @@ def test_verifier_refuses_an_output_whose_straight_line_meets_a_zero(eps, scale)
     tau = 0.3 (scale -7/3) or 2/3 (scale -1/2), between two frames, where
     the steering cannot act and h is 0.  Every one of the 17 frames, all
     that the verifier once checked, keeps a positive formal margin; the
-    certificate gives that node the bound 0.  At eps 2 its line is the
-    only one that fails, and the verifier once passed that output."""
+    certificate gives that node the bound 0.  beta is set to the curl of
+    the changed a, so at eps 2 the certificate's line is the only one that
+    fails, and the verifier once passed that output."""
     inp, gamma = demo_flat_section(13)
     result = ci_solve(inp, gamma, eps, 1e-3)
     assert result.passed, result.failure
     node = (6, 5, 7)
     result.output.a[node] = scale * inp.a[node]
+    result.output.beta[...] = curl_grid(result.output.a, inp.grid)
     frames = Homotopy(inp, result.output, ())
     assert min(float(formal_margin_grid(frames[k]).min()) for k in range(N_FRAMES)) > 0
     failed = _failed_checks(verify_ci(result, inp, eps, 1e-3))
@@ -684,12 +690,43 @@ def test_verifier_rejects_beta_that_is_not_the_curl():
     inp, gamma, result = run_flat()
     result.output.beta[8, 8, 8, 1] += 0.5  # beta_13
     report = verify_ci(result, inp, 0.5, 1e-3)
-    assert "holonomy defect within stencil bound" in _failed_checks(report)
+    detail = _failed_checks(report)["beta is the curl of a off the frozen strips"]
+    assert re.fullmatch(r"defect=(\S+) at node \(8, 8, 8\), tolerance 0", detail), detail
+
+
+def test_verifier_refuses_beta_plus_12_off_the_strips():
+    """Adding 12 to beta_12 off the strips of the gamma-33 output leaves
+    every other line passing; the stencil bound check (a) once took from
+    the output, 13.9 there, let it through.  Check (a) takes no tolerance
+    and names the first node off the strips."""
+    inp, gamma = demo_gamma_section(nodes=33)
+    result = ci_solve(inp, gamma, 0.5, 1e-3)
+    assert result.passed, result.failure
+    off = ~gamma.frozen_mask(inp.grid)
+    result.output.beta[off, 0] += 12.0
+    failed = _failed_checks(verify_ci(result, inp, 0.5, 1e-3))
+    assert list(failed) == ["beta is the curl of a off the frozen strips"]
+    value = re.fullmatch(r"defect=(\S+) at node \(3, 0, 0\), tolerance 0",
+                         failed["beta is the curl of a off the frozen strips"]).group(1)
+    assert float(value) == pytest.approx(12.0)
+
+
+def test_only_the_strip_precondition_takes_a_stencil_bound():
+    """Neither the solver's early exit nor the verifier takes a tolerance
+    from the data under test: the stencil bound, from third differences,
+    is taken in one function, the strip precondition, and nowhere else."""
+    tree = ast.parse(Path(ci_mod.__file__).read_text())
+    takers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+              and node.attr == "diff"}
+    assert takers == {"_check_gamma_preconditions"}
+    assert not hasattr(ci_mod, "_stencil_bound")
 
 
 def test_strip_holonomy_uses_the_strip_bound():
-    """Rough data away from the strips inflates the global stencil bound
-    far past a small strip defect; the strip check must still see it."""
+    """Rough data away from the strips would inflate a stencil bound taken
+    over the whole grid far past a small strip defect; the strip check
+    takes its bound over the strips and their guard layer, and sees it."""
     inp, gamma = demo_gamma_section(nodes=33)
     broken = inp.copy()
     broken.beta[0, ..., 1] += 1e-6  # beta_13
@@ -787,14 +824,23 @@ def test_pass_with_zero_amplitude_does_not_act(monkeypatch):
 
 def solve_digest(demo, nodes, eps, delta):
     """Solve a demo, verify the result, and hash the output, the meta, every
-    frame and the report text.  ``Homotopy`` builds the path the verifier
-    certifies: every frame keeps at each node a formal margin of at least
-    1 - PATH_ALLOWANCE times that node's certified bound."""
+    frame and the report text.  A passed output's beta is the curl of its
+    a bit for bit off the frozen strips, and it is the input on them.
+    ``Homotopy`` builds the path the verifier certifies: every frame keeps
+    at each node a formal margin of at least 1 - PATH_ALLOWANCE times that
+    node's certified bound."""
     inp, gamma = demo(nodes)
     result = ci_solve(inp, gamma, eps, delta)
-    digest = hashlib.sha256(result.output.a.tobytes() + result.output.beta.tobytes())
+    out = result.output
+    if result.passed:
+        frozen = gamma.frozen_mask(inp.grid)
+        assert np.array_equal(out.beta[~frozen], curl_grid(out.a, inp.grid)[~frozen])
+        assert np.array_equal(out.a[frozen], inp.a[frozen])
+        assert np.array_equal(out.beta[frozen], inp.beta[frozen])
+    digest = hashlib.sha256(out.a.tobytes() + out.beta.tobytes())
     digest.update(repr(result.meta()).encode())
-    bound = ci_mod._path_bound(inp, result.output, tuple(gamma.strips(inp.grid)))
+    bound = ci_mod._path_bound(inp.a, out.a, relation_grid(inp.a, inp.beta, 1),
+                               relation_grid(out.a, out.beta, 1), tuple(gamma.strips(inp.grid)))
     for k in range(N_FRAMES):
         frame = result.frames[k]
         assert (formal_margin_grid(frame) >= (1 - ci_mod.PATH_ALLOWANCE) * bound).all(), k
@@ -810,45 +856,61 @@ def solve_digest(demo, nodes, eps, delta):
 # and again when the steering became the least-norm step (outputs, meta
 # and reports unmoved both times), and all of them when the verifier's
 # frame check became the per-node certificate of the path (outputs, meta
-# and frames unmoved, one report line changed); they hold at the AVX2
-# level too
+# and frames unmoved, one report line changed), and again when check (a)
+# became exact (the flat outputs, meta and frames unmoved, the holonomy
+# line changed; the holonomic outputs carry the curl as beta, which moves
+# beta and the frames at 13 and 21 nodes and the path line); they hold at
+# the AVX2 level too
 UNMOVED = {
-    ("flat", 9, 0.5, 0.001): "9b62ffb85f3189bf0aa0c1ad404ad0194341dded94ac9208de72de8906b8d8e3",
-    ("flat", 9, 0.1, 0.001): "8af1c5a69b9a58c94afaebe3a6288b5341a29f193071fdda26be3d3d657fba4e",
-    ("flat", 13, 0.5, 0.001): "f5b8dc9825b60bcb6fd66cf5a68809930b97c72f7109f60985ed3ffca2d5e95c",
-    ("flat", 13, 0.1, 0.001): "5c0ddcb91e53b92ea8c0a2fa3b19492944702a47e4117561b1936e1108b29c4d",
-    ("flat", 17, 0.5, 0.001): "7f3edf9af20973f9902a62ea2765aa62671ed972a759f11710fcae9c0452757f",
-    ("flat", 17, 0.1, 0.001): "2a825da1010551110f75e269258dd233ec3e89f17ba00ecab64d0835e82bd822",
-    ("flat", 21, 0.5, 0.001): "46edc255eeb52dbf5cc04f58b87bb155802d02f7036eb2c6c510e6278c1e9b35",
-    ("flat", 21, 0.1, 0.001): "d4af81e787c98b5b3e815c5955605367551dc764ad65157951bbeffa155f42f1",
-    ("flat", 33, 0.5, 0.001): "11e73229b9b8db8751c8f09c754c670a7520d399ceab1b79c38a0256ea2838c0",
-    ("flat", 33, 0.1, 0.001): "3941b932877e4e3ef3f4238bd92a7bf7fd99ea1882734665596fb9fc4f3f3fd5",
-    ("holonomic", 9, 0.5, 0.001): "e12ea6e06760eada9186c95fc808dca60e8e2d0237ca63f8a2b164b0852b8708",
-    ("holonomic", 9, 0.1, 0.001): "5456f76786509c1be1804f83fcd90ceec1a0e6f7279dddbc15a34d8534521161",
-    ("holonomic", 13, 0.5, 0.001): "bc072971d5876ade766ed2e843f733fb80229442b73e75e16c8e6b6efc7d5fca",
-    ("holonomic", 13, 0.1, 0.001): "7bfa835cc88a86d357d4d6df065fd047fa81d57eb364c8c94784f6e69df41a9f",
-    ("holonomic", 17, 0.5, 0.001): "ce0a439c1428a329fd10fe4930293fbaa2c5317a5cd3dc284622fad24aff0294",
-    ("holonomic", 17, 0.1, 0.001): "9b62c74473528561d398f85bd9dbc4135fe938b0434718c6674856f250b02e61",
-    ("holonomic", 21, 0.5, 0.001): "eec419d926b5a47d9887954f1b603a711e658029de8d51c5ed74f204ce9ac567",
-    ("holonomic", 21, 0.1, 0.001): "6271ce969733ad2ff32f042aa70ec3f5d8b2cefc56c83dfd5dbc0ac9b3ab33d4",
-    ("holonomic", 33, 0.5, 0.001): "73a29277d552fb9462984ebf5f49149609d093eba8a1bff654bc292e3de100a2",
-    ("holonomic", 33, 0.1, 0.001): "15a8360554a5361a90f8b6d8fb656acf319f26725f9794326e17af7479d55809",
+    ("flat", 9, 0.5, 0.001): "182aa5f363c26f7b1293aca799b7fc7065457772eb5d89024dd182cb16b8a353",
+    ("flat", 9, 0.1, 0.001): "da25dbcb37cba75b16fd429ce70e0029ae76a8e5db7ff1586634a69bfafce470",
+    ("flat", 13, 0.5, 0.001): "a3ab2567e29a08925b1faeb63485869895b2ea9ef5e9100fc6ba101b289a4fa6",
+    ("flat", 13, 0.1, 0.001): "ead9ba2d70d19fec00d1e42215ad28a97b6d9930a81e03451df878fa6ee28682",
+    ("flat", 17, 0.5, 0.001): "51add069252e36b0feee64f0443a54b0c377efb44cc37c73bc8ded32886a6277",
+    ("flat", 17, 0.1, 0.001): "aa0d55f264b4398aa831b3c6355cb9f8839f849f03a01c2fa1cdea525da36d9a",
+    ("flat", 21, 0.5, 0.001): "b17a766adb6cdf6f8547219d75b2591d6ab469ab03e180f1d194036f8b40f749",
+    ("flat", 21, 0.1, 0.001): "61cdf705066ec5ca94acfdcee7a27ac61194e3749b5489a347e3f40a18f264e8",
+    ("flat", 33, 0.5, 0.001): "6a2f90f75afee42c81b63251a06808400e08325a7af29ffa56180c489490306d",
+    ("flat", 33, 0.1, 0.001): "c646cb119d57ec373e63daef89b7fd1390a6b3371c2c3bd59b2fcbd42e2c172f",
+    ("holonomic", 9, 0.5, 0.001): "7b8f89db941e289b81428bfcb868eb8d8885da8e7897e83cba27dc6ba9007b47",
+    ("holonomic", 9, 0.1, 0.001): "98d5087c844b805a55b9940033066182702d21ec53b27da1f97c225a9cc89a21",
+    ("holonomic", 13, 0.5, 0.001): "4c0cf7f3bb5f0c4012a5bb4ad224c6a6279dc7f601286d2c94a82014fe2ac58f",
+    ("holonomic", 13, 0.1, 0.001): "7c25a93fb733e9088c1c837ada6ca79035e75196f164be72b1dcc5b0841b9f8e",
+    ("holonomic", 17, 0.5, 0.001): "47996998662761b920a1e6fd099eacf5995ec37a0cb9be94363c84d479361a04",
+    ("holonomic", 17, 0.1, 0.001): "a8846f992cce99fc1e220cfac66124d60fd23f082d9fdd85e83ebd4605492c16",
+    ("holonomic", 21, 0.5, 0.001): "02a20e8d28cbe37ffe3290668b385327a431a7a649d01fb157e421ed3ccabc4a",
+    ("holonomic", 21, 0.1, 0.001): "33cf997f3546b02c3520ca897f0ad2ab97ece8cea9d197e7bb87176e1ab36f9f",
+    ("holonomic", 33, 0.5, 0.001): "46a0a1c1547de4c2a4279b16ce62c52a0b5336dd7ac65004d71bcec7dcb71560",
+    ("holonomic", 33, 0.1, 0.001): "3437a2d573f6e584d4393a3478b457b6237366000a16dfa946fa3c70daef7e94",
 }
+
+
+def demo_square_section(nodes):
+    """a = (0, x1^2, 1) with beta = dz1^dz2: its curl beta_12 = 2 x1 puts
+    every interior node in the relation, but the one-sided difference makes
+    h 0 on the face x1 = 0, where the homotopy to (a, curl a) ends."""
+    return ci_mod._demo_section(nodes, np.square), GammaSpec.empty()
 
 
 @pytest.mark.parametrize("eps, delta", [(0.5, 1e-3), (0.1, 1e-3)])
 @pytest.mark.parametrize("nodes", [9, 13, 17, 21, 33])
 @pytest.mark.parametrize("demo", [demo_gamma_section, demo_flat_section,
-                                  demo_holonomic_section])
+                                  demo_holonomic_section, demo_square_section])
 def test_no_solve_passes_that_the_verifier_refuses(demo, nodes, eps, delta):
     """Every passed result verifies.  Gamma passes at rung 0 from 11 nodes
     and refuses before rung 0 at 9 and 17, naming a node no pass can
-    reach; gamma-13 acts on at most 10 passes.  Flat and holonomic keep
-    their outputs, frames and reports bit for bit."""
+    reach; gamma-13 acts on at most 10 passes.  The square input is
+    refused at rung 0, naming the first node where the homotopy's formal
+    margin is not certified.  Flat and holonomic keep their outputs, frames
+    and reports bit for bit."""
     result, report, digest = solve_digest(demo, nodes, eps, delta)
     assert report.passed == result.passed, report.to_text()
     name = demo.__name__.split("_")[1]
-    if name == "gamma":
+    if name == "square":
+        assert (result.passed, result.rung) == (False, 0)
+        assert result.failure == ("refused at rung 0: the homotopy to the output has no "
+                                  "certified formal margin at node (0, 0, 0)")
+    elif name == "gamma":
         if nodes in (9, 17):
             assert (result.passed, result.rung) == (False, 0)
             assert re.fullmatch(r"refused before rung 0: .* at node \(\d+, \d+, \d+\), .*",

@@ -151,7 +151,7 @@ def test_dump_digests_hold_at_every_dispatch_level(level):
 # x86-64-v2 is left out: there complex multiplication and complex abs
 # take other bits, the solver and relation_grid use both, and the flat
 # outputs at 17 nodes and more move, and with them the UNMOVED digests.
-# Of the 30 solves, the frames differ there only where the output does.
+# Of the 40 solves, the frames differ there only where the output does.
 FRAME_TESTS = " ".join(f"tests/test_ci.py::{name}" for name in (
     "test_no_solve_passes_that_the_verifier_refuses",
     "test_frames_match_the_stored_field_formula",
