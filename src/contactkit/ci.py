@@ -24,12 +24,13 @@ finite-difference derivative sweeps a circle in the complex column of the
 jet.  The relation value h is affine in that column, so per node the
 oscillation moves h on a circle of chosen radius around its current
 value; radius = current |h| + headroom keeps the worst phase away from
-zero.  The discrete amplitude is divided by sin(frequency * mesh), which
-makes the central-difference change exact for constant envelopes, so a
-pass knows its step in a before it acts and does not act when that step
-would take a further than eps from the input.  Each section's
-finite-difference curl is taken once and shared by the solver checks and
-the verifier.
+zero.  On the grid the oscillation is its phase step per node nu, taken
+mod 2 pi; rung r of the solver's ladder steps PHASE_STEPS[r] on every
+axis.  The discrete amplitude is divided by sin(nu), which makes the
+central-difference change exact for constant envelopes, so a pass knows
+its step in a before it acts and does not act when that step would take a
+further than eps from the input.  Each section's finite-difference curl
+is taken once and shared by the solver checks and the verifier.
 """
 
 from __future__ import annotations
@@ -49,8 +50,12 @@ from .jets import SliceClass, curl_grid, relation_grid, slope_grid
 from .reports import VerificationReport, fmt_num
 
 SINC_GUARD = 0.3
-FREQ_BASE = 8.0
-FREQ_CAP = 2.0 ** 14
+# the phase step per node of each rung, on every axis.  Rung 0 steps 8 rad;
+# rungs 1-11 spread over the arc [_ARC, pi - _ARC], where |sin nu| >=
+# SINC_GUARD, by the fractional parts of r (sqrt 5 - 1) / 2
+_ARC = math.asin(SINC_GUARD)
+PHASE_STEPS = (8.0, *(_ARC + (math.pi - 2 * _ARC) * (r * (math.sqrt(5) - 1) / 2 % 1)
+                      for r in range(1, 12)))
 N_FRAMES = 17
 # the homotopy certificate's relative rounding allowance: on the demo
 # solves no frame's |h| fell more than 3.6e-14 relative below the stated
@@ -140,26 +145,6 @@ def loop_for_target(slc: SliceClass, target, delta: float) -> Loop:
 # -- solver ---------------------------------------------------------------
 
 
-def good_frequency(n_base: int, h: float) -> int:
-    """Smallest integer >= n_base whose phase step avoids the sinc
-    resonance: |sin(N h)| >= SINC_GUARD."""
-    if not 0 < h < math.inf:
-        raise PreconditionError(f"mesh step must be finite and positive, got {h!r}")
-    steps = math.pi / h
-    if not math.isfinite(steps):
-        raise PreconditionError(f"mesh step {h!r} is too small: pi / h overflows")
-    # every N below asin(SINC_GUARD) / h lies on the first rising arc of
-    # |sin(N h)|, below the guard; the phase then moves by h per unit N, so
-    # a guard window is reached quickly
-    n_base = _count(n_base, "n_base", error=PreconditionError)
-    n = max(1, n_base, int(math.asin(SINC_GUARD) / h) - 1)
-    for _ in range(int(steps) + 2):
-        if abs(math.sin(n * h)) >= SINC_GUARD:
-            return n
-        n += 1
-    raise PreconditionError("no usable oscillation frequency (mesh too coarse)")
-
-
 def oscillation_field(ell: np.ndarray, nu: float, phi0, rho: np.ndarray,
                       h: float) -> np.ndarray:
     """The scalar correction whose central difference along the axis is
@@ -169,14 +154,15 @@ def oscillation_field(ell: np.ndarray, nu: float, phi0, rho: np.ndarray,
 
 
 def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
-                    d: int, freq: int, delta: float, interior: np.ndarray,
+                    d: int, nu: float, delta: float, interior: np.ndarray,
                     beta: np.ndarray, h_act: np.ndarray, a_in: np.ndarray,
                     eps: float) -> bool:
-    """One oscillation pass along axis d, in place; ``beta`` is the curl
-    of a on entry and ``h_act`` the relation field of (a, beta).  Returns
-    False, leaving a untouched, when the margins made the pass unnecessary,
-    its amplitude rho is zero on the whole grid, or its step would take
-    some component of a more than eps away from the input ``a_in``."""
+    """One oscillation pass along axis d, phase step ``nu`` per node, in
+    place; ``beta`` is the curl of a on entry and ``h_act`` the relation
+    field of (a, beta).  Returns False, leaving a untouched, when the
+    margins made the pass unnecessary, its amplitude rho is zero on the
+    whole grid, or its step would take some component of a more than eps
+    away from the input ``a_in``."""
     n = grid.n
     margins = np.abs(h_act)
     if margins[interior].min() >= 3 * delta:
@@ -201,7 +187,6 @@ def _direction_pass(a: np.ndarray, grid: CubeGrid, cutoff: np.ndarray,
         return False
 
     h_mesh = grid.h[d]
-    nu = freq * h_mesh
     # the oscillation moves component k of a by exactly
     # h / |sin nu| * rho * |u_k| at each node: a pass never overspends eps
     step = (h_mesh / abs(math.sin(nu))) * rho[..., None] * np.abs(u)
@@ -410,7 +395,7 @@ class Homotopy(Sequence):
         for strip in self.frozen:
             a_k[strip] = start.a[strip]
             beta_k[strip] = start.beta[strip]
-        return GridSection._trusted(grid, a_k, beta_k)
+        return GridSection(grid, a_k, beta_k)
 
 
 # -- result and verification ----------------------------------------------
@@ -419,8 +404,10 @@ class Homotopy(Sequence):
 @dataclass(frozen=True)
 class CIResult:
     """Solver outcome: the input it was given, the corrected section and
-    the achieved bounds.  ``frames`` is a read-only view, the ``Homotopy``
-    from the input to the output, built on first read."""
+    the achieved bounds.  ``sweep_frequencies`` holds, per sweep of the
+    rung that passed, one entry per axis: the phase step nu where that
+    pass acted, else 0.0.  ``frames`` is a read-only view, the
+    ``Homotopy`` from the input to the output, built on first read."""
 
     input: GridSection
     output: GridSection
@@ -429,7 +416,7 @@ class CIResult:
     delta: float
     margin: float
     deviation: float
-    sweep_frequencies: list[list[int]] = field(default_factory=list)
+    sweep_frequencies: list[list[float]] = field(default_factory=list)
     rung: int = 0
     passed: bool = False
     failure: str = ""
@@ -500,12 +487,13 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
              max_sweeps: int = 8) -> CIResult:
     """Correct a formal pair into the relation by coordinate oscillations.
 
-    Frequencies double from FREQ_BASE/mesh when a full sweep set fails to
-    reach the margin, restarting from the input each time; the cap is
-    FREQ_CAP/mesh.  A capped-out ladder returns a failure result carrying
-    the worst node, never a partial success.  The grid must have n = 1:
-    the homotopy's steering puts h on its target only where h is linear
-    in beta.
+    Rung r oscillates with phase step PHASE_STEPS[r] per node along every
+    axis, up to ``max_sweeps`` sweeps, each rung starting from the input;
+    an input already in the relation passes at rung 0 with no sweep.
+    When every rung fails, the result is a refusal naming the last rung's
+    phase step and worst node, never a partial success.  The grid must
+    have n = 1: the homotopy's steering puts h on its target only where h
+    is linear in beta.
     """
     grid = inp.grid
     _check_problem(grid, eps, delta)
@@ -522,11 +510,6 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
     _check_gamma_preconditions(inp, gamma, delta, curl_in, margins_in)
 
     interior = grid.interior_mask()
-    already = float(margins_in[interior].min())
-    if already >= delta:
-        return _passed(inp, gamma, eps, delta, h_formal, inp.a.copy(order="K"), curl_in,
-                       h_in, margin=already, deviation=0.0)
-
     cutoff = gamma.cutoff_field(grid)
     stuck = np.where(_out_of_reach(cutoff, interior), margins_in, np.inf)
     unreachable = float(stuck.min())
@@ -535,51 +518,35 @@ def ci_solve(inp: GridSection, gamma: GammaSpec, eps: float, delta: float,
             f"refused before rung 0: margin {unreachable:.3e} < delta "
             f"{delta:.3e} at node {_worst_node(stuck)}, where the cutoff is 0 on "
             f"the whole stencil, so no pass can change h"))
-    mesh = min(grid.h)
-    base_freq = FREQ_BASE / mesh
-    cap = FREQ_CAP / mesh
 
-    worst_note = ""
-    rung = 0
-    freq = base_freq
-    while freq <= cap:
-        # curl and h always belong to the current a
+    for rung, nu in enumerate(PHASE_STEPS):
+        # curl, h and the interior margins always belong to the current a
         a = inp.a.copy(order="K")
         curl, h = curl_in, h_in
-        sweep_freqs: list[list[int]] = []
-        success = False
-        rung_freqs = [good_frequency(round(freq), step) for step in grid.h]
-        for _ in range(max_sweeps):
-            per_direction = []
-            for d, nd in enumerate(rung_freqs):
-                if _direction_pass(a, grid, cutoff, d, nd, delta, interior, curl, h,
-                                   inp.a, eps):
+        masked = np.where(interior, margins_in, np.inf)
+        sweeps: list[list[float]] = []
+        while float(masked.min()) < delta and len(sweeps) < max_sweeps:
+            sweeps.append([])
+            for d in range(grid.m):
+                acted = _direction_pass(a, grid, cutoff, d, nu, delta, interior, curl, h,
+                                        inp.a, eps)
+                if acted:
                     curl = curl_grid(a, grid)
                     h = relation_grid(a, curl, grid.n)
-                else:
-                    nd = 0
-                per_direction.append(nd)
-            sweep_freqs.append(per_direction)
-            margins = np.abs(h)
-            achieved = float(margins[interior].min())
-            if achieved >= delta:
-                success = True
+                sweeps[-1].append(nu if acted else 0.0)
+            masked = np.where(interior, np.abs(h), np.inf)
+            if not any(sweeps[-1]):
                 break
-            if not any(per_direction):
-                break
+        achieved = float(masked.min())
         deviation = float(np.max(np.abs(a - inp.a)))
-        if success and deviation <= eps:
-            return _passed(inp, gamma, eps, delta, h_formal, a, curl, h, margin=achieved,
-                           deviation=deviation, sweep_frequencies=sweep_freqs, rung=rung)
-        masked = np.where(interior, margins, np.inf)
-        worst_note = (f"rung {rung} (freq {freq:.0f}): margin "
-                      f"{float(masked.min()):.3e} at node "
+        if achieved >= delta and deviation <= eps:
+            return _passed(inp, gamma, eps, delta, h_formal, a, curl, h, rung=rung,
+                           margin=achieved, deviation=deviation, sweep_frequencies=sweeps)
+        worst_note = (f"rung {rung} (phase step {nu:.4f}): margin {achieved:.3e} at node "
                       f"{_worst_node(masked)}, deviation {deviation:.3e}")
-        rung += 1
-        freq *= 2
 
-    return _unchanged(inp, gamma, eps, delta, rung=rung,
-                      failure=f"frequency ladder exhausted; last attempt: {worst_note}")
+    return _unchanged(inp, gamma, eps, delta, rung=len(PHASE_STEPS),
+                      failure=f"phase steps exhausted; last attempt: {worst_note}")
 
 
 def _path_bound(a0: np.ndarray, a1: np.ndarray, h0: np.ndarray, h1: np.ndarray,

@@ -135,15 +135,6 @@ class GridSection:
         self.a = _component_major(a)
         self.beta = _component_major(beta)
 
-    @classmethod
-    def _trusted(cls, grid: CubeGrid, a: np.ndarray, beta: np.ndarray) -> "GridSection":
-        """A section over component-major complex arrays of the grid's
-        shapes that the package computed from checked sections, without the
-        constructor's re-checks and copies, which stay for outside data."""
-        section = object.__new__(cls)
-        section.grid, section.a, section.beta = grid, a, beta
-        return section
-
     def copy(self) -> "GridSection":
         # order "K" keeps the layout; the checks stay, for a changed output
         return GridSection(self.grid, self.a.copy(order="K"), self.beta.copy(order="K"))

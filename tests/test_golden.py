@@ -51,7 +51,8 @@ def test_cli_report_matches_golden(name, capsys):
 # sha256 over (file name, NUL, bytes) of every file in integrate --out's
 # result directory, in name order
 DUMPS = {
-    "flat": (0, "b4554f128e86fb1dfe136057e55dceeab8d035645051d3bb2704d71ce251a7ef"),
+    # meta.json's sweep record holds the phase step of each pass that acted
+    "flat": (0, "50e3ba1c8f92745a3844e0f78cef9f98344f85bafd55d555f834e94f90d30db0"),
     "holonomic": (0, "cd94bd5b8d678f8a0937d003501e80be020bd58b5b371ec6e93fa27f3043dc52"),
     # refused at 9 nodes before rung 0, naming a node no pass can reach:
     # the output is the input

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactkit
-from contactkit.ci import Loop, ci_solve, demo_flat_section, good_frequency
+from contactkit.ci import Loop, ci_solve, demo_flat_section
 from contactkit.coefficients import LaurentPoly, Monomial, Pow, Z, Zbar, epow
 from contactkit.contact import pfaffian_coeffs, relation_h, relation_slope
 from contactkit.errors import ContactKitError, DimensionError, PreconditionError, VariantError
@@ -90,7 +90,6 @@ FIXTURES = {
     "ci.Loop.mean_quadrature": (_LOOP.mean_quadrature, {"k": 4}, {"k": 1}),
     "ci.Loop.min_affine_margin": (_LOOP.min_affine_margin,
                                   {"w": (1, 0, 0), "c": 0, "k": 8}, {"k": 1}),
-    "ci.good_frequency": (good_frequency, {"n_base": 8, "h": 0.25}, {}),
     "ci.ci_solve": (ci_solve, {"inp": _FLAT, "gamma": _NO_STRIPS, "eps": 0.5, "delta": 1e-3,
                                "max_sweeps": 1}, {"max_sweeps": 1}),
     "ci.demo_flat_section": (demo_flat_section, {"nodes": 5}, {"nodes": 5}),
